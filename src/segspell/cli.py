@@ -75,6 +75,12 @@ def pipeline_config(cfg):
         frac = float(ad.get("fraction", 0.2))
         if not 0.0 < frac < 1.0:
             raise ConfigError("adaptation fraction must be in (0, 1), got %r" % frac)
+        if fe.get("mode", "letter") != "letter":
+            raise ConfigError("frontend.mode must be 'letter' (no phonological-feature "
+                              "classifiers are trained), got %r" % (fe["mode"],))
+        if fe.get("transform", "linear") not in ("linear", "log"):
+            raise ConfigError("frontend.transform must be 'linear' or 'log', got %r"
+                              % (fe["transform"],))
         pcfg = PipelineConfig(
             frontend=FrontendConfig(
                 window=int(fe.get("window", 5)),
@@ -506,7 +512,7 @@ def cmd_decode(args):
             labels, _, _ = scrf_viterbi(model, ctx)
             hyps.append((stem, letters_only(labels)))
     else:
-        pairs = pipeline.decode_words(rec, words, threads=getattr(args, "threads", 1))
+        pairs = pipeline.decode_words(rec, words, threads=args.threads)
         for (ref, hyp), stem in zip(pairs, stems):
             hyps.append((stem, hyp))
     write_hyps(args.out, hyps)
@@ -634,8 +640,6 @@ def build_parser():
         description="Fingerspelling sequence recognition experiments on "
                     "synthetic data: tandem GMM-HMM and segmental CRF "
                     "recognizers with signer adaptation.")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="worker threads for per-sequence work")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -721,6 +725,8 @@ def build_parser():
     sp.add_argument("--scrf", help="segmental model weights JSON")
     sp.add_argument("--lattices", help="lattice directory (rescoring decode)")
     sp.add_argument("--signers")
+    sp.add_argument("--threads", type=int, default=os.cpu_count(),
+                    help="worker threads for tandem decoding")
     common(sp)
 
     sp = sub.add_parser("cascade", help="two-pass segmental cascade experiment")

@@ -9,12 +9,14 @@ of a label sequence sums over all segmentations consistent with it, either
 over the full bounded-duration space (first-pass mode) or over the
 candidate segmentations of a lattice (rescoring mode).
 
-Inference is exact: forward/backward recursions over (boundary frame,
-label) in log-space with per-label duration ranges, and the matching max
-recursion for decoding.  When no registered feature reads the left label,
-edge scores collapse to a (start, duration, label) table and the
-recursions run fully vectorized; left-dependent features (the LM feature)
-take an exact slower path sized for lattices and small instances.
+Inference is exact and follows the first-order semi-CRF of Sarawagi &
+Cohen (NIPS 2004).  An edge score splits into a span part, a (start,
+duration, label) table with infeasible spans at -inf, and a label-pair
+part, an (L+1) x L transition matrix whose row 0 is the START context.
+The only left-dependent feature (the LM feature) reads nothing but the
+label pair, so it lives in that matrix next to the structural
+constraints.  Forward/backward, Viterbi, N-best, marginals and both
+feature expectations all run on these two arrays.
 
 Training maximizes conditional log-likelihood by (sub)gradient ascent with
 L2 and proximal (clip-at-zero) L1 steps; the gradient is the clamped
@@ -135,7 +137,9 @@ def segment_thirds(n):
 # ---------------------------------------------------------------------------
 # Feature functions.  A feature is either lexicalized (a per-span base
 # vector placed in the block of the edge's right label) or global (its
-# eval() is called per edge).  Only the LM feature reads the left label.
+# eval() is called per edge).  Only the LM feature reads the left label,
+# and it reads nothing else: a left-dependent feature gives its values for
+# every label pair through pair_matrix().
 
 class LmFeature:
     """Smoothed bigram probability of the labels across the edge (or its
@@ -155,6 +159,12 @@ class LmFeature:
         except (KeyError, AttributeError):
             p = 1.0
         return np.array([math.log(p) if self.use_log else p])
+
+    def pair_matrix(self, ctx, labels):
+        """Values for every (left, right) pair, (L+1, L, 1); row 0 is START."""
+        return np.array([[self.eval(SegmentEdge(0, 0, left, right), ctx)
+                          for right in labels]
+                         for left in [START_LABEL] + list(labels)])
 
 
 class BaselineFeature:
@@ -193,6 +203,16 @@ class _Lexicalized:
 
     def dimension(self, ctx):
         return len(self.labels) * self.block_size(ctx)
+
+    def span_matrix(self, ctx, dmax):
+        """Base vectors for every (start, duration): (T, dmax, block);
+        spans running past the last frame stay zero."""
+        t_len = ctx.num_frames
+        phi = np.zeros((t_len, dmax, self.block_size(ctx)))
+        for t0 in range(t_len):
+            for d in range(1, min(dmax, t_len - t0) + 1):
+                phi[t0, d - 1] = self.base_vector(ctx, t0, t0 + d - 1)
+        return phi
 
 
 class ClassifierStatFeature(_Lexicalized):
@@ -303,15 +323,16 @@ class FirstPassFeatures(_Lexicalized):
 
 class FirstPassScoreFeature:
     """Edge score under a trained first-pass model; summed over a
-    segmentation this reproduces that model's total score."""
+    segmentation this reproduces that model's total score.  The model must
+    be left-independent (see build_second_pass)."""
 
     lexicalized = False
+    left_dependent = False
     name = "firstpass_score"
     dim = 1
 
     def __init__(self, model):
         self.model = model
-        self.left_dependent = model.left_dependent
 
     def eval(self, edge, ctx):
         return np.array([self.model.edge_score(edge, ctx)])
@@ -430,24 +451,18 @@ class SegmentalModel:
         return total
 
     def score(self, labels, segments, ctx, weights=None):
-        """Total weighted feature score of one labeled segmentation."""
+        """Total weighted feature score of one labeled segmentation.
+
+        The duration bounds only size the full-space tables, so a lattice
+        hypothesis is scored as given, exactly as lattice training scores
+        it."""
         check_tiling(segments, ctx.num_frames)
         if len(labels) != len(segments):
             raise ValueError("label/segment count mismatch")
-        for seg, label in zip(segments, labels):
-            if seg.duration > self.max_dur(label, ctx.num_frames):
-                raise ValueError("segment %r exceeds the duration bound" % (seg,))
         return sum(self.edge_score(e, ctx, weights) for e in edges_of(labels, segments))
 
-    def masks(self):
-        nl = len(self.labels)
-        trans = np.zeros((nl, nl), dtype=bool)
-        for i, p in enumerate(self.labels):
-            for j, nx in enumerate(self.labels):
-                trans[i, j] = self.transition_ok(p, nx)
-        init = np.array([0.0 if self.initial_ok(l) else NEG_INF for l in self.labels])
-        final = np.array([0.0 if self.final_ok(l) else NEG_INF for l in self.labels])
-        return trans, init, final
+    def final_mask(self):
+        return np.array([0.0 if self.final_ok(l) else NEG_INF for l in self.labels])
 
     # -- serialization ------------------------------------------------------
 
@@ -495,21 +510,12 @@ def _logsumexp(values):
     return m + math.log(float(np.sum(np.exp(values - m))))
 
 
-def _lse_axis0(values):
-    """logsumexp along axis 0 of a 2-D array; all -inf columns stay -inf."""
-    m = values.max(axis=0)
+def _lse(values, axis=0):
+    """logsumexp along one axis; all -inf lines stay -inf."""
+    m = values.max(axis=axis, keepdims=True)
     safe = np.where(m == NEG_INF, 0.0, m)
-    s = np.exp(values - safe[None]).sum(axis=0)
-    out = np.full(values.shape[1], NEG_INF)
-    good = m > NEG_INF
-    out[good] = m[good] + np.log(s[good])
-    return out
-
-
-def _masked_lse(vector, mask):
-    """out[j] = logsumexp over i with mask[i, j] of vector[i]."""
-    vals = np.where(mask, vector[:, None], NEG_INF)
-    return _lse_axis0(vals)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(values - safe).sum(axis=axis)) + np.squeeze(safe, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -519,79 +525,67 @@ def _masked_lse(vector, mask):
 class Tables:
     table: np.ndarray        # (T, dmax, L): left-independent edge scores
     dmax: int
-    span_matrices: dict      # feature position -> (T, dmax, block) bases
+    trans: np.ndarray        # (L+1, L): label-pair scores, row 0 = START
+    span_features: dict      # feature position -> per-span feature values
+    pair_features: dict      # feature position -> (L+1, L, dim) values
 
 
 def compute_tables(model, ctx, weights=None):
-    """Left-independent edge scores for every (start, duration-1, label);
-    infeasible spans are -inf.  Left-dependent features are added inside the
-    recursions."""
+    """Both parts of every edge score, built once per sequence.
+
+    ``table[t, d-1, y]`` is the left-independent score of a span starting at
+    t with duration d and label y; infeasible spans are -inf.  ``trans[p, y]``
+    is the score of label y following context p, where row 0 is the START
+    context (the initial-label constraint) and row p+1 follows label p:
+    disallowed pairs are -inf and each left-dependent feature adds
+    w . f(left, right).  The feature values behind both are kept for the
+    expectations: (T, dmax, block) base vectors for a lexicalized feature,
+    (T, dmax, L, dim) edge values for any other left-independent one."""
     w_all = model.weights if weights is None else weights
+    labels = model.labels
     t_len = ctx.num_frames
-    dmax = min(max(model.max_dur(l, t_len) for l in model.labels), t_len)
-    nl = len(model.labels)
+    dmax = min(max(model.max_dur(l, t_len) for l in labels), t_len)
+    nl = len(labels)
     table = np.zeros((t_len, dmax, nl))
-    span_matrices = {}
+    trans = np.full((nl + 1, nl), NEG_INF)
+    for li, label in enumerate(labels):
+        if model.initial_ok(label):
+            trans[0, li] = 0.0
+        for pi, prev in enumerate(labels):
+            if model.transition_ok(prev, label):
+                trans[pi + 1, li] = 0.0
+    span_features, pair_features = {}, {}
     for fi, (f, off, dim) in enumerate(zip(model.features, model.offsets[:-1], model.dims)):
-        if f.left_dependent:
-            continue
         w = w_all[off:off + dim]
-        if isinstance(f, FirstPassFeatures):
+        if f.left_dependent:
+            phi = f.pair_matrix(ctx, labels)
+            pair_features[fi] = phi
+            trans = trans + phi @ w
+        elif f.lexicalized:
             phi = f.span_matrix(ctx, dmax)
-            span_matrices[fi] = phi
-            wm = np.zeros((nl, f.block))
-            for li, label in enumerate(model.labels):
+            span_features[fi] = phi
+            bd = phi.shape[2]
+            wm = np.zeros((nl, bd))
+            for li, label in enumerate(labels):
                 idx = f.label_index(label)
                 if idx is not None:
-                    wm[li] = w[idx * f.block:(idx + 1) * f.block]
+                    wm[li] = w[idx * bd:(idx + 1) * bd]
             table += phi @ wm.T
-        elif f.lexicalized:
-            bd = f.block_size(ctx)
-            for t0 in range(t_len):
-                for d in range(1, min(dmax, t_len - t0) + 1):
-                    base = f.base_vector(ctx, t0, t0 + d - 1)
-                    for li, label in enumerate(model.labels):
-                        idx = f.label_index(label)
-                        if idx is not None:
-                            table[t0, d - 1, li] += float(
-                                np.dot(w[idx * bd:(idx + 1) * bd], base))
         else:
+            phi = np.zeros((t_len, dmax, nl, dim))
             for t0 in range(t_len):
                 for d in range(1, min(dmax, t_len - t0) + 1):
-                    for li, label in enumerate(model.labels):
-                        e = SegmentEdge(t0, t0 + d - 1, START_LABEL, label)
-                        table[t0, d - 1, li] += float(np.dot(w, f.eval(e, ctx)))
-    for li, label in enumerate(model.labels):
-        lo = model.min_dur(label)
-        hi = model.max_dur(label, t_len)
-        if lo > 1:
-            table[:, :lo - 1, li] = NEG_INF
-        if hi < dmax:
-            table[:, hi:, li] = NEG_INF
+                    for li, label in enumerate(labels):
+                        phi[t0, d - 1, li] = f.eval(
+                            SegmentEdge(t0, t0 + d - 1, START_LABEL, label), ctx)
+            span_features[fi] = phi
+            table += phi @ w
+    for li, label in enumerate(labels):
+        table[:, :max(model.min_dur(label) - 1, 0), li] = NEG_INF
+        table[:, model.max_dur(label, t_len):, li] = NEG_INF
     for t0 in range(t_len):
-        if t_len - t0 < dmax:
-            table[t0, t_len - t0:, :] = NEG_INF
-    return Tables(table, dmax, span_matrices)
-
-
-def span_score_table(model, ctx, weights=None):
-    tabs = compute_tables(model, ctx, weights)
-    return tabs.table, tabs.dmax
-
-
-def _left_scores(model, ctx, start, end, right_label, weights):
-    """Left-dependent feature contribution per previous label; index 0 is
-    the START context, then one entry per label."""
-    w_all = model.weights if weights is None else weights
-    out = np.zeros(len(model.labels) + 1)
-    for f, off, dim in zip(model.features, model.offsets[:-1], model.dims):
-        if not f.left_dependent:
-            continue
-        w = w_all[off:off + dim]
-        out[0] += float(np.dot(w, f.eval(SegmentEdge(start, end, START_LABEL, right_label), ctx)))
-        for li, prev in enumerate(model.labels):
-            out[li + 1] += float(np.dot(w, f.eval(SegmentEdge(start, end, prev, right_label), ctx)))
-    return out
+        table[t0, t_len - t0:, :] = NEG_INF
+    return Tables(table, dmax, trans, span_features, pair_features)
 
 
 # ---------------------------------------------------------------------------
@@ -600,97 +594,40 @@ def _left_scores(model, ctx, start, end, right_label, weights):
 def forward_pass(model, ctx, weights=None, tabs=None):
     """alpha[t, y]: log-sum over partial hypotheses covering frames [0, t)
     whose final segment has label y; prev_lse[t, y]: log-sum over contexts
-    allowed to precede a segment starting at t labeled y (START at t=0)."""
+    preceding a segment starting at t labeled y, with the pair score
+    (START at t=0)."""
     if tabs is None:
         tabs = compute_tables(model, ctx, weights)
-    table, dmax = tabs.table, tabs.dmax
+    table, dmax, trans = tabs.table, tabs.dmax, tabs.trans
     t_len = ctx.num_frames
     nl = len(model.labels)
-    trans, init_mask, _ = model.masks()
-    left_dep = model.left_dependent
     alpha = np.full((t_len + 1, nl), NEG_INF)
     prev_lse = np.full((t_len + 1, nl), NEG_INF)
-    prev_lse[0] = init_mask
+    prev_lse[0] = trans[0]
     for t in range(1, t_len + 1):
-        n_d = min(dmax, t)
-        starts = t - np.arange(1, n_d + 1)
-        if left_dep:
-            acc = np.full((n_d, nl), NEG_INF)
-            for di, a in enumerate(starts):
-                for li in range(nl):
-                    base = table[a, t - a - 1, li]
-                    if base == NEG_INF:
-                        continue
-                    ls = _left_scores(model, ctx, a, t - 1, model.labels[li], weights)
-                    if a == 0:
-                        acc[di, li] = base + ls[0] + init_mask[li]
-                    else:
-                        cand = np.where(trans[:, li], alpha[a] + ls[1:], NEG_INF)
-                        acc[di, li] = base + _logsumexp(cand)
-        else:
-            acc = table[starts, t - starts - 1, :] + prev_lse[starts]
-        alpha[t] = _lse_axis0(acc)
+        starts = t - np.arange(1, min(dmax, t) + 1)
+        alpha[t] = _lse(table[starts, t - starts - 1, :] + prev_lse[starts])
         if t < t_len:
-            prev_lse[t] = _masked_lse(alpha[t], trans)
+            prev_lse[t] = _lse(alpha[t][:, None] + trans[1:])
     return alpha, prev_lse, tabs
 
 
-def backward_pass(model, ctx, tabs, weights=None):
-    """tail[t, y]: log-sum over completions of frames [t, T) given the
-    previous segment ended at t with label y.  tail[T] folds in the final-
-    label mask, so tail is directly usable in edge marginals."""
-    table, dmax = tabs.table, tabs.dmax
+def backward_pass(model, ctx, tabs):
+    """(tail, inner).  tail[t, p]: log-sum over completions of frames
+    [t, T) given the previous segment ended at t with label p; tail[T]
+    folds in the final-label mask.  inner[t, y]: the same completions
+    restricted to a first segment labeled y, without its pair score."""
+    table, dmax, trans = tabs.table, tabs.dmax, tabs.trans
     t_len = ctx.num_frames
     nl = len(model.labels)
-    trans, init_mask, final_mask = model.masks()
-    left_dep = model.left_dependent
     tail = np.full((t_len + 1, nl), NEG_INF)
-    tail[t_len] = final_mask
+    inner = np.full((t_len, nl), NEG_INF)
+    tail[t_len] = model.final_mask()
     for t in range(t_len - 1, -1, -1):
-        n_d = min(dmax, t_len - t)
-        ends = t + np.arange(1, n_d + 1)
-        if left_dep:
-            for lp in range(nl):
-                vals = []
-                for li in range(nl):
-                    if not trans[lp, li]:
-                        continue
-                    for d in range(1, n_d + 1):
-                        b = t + d
-                        base = table[t, d - 1, li]
-                        if base == NEG_INF or tail[b, li] == NEG_INF:
-                            continue
-                        ls = _left_scores(model, ctx, t, b - 1, model.labels[li], weights)
-                        vals.append(base + ls[lp + 1] + tail[b, li])
-                tail[t, lp] = _logsumexp(np.array(vals)) if vals else NEG_INF
-        else:
-            v = table[t, :n_d, :] + tail[ends]      # (n_d, nl)
-            w_next = _lse_axis0(v)
-            tail[t] = _masked_lse(w_next, trans.T)
-    return tail
-
-
-def start_mass(model, ctx, tabs, tail, weights=None):
-    """log-sum over complete hypotheses (equals logZ), computed from the
-    START context; useful as a cross-check of the forward pass."""
-    table, dmax = tabs.table, tabs.dmax
-    t_len = ctx.num_frames
-    _, init_mask, _ = model.masks()
-    n_d = min(dmax, t_len)
-    if model.left_dependent:
-        vals = []
-        for li, label in enumerate(model.labels):
-            if init_mask[li] == NEG_INF:
-                continue
-            for d in range(1, n_d + 1):
-                base = table[0, d - 1, li]
-                if base == NEG_INF or tail[d, li] == NEG_INF:
-                    continue
-                ls = _left_scores(model, ctx, 0, d - 1, label, weights)
-                vals.append(base + ls[0] + tail[d, li])
-        return _logsumexp(np.array(vals)) if vals else NEG_INF
-    v = table[0, :n_d, :] + tail[1:n_d + 1]
-    return _logsumexp(_lse_axis0(v) + init_mask)
+        ends = t + np.arange(1, min(dmax, t_len - t) + 1)
+        inner[t] = _lse(table[t, :len(ends), :] + tail[ends])
+        tail[t] = _lse(inner[t][:, None] + trans[1:].T)
+    return tail, inner
 
 
 def log_partition(model, ctx, mode="full", lattice=None, weights=None):
@@ -704,45 +641,37 @@ def log_partition(model, ctx, mode="full", lattice=None, weights=None):
     if mode != "full":
         raise ValueError("mode must be 'full' or 'lattice'")
     alpha, _, _ = forward_pass(model, ctx, weights)
-    _, _, final_mask = model.masks()
-    return _logsumexp(alpha[ctx.num_frames] + final_mask)
+    return _logsumexp(alpha[ctx.num_frames] + model.final_mask())
 
 
 def viterbi(model, ctx, weights=None):
     """Best labeled segmentation under the duration bounds.
 
-    With left-dependent features, equal scores break toward fewer segments,
-    then the lower previous-label index, then the earlier segment start; the
-    vectorized left-independent path resolves exact ties by the shortest
-    final segment, then the lowest previous-label index.
+    Exact ties resolve to the shortest final segment, then the lowest
+    previous-label index (and, at the last frame, the lowest label index).
     """
-    if model.left_dependent:
-        return _viterbi_generic(model, ctx, weights)
     tabs = compute_tables(model, ctx, weights)
-    table, dmax = tabs.table, tabs.dmax
+    table, dmax, trans = tabs.table, tabs.dmax, tabs.trans
     t_len = ctx.num_frames
     nl = len(model.labels)
-    trans, init_mask, final_mask = model.masks()
-    trans_add = np.where(trans, 0.0, NEG_INF)
     best = np.full((t_len + 1, nl), NEG_INF)
-    # best over allowed previous labels, and that label's index
+    # best over previous contexts with the pair score, and that label's index
     prev_best = np.full((t_len + 1, nl), NEG_INF)
     prev_arg = np.zeros((t_len + 1, nl), dtype=int)
-    prev_best[0] = init_mask
+    prev_best[0] = trans[0]
     prev_arg[0] = -1
     back_d = np.zeros((t_len + 1, nl), dtype=int)
     for t in range(1, t_len + 1):
-        n_d = min(dmax, t)
-        starts = t - np.arange(1, n_d + 1)
+        starts = t - np.arange(1, min(dmax, t) + 1)
         cand = table[starts, t - starts - 1, :] + prev_best[starts]  # (n_d, nl)
         di = np.argmax(cand, axis=0)
         best[t] = cand[di, np.arange(nl)]
         back_d[t] = di + 1
         if t < t_len:
-            scores = best[t][:, None] + trans_add  # (prev, next)
+            scores = best[t][:, None] + trans[1:]  # (prev, next)
             prev_arg[t] = np.argmax(scores, axis=0)
             prev_best[t] = scores[prev_arg[t], np.arange(nl)]
-    finals = best[t_len] + final_mask
+    finals = best[t_len] + model.final_mask()
     li = int(np.argmax(finals))
     if finals[li] == NEG_INF:
         raise ValueError("no legal segmentation (check duration bounds)")
@@ -761,96 +690,24 @@ def viterbi(model, ctx, weights=None):
     return labels, segments, final_score
 
 
-def _viterbi_generic(model, ctx, weights=None):
-    tabs = compute_tables(model, ctx, weights)
-    table, dmax = tabs.table, tabs.dmax
-    t_len = ctx.num_frames
-    nl = len(model.labels)
-    trans, init_mask, final_mask = model.masks()
-    best = np.full((t_len + 1, nl), NEG_INF)
-    nseg = np.zeros((t_len + 1, nl), dtype=int)
-    back = {}
-    for t in range(1, t_len + 1):
-        for li in range(nl):
-            cand = []  # (score, nseg, prev_li, start)
-            for d in range(1, min(dmax, t) + 1):
-                a = t - d
-                base = table[a, d - 1, li]
-                if base == NEG_INF:
-                    continue
-                ls = _left_scores(model, ctx, a, t - 1, model.labels[li], weights)
-                if a == 0:
-                    if init_mask[li] == NEG_INF:
-                        continue
-                    cand.append((base + ls[0], 1, -1, a))
-                else:
-                    for lp in range(nl):
-                        if not trans[lp, li] or best[a, lp] == NEG_INF:
-                            continue
-                        cand.append((best[a, lp] + base + ls[lp + 1],
-                                     nseg[a, lp] + 1, lp, a))
-            if not cand:
-                continue
-            cand.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
-            sc, k, lp, a = cand[0]
-            best[t, li] = sc
-            nseg[t, li] = k
-            back[(t, li)] = (a, lp)
-    finals = best[t_len] + final_mask
-    order = sorted(range(nl), key=lambda li: (-finals[li], nseg[t_len, li], li))
-    li = order[0]
-    if finals[li] == NEG_INF:
-        raise ValueError("no legal segmentation (check duration bounds)")
-    final_score = float(finals[li])
-    labels, segments = [], []
-    t = t_len
-    while t > 0:
-        a, lp = back[(t, li)]
-        labels.append(model.labels[li])
-        segments.append(Segment(model.labels[li], a, t - 1))
-        t, li = a, lp
-    labels.reverse()
-    segments.reverse()
-    return labels, segments, final_score
+def _edge_posteriors(prev_lse, table, tail, logz):
+    t_len, dmax, nl = table.shape
+    marg = np.zeros(table.shape)
+    with np.errstate(invalid="ignore"):
+        for d in range(1, dmax + 1):
+            rows = np.arange(0, t_len - d + 1)
+            vals = prev_lse[rows] + table[rows, d - 1, :] + tail[rows + d] - logz
+            marg[rows, d - 1, :] = np.where(np.isfinite(vals), np.exp(vals), 0.0)
+    return marg
 
 
 def edge_marginals(model, ctx, weights=None, tabs=None):
     """Posterior probability of each (start, duration, right label) edge
     (summed over the left label), shape (T, dmax, L), plus logZ."""
     alpha, prev_lse, tabs = forward_pass(model, ctx, weights, tabs)
-    tail = backward_pass(model, ctx, tabs, weights)
-    table, dmax = tabs.table, tabs.dmax
-    t_len = ctx.num_frames
-    nl = len(model.labels)
-    trans, init_mask, final_mask = model.masks()
-    logz = _logsumexp(alpha[t_len] + final_mask)
-    marg = np.zeros((t_len, dmax, nl))
-    if model.left_dependent:
-        for a in range(t_len):
-            for d in range(1, min(dmax, t_len - a) + 1):
-                b = a + d
-                for li in range(nl):
-                    base = table[a, d - 1, li]
-                    if base == NEG_INF or tail[b, li] == NEG_INF:
-                        continue
-                    ls = _left_scores(model, ctx, a, b - 1, model.labels[li], weights)
-                    if a == 0:
-                        head = init_mask[li] + ls[0]
-                    else:
-                        head = _logsumexp(np.where(trans[:, li], alpha[a] + ls[1:], NEG_INF))
-                    if head == NEG_INF:
-                        continue
-                    marg[a, d - 1, li] = math.exp(head + base + tail[b, li] - logz)
-    else:
-        with np.errstate(invalid="ignore"):
-            for d in range(1, dmax + 1):
-                amax = t_len - d
-                if amax < 0:
-                    break
-                rows = np.arange(0, amax + 1)
-                vals = prev_lse[rows] + table[rows, d - 1, :] + tail[rows + d] - logz
-                marg[rows, d - 1, :] = np.where(np.isfinite(vals), np.exp(vals), 0.0)
-    return marg, logz
+    tail, _ = backward_pass(model, ctx, tabs)
+    logz = _logsumexp(alpha[ctx.num_frames] + model.final_mask())
+    return _edge_posteriors(prev_lse, tabs.table, tail, logz), logz
 
 
 # ---------------------------------------------------------------------------
@@ -875,191 +732,99 @@ def candidate_feature_totals(model, ctx, hyp):
     return total
 
 
-def _accumulate_edge(model, ctx, edge, weight, expect):
-    """expect += weight * f(edge), exploiting lexicalized block structure."""
-    for f, off, dim in zip(model.features, model.offsets[:-1], model.dims):
+def _add_span_expectation(model, tabs, post, li, expect):
+    """expect += sum over spans of post[t, d-1] * f(span labeled li), for
+    every left-independent feature."""
+    for fi, phi in tabs.span_features.items():
+        f, off, dim = model.features[fi], model.offsets[fi], model.dims[fi]
         if f.lexicalized:
-            idx = f.label_index(edge.right)
-            if idx is None:
-                continue
-            bd = f.block_size(ctx)
-            expect[off + idx * bd: off + (idx + 1) * bd] += \
-                weight * f.base_vector(ctx, edge.start, edge.end)
+            idx = f.label_index(model.labels[li])
+            if idx is not None:
+                bd = phi.shape[2]
+                expect[off + idx * bd: off + (idx + 1) * bd] += \
+                    np.einsum("td,tdb->b", post, phi)
         else:
-            expect[off:off + dim] += weight * f.eval(edge, ctx)
+            expect[off:off + dim] += np.einsum("td,tdk->k", post, phi[:, :, li])
+
+
+def _add_pair_expectation(model, tabs, post, expect):
+    """expect += sum over label pairs of post[p, y] * f(p, y), for every
+    left-dependent feature; post is indexed like the transition matrix."""
+    for fi, phi in tabs.pair_features.items():
+        off, dim = model.offsets[fi], model.dims[fi]
+        expect[off:off + dim] += np.einsum("py,pyk->k", post, phi)
 
 
 def clamped_expectation(model, ctx, ref_labels, weights=None, tabs=None):
     """(expected features, log-partition) over segmentations consistent with
-    the reference label sequence (constrained forward-backward)."""
+    the reference label sequence (constrained forward-backward).  All of
+    them share the reference's label pairs, so the pair score of each
+    reference position is one constant, and each position's recursion runs
+    over every (boundary, duration) at once."""
     if tabs is None:
         tabs = compute_tables(model, ctx, weights)
     table, dmax = tabs.table, tabs.dmax
     t_len = ctx.num_frames
     k = len(ref_labels)
-    nl = len(model.labels)
-    left_dep = model.left_dependent
     lidx = [model._label_index[l] for l in ref_labels]
-    lo = [model.min_dur(l) for l in ref_labels]
-    hi = [min(model.max_dur(l, t_len), dmax) for l in ref_labels]
-
-    def edge_extra(i, s, e):
-        if not left_dep:
-            return 0.0
-        ls = _left_scores(model, ctx, s, e, ref_labels[i], weights)
-        return ls[0] if i == 0 else ls[model._label_index[ref_labels[i - 1]] + 1]
+    rows = [0] + [li + 1 for li in lidx[:-1]]
+    pair = tabs.trans[rows, lidx]
+    # durs[d-1] = d - 1; the span of duration d starting at boundary t ends
+    # at ends[t, d-1] (clipped: spans past the last frame are -inf in the
+    # table), and the one ending at boundary t+1 starts at starts[t, d-1]
+    t_idx = np.arange(t_len)[:, None]
+    durs = np.arange(dmax)[None, :]
+    ends = np.minimum(t_idx + durs + 1, t_len)
+    starts = t_idx - durs
+    fits = starts >= 0
+    starts = np.maximum(starts, 0)
 
     a = np.full((k + 1, t_len + 1), NEG_INF)
     a[0, 0] = 0.0
-    for i in range(1, k + 1):
-        li = lidx[i - 1]
-        for t in range(1, t_len + 1):
-            vals = []
-            for d in range(lo[i - 1], min(hi[i - 1], t) + 1):
-                s = t - d
-                base = table[s, d - 1, li]
-                if base == NEG_INF or a[i - 1, s] == NEG_INF:
-                    continue
-                vals.append(a[i - 1, s] + base + edge_extra(i - 1, s, t - 1))
-            if vals:
-                a[i, t] = _logsumexp(np.array(vals))
-    logz_c = a[k, t_len]
+    for i in range(k):
+        by_end = np.where(fits, table[starts, durs, lidx[i]], NEG_INF)
+        a[i + 1, 1:] = _lse(a[i, starts] + by_end + pair[i], axis=1)
+    b = np.full((k + 1, t_len + 1), NEG_INF)
+    b[k, t_len] = model.final_mask()[lidx[-1]]
+    for i in range(k - 1, -1, -1):
+        b[i, :t_len] = _lse(b[i + 1, ends] + table[:, :, lidx[i]] + pair[i], axis=1)
+    logz_c = a[k, t_len] + b[k, t_len]
     if logz_c == NEG_INF:
         return None, NEG_INF
-    b = np.full((k + 1, t_len + 1), NEG_INF)
-    b[k, t_len] = 0.0
-    for i in range(k - 1, -1, -1):
-        li = lidx[i]
-        for t in range(0, t_len + 1):
-            vals = []
-            for d in range(lo[i], min(hi[i], t_len - t) + 1):
-                base = table[t, d - 1, li]
-                if base == NEG_INF or b[i + 1, t + d] == NEG_INF:
-                    continue
-                vals.append(b[i + 1, t + d] + base + edge_extra(i, t, t + d - 1))
-            if vals:
-                b[i, t] = _logsumexp(np.array(vals))
 
     expect = np.zeros(model.total_dim)
-    # per-position edge posteriors, then vectorized accumulation
     for i in range(k):
-        li = lidx[i]
-        left = START_LABEL if i == 0 else ref_labels[i - 1]
-        pc = np.zeros((t_len, dmax))
-        for t in range(t_len):
-            if a[i, t] == NEG_INF:
-                continue
-            for d in range(lo[i], min(hi[i], t_len - t) + 1):
-                base = table[t, d - 1, li]
-                if base == NEG_INF or b[i + 1, t + d] == NEG_INF:
-                    continue
-                pc[t, d - 1] = math.exp(a[i, t] + base + edge_extra(i, t, t + d - 1)
-                                        + b[i + 1, t + d] - logz_c)
-        _accumulate_span_posteriors(model, ctx, tabs, pc, li, left, expect)
+        pc = np.exp(a[i, :t_len, None] + table[:, :, lidx[i]] + pair[i]
+                    + b[i + 1, ends] - logz_c)
+        _add_span_expectation(model, tabs, pc, lidx[i], expect)
+    counts = np.zeros(tabs.trans.shape)
+    np.add.at(counts, (rows, lidx), 1.0)
+    _add_pair_expectation(model, tabs, counts, expect)
     return expect, float(logz_c)
 
 
-def _accumulate_span_posteriors(model, ctx, tabs, pc, li, left, expect):
-    """expect += sum over spans of pc[span] * f(span with right label li)."""
-    label = model.labels[li]
-    for fi, (f, off, dim) in enumerate(zip(model.features, model.offsets[:-1], model.dims)):
-        if isinstance(f, FirstPassFeatures) and fi in tabs.span_matrices:
-            idx = f.label_index(label)
-            if idx is None:
-                continue
-            contrib = np.einsum("td,tdb->b", pc, tabs.span_matrices[fi])
-            expect[off + idx * f.block: off + (idx + 1) * f.block] += contrib
-        else:
-            nz = np.argwhere(pc > 1e-14)
-            if f.lexicalized:
-                idx = f.label_index(label)
-                if idx is None:
-                    continue
-                bd = f.block_size(ctx)
-                for t, dm in nz:
-                    expect[off + idx * bd: off + (idx + 1) * bd] += \
-                        pc[t, dm] * f.base_vector(ctx, t, t + dm)
-            else:
-                for t, dm in nz:
-                    e = SegmentEdge(int(t), int(t + dm), left, label)
-                    expect[off:off + dim] += pc[t, dm] * f.eval(e, ctx)
-
-
 def free_expectation(model, ctx, weights=None, tabs=None):
-    """(expected features, logZ) over the full segmentation space."""
+    """(expected features, logZ) over the full segmentation space.  The
+    label-pair posterior of (p, y) sums, over the boundary t where a segment
+    labeled y starts, exp(alpha[t, p] + trans[p, y] + inner[t, y] - logZ)."""
     if tabs is None:
         tabs = compute_tables(model, ctx, weights)
-    marg, logz = edge_marginals(model, ctx, weights, tabs)
-    t_len, dmax, nl = marg.shape
-    expect = np.zeros(model.total_dim)
-    for fi, (f, off, dim) in enumerate(zip(model.features, model.offsets[:-1], model.dims)):
-        if f.left_dependent:
-            continue
-        if isinstance(f, FirstPassFeatures) and fi in tabs.span_matrices:
-            phi = tabs.span_matrices[fi]
-            for li, label in enumerate(model.labels):
-                idx = f.label_index(label)
-                if idx is None:
-                    continue
-                contrib = np.einsum("td,tdb->b", marg[:, :, li], phi)
-                expect[off + idx * f.block: off + (idx + 1) * f.block] += contrib
-        elif f.lexicalized:
-            bd = f.block_size(ctx)
-            nz = np.argwhere(marg.sum(axis=2) > 1e-14)
-            for t, dm in nz:
-                base = f.base_vector(ctx, t, t + dm)
-                for li, label in enumerate(model.labels):
-                    idx = f.label_index(label)
-                    if idx is not None and marg[t, dm, li] > 0:
-                        expect[off + idx * bd: off + (idx + 1) * bd] += \
-                            marg[t, dm, li] * base
-        else:
-            nz = np.argwhere(marg > 1e-14)
-            for t, dm, li in nz:
-                e = SegmentEdge(int(t), int(t + dm), START_LABEL, model.labels[li])
-                expect[off:off + dim] += marg[t, dm, li] * f.eval(e, ctx)
-    if model.left_dependent:
-        expect += _left_dep_expectation(model, ctx, weights, tabs)
-    return expect, logz
-
-
-def _left_dep_expectation(model, ctx, weights, tabs):
-    """Exact (left, right) pair marginals for the left-dependent features;
-    runs only when such features are registered (small instances)."""
-    alpha, _, tabs = forward_pass(model, ctx, weights, tabs)
-    tail = backward_pass(model, ctx, tabs, weights)
-    table, dmax = tabs.table, tabs.dmax
+    alpha, prev_lse, _ = forward_pass(model, ctx, weights, tabs)
+    tail, inner = backward_pass(model, ctx, tabs)
     t_len = ctx.num_frames
     nl = len(model.labels)
-    trans, init_mask, final_mask = model.masks()
-    logz = _logsumexp(alpha[t_len] + final_mask)
+    logz = _logsumexp(alpha[t_len] + model.final_mask())
+    marg = _edge_posteriors(prev_lse, tabs.table, tail, logz)
     expect = np.zeros(model.total_dim)
-    for a in range(t_len):
-        for d in range(1, min(dmax, t_len - a) + 1):
-            b = a + d
-            for li in range(nl):
-                base = table[a, d - 1, li]
-                if base == NEG_INF or tail[b, li] == NEG_INF:
-                    continue
-                ls = _left_scores(model, ctx, a, b - 1, model.labels[li], weights)
-                pairs = []
-                if a == 0:
-                    if init_mask[li] > NEG_INF:
-                        pairs.append((None, ls[0]))
-                else:
-                    for lp in range(nl):
-                        if trans[lp, li] and alpha[a, lp] > NEG_INF:
-                            pairs.append((lp, alpha[a, lp] + ls[lp + 1]))
-                for lp, head in pairs:
-                    p = math.exp(head + base + tail[b, li] - logz)
-                    if p < 1e-14:
-                        continue
-                    left = START_LABEL if lp is None else model.labels[lp]
-                    edge = SegmentEdge(a, b - 1, left, model.labels[li])
-                    for f, off, dim in zip(model.features, model.offsets[:-1], model.dims):
-                        if f.left_dependent:
-                            expect[off:off + dim] += p * f.eval(edge, ctx)
-    return expect
+    for li in range(nl):
+        _add_span_expectation(model, tabs, marg[:, :, li], li, expect)
+    if tabs.pair_features:
+        head = np.full((t_len, nl + 1), NEG_INF)   # context before boundary t
+        head[0, 0] = 0.0
+        head[1:, 1:] = alpha[1:t_len]
+        vals = head[:, :, None] + tabs.trans[None] + inner[:, None, :] - logz
+        _add_pair_expectation(model, tabs, np.exp(vals).sum(axis=0), expect)
+    return expect, logz
 
 
 def example_gradient(model, example, mode, ref_policy="add-ground-truth"):
@@ -1162,20 +927,19 @@ def nbest_decode(model, ctx, n):
     """Top-n labeled segmentations by score; hypotheses are distinct
     (label sequence, segmentation) pairs by construction."""
     from .hmm import Hypothesis, lattice_from_hypotheses
-    if model.left_dependent:
-        raise NotImplementedError("first-pass N-best requires left-independent features")
     tabs = compute_tables(model, ctx)
-    table, dmax = tabs.table, tabs.dmax
+    table, dmax, trans = tabs.table, tabs.dmax, tabs.trans
     t_len = ctx.num_frames
     nl = len(model.labels)
-    trans, init_mask, final_mask = model.masks()
+    final_mask = model.final_mask()
     # rank-n scores per (boundary, label); back[t, li, r] = (start, prev label,
-    # prev rank); merged[t, li, r] = r-th best over allowed previous labels
+    # prev rank); merged[t, li, r] = r-th best over allowed previous labels,
+    # with the pair score
     cell_s = np.full((t_len + 1, nl, n), NEG_INF)
     cell_bp = np.full((t_len + 1, nl, n, 3), -1, dtype=int)
     merged_s = np.full((t_len + 1, nl, n), NEG_INF)
     merged_bp = np.zeros((t_len + 1, nl, n, 2), dtype=int)
-    merged_s[0, init_mask == 0.0, 0] = 0.0
+    merged_s[0, :, 0] = trans[0]
     merged_bp[0] = -1
     for t in range(1, t_len + 1):
         n_d = min(dmax, t)
@@ -1197,10 +961,10 @@ def nbest_decode(model, ctx, n):
                 cell_bp[t, li, r] = (a, lp, pr)
         if t < t_len:
             for li in range(nl):
-                allowed = np.where(trans[:, li])[0]
+                allowed = np.where(trans[1:, li] > NEG_INF)[0]
                 if len(allowed) == 0:
                     continue
-                pool = cell_s[t, allowed, :].ravel()
+                pool = (cell_s[t, allowed, :] + trans[allowed + 1, li][:, None]).ravel()
                 k = min(n, pool.size)
                 top = np.argpartition(pool, -k)[-k:]
                 top = top[np.argsort(pool[top], kind="stable")[::-1]]
@@ -1261,7 +1025,11 @@ def rescore(model, lattice, ctx):
 
 def build_second_pass(first_model, labels, segment_mlp=None):
     """Second-pass model over first-pass lattices: first-pass score,
-    segment-classifier posteriors, and peak features."""
+    segment-classifier posteriors, and peak features.  The first-pass score
+    is a per-span feature, so the first model must not read the left
+    label."""
+    if first_model.left_dependent:
+        raise ValueError("the second pass needs a left-independent first-pass model")
     feats = [FirstPassScoreFeature(first_model)]
     dims = [1]
     if segment_mlp is not None:

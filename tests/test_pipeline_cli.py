@@ -144,12 +144,20 @@ class TestCliChain:
                        "--wordlist", "1", "--config", str(bad)])
         assert rc == 2
 
-    def test_bad_fraction_exit_2(self, workdir, tmp_path):
+    @pytest.mark.parametrize("bad, field", [
+        pytest.param({"adaptation": {"fraction": 1.5}}, "fraction", id="fraction"),
+        pytest.param({"frontend": {"mode": "feature"}}, "frontend.mode", id="mode"),
+        pytest.param({"frontend": {"transform": "sqrt"}}, "frontend.transform",
+                     id="transform"),
+    ])
+    def test_bad_fraction_exit_2(self, workdir, tmp_path, capsys, bad, field):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"adaptation": {"fraction": 1.5}}))
+        cfg.write_text(json.dumps(bad))
         rc = cli.main(["train-classifier", "--corpus", str(workdir / "corpus"),
                        "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
         assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_align_and_nbest_outputs(self, workdir):
         d = workdir

@@ -11,9 +11,11 @@ from segspell.scrf import (START_LABEL, BaselineFeature, ClassifierStatFeature,
                            SegmentalModel, TrainingExample, _logsumexp,
                            clamped_expectation, compute_tables,
                            count_interior_minima, delta_peak, edge_marginals,
-                           example_gradient, log_partition, nbest_decode,
+                           example_gradient, free_expectation, log_partition,
+                           nbest_decode,
                            rescore, segment_thirds, sequence_log_posterior,
                            train_cll, viterbi)
+from segspell.hmm import CandidateLattice, Hypothesis
 from segspell.segments import Segment
 
 
@@ -213,12 +215,25 @@ class TestScore:
         with pytest.raises(Exception):
             model.score(["A"], [Segment("A", 0, 3)], ctx)
 
-    def test_duration_bound_enforced(self):
-        rng = np.random.default_rng(5)
-        ctx = random_ctx(rng, 5)
-        model = random_model(rng, ctx, ["A", "B"], 3)
-        with pytest.raises(ValueError):
-            model.score(["A"], [Segment("A", 0, 4)], ctx)
+    def test_lattice_segment_beyond_duration_bound_rescores(self):
+        # a lattice segment longer than max_duration (a slow signer's letter)
+        # is scored as given, exactly as lattice training scores it
+        rng = np.random.default_rng(22)
+        labels = ["A", "B"]
+        ctx = random_ctx(rng, 8, labels=labels)
+        model = random_model(rng, ctx, labels, 3)
+        long_hyp = Hypothesis(["A", "B"], [Segment("A", 0, 5), Segment("B", 6, 7)], 0.0)
+        short_hyp = Hypothesis(["B", "A", "B"], [Segment("B", 0, 2), Segment("A", 3, 5),
+                                                 Segment("B", 6, 7)], 0.0)
+        lattice = CandidateLattice([long_hyp, short_hyp], ["A"] * 8)
+        totals = [float(np.dot(model.weights, scrf.candidate_feature_totals(model, ctx, h)))
+                  for h in lattice.hypotheses]
+        assert model.score(long_hyp.labels, long_hyp.segments, ctx) == \
+            pytest.approx(totals[0], abs=1e-12)
+        labels_out, best, score = rescore(model, lattice, ctx)
+        i = int(np.argmax(totals))   # distinct label sequences: no grouping
+        assert best is lattice.hypotheses[i] and labels_out == list(best.labels)
+        assert score == pytest.approx(totals[i], abs=1e-12)
 
 
 class TestExactInference:
@@ -231,7 +246,8 @@ class TestExactInference:
 
     def test_log_partition_viterbi_marginals_vs_enumeration(self):
         rng = np.random.default_rng(6)
-        for _ in range(40):
+        pick = np.random.default_rng(60)   # reference choice, off the case stream
+        for case in range(40):
             T = int(rng.integers(1, 7))
             L = int(rng.integers(2, 4))
             lmax = int(rng.integers(1, 4))
@@ -239,6 +255,8 @@ class TestExactInference:
             labels = ["A", "B", "C"][:L]
             ctx = random_ctx(rng, T, with_lm=with_lm, labels=labels)
             model = random_model(rng, ctx, labels, lmax, with_lm=with_lm)
+            if case % 3 == 2:   # pin the first and last labels, as the first pass does
+                model.initial_labels, model.final_labels = {labels[0]}, {labels[-1]}
             hyps = enumerate_all(model, ctx)
             if not hyps:
                 continue
@@ -260,6 +278,20 @@ class TestExactInference:
                         if a <= frame <= a + dm:
                             cover += marg[a, dm, :].sum()
                 assert cover == pytest.approx(1.0, abs=1e-8)
+            # free and clamped feature expectations are the probability-
+            # weighted feature totals over all / reference-consistent hypotheses
+            feats = np.array([scrf.candidate_feature_totals(
+                model, ctx, Hypothesis(l, s, 0.0)) for l, s in hyps])
+            probs = np.exp(scores - _logsumexp(scores))
+            free, _ = free_expectation(model, ctx)
+            np.testing.assert_allclose(free, probs @ feats, rtol=0, atol=1e-9)
+            ref = hyps[int(pick.integers(len(hyps)))][0]
+            in_ref = np.array([l == ref for l, _ in hyps])
+            clamped_scores = np.where(in_ref, scores, -np.inf)
+            clamped, logz_c = clamped_expectation(model, ctx, ref)
+            assert logz_c == pytest.approx(_logsumexp(clamped_scores), abs=1e-9)
+            np.testing.assert_allclose(
+                clamped, np.exp(clamped_scores - logz_c) @ feats, rtol=0, atol=1e-9)
 
     def test_engineered_dominant_segmentation(self):
         g = np.zeros((4, 2))
@@ -537,11 +569,12 @@ class TestRescoreCascade:
 
     def test_nbest_decode_matches_enumeration(self):
         rng = np.random.default_rng(19)
-        for _ in range(10):
+        for case in range(20):
             T = int(rng.integers(2, 7))
             labels = ["A", "B"]
-            ctx = random_ctx(rng, T, with_lm=False, labels=labels)
-            model = random_model(rng, ctx, labels, 3, with_lm=False)
+            with_lm = case % 2 == 1
+            ctx = random_ctx(rng, T, with_lm=with_lm, labels=labels)
+            model = random_model(rng, ctx, labels, 3, with_lm=with_lm)
             hyps = enumerate_all(model, ctx)
             scores = sorted((model.score(l, s, ctx) for l, s in hyps), reverse=True)
             lat = nbest_decode(model, ctx, min(8, len(hyps)))
