@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -62,6 +61,9 @@ def load_config(path=None, overrides=None):
             cfg["seed"] = int(seed_env)
         except ValueError:
             raise ConfigError("SEGSPELL_SEED must be an integer, got %r" % seed_env)
+    # validate every section now, so a bad value never fails deep in a run
+    pipeline_config(cfg)
+    scrf_config(cfg)
     return cfg
 
 
@@ -121,17 +123,37 @@ def pipeline_config(cfg):
 
 
 def scrf_config(cfg):
+    from .scrf import REF_POLICIES
     sc = cfg.get("scrf", {})
-    return ScrfConfig(
-        max_duration=int(sc.get("max_duration", 40)),
-        min_letter_duration=int(sc.get("min_letter_duration", 2)),
-        learning_rate=float(sc.get("learning_rate", 2.0)),
-        epochs=int(sc.get("epochs", 10)),
-        l1=float(sc.get("l1", 0.0)),
-        l2=float(sc.get("l2", 1e-4)),
-        nbest=int(sc.get("nbest", 8)),
-        init_scale=float(sc.get("init_scale", 8.0)),
+
+    def number(key, default, kind=float):
+        try:
+            return kind(sc.get(key, default))
+        except (TypeError, ValueError):
+            raise ConfigError("scrf.%s must be a number, got %r" % (key, sc[key]))
+
+    scfg = ScrfConfig(
+        max_duration=number("max_duration", 40, int),
+        min_letter_duration=number("min_letter_duration", 2, int),
+        learning_rate=number("learning_rate", 2.0),
+        epochs=number("epochs", 10, int),
+        l1=number("l1", 0.0),
+        l2=number("l2", 1e-4),
+        nbest=number("nbest", 8, int),
+        init_scale=number("init_scale", 8.0),
         ref_policy=sc.get("ref_policy", "add-ground-truth"))
+    if scfg.max_duration < 1:
+        raise ConfigError("scrf.max_duration must be at least 1, got %r"
+                          % scfg.max_duration)
+    if not 1 <= scfg.min_letter_duration <= scfg.max_duration:
+        raise ConfigError("scrf.min_letter_duration must be in [1, max_duration=%d], "
+                          "got %r" % (scfg.max_duration, scfg.min_letter_duration))
+    if scfg.nbest < 1:
+        raise ConfigError("scrf.nbest must be at least 1, got %r" % scfg.nbest)
+    if scfg.ref_policy not in REF_POLICIES:
+        raise ConfigError("scrf.ref_policy must be one of %s, got %r"
+                          % (", ".join(REF_POLICIES), scfg.ref_policy))
+    return scfg
 
 
 def generator_config(cfg):
@@ -364,23 +386,13 @@ def cmd_train_hmm(args):
     _, words = load_corpus_words(args.corpus, args.signers)
     alphabet = LetterAlphabet()
     classifier = load_classifier(require(args.classifier, "train-classifier"))
-    pca_post, pca_img = pipeline.fit_frontend_pcas(words, classifier, pcfg)
-    rec = pipeline.Recognizer(classifier, pca_post, pca_img, None, None, pcfg)
-    seqs = [rec.observations(w) for w in words]
-    from .hmm import train_em
-    hmm_model, loglik = train_em(
-        seqs, [w.letters for w in words],
-        list(alphabet.letters) + list(alphabet.doubled), seqs[0].shape[1],
-        segmentations=[w.segments for w in words], iters=pcfg.em_iters,
-        letter_states=pcfg.letter_states, silence_states=pcfg.silence_states,
-        components=pcfg.gmm_components)
     if args.lm:
         from .lm import load_arpa
         lm = load_arpa(require(args.lm, "train-lm"))
     else:
         from .lm import train_bigram
         lm = train_bigram(sorted({w.word for w in words}), alphabet)
-    rec = replace(rec, hmm=hmm_model, lm=lm)
+    rec, loglik = pipeline.assemble_recognizer(words, alphabet, pcfg, classifier, lm)
     save_recognizer(rec, args.out)
     print("trained HMM on %d sequences (EM log-lik %s) -> %s"
           % (len(words), ["%.0f" % v for v in loglik], args.out))

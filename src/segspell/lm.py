@@ -23,49 +23,32 @@ from .alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet, UnknownSymbolE
 
 
 class BigramLm:
-    def __init__(self, alphabet, bigram_counts, unigram_counts):
+    """Bigram probabilities for the pairs seen in training plus backed-off
+    unigrams for the rest: p(v | h) = bigram[h, v] when (h, v) was seen,
+    else bow(h) * p1(v).  Both ``train_bigram`` and ``load_arpa`` build
+    this class, so a model behaves the same before and after a save."""
+
+    def __init__(self, alphabet, bigram_probs, unigram_probs, backoff):
         self.alphabet = alphabet
         self.histories = (BEGIN_SILENCE,) + alphabet.letters + alphabet.doubled
         self.successors = alphabet.letters + alphabet.doubled + (END_SILENCE,)
         self._succ_set = set(self.successors)
         self._hist_set = set(self.histories)
-        self.bigram_counts = dict(bigram_counts)
-        self.unigram_counts = dict(unigram_counts)
-        self._hist_totals = Counter()
-        self._hist_types = Counter()
-        for (h, v), c in self.bigram_counts.items():
-            self._hist_totals[h] += c
-            self._hist_types[h] += 1
-        n1 = sum(self.unigram_counts.values())
-        v = len(self.successors)
-        self._uni = {s: (self.unigram_counts.get(s, 0) + 1.0) / (n1 + v)
-                     for s in self.successors}
-
-    def unigram_prob(self, symbol):
-        if symbol not in self._succ_set:
-            raise UnknownSymbolError("unknown successor symbol: %r" % (symbol,))
-        return self._uni[symbol]
+        self.bigram_probs = dict(bigram_probs)
+        self._uni = {s: unigram_probs[s] for s in self.successors}
+        self._bow = dict(backoff)
 
     def backoff_weight(self, prev):
         if prev not in self._hist_set:
             raise UnknownSymbolError("unknown history symbol: %r" % (prev,))
-        c = self._hist_totals.get(prev, 0)
-        t = self._hist_types.get(prev, 0)
-        if c + t == 0:
-            return 1.0
-        return t / (c + t)
+        return self._bow.get(prev, 1.0)
 
     def prob(self, prev, next_sym):
-        if prev not in self._hist_set:
-            raise UnknownSymbolError("unknown history symbol: %r" % (prev,))
+        bow = self.backoff_weight(prev)
         if next_sym not in self._succ_set:
             raise UnknownSymbolError("unknown successor symbol: %r" % (next_sym,))
-        c = self._hist_totals.get(prev, 0)
-        t = self._hist_types.get(prev, 0)
-        seen = self.bigram_counts.get((prev, next_sym), 0)
-        if c + t == 0:
-            return self._uni[next_sym]
-        return seen / (c + t) + (t / (c + t)) * self._uni[next_sym]
+        seen = self.bigram_probs.get((prev, next_sym))
+        return bow * self._uni[next_sym] if seen is None else seen
 
     def logprob(self, prev, next_sym):
         return math.log(self.prob(prev, next_sym))
@@ -82,8 +65,8 @@ class BigramLm:
         bigrams = []
         for h in self.histories:
             for v in self.successors:
-                if (h, v) in self.bigram_counts:
-                    bigrams.append((math.log10(self.prob(h, v)), h, v))
+                if (h, v) in self.bigram_probs:
+                    bigrams.append((math.log10(self.bigram_probs[(h, v)]), h, v))
         lines.append("ngram 1=%d" % len(unigrams))
         lines.append("ngram 2=%d" % len(bigrams))
         lines.append("")
@@ -127,21 +110,28 @@ def train_bigram(words, alphabet=None):
             prev = tok
         bigram_counts[(prev, END_SILENCE)] += 1
         unigram_counts[END_SILENCE] += 1
-    return BigramLm(alphabet, bigram_counts, unigram_counts)
+    successors = alphabet.letters + alphabet.doubled + (END_SILENCE,)
+    n1 = sum(unigram_counts.values())
+    uni = {s: (unigram_counts.get(s, 0) + 1.0) / (n1 + len(successors))
+           for s in successors}
+    totals, types = Counter(), Counter()
+    for (h, v), c in bigram_counts.items():
+        totals[h] += c
+        types[h] += 1
+    backoff = {h: types[h] / (totals[h] + types[h]) for h in totals}
+    probs = {(h, v): c / (totals[h] + types[h]) + backoff[h] * uni[v]
+             for (h, v), c in bigram_counts.items()}
+    return BigramLm(alphabet, probs, uni, backoff)
 
 
 def load_arpa(path, alphabet=None):
-    """Rebuild a BigramLm from counts embedded alongside the ARPA file.
+    """Read an ARPA bigram file written by ``BigramLm.save``.
 
-    The ARPA text itself is the interchange format for inspection and
-    external tools; for exact reconstruction we re-derive probabilities from
-    the bigram section (model probabilities round-trip through log10 text
-    within 1e-7, which is inside every consumer's tolerance here).
-    """
+    Probabilities round-trip through the log10 text within 1e-7, which is
+    inside every consumer's tolerance here."""
     if alphabet is None:
         alphabet = LetterAlphabet()
-    probs = {}
-    unis = {}
+    probs, unis, backoff = {}, {}, {}
     section = None
     with open(path, "r", encoding="utf-8") as f:
         for line in f:
@@ -154,52 +144,8 @@ def load_arpa(path, alphabet=None):
             parts = line.split()
             if section == "\\1-grams:":
                 unis[parts[1]] = 10.0 ** float(parts[0])
+                if len(parts) > 2:
+                    backoff[parts[1]] = 10.0 ** float(parts[2])
             elif section == "\\2-grams:":
                 probs[(parts[1], parts[2])] = 10.0 ** float(parts[0])
-    return ArpaLm(alphabet, probs, unis)
-
-
-class ArpaLm:
-    """Backoff view over parsed ARPA probabilities (read-only)."""
-
-    def __init__(self, alphabet, bigram_probs, unigram_probs):
-        self.alphabet = alphabet
-        self.bigram_probs = bigram_probs
-        self.unigram_probs = unigram_probs
-        self._bow = {}
-        histories = {h for h, _ in bigram_probs}
-        successors = alphabet.letters + alphabet.doubled + (END_SILENCE,)
-        for h in histories:
-            mass = sum(bigram_probs.get((h, v), 0.0) for v in successors)
-            uni_unseen = sum(unigram_probs[v] for v in successors
-                             if (h, v) not in bigram_probs)
-            self._bow[h] = (1.0 - mass) / uni_unseen if uni_unseen > 0 else 0.0
-
-    def prob(self, prev, next_sym):
-        if (prev, next_sym) in self.bigram_probs:
-            return self.bigram_probs[(prev, next_sym)]
-        return self._bow.get(prev, 1.0) * self.unigram_probs[next_sym]
-
-    def logprob(self, prev, next_sym):
-        return math.log(self.prob(prev, next_sym))
-
-    def to_arpa(self):
-        lines = ["\\data\\",
-                 "ngram 1=%d" % len(self.unigram_probs),
-                 "ngram 2=%d" % len(self.bigram_probs), "", "\\1-grams:"]
-        for sym in sorted(self.unigram_probs):
-            p = self.unigram_probs[sym]
-            logp = -99.0 if p <= 0 else math.log10(p)
-            if sym in self._bow and self._bow[sym] > 0:
-                lines.append("%.7f\t%s\t%.7f" % (logp, sym, math.log10(self._bow[sym])))
-            else:
-                lines.append("%.7f\t%s" % (logp, sym))
-        lines += ["", "\\2-grams:"]
-        for (h, v) in sorted(self.bigram_probs):
-            lines.append("%.7f\t%s %s" % (math.log10(self.bigram_probs[(h, v)]), h, v))
-        lines += ["", "\\end\\"]
-        return "\n".join(lines) + "\n"
-
-    def save(self, path):
-        from .fileio import atomic_write_text
-        atomic_write_text(path, self.to_arpa())
+    return BigramLm(alphabet, probs, unis, backoff)

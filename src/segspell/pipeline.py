@@ -122,22 +122,29 @@ def fit_frontend_pcas(words, classifier, cfg):
     return fit_pca(posts, k1), fit_pca(descs, k2)
 
 
-def build_recognizer(train_words, alphabet, cfg, lm_words=None, seed_offset=0):
-    """Train the full tandem recognizer on one training set."""
-    classifier, _ = train_frame_classifier(train_words, alphabet, cfg, seed_offset)
+def assemble_recognizer(train_words, alphabet, cfg, classifier, lm):
+    """Tandem recognizer around a trained frame classifier and an LM: fit
+    the PCA pair and train the HMM on the training set's observations.
+    Returns (recognizer, per-iteration EM log-likelihoods)."""
     pca_post, pca_img = fit_frontend_pcas(train_words, classifier, cfg)
-    rec = Recognizer(classifier, pca_post, pca_img, None, None, cfg)
+    rec = Recognizer(classifier, pca_post, pca_img, None, lm, cfg)
     seqs = [rec.observations(w) for w in train_words]
-    hmm_model, _ = train_em(
+    hmm_model, loglik = train_em(
         seqs, [w.letters for w in train_words], list(alphabet.letters)
         + list(alphabet.doubled), seqs[0].shape[1],
         segmentations=[w.segments for w in train_words],
         iters=cfg.em_iters, letter_states=cfg.letter_states,
         silence_states=cfg.silence_states, components=cfg.gmm_components)
+    return replace(rec, hmm=hmm_model), loglik
+
+
+def build_recognizer(train_words, alphabet, cfg, lm_words=None, seed_offset=0):
+    """Train the full tandem recognizer on one training set."""
+    classifier, _ = train_frame_classifier(train_words, alphabet, cfg, seed_offset)
     words_for_lm = lm_words if lm_words is not None else \
         sorted({w.word for w in train_words})
     lm = train_bigram(words_for_lm, alphabet)
-    return replace(rec, hmm=hmm_model, lm=lm)
+    return assemble_recognizer(train_words, alphabet, cfg, classifier, lm)[0]
 
 
 def decode_words(recognizer, words, threads=1):

@@ -861,8 +861,16 @@ def example_gradient(model, example, mode, ref_policy="add-ground-truth"):
     return grad, float(logz_c - logz)
 
 
+# What lattice CLL training does with an example whose reference label
+# sequence is not among its lattice's hypotheses.
+REF_POLICIES = ("fail", "drop-example", "add-ground-truth", "add-forced-alignment",
+                "use-best-match")
+
+
 def _lattice_with_reference(example, policy):
     from .hmm import Hypothesis, CandidateLattice
+    if policy not in REF_POLICIES:
+        raise ValueError("unknown reference policy %r" % (policy,))
     lattice = example.lattice
     ref = list(example.ref_labels)
     if any(list(h.labels) == ref for h in lattice.hypotheses):
@@ -876,13 +884,11 @@ def _lattice_with_reference(example, policy):
         # ref_segments; ground truth uses the annotated segmentation
         hyp = Hypothesis(ref, list(example.ref_segments), 0.0)
         return CandidateLattice(list(lattice.hypotheses) + [hyp], lattice.baseline_frames)
-    if policy == "use-best-match":
-        from .metrics import align
-        best = min(lattice.hypotheses,
-                   key=lambda h: align(ref, list(h.labels)).total_errors)
-        example.ref_labels = list(best.labels)
-        return lattice
-    raise ValueError("unknown reference policy %r" % (policy,))
+    from .metrics import align   # use-best-match
+    best = min(lattice.hypotheses,
+               key=lambda h: align(ref, list(h.labels)).total_errors)
+    example.ref_labels = list(best.labels)
+    return lattice
 
 
 def train_cll(model, data, l1=0.0, l2=0.0, learning_rate=0.5, epochs=10,
@@ -923,15 +929,16 @@ def sequence_log_posterior(model, ctx, ref_labels):
 # ---------------------------------------------------------------------------
 # First-pass N-best, rescoring, and the two-pass cascade
 
-def nbest_decode(model, ctx, n):
-    """Top-n labeled segmentations by score; hypotheses are distinct
+def nbest_segmentations(table, trans, final, n):
+    """Top-n labeled segmentations of a first-order semi-Markov model.
+
+    ``table`` (T, dmax, L) holds the span scores, ``trans`` (L+1, L) the
+    label-pair scores with row 0 the START context, and ``final[y]`` is
+    added to every complete hypothesis whose last label is y (-inf bars
+    it).  Returns [(score, [(label index, start, end), ...])] best first,
+    empty when no segmentation is legal; the hypotheses are distinct
     (label sequence, segmentation) pairs by construction."""
-    from .hmm import Hypothesis, lattice_from_hypotheses
-    tabs = compute_tables(model, ctx)
-    table, dmax, trans = tabs.table, tabs.dmax, tabs.trans
-    t_len = ctx.num_frames
-    nl = len(model.labels)
-    final_mask = model.final_mask()
+    t_len, dmax, nl = table.shape
     # rank-n scores per (boundary, label); back[t, li, r] = (start, prev label,
     # prev rank); merged[t, li, r] = r-th best over allowed previous labels,
     # with the pair score
@@ -976,26 +983,33 @@ def nbest_decode(model, ctx, n):
                 merged_bp[t, li, :len(top), 1] = ri
     finals = []
     for li in range(nl):
-        if final_mask[li] == NEG_INF:
-            continue
         for r in range(n):
-            if cell_s[t_len, li, r] > NEG_INF:
-                finals.append((float(cell_s[t_len, li, r]), li, r))
+            sc = cell_s[t_len, li, r] + final[li]
+            if sc > NEG_INF:
+                finals.append((float(sc), li, r))
     finals.sort(key=lambda c: -c[0])
-    finals = finals[:n]
-    if not finals:
-        raise ValueError("no legal segmentation for N-best decode")
-    hyps = []
-    for sc, li, r in finals:
-        segments = []
+    ranked = []
+    for sc, li, r in finals[:n]:
+        spans = []
         t = t_len
         while t > 0:
             a, lp, pr = cell_bp[t, li, r]
-            segments.append(Segment(model.labels[li], int(a), t - 1))
+            spans.append((li, int(a), t - 1))
             t, li, r = int(a), int(lp), int(pr)
-        segments.reverse()
-        hyps.append(Hypothesis([s.label for s in segments], segments, sc))
-    return lattice_from_hypotheses(hyps, t_len)
+        spans.reverse()
+        ranked.append((sc, spans))
+    return ranked
+
+
+def nbest_decode(model, ctx, n):
+    """Top-n labeled segmentations by score; hypotheses are distinct
+    (label sequence, segmentation) pairs by construction."""
+    from .hmm import lattice_from_ranked
+    tabs = compute_tables(model, ctx)
+    ranked = nbest_segmentations(tabs.table, tabs.trans, model.final_mask(), n)
+    if not ranked:
+        raise ValueError("no legal segmentation for N-best decode")
+    return lattice_from_ranked(model.labels, ranked, ctx.num_frames)
 
 
 def rescore(model, lattice, ctx):

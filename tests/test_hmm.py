@@ -130,31 +130,37 @@ class TestViterbiExact:
 
 class TestNBest:
     def test_matches_enumeration_and_n1_equals_viterbi(self, toy_lm):
-        rng = np.random.default_rng(10)
-        model = toy_model(rng)
         cfg = DecodeConfig(lm_weight=0.7, penalty=0.3, nbest=50)
-        for _ in range(12):
-            T = int(rng.integers(3, 7))
-            obs = rng.normal(size=(T, 2))
-            hyps = enumerate_hypotheses(model, toy_lm, obs, cfg)
-            ranked = sorted(hyps.items(), key=lambda kv: -kv[1])
-            lat = nbest(model, toy_lm, obs, cfg)
-            assert len(lat.hypotheses) == min(50, len(ranked))
-            for h, (key, score) in zip(lat.hypotheses, ranked):
-                assert h.score == pytest.approx(score, abs=1e-9)
-                assert hyps[tuple((s.label, s.start, s.end) for s in h.segments)] \
-                    == pytest.approx(h.score, abs=1e-9)
-            keys = [tuple((s.label, s.start, s.end) for s in h.segments)
-                    for h in lat.hypotheses]
-            assert len(set(keys)) == len(keys)
-            v = viterbi_decode(model, toy_lm, obs,
-                               DecodeConfig(lm_weight=0.7, penalty=0.3))
-            lat1 = nbest(model, toy_lm, obs,
-                         DecodeConfig(lm_weight=0.7, penalty=0.3, nbest=1))
-            assert len(lat1.hypotheses) == 1
-            assert lat1.hypotheses[0].score == pytest.approx(v[2], abs=1e-9)
-            assert [s.span() for s in lat1.hypotheses[0].segments] == \
-                [s.span() for s in v[1]]
+        repeats = 0
+        # single-state letters, then two-state letters, where a letter may
+        # follow itself as a new segment ("AA" as two spans)
+        for seed, letter_states in ((10, 1), (16, 2)):
+            rng = np.random.default_rng(seed)
+            model = toy_model(rng, letter_states=letter_states)
+            for _ in range(12):
+                T = int(rng.integers(3, 7))
+                obs = rng.normal(size=(T, 2))
+                hyps = enumerate_hypotheses(model, toy_lm, obs, cfg)
+                ranked = sorted(hyps.items(), key=lambda kv: -kv[1])
+                lat = nbest(model, toy_lm, obs, cfg)
+                assert len(lat.hypotheses) == min(50, len(ranked))
+                for h, (key, score) in zip(lat.hypotheses, ranked):
+                    assert h.score == pytest.approx(score, abs=1e-9)
+                    assert hyps[tuple((s.label, s.start, s.end) for s in h.segments)] \
+                        == pytest.approx(h.score, abs=1e-9)
+                    repeats += any(a == b for a, b in zip(h.labels, h.labels[1:]))
+                keys = [tuple((s.label, s.start, s.end) for s in h.segments)
+                        for h in lat.hypotheses]
+                assert len(set(keys)) == len(keys)
+                v = viterbi_decode(model, toy_lm, obs,
+                                   DecodeConfig(lm_weight=0.7, penalty=0.3))
+                lat1 = nbest(model, toy_lm, obs,
+                             DecodeConfig(lm_weight=0.7, penalty=0.3, nbest=1))
+                assert len(lat1.hypotheses) == 1
+                assert lat1.hypotheses[0].score == pytest.approx(v[2], abs=1e-9)
+                assert [s.span() for s in lat1.hypotheses[0].segments] == \
+                    [s.span() for s in v[1]]
+        assert repeats > 0
 
     def test_scores_non_increasing(self, toy_lm):
         rng = np.random.default_rng(11)
@@ -170,6 +176,12 @@ class TestNBest:
         obs = rng.normal(size=(9, 2))
         lat = nbest(model, toy_lm, obs, DecodeConfig(nbest=3))
         assert len(lat.baseline_frames) == 9
+
+    def test_too_short_sequence_no_path(self, toy_lm):
+        rng = np.random.default_rng(6)
+        model = toy_model(rng, letter_states=3, silence_states=3)
+        with pytest.raises(NoPathError):
+            nbest(model, toy_lm, rng.normal(size=(2, 2)), DecodeConfig(nbest=4))
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -39,7 +39,8 @@ class TestPipeline:
         assert scores["ler"] <= 15.0
 
     def test_recognizer_bundle_roundtrip(self, recognizer, split, tmp_path,
-                                         tiny_pcfg):
+                                         tiny_pcfg, alphabet):
+        from segspell.scrf import FeatureContext, LmFeature
         _, test = split
         d = str(tmp_path / "rec")
         pipeline.save_recognizer(recognizer, d)
@@ -47,6 +48,12 @@ class TestPipeline:
         p1 = pipeline.decode_words(recognizer, test[:5])
         p2 = pipeline.decode_words(loaded, test[:5])
         assert [h for _, h in p1] == [h for _, h in p2]
+        # the LM feature sees the same label-pair values after a reload,
+        # START row, <s> column and </s> row included
+        labels = pipeline.scrf_labels(alphabet)
+        m1, m2 = (LmFeature().pair_matrix(FeatureContext(1, lm=r.lm), labels)
+                  for r in (recognizer, loaded))
+        np.testing.assert_allclose(m2, m1, rtol=0, atol=1e-6)
 
     def test_adaptation_split_deterministic(self, small_corpus):
         s2 = small_corpus.by_signer("S2")
@@ -149,6 +156,17 @@ class TestCliChain:
         pytest.param({"frontend": {"mode": "feature"}}, "frontend.mode", id="mode"),
         pytest.param({"frontend": {"transform": "sqrt"}}, "frontend.transform",
                      id="transform"),
+        pytest.param({"scrf": {"max_duration": "x"}}, "scrf.max_duration",
+                     id="scrf-number"),
+        pytest.param({"scrf": {"max_duration": 0}}, "scrf.max_duration",
+                     id="scrf-max-duration"),
+        pytest.param({"scrf": {"max_duration": 5, "min_letter_duration": 6}},
+                     "scrf.min_letter_duration", id="scrf-min-letter-duration"),
+        pytest.param({"scrf": {"min_letter_duration": 0}},
+                     "scrf.min_letter_duration", id="scrf-min-letter-duration-0"),
+        pytest.param({"scrf": {"nbest": 0}}, "scrf.nbest", id="scrf-nbest"),
+        pytest.param({"scrf": {"ref_policy": "bogus"}}, "scrf.ref_policy",
+                     id="scrf-ref-policy"),
     ])
     def test_bad_fraction_exit_2(self, workdir, tmp_path, capsys, bad, field):
         cfg = tmp_path / "cfg.json"
