@@ -128,20 +128,12 @@ class PhonologicalFeatureTable:
     def value_count(self, feature):
         return len(self.features[feature])
 
-    def value_index(self, feature, value):
-        return self.features[feature].index(value)
-
     def phonological_values(self, letter):
         """Stored assignments for one letter; unassigned features map to None."""
         if letter not in LETTERS:
             raise UnknownSymbolError("unknown letter: %r" % (letter,))
         stored = self.assignments.get(letter, {})
         return {feat: stored.get(feat) for feat in self.features}
-
-    def default_value(self, feature):
-        """First declared value (SIL or N/A), used for silence frames and
-        as a fallback target for letters the table leaves unassigned."""
-        return self.features[feature][0]
 
 
 @dataclass(frozen=True)

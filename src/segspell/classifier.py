@@ -481,8 +481,9 @@ class FramePosteriors:
 
 
 def classifier_block(post, mode, feature_order=None):
-    """Concatenated classifier outputs for one frame: 28 values in letter
-    mode, 26 (= 4+7+5+3+4+3) in feature mode."""
+    """Concatenated classifier outputs on the last axis, for one frame or a
+    (T, .) block: 28 values in letter mode, 26 (= 4+7+5+3+4+3) in feature
+    mode."""
     if mode == "letter":
         if post.letters is None:
             raise ValueError("letter posteriors missing")
@@ -493,15 +494,16 @@ def classifier_block(post, mode, feature_order=None):
         if missing:
             raise ValueError("feature posteriors missing: %s" % ", ".join(missing))
         return np.concatenate([np.asarray(post.features[f], dtype=np.float64)
-                               for f in order])
+                               for f in order], axis=-1)
     raise ValueError("mode must be 'letter' or 'feature'")
 
 
 def build_tandem_observation(post, image_feature, mode, pca_classifier=None,
                              pca_image=None, transform="linear",
                              feature_order=None):
-    """One tandem observation: (optionally log) classifier outputs, PCA
-    reduced, concatenated with the PCA-reduced image feature."""
+    """Tandem observations: (optionally log) classifier outputs, PCA
+    reduced, concatenated with the PCA-reduced image feature.  One frame
+    gives a vector; (T, .) posteriors and (T, .) image features give (T, .)."""
     from .vision import apply_pca
     block = classifier_block(post, mode, feature_order)
     if transform == "log":
@@ -513,4 +515,4 @@ def build_tandem_observation(post, image_feature, mode, pca_classifier=None,
     img = np.asarray(image_feature, dtype=np.float64)
     if pca_image is not None:
         img = apply_pca(pca_image, img)
-    return np.concatenate([block, img])
+    return np.concatenate([block, img], axis=-1)

@@ -67,89 +67,97 @@ def load_config(path=None, overrides=None):
     return cfg
 
 
-def pipeline_config(cfg):
+def number(section, name, key, default, kind=float, minimum=None):
+    """``section[key]`` (or the default) as ``kind``, at least ``minimum``;
+    a bad value raises ConfigError naming the field."""
+    field = "%s.%s" % (name, key) if name else key
+    value = section.get(key, default)
     try:
-        fe = cfg.get("frontend", {})
-        cl = cfg.get("classifier", {})
-        hm = cfg.get("hmm", {})
-        ad = cfg.get("adaptation", {})
-        dec = hm.get("decode", {})
-        frac = float(ad.get("fraction", 0.2))
-        if not 0.0 < frac < 1.0:
-            raise ConfigError("adaptation fraction must be in (0, 1), got %r" % frac)
-        if fe.get("mode", "letter") != "letter":
-            raise ConfigError("frontend.mode must be 'letter' (no phonological-feature "
-                              "classifiers are trained), got %r" % (fe["mode"],))
-        if fe.get("transform", "linear") not in ("linear", "log"):
-            raise ConfigError("frontend.transform must be 'linear' or 'log', got %r"
-                              % (fe["transform"],))
-        pcfg = PipelineConfig(
-            frontend=FrontendConfig(
-                window=int(fe.get("window", 5)),
-                pca_classifier=int(fe.get("pca_classifier", 12)),
-                pca_image=int(fe.get("pca_image", 10)),
-                transform=fe.get("transform", "linear"),
-                mode=fe.get("mode", "letter")),
-            arch=tuple(cl.get("arch", (64, 64))),
-            train=TrainConfig(
-                learning_rate=float(cl.get("learning_rate", 0.02)),
-                momentum=float(cl.get("momentum", 0.9)),
-                batch_size=int(cl.get("batch_size", 100)),
-                max_epochs=int(cl.get("max_epochs", 14)),
-                weight_decay=float(cl.get("weight_decay", 1e-5)),
-                dropout=float(cl.get("dropout", 0.0)),
-                validation_fraction=float(cl.get("validation_fraction", 0.1))),
-            adapt_train=TrainConfig(
-                learning_rate=float(ad.get("learning_rate", 0.01)),
-                momentum=float(ad.get("momentum", 0.9)),
-                batch_size=int(ad.get("batch_size", 100)),
-                max_epochs=int(ad.get("max_epochs", 16)),
-                weight_decay=float(ad.get("weight_decay", 1e-5)),
-                dropout=0.0, validation_fraction=0.0),
-            letter_states=int(hm.get("letter_states", 3)),
-            silence_states=int(hm.get("silence_states", 9)),
-            gmm_components=int(hm.get("gmm_components", 2)),
-            em_iters=int(hm.get("em_iters", 2)),
-            decode=DecodeConfig(lm_weight=float(dec.get("lm_weight", 1.0)),
-                                penalty=float(dec.get("penalty", 0.0)),
-                                nbest=int(dec.get("nbest", 8))),
-            folds=int(cfg.get("folds", 10)),
-            report_folds=int(cfg.get("report_folds", 8)),
-            adapt_fraction=frac,
-            seed=int(cfg.get("seed", 20160825)))
-        return pcfg
-    except (TypeError, ValueError) as e:
-        raise ConfigError("bad configuration value: %s" % e)
+        value = kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError("%s must be a number, got %r" % (field, value))
+    if minimum is not None and value < minimum:
+        raise ConfigError("%s must be at least %s, got %r" % (field, minimum, value))
+    return value
+
+
+def pipeline_config(cfg):
+    fe = cfg.get("frontend", {})
+    cl = cfg.get("classifier", {})
+    hm = cfg.get("hmm", {})
+    ad = cfg.get("adaptation", {})
+    dec = hm.get("decode", {})
+    frac = number(ad, "adaptation", "fraction", 0.2)
+    if not 0.0 < frac < 1.0:
+        raise ConfigError("adaptation fraction must be in (0, 1), got %r" % frac)
+    if fe.get("mode", "letter") != "letter":
+        raise ConfigError("frontend.mode must be 'letter' (no phonological-feature "
+                          "classifiers are trained), got %r" % (fe["mode"],))
+    if fe.get("transform", "linear") not in ("linear", "log"):
+        raise ConfigError("frontend.transform must be 'linear' or 'log', got %r"
+                          % (fe["transform"],))
+    window = number(fe, "frontend", "window", 5, int, 1)
+    if window % 2 != 1:
+        raise ConfigError("frontend.window must be odd, got %r" % window)
+    folds = number(cfg, None, "folds", 10, int, 3)   # test, held-out and training folds
+    report_folds = number(cfg, None, "report_folds", 8, int, 1)
+    if report_folds > folds:
+        raise ConfigError("report_folds must be at most folds=%d, got %r"
+                          % (folds, report_folds))
+    arch = cl.get("arch", [64, 64])
+    if not isinstance(arch, (list, tuple)) or not all(
+            isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in arch):
+        raise ConfigError("classifier.arch must be a list of positive layer sizes, "
+                          "got %r" % (arch,))
+
+    def train(section, name, lr, epochs, **fixed):
+        rates = {key: number(section, name, key, default, float, 0.0) for key, default in
+                 (("learning_rate", lr), ("momentum", 0.9), ("weight_decay", 1e-5),
+                  ("dropout", 0.0), ("validation_fraction", 0.1)) if key not in fixed}
+        return TrainConfig(batch_size=number(section, name, "batch_size", 100, int, 1),
+                           max_epochs=number(section, name, "max_epochs", epochs, int, 0),
+                           **rates, **fixed)
+
+    return PipelineConfig(
+        frontend=FrontendConfig(
+            window=window,
+            pca_classifier=number(fe, "frontend", "pca_classifier", 12, int, 1),
+            pca_image=number(fe, "frontend", "pca_image", 10, int, 1),
+            transform=fe.get("transform", "linear"),
+            mode=fe.get("mode", "letter")),
+        arch=tuple(arch),
+        train=train(cl, "classifier", 0.02, 14),
+        adapt_train=train(ad, "adaptation", 0.01, 16, dropout=0.0,
+                          validation_fraction=0.0),
+        letter_states=number(hm, "hmm", "letter_states", 3, int, 1),
+        silence_states=number(hm, "hmm", "silence_states", 9, int, 1),
+        gmm_components=number(hm, "hmm", "gmm_components", 2, int, 1),
+        em_iters=number(hm, "hmm", "em_iters", 2, int, 0),
+        decode=DecodeConfig(lm_weight=number(dec, "hmm.decode", "lm_weight", 1.0),
+                            penalty=number(dec, "hmm.decode", "penalty", 0.0),
+                            nbest=number(dec, "hmm.decode", "nbest", 8, int, 1)),
+        folds=folds,
+        report_folds=report_folds,
+        adapt_fraction=frac,
+        seed=number(cfg, None, "seed", 20160825, int))
 
 
 def scrf_config(cfg):
     from .scrf import REF_POLICIES
     sc = cfg.get("scrf", {})
-
-    def number(key, default, kind=float):
-        try:
-            return kind(sc.get(key, default))
-        except (TypeError, ValueError):
-            raise ConfigError("scrf.%s must be a number, got %r" % (key, sc[key]))
-
     scfg = ScrfConfig(
-        max_duration=number("max_duration", 40, int),
-        min_letter_duration=number("min_letter_duration", 2, int),
-        learning_rate=number("learning_rate", 2.0),
-        epochs=number("epochs", 10, int),
-        l1=number("l1", 0.0),
-        l2=number("l2", 1e-4),
-        nbest=number("nbest", 8, int),
-        init_scale=number("init_scale", 8.0),
+        max_duration=number(sc, "scrf", "max_duration", 40, int, 1),
+        min_letter_duration=number(sc, "scrf", "min_letter_duration", 2, int, 1),
+        learning_rate=number(sc, "scrf", "learning_rate", 2.0),
+        epochs=number(sc, "scrf", "epochs", 10, int),
+        l1=number(sc, "scrf", "l1", 0.0),
+        l2=number(sc, "scrf", "l2", 1e-4),
+        nbest=number(sc, "scrf", "nbest", 8, int, 1),
+        init_scale=number(sc, "scrf", "init_scale", 8.0),
         ref_policy=sc.get("ref_policy", "add-ground-truth"))
-    if scfg.max_duration < 1:
-        raise ConfigError("scrf.max_duration must be at least 1, got %r"
-                          % scfg.max_duration)
-    if not 1 <= scfg.min_letter_duration <= scfg.max_duration:
+    if scfg.min_letter_duration > scfg.max_duration:
         raise ConfigError("scrf.min_letter_duration must be in [1, max_duration=%d], "
                           "got %r" % (scfg.max_duration, scfg.min_letter_duration))
-    if scfg.nbest < 1:
-        raise ConfigError("scrf.nbest must be at least 1, got %r" % scfg.nbest)
     if scfg.ref_policy not in REF_POLICIES:
         raise ConfigError("scrf.ref_policy must be one of %s, got %r"
                           % (", ".join(REF_POLICIES), scfg.ref_policy))

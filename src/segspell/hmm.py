@@ -19,8 +19,9 @@ for nine words of 74-193 frames), with scores within 4e-12.
 Training supports two modes: segmented (each unit trained on its annotated
 spans, initialized from a uniform within-span state split) and flat-start
 (embedded EM over whole-word composite chains from a global-statistics
-initialization).  Per-iteration total log-likelihood is recorded and is
-non-decreasing.
+initialization).  Both run one exact forward-backward over all spans (or
+words) with the same state count at once, padded to the longest.
+Per-iteration total log-likelihood is recorded and is non-decreasing.
 """
 
 from __future__ import annotations
@@ -106,10 +107,12 @@ class LetterHmm:
         Returns (ll_comp, ll_tot) with shapes (T, k, M) and (T, k)."""
         seq = np.asarray(seq, dtype=np.float64)
         diff = seq[:, None, None, :] - self.means[None, states]
-        ll = -0.5 * (np.sum(diff * diff / self.variances[None, states], axis=3)
+        np.square(diff, out=diff)
+        diff /= self.variances[None, states]
+        ll = -0.5 * (np.sum(diff, axis=3)
                      + np.sum(np.log(self.variances[states]), axis=2)[None]
                      + self.dim * LOG_2PI)
-        ll = ll + self.log_weights[None, states]
+        ll += self.log_weights[None, states]
         m = ll.max(axis=2)
         tot = m + np.log(np.sum(np.exp(ll - m[:, :, None]), axis=2))
         return ll, tot
@@ -157,13 +160,11 @@ class LetterHmm:
 # Training
 
 def _global_init(model, sequences):
-    allx = np.concatenate([np.asarray(s, dtype=np.float64) for s in sequences])
+    allx = np.concatenate(sequences)
     mean = allx.mean(axis=0)
     var = np.maximum(allx.var(axis=0), model.var_floor)
-    std = np.sqrt(var)
-    for m in range(model.components):
-        shift = (m - (model.components - 1) / 2.0) * 0.2
-        model.means[:, m, :] = mean + shift * std
+    shift = (np.arange(model.components) - (model.components - 1) / 2.0) * 0.2
+    model.means[:] = mean + shift[:, None] * np.sqrt(var)
     model.variances[:] = var
     model.log_weights[:] = -math.log(model.components)
     model.log_self[:] = math.log(0.5)
@@ -180,120 +181,145 @@ class _Accumulator:
         self.advance_count = np.zeros(s)
 
     def apply(self, model):
-        occ = self.gamma.sum(axis=1)
-        for s in range(len(occ)):
-            if occ[s] <= 0:
-                continue  # unseen state keeps its current parameters
-            w = np.maximum(self.gamma[s], 1e-12)
-            model.log_weights[s] = np.log(w / w.sum())
-            means = self.mean_acc[s] / w[:, None]
-            model.means[s] = means
-            model.variances[s] = np.maximum(self.sq_acc[s] / w[:, None] - means ** 2,
-                                            model.var_floor)
-            total = self.self_count[s] + self.advance_count[s]
-            if total > 0:
-                p_self = min(max(self.self_count[s] / total, 1e-4), 1 - 1e-4)
-                model.log_self[s] = math.log(p_self)
-                model.log_next[s] = math.log(1.0 - p_self)
+        seen = self.gamma.sum(axis=1) > 0   # an unseen state keeps its parameters
+        w = np.maximum(self.gamma[seen], 1e-12)
+        model.log_weights[seen] = np.log(w / w.sum(axis=1, keepdims=True))
+        means = self.mean_acc[seen] / w[:, :, None]
+        model.means[seen] = means
+        model.variances[seen] = np.maximum(self.sq_acc[seen] / w[:, :, None] - means ** 2,
+                                           model.var_floor)
+        total = self.self_count + self.advance_count
+        moved = seen & (total > 0)
+        p_self = np.clip(self.self_count[moved] / total[moved], 1e-4, 1 - 1e-4)
+        # math.log: np.log differs from it in the last bit for some values
+        model.log_self[moved] = [math.log(p) for p in p_self]
+        model.log_next[moved] = [math.log(1.0 - p) for p in p_self]
 
 
-def _chain_forward_backward(model, states, emis, acc):
-    """Exact forward-backward on a left-to-right chain entered at its first
-    state and exited (one 'advance') after the final frame.  Returns the
-    chain log-likelihood and fills the accumulator."""
-    k = len(states)
-    t_len = emis.shape[0]
-    if t_len < k:
-        raise NoPathError("span of %d frames cannot traverse %d states" % (t_len, k))
-    log_self = model.log_self[states]
-    log_next = model.log_next[states]
-    alpha = np.full((t_len, k), LOG_ZERO)
-    alpha[0, 0] = emis[0, 0]
-    for t in range(1, t_len):
-        stay = alpha[t - 1] + log_self
-        move = np.full(k, LOG_ZERO)
-        move[1:] = alpha[t - 1, :-1] + log_next[:-1]
-        alpha[t] = emis[t] + np.logaddexp(stay, move)
-    ll = alpha[t_len - 1, k - 1] + log_next[k - 1]
+def _forward_backward(model, chains, acc):
+    """Exact forward-backward on left-to-right chains, given as
+    (observations, global state indices), each entered at its first state
+    and left (one 'advance') after its final frame.  Chains with the same
+    state count run as one batch padded to the longest.  Each accumulator
+    gets one ``np.add.at`` (a state may recur in a chain: repeated letters)
+    in chain order, t-major within a chain: the sums of a chain-at-a-time
+    pass.  Returns the chain log-likelihoods in input order."""
+    lls = np.empty(len(chains))
+    parts = {name: [] for name in
+             ("self_count", "advance_count", "gamma", "mean_acc", "sq_acc")}
+    for k in sorted({len(st) for _, st in chains}):
+        ids = np.array([i for i, (_, st) in enumerate(chains) if len(st) == k])
+        lens = np.array([len(chains[i][0]) for i in ids])
+        if lens.min() < k:
+            raise NoPathError("span of %d frames cannot traverse %d states"
+                              % (lens.min(), k))
+        n, t_max = len(ids), lens.max()
+        states = np.array([chains[i][1] for i in ids])
+        framed = np.arange(t_max) < lens[:, None]
+        x = np.zeros((n, t_max, model.dim))
+        x[framed] = np.concatenate([chains[i][0] for i in ids])
+        emis = np.zeros((n, t_max, k))
+        comp = np.zeros((n, t_max, k, model.components))
+        for st in np.unique(states, axis=0):  # one call per unit when segmented
+            r, t = np.nonzero(framed & (states == st).all(axis=1)[:, None])
+            comp[r, t], emis[r, t] = model.emission_logprobs_subset(x[r, t], st)
+        log_self = model.log_self[states]
+        log_next = model.log_next[states]
+        rows = np.arange(n)
 
-    beta = np.full((t_len, k), LOG_ZERO)
-    beta[t_len - 1, k - 1] = log_next[k - 1]
-    for t in range(t_len - 2, -1, -1):
-        stay = beta[t + 1] + log_self + emis[t + 1]
-        move = np.full(k, LOG_ZERO)
-        move[:-1] = beta[t + 1, 1:] + log_next[:-1] + emis[t + 1, 1:]
-        beta[t] = np.logaddexp(stay, move)
+        alpha = np.full((n, t_max, k), LOG_ZERO)
+        alpha[:, 0, 0] = emis[:, 0, 0]
+        move = np.full((n, k), LOG_ZERO)
+        for t in range(1, t_max):
+            stay = alpha[:, t - 1] + log_self
+            move[:, 1:] = alpha[:, t - 1, :-1] + log_next[:, :-1]
+            alpha[:, t] = emis[:, t] + np.logaddexp(stay, move)
+        ll = alpha[rows, lens - 1, k - 1] + log_next[:, k - 1]
+        lls[ids] = ll
 
-    log_gamma = alpha + beta - ll
-    gamma = np.exp(np.minimum(log_gamma, 0.0))
-    # transition posteriors; np.add.at because composite chains may visit the
-    # same global state in several chain positions (repeated letters)
-    for t in range(t_len - 1):
-        stay = np.exp(np.minimum(alpha[t] + log_self + emis[t + 1] + beta[t + 1] - ll, 0.0))
-        np.add.at(acc.self_count, states, stay)
-        adv = np.exp(np.minimum(alpha[t, :-1] + log_next[:-1] + emis[t + 1, 1:]
-                                + beta[t + 1, 1:] - ll, 0.0))
-        np.add.at(acc.advance_count, states[:-1], adv)
-    acc.advance_count[states[-1]] += 1.0  # the final exit
-    return ll, gamma
+        # beta starts at each chain's own last frame; padded frames stay LOG_ZERO
+        beta = np.full((n, t_max, k), LOG_ZERO)
+        beta[rows, lens - 1, k - 1] = log_next[:, k - 1]
+        move = np.full((n, k), LOG_ZERO)
+        for t in range(t_max - 2, -1, -1):
+            stay = beta[:, t + 1] + log_self + emis[:, t + 1]
+            move[:, :-1] = beta[:, t + 1, 1:] + log_next[:, :-1] + emis[:, t + 1, 1:]
+            beta[:, t] = np.where((t < lens - 1)[:, None],
+                                  np.logaddexp(stay, move), beta[:, t])
 
+        ll = ll[:, None, None]
+        gamma = np.where(framed[:, :, None], np.exp(np.minimum(alpha + beta - ll, 0.0)), 0.0)
+        steps = np.arange(t_max - 1) < (lens - 1)[:, None]
+        stay = np.exp(np.minimum(alpha[:, :-1] + log_self[:, None] + emis[:, 1:]
+                                 + beta[:, 1:] - ll, 0.0))
+        adv = np.exp(np.minimum(alpha[:, :-1, :-1] + log_next[:, None, :-1]
+                                + emis[:, 1:, 1:] + beta[:, 1:, 1:] - ll, 0.0))
+        at_step = np.broadcast_to(states[:, None, :], stay.shape)[steps]
+        parts["self_count"].append((np.repeat(ids, (lens - 1) * k),
+                                    at_step.reshape(-1), stay[steps].reshape(-1)))
+        parts["advance_count"].append((np.repeat(ids, (lens - 1) * (k - 1)),
+                                       at_step[:, :-1].reshape(-1),
+                                       adv[steps].reshape(-1)))
+        parts["advance_count"].append((ids, states[:, -1], np.ones(n)))  # final exit
 
-def _accumulate_span(model, unit_states_list, seq, acc):
-    """Forward-backward over a (possibly composite) chain and GMM stats."""
-    states = np.concatenate(unit_states_list)
-    ll_comp, emis = model.emission_logprobs_subset(seq, states)
-    ll, gamma = _chain_forward_backward(model, states, emis, acc)
-    resp = gamma[:, :, None] * np.exp(np.minimum(ll_comp - emis[:, :, None], 0.0))
-    np.add.at(acc.gamma, states, resp.sum(axis=0))
-    x = np.asarray(seq, dtype=np.float64)
-    np.add.at(acc.mean_acc, states, np.einsum("tsm,td->smd", resp, x))
-    np.add.at(acc.sq_acc, states, np.einsum("tsm,td->smd", resp, x * x))
-    return ll
+        resp = gamma[..., None] * np.exp(np.minimum(comp - emis[..., None], 0.0))
+        per_state = (np.repeat(ids, k), states.reshape(-1))
+        parts["gamma"].append(per_state + (resp.sum(axis=1).reshape(n * k, -1),))
+        for name, y in (("mean_acc", x), ("sq_acc", x * x)):
+            val = np.einsum("ntsm,ntd->nsmd", resp, y)
+            parts[name].append(per_state + (val.reshape(n * k, *val.shape[2:]),))
+
+    for name, chunks in parts.items():
+        owner, idx, val = (np.concatenate(c) for c in zip(*chunks))
+        order = np.argsort(owner, kind="stable")
+        np.add.at(getattr(acc, name), idx[order], val[order])
+    return lls
 
 
 def _segmented_init(model, sequences, segmentations):
-    """Closed-form fit from a uniform within-span state split."""
-    s, m, d = model.means.shape
-    frames = [[] for _ in range(s)]
-    runs = np.zeros(s)
-    seen_units = set()
-    for seq, segs in zip(sequences, segmentations):
-        seq = np.asarray(seq, dtype=np.float64)
-        check_tiling(segs, len(seq))
-        for seg in segs:
+    """Closed-form fit from a uniform within-span state split: each span's
+    ``np.array_split`` parts, one per state, every state's statistics
+    summed in frame order."""
+    segs = []
+    for seq, spans in zip(sequences, segmentations):
+        check_tiling(spans, len(seq))
+        for seg in spans:
             if seg.label not in model.unit_nstates:
                 raise ValueError("segment label %r has no model" % (seg.label,))
-            seen_units.add(seg.label)
-            span = seq[seg.start:seg.end + 1]
-            parts = np.array_split(span, model.unit_nstates[seg.label])
-            for j, part in enumerate(parts):
-                if len(part) == 0:
-                    continue
-                state = model.unit_first[seg.label] + j
-                frames[state].append(part)
-                runs[state] += 1
-    allx = np.concatenate([np.asarray(s_, dtype=np.float64) for s_ in sequences])
+        segs.extend(spans)
+    allx = np.concatenate(sequences)   # the spans tile it in order
+    lens = np.array([seg.duration for seg in segs])
+    parts = np.array([model.unit_nstates[seg.label] for seg in segs])
+    first = np.repeat([model.unit_first[seg.label] for seg in segs], lens)
+    i = np.arange(len(allx)) - np.repeat(np.cumsum(lens) - lens, lens)
+    q, r = np.repeat(lens // parts, lens), np.repeat(lens % parts, lens)
+    # the first r parts of a span have q + 1 frames, the others q
+    state = first + np.where(i < r * (q + 1), i // (q + 1),
+                             r + (i - r * (q + 1)) // np.maximum(q, 1))
+    s, m, d = model.means.shape
+    n = np.bincount(state, minlength=s)
+    runs = np.bincount(state[(i == 0) | (np.diff(state, prepend=-1) != 0)], minlength=s)
+    sums = np.zeros((s, d))
+    np.add.at(sums, state, allx)
+    mean = sums / np.maximum(n, 1)[:, None]
+    dev = allx - mean[state]
+    dev *= dev
+    sq = np.zeros((s, d))
+    np.add.at(sq, state, dev)
+
     gmean, gvar = allx.mean(axis=0), np.maximum(allx.var(axis=0), model.var_floor)
-    gstd = np.sqrt(gvar)
-    for state in range(s):
-        if frames[state]:
-            x = np.concatenate(frames[state])
-            mean = x.mean(axis=0)
-            var = np.maximum(x.var(axis=0), model.var_floor) if len(x) > 1 else gvar
-            n = len(x)
-            p_self = min(max((n - runs[state]) / n if n > 0 else 0.5, 1e-4), 1 - 1e-4)
-        else:
-            # units with no annotated spans are pushed far from the data so
-            # decoding never hypothesizes them
-            mean, var, p_self = gmean + 100.0 * gstd, gvar, 0.5
-        std = np.sqrt(var)
-        for comp in range(m):
-            shift = (comp - (m - 1) / 2.0) * 0.2
-            model.means[state, comp] = mean + shift * (std if frames[state] else gstd)
-        model.variances[state] = var
-        model.log_weights[state] = -math.log(m)
-        model.log_self[state] = math.log(p_self)
-        model.log_next[state] = math.log(1.0 - p_self)
+    # units with no annotated spans are pushed far from the data so decoding
+    # never hypothesizes them
+    mean = np.where((n > 0)[:, None], mean, gmean + 100.0 * np.sqrt(gvar))
+    var = np.where((n > 1)[:, None],
+                   np.maximum(sq / np.maximum(n, 1)[:, None], model.var_floor), gvar)
+    p_self = np.where(n > 0, np.clip((n - runs) / np.maximum(n, 1), 1e-4, 1 - 1e-4), 0.5)
+    shift = (np.arange(m) - (m - 1) / 2.0) * 0.2
+    model.means[:] = mean[:, None, :] + shift[None, :, None] * np.sqrt(var)[:, None, :]
+    model.variances[:] = var[:, None, :]
+    model.log_weights[:] = -math.log(m)
+    model.log_self[:] = [math.log(p) for p in p_self]
+    model.log_next[:] = [math.log(1.0 - p) for p in p_self]
 
 
 def train_em(sequences, transcriptions, letters, dim, segmentations=None,
@@ -309,6 +335,7 @@ def train_em(sequences, transcriptions, letters, dim, segmentations=None,
         raise ValueError("no training sequences")
     if len(sequences) != len(transcriptions):
         raise ValueError("sequence/transcription count mismatch")
+    sequences = [np.asarray(seq, dtype=np.float64) for seq in sequences]
     model = LetterHmm(letters, dim, letter_states, silence_states,
                       components, var_floor)
     if segmentations is not None:
@@ -318,25 +345,22 @@ def train_em(sequences, transcriptions, letters, dim, segmentations=None,
     else:
         _global_init(model, sequences)
 
+    if segmentations is not None:
+        # spans shorter than their chain are skipped; the set is fixed, so
+        # the EM curve stays comparable across iterations
+        chains = [(seq[seg.start:seg.end + 1], list(model.unit_states(seg.label)))
+                  for seq, segs in zip(sequences, segmentations) for seg in segs
+                  if seg.duration >= model.unit_nstates[seg.label]]
+    else:
+        chains = [(seq, [s for u in (BEGIN_SILENCE, *word, END_SILENCE)
+                         for s in model.unit_states(u)])
+                  for seq, word in zip(sequences, transcriptions)]
     loglik_curve = []
     for _ in range(iters):
         acc = _Accumulator(model)
         total = 0.0
-        if segmentations is not None:
-            for seq, segs in zip(sequences, segmentations):
-                seq = np.asarray(seq, dtype=np.float64)
-                for seg in segs:
-                    if seg.duration < model.unit_nstates[seg.label]:
-                        continue  # span shorter than its chain; fixed set, so
-                                  # skipping keeps the EM curve comparable
-                    states = [np.array(list(model.unit_states(seg.label)))]
-                    total += _accumulate_span(model, states, seq[seg.start:seg.end + 1], acc)
-        else:
-            for seq, word in zip(sequences, transcriptions):
-                chain = [np.array(list(model.unit_states(BEGIN_SILENCE)))]
-                chain += [np.array(list(model.unit_states(l))) for l in word]
-                chain += [np.array(list(model.unit_states(END_SILENCE)))]
-                total += _accumulate_span(model, chain, np.asarray(seq, dtype=np.float64), acc)
+        for ll in _forward_backward(model, chains, acc):
+            total += ll
         acc.apply(model)
         loglik_curve.append(total)
     if iters > 0 and segmentations is None:
@@ -421,38 +445,43 @@ def _states_to_segments(model, state_path):
     return segs
 
 
-def viterbi_decode(model, lm, seq, cfg=None):
-    """Best path through the composite decode graph.
+def _viterbi(a, pi, omega, emis):
+    """Best state path through a dense log-transition graph: (score, path).
+    A tie goes to the lowest-numbered predecessor, then end state."""
+    t_len, s = emis.shape
+    score = pi + emis[0]
+    bps = np.zeros((t_len, s), dtype=int)
+    for t in range(1, t_len):
+        cand = score[:, None] + a
+        bps[t] = np.argmax(cand, axis=0)
+        score = cand[bps[t], np.arange(s)] + emis[t]
+    final = score + omega
+    path = [int(np.argmax(final))]
+    for t in range(t_len - 1, 0, -1):
+        path.append(int(bps[t, path[-1]]))
+    return float(final[path[0]]), path[::-1]
+
+
+def viterbi_decode(model, lm, seq, cfg=None, graph=None):
+    """Best path through the composite decode graph (``graph``, when given,
+    is ``build_decode_graph(model, lm, cfg)`` built once for many words).
 
     Returns (letter sequence without silences, segmentation including any
     decoded boundary silences, total log score)."""
     if cfg is None:
         cfg = DecodeConfig()
-    a, pi, omega = build_decode_graph(model, lm, cfg)
-    emis = model.emission_logprobs(seq)
-    t_len = len(emis)
-    score = pi + emis[0]
-    bps = np.zeros((t_len, model.n_states), dtype=int)
-    for t in range(1, t_len):
-        cand = score[:, None] + a
-        bps[t] = np.argmax(cand, axis=0)
-        score = cand[bps[t], np.arange(model.n_states)] + emis[t]
-    final = score + omega
-    best_end = int(np.argmax(final))
-    best = float(final[best_end])
+    a, pi, omega = graph if graph is not None else build_decode_graph(model, lm, cfg)
+    best, path = _viterbi(a, pi, omega, model.emission_logprobs(seq))
     if best <= LOG_ZERO / 2:
         raise NoPathError("no legal path (sequence too short for any letter sequence?)")
-    path = [best_end]
-    for t in range(t_len - 1, 0, -1):
-        path.append(int(bps[t, path[-1]]))
-    path.reverse()
     segs = _states_to_segments(model, path)
     letters = [s.label for s in segs if s.label not in (BEGIN_SILENCE, END_SILENCE)]
     return letters, segs, best
 
 
 def forced_align(model, seq, letters, include_silences="optional"):
-    """Best state path constrained to the given letter sequence.
+    """Best state path constrained to the given letter sequence: Viterbi
+    over the chain of its units' states.
 
     Boundary silences are optional-length ('optional'), mandatory ('always'),
     or absent ('never').  Scoring uses emissions and HMM transitions only.
@@ -466,12 +495,7 @@ def forced_align(model, seq, letters, include_silences="optional"):
     k = len(states)
     unit_id = np.concatenate([np.full(model.unit_nstates[u], i)
                               for i, u in enumerate(units)])
-    emis = model.emission_logprobs(seq)[:, states]
-    log_self = model.log_self[states]
-    log_next = model.log_next[states]
-
-    nb = model.unit_nstates[BEGIN_SILENCE]
-    ne = model.unit_nstates[END_SILENCE]
+    nb, ne = model.unit_nstates[BEGIN_SILENCE], model.unit_nstates[END_SILENCE]
     if include_silences == "always":
         starts, ends = [0], [k - 1]
     elif include_silences == "optional":
@@ -484,32 +508,18 @@ def forced_align(model, seq, letters, include_silences="optional"):
         raise NoPathError("sequence of %d frames too short for %d letters"
                           % (t_len, len(list(letters))))
 
-    score = np.full(k, LOG_ZERO)
-    for s0 in starts:
-        score[s0] = emis[0, s0]
-    bps = np.zeros((t_len, k), dtype=int)
-    for t in range(1, t_len):
-        stay = score + log_self
-        move = np.full(k, LOG_ZERO)
-        move[1:] = score[:-1] + log_next[:-1]
-        take_move = move > stay
-        bps[t] = np.where(take_move, np.arange(k) - 1, np.arange(k))
-        score = np.maximum(stay, move) + emis[t]
-    finals = {e: score[e] + model.log_next[states[e]] for e in ends}
-    best_end = max(finals, key=lambda e: (finals[e], -e))
-    if finals[best_end] <= LOG_ZERO / 2:
+    a = np.full((k, k), LOG_ZERO)
+    a[np.arange(k), np.arange(k)] = model.log_self[states]
+    a[np.arange(k - 1), np.arange(1, k)] = model.log_next[states[:-1]]
+    pi, omega = np.full(k, LOG_ZERO), np.full(k, LOG_ZERO)
+    pi[starts] = 0.0
+    omega[ends] = model.log_next[states[ends]]
+    best, path = _viterbi(a, pi, omega, model.emission_logprobs_subset(seq, states)[1])
+    if best <= LOG_ZERO / 2:
         raise NoPathError("no alignment path for the constrained sequence")
-    path = [best_end]
-    for t in range(t_len - 1, 0, -1):
-        path.append(int(bps[t, path[-1]]))
-    path.reverse()
-    segs = []
-    start = 0
-    for t in range(1, t_len + 1):
-        if t == t_len or unit_id[path[t]] != unit_id[path[t - 1]]:
-            segs.append(Segment(units[unit_id[path[start]]], start, t - 1))
-            start = t
-    return segs, float(finals[best_end])
+    ids = unit_id[path]
+    bounds = [0] + (np.flatnonzero(np.diff(ids)) + 1).tolist() + [t_len]
+    return [Segment(units[ids[b]], b, e - 1) for b, e in zip(bounds, bounds[1:])], best
 
 
 # ---------------------------------------------------------------------------
@@ -577,16 +587,17 @@ def span_table(model, emis):
     return table
 
 
-def nbest(model, lm, seq, cfg):
+def nbest(model, lm, seq, cfg, policy=None):
     """Top-N distinct (label sequence, segmentation) hypotheses by score.
 
     Runs ``scrf.nbest_segmentations`` on the unit span table and the
-    decode-graph policy of ``unit_transitions``; a hypothesis scores its
+    decode-graph policy of ``unit_transitions`` (``policy``, when given, is
+    its result built once for many words); a hypothesis scores its
     best state path, so within-unit state wiggles never produce duplicate
     hypotheses.  ``viterbi_decode`` does not use this path: on the span
     table it is O(T^2) per word and measured 2x slower (module docstring)."""
     emis = model.emission_logprobs(seq)
-    trans, final = unit_transitions(model, lm, cfg)
+    trans, final = policy if policy is not None else unit_transitions(model, lm, cfg)
     ranked = nbest_segmentations(span_table(model, emis), trans, final, cfg.nbest)
     if not ranked:
         raise NoPathError("no legal path for N-best search")

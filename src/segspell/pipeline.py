@@ -13,13 +13,15 @@ from ground truth or from forced alignments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet
 from .classifier import (AdaptationModel, FramePosteriors, TrainConfig, adapt,
                          build_tandem_observation, train_mlp)
-from .hmm import DecodeConfig, forced_align, nbest, train_em, viterbi_decode
+from .hmm import (DecodeConfig, build_decode_graph, forced_align, nbest, train_em,
+                  unit_transitions, viterbi_decode)
 from .lm import train_bigram
 from .metrics import score_corpus
 from .segments import frame_labels, letters_only
@@ -70,51 +72,40 @@ class Recognizer:
         windows = stack_windows(word.descriptors, self.cfg.frontend.window)
         return self.classifier.predict_proba(windows)
 
-    def observations(self, word):
-        post = self.posteriors(word)
+    def observations(self, word, post=None):
+        """Tandem observations (T, dim) of a word; ``post`` are its frame
+        posteriors when the caller already has them."""
+        if post is None:
+            post = self.posteriors(word)
         fe = self.cfg.frontend
-        rows = [build_tandem_observation(FramePosteriors(letters=post[t]),
-                                         word.descriptors[t], fe.mode,
-                                         self.pca_post, self.pca_image, fe.transform)
-                for t in range(len(post))]
-        return np.asarray(rows)
-
-    def with_classifier(self, classifier):
-        return replace(self, classifier=classifier)
+        return build_tandem_observation(FramePosteriors(letters=post),
+                                        word.descriptors, fe.mode, self.pca_post,
+                                        self.pca_image, fe.transform)
 
 
-def class_labels(alphabet):
-    return list(alphabet.symbols)
+def ground_truth_frame_labels(word, alphabet):
+    return [alphabet.letter_index(l) for l in frame_labels(word.segments, word.num_frames)]
 
 
-def frame_dataset(words, alphabet, window):
-    """Stacked windows and integer frame labels from ground-truth
-    segmentations, pooled over words."""
-    xs, ys = [], []
-    for w in words:
-        xs.append(stack_windows(w.descriptors, window))
-        labels = frame_labels(w.segments, w.num_frames)
-        ys.extend(alphabet.letter_index(l) for l in labels)
-    return np.concatenate(xs), np.asarray(ys, dtype=int)
+def frame_dataset(words, alphabet, window, labels=ground_truth_frame_labels):
+    """Stacked windows and integer frame labels (``labels(word, alphabet)``,
+    ground truth by default), pooled over words."""
+    return (np.concatenate([stack_windows(w.descriptors, window) for w in words]),
+            np.asarray([y for w in words for y in labels(w, alphabet)], dtype=int))
 
 
 def train_frame_classifier(words, alphabet, cfg, seed_offset=0):
     x, y = frame_dataset(words, alphabet, cfg.frontend.window)
     tcfg = replace(cfg.train, seed=cfg.seed + seed_offset)
-    model, history = train_mlp((x, y), tcfg, list(cfg.arch), class_labels(alphabet))
+    model, history = train_mlp((x, y), tcfg, list(cfg.arch), list(alphabet.symbols))
     return model, history
 
 
-def fit_frontend_pcas(words, classifier, cfg):
+def fit_frontend_pcas(words, posts, cfg):
     """Separate PCA models for the classifier block and the image block,
-    fit on the training portion."""
-    posts, descs = [], []
-    for w in words:
-        windows = stack_windows(w.descriptors, cfg.frontend.window)
-        posts.append(classifier.predict_proba(windows))
-        descs.append(w.descriptors)
+    fit on the training words and their frame posteriors."""
     posts = np.concatenate(posts)
-    descs = np.concatenate(descs)
+    descs = np.concatenate([w.descriptors for w in words])
     if cfg.frontend.transform == "log":
         posts = np.log(np.maximum(posts, 1e-10))
     k1 = min(cfg.frontend.pca_classifier, posts.shape[1], len(posts) - 1)
@@ -126,9 +117,11 @@ def assemble_recognizer(train_words, alphabet, cfg, classifier, lm):
     """Tandem recognizer around a trained frame classifier and an LM: fit
     the PCA pair and train the HMM on the training set's observations.
     Returns (recognizer, per-iteration EM log-likelihoods)."""
-    pca_post, pca_img = fit_frontend_pcas(train_words, classifier, cfg)
-    rec = Recognizer(classifier, pca_post, pca_img, None, lm, cfg)
-    seqs = [rec.observations(w) for w in train_words]
+    rec = Recognizer(classifier, None, None, None, lm, cfg)
+    posts = [rec.posteriors(w) for w in train_words]
+    pca_post, pca_img = fit_frontend_pcas(train_words, posts, cfg)
+    rec = replace(rec, pca_post=pca_post, pca_image=pca_img)
+    seqs = [rec.observations(w, post) for w, post in zip(train_words, posts)]
     hmm_model, loglik = train_em(
         seqs, [w.letters for w in train_words], list(alphabet.letters)
         + list(alphabet.doubled), seqs[0].shape[1],
@@ -151,11 +144,14 @@ def decode_words(recognizer, words, threads=1):
     """Tandem Viterbi decode; returns [(reference letters, hypothesis
     letters)] with boundary silences stripped.  Decoding is pure per
     sequence, so worker threads collect results in input order and the
-    output is independent of the thread count."""
+    output is independent of the thread count.  The decode graph is built
+    once for all words."""
+    graph = build_decode_graph(recognizer.hmm, recognizer.lm, recognizer.cfg.decode)
+
     def one(w):
         obs = recognizer.observations(w)
         letters, _, _ = viterbi_decode(recognizer.hmm, recognizer.lm, obs,
-                                       recognizer.cfg.decode)
+                                       recognizer.cfg.decode, graph)
         return (w.letters, letters)
 
     if threads and threads > 1:
@@ -196,10 +192,6 @@ def adaptation_split(words, fraction, seed):
 # ---------------------------------------------------------------------------
 # Adaptation
 
-def ground_truth_frame_labels(word, alphabet):
-    return [alphabet.letter_index(l) for l in frame_labels(word.segments, word.num_frames)]
-
-
 def forced_alignment_frame_labels(recognizer, word, alphabet):
     obs = recognizer.observations(word)
     segs, _ = forced_align(recognizer.hmm, obs, word.letters)
@@ -210,17 +202,13 @@ def adapt_recognizer(recognizer, adapt_words, alphabet, mode="fine-tune",
                      label_source="GT", seed_offset=0):
     """Adapt the frame classifier only; PCA, HMM and LM stay fixed."""
     cfg = recognizer.cfg
-    xs, ys = [], []
-    for w in adapt_words:
-        xs.append(stack_windows(w.descriptors, cfg.frontend.window))
-        if label_source == "GT":
-            ys.extend(ground_truth_frame_labels(w, alphabet))
-        elif label_source == "FA":
-            ys.extend(forced_alignment_frame_labels(recognizer, w, alphabet))
-        else:
-            raise ValueError("label_source must be 'GT' or 'FA'")
-    x = np.concatenate(xs)
-    y = np.asarray(ys, dtype=int)
+    if label_source == "GT":
+        labels = ground_truth_frame_labels
+    elif label_source == "FA":
+        labels = partial(forced_alignment_frame_labels, recognizer)
+    else:
+        raise ValueError("label_source must be 'GT' or 'FA'")
+    x, y = frame_dataset(adapt_words, alphabet, cfg.frontend.window, labels)
     base = recognizer.classifier
     if isinstance(base, AdaptationModel):
         base = base.base
@@ -228,7 +216,7 @@ def adapt_recognizer(recognizer, adapt_words, alphabet, mode="fine-tune",
     static_dim = adapt_words[0].descriptors.shape[1]
     adapted, history = adapt(base, (x, y), mode, tcfg,
                              cfg.frontend.window, static_dim)
-    return recognizer.with_classifier(adapted), history
+    return replace(recognizer, classifier=adapted), history
 
 
 def realign_adapt(recognizer, adapt_words, eval_words, alphabet, iters=2):
@@ -374,9 +362,10 @@ def nbest_lattices(recognizer, words, n=None):
     cfg = recognizer.cfg.decode
     if n is not None:
         cfg = replace(cfg, nbest=n)
+    policy = unit_transitions(recognizer.hmm, recognizer.lm, cfg)
     for w in words:
         obs = recognizer.observations(w)
-        out.append(nbest(recognizer.hmm, recognizer.lm, obs, cfg))
+        out.append(nbest(recognizer.hmm, recognizer.lm, obs, cfg, policy))
     return out
 
 

@@ -53,17 +53,6 @@ def frame_labels(segments, num_frames):
     return out
 
 
-def segments_from_frame_labels(labels):
-    """Collapse per-frame labels into maximal constant runs."""
-    segs = []
-    start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[start]:
-            segs.append(Segment(labels[start], start, i - 1))
-            start = i
-    return segs
-
-
 def letters_only(labels, silences=("<s>", "</s>")):
     """Drop boundary-silence labels from a label sequence."""
     return [l for l in labels if l not in silences]

@@ -398,9 +398,17 @@ def stack_window(seq, t, w):
 
 
 def stack_windows(seq, w):
-    """All window stacks of a sequence, shape (T, w*d)."""
+    """All window stacks of a sequence, shape (T, w*d): one gather of the
+    replicate-padded frame indices, row t equal to ``stack_window(seq, t, w)``."""
+    if w % 2 != 1:
+        raise ValueError("window size must be odd")
     seq = np.asarray(seq, dtype=np.float64)
-    return np.stack([stack_window(seq, t, w) for t in range(len(seq))])
+    if len(seq) == 0:
+        raise ValueError("cannot stack windows of an empty sequence")
+    half = (w - 1) // 2
+    idx = np.clip(np.arange(len(seq))[:, None] + np.arange(-half, half + 1),
+                  0, len(seq) - 1)
+    return seq[idx].reshape(len(seq), -1)
 
 
 def resample_speed(seq, factor):

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from segspell import synthgen
+from segspell import hmm, synthgen
 from segspell.alphabet import LetterAlphabet
 from segspell.hmm import (LOG_ZERO, CandidateLattice, DecodeConfig, Hypothesis,
                           LetterHmm, NoPathError, build_decode_graph,
@@ -216,6 +217,45 @@ class TestForcedAlign:
             _, _, v_score = viterbi_decode(model, toy_lm, obs, cfg)
             assert fa_score <= v_score + 1e-9
 
+    @pytest.mark.parametrize("mode", ["optional", "always", "never"])
+    def test_matches_exhaustive_chain_paths(self, mode):
+        rng = np.random.default_rng(18)
+        model = toy_model(rng, letter_states=2, silence_states=2)
+        model.log_self[:] = np.log(rng.uniform(0.2, 0.8, model.n_states))
+        model.log_next[:] = np.log1p(-np.exp(model.log_self))
+        letters = ["A", "B", "A"]
+        units = ["<s>", *letters, "</s>"]
+        states = [s for u in units for s in model.unit_states(u)]
+        unit_of = [i for i, u in enumerate(units) for _ in model.unit_states(u)]
+        k = len(states)
+        starts = {"always": [0], "optional": [0, 2], "never": [2]}[mode]
+        ends = {"always": [k - 1], "optional": [k - 1, k - 3], "never": [k - 3]}[mode]
+        for t_len in range(6, 12):
+            obs = rng.normal(size=(t_len, 2))
+            emis = model.emission_logprobs(obs)
+            best = (-np.inf, None)
+            for s0, steps in itertools.product(starts, itertools.product(
+                    (0, 1), repeat=t_len - 1)):
+                pos = list(s0 + np.cumsum((0,) + steps))
+                if pos[-1] not in ends:
+                    continue
+                score = sum(emis[t, states[p]] for t, p in enumerate(pos))
+                score += sum(model.log_next[states[p]] if step else model.log_self[states[p]]
+                             for p, step in zip(pos, steps))
+                score += model.log_next[states[pos[-1]]]
+                if score > best[0]:
+                    best = (score, pos)
+            if best[1] is None:
+                with pytest.raises(NoPathError):
+                    forced_align(model, obs, letters, include_silences=mode)
+                continue
+            segs, score = forced_align(model, obs, letters, include_silences=mode)
+            assert score == pytest.approx(best[0], abs=1e-9)
+            runs = [(units[unit_of[p]], t) for t, p in enumerate(best[1])
+                    if t == 0 or unit_of[p] != unit_of[best[1][t - 1]]]
+            assert [(s.label, s.start) for s in segs] == runs
+            check_tiling(segs, t_len)
+
     def test_too_short_rejected(self, toy_lm):
         rng = np.random.default_rng(16)
         model = toy_model(rng, letter_states=3)
@@ -229,6 +269,128 @@ class TestForcedAlign:
             forced_align(model, rng.normal(size=(5, 2)), [])
 
 
+def reference_train_em(sequences, transcriptions, letters, dim,
+                       segmentations=None, iters=2, letter_states=3,
+                       silence_states=9, components=2):
+    """EM one span at a time with per-frame loops, a per-state M-step and a
+    per-span segmented initialization: the oracle for the whole-array
+    ``train_em``."""
+    def chain_forward_backward(model, states, emis, acc):
+        k, t_len = len(states), emis.shape[0]
+        if t_len < k:
+            raise NoPathError("span too short")
+        log_self, log_next = model.log_self[states], model.log_next[states]
+        alpha = np.full((t_len, k), LOG_ZERO)
+        alpha[0, 0] = emis[0, 0]
+        for t in range(1, t_len):
+            move = np.full(k, LOG_ZERO)
+            move[1:] = alpha[t - 1, :-1] + log_next[:-1]
+            alpha[t] = emis[t] + np.logaddexp(alpha[t - 1] + log_self, move)
+        ll = alpha[t_len - 1, k - 1] + log_next[k - 1]
+        beta = np.full((t_len, k), LOG_ZERO)
+        beta[t_len - 1, k - 1] = log_next[k - 1]
+        for t in range(t_len - 2, -1, -1):
+            move = np.full(k, LOG_ZERO)
+            move[:-1] = beta[t + 1, 1:] + log_next[:-1] + emis[t + 1, 1:]
+            beta[t] = np.logaddexp(beta[t + 1] + log_self + emis[t + 1], move)
+        gamma = np.exp(np.minimum(alpha + beta - ll, 0.0))
+        for t in range(t_len - 1):
+            np.add.at(acc.self_count, states, np.exp(np.minimum(
+                alpha[t] + log_self + emis[t + 1] + beta[t + 1] - ll, 0.0)))
+            np.add.at(acc.advance_count, states[:-1], np.exp(np.minimum(
+                alpha[t, :-1] + log_next[:-1] + emis[t + 1, 1:]
+                + beta[t + 1, 1:] - ll, 0.0)))
+        acc.advance_count[states[-1]] += 1.0
+        return ll, gamma
+
+    def segmented_init(model, sequences, segmentations):
+        s, m, d = model.means.shape
+        frames = [[] for _ in range(s)]
+        runs = np.zeros(s)
+        for seq, segs in zip(sequences, segmentations):
+            for seg in segs:
+                parts = np.array_split(seq[seg.start:seg.end + 1],
+                                       model.unit_nstates[seg.label])
+                for j, part in enumerate(parts):
+                    if len(part):
+                        frames[model.unit_first[seg.label] + j].append(part)
+                        runs[model.unit_first[seg.label] + j] += 1
+        allx = np.concatenate(sequences)
+        gmean, gvar = allx.mean(axis=0), np.maximum(allx.var(axis=0), model.var_floor)
+        gstd = np.sqrt(gvar)
+        for state in range(s):
+            if frames[state]:
+                x = np.concatenate(frames[state])
+                mean = x.mean(axis=0)
+                var = np.maximum(x.var(axis=0), model.var_floor) if len(x) > 1 else gvar
+                p_self = min(max((len(x) - runs[state]) / len(x), 1e-4), 1 - 1e-4)
+            else:
+                mean, var, p_self = gmean + 100.0 * gstd, gvar, 0.5
+            std = np.sqrt(var)
+            for comp in range(m):
+                shift = (comp - (m - 1) / 2.0) * 0.2
+                model.means[state, comp] = mean + shift * (std if frames[state] else gstd)
+            model.variances[state] = var
+            model.log_weights[state] = -math.log(m)
+            model.log_self[state] = math.log(p_self)
+            model.log_next[state] = math.log(1.0 - p_self)
+
+    def apply(acc, model):
+        occ = acc.gamma.sum(axis=1)
+        for s in range(len(occ)):
+            if occ[s] <= 0:
+                continue
+            w = np.maximum(acc.gamma[s], 1e-12)
+            model.log_weights[s] = np.log(w / w.sum())
+            means = acc.mean_acc[s] / w[:, None]
+            model.means[s] = means
+            model.variances[s] = np.maximum(acc.sq_acc[s] / w[:, None] - means ** 2,
+                                            model.var_floor)
+            total = acc.self_count[s] + acc.advance_count[s]
+            if total > 0:
+                p_self = min(max(acc.self_count[s] / total, 1e-4), 1 - 1e-4)
+                model.log_self[s] = math.log(p_self)
+                model.log_next[s] = math.log(1.0 - p_self)
+
+    def accumulate_span(model, units, x, acc):
+        states = np.concatenate([np.array(list(model.unit_states(u))) for u in units])
+        ll_comp, emis = model.emission_logprobs_subset(x, states)
+        ll, gamma = chain_forward_backward(model, states, emis, acc)
+        resp = gamma[:, :, None] * np.exp(np.minimum(ll_comp - emis[:, :, None], 0.0))
+        np.add.at(acc.gamma, states, resp.sum(axis=0))
+        np.add.at(acc.mean_acc, states, np.einsum("tsm,td->smd", resp, x))
+        np.add.at(acc.sq_acc, states, np.einsum("tsm,td->smd", resp, x * x))
+        return ll
+
+    model = LetterHmm(letters, dim, letter_states, silence_states, components)
+    if segmentations is not None:
+        segmented_init(model, sequences, segmentations)
+    else:
+        hmm._global_init(model, sequences)
+    curve = []
+    for _ in range(iters):
+        acc = hmm._Accumulator(model)
+        total = 0.0
+        for i, seq in enumerate(sequences):
+            if segmentations is None:
+                total += accumulate_span(model, ["<s>", *transcriptions[i], "</s>"],
+                                         seq, acc)
+                continue
+            for seg in segmentations[i]:
+                if seg.duration >= model.unit_nstates[seg.label]:
+                    total += accumulate_span(model, [seg.label],
+                                             seq[seg.start:seg.end + 1], acc)
+        apply(acc, model)
+        curve.append(total)
+    if iters > 0 and segmentations is None:
+        unseen = acc.gamma.sum(axis=1) == 0
+        if unseen.any():
+            allx = np.concatenate(sequences)
+            model.means[unseen] += 100.0 * np.sqrt(
+                np.maximum(allx.var(axis=0), model.var_floor))[None, None, :]
+    return model, curve
+
+
 class TestEm:
     @pytest.fixture(scope="class")
     def sequences(self, gen_config):
@@ -237,6 +399,50 @@ class TestEm:
         ws = [synthgen.generate_word(w, signer, (5, 0, i, 0), gen_config)
               for i, w in enumerate(words)]
         return ws
+
+    @pytest.mark.parametrize("segmented", [True, False], ids=["segmented", "flat"])
+    @pytest.mark.parametrize("letter_states, silence_states", [(3, 3), (3, 9), (12, 2)])
+    def test_batched_em_equals_per_span_reference(self, sequences, segmented,
+                                                 letter_states, silence_states):
+        seqs = [w.descriptors for w in sequences]
+        if segmented:
+            durations = {s.duration for w in sequences for s in w.segments}
+            assert len(durations) > 5   # mixed span lengths in every batch
+            if letter_states == 12:         # some letter spans are skipped
+                assert min(s.duration for w in sequences for s in w.segments
+                           if s.label in "AB") < letter_states
+        args = (seqs, [w.letters for w in sequences], ["A", "B"], seqs[0].shape[1])
+        kwargs = dict(segmentations=[w.segments for w in sequences] if segmented
+                      else None, iters=3, letter_states=letter_states,
+                      silence_states=silence_states, components=2)
+        model, curve = train_em(*args, **kwargs)
+        ref, ref_curve = reference_train_em(*args, **kwargs)
+        assert np.array_equal(curve, ref_curve)
+        for name in ("means", "variances", "log_weights", "log_self", "log_next"):
+            assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+
+    def test_segmented_init_equals_reference_on_edge_cases(self):
+        # B unseen; one 2-frame A span over 3 states leaves a state empty
+        # and two with a single frame; C spans of 1-4 frames over 3 states
+        rng = np.random.default_rng(4)
+        seqs = [rng.normal(size=(9, 3)), rng.normal(size=(12, 3))]
+        segs = [[Segment("<s>", 0, 2), Segment("A", 3, 4), Segment("C", 5, 5),
+                 Segment("</s>", 6, 8)],
+                [Segment("C", 0, 3), Segment("A", 4, 10), Segment("C", 11, 11)]]
+        args = (seqs, [["A", "C"], ["C", "A", "C"]], ["A", "B", "C"], 3)
+        kwargs = dict(segmentations=segs, iters=0, letter_states=3,
+                      silence_states=2, components=3)
+        model, _ = train_em(*args, **kwargs)
+        ref, _ = reference_train_em(*args, **kwargs)
+        for name in ("means", "variances", "log_weights", "log_self", "log_next"):
+            assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+
+    def test_span_shorter_than_chain_no_path(self, sequences):
+        seqs = [w.descriptors for w in sequences] + [sequences[0].descriptors[:8]]
+        words = [w.letters for w in sequences] + [["A", "B"]]
+        with pytest.raises(NoPathError):
+            train_em(seqs, words, ["A", "B"], seqs[0].shape[1], iters=1,
+                     letter_states=3, silence_states=2)
 
     def test_flat_start_loglik_non_decreasing(self, sequences):
         seqs = [w.descriptors for w in sequences]

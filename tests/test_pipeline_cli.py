@@ -55,6 +55,25 @@ class TestPipeline:
                   for r in (recognizer, loaded))
         np.testing.assert_allclose(m2, m1, rtol=0, atol=1e-6)
 
+    @pytest.mark.parametrize("transform", ["linear", "log"])
+    def test_observations_match_per_frame_tandem(self, recognizer, split, transform):
+        from dataclasses import replace
+        from segspell.classifier import FramePosteriors, build_tandem_observation
+        _, test = split
+        cfg = replace(recognizer.cfg,
+                      frontend=replace(recognizer.cfg.frontend, transform=transform))
+        posts = [recognizer.posteriors(w) for w in test]
+        pca_post, pca_img = pipeline.fit_frontend_pcas(test, posts, cfg)
+        rec = replace(recognizer, cfg=cfg, pca_post=pca_post, pca_image=pca_img)
+        for w, post in zip(test[:4], posts):
+            obs = rec.observations(w)
+            rows = [build_tandem_observation(FramePosteriors(letters=post[t]),
+                                             w.descriptors[t], "letter", pca_post,
+                                             pca_img, transform)
+                    for t in range(w.num_frames)]
+            np.testing.assert_allclose(obs, np.array(rows), rtol=0, atol=1e-12)
+            assert np.array_equal(rec.observations(w, post), obs)
+
     def test_adaptation_split_deterministic(self, small_corpus):
         s2 = small_corpus.by_signer("S2")
         a1, e1 = pipeline.adaptation_split(s2, 0.2, 7)
@@ -167,6 +186,15 @@ class TestCliChain:
         pytest.param({"scrf": {"nbest": 0}}, "scrf.nbest", id="scrf-nbest"),
         pytest.param({"scrf": {"ref_policy": "bogus"}}, "scrf.ref_policy",
                      id="scrf-ref-policy"),
+        pytest.param({"hmm": {"em_iters": "x"}}, "hmm.em_iters", id="em-iters-number"),
+        pytest.param({"frontend": {"window": 4}}, "frontend.window", id="window-even"),
+        pytest.param({"frontend": {"window": 0}}, "frontend.window", id="window-0"),
+        pytest.param({"classifier": {"arch": "ab"}}, "classifier.arch", id="arch"),
+        pytest.param({"hmm": {"letter_states": 0}}, "hmm.letter_states",
+                     id="letter-states"),
+        pytest.param({"folds": 2, "report_folds": 1}, "folds", id="folds"),
+        pytest.param({"folds": 4, "report_folds": 5}, "report_folds",
+                     id="report-folds"),
     ])
     def test_bad_fraction_exit_2(self, workdir, tmp_path, capsys, bad, field):
         cfg = tmp_path / "cfg.json"
@@ -176,6 +204,9 @@ class TestCliChain:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    def test_zero_em_iterations_valid(self):
+        assert cli.pipeline_config({"hmm": {"em_iters": 0}}).em_iters == 0
 
     def test_align_and_nbest_outputs(self, workdir):
         d = workdir

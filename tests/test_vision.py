@@ -300,6 +300,18 @@ class TestTemporal:
     def test_window_must_be_odd(self):
         with pytest.raises(ValueError):
             vision.stack_window(np.zeros((5, 2)), 1, 4)
+        with pytest.raises(ValueError, match="odd"):
+            vision.stack_windows(np.zeros((5, 2)), 4)
+
+    @pytest.mark.parametrize("t_len, w", [(3, 5), (1, 21), (7, 1), (30, 21), (12, 5)])
+    def test_windows_equal_per_frame_stacks(self, t_len, w):
+        seq = np.random.default_rng(t_len).normal(size=(t_len, 4))
+        expected = np.stack([vision.stack_window(seq, t, w) for t in range(t_len)])
+        assert np.array_equal(vision.stack_windows(seq, w), expected)
+
+    def test_windows_of_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="empty sequence"):
+            vision.stack_windows(np.zeros((0, 4)), 5)
 
     def test_resample_identity(self):
         rng = np.random.default_rng(0)
