@@ -1,10 +1,15 @@
 """Command-line surface: reproducible experiment pipelines.
 
-Every subcommand writes its artifacts atomically plus a run-record JSON
-(config hash, seed, input hashes, wall time).  Exit codes: 0 on success,
-2 on configuration errors, 3 on data errors (a missing upstream artifact
-names the subcommand that produces it).  The environment variable
-SEGSPELL_SEED overrides the configured seed.
+One runner, ``main``, serves every subcommand.  It loads and validates the
+config once, starts the clock, calls the subcommand's handler, prints the
+summary line the handler returns, and writes the run-record JSON (config
+hash, seed, input hashes, wall time) next to the artifacts.  A handler does
+only its own work: it writes its artifacts atomically and returns
+``(summary, inputs, outputs)``.  Exit codes: 0 on success, 2 on
+configuration errors (a bad config value or flag names the field or flag),
+3 on data errors (a missing upstream artifact names the subcommand that
+produces it).  The environment variable SEGSPELL_SEED overrides the
+configured seed.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +52,20 @@ def require(path, producer):
 # ---------------------------------------------------------------------------
 # Configuration
 
+@dataclass(frozen=True)
+class Config:
+    """A loaded and validated experiment config; ``raw`` is the JSON dict
+    whose hash goes into the run record."""
+    raw: dict
+    pipeline: PipelineConfig
+    scrf: ScrfConfig
+    generator: synthgen.GeneratorConfig
+    signers: int            # data.signers
+    repetitions: int        # data.repetitions
+    words: int | None       # data.words: the first N list words (all if absent)
+    hog_pca: int            # frontend.hog_pca: HOG descriptor PCA size
+
+
 def load_config(path=None, overrides=None):
     cfg = {}
     if path:
@@ -62,9 +82,14 @@ def load_config(path=None, overrides=None):
         except ValueError:
             raise ConfigError("SEGSPELL_SEED must be an integer, got %r" % seed_env)
     # validate every section now, so a bad value never fails deep in a run
-    pipeline_config(cfg)
-    scrf_config(cfg)
-    return cfg
+    data = cfg.get("data", {})
+    return Config(
+        raw=cfg, pipeline=pipeline_config(cfg), scrf=scrf_config(cfg),
+        generator=generator_config(cfg),
+        signers=number(data, "data", "signers", 4, int, 1),
+        repetitions=number(data, "data", "repetitions", 2, int, 1),
+        words=number(data, "data", "words", None, int, 1) if "words" in data else None,
+        hog_pca=number(cfg.get("frontend", {}), "frontend", "hog_pca", 40, int, 1))
 
 
 def number(section, name, key, default, kind=float, minimum=None):
@@ -76,9 +101,26 @@ def number(section, name, key, default, kind=float, minimum=None):
         value = kind(value)
     except (TypeError, ValueError):
         raise ConfigError("%s must be a number, got %r" % (field, value))
+    return at_least(value, minimum, field)
+
+
+def at_least(value, minimum, field):
     if minimum is not None and value < minimum:
         raise ConfigError("%s must be at least %s, got %r" % (field, minimum, value))
     return value
+
+
+def open_fraction(value, field):
+    if not 0.0 < value < 1.0:
+        raise ConfigError("%s must be in (0, 1), got %r" % (field, value))
+    return value
+
+
+def option(args, key, default, minimum=1):
+    """Flag ``--key`` when given, with the bound of its config field; else
+    ``default``."""
+    value = getattr(args, key)
+    return default if value is None else at_least(value, minimum, "--" + key)
 
 
 def pipeline_config(cfg):
@@ -87,9 +129,7 @@ def pipeline_config(cfg):
     hm = cfg.get("hmm", {})
     ad = cfg.get("adaptation", {})
     dec = hm.get("decode", {})
-    frac = number(ad, "adaptation", "fraction", 0.2)
-    if not 0.0 < frac < 1.0:
-        raise ConfigError("adaptation fraction must be in (0, 1), got %r" % frac)
+    frac = open_fraction(number(ad, "adaptation", "fraction", 0.2), "adaptation.fraction")
     if fe.get("mode", "letter") != "letter":
         raise ConfigError("frontend.mode must be 'letter' (no phonological-feature "
                           "classifiers are trained), got %r" % (fe["mode"],))
@@ -205,8 +245,7 @@ def builtin_wordlist(which):
 
 
 def resolve_words(args, cfg):
-    data = cfg.get("data", {})
-    wordlist = getattr(args, "wordlist", None) or data.get("wordlist", "1")
+    wordlist = args.wordlist or cfg.raw.get("data", {}).get("wordlist", "1")
     if os.path.exists(str(wordlist)):
         with open(wordlist, "r", encoding="utf-8") as f:
             words = [w.strip().upper() for w in f if w.strip()]
@@ -216,9 +255,9 @@ def resolve_words(args, cfg):
         words = builtin_wordlist("1") + builtin_wordlist("2")
     else:
         raise ConfigError("unknown wordlist %r (use 1, 2, both, or a file)" % (wordlist,))
-    n = getattr(args, "words", None) or data.get("words")
-    if n:
-        words = words[:int(n)]
+    n = option(args, "words", cfg.words)
+    if n is not None:
+        words = words[:n]
     if not words:
         raise ConfigError("empty word list")
     return words
@@ -265,20 +304,17 @@ def read_labeled_file(path):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed flags and the loaded Config, writes its
+# artifacts and returns (summary line, input paths, output paths).
 
-def cmd_gen_data(args):
-    t0 = time.time()
-    cfg = load_config(args.config, {"seed": args.seed})
+def cmd_gen_data(args, cfg):
     words = resolve_words(args, cfg)
-    seed = int(cfg.get("seed", 20160825))
-    gcfg = generator_config(cfg)
-    n_signers = args.signers or int(cfg.get("data", {}).get("signers", 4))
-    reps = args.reps or int(cfg.get("data", {}).get("repetitions", 2))
+    n_signers = option(args, "signers", cfg.signers)
+    reps = option(args, "reps", cfg.repetitions)
+    gcfg, seed = cfg.generator, cfg.pipeline.seed
     signers = synthgen.make_signers(n_signers, seed, gcfg)
     corpus = synthgen.generate_corpus(words, signers, seed, repetitions=reps, cfg=gcfg)
     synthgen.save_corpus(corpus, args.out)
-    outputs = [os.path.join(args.out, "manifest.json")]
     if args.images:
         from .fileio import write_png
         img_dir = os.path.join(args.out, "images")
@@ -292,22 +328,18 @@ def cmd_gen_data(args):
                 write_png(os.path.join(stem, "f%04d.png" % t), frame)
                 write_png(os.path.join(stem, "m%04d.png" % t),
                           (mask * 255).astype(np.uint8))
-    print("wrote %d sequences (%d signers x %d words x %d reps) to %s"
-          % (len(corpus.words), n_signers, len(words), reps, args.out))
-    write_run_record(args.out, "gen-data", cfg, [], outputs, t0)
-    return 0
+    return ("wrote %d sequences (%d signers x %d words x %d reps) to %s"
+            % (len(corpus.words), n_signers, len(words), reps, args.out),
+            [], [os.path.join(args.out, "manifest.json")])
 
 
-def cmd_extract_features(args):
-    t0 = time.time()
-    cfg = load_config(args.config, {"seed": args.seed})
+def cmd_extract_features(args, cfg):
     manifest, words = load_corpus_words(args.corpus)
     img_root = require(os.path.join(args.corpus, "images"), "gen-data --images")
     from .fileio import read_png, write_matrix
     from .vision import (HogConfig, fit_hand_color_model, hog_descriptor,
                          segment_hand, fit_pca, apply_pca)
     hog_cfg = HogConfig()
-    k = int(cfg.get("frontend", {}).get("hog_pca", 40))
     per_signer_model = {}
     all_desc = []
     word_desc = []
@@ -337,7 +369,7 @@ def cmd_extract_features(args):
         word_desc.append((stem, np.asarray(descs)))
         all_desc.append(word_desc[-1][1])
     stacked = np.concatenate(all_desc)
-    pca = fit_pca(stacked, min(k, stacked.shape[1], len(stacked) - 1))
+    pca = fit_pca(stacked, min(cfg.hog_pca, stacked.shape[1], len(stacked) - 1))
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     for stem, descs in word_desc:
@@ -348,49 +380,36 @@ def cmd_extract_features(args):
         write_json(os.path.join(args.out, stem + ".json"), meta)
         outputs.append(out_path)
     write_json(os.path.join(args.out, "manifest.json"), manifest)
-    print("extracted HOG+PCA descriptors for %d sequences into %s"
-          % (len(word_desc), args.out))
-    write_run_record(args.out, "extract-features", cfg,
-                     [os.path.join(args.corpus, "manifest.json")], outputs, t0)
-    return 0
+    return ("extracted HOG+PCA descriptors for %d sequences into %s"
+            % (len(word_desc), args.out),
+            [os.path.join(args.corpus, "manifest.json")], outputs)
 
 
-def cmd_train_lm(args):
-    t0 = time.time()
-    cfg = load_config(args.config, {"seed": args.seed})
+def cmd_train_lm(args, cfg):
     words = resolve_words(args, cfg)
     from .lm import train_bigram
     lm = train_bigram(words, LetterAlphabet())
     lm.save(args.out)
-    print("trained bigram LM on %d words -> %s" % (len(words), args.out))
-    write_run_record(args.out, "train-lm", cfg, [], [args.out], t0)
-    return 0
+    return ("trained bigram LM on %d words -> %s" % (len(words), args.out),
+            [], [args.out])
 
 
-def cmd_train_classifier(args):
-    t0 = time.time()
-    cfg = load_config(args.config, {"seed": args.seed})
-    pcfg = pipeline_config(cfg)
+def cmd_train_classifier(args, cfg):
     _, words = load_corpus_words(args.corpus, args.signers)
-    alphabet = LetterAlphabet()
-    model, history = pipeline.train_frame_classifier(words, alphabet, pcfg)
+    model, history = pipeline.train_frame_classifier(words, LetterAlphabet(),
+                                                     cfg.pipeline)
     model.save(args.out)
     outputs = [args.out]
     if args.curve:
         from .classifier import history_csv
         atomic_write_text(args.curve, history_csv(history))
         outputs.append(args.curve)
-    print("trained classifier on %d sequences -> %s (final val error %.3f)"
-          % (len(words), args.out, history[-1]["val_error"] if history else float("nan")))
-    write_run_record(args.out, "train-classifier", cfg,
-                     [os.path.join(args.corpus, "manifest.json")], outputs, t0)
-    return 0
+    return ("trained classifier on %d sequences -> %s (final val error %.3f)"
+            % (len(words), args.out, history[-1]["val_error"] if history else float("nan")),
+            [os.path.join(args.corpus, "manifest.json")], outputs)
 
 
-def cmd_train_hmm(args):
-    t0 = time.time()
-    cfg = load_config(args.config, {"seed": args.seed})
-    pcfg = pipeline_config(cfg)
+def cmd_train_hmm(args, cfg):
     _, words = load_corpus_words(args.corpus, args.signers)
     alphabet = LetterAlphabet()
     classifier = load_classifier(require(args.classifier, "train-classifier"))
@@ -400,157 +419,104 @@ def cmd_train_hmm(args):
     else:
         from .lm import train_bigram
         lm = train_bigram(sorted({w.word for w in words}), alphabet)
-    rec, loglik = pipeline.assemble_recognizer(words, alphabet, pcfg, classifier, lm)
+    rec, loglik = pipeline.assemble_recognizer(words, alphabet, cfg.pipeline,
+                                               classifier, lm)
     save_recognizer(rec, args.out)
-    print("trained HMM on %d sequences (EM log-lik %s) -> %s"
-          % (len(words), ["%.0f" % v for v in loglik], args.out))
-    write_run_record(args.out, "train-hmm", cfg,
-                     [os.path.join(args.corpus, "manifest.json"), args.classifier],
-                     [os.path.join(args.out, "hmm.json")], t0)
-    return 0
+    return ("trained HMM on %d sequences (EM log-lik %s) -> %s"
+            % (len(words), ["%.0f" % v for v in loglik], args.out),
+            [os.path.join(args.corpus, "manifest.json"), args.classifier],
+            [os.path.join(args.out, "hmm.json")])
 
 
-def cmd_adapt(args):
-    t0 = time.time()
-    cfg = load_config(args.config, {"seed": args.seed})
-    pcfg = pipeline_config(cfg)
-    rec = load_recognizer(require(args.recognizer, "train-hmm"), pcfg)
+def cmd_adapt(args, cfg):
+    fraction = cfg.pipeline.adapt_fraction if args.fraction is None \
+        else open_fraction(args.fraction, "--fraction")
+    rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
     _, words = load_corpus_words(args.corpus, args.signer)
-    alphabet = LetterAlphabet()
-    fraction = args.fraction or pcfg.adapt_fraction
-    adapt_words, _ = pipeline.adaptation_split(words, fraction, pcfg.seed)
-    adapted, history = pipeline.adapt_recognizer(rec, adapt_words, alphabet,
+    adapt_words, _ = pipeline.adaptation_split(words, fraction, cfg.pipeline.seed)
+    adapted, history = pipeline.adapt_recognizer(rec, adapt_words, LetterAlphabet(),
                                                  mode=args.mode,
                                                  label_source=args.labels)
     save_recognizer(adapted, args.out)
-    print("adapted (%s, %s labels, %.0f%% = %d words) -> %s; loss %.4f -> %.4f"
-          % (args.mode, args.labels, 100 * fraction, len(adapt_words), args.out,
-             history[0]["loss"], min(h["loss"] for h in history)))
-    write_run_record(args.out, "adapt", cfg,
-                     [os.path.join(args.recognizer, "classifier.json"),
-                      os.path.join(args.corpus, "manifest.json")],
-                     [os.path.join(args.out, "classifier.json")], t0)
-    return 0
+    return ("adapted (%s, %s labels, %.0f%% = %d words) -> %s; loss %.4f -> %.4f"
+            % (args.mode, args.labels, 100 * fraction, len(adapt_words), args.out,
+               history[0]["loss"], min(h["loss"] for h in history)),
+            [os.path.join(args.recognizer, "classifier.json"),
+             os.path.join(args.corpus, "manifest.json")],
+            [os.path.join(args.out, "classifier.json")])
 
 
-def cmd_align(args):
-    t0 = time.time()
-    cfg = load_config(args.config, {"seed": args.seed})
-    pcfg = pipeline_config(cfg)
-    rec = load_recognizer(require(args.recognizer, "train-hmm"), pcfg)
+def cmd_align(args, cfg):
+    rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
     manifest, words = load_corpus_words(args.corpus, args.signers)
     from .hmm import forced_align
     lines = []
-    stems = manifest["stems"]
-    for w, stem in zip(words, stems):
-        obs = rec.observations(w)
-        segs, score = forced_align(rec.hmm, obs, w.letters)
+    for w, stem in zip(words, manifest["stems"]):
+        segs, score = forced_align(rec.hmm, rec.observations(w), w.letters)
         lines.append(json.dumps({"stem": stem, "word": w.word,
                                  "spans": to_jsonable(segs), "score": score},
                                 sort_keys=True))
     atomic_write_text(args.out, "\n".join(lines) + "\n")
-    print("aligned %d sequences -> %s" % (len(words), args.out))
-    write_run_record(args.out, "align", cfg,
-                     [os.path.join(args.corpus, "manifest.json")], [args.out], t0)
-    return 0
+    return ("aligned %d sequences -> %s" % (len(words), args.out),
+            [os.path.join(args.corpus, "manifest.json")], [args.out])
 
 
-def cmd_nbest(args):
-    t0 = time.time()
-    cfg = load_config(args.config, {"seed": args.seed})
-    pcfg = pipeline_config(cfg)
-    rec = load_recognizer(require(args.recognizer, "train-hmm"), pcfg)
+def cmd_nbest(args, cfg):
+    n = option(args, "n", None)
+    rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
     manifest, words = load_corpus_words(args.corpus, args.signers)
     from .hmm import save_lattice
     os.makedirs(args.out, exist_ok=True)
     outputs = []
-    lattices = pipeline.nbest_lattices(rec, words, args.n)
-    stems = manifest["stems"]
-    for stem, lattice in zip(stems, lattices):
+    lattices = pipeline.nbest_lattices(rec, words, n)
+    for stem, lattice in zip(manifest["stems"], lattices):
         path = os.path.join(args.out, stem + ".lat.jsonl")
         save_lattice(path, lattice)
         outputs.append(path)
-    print("wrote %d lattices (N=%d) to %s" % (len(lattices), args.n or pcfg.decode.nbest, args.out))
-    write_run_record(args.out, "nbest", cfg,
-                     [os.path.join(args.corpus, "manifest.json")], outputs, t0)
-    return 0
+    return ("wrote %d lattices (N=%d) to %s"
+            % (len(lattices), n or rec.cfg.decode.nbest, args.out),
+            [os.path.join(args.corpus, "manifest.json")], outputs)
 
 
-def cmd_train_scrf(args):
-    t0 = time.time()
-    cfg = load_config(args.config, {"seed": args.seed})
-    pcfg = pipeline_config(cfg)
-    scfg = scrf_config(cfg)
-    rec = load_recognizer(require(args.recognizer, "train-hmm"), pcfg)
+def cmd_train_scrf(args, cfg):
+    rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
     _, words = load_corpus_words(args.corpus, args.signers)
-    alphabet = LetterAlphabet()
-    if args.mode == "firstpass":
-        model, history = pipeline.train_firstpass(rec, words, alphabet, scfg)
-    elif args.mode == "rescoring":
-        model, history = pipeline.train_rescoring(rec, words, alphabet, scfg)
-    else:
-        raise ConfigError("scrf mode must be firstpass or rescoring")
+    train = {"firstpass": pipeline.train_firstpass,
+             "rescoring": pipeline.train_rescoring}[args.mode]
+    model, history = train(rec, words, LetterAlphabet(), cfg.scrf)
     model.save(args.out)
-    print("trained %s SCRF on %d sequences -> %s (objective %s)"
-          % (args.mode, len(words), args.out,
-             ["%.3f" % h for h in history[-3:]]))
-    write_run_record(args.out, "train-scrf", cfg,
-                     [os.path.join(args.corpus, "manifest.json")], [args.out], t0)
-    return 0
+    return ("trained %s SCRF on %d sequences -> %s (objective %s)"
+            % (args.mode, len(words), args.out, ["%.3f" % h for h in history[-3:]]),
+            [os.path.join(args.corpus, "manifest.json")], [args.out])
 
 
-def cmd_decode(args):
-    t0 = time.time()
-    cfg = load_config(args.config, {"seed": args.seed})
-    pcfg = pipeline_config(cfg)
-    scfg = scrf_config(cfg)
-    rec = load_recognizer(require(args.recognizer, "train-hmm"), pcfg)
+def cmd_decode(args, cfg):
+    rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
     manifest, words = load_corpus_words(args.corpus, args.signers)
-    alphabet = LetterAlphabet()
     stems = manifest["stems"]
-    hyps = []
+    if args.scrf:
+        model = pipeline.load_scrf(require(args.scrf, "train-scrf"), rec,
+                                   LetterAlphabet(), cfg.scrf)
     if args.scrf and args.lattices:
-        require(args.scrf, "train-scrf")
-        model = pipeline.load_scrf(args.scrf, rec, alphabet, scfg)
         from .hmm import load_lattice
-        from .scrf import rescore
-        from .segments import letters_only
-        for w, stem in zip(words, stems):
-            lattice = load_lattice(require(
-                os.path.join(args.lattices, stem + ".lat.jsonl"), "nbest"))
-            ctx = pipeline.make_context(rec, w, lm=rec.lm,
-                                        baseline_frames=lattice.baseline_frames)
-            labels, _, _ = rescore(model, lattice, ctx)
-            hyps.append((stem, letters_only(labels)))
+        lattices = [load_lattice(require(os.path.join(args.lattices, stem + ".lat.jsonl"),
+                                         "nbest")) for stem in stems]
+        pairs = pipeline.rescore_words(model, rec, words, lattices)
     elif args.scrf:
-        require(args.scrf, "train-scrf")
-        model = pipeline.load_scrf(args.scrf, rec, alphabet, scfg)
-        from .scrf import viterbi as scrf_viterbi
-        from .segments import letters_only
-        for w, stem in zip(words, stems):
-            ctx = pipeline.make_context(rec, w)
-            labels, _, _ = scrf_viterbi(model, ctx)
-            hyps.append((stem, letters_only(labels)))
+        pairs = pipeline.firstpass_decode(model, rec, words)
     else:
         pairs = pipeline.decode_words(rec, words, threads=args.threads)
-        for (ref, hyp), stem in zip(pairs, stems):
-            hyps.append((stem, hyp))
-    write_hyps(args.out, hyps)
+    write_hyps(args.out, [(stem, hyp) for stem, (_, hyp) in zip(stems, pairs)])
     outputs = [args.out]
     if args.refs:
         write_hyps(args.refs, [(stem, w.letters) for stem, w in zip(stems, words)])
         outputs.append(args.refs)
-    print("decoded %d sequences -> %s" % (len(words), args.out))
-    write_run_record(args.out, "decode", cfg,
-                     [os.path.join(args.corpus, "manifest.json")], outputs, t0)
-    return 0
+    return ("decoded %d sequences -> %s" % (len(words), args.out),
+            [os.path.join(args.corpus, "manifest.json")], outputs)
 
 
-def cmd_cascade(args):
-    t0 = time.time()
-    cfg = load_config(args.config, {"seed": args.seed})
-    pcfg = pipeline_config(cfg)
-    scfg = scrf_config(cfg)
+def cmd_cascade(args, cfg):
+    pcfg = cfg.pipeline
     _, words = load_corpus_words(args.corpus)
     alphabet = LetterAlphabet()
     by_signer = group_words(words)
@@ -566,52 +532,40 @@ def cmd_cascade(args):
     rec_eval, _ = pipeline.adapt_recognizer(rec_train, adapt_words, alphabet,
                                             "fine-tune", "GT")
     result = pipeline.run_cascade(rec_train, rec_eval, train_words, eval_words,
-                                  alphabet, pcfg, scfg)
+                                  alphabet, pcfg, cfg.scrf)
     report = {"first_pass_ler": result["first_ler"],
               "second_pass_ler": result["second_ler"],
               "eval_signer": eval_signer, "train_signers": train_ids,
               "eval_sequences": len(eval_words)}
     write_json(args.out, report)
-    print("cascade: first pass LER %.2f%% -> second pass %.2f%% (%s)"
-          % (result["first_ler"], result["second_ler"], args.out))
-    write_run_record(args.out, "cascade", cfg,
-                     [os.path.join(args.corpus, "manifest.json")], [args.out], t0)
-    return 0
+    return ("cascade: first pass LER %.2f%% -> second pass %.2f%% (%s)"
+            % (result["first_ler"], result["second_ler"], args.out),
+            [os.path.join(args.corpus, "manifest.json")], [args.out])
 
 
-def cmd_realign_adapt(args):
-    t0 = time.time()
-    cfg = load_config(args.config, {"seed": args.seed})
-    pcfg = pipeline_config(cfg)
+def cmd_realign_adapt(args, cfg):
+    pcfg = cfg.pipeline
     rec = load_recognizer(require(args.recognizer, "train-hmm"), pcfg)
     _, words = load_corpus_words(args.corpus, args.signer)
-    alphabet = LetterAlphabet()
     adapt_words, eval_words = pipeline.adaptation_split(words, pcfg.adapt_fraction,
                                                         pcfg.seed)
-    _, lers = pipeline.realign_adapt(rec, adapt_words, eval_words, alphabet,
+    _, lers = pipeline.realign_adapt(rec, adapt_words, eval_words, LetterAlphabet(),
                                      iters=args.iters)
     report = {"signer": args.signer, "iterations": args.iters,
               "ler_per_iteration": lers}
     write_json(args.out, report)
-    print("realign-adapt %s: " % args.signer
-          + "  ".join("iter %d LER %.2f%%" % (i + 1, l) for i, l in enumerate(lers)))
-    write_run_record(args.out, "realign-adapt", cfg,
-                     [os.path.join(args.corpus, "manifest.json")], [args.out], t0)
-    return 0
+    return ("realign-adapt %s: " % args.signer
+            + "  ".join("iter %d LER %.2f%%" % (i + 1, l) for i, l in enumerate(lers)),
+            [os.path.join(args.corpus, "manifest.json")], [args.out])
 
 
-def cmd_score(args):
-    t0 = time.time()
-    cfg = load_config(args.config, {"seed": args.seed})
+def cmd_score(args, cfg):
     refs = read_labeled_file(require(args.ref, "decode --refs"))
     hyps = read_labeled_file(require(args.hyp, "decode"))
     missing = sorted(set(refs) - set(hyps))
     if missing:
         raise DataError("hypotheses missing for ids: %s" % ", ".join(missing[:5]))
-    pairs = [(refs[k], hyps[k]) for k in sorted(refs)]
-    scores = score_corpus(pairs)
-    print("LER %.4f%%  (D %d, S %d, I %d, N %d)"
-          % (scores["ler"], scores["D"], scores["S"], scores["I"], scores["N"]))
+    scores = score_corpus([(refs[k], hyps[k]) for k in sorted(refs)])
     outputs = []
     if args.json:
         slim = dict(scores)
@@ -622,34 +576,30 @@ def cmd_score(args):
     if args.report:
         atomic_write_text(args.report, format_report(scores))
         outputs.append(args.report)
-    if outputs:
-        write_run_record(outputs[0], "score", cfg, [args.ref, args.hyp], outputs, t0)
-    return 0
+    return ("LER %.4f%%  (D %d, S %d, I %d, N %d)"
+            % (scores["ler"], scores["D"], scores["S"], scores["I"], scores["N"]),
+            [args.ref, args.hyp], outputs)
 
 
-def cmd_run_protocol(args):
-    t0 = time.time()
-    cfg = load_config(args.config, {"seed": args.seed})
-    pcfg = pipeline_config(cfg)
+def cmd_run_protocol(args, cfg):
+    rows = pipeline.PROTOCOL_ROWS if args.rows is None else tuple(args.rows.split(","))
+    if not set(rows) <= set(pipeline.PROTOCOL_ROWS):
+        raise ConfigError("--rows must be a comma list from %s, got %r"
+                          % (",".join(pipeline.PROTOCOL_ROWS), args.rows))
     manifest, words = load_corpus_words(args.corpus)
-    gcfg = generator_config(cfg)
-    signers = synthgen.make_signers(len(manifest["signers"]), manifest["seed"], gcfg)
+    signers = synthgen.make_signers(len(manifest["signers"]), manifest["seed"],
+                                    cfg.generator)
     corpus = synthgen.Corpus(words, signers, manifest["word_list"],
-                             manifest["seed"], gcfg)
+                             manifest["seed"], cfg.generator)
     if len(manifest["signers"]) < 2:
         raise DataError("protocol needs at least 2 signers for leave-one-out")
-    rows = tuple(args.rows.split(",")) if args.rows else ("independent", "FA", "GT", "dependent")
     progress = print if args.verbose else None
-    report = pipeline.run_protocol(corpus, pcfg, rows=rows, progress=progress)
+    report = pipeline.run_protocol(corpus, cfg.pipeline, rows=rows, progress=progress)
     table = pipeline.format_protocol_table(report)
     write_json(args.out, report)
     table_path = os.path.splitext(args.out)[0] + ".txt"
     atomic_write_text(table_path, table)
-    print(table)
-    write_run_record(args.out, "run-protocol", cfg,
-                     [os.path.join(args.corpus, "manifest.json")],
-                     [args.out, table_path], t0)
-    return 0
+    return table, [os.path.join(args.corpus, "manifest.json")], [args.out, table_path]
 
 
 # ---------------------------------------------------------------------------
@@ -661,49 +611,48 @@ def build_parser():
                     "synthetic data: tandem GMM-HMM and segmental CRF "
                     "recognizers with signer adaptation.")
     sub = p.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="experiment config JSON")
+    common.add_argument("--seed", type=int, help="override the config seed")
 
-    def common(sp):
-        sp.add_argument("--config", help="experiment config JSON")
-        sp.add_argument("--seed", type=int, help="override the config seed")
+    def command(name, handler, help):
+        sp = sub.add_parser(name, parents=[common], help=help)
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = sub.add_parser("gen-data", help="generate a synthetic corpus")
+    sp = command("gen-data", cmd_gen_data, "generate a synthetic corpus")
     sp.add_argument("--out", required=True)
     sp.add_argument("--words", type=int, help="use the first N list words")
     sp.add_argument("--wordlist", help="1, 2, both, or a word file")
     sp.add_argument("--signers", type=int)
     sp.add_argument("--reps", type=int)
     sp.add_argument("--images", action="store_true", help="also render toy frames")
-    common(sp)
 
-    sp = sub.add_parser("extract-features", help="hand segmentation + HOG + PCA "
-                                                 "descriptors from rendered frames")
+    sp = command("extract-features", cmd_extract_features,
+                 "hand segmentation + HOG + PCA descriptors from rendered frames")
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True)
-    common(sp)
 
-    sp = sub.add_parser("train-lm", help="train the bigram letter LM (ARPA out)")
+    sp = command("train-lm", cmd_train_lm, "train the bigram letter LM (ARPA out)")
     sp.add_argument("--out", required=True)
     sp.add_argument("--wordlist", help="1, 2, both, or a word file")
     sp.add_argument("--words", type=int)
-    common(sp)
 
-    sp = sub.add_parser("train-classifier", help="train the frame MLP")
+    sp = command("train-classifier", cmd_train_classifier, "train the frame MLP")
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--signers", help="comma-separated signer ids to train on")
     sp.add_argument("--curve", help="write the learning-curve CSV here")
-    common(sp)
 
-    sp = sub.add_parser("train-hmm", help="fit tandem PCAs + GMM-HMM; writes a "
-                                          "recognizer bundle directory")
+    sp = command("train-hmm", cmd_train_hmm,
+                 "fit tandem PCAs + GMM-HMM; writes a recognizer bundle directory")
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--classifier", required=True)
     sp.add_argument("--lm", help="ARPA LM (default: train on corpus words)")
     sp.add_argument("--out", required=True)
     sp.add_argument("--signers")
-    common(sp)
 
-    sp = sub.add_parser("adapt", help="adapt the frame classifier to a signer")
+    sp = command("adapt", cmd_adapt, "adapt the frame classifier to a signer")
     sp.add_argument("--recognizer", required=True)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--signer", required=True)
@@ -712,32 +661,28 @@ def build_parser():
                     choices=["fine-tune", "LIN+UP", "LIN+LON"])
     sp.add_argument("--labels", default="GT", choices=["GT", "FA"])
     sp.add_argument("--fraction", type=float)
-    common(sp)
 
-    sp = sub.add_parser("align", help="forced-align transcriptions to frames")
+    sp = command("align", cmd_align, "forced-align transcriptions to frames")
     sp.add_argument("--recognizer", required=True)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--signers")
-    common(sp)
 
-    sp = sub.add_parser("nbest", help="N-best lattices from the tandem recognizer")
+    sp = command("nbest", cmd_nbest, "N-best lattices from the tandem recognizer")
     sp.add_argument("--recognizer", required=True)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--n", type=int)
     sp.add_argument("--signers")
-    common(sp)
 
-    sp = sub.add_parser("train-scrf", help="train a segmental CRF")
+    sp = command("train-scrf", cmd_train_scrf, "train a segmental CRF")
     sp.add_argument("--recognizer", required=True)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--mode", default="firstpass", choices=["firstpass", "rescoring"])
     sp.add_argument("--signers")
-    common(sp)
 
-    sp = sub.add_parser("decode", help="decode a corpus (tandem or first-pass SCRF)")
+    sp = command("decode", cmd_decode, "decode a corpus (tandem or first-pass SCRF)")
     sp.add_argument("--recognizer", required=True)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True)
@@ -747,61 +692,49 @@ def build_parser():
     sp.add_argument("--signers")
     sp.add_argument("--threads", type=int, default=os.cpu_count(),
                     help="worker threads for tandem decoding")
-    common(sp)
 
-    sp = sub.add_parser("cascade", help="two-pass segmental cascade experiment")
+    sp = command("cascade", cmd_cascade, "two-pass segmental cascade experiment")
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--eval-signer", required=True)
     sp.add_argument("--out", required=True)
-    common(sp)
 
-    sp = sub.add_parser("realign-adapt", help="iterated forced-alignment adaptation")
+    sp = command("realign-adapt", cmd_realign_adapt,
+                 "iterated forced-alignment adaptation")
     sp.add_argument("--recognizer", required=True)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--signer", required=True)
     sp.add_argument("--iters", type=int, default=2)
     sp.add_argument("--out", required=True)
-    common(sp)
 
-    sp = sub.add_parser("score", help="letter error rate with D/S/I decomposition")
+    sp = command("score", cmd_score, "letter error rate with D/S/I decomposition")
     sp.add_argument("--ref", required=True)
     sp.add_argument("--hyp", required=True)
     sp.add_argument("--json", help="write the JSON report here")
     sp.add_argument("--report", help="write the aligned text report here")
-    common(sp)
 
-    sp = sub.add_parser("run-protocol", help="dependent / independent / adapted table")
+    sp = command("run-protocol", cmd_run_protocol,
+                 "dependent / independent / adapted table")
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--rows", help="comma list from independent,FA,GT,dependent")
     sp.add_argument("--verbose", action="store_true")
-    common(sp)
     return p
 
 
-COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "extract-features": cmd_extract_features,
-    "train-lm": cmd_train_lm,
-    "train-classifier": cmd_train_classifier,
-    "train-hmm": cmd_train_hmm,
-    "adapt": cmd_adapt,
-    "align": cmd_align,
-    "nbest": cmd_nbest,
-    "train-scrf": cmd_train_scrf,
-    "decode": cmd_decode,
-    "cascade": cmd_cascade,
-    "realign-adapt": cmd_realign_adapt,
-    "score": cmd_score,
-    "run-protocol": cmd_run_protocol,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """The runner: config, clock, handler, summary line, run record.  The
+    record goes next to ``--out``, or next to the first output of a
+    subcommand without one (none if it wrote nothing)."""
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        t0 = time.time()
+        cfg = load_config(args.config, {"seed": args.seed})
+        summary, inputs, outputs = args.handler(args, cfg)
+        print(summary)
+        out = getattr(args, "out", None) or next(iter(outputs), None)
+        if out:
+            write_run_record(out, args.command, cfg.raw, inputs, outputs, t0)
+        return 0
     except (ConfigError, DataError) as e:
         print("error: %s" % e, file=sys.stderr)
         return e.exit_code

@@ -247,8 +247,10 @@ def split_by_signer(corpus):
     return out
 
 
-def run_protocol(corpus, cfg=None, alphabet=None, rows=("independent", "FA", "GT", "dependent"),
-                 progress=None):
+PROTOCOL_ROWS = ("independent", "FA", "GT", "dependent")
+
+
+def run_protocol(corpus, cfg=None, alphabet=None, rows=PROTOCOL_ROWS, progress=None):
     """The full evaluation protocol on a synthetic corpus.
 
     Emits a table shaped like the headline letter-error-rate table: one row

@@ -1060,8 +1060,3 @@ def build_second_pass(first_model, labels, segment_mlp=None):
                            final_labels=first_model.final_labels)
     model.weights[0] = 1.0  # start from the first-pass ranking
     return model
-
-
-def cascade_second_pass(second_model, lattice, ctx):
-    """Apply a trained second-pass model over a first-pass lattice."""
-    return rescore(second_model, lattice, ctx)

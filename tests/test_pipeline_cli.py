@@ -195,6 +195,11 @@ class TestCliChain:
         pytest.param({"folds": 2, "report_folds": 1}, "folds", id="folds"),
         pytest.param({"folds": 4, "report_folds": 5}, "report_folds",
                      id="report-folds"),
+        pytest.param({"data": {"signers": "x"}}, "data.signers", id="data-signers"),
+        pytest.param({"data": {"repetitions": 0}}, "data.repetitions",
+                     id="data-repetitions"),
+        pytest.param({"data": {"words": "x"}}, "data.words", id="data-words"),
+        pytest.param({"frontend": {"hog_pca": "x"}}, "frontend.hog_pca", id="hog-pca"),
     ])
     def test_bad_fraction_exit_2(self, workdir, tmp_path, capsys, bad, field):
         cfg = tmp_path / "cfg.json"
@@ -222,6 +227,29 @@ class TestCliChain:
                          "--out", str(d / "lats"), "--n", "3"]) == 0
         lat_files = sorted(os.listdir(d / "lats"))
         assert any(f.endswith(".lat.jsonl") for f in lat_files)
+
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["gen-data", "--signers", "0"], "--signers", id="signers"),
+        pytest.param(["gen-data", "--reps", "0"], "--reps", id="reps"),
+        pytest.param(["gen-data", "--words", "0"], "--words", id="gen-data-words"),
+        pytest.param(["train-lm", "--words", "0"], "--words", id="train-lm-words"),
+        pytest.param(["adapt", "--signer", "S2", "--fraction", "0"], "--fraction",
+                     id="fraction-0"),
+        pytest.param(["adapt", "--signer", "S2", "--fraction", "1.5"], "--fraction",
+                     id="fraction-1.5"),
+        pytest.param(["nbest", "--n", "0"], "--n", id="nbest-n"),
+        pytest.param(["run-protocol", "--rows", "bogus"], "--rows", id="rows"),
+    ])
+    def test_bad_flag_exit_2(self, workdir, tmp_path, capsys, argv, flag):
+        if argv[0] in ("adapt", "nbest"):
+            argv = argv + ["--recognizer", str(workdir / "rec")]
+        if argv[0] not in ("gen-data", "train-lm"):
+            argv = argv + ["--corpus", str(workdir / "corpus")]
+        out = tmp_path / "out"
+        rc = cli.main(argv + ["--out", str(out)])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_determinism_byte_identical_reruns(self, workdir, tmp_path):
         d = workdir
@@ -258,6 +286,91 @@ class TestCliChain:
                          "--words", "5"]) == 0
         rec = json.load(open(str(out) + ".run.json"))
         assert rec["seed"] == 123
+
+
+class TestCliRunRecords:
+    """All 14 subcommands through ``cli.main`` on a tiny corpus with a fast
+    config: exit code, artifacts, a summary on stdout, and the run record's
+    path, subcommand, seed, input keys and outputs."""
+
+    FAST = {"seed": 31, "folds": 3, "report_folds": 1,
+            "classifier": {"max_epochs": 1}, "adaptation": {"max_epochs": 1},
+            "hmm": {"em_iters": 0}, "scrf": {"epochs": 1, "nbest": 3}}
+
+    def run(self, capsys, argv, record, seed, inputs, outputs):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.strip()
+        for path in outputs:
+            assert os.path.isfile(path), path
+        rec = json.load(open(record))
+        assert rec["subcommand"] == argv[0]
+        assert rec["seed"] == seed
+        assert sorted(rec["inputs"]) == sorted(inputs)
+        assert rec["outputs"] == sorted(outputs)
+        assert len(rec["config_hash"]) == 64 and rec["wall_time_s"] >= 0
+
+    def test_every_subcommand(self, tmp_path, capsys):
+        d = str(tmp_path)
+        p = lambda *parts: os.path.join(d, *parts)
+        cfg = p("fast.json")
+        with open(cfg, "w") as f:
+            json.dump(self.FAST, f)
+        conf = ["--config", cfg]
+        corpus = p("c", "manifest.json")
+
+        self.run(capsys, ["gen-data", "--out", p("c"), "--wordlist", "1", "--words", "4",
+                          "--signers", "2", "--reps", "2", "--seed", "9"] + conf,
+                 p("c", "run_record.json"), 9, [], [corpus])
+        self.run(capsys, ["gen-data", "--out", p("ic"), "--words", "2", "--signers", "1",
+                          "--reps", "1", "--images"] + conf,
+                 p("ic", "run_record.json"), 31, [], [p("ic", "manifest.json")])
+        stems = [e["stem"] for e in json.load(open(p("ic", "manifest.json")))["entries"]]
+        self.run(capsys, ["extract-features", "--corpus", p("ic"), "--out", p("feat")] + conf,
+                 p("feat", "run_record.json"), 31, [p("ic", "manifest.json")],
+                 [p("feat", s + ".fmat") for s in stems])
+        self.run(capsys, ["train-lm", "--out", p("lm.arpa"), "--words", "10"] + conf,
+                 p("lm.arpa.run.json"), 31, [], [p("lm.arpa")])
+        self.run(capsys, ["train-classifier", "--corpus", p("c"), "--out", p("clf.json"),
+                          "--signers", "S1", "--curve", p("curve.csv"), "--seed", "9"] + conf,
+                 p("clf.json.run.json"), 9, [corpus], [p("clf.json"), p("curve.csv")])
+        self.run(capsys, ["train-hmm", "--corpus", p("c"), "--classifier", p("clf.json"),
+                          "--lm", p("lm.arpa"), "--out", p("rec"), "--signers", "S1"] + conf,
+                 p("rec", "run_record.json"), 31, [corpus, p("clf.json")],
+                 [p("rec", "hmm.json")])
+        rec = ["--recognizer", p("rec"), "--corpus", p("c")]
+        self.run(capsys, ["adapt"] + rec + ["--signer", "S2", "--out", p("rec2")] + conf,
+                 p("rec2", "run_record.json"), 31, [p("rec", "classifier.json"), corpus],
+                 [p("rec2", "classifier.json")])
+        self.run(capsys, ["align"] + rec + ["--signers", "S2", "--out", p("ali.jsonl")] + conf,
+                 p("ali.jsonl.run.json"), 31, [corpus], [p("ali.jsonl")])
+        s2 = [e["stem"] for e in json.load(open(corpus))["entries"] if e["signer"] == "S2"]
+        self.run(capsys, ["nbest"] + rec + ["--signers", "S2", "--out", p("lats"),
+                                            "--n", "3"] + conf,
+                 p("lats", "run_record.json"), 31, [corpus],
+                 [p("lats", s + ".lat.jsonl") for s in s2])
+        for mode in ("firstpass", "rescoring"):
+            self.run(capsys, ["train-scrf"] + rec + ["--signers", "S1", "--mode", mode,
+                                                     "--out", p(mode + ".json")] + conf,
+                     p(mode + ".json.run.json"), 31, [corpus], [p(mode + ".json")])
+        for name, extra in (("h1", []), ("h2", ["--scrf", p("firstpass.json")]),
+                            ("h3", ["--scrf", p("rescoring.json"), "--lattices", p("lats")])):
+            self.run(capsys, ["decode"] + rec + ["--signers", "S2", "--out", p(name + ".txt"),
+                                                 "--refs", p(name + ".ref")] + extra + conf,
+                     p(name + ".txt.run.json"), 31, [corpus],
+                     [p(name + ".txt"), p(name + ".ref")])
+        self.run(capsys, ["score", "--ref", p("h1.ref"), "--hyp", p("h1.txt"),
+                          "--json", p("s.json"), "--report", p("s.txt")] + conf,
+                 p("s.json.run.json"), 31, [p("h1.ref"), p("h1.txt")],
+                 [p("s.json"), p("s.txt")])
+        self.run(capsys, ["cascade", "--corpus", p("c"), "--eval-signer", "S2",
+                          "--out", p("cascade.json")] + conf,
+                 p("cascade.json.run.json"), 31, [corpus], [p("cascade.json")])
+        self.run(capsys, ["realign-adapt"] + rec + ["--signer", "S2", "--iters", "1",
+                                                    "--out", p("realign.json")] + conf,
+                 p("realign.json.run.json"), 31, [corpus], [p("realign.json")])
+        self.run(capsys, ["run-protocol", "--corpus", p("c"), "--out", p("proto.json"),
+                          "--seed", "9"] + conf,
+                 p("proto.json.run.json"), 9, [corpus], [p("proto.json"), p("proto.txt")])
 
 
 class TestImagePipeline:

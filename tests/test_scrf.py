@@ -549,7 +549,7 @@ class TestRescoreCascade:
         second = scrf.build_second_pass(first, labels)
         np.testing.assert_array_equal(second.weights[:1], [1.0])
         assert second.weights[1:].sum() == 0.0
-        labels2, _, _ = scrf.cascade_second_pass(second, lattice, ctx)
+        labels2, _, _ = scrf.rescore(second, lattice, ctx)
         assert labels2 == list(lattice.hypotheses[0].labels)
 
     def test_segment_summary_constant_posterior(self):
