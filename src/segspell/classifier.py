@@ -3,10 +3,11 @@ observation construction.
 
 Networks are fully-connected ReLU stacks with a softmax output, trained by
 minibatch SGD with momentum on an L2-regularized cross-entropy loss, in
-float64 and bit-reproducible for a fixed seed.  The adaptation modes graft a
-per-frame affine input transform and/or a replacement softmax layer onto a
-frozen signer-independent network; at their documented initializations they
-reproduce the unadapted outputs exactly.
+float64 and bit-reproducible for a fixed seed.  The LIN adaptation modes graft
+a per-frame affine input transform and a trainable copy of the softmax layer
+onto the frozen hidden layers; fine-tune retrains a copy of the whole network.
+At their initializations they reproduce the unadapted outputs exactly.
+Training and every adaptation mode share one SGD loop, ``_sgd``.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.momentum, self.weight_decay,
-               self.dropout) < 0:
+        if min(self.learning_rate, self.momentum, self.weight_decay) < 0:
             raise ValueError("rates must be non-negative")
+        if not (0 <= self.dropout < 1 and 0 <= self.validation_fraction < 1):
+            raise ValueError("dropout and validation_fraction must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("minibatch size must be at least 1")
 
@@ -165,9 +167,9 @@ def train_mlp(dataset, cfg, arch, class_names):
 
     The validation split comes off the end of a seeded permutation; the
     learning rate halves after ``plateau_patience`` epochs without
-    improvement in validation error, and the weights of the best validation
-    epoch are returned.  history is a list of per-epoch records suitable for
-    the CSV learning-curve log.
+    improvement in validation (error, loss), and the weights of the best
+    validation epoch are returned.  history is a list of per-epoch records
+    suitable for the CSV learning-curve log.
     """
     x, y = dataset
     x = np.asarray(x, dtype=np.float64)
@@ -183,57 +185,73 @@ def train_mlp(dataset, cfg, arch, class_names):
     model = init_mlp(x.shape[1], arch, len(class_names), class_names, seed=cfg.seed)
 
     perm = rng.permutation(len(x))
-    n_val = int(round(cfg.validation_fraction * len(x)))
-    n_val = min(max(n_val, 0), len(x) - 1)
+    n_val = min(int(round(cfg.validation_fraction * len(x))), len(x) - 1)
     val_idx, train_idx = perm[len(x) - n_val:], perm[:len(x) - n_val]
     xt, yt = x[train_idx], y[train_idx]
     xv, yv = (x[val_idx], y[val_idx]) if n_val else (xt, yt)
 
-    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers]
-    lr = cfg.learning_rate
-    best = (np.inf, np.inf)
-    best_layers = [(w.copy(), b.copy()) for w, b in model.layers]
-    since_improve = 0
-    history = []
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(len(xt))
-        epoch_loss = 0.0
-        nb = 0
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            masks = None
-            if cfg.dropout > 0:
-                masks = [(rng.random((len(idx), w.shape[0])) >= cfg.dropout)
-                         / (1.0 - cfg.dropout)
-                         for w, _ in model.layers[:-1]]
-            loss, grads = loss_and_gradients(model, xt[idx], yt[idx],
-                                             cfg.weight_decay, masks)
-            epoch_loss += loss
-            nb += 1
-            for i, ((gw, gb), (vw, vb)) in enumerate(zip(grads, velocity)):
-                vw *= cfg.momentum
-                vw -= lr * gw
-                vb *= cfg.momentum
-                vb -= lr * gb
-                w, b = model.layers[i]
-                model.layers[i] = (w + vw, b + vb)
+    def step(idx):
+        masks = [(rng.random((len(idx), w.shape[0])) >= cfg.dropout) / (1.0 - cfg.dropout)
+                 for w, _ in model.layers[:-1]] if cfg.dropout > 0 else None
+        loss, grads = loss_and_gradients(model, xt[idx], yt[idx],
+                                         cfg.weight_decay, masks)
+        return loss, _flat(grads)
+
+    def evaluate(train_loss):
         val_probs = model.predict_proba(xv)
         val_err = float(np.mean(np.argmax(val_probs, axis=1) != yv))
         val_loss = cross_entropy(val_probs, yv)
-        history.append({"epoch": epoch + 1, "train_loss": epoch_loss / max(nb, 1),
-                        "val_error": val_err, "val_loss": val_loss, "lr": lr})
-        if (val_err, val_loss) < best:
-            best = (val_err, val_loss)
-            best_layers = [(w.copy(), b.copy()) for w, b in model.layers]
-            since_improve = 0
+        return (val_err, val_loss), {"train_loss": train_loss, "val_error": val_err,
+                                     "val_loss": val_loss}
+
+    history = _sgd(_flat(model.layers), step, evaluate, (np.inf, np.inf), len(xt),
+                   cfg, rng)
+    return model, history
+
+
+def _flat(layers):
+    return [a for pair in layers for a in pair]
+
+
+def _sgd(params, step, evaluate, best, n, cfg, rng):
+    """Minibatch SGD with momentum on the arrays ``params``, in place.
+
+    Each epoch visits a fresh permutation of the n examples in batches;
+    ``step(idx)`` returns (loss, grads aligned with params).  After each
+    epoch ``evaluate(mean batch loss)`` returns (key, record); the learning
+    rate halves after ``plateau_patience`` epochs whose key does not beat the
+    best, and the parameters of the best epoch (the starting ones if none
+    beats ``best``) are restored at the end.  Returns the epoch records.
+    """
+    velocity = [np.zeros_like(p) for p in params]
+    best_params = [p.copy() for p in params]
+    lr = cfg.learning_rate
+    since_improve = 0
+    history = []
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(n)
+        total, batches = 0.0, 0
+        for start in range(0, n, cfg.batch_size):
+            loss, grads = step(order[start:start + cfg.batch_size])
+            total += loss
+            batches += 1
+            for p, v, g in zip(params, velocity, grads):
+                v *= cfg.momentum
+                v -= lr * g
+                p += v
+        key, record = evaluate(total / max(batches, 1))
+        history.append({"epoch": epoch + 1, **record, "lr": lr})
+        if key < best:
+            best, since_improve = key, 0
+            best_params = [p.copy() for p in params]
         else:
             since_improve += 1
             if since_improve >= cfg.plateau_patience:
                 lr *= 0.5
                 since_improve = 0
-    if cfg.max_epochs > 0:
-        model.layers = best_layers
-    return model, history
+    for p, saved in zip(params, best_params):
+        p[...] = saved
+    return history
 
 
 def history_csv(history):
@@ -257,16 +275,18 @@ def frame_error_rate(model, windows, labels):
 # Signer adaptation
 
 MODES = ("LIN+UP", "LIN+LON", "fine-tune")
+LIN_PARAMS = ("w_lin", "b_lin", "out_w", "out_b")
 
 
 class AdaptationModel:
     """Adapted classifier; behaves like MlpModel for prediction.
 
     LIN modes apply an affine transform to each static per-frame descriptor
-    of the input window (shared across the window) before the frozen base
-    network; LIN+UP updates the existing softmax layer in place (warm start)
-    while LIN+LON swaps in a replacement softmax layer initialized to the
-    original one.  fine-tune carries a fully retrained copy of the base.
+    of the input window (shared across the window) before the frozen hidden
+    layers of the base network, and carry their own softmax layer, a copy of
+    the base's.  LIN+UP and LIN+LON train the same four arrays (W_LIN, b_LIN
+    and the softmax layer) from the same start, so they give identical models
+    and histories.  fine-tune carries a fully retrained copy of the base.
     """
 
     def __init__(self, mode, base, window, static_dim,
@@ -301,14 +321,9 @@ class AdaptationModel:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.mode == "fine-tune":
             return self.tuned.forward(x, keep_hidden=keep_hidden)
-        xt = self._transform(x)
-        hidden = [xt]
-        h = xt
-        for w, b in self.base.layers[:-1]:
-            h = np.maximum(h @ w.T + b, 0.0)
-            hidden.append(h)
-        logits = h @ self.out_w.T + self.out_b
-        return (logits, hidden) if keep_hidden else logits
+        net = MlpModel(self.base.layers[:-1] + [(self.out_w, self.out_b)],
+                       self.class_names)
+        return net.forward(self._transform(x), keep_hidden=keep_hidden)
 
     forward = logits
 
@@ -372,42 +387,28 @@ def adapt(model, adaptation_set, mode, cfg, window, static_dim):
     if mode not in MODES:
         raise ValueError("unknown adaptation mode %r" % (mode,))
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xADA9)))
-
-    if mode == "fine-tune":
-        return _finetune(model, x, y, cfg, rng, window, static_dim)
-
     adapted = AdaptationModel(mode, model, window, static_dim)
-    params = {"w_lin": adapted.w_lin, "b_lin": adapted.b_lin,
-              "out_w": adapted.out_w, "out_b": adapted.out_b}
-    velocity = {k: np.zeros_like(v) for k, v in params.items()}
-    lr = cfg.learning_rate
-    history = [{"epoch": 0, "loss": _adapted_loss(adapted, x, y)}]
-    best = history[0]["loss"]
-    best_state = {k: v.copy() for k, v in params.items()}
-    since_improve = 0
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(len(x))
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+    if mode == "fine-tune":
+        params = _flat(adapted.tuned.layers)
+
+        def step(idx):
+            loss, grads = loss_and_gradients(adapted.tuned, x[idx], y[idx],
+                                             cfg.weight_decay)
+            return loss, _flat(grads)
+    else:
+        params = [getattr(adapted, k) for k in LIN_PARAMS]
+
+        def step(idx):   # the batch loss is not tracked here
             grads = _lin_gradients(adapted, x[idx], y[idx], cfg.weight_decay)
-            for k in params:
-                velocity[k] *= cfg.momentum
-                velocity[k] -= lr * grads[k]
-                params[k] += velocity[k]
+            return 0.0, [grads[k] for k in LIN_PARAMS]
+
+    def evaluate(_):
         loss = _adapted_loss(adapted, x, y)
-        history.append({"epoch": epoch + 1, "loss": loss, "lr": lr})
-        if loss < best:
-            best = loss
-            best_state = {k: v.copy() for k, v in params.items()}
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= cfg.plateau_patience:
-                lr *= 0.5
-                since_improve = 0
-    for k, v in best_state.items():
-        params[k][...] = v
-    return adapted, history
+        return loss, {"loss": loss}
+
+    start = _adapted_loss(adapted, x, y)
+    history = _sgd(params, step, evaluate, start, len(x), cfg, rng)
+    return adapted, [{"epoch": 0, "loss": start}] + history
 
 
 def _adapted_loss(adapted, x, y):
@@ -432,41 +433,6 @@ def _lin_gradients(adapted, x, y, weight_decay):
     g_w_lin = np.einsum("nwo,nwi->oi", dflat, frames) + weight_decay * adapted.w_lin
     g_b_lin = dflat.sum(axis=(0, 1))
     return {"w_lin": g_w_lin, "b_lin": g_b_lin, "out_w": g_out_w, "out_b": g_out_b}
-
-
-def _finetune(model, x, y, cfg, rng, window, static_dim):
-    tuned = model.copy()
-    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in tuned.layers]
-    lr = cfg.learning_rate
-    history = [{"epoch": 0, "loss": cross_entropy(tuned.predict_proba(x), y)}]
-    best = history[0]["loss"]
-    best_layers = [(w.copy(), b.copy()) for w, b in tuned.layers]
-    since_improve = 0
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(len(x))
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            _, grads = loss_and_gradients(tuned, x[idx], y[idx], cfg.weight_decay)
-            for i, ((gw, gb), (vw, vb)) in enumerate(zip(grads, velocity)):
-                vw *= cfg.momentum
-                vw -= lr * gw
-                vb *= cfg.momentum
-                vb -= lr * gb
-                w, b = tuned.layers[i]
-                tuned.layers[i] = (w + vw, b + vb)
-        loss = cross_entropy(tuned.predict_proba(x), y)
-        history.append({"epoch": epoch + 1, "loss": loss, "lr": lr})
-        if loss < best:
-            best = loss
-            best_layers = [(w.copy(), b.copy()) for w, b in tuned.layers]
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= cfg.plateau_patience:
-                lr *= 0.5
-                since_improve = 0
-    tuned.layers = best_layers
-    return AdaptationModel("fine-tune", model, window, static_dim, tuned=tuned), history
 
 
 # ---------------------------------------------------------------------------

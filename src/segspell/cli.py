@@ -154,6 +154,9 @@ def pipeline_config(cfg):
         rates = {key: number(section, name, key, default, float, 0.0) for key, default in
                  (("learning_rate", lr), ("momentum", 0.9), ("weight_decay", 1e-5),
                   ("dropout", 0.0), ("validation_fraction", 0.1)) if key not in fixed}
+        for key in ("dropout", "validation_fraction"):
+            if rates.get(key, 0.0) >= 1.0:
+                raise ConfigError("%s.%s must be in [0, 1), got %r" % (name, key, rates[key]))
         return TrainConfig(batch_size=number(section, name, "batch_size", 100, int, 1),
                            max_epochs=number(section, name, "max_epochs", epochs, int, 0),
                            **rates, **fixed)
@@ -261,6 +264,13 @@ def resolve_words(args, cfg):
     if not words:
         raise ConfigError("empty word list")
     return words
+
+
+def recognizer_inputs(args):
+    """Run-record inputs of a handler reading ``--recognizer`` and
+    ``--corpus``: the bundle's files and the corpus manifest."""
+    return [os.path.join(args.recognizer, name) for name in pipeline.RECOGNIZER_FILES] \
+        + [os.path.join(args.corpus, "manifest.json")]
 
 
 def load_corpus_words(directory, signers=None):
@@ -424,7 +434,8 @@ def cmd_train_hmm(args, cfg):
     save_recognizer(rec, args.out)
     return ("trained HMM on %d sequences (EM log-lik %s) -> %s"
             % (len(words), ["%.0f" % v for v in loglik], args.out),
-            [os.path.join(args.corpus, "manifest.json"), args.classifier],
+            [os.path.join(args.corpus, "manifest.json"), args.classifier]
+            + ([args.lm] if args.lm else []),
             [os.path.join(args.out, "hmm.json")])
 
 
@@ -441,9 +452,7 @@ def cmd_adapt(args, cfg):
     return ("adapted (%s, %s labels, %.0f%% = %d words) -> %s; loss %.4f -> %.4f"
             % (args.mode, args.labels, 100 * fraction, len(adapt_words), args.out,
                history[0]["loss"], min(h["loss"] for h in history)),
-            [os.path.join(args.recognizer, "classifier.json"),
-             os.path.join(args.corpus, "manifest.json")],
-            [os.path.join(args.out, "classifier.json")])
+            recognizer_inputs(args), [os.path.join(args.out, "classifier.json")])
 
 
 def cmd_align(args, cfg):
@@ -458,7 +467,7 @@ def cmd_align(args, cfg):
                                 sort_keys=True))
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     return ("aligned %d sequences -> %s" % (len(words), args.out),
-            [os.path.join(args.corpus, "manifest.json")], [args.out])
+            recognizer_inputs(args), [args.out])
 
 
 def cmd_nbest(args, cfg):
@@ -475,7 +484,7 @@ def cmd_nbest(args, cfg):
         outputs.append(path)
     return ("wrote %d lattices (N=%d) to %s"
             % (len(lattices), n or rec.cfg.decode.nbest, args.out),
-            [os.path.join(args.corpus, "manifest.json")], outputs)
+            recognizer_inputs(args), outputs)
 
 
 def cmd_train_scrf(args, cfg):
@@ -487,20 +496,24 @@ def cmd_train_scrf(args, cfg):
     model.save(args.out)
     return ("trained %s SCRF on %d sequences -> %s (objective %s)"
             % (args.mode, len(words), args.out, ["%.3f" % h for h in history[-3:]]),
-            [os.path.join(args.corpus, "manifest.json")], [args.out])
+            recognizer_inputs(args), [args.out])
 
 
 def cmd_decode(args, cfg):
     rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
     manifest, words = load_corpus_words(args.corpus, args.signers)
     stems = manifest["stems"]
+    inputs = recognizer_inputs(args)
     if args.scrf:
         model = pipeline.load_scrf(require(args.scrf, "train-scrf"), rec,
                                    LetterAlphabet(), cfg.scrf)
+        inputs.append(args.scrf)
     if args.scrf and args.lattices:
         from .hmm import load_lattice
-        lattices = [load_lattice(require(os.path.join(args.lattices, stem + ".lat.jsonl"),
-                                         "nbest")) for stem in stems]
+        paths = [require(os.path.join(args.lattices, stem + ".lat.jsonl"), "nbest")
+                 for stem in stems]
+        lattices = [load_lattice(path) for path in paths]
+        inputs += paths
         pairs = pipeline.rescore_words(model, rec, words, lattices)
     elif args.scrf:
         pairs = pipeline.firstpass_decode(model, rec, words)
@@ -511,8 +524,7 @@ def cmd_decode(args, cfg):
     if args.refs:
         write_hyps(args.refs, [(stem, w.letters) for stem, w in zip(stems, words)])
         outputs.append(args.refs)
-    return ("decoded %d sequences -> %s" % (len(words), args.out),
-            [os.path.join(args.corpus, "manifest.json")], outputs)
+    return "decoded %d sequences -> %s" % (len(words), args.out), inputs, outputs
 
 
 def cmd_cascade(args, cfg):
@@ -556,7 +568,7 @@ def cmd_realign_adapt(args, cfg):
     write_json(args.out, report)
     return ("realign-adapt %s: " % args.signer
             + "  ".join("iter %d LER %.2f%%" % (i + 1, l) for i, l in enumerate(lers)),
-            [os.path.join(args.corpus, "manifest.json")], [args.out])
+            recognizer_inputs(args), [args.out])
 
 
 def cmd_score(args, cfg):

@@ -41,7 +41,9 @@ def atomic_write_text(path, text):
 
 
 def write_json(path, obj):
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Refuses NaN and infinity (ValueError) before anything is written."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True,
+                                       allow_nan=False) + "\n")
 
 
 def read_json(path):

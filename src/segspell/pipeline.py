@@ -12,7 +12,7 @@ from ground truth or from forced alignments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -597,7 +597,12 @@ def run_cascade(recognizer_train, recognizer_eval, train_words, eval_words,
 
 
 # ---------------------------------------------------------------------------
-# Recognizer bundles on disk
+# Recognizer bundles on disk.  A bundle stores what training fitted and the
+# front end it was fitted for; decode settings come from the decoding run's
+# config (a ``decode`` block in an older frontend.json is ignored).
+
+RECOGNIZER_FILES = ("classifier.json", "pca.json", "hmm.json", "lm.arpa", "frontend.json")
+
 
 def save_recognizer(rec, directory):
     import os
@@ -609,19 +614,12 @@ def save_recognizer(rec, directory):
                 "image_block": rec.pca_image.to_jsonable()})
     rec.hmm.save(os.path.join(directory, "hmm.json"))
     rec.lm.save(os.path.join(directory, "lm.arpa"))
-    write_json(os.path.join(directory, "frontend.json"), {
-        "window": rec.cfg.frontend.window,
-        "pca_classifier": rec.cfg.frontend.pca_classifier,
-        "pca_image": rec.cfg.frontend.pca_image,
-        "transform": rec.cfg.frontend.transform,
-        "mode": rec.cfg.frontend.mode,
-        "decode": {"lm_weight": rec.cfg.decode.lm_weight,
-                   "penalty": rec.cfg.decode.penalty,
-                   "nbest": rec.cfg.decode.nbest},
-    })
+    write_json(os.path.join(directory, "frontend.json"), asdict(rec.cfg.frontend))
 
 
 def load_recognizer(directory, cfg=None):
+    """The bundle in ``directory`` under ``cfg`` (default PipelineConfig()),
+    whose front end is replaced by the bundle's."""
     import os
     from .classifier import load_classifier
     from .fileio import read_json
@@ -630,15 +628,8 @@ def load_recognizer(directory, cfg=None):
     from .vision import PcaModel
     cfg = cfg or PipelineConfig()
     fe = read_json(os.path.join(directory, "frontend.json"))
-    cfg = replace(cfg,
-                  frontend=FrontendConfig(window=fe["window"],
-                                          pca_classifier=fe["pca_classifier"],
-                                          pca_image=fe["pca_image"],
-                                          transform=fe["transform"],
-                                          mode=fe["mode"]),
-                  decode=DecodeConfig(lm_weight=fe["decode"]["lm_weight"],
-                                      penalty=fe["decode"]["penalty"],
-                                      nbest=fe["decode"]["nbest"]))
+    cfg = replace(cfg, frontend=FrontendConfig(
+        **{f.name: fe[f.name] for f in fields(FrontendConfig)}))
     classifier = load_classifier(os.path.join(directory, "classifier.json"))
     pcas = read_json(os.path.join(directory, "pca.json"))
     return Recognizer(classifier,

@@ -122,6 +122,13 @@ class TestTraining:
             C.train_mlp((np.zeros((0, 3)), np.zeros(0, dtype=int)),
                         C.TrainConfig(), [4], ["a"])
 
+    @pytest.mark.parametrize("field, value", [
+        ("dropout", 1.0), ("dropout", 1.5), ("dropout", -0.1),
+        ("validation_fraction", 1.0), ("validation_fraction", -0.1)])
+    def test_fraction_fields_bounded(self, field, value):
+        with pytest.raises(ValueError, match="dropout and validation_fraction"):
+            C.TrainConfig(**{field: value})
+
     def test_learning_curve_csv(self):
         x, y = make_data()
         cfg = C.TrainConfig(max_epochs=3, seed=2)
@@ -288,3 +295,276 @@ class TestTandemObservation:
         post = C.FramePosteriors(letters=posts[0])
         obs = C.build_tandem_observation(post, imgs[0], "letter", p1, p2)
         assert obs.shape == (8,)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the shared SGD loop: test-local copies of the three loops it
+# replaced (plain training, the LIN adaptation loop with its own hidden-layer
+# forward, and fine-tuning), each with its own momentum update, plateau
+# halving and best-epoch restore.
+
+def reference_train_mlp(dataset, cfg, arch, class_names):
+    x, y = dataset
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=int)
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5eed)))
+    model = C.init_mlp(x.shape[1], arch, len(class_names), class_names, seed=cfg.seed)
+    perm = rng.permutation(len(x))
+    n_val = int(round(cfg.validation_fraction * len(x)))
+    n_val = min(max(n_val, 0), len(x) - 1)
+    val_idx, train_idx = perm[len(x) - n_val:], perm[:len(x) - n_val]
+    xt, yt = x[train_idx], y[train_idx]
+    xv, yv = (x[val_idx], y[val_idx]) if n_val else (xt, yt)
+    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers]
+    lr = cfg.learning_rate
+    best = (np.inf, np.inf)
+    best_layers = [(w.copy(), b.copy()) for w, b in model.layers]
+    since_improve = 0
+    history = []
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(len(xt))
+        epoch_loss = 0.0
+        nb = 0
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            masks = None
+            if cfg.dropout > 0:
+                masks = [(rng.random((len(idx), w.shape[0])) >= cfg.dropout)
+                         / (1.0 - cfg.dropout)
+                         for w, _ in model.layers[:-1]]
+            loss, grads = C.loss_and_gradients(model, xt[idx], yt[idx],
+                                               cfg.weight_decay, masks)
+            epoch_loss += loss
+            nb += 1
+            for i, ((gw, gb), (vw, vb)) in enumerate(zip(grads, velocity)):
+                vw *= cfg.momentum
+                vw -= lr * gw
+                vb *= cfg.momentum
+                vb -= lr * gb
+                w, b = model.layers[i]
+                model.layers[i] = (w + vw, b + vb)
+        val_probs = model.predict_proba(xv)
+        val_err = float(np.mean(np.argmax(val_probs, axis=1) != yv))
+        val_loss = C.cross_entropy(val_probs, yv)
+        history.append({"epoch": epoch + 1, "train_loss": epoch_loss / max(nb, 1),
+                        "val_error": val_err, "val_loss": val_loss, "lr": lr})
+        if (val_err, val_loss) < best:
+            best = (val_err, val_loss)
+            best_layers = [(w.copy(), b.copy()) for w, b in model.layers]
+            since_improve = 0
+        else:
+            since_improve += 1
+            if since_improve >= cfg.plateau_patience:
+                lr *= 0.5
+                since_improve = 0
+    if cfg.max_epochs > 0:
+        model.layers = best_layers
+    return model, history
+
+
+def reference_lin_logits(adapted, x, keep_hidden=False):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    xt = adapted._transform(x)
+    hidden = [xt]
+    h = xt
+    for w, b in adapted.base.layers[:-1]:
+        h = np.maximum(h @ w.T + b, 0.0)
+        hidden.append(h)
+    logits = h @ adapted.out_w.T + adapted.out_b
+    return (logits, hidden) if keep_hidden else logits
+
+
+def reference_lin_loss(adapted, x, y):
+    return C.cross_entropy(C.softmax(reference_lin_logits(adapted, x)), y)
+
+
+def reference_lin_gradients(adapted, x, y, weight_decay):
+    logits, hidden = reference_lin_logits(adapted, x, keep_hidden=True)
+    probs = C.softmax(logits)
+    n = len(y)
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    g_out_w = delta.T @ hidden[-1] + weight_decay * adapted.out_w
+    g_out_b = delta.sum(axis=0)
+    delta = delta @ adapted.out_w
+    for i in range(len(adapted.base.layers) - 2, -1, -1):
+        delta = delta * (hidden[i + 1] > 0)
+        delta = delta @ adapted.base.layers[i][0]
+    frames = x.reshape(n, adapted.window, adapted.static_dim)
+    dflat = delta.reshape(n, adapted.window, adapted.static_dim)
+    g_w_lin = np.einsum("nwo,nwi->oi", dflat, frames) + weight_decay * adapted.w_lin
+    g_b_lin = dflat.sum(axis=(0, 1))
+    return {"w_lin": g_w_lin, "b_lin": g_b_lin, "out_w": g_out_w, "out_b": g_out_b}
+
+
+def reference_adapt(model, x, y, mode, cfg, window, static_dim):
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xADA9)))
+    if mode == "fine-tune":
+        return reference_finetune(model, x, y, cfg, rng, window, static_dim)
+    adapted = C.AdaptationModel(mode, model, window, static_dim)
+    params = {"w_lin": adapted.w_lin, "b_lin": adapted.b_lin,
+              "out_w": adapted.out_w, "out_b": adapted.out_b}
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    lr = cfg.learning_rate
+    history = [{"epoch": 0, "loss": reference_lin_loss(adapted, x, y)}]
+    best = history[0]["loss"]
+    best_state = {k: v.copy() for k, v in params.items()}
+    since_improve = 0
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            grads = reference_lin_gradients(adapted, x[idx], y[idx], cfg.weight_decay)
+            for k in params:
+                velocity[k] *= cfg.momentum
+                velocity[k] -= lr * grads[k]
+                params[k] += velocity[k]
+        loss = reference_lin_loss(adapted, x, y)
+        history.append({"epoch": epoch + 1, "loss": loss, "lr": lr})
+        if loss < best:
+            best = loss
+            best_state = {k: v.copy() for k, v in params.items()}
+            since_improve = 0
+        else:
+            since_improve += 1
+            if since_improve >= cfg.plateau_patience:
+                lr *= 0.5
+                since_improve = 0
+    for k, v in best_state.items():
+        params[k][...] = v
+    return adapted, history
+
+
+def reference_finetune(model, x, y, cfg, rng, window, static_dim):
+    tuned = model.copy()
+    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in tuned.layers]
+    lr = cfg.learning_rate
+    history = [{"epoch": 0, "loss": C.cross_entropy(tuned.predict_proba(x), y)}]
+    best = history[0]["loss"]
+    best_layers = [(w.copy(), b.copy()) for w, b in tuned.layers]
+    since_improve = 0
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            _, grads = C.loss_and_gradients(tuned, x[idx], y[idx], cfg.weight_decay)
+            for i, ((gw, gb), (vw, vb)) in enumerate(zip(grads, velocity)):
+                vw *= cfg.momentum
+                vw -= lr * gw
+                vb *= cfg.momentum
+                vb -= lr * gb
+                w, b = tuned.layers[i]
+                tuned.layers[i] = (w + vw, b + vb)
+        loss = C.cross_entropy(tuned.predict_proba(x), y)
+        history.append({"epoch": epoch + 1, "loss": loss, "lr": lr})
+        if loss < best:
+            best = loss
+            best_layers = [(w.copy(), b.copy()) for w, b in tuned.layers]
+            since_improve = 0
+        else:
+            since_improve += 1
+            if since_improve >= cfg.plateau_patience:
+                lr *= 0.5
+                since_improve = 0
+    tuned.layers = best_layers
+    return C.AdaptationModel("fine-tune", model, window, static_dim, tuned=tuned), history
+
+
+def adapted_arrays(adapted):
+    if adapted.mode == "fine-tune":
+        return [a for layer in adapted.tuned.layers for a in layer]
+    return [adapted.w_lin, adapted.b_lin, adapted.out_w, adapted.out_b]
+
+
+def assert_arrays_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+class TestSgdOracle:
+    """train_mlp and adapt, both on the shared loop, against the copies above:
+    weights np.array_equal, histories ==."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("validation_fraction", [0.0, 0.1])
+    @pytest.mark.parametrize("max_epochs, weight_decay, patience", [
+        (0, 1e-5, 2), (7, 0.0, 1), (7, 1e-4, 2)])
+    def test_train_mlp_equals_reference(self, dropout, validation_fraction,
+                                        max_epochs, weight_decay, patience):
+        x, y = make_data(n=83, d=6, classes=4, seed=21)
+        cfg = C.TrainConfig(learning_rate=0.2, momentum=0.9, batch_size=16,
+                            max_epochs=max_epochs, weight_decay=weight_decay,
+                            dropout=dropout, validation_fraction=validation_fraction,
+                            plateau_patience=patience, seed=4)
+        names = ["a", "b", "c", "d"]
+        model, history = C.train_mlp((x, y), cfg, [9, 7], names)
+        ref, ref_history = reference_train_mlp((x, y), cfg, [9, 7], names)
+        assert_arrays_equal([a for l in model.layers for a in l],
+                            [a for l in ref.layers for a in l])
+        assert history == ref_history
+        assert len(history) == max_epochs
+
+    def test_train_mlp_oracle_covers_plateau_halving(self):
+        x, y = make_data(n=83, d=6, classes=4, seed=21)
+        cfg = C.TrainConfig(learning_rate=0.2, momentum=0.9, batch_size=16,
+                            max_epochs=7, weight_decay=0.0, plateau_patience=1,
+                            seed=4)
+        _, history = C.train_mlp((x, y), cfg, [9, 7], ["a", "b", "c", "d"])
+        assert history[-1]["lr"] < history[0]["lr"]
+
+    @pytest.mark.parametrize("mode", ["LIN+UP", "LIN+LON", "fine-tune"])
+    @pytest.mark.parametrize("learning_rate, max_epochs, weight_decay", [
+        (0.05, 6, 0.0), (0.05, 6, 1e-4), (0.05, 0, 1e-5), (40.0, 3, 0.0)])
+    def test_adapt_equals_reference(self, mode, learning_rate, max_epochs,
+                                    weight_decay):
+        window, static_dim = 3, 4
+        rng = np.random.default_rng(13)
+        base = C.init_mlp(window * static_dim, [10, 6], 5, list("abcde"), seed=13)
+        x = rng.normal(size=(47, window * static_dim))
+        y = rng.integers(0, 5, size=47)
+        before = [a.copy() for layer in base.layers for a in layer]
+        cfg = C.TrainConfig(learning_rate=learning_rate, momentum=0.9, batch_size=10,
+                            max_epochs=max_epochs, weight_decay=weight_decay,
+                            plateau_patience=1, seed=2)
+        adapted, history = C.adapt(base, (x, y), mode, cfg, window, static_dim)
+        assert_arrays_equal([a for layer in base.layers for a in layer], before)
+        ref, ref_history = reference_adapt(base, x, y, mode, cfg, window, static_dim)
+        assert_arrays_equal(adapted_arrays(adapted), adapted_arrays(ref))
+        assert history == ref_history
+        assert len(history) == max_epochs + 1
+        forward = ref.logits if mode == "fine-tune" else \
+            (lambda x: reference_lin_logits(ref, x))
+        assert np.array_equal(adapted.logits(x), forward(x))
+
+    def test_adapt_oracle_covers_restore_of_start(self):
+        # with a huge rate no epoch beats the epoch-0 loss, so the loop must
+        # hand back the starting parameters
+        window, static_dim = 3, 4
+        rng = np.random.default_rng(13)
+        base = C.init_mlp(window * static_dim, [10, 6], 5, list("abcde"), seed=13)
+        x = rng.normal(size=(47, window * static_dim))
+        y = rng.integers(0, 5, size=47)
+        cfg = C.TrainConfig(learning_rate=40.0, momentum=0.9, batch_size=10,
+                            max_epochs=3, weight_decay=0.0, seed=2)
+        adapted, history = C.adapt(base, (x, y), "fine-tune", cfg, window, static_dim)
+        assert min(h["loss"] for h in history[1:]) > history[0]["loss"]
+        assert_arrays_equal(adapted_arrays(adapted),
+                            [a for layer in base.layers for a in layer])
+
+    def test_lin_up_and_lin_lon_are_identical(self):
+        # both LIN modes train W_LIN, b_LIN and a copy of the softmax layer
+        # from the same start; a LIN+LON with its own output network must
+        # change this test and the AdaptationModel docstring together
+        window, static_dim = 3, 4
+        rng = np.random.default_rng(17)
+        base = C.init_mlp(window * static_dim, [10], 5, list("abcde"), seed=17)
+        x = rng.normal(size=(40, window * static_dim))
+        y = rng.integers(0, 5, size=40)
+        cfg = C.TrainConfig(learning_rate=0.05, momentum=0.9, batch_size=10,
+                            max_epochs=5, weight_decay=1e-4, seed=3)
+        up, h_up = C.adapt(base, (x, y), "LIN+UP", cfg, window, static_dim)
+        lon, h_lon = C.adapt(base, (x, y), "LIN+LON", cfg, window, static_dim)
+        assert_arrays_equal(adapted_arrays(up), adapted_arrays(lon))
+        assert h_up == h_lon

@@ -66,3 +66,16 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     assert open(path).read() == "hello"
     leftovers = [p for p in tmp_path.iterdir() if p.name != "out.txt"]
     assert not leftovers
+
+
+def test_write_json_refuses_non_finite(tmp_path):
+    from segspell.classifier import init_mlp
+    model = init_mlp(3, [4], 2, ["a", "b"], seed=0)
+    model.layers[0][0][1, 2] = np.nan
+    path = tmp_path / "clf.json"
+    with pytest.raises(ValueError):
+        model.save(str(path))
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError):
+        fileio.write_json(str(path), {"w": [1.0, float("inf")]})
+    assert list(tmp_path.iterdir()) == []

@@ -200,6 +200,14 @@ class TestCliChain:
                      id="data-repetitions"),
         pytest.param({"data": {"words": "x"}}, "data.words", id="data-words"),
         pytest.param({"frontend": {"hog_pca": "x"}}, "frontend.hog_pca", id="hog-pca"),
+        pytest.param({"classifier": {"dropout": 1.0}}, "classifier.dropout",
+                     id="dropout-1"),
+        pytest.param({"classifier": {"dropout": 1.5}}, "classifier.dropout",
+                     id="dropout-1.5"),
+        pytest.param({"classifier": {"validation_fraction": 1.0}},
+                     "classifier.validation_fraction", id="validation-fraction-1"),
+        pytest.param({"classifier": {"validation_fraction": 2}},
+                     "classifier.validation_fraction", id="validation-fraction-2"),
     ])
     def test_bad_fraction_exit_2(self, workdir, tmp_path, capsys, bad, field):
         cfg = tmp_path / "cfg.json"
@@ -250,6 +258,21 @@ class TestCliChain:
         assert rc == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    def test_decode_settings_come_from_the_config(self, workdir, tmp_path):
+        # the bundle stores no decode settings: a decoding run's
+        # hmm.decode values change its hypotheses
+        d = workdir
+        cfg = tmp_path / "decode.json"
+        cfg.write_text(json.dumps({"hmm": {"decode": {"lm_weight": 50, "penalty": -30}}}))
+        hyps = {}
+        for name, extra in (("default", []), ("config", ["--config", str(cfg)])):
+            assert cli.main(["decode", "--recognizer", str(d / "rec"),
+                             "--corpus", str(d / "corpus"), "--signers", "S1",
+                             "--out", str(tmp_path / name)] + extra) == 0
+            hyps[name] = (tmp_path / name).read_text()
+        assert hyps["config"] != hyps["default"]
+        assert "decode" not in json.load(open(d / "rec" / "frontend.json"))
 
     def test_determinism_byte_identical_reruns(self, workdir, tmp_path):
         d = workdir
@@ -335,28 +358,33 @@ class TestCliRunRecords:
                  p("clf.json.run.json"), 9, [corpus], [p("clf.json"), p("curve.csv")])
         self.run(capsys, ["train-hmm", "--corpus", p("c"), "--classifier", p("clf.json"),
                           "--lm", p("lm.arpa"), "--out", p("rec"), "--signers", "S1"] + conf,
-                 p("rec", "run_record.json"), 31, [corpus, p("clf.json")],
+                 p("rec", "run_record.json"), 31, [corpus, p("clf.json"), p("lm.arpa")],
                  [p("rec", "hmm.json")])
         rec = ["--recognizer", p("rec"), "--corpus", p("c")]
+        # every file a handler reads: the whole bundle, not just its classifier
+        bundle = [p("rec", f) for f in ("classifier.json", "pca.json", "hmm.json",
+                                         "lm.arpa", "frontend.json")] + [corpus]
         self.run(capsys, ["adapt"] + rec + ["--signer", "S2", "--out", p("rec2")] + conf,
-                 p("rec2", "run_record.json"), 31, [p("rec", "classifier.json"), corpus],
-                 [p("rec2", "classifier.json")])
+                 p("rec2", "run_record.json"), 31, bundle, [p("rec2", "classifier.json")])
         self.run(capsys, ["align"] + rec + ["--signers", "S2", "--out", p("ali.jsonl")] + conf,
-                 p("ali.jsonl.run.json"), 31, [corpus], [p("ali.jsonl")])
+                 p("ali.jsonl.run.json"), 31, bundle, [p("ali.jsonl")])
         s2 = [e["stem"] for e in json.load(open(corpus))["entries"] if e["signer"] == "S2"]
+        lats = [p("lats", s + ".lat.jsonl") for s in s2]
         self.run(capsys, ["nbest"] + rec + ["--signers", "S2", "--out", p("lats"),
                                             "--n", "3"] + conf,
-                 p("lats", "run_record.json"), 31, [corpus],
-                 [p("lats", s + ".lat.jsonl") for s in s2])
+                 p("lats", "run_record.json"), 31, bundle, lats)
         for mode in ("firstpass", "rescoring"):
             self.run(capsys, ["train-scrf"] + rec + ["--signers", "S1", "--mode", mode,
                                                      "--out", p(mode + ".json")] + conf,
-                     p(mode + ".json.run.json"), 31, [corpus], [p(mode + ".json")])
-        for name, extra in (("h1", []), ("h2", ["--scrf", p("firstpass.json")]),
-                            ("h3", ["--scrf", p("rescoring.json"), "--lattices", p("lats")])):
+                     p(mode + ".json.run.json"), 31, bundle, [p(mode + ".json")])
+        for name, extra, read in (
+                ("h1", [], []),
+                ("h2", ["--scrf", p("firstpass.json")], [p("firstpass.json")]),
+                ("h3", ["--scrf", p("rescoring.json"), "--lattices", p("lats")],
+                 [p("rescoring.json")] + lats)):
             self.run(capsys, ["decode"] + rec + ["--signers", "S2", "--out", p(name + ".txt"),
                                                  "--refs", p(name + ".ref")] + extra + conf,
-                     p(name + ".txt.run.json"), 31, [corpus],
+                     p(name + ".txt.run.json"), 31, bundle + read,
                      [p(name + ".txt"), p(name + ".ref")])
         self.run(capsys, ["score", "--ref", p("h1.ref"), "--hyp", p("h1.txt"),
                           "--json", p("s.json"), "--report", p("s.txt")] + conf,
@@ -367,7 +395,7 @@ class TestCliRunRecords:
                  p("cascade.json.run.json"), 31, [corpus], [p("cascade.json")])
         self.run(capsys, ["realign-adapt"] + rec + ["--signer", "S2", "--iters", "1",
                                                     "--out", p("realign.json")] + conf,
-                 p("realign.json.run.json"), 31, [corpus], [p("realign.json")])
+                 p("realign.json.run.json"), 31, bundle, [p("realign.json")])
         self.run(capsys, ["run-protocol", "--corpus", p("c"), "--out", p("proto.json"),
                           "--seed", "9"] + conf,
                  p("proto.json.run.json"), 9, [corpus], [p("proto.json"), p("proto.txt")])
