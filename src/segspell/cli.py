@@ -5,8 +5,9 @@ config once, starts the clock, calls the subcommand's handler, prints the
 summary line the handler returns, and writes the run-record JSON (config
 hash, seed, input hashes, wall time) next to the artifacts.  A handler does
 only its own work: it writes its artifacts atomically and returns
-``(summary, inputs, outputs)``.  Exit codes: 0 on success, 2 on
-configuration errors (a bad config value or flag names the field or flag),
+``(summary, inputs, outputs)``; the inputs are every file it reads.  Exit
+codes: 0 on success, 2 on configuration errors (an unknown config key, a
+bad config value or a bad flag names its dotted path, field or flag),
 3 on data errors (a missing upstream artifact names the subcommand that
 produces it).  The environment variable SEGSPELL_SEED overrides the
 configured seed.
@@ -20,7 +21,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .classifier import TrainConfig, load_classifier
 from .fileio import read_json, sha256_file, write_json, atomic_write_text
 from .hmm import DecodeConfig
 from .metrics import format_report, score_corpus
-from .pipeline import (FrontendConfig, PipelineConfig, ScrfConfig,
+from .pipeline import (FrontendConfig, PipelineConfig, ScrfConfig, in_file,
                        load_recognizer, save_recognizer)
 from .segments import to_jsonable
 
@@ -55,15 +57,48 @@ def require(path, producer):
 @dataclass(frozen=True)
 class Config:
     """A loaded and validated experiment config; ``raw`` is the JSON dict
-    whose hash goes into the run record."""
-    raw: dict
-    pipeline: PipelineConfig
-    scrf: ScrfConfig
-    generator: synthgen.GeneratorConfig
-    signers: int            # data.signers
-    repetitions: int        # data.repetitions
-    words: int | None       # data.words: the first N list words (all if absent)
-    hog_pca: int            # frontend.hog_pca: HOG descriptor PCA size
+    whose hash goes into the run record.  The ``in_file`` paths lay out
+    the config file (``config_keys``)."""
+    raw: dict = in_file(None)
+    pipeline: PipelineConfig = in_file("")       # its own keys at the top level
+    scrf: ScrfConfig = in_file("scrf", ("rescoring_kinds",))  # a saved model records its own
+    generator: synthgen.GeneratorConfig = in_file("generator")
+    signers: int = in_file("data.signers")
+    repetitions: int = in_file("data.repetitions")
+    words: int | None = in_file("data.words")   # the first N list words (all if absent)
+    wordlist: str = in_file("data.wordlist")    # 1, 2, both or a file
+    hog_pca: int = in_file("frontend.hog_pca")  # HOG descriptor PCA size
+
+
+def config_keys(cls=Config, prefix="", fixed=()):
+    """Every dotted key a config file may set, derived from the config
+    dataclasses: a field sits at its ``in_file`` path (None: not in the
+    file), and a config dataclass there adds its own fields below it."""
+    keys = set()
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        path = f.metadata.get("config", f.name)
+        if path is None or f.name in fixed:
+            continue
+        path = ".".join(p for p in (prefix, path) if p)
+        if is_dataclass(hints[f.name]):
+            keys |= config_keys(hints[f.name], path, f.metadata.get("fixed", ()))
+        else:
+            keys.add(path)
+    return keys
+
+
+def check_keys(cfg, keys, prefix=""):
+    """Refuse a key no config dataclass has, naming its dotted path."""
+    for key, value in cfg.items():
+        path = prefix + key
+        if path in keys:
+            continue
+        if not any(k.startswith(path + ".") for k in keys):
+            raise ConfigError("unknown config key %s" % path)
+        if not isinstance(value, dict):
+            raise ConfigError("%s must be a section (a JSON object), got %r" % (path, value))
+        check_keys(value, keys, path + ".")
 
 
 def load_config(path=None, overrides=None):
@@ -73,6 +108,8 @@ def load_config(path=None, overrides=None):
             cfg = read_json(require(path, "(write a config file)"))
         except json.JSONDecodeError as e:
             raise ConfigError("config %s is not valid JSON: %s" % (path, e))
+    if not isinstance(cfg, dict):
+        raise ConfigError("config %s must be a JSON object" % path)
     if overrides:
         cfg.update({k: v for k, v in overrides.items() if v is not None})
     seed_env = os.environ.get("SEGSPELL_SEED")
@@ -82,6 +119,7 @@ def load_config(path=None, overrides=None):
         except ValueError:
             raise ConfigError("SEGSPELL_SEED must be an integer, got %r" % seed_env)
     # validate every section now, so a bad value never fails deep in a run
+    check_keys(cfg, config_keys())
     data = cfg.get("data", {})
     return Config(
         raw=cfg, pipeline=pipeline_config(cfg), scrf=scrf_config(cfg),
@@ -89,6 +127,7 @@ def load_config(path=None, overrides=None):
         signers=number(data, "data", "signers", 4, int, 1),
         repetitions=number(data, "data", "repetitions", 2, int, 1),
         words=number(data, "data", "words", None, int, 1) if "words" in data else None,
+        wordlist=str(data.get("wordlist", "1")),
         hog_pca=number(cfg.get("frontend", {}), "frontend", "hog_pca", 40, int, 1))
 
 
@@ -208,15 +247,9 @@ def scrf_config(cfg):
 
 
 def generator_config(cfg):
-    g = cfg.get("generator", {})
-    kwargs = {}
-    for key in ("letter_duration", "doubled_scale", "jitter", "wobble_circles",
-                "wobble_step", "dwell_ramp", "peak_hold", "min_transition",
-                "appearance_strength", "bias_strength", "speed_ratio", "image_size"):
-        if key in g:
-            val = g[key]
-            kwargs[key] = tuple(val) if isinstance(val, list) else val
-    return synthgen.GeneratorConfig(**kwargs)
+    return synthgen.GeneratorConfig(**{
+        key: tuple(val) if isinstance(val, list) else val
+        for key, val in cfg.get("generator", {}).items()})
 
 
 def config_hash(cfg):
@@ -248,7 +281,7 @@ def builtin_wordlist(which):
 
 
 def resolve_words(args, cfg):
-    wordlist = args.wordlist or cfg.raw.get("data", {}).get("wordlist", "1")
+    wordlist = args.wordlist or cfg.wordlist
     if os.path.exists(str(wordlist)):
         with open(wordlist, "r", encoding="utf-8") as f:
             words = [w.strip().upper() for w in f if w.strip()]
@@ -268,9 +301,9 @@ def resolve_words(args, cfg):
 
 def recognizer_inputs(args):
     """Run-record inputs of a handler reading ``--recognizer`` and
-    ``--corpus``: the bundle's files and the corpus manifest."""
+    ``--corpus``: the bundle's files and the corpus files."""
     return [os.path.join(args.recognizer, name) for name in pipeline.RECOGNIZER_FILES] \
-        + [os.path.join(args.corpus, "manifest.json")]
+        + synthgen.corpus_files(args.corpus)
 
 
 def load_corpus_words(directory, signers=None):
@@ -392,7 +425,7 @@ def cmd_extract_features(args, cfg):
     write_json(os.path.join(args.out, "manifest.json"), manifest)
     return ("extracted HOG+PCA descriptors for %d sequences into %s"
             % (len(word_desc), args.out),
-            [os.path.join(args.corpus, "manifest.json")], outputs)
+            synthgen.corpus_files(args.corpus), outputs)
 
 
 def cmd_train_lm(args, cfg):
@@ -416,7 +449,7 @@ def cmd_train_classifier(args, cfg):
         outputs.append(args.curve)
     return ("trained classifier on %d sequences -> %s (final val error %.3f)"
             % (len(words), args.out, history[-1]["val_error"] if history else float("nan")),
-            [os.path.join(args.corpus, "manifest.json")], outputs)
+            synthgen.corpus_files(args.corpus), outputs)
 
 
 def cmd_train_hmm(args, cfg):
@@ -434,7 +467,7 @@ def cmd_train_hmm(args, cfg):
     save_recognizer(rec, args.out)
     return ("trained HMM on %d sequences (EM log-lik %s) -> %s"
             % (len(words), ["%.0f" % v for v in loglik], args.out),
-            [os.path.join(args.corpus, "manifest.json"), args.classifier]
+            synthgen.corpus_files(args.corpus) + [args.classifier]
             + ([args.lm] if args.lm else []),
             [os.path.join(args.out, "hmm.json")])
 
@@ -552,7 +585,7 @@ def cmd_cascade(args, cfg):
     write_json(args.out, report)
     return ("cascade: first pass LER %.2f%% -> second pass %.2f%% (%s)"
             % (result["first_ler"], result["second_ler"], args.out),
-            [os.path.join(args.corpus, "manifest.json")], [args.out])
+            synthgen.corpus_files(args.corpus), [args.out])
 
 
 def cmd_realign_adapt(args, cfg):
@@ -611,7 +644,7 @@ def cmd_run_protocol(args, cfg):
     write_json(args.out, report)
     table_path = os.path.splitext(args.out)[0] + ".txt"
     atomic_write_text(table_path, table)
-    return table, [os.path.join(args.corpus, "manifest.json")], [args.out, table_path]
+    return table, synthgen.corpus_files(args.corpus), [args.out, table_path]
 
 
 # ---------------------------------------------------------------------------

@@ -37,25 +37,37 @@ class FrontendConfig:
     mode: str = "letter"          # tandem classifier block: 'letter'/'feature'
 
 
+def in_file(path, fixed=(), **kw):
+    """A config field stored at dotted ``path`` of a config file (without
+    one, a field is the key of its own name).  A config dataclass there
+    fills that section, less the ``fixed`` fields the program sets itself."""
+    return field(metadata={"config": path, "fixed": fixed}, **kw)
+
+
 @dataclass
 class PipelineConfig:
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
-    arch: tuple = (64, 64)
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(
-        learning_rate=0.02, momentum=0.9, batch_size=100, max_epochs=14,
-        weight_decay=1e-5, dropout=0.0, validation_fraction=0.1))
-    adapt_train: TrainConfig = field(default_factory=lambda: TrainConfig(
-        learning_rate=0.01, momentum=0.9, batch_size=100, max_epochs=16,
-        weight_decay=1e-5, dropout=0.0, validation_fraction=0.0))
-    letter_states: int = 3
-    silence_states: int = 9
-    gmm_components: int = 2
-    em_iters: int = 2
-    decode: DecodeConfig = field(default_factory=lambda: DecodeConfig(
+    arch: tuple = in_file("classifier.arch", default=(64, 64))
+    # stage seeds derive from ``seed``, the plateau patience is fixed, and
+    # adaptation trains without dropout or a validation split
+    train: TrainConfig = in_file(
+        "classifier", ("seed", "plateau_patience"), default_factory=lambda: TrainConfig(
+            learning_rate=0.02, momentum=0.9, batch_size=100, max_epochs=14,
+            weight_decay=1e-5, dropout=0.0, validation_fraction=0.1))
+    adapt_train: TrainConfig = in_file(
+        "adaptation", ("seed", "plateau_patience", "dropout", "validation_fraction"),
+        default_factory=lambda: TrainConfig(
+            learning_rate=0.01, momentum=0.9, batch_size=100, max_epochs=16,
+            weight_decay=1e-5, dropout=0.0, validation_fraction=0.0))
+    letter_states: int = in_file("hmm.letter_states", default=3)
+    silence_states: int = in_file("hmm.silence_states", default=9)
+    gmm_components: int = in_file("hmm.gmm_components", default=2)
+    em_iters: int = in_file("hmm.em_iters", default=2)
+    decode: DecodeConfig = in_file("hmm.decode", default_factory=lambda: DecodeConfig(
         lm_weight=1.0, penalty=0.0, nbest=8))
     folds: int = 10
     report_folds: int = 8
-    adapt_fraction: float = 0.2
+    adapt_fraction: float = in_file("adaptation.fraction", default=0.2)
     seed: int = 20160825
 
 

@@ -649,6 +649,9 @@ def viterbi(model, ctx, weights=None):
 
     Exact ties resolve to the shortest final segment, then the lowest
     previous-label index (and, at the last frame, the lowest label index).
+    ``nbest_segmentations`` ranks its ties by the same order (lowest
+    duration, previous label and label first), so its best hypothesis is
+    this one.
     """
     tabs = compute_tables(model, ctx, weights)
     table, dmax, trans = tabs.table, tabs.dmax, tabs.trans
@@ -929,6 +932,44 @@ def sequence_log_posterior(model, ctx, ref_labels):
 # ---------------------------------------------------------------------------
 # First-pass N-best, rescoring, and the two-pass cascade
 
+def _best_columns(rows, n):
+    """Columns of the n best entries of each row of ``rows`` (R, m >= n),
+    in column order.  Of equal finite values the lower column is kept, as
+    a stable sort of the negated row keeps it; a row where argpartition
+    split such a tie at the n-th value is sorted outright.  Which -inf
+    entries fill a row is left open."""
+    k = rows.shape[1] - n
+    cols = np.sort(np.argpartition(rows, k, axis=1)[:, k:], axis=1)
+    kth = np.take_along_axis(rows, cols, 1).min(axis=1, keepdims=True)
+    split = np.isfinite(kth[:, 0]) & ((rows >= kth).sum(1) > n)
+    for i in np.flatnonzero(split):
+        cols[i] = np.sort(np.argsort(-rows[i], kind="stable")[:n])
+    return cols
+
+
+def _merge_top_n(offsets, lists, n):
+    """Row-wise top n of ``offsets[i, j] + lists[i, j, r]``, each list
+    ``lists[i, j]`` sorted best first: returns (column j * n + r, score),
+    both (R, n) and best first; exact ties keep the lower column.
+
+    An entry can reach its row's top n only from one of the n lists with
+    the best heads ``offsets + lists[..., 0]``: those n heads rank above
+    every entry of any other list.  So only those lists' n x n entries are
+    ranked (the frontier of Huang & Chiang, IWPT 2005, Alg. 2)."""
+    n_rows, m = offsets.shape
+    idx = np.arange(n_rows)[:, None]
+    if m > n:
+        pick = _best_columns(offsets + lists[:, :, 0], n)
+    else:
+        pick = np.broadcast_to(np.arange(m), (n_rows, m))
+    cand = (offsets[idx, pick][:, :, None] + lists[idx, pick]).reshape(n_rows, -1)
+    cols = _best_columns(cand, n)
+    scores = cand[idx, cols]
+    order = np.argsort(-scores, axis=1, kind="stable")
+    p, r = np.divmod(cols[idx, order], n)
+    return pick[idx, p] * n + r, scores[idx, order]
+
+
 def nbest_segmentations(table, trans, final, n):
     """Top-n labeled segmentations of a first-order semi-Markov model.
 
@@ -937,67 +978,50 @@ def nbest_segmentations(table, trans, final, n):
     added to every complete hypothesis whose last label is y (-inf bars
     it).  Returns [(score, [(label index, start, end), ...])] best first,
     empty when no segmentation is legal; the hypotheses are distinct
-    (label sequence, segmentation) pairs by construction."""
+    (label sequence, segmentation) pairs by construction.
+
+    List Viterbi (Huang & Chiang, IWPT 2005) with all labels of a boundary
+    t ranked at once, by one ``_merge_top_n`` per step: over (L, n_d)
+    durations for the segments ending at t (span score plus the start's
+    merged list; column (duration - 1) * n + rank), over (L, L) previous
+    labels for the merge (their lists at t plus the pair score, -inf where
+    forbidden; column previous label * n + rank) and over the L lists at T
+    plus ``final`` (column label * n + rank).  Exact ties keep the lowest
+    column, the order of a stable sort of the negated row: hypotheses of
+    equal score rank by their (label, duration) pairs read from the last
+    segment back, ascending, so the best one is ``viterbi``'s."""
     t_len, dmax, nl = table.shape
-    # rank-n scores per (boundary, label); back[t, li, r] = (start, prev label,
-    # prev rank); merged[t, li, r] = r-th best over allowed previous labels,
-    # with the pair score
+    # cell_s[t, y, r]: r-th best score of a segment of label y ending at t,
+    # cell_bp its column; merged_s[t, y, r]: r-th best over previous labels
+    # with the pair score, merged_bp its column
     cell_s = np.full((t_len + 1, nl, n), NEG_INF)
-    cell_bp = np.full((t_len + 1, nl, n, 3), -1, dtype=int)
+    cell_bp = np.zeros((t_len + 1, nl, n), dtype=int)
     merged_s = np.full((t_len + 1, nl, n), NEG_INF)
-    merged_bp = np.zeros((t_len + 1, nl, n, 2), dtype=int)
+    merged_bp = np.zeros((t_len + 1, nl, n), dtype=int)
     merged_s[0, :, 0] = trans[0]
-    merged_bp[0] = -1
     for t in range(1, t_len + 1):
-        n_d = min(dmax, t)
-        starts = t - np.arange(1, n_d + 1)
+        starts = t - np.arange(1, min(dmax, t) + 1)
         bases = table[starts, t - starts - 1, :]            # (n_d, nl)
-        for li in range(nl):
-            cand = bases[:, li][:, None] + merged_s[starts, li, :]   # (n_d, n)
-            flat = cand.ravel()
-            k = min(n, flat.size)
-            top = np.argpartition(flat, -k)[-k:]
-            top = top[np.argsort(flat[top], kind="stable")[::-1]]
-            good = flat[top] > NEG_INF
-            top = top[good]
-            cell_s[t, li, :len(top)] = flat[top]
-            di, ri = np.unravel_index(top, cand.shape)
-            for r, (d_idx, rank) in enumerate(zip(di, ri)):
-                a = int(starts[d_idx])
-                lp, pr = merged_bp[a, li, rank]
-                cell_bp[t, li, r] = (a, lp, pr)
+        cell_bp[t], cell_s[t] = _merge_top_n(
+            bases.T, merged_s[starts].transpose(1, 0, 2), n)
         if t < t_len:
-            for li in range(nl):
-                allowed = np.where(trans[1:, li] > NEG_INF)[0]
-                if len(allowed) == 0:
-                    continue
-                pool = (cell_s[t, allowed, :] + trans[allowed + 1, li][:, None]).ravel()
-                k = min(n, pool.size)
-                top = np.argpartition(pool, -k)[-k:]
-                top = top[np.argsort(pool[top], kind="stable")[::-1]]
-                good = pool[top] > NEG_INF
-                top = top[good]
-                merged_s[t, li, :len(top)] = pool[top]
-                pi, ri = np.unravel_index(top, (len(allowed), n))
-                merged_bp[t, li, :len(top), 0] = allowed[pi]
-                merged_bp[t, li, :len(top), 1] = ri
-    finals = []
-    for li in range(nl):
-        for r in range(n):
-            sc = cell_s[t_len, li, r] + final[li]
-            if sc > NEG_INF:
-                finals.append((float(sc), li, r))
-    finals.sort(key=lambda c: -c[0])
+            merged_bp[t], merged_s[t] = _merge_top_n(
+                trans[1:].T, np.broadcast_to(cell_s[t], (nl, nl, n)), n)
+    top, scores = _merge_top_n(final[None], cell_s[t_len][None], n)
     ranked = []
-    for sc, li, r in finals[:n]:
+    for col, sc in zip(top[0], scores[0]):
+        if sc == NEG_INF:
+            break
+        y, r = divmod(int(col), n)
         spans = []
         t = t_len
         while t > 0:
-            a, lp, pr = cell_bp[t, li, r]
-            spans.append((li, int(a), t - 1))
-            t, li, r = int(a), int(lp), int(pr)
+            d, rank = divmod(int(cell_bp[t, y, r]), n)
+            spans.append((y, t - d - 1, t - 1))
+            t = t - d - 1
+            y, r = divmod(int(merged_bp[t, y, rank]), n)
         spans.reverse()
-        ranked.append((sc, spans))
+        ranked.append((float(sc), spans))
     return ranked
 
 

@@ -364,6 +364,16 @@ def save_corpus(corpus, directory):
     })
 
 
+def corpus_files(directory):
+    """Every file ``load_corpus`` reads: the manifest, then each entry's
+    metadata and descriptor file."""
+    from .fileio import read_json
+    manifest = os.path.join(directory, "manifest.json")
+    return [manifest] + [os.path.join(directory, e["stem"] + ext)
+                         for e in read_json(manifest)["entries"]
+                         for ext in (".json", ".fmat")]
+
+
 def load_corpus(directory, signers=None, cfg=None):
     from .fileio import read_json, read_matrix
     from .segments import from_jsonable

@@ -218,6 +218,70 @@ class TestCliChain:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("bad, path", [
+        pytest.param({"hmm": {"em_iter": 3}, "bogus": {}}, "hmm.em_iter", id="typo"),
+        pytest.param({"bogus": {}}, "bogus", id="section"),
+        pytest.param({"hmm": {"decode": {"beam": 10}}}, "hmm.decode.beam", id="nested"),
+        pytest.param({"adaptation": {"dropout": 0.1}}, "adaptation.dropout",
+                     id="adaptation-dropout"),
+        pytest.param({"classifier": {"seed": 3}}, "classifier.seed", id="stage-seed"),
+        pytest.param({"classifier": {"plateau_patience": 3}}, "classifier.plateau_patience",
+                     id="plateau-patience"),
+        pytest.param({"scrf": {"rescoring_kinds": ["max"]}}, "scrf.rescoring_kinds",
+                     id="rescoring-kinds"),
+        pytest.param({"generator": {"speed": 2.0}}, "generator.speed", id="generator"),
+        pytest.param({"hmm": 3}, "hmm", id="not-a-section"),
+    ])
+    def test_unknown_config_key_exit_2(self, workdir, tmp_path, capsys, bad, path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        rc = cli.main(["train-classifier", "--corpus", str(workdir / "corpus"),
+                       "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
+        assert rc == 2
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_every_config_key_is_read(self):
+        from dataclasses import replace
+        # one non-default legal value per key; frontend.mode has only one
+        full = {"seed": 3, "folds": 12, "report_folds": 2,
+                "data": {"signers": 2, "repetitions": 1, "words": 5, "wordlist": "2"},
+                "frontend": {"window": 3, "pca_classifier": 6, "pca_image": 4,
+                             "transform": "log", "mode": "letter", "hog_pca": 7},
+                "classifier": {"arch": [8], "learning_rate": 0.1, "momentum": 0.5,
+                               "weight_decay": 0.0, "dropout": 0.2,
+                               "validation_fraction": 0.2, "batch_size": 7,
+                               "max_epochs": 3},
+                "adaptation": {"fraction": 0.3, "learning_rate": 0.1, "momentum": 0.5,
+                               "weight_decay": 0.0, "batch_size": 7, "max_epochs": 3},
+                "hmm": {"letter_states": 2, "silence_states": 4, "gmm_components": 1,
+                        "em_iters": 1,
+                        "decode": {"lm_weight": 2.0, "penalty": 1.0, "nbest": 3}},
+                "scrf": {"max_duration": 20, "min_letter_duration": 1,
+                         "learning_rate": 1.0, "epochs": 2, "l1": 0.1, "l2": 0.0,
+                         "nbest": 2, "init_scale": 1.0, "ref_policy": "drop-example"},
+                "generator": {"letter_duration": [6.0, 9.0], "doubled_scale": 1.5,
+                              "jitter": 0.01, "wobble_circles": 2, "wobble_step": 0.4,
+                              "dwell_ramp": 3.0, "peak_hold": 1, "min_transition": 1.0,
+                              "appearance_strength": 0.5, "bias_strength": 0.2,
+                              "speed_ratio": 1.5, "image_size": [32, 40]}}
+
+        def leaves(d, prefix=""):
+            for k, v in d.items():
+                if isinstance(v, dict):
+                    yield from leaves(v, prefix + k + ".")
+                else:
+                    yield prefix + k, v
+
+        values = dict(leaves(full))
+        assert set(values) == cli.config_keys()
+        default = replace(cli.load_config(), raw={})
+        for key, value in values.items():
+            for part in reversed(key.split(".")):
+                value = {part: value}
+            loaded = replace(cli.load_config(None, value), raw={})
+            assert (loaded == default) == (key == "frontend.mode"), key
+
     def test_zero_em_iterations_valid(self):
         assert cli.pipeline_config({"hmm": {"em_iters": 0}}).em_iters == 0
 
@@ -302,6 +366,28 @@ class TestCliChain:
         record2 = json.load(open(str(j1) + ".run.json"))
         assert record1["inputs"][str(ref1)] != record2["inputs"][str(ref1)]
 
+    def test_run_record_hashes_every_corpus_file(self, tmp_path):
+        corpus = tmp_path / "c"
+        assert cli.main(["gen-data", "--out", str(corpus), "--wordlist", "1",
+                         "--words", "2", "--signers", "1", "--reps", "1",
+                         "--seed", "4"]) == 0
+        cfg = tmp_path / "fast.json"
+        cfg.write_text(json.dumps({"classifier": {"max_epochs": 1}}))
+        out = tmp_path / "m.json"
+        argv = ["train-classifier", "--corpus", str(corpus), "--out", str(out),
+                "--config", str(cfg)]
+        assert cli.main(argv) == 0
+        before = json.load(open(str(out) + ".run.json"))["inputs"]
+        fmat = sorted(corpus.glob("*.fmat"))[0]
+        raw = bytearray(fmat.read_bytes())
+        raw[-1] ^= 1
+        fmat.write_bytes(bytes(raw))
+        assert cli.main(argv) == 0
+        after = json.load(open(str(out) + ".run.json"))["inputs"]
+        assert str(fmat) in before and after[str(fmat)] != before[str(fmat)]
+        assert {k: v for k, v in after.items() if k != str(fmat)} == \
+            {k: v for k, v in before.items() if k != str(fmat)}
+
     def test_seed_env_override(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setenv("SEGSPELL_SEED", "123")
         out = tmp_path / "mseed.json"
@@ -314,7 +400,9 @@ class TestCliChain:
 class TestCliRunRecords:
     """All 14 subcommands through ``cli.main`` on a tiny corpus with a fast
     config: exit code, artifacts, a summary on stdout, and the run record's
-    path, subcommand, seed, input keys and outputs."""
+    path, subcommand, seed, input keys and outputs.  A corpus input is the
+    manifest plus every word's metadata and descriptor file, all of which
+    the handler reads."""
 
     FAST = {"seed": 31, "folds": 3, "report_folds": 1,
             "classifier": {"max_epochs": 1}, "adaptation": {"max_epochs": 1},
@@ -347,23 +435,31 @@ class TestCliRunRecords:
         self.run(capsys, ["gen-data", "--out", p("ic"), "--words", "2", "--signers", "1",
                           "--reps", "1", "--images"] + conf,
                  p("ic", "run_record.json"), 31, [], [p("ic", "manifest.json")])
+
+        def corpus_files(name):
+            manifest = p(name, "manifest.json")
+            return [manifest] + [p(name, e["stem"] + ext)
+                                 for e in json.load(open(manifest))["entries"]
+                                 for ext in (".json", ".fmat")]
+
         stems = [e["stem"] for e in json.load(open(p("ic", "manifest.json")))["entries"]]
         self.run(capsys, ["extract-features", "--corpus", p("ic"), "--out", p("feat")] + conf,
-                 p("feat", "run_record.json"), 31, [p("ic", "manifest.json")],
+                 p("feat", "run_record.json"), 31, corpus_files("ic"),
                  [p("feat", s + ".fmat") for s in stems])
+        words = corpus_files("c")
         self.run(capsys, ["train-lm", "--out", p("lm.arpa"), "--words", "10"] + conf,
                  p("lm.arpa.run.json"), 31, [], [p("lm.arpa")])
         self.run(capsys, ["train-classifier", "--corpus", p("c"), "--out", p("clf.json"),
                           "--signers", "S1", "--curve", p("curve.csv"), "--seed", "9"] + conf,
-                 p("clf.json.run.json"), 9, [corpus], [p("clf.json"), p("curve.csv")])
+                 p("clf.json.run.json"), 9, words, [p("clf.json"), p("curve.csv")])
         self.run(capsys, ["train-hmm", "--corpus", p("c"), "--classifier", p("clf.json"),
                           "--lm", p("lm.arpa"), "--out", p("rec"), "--signers", "S1"] + conf,
-                 p("rec", "run_record.json"), 31, [corpus, p("clf.json"), p("lm.arpa")],
+                 p("rec", "run_record.json"), 31, words + [p("clf.json"), p("lm.arpa")],
                  [p("rec", "hmm.json")])
         rec = ["--recognizer", p("rec"), "--corpus", p("c")]
         # every file a handler reads: the whole bundle, not just its classifier
         bundle = [p("rec", f) for f in ("classifier.json", "pca.json", "hmm.json",
-                                         "lm.arpa", "frontend.json")] + [corpus]
+                                         "lm.arpa", "frontend.json")] + words
         self.run(capsys, ["adapt"] + rec + ["--signer", "S2", "--out", p("rec2")] + conf,
                  p("rec2", "run_record.json"), 31, bundle, [p("rec2", "classifier.json")])
         self.run(capsys, ["align"] + rec + ["--signers", "S2", "--out", p("ali.jsonl")] + conf,
@@ -392,13 +488,13 @@ class TestCliRunRecords:
                  [p("s.json"), p("s.txt")])
         self.run(capsys, ["cascade", "--corpus", p("c"), "--eval-signer", "S2",
                           "--out", p("cascade.json")] + conf,
-                 p("cascade.json.run.json"), 31, [corpus], [p("cascade.json")])
+                 p("cascade.json.run.json"), 31, words, [p("cascade.json")])
         self.run(capsys, ["realign-adapt"] + rec + ["--signer", "S2", "--iters", "1",
                                                     "--out", p("realign.json")] + conf,
                  p("realign.json.run.json"), 31, bundle, [p("realign.json")])
         self.run(capsys, ["run-protocol", "--corpus", p("c"), "--out", p("proto.json"),
                           "--seed", "9"] + conf,
-                 p("proto.json.run.json"), 9, [corpus], [p("proto.json"), p("proto.txt")])
+                 p("proto.json.run.json"), 9, words, [p("proto.json"), p("proto.txt")])
 
 
 class TestImagePipeline:

@@ -596,3 +596,164 @@ class TestSerialization:
         other = SegmentalModel(labels, [PeakFeature(labels)], [2], max_duration=3)
         with pytest.raises(ManifestError):
             other.load_weights(path)
+
+
+# ---------------------------------------------------------------------------
+# The N-best engine against the per-(frame, label) loop it replaced
+
+def reference_nbest_segmentations(table, trans, final, n):
+    """The per-(frame, label) loop form of ``scrf.nbest_segmentations``,
+    kept as its oracle on tie-free tables: among exactly tied scores it
+    keeps whatever argpartition returns."""
+    t_len, dmax, nl = table.shape
+    cell_s = np.full((t_len + 1, nl, n), -np.inf)
+    cell_bp = np.full((t_len + 1, nl, n, 3), -1, dtype=int)
+    merged_s = np.full((t_len + 1, nl, n), -np.inf)
+    merged_bp = np.zeros((t_len + 1, nl, n, 2), dtype=int)
+    merged_s[0, :, 0] = trans[0]
+    merged_bp[0] = -1
+    for t in range(1, t_len + 1):
+        n_d = min(dmax, t)
+        starts = t - np.arange(1, n_d + 1)
+        bases = table[starts, t - starts - 1, :]
+        for li in range(nl):
+            cand = bases[:, li][:, None] + merged_s[starts, li, :]
+            flat = cand.ravel()
+            k = min(n, flat.size)
+            top = np.argpartition(flat, -k)[-k:]
+            top = top[np.argsort(flat[top], kind="stable")[::-1]]
+            top = top[flat[top] > -np.inf]
+            cell_s[t, li, :len(top)] = flat[top]
+            di, ri = np.unravel_index(top, cand.shape)
+            for r, (d_idx, rank) in enumerate(zip(di, ri)):
+                a = int(starts[d_idx])
+                lp, pr = merged_bp[a, li, rank]
+                cell_bp[t, li, r] = (a, lp, pr)
+        if t < t_len:
+            for li in range(nl):
+                allowed = np.where(trans[1:, li] > -np.inf)[0]
+                if len(allowed) == 0:
+                    continue
+                pool = (cell_s[t, allowed, :] + trans[allowed + 1, li][:, None]).ravel()
+                k = min(n, pool.size)
+                top = np.argpartition(pool, -k)[-k:]
+                top = top[np.argsort(pool[top], kind="stable")[::-1]]
+                top = top[pool[top] > -np.inf]
+                merged_s[t, li, :len(top)] = pool[top]
+                pi, ri = np.unravel_index(top, (len(allowed), n))
+                merged_bp[t, li, :len(top), 0] = allowed[pi]
+                merged_bp[t, li, :len(top), 1] = ri
+    finals = []
+    for li in range(nl):
+        for r in range(n):
+            sc = cell_s[t_len, li, r] + final[li]
+            if sc > -np.inf:
+                finals.append((float(sc), li, r))
+    finals.sort(key=lambda c: -c[0])
+    ranked = []
+    for sc, li, r in finals[:n]:
+        spans = []
+        t = t_len
+        while t > 0:
+            a, lp, pr = cell_bp[t, li, r]
+            spans.append((li, int(a), t - 1))
+            t, li, r = int(a), int(lp), int(pr)
+        spans.reverse()
+        ranked.append((sc, spans))
+    return ranked
+
+
+def random_semi_markov(rng, T, dmax, L, draw=None):
+    """Span table, pair scores and final scores with -inf masks."""
+    draw = draw or (lambda size: rng.normal(size=size))
+    table, trans, final = draw((T, dmax, L)), draw((L + 1, L)), draw(L)
+    table[rng.random(table.shape) < 0.2] = -np.inf
+    trans[rng.random(trans.shape) < 0.3] = -np.inf
+    final[rng.random(L) < 0.3] = -np.inf
+    return table, trans, final
+
+
+def ranked_by_brute_force(table, trans, final):
+    """Every legal hypothesis, best first; exact ties ordered by their
+    (label, duration) pairs read from the last segment back, ascending."""
+    T, dmax, L = table.shape
+    out = []
+
+    def extend(t, prev, score, spans):
+        if t == T:
+            if score + final[prev] > -np.inf:
+                out.append((float(score + final[prev]), spans))
+            return
+        for d in range(1, min(dmax, T - t) + 1):
+            for y in range(L):
+                s = score + table[t, d - 1, y] + trans[prev + 1, y]
+                if s > -np.inf:
+                    extend(t + d, y, s, spans + [(y, t, t + d - 1)])
+
+    extend(0, -1, 0.0, [])
+    return sorted(out, key=lambda h: (-h[0], [(y, e + 1 - a) for y, a, e in h[1][::-1]]))
+
+
+class TestNBestEngine:
+    def test_equals_reference_loop_on_tie_free_tables(self):
+        # T > dmax + 2, T < dmax, and n above the number of legal hypotheses
+        shapes = [(9, 3, 3, 5), (12, 2, 4, 8), (3, 6, 3, 4), (2, 5, 2, 30),
+                  (4, 4, 2, 40), (7, 7, 5, 1), (10, 10, 3, 6), (1, 3, 4, 3)]
+        rng = np.random.default_rng(41)
+        short = nonempty = 0
+        for case in range(40):
+            T, dmax, L, n = shapes[case % len(shapes)]
+            args = random_semi_markov(rng, T, dmax, L) + (n,)
+            got = scrf.nbest_segmentations(*args)
+            assert got == reference_nbest_segmentations(*args)
+            nonempty += bool(got)
+            short += 0 < len(got) < n
+        assert nonempty >= 30 and short >= 5
+
+    def test_equals_reference_loop_large(self):
+        rng = np.random.default_rng(42)
+        args = random_semi_markov(rng, 100, 100, 30) + (8,)
+        got = scrf.nbest_segmentations(*args)
+        assert len(got) == 8
+        assert got == reference_nbest_segmentations(*args)
+
+    def test_planted_ties_keep_lowest_column(self):
+        # every hypothesis of two frames and labels 0, 1 scores 0: the final
+        # pool ranks by last label, a label's segments ending at T by
+        # duration (one-frame first), and the merge by previous label
+        zeros = np.zeros((2, 2, 2))
+        ranked = scrf.nbest_segmentations(zeros, np.zeros((3, 2)), np.zeros(2), 6)
+        assert ranked == [(0.0, [(0, 0, 0), (0, 1, 1)]),
+                          (0.0, [(1, 0, 0), (0, 1, 1)]),
+                          (0.0, [(0, 0, 1)]),
+                          (0.0, [(0, 0, 0), (1, 1, 1)]),
+                          (0.0, [(1, 0, 0), (1, 1, 1)]),
+                          (0.0, [(1, 0, 1)])]
+        for n in range(1, 6):
+            assert scrf.nbest_segmentations(zeros, np.zeros((3, 2)),
+                                            np.zeros(2), n) == ranked[:n]
+
+    def test_tied_tables_match_brute_force_order(self):
+        rng = np.random.default_rng(43)
+        cut_ties = 0
+        for case in range(100):
+            T, dmax, L = int(rng.integers(1, 7)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            n = int(rng.integers(1, 13))
+            args = random_semi_markov(rng, T, dmax, L,
+                                      lambda size: rng.integers(-1, 2, size=size).astype(float))
+            expected = ranked_by_brute_force(*args)
+            assert scrf.nbest_segmentations(*args, n) == expected[:n]
+            cut_ties += n < len(expected) and expected[n - 1][0] == expected[n][0]
+        assert cut_ties >= 10
+
+    def test_best_of_tied_scrf_is_viterbi(self):
+        rng = np.random.default_rng(44)
+        for T in (3, 5, 7):
+            ctx = random_ctx(rng, T, with_lm=False)
+            model = random_model(rng, ctx, ["A", "B", "C"], 3, with_lm=False)
+            model.weights = np.zeros(model.total_dim)
+            labels, segments, score = viterbi(model, ctx)
+            for n in (1, 4):
+                best = nbest_decode(model, ctx, n).hypotheses[0]
+                assert best.labels == labels and best.score == score
+                assert [s.span() for s in best.segments] == [s.span() for s in segments]
