@@ -17,28 +17,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import check_fields, in_file, read_json, write_json
+
 LOG_FLOOR = 1e-10
 
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.01
-    momentum: float = 0.95
-    batch_size: int = 100
-    max_epochs: int = 30
-    weight_decay: float = 1e-5
-    dropout: float = 0.0
-    validation_fraction: float = 0.1
+    learning_rate: float = in_file(default=0.01, at_least=0)
+    momentum: float = in_file(default=0.95, at_least=0)
+    batch_size: int = in_file(default=100, at_least=1)
+    max_epochs: int = in_file(default=30, at_least=0)
+    weight_decay: float = in_file(default=1e-5, at_least=0)
+    # a dropout of 1 would divide the masks by zero
+    dropout: float = in_file(default=0.0, at_least=0, below=1)
+    validation_fraction: float = in_file(default=0.1, at_least=0, below=1)
     plateau_patience: int = 2   # epochs without val improvement before halving
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.momentum, self.weight_decay) < 0:
-            raise ValueError("rates must be non-negative")
-        if not (0 <= self.dropout < 1 and 0 <= self.validation_fraction < 1):
-            raise ValueError("dropout and validation_fraction must be in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("minibatch size must be at least 1")
+        check_fields(self)
 
 
 class MlpModel:
@@ -103,12 +101,10 @@ class MlpModel:
         return cls(layers, obj["class_names"])
 
     def save(self, path):
-        from .fileio import write_json
         write_json(path, self.to_jsonable())
 
     @classmethod
     def load(cls, path):
-        from .fileio import read_json
         return cls.from_jsonable(read_json(path))
 
 
@@ -358,13 +354,11 @@ class AdaptationModel:
                    out_w=np.array(obj["out_w"]), out_b=np.array(obj["out_b"]))
 
     def save(self, path):
-        from .fileio import write_json
         write_json(path, self.to_jsonable())
 
 
 def load_classifier(path):
     """Load either a plain or an adapted classifier from JSON."""
-    from .fileio import read_json
     obj = read_json(path)
     if obj.get("schema") == AdaptationModel.SCHEMA:
         return AdaptationModel.from_jsonable(obj)

@@ -9,8 +9,9 @@ only its own work: it writes its artifacts atomically and returns
 codes: 0 on success, 2 on configuration errors (an unknown config key, a
 bad config value or a bad flag names its dotted path, field or flag),
 3 on data errors (a missing upstream artifact names the subcommand that
-produces it).  The environment variable SEGSPELL_SEED overrides the
-configured seed.
+produces it; a JSON model or corpus file holding NaN or infinity is
+named).  The environment variable SEGSPELL_SEED overrides the configured
+seed.
 """
 
 from __future__ import annotations
@@ -22,27 +23,22 @@ import os
 import sys
 import time
 import typing
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from . import pipeline, synthgen
 from .alphabet import LetterAlphabet
-from .classifier import TrainConfig, load_classifier
-from .fileio import read_json, sha256_file, write_json, atomic_write_text
-from .hmm import DecodeConfig
+from .classifier import load_classifier
+from .fileio import (DataError, FieldError, atomic_write_text, check_fields, in_file,
+                     read_json, read_png, sha256_file, write_json, write_matrix, write_png)
 from .metrics import format_report, score_corpus
-from .pipeline import (FrontendConfig, PipelineConfig, ScrfConfig, in_file,
-                       load_recognizer, save_recognizer)
+from .pipeline import PipelineConfig, ScrfConfig, load_recognizer, save_recognizer
 from .segments import to_jsonable
 
 
 class ConfigError(Exception):
     exit_code = 2
-
-
-class DataError(Exception):
-    exit_code = 3
 
 
 def require(path, producer):
@@ -59,53 +55,66 @@ class Config:
     """A loaded and validated experiment config; ``raw`` is the JSON dict
     whose hash goes into the run record.  The ``in_file`` paths lay out
     the config file (``config_keys``)."""
-    raw: dict = in_file(None)
-    pipeline: PipelineConfig = in_file("")       # its own keys at the top level
-    scrf: ScrfConfig = in_file("scrf", ("rescoring_kinds",))  # a saved model records its own
-    generator: synthgen.GeneratorConfig = in_file("generator")
-    signers: int = in_file("data.signers")
-    repetitions: int = in_file("data.repetitions")
-    words: int | None = in_file("data.words")   # the first N list words (all if absent)
-    wordlist: str = in_file("data.wordlist")    # 1, 2, both or a file
-    hog_pca: int = in_file("frontend.hog_pca")  # HOG descriptor PCA size
+    raw: dict = in_file(None, default_factory=dict)
+    pipeline: PipelineConfig = in_file("", default_factory=PipelineConfig)  # top level
+    scrf: ScrfConfig = in_file("scrf", ("rescoring_kinds",),  # a saved model records its own
+                               default_factory=ScrfConfig)
+    generator: synthgen.GeneratorConfig = in_file(
+        "generator", default_factory=synthgen.GeneratorConfig)
+    signers: int = in_file("data.signers", default=4, at_least=1)
+    repetitions: int = in_file("data.repetitions", default=2, at_least=1)
+    words: int | None = in_file("data.words", default=None, at_least=1)  # the first N
+    wordlist: str = in_file("data.wordlist", default="1")   # 1, 2, both or a file
+    hog_pca: int = in_file("frontend.hog_pca", default=40, at_least=1)  # HOG PCA size
+
+    def __post_init__(self):
+        check_fields(self)
 
 
-def config_keys(cls=Config, prefix="", fixed=()):
-    """Every dotted key a config file may set, derived from the config
-    dataclasses: a field sits at its ``in_file`` path (None: not in the
-    file), and a config dataclass there adds its own fields below it."""
-    keys = set()
+def config_fields(cls, prefix="", fixed=()):
+    """(field, dotted path, type) of each field of config dataclass ``cls``
+    that a config file may set: a field sits at its ``in_file`` path below
+    ``prefix`` (None: not in the file), less the ``fixed`` ones."""
     hints = typing.get_type_hints(cls)
     for f in fields(cls):
         path = f.metadata.get("config", f.name)
-        if path is None or f.name in fixed:
-            continue
-        path = ".".join(p for p in (prefix, path) if p)
-        if is_dataclass(hints[f.name]):
-            keys |= config_keys(hints[f.name], path, f.metadata.get("fixed", ()))
-        else:
-            keys.add(path)
+        if path is not None and f.name not in fixed:
+            yield f, ".".join(p for p in (prefix, path) if p), hints[f.name]
+
+
+def config_keys(cls=Config, prefix="", fixed=()):
+    """Every dotted key a config file may set; a config dataclass adds its
+    own fields below its path."""
+    keys = set()
+    for f, path, kind in config_fields(cls, prefix, fixed):
+        keys |= config_keys(kind, path, f.metadata.get("fixed", ())) if is_dataclass(kind) \
+            else {path}
     return keys
 
 
-def check_keys(cfg, keys, prefix=""):
-    """Refuse a key no config dataclass has, naming its dotted path."""
+def flatten(cfg, keys, prefix=""):
+    """{dotted key: value} of a config file; a key no config dataclass has
+    is refused, naming its dotted path."""
+    flat = {}
     for key, value in cfg.items():
         path = prefix + key
         if path in keys:
-            continue
-        if not any(k.startswith(path + ".") for k in keys):
+            flat[path] = value
+        elif not any(k.startswith(path + ".") for k in keys):
             raise ConfigError("unknown config key %s" % path)
-        if not isinstance(value, dict):
+        elif not isinstance(value, dict):
             raise ConfigError("%s must be a section (a JSON object), got %r" % (path, value))
-        check_keys(value, keys, path + ".")
+        else:
+            flat.update(flatten(value, keys, path + "."))
+    return flat
 
 
 def load_config(path=None, overrides=None):
     cfg = {}
     if path:
         try:
-            cfg = read_json(require(path, "(write a config file)"))
+            # a NaN or infinity is refused below, naming its field
+            cfg = read_json(require(path, "(write a config file)"), allow_nan=True)
         except json.JSONDecodeError as e:
             raise ConfigError("config %s is not valid JSON: %s" % (path, e))
     if not isinstance(cfg, dict):
@@ -119,148 +128,47 @@ def load_config(path=None, overrides=None):
         except ValueError:
             raise ConfigError("SEGSPELL_SEED must be an integer, got %r" % seed_env)
     # validate every section now, so a bad value never fails deep in a run
-    check_keys(cfg, config_keys())
-    data = cfg.get("data", {})
-    return Config(
-        raw=cfg, pipeline=pipeline_config(cfg), scrf=scrf_config(cfg),
-        generator=generator_config(cfg),
-        signers=number(data, "data", "signers", 4, int, 1),
-        repetitions=number(data, "data", "repetitions", 2, int, 1),
-        words=number(data, "data", "words", None, int, 1) if "words" in data else None,
-        wordlist=str(data.get("wordlist", "1")),
-        hog_pca=number(cfg.get("frontend", {}), "frontend", "hog_pca", 40, int, 1))
+    return read_section(Config, Config(raw=cfg), flatten(cfg, config_keys()))
 
 
-def number(section, name, key, default, kind=float, minimum=None):
-    """``section[key]`` (or the default) as ``kind``, at least ``minimum``;
-    a bad value raises ConfigError naming the field."""
-    field = "%s.%s" % (name, key) if name else key
-    value = section.get(key, default)
+def read_section(cls, default, flat, prefix="", fixed=()):
+    """``default`` with each value of ``flat`` (a flattened config file) for
+    a field of config dataclass ``cls`` below ``prefix``; ``cls`` checks
+    them, and a bad value raises ConfigError naming its dotted path."""
+    values, paths = {}, {}
+    for f, path, kind in config_fields(cls, prefix, fixed):
+        paths[f.name] = path
+        if is_dataclass(kind):
+            values[f.name] = read_section(kind, getattr(default, f.name), flat, path,
+                                          f.metadata.get("fixed", ()))
+        elif path in flat:   # a JSON list is a tuple field's value
+            value = flat[path]
+            values[f.name] = tuple(value) if isinstance(value, list) else value
     try:
-        value = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError("%s must be a number, got %r" % (field, value))
-    return at_least(value, minimum, field)
+        return replace(default, **values)
+    except FieldError as e:
+        raise ConfigError(paths.get(e.name, e.name) + str(e)[len(e.name):])
 
 
-def at_least(value, minimum, field):
-    if minimum is not None and value < minimum:
-        raise ConfigError("%s must be at least %s, got %r" % (field, minimum, value))
-    return value
-
-
-def open_fraction(value, field):
-    if not 0.0 < value < 1.0:
-        raise ConfigError("%s must be in (0, 1), got %r" % (field, value))
-    return value
-
-
-def option(args, key, default, minimum=1):
-    """Flag ``--key`` when given, with the bound of its config field; else
-    ``default``."""
+def option(args, key, config, name):
+    """Flag ``--key`` when given, else field ``name`` of config dataclass
+    ``config``; the flag is checked as that field."""
     value = getattr(args, key)
-    return default if value is None else at_least(value, minimum, "--" + key)
-
-
-def pipeline_config(cfg):
-    fe = cfg.get("frontend", {})
-    cl = cfg.get("classifier", {})
-    hm = cfg.get("hmm", {})
-    ad = cfg.get("adaptation", {})
-    dec = hm.get("decode", {})
-    frac = open_fraction(number(ad, "adaptation", "fraction", 0.2), "adaptation.fraction")
-    if fe.get("mode", "letter") != "letter":
-        raise ConfigError("frontend.mode must be 'letter' (no phonological-feature "
-                          "classifiers are trained), got %r" % (fe["mode"],))
-    if fe.get("transform", "linear") not in ("linear", "log"):
-        raise ConfigError("frontend.transform must be 'linear' or 'log', got %r"
-                          % (fe["transform"],))
-    window = number(fe, "frontend", "window", 5, int, 1)
-    if window % 2 != 1:
-        raise ConfigError("frontend.window must be odd, got %r" % window)
-    folds = number(cfg, None, "folds", 10, int, 3)   # test, held-out and training folds
-    report_folds = number(cfg, None, "report_folds", 8, int, 1)
-    if report_folds > folds:
-        raise ConfigError("report_folds must be at most folds=%d, got %r"
-                          % (folds, report_folds))
-    arch = cl.get("arch", [64, 64])
-    if not isinstance(arch, (list, tuple)) or not all(
-            isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in arch):
-        raise ConfigError("classifier.arch must be a list of positive layer sizes, "
-                          "got %r" % (arch,))
-
-    def train(section, name, lr, epochs, **fixed):
-        rates = {key: number(section, name, key, default, float, 0.0) for key, default in
-                 (("learning_rate", lr), ("momentum", 0.9), ("weight_decay", 1e-5),
-                  ("dropout", 0.0), ("validation_fraction", 0.1)) if key not in fixed}
-        for key in ("dropout", "validation_fraction"):
-            if rates.get(key, 0.0) >= 1.0:
-                raise ConfigError("%s.%s must be in [0, 1), got %r" % (name, key, rates[key]))
-        return TrainConfig(batch_size=number(section, name, "batch_size", 100, int, 1),
-                           max_epochs=number(section, name, "max_epochs", epochs, int, 0),
-                           **rates, **fixed)
-
-    return PipelineConfig(
-        frontend=FrontendConfig(
-            window=window,
-            pca_classifier=number(fe, "frontend", "pca_classifier", 12, int, 1),
-            pca_image=number(fe, "frontend", "pca_image", 10, int, 1),
-            transform=fe.get("transform", "linear"),
-            mode=fe.get("mode", "letter")),
-        arch=tuple(arch),
-        train=train(cl, "classifier", 0.02, 14),
-        adapt_train=train(ad, "adaptation", 0.01, 16, dropout=0.0,
-                          validation_fraction=0.0),
-        letter_states=number(hm, "hmm", "letter_states", 3, int, 1),
-        silence_states=number(hm, "hmm", "silence_states", 9, int, 1),
-        gmm_components=number(hm, "hmm", "gmm_components", 2, int, 1),
-        em_iters=number(hm, "hmm", "em_iters", 2, int, 0),
-        decode=DecodeConfig(lm_weight=number(dec, "hmm.decode", "lm_weight", 1.0),
-                            penalty=number(dec, "hmm.decode", "penalty", 0.0),
-                            nbest=number(dec, "hmm.decode", "nbest", 8, int, 1)),
-        folds=folds,
-        report_folds=report_folds,
-        adapt_fraction=frac,
-        seed=number(cfg, None, "seed", 20160825, int))
-
-
-def scrf_config(cfg):
-    from .scrf import REF_POLICIES
-    sc = cfg.get("scrf", {})
-    scfg = ScrfConfig(
-        max_duration=number(sc, "scrf", "max_duration", 40, int, 1),
-        min_letter_duration=number(sc, "scrf", "min_letter_duration", 2, int, 1),
-        learning_rate=number(sc, "scrf", "learning_rate", 2.0),
-        epochs=number(sc, "scrf", "epochs", 10, int),
-        l1=number(sc, "scrf", "l1", 0.0),
-        l2=number(sc, "scrf", "l2", 1e-4),
-        nbest=number(sc, "scrf", "nbest", 8, int, 1),
-        init_scale=number(sc, "scrf", "init_scale", 8.0),
-        ref_policy=sc.get("ref_policy", "add-ground-truth"))
-    if scfg.min_letter_duration > scfg.max_duration:
-        raise ConfigError("scrf.min_letter_duration must be in [1, max_duration=%d], "
-                          "got %r" % (scfg.max_duration, scfg.min_letter_duration))
-    if scfg.ref_policy not in REF_POLICIES:
-        raise ConfigError("scrf.ref_policy must be one of %s, got %r"
-                          % (", ".join(REF_POLICIES), scfg.ref_policy))
-    return scfg
-
-
-def generator_config(cfg):
-    return synthgen.GeneratorConfig(**{
-        key: tuple(val) if isinstance(val, list) else val
-        for key, val in cfg.get("generator", {}).items()})
-
-
-def config_hash(cfg):
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+    if value is None:
+        return getattr(config, name)
+    try:
+        replace(config, **{name: value})
+    except FieldError as e:
+        raise ConfigError("--" + key + str(e)[len(e.name):])
+    return value
 
 
 def write_run_record(out, subcommand, cfg, inputs, outputs, t0):
     record = {
         "subcommand": subcommand,
-        "config_hash": config_hash(cfg),
-        "seed": cfg.get("seed", 20160825),
+        "config_hash": hashlib.sha256(json.dumps(cfg.raw, sort_keys=True)
+                                      .encode()).hexdigest(),
+        "seed": cfg.pipeline.seed,
         "inputs": {p: sha256_file(p) for p in inputs if os.path.isfile(p)},
         "outputs": sorted(outputs),
         "wall_time_s": round(time.time() - t0, 3),
@@ -291,9 +199,7 @@ def resolve_words(args, cfg):
         words = builtin_wordlist("1") + builtin_wordlist("2")
     else:
         raise ConfigError("unknown wordlist %r (use 1, 2, both, or a file)" % (wordlist,))
-    n = option(args, "words", cfg.words)
-    if n is not None:
-        words = words[:n]
+    words = words[:option(args, "words", cfg, "words")]
     if not words:
         raise ConfigError("empty word list")
     return words
@@ -352,14 +258,13 @@ def read_labeled_file(path):
 
 def cmd_gen_data(args, cfg):
     words = resolve_words(args, cfg)
-    n_signers = option(args, "signers", cfg.signers)
-    reps = option(args, "reps", cfg.repetitions)
+    n_signers = option(args, "signers", cfg, "signers")
+    reps = option(args, "reps", cfg, "repetitions")
     gcfg, seed = cfg.generator, cfg.pipeline.seed
     signers = synthgen.make_signers(n_signers, seed, gcfg)
     corpus = synthgen.generate_corpus(words, signers, seed, repetitions=reps, cfg=gcfg)
     synthgen.save_corpus(corpus, args.out)
     if args.images:
-        from .fileio import write_png
         img_dir = os.path.join(args.out, "images")
         os.makedirs(img_dir, exist_ok=True)
         for i, w in enumerate(corpus.words):
@@ -379,7 +284,6 @@ def cmd_gen_data(args, cfg):
 def cmd_extract_features(args, cfg):
     manifest, words = load_corpus_words(args.corpus)
     img_root = require(os.path.join(args.corpus, "images"), "gen-data --images")
-    from .fileio import read_png, write_matrix
     from .vision import (HogConfig, fit_hand_color_model, hog_descriptor,
                          segment_hand, fit_pca, apply_pca)
     hog_cfg = HogConfig()
@@ -473,8 +377,7 @@ def cmd_train_hmm(args, cfg):
 
 
 def cmd_adapt(args, cfg):
-    fraction = cfg.pipeline.adapt_fraction if args.fraction is None \
-        else open_fraction(args.fraction, "--fraction")
+    fraction = option(args, "fraction", cfg.pipeline, "adapt_fraction")
     rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
     _, words = load_corpus_words(args.corpus, args.signer)
     adapt_words, _ = pipeline.adaptation_split(words, fraction, cfg.pipeline.seed)
@@ -504,7 +407,7 @@ def cmd_align(args, cfg):
 
 
 def cmd_nbest(args, cfg):
-    n = option(args, "n", None)
+    n = option(args, "n", cfg.pipeline.decode, "nbest")
     rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
     manifest, words = load_corpus_words(args.corpus, args.signers)
     from .hmm import save_lattice
@@ -516,7 +419,7 @@ def cmd_nbest(args, cfg):
         save_lattice(path, lattice)
         outputs.append(path)
     return ("wrote %d lattices (N=%d) to %s"
-            % (len(lattices), n or rec.cfg.decode.nbest, args.out),
+            % (len(lattices), n, args.out),
             recognizer_inputs(args), outputs)
 
 
@@ -778,7 +681,7 @@ def main(argv=None):
         print(summary)
         out = getattr(args, "out", None) or next(iter(outputs), None)
         if out:
-            write_run_record(out, args.command, cfg.raw, inputs, outputs, t0)
+            write_run_record(out, args.command, cfg, inputs, outputs, t0)
         return 0
     except (ConfigError, DataError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -1,4 +1,5 @@
-"""File formats: binary float matrices, PNG and PPM images, atomic writes.
+"""File formats: binary float matrices, PNG and PPM images, atomic writes,
+and the declaration and checking of config dataclass fields.
 
 Matrix format (.fmat): little-endian header of 4 magic bytes ``FMAT``,
 uint32 row count, uint32 column count, followed by the row-major float32
@@ -11,15 +12,26 @@ filter 0 on write.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import numbers
 import os
 import struct
 import tempfile
+import typing
 import zlib
+from dataclasses import MISSING, field, fields, is_dataclass
 
 import numpy as np
 
 MATRIX_MAGIC = b"FMAT"
+
+
+class DataError(ValueError):
+    """A data or model file is missing or does not hold what its reader
+    expects; the command line exits 3."""
+    exit_code = 3
 
 
 def atomic_write_bytes(path, payload):
@@ -46,9 +58,14 @@ def write_json(path, obj):
                                        allow_nan=False) + "\n")
 
 
-def read_json(path):
+def read_json(path, allow_nan=False):
+    """Refuses NaN and infinity (DataError naming the file) unless
+    ``allow_nan``."""
+    def refuse(constant):
+        raise DataError("%s holds %s, not a finite number" % (path, constant))
+
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        return json.load(f, parse_constant=None if allow_nan else refuse)
 
 
 def write_matrix(path, matrix):
@@ -240,3 +257,80 @@ def sha256_file(path):
         for block in iter(lambda: f.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Config fields: each default, type and legal range declared once, on the
+# config dataclass, and checked by its __post_init__ and the config loader
+
+class FieldError(ValueError):
+    """A config value outside its field's declared type or range; the
+    message starts with the field's ``name``."""
+
+    def __init__(self, name, requirement, value):
+        super().__init__("%s must be %s, got %r" % (name, requirement, value))
+        self.name = name
+
+
+def in_file(path=MISSING, fixed=(), at_least=None, above=None, below=None,
+            choices=None, **kw):
+    """A config dataclass field with ``default``/``default_factory`` as for
+    ``dataclasses.field``.  ``path`` is its dotted place in a config file
+    below the enclosing section (its own name when not given, None: not in
+    the file); a config dataclass there fills that section, less the
+    ``fixed`` fields the program sets itself.  Its value must be of the
+    annotated type and within ``at_least``, ``above``, ``below`` and
+    ``choices`` (each item of a tuple)."""
+    meta = {"fixed": fixed, "bounds": (at_least, above, below, choices)}
+    if path is not MISSING:
+        meta["config"] = path
+    return field(metadata=meta, **kw)
+
+
+_TYPES = {int: (numbers.Integral, "an integer"),   # the values of a field type
+          float: (numbers.Real, "a finite number"), str: (str, "a string")}
+
+
+@functools.cache
+def _declarations(cls):
+    """{name: (type, bounds)} of the fields of config dataclass ``cls``
+    that it checks itself: not its sections or its raw dict."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.metadata.get("bounds", (None,) * 4))
+            for f in fields(cls) if hints[f.name] is not dict
+            and not is_dataclass(hints[f.name])}
+
+
+def _check(name, kind, bounds, value):
+    if kind not in _TYPES:   # tuple[X, ...], tuple[X, X] or X | None
+        args = typing.get_args(kind)
+        if typing.get_origin(kind) is tuple:
+            if not isinstance(value, (tuple, list)) or Ellipsis not in args \
+                    and len(value) != len(args):
+                raise FieldError(name, "a list of %d values" % len(args)
+                                 if Ellipsis not in args else "a list", value)
+            for v in value:
+                _check(name, args[0], bounds, v)
+            return
+        if value is None:
+            return
+        kind = args[0]
+    values, what = _TYPES[kind]
+    if not isinstance(value, values) or isinstance(value, bool) \
+            or kind is float and not math.isfinite(value):
+        raise FieldError(name, what, value)
+    at_least, above, below, choices = bounds
+    if choices is not None and value not in choices:
+        raise FieldError(name, "one of %s" % ", ".join(choices), value)
+    if (at_least is not None and value < at_least or above is not None
+            and value <= above or below is not None and value >= below):
+        raise FieldError(name, " and ".join("%s %s" % (word, bound) for word, bound in (
+            ("at least", at_least), ("above", above), ("below", below))
+            if bound is not None), value)
+
+
+def check_fields(config):
+    """Check each field of a config dataclass against its declaration; every
+    config dataclass's ``__post_init__`` calls this."""
+    for name, (kind, bounds) in _declarations(type(config)).items():
+        _check(name, kind, bounds, getattr(config, name))

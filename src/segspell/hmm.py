@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import BEGIN_SILENCE, END_SILENCE
+from .fileio import atomic_write_text, check_fields, in_file, read_json, write_json
 from .scrf import nbest_segmentations
 from .segments import Segment, check_tiling
 
@@ -43,11 +44,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class DecodeConfig:
     lm_weight: float = 1.0
     penalty: float = 0.0       # per decoded letter; larger means fewer letters
-    nbest: int = 1
+    nbest: int = in_file(default=1, at_least=1)
 
     def __post_init__(self):
-        if self.nbest < 1:
-            raise ValueError("N for N-best must be at least 1")
+        check_fields(self)
 
 
 class NoPathError(RuntimeError):
@@ -147,12 +147,10 @@ class LetterHmm:
         return model
 
     def save(self, path):
-        from .fileio import write_json
         write_json(path, self.to_jsonable())
 
     @classmethod
     def load(cls, path):
-        from .fileio import read_json
         return cls.from_jsonable(read_json(path))
 
 
@@ -609,7 +607,6 @@ def nbest(model, lm, seq, cfg, policy=None):
 
 def save_lattice(path, lattice):
     import json
-    from .fileio import atomic_write_text
     from .segments import to_jsonable
     lines = [json.dumps({"labels": h.labels, "spans": to_jsonable(h.segments),
                          "score": h.score}, sort_keys=True)

@@ -20,55 +20,60 @@ import numpy as np
 from .alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet
 from .classifier import (AdaptationModel, FramePosteriors, TrainConfig, adapt,
                          build_tandem_observation, train_mlp)
+from .fileio import FieldError, check_fields, in_file, read_json, write_json
 from .hmm import (DecodeConfig, build_decode_graph, forced_align, nbest, train_em,
                   unit_transitions, viterbi_decode)
 from .lm import train_bigram
 from .metrics import score_corpus
+from .scrf import REF_POLICIES
 from .segments import frame_labels, letters_only
 from .vision import fit_pca, stack_windows
 
 
 @dataclass
 class FrontendConfig:
-    window: int = 5
-    pca_classifier: int = 12
-    pca_image: int = 10
-    transform: str = "linear"     # 'linear' or 'log' classifier outputs
-    mode: str = "letter"          # tandem classifier block: 'letter'/'feature'
+    window: int = in_file(default=5, at_least=1)   # odd: centred on its frame
+    pca_classifier: int = in_file(default=12, at_least=1)
+    pca_image: int = in_file(default=10, at_least=1)
+    transform: str = in_file(default="linear", choices=("linear", "log"))  # of posteriors
+    # the tandem classifier block: no phonological-feature classifiers are trained
+    mode: str = in_file(default="letter", choices=("letter",))
 
-
-def in_file(path, fixed=(), **kw):
-    """A config field stored at dotted ``path`` of a config file (without
-    one, a field is the key of its own name).  A config dataclass there
-    fills that section, less the ``fixed`` fields the program sets itself."""
-    return field(metadata={"config": path, "fixed": fixed}, **kw)
+    def __post_init__(self):
+        check_fields(self)
+        if self.window % 2 != 1:
+            raise FieldError("window", "odd", self.window)
 
 
 @dataclass
 class PipelineConfig:
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
-    arch: tuple = in_file("classifier.arch", default=(64, 64))
+    arch: tuple[int, ...] = in_file("classifier.arch", default=(64, 64), at_least=1)
     # stage seeds derive from ``seed``, the plateau patience is fixed, and
     # adaptation trains without dropout or a validation split
     train: TrainConfig = in_file(
         "classifier", ("seed", "plateau_patience"), default_factory=lambda: TrainConfig(
-            learning_rate=0.02, momentum=0.9, batch_size=100, max_epochs=14,
-            weight_decay=1e-5, dropout=0.0, validation_fraction=0.1))
+            learning_rate=0.02, momentum=0.9, max_epochs=14))
     adapt_train: TrainConfig = in_file(
         "adaptation", ("seed", "plateau_patience", "dropout", "validation_fraction"),
         default_factory=lambda: TrainConfig(
-            learning_rate=0.01, momentum=0.9, batch_size=100, max_epochs=16,
-            weight_decay=1e-5, dropout=0.0, validation_fraction=0.0))
-    letter_states: int = in_file("hmm.letter_states", default=3)
-    silence_states: int = in_file("hmm.silence_states", default=9)
-    gmm_components: int = in_file("hmm.gmm_components", default=2)
-    em_iters: int = in_file("hmm.em_iters", default=2)
-    decode: DecodeConfig = in_file("hmm.decode", default_factory=lambda: DecodeConfig(
-        lm_weight=1.0, penalty=0.0, nbest=8))
-    folds: int = 10
-    report_folds: int = 8
-    adapt_fraction: float = in_file("adaptation.fraction", default=0.2)
-    seed: int = 20160825
+            learning_rate=0.01, momentum=0.9, max_epochs=16, validation_fraction=0.0))
+    letter_states: int = in_file("hmm.letter_states", default=3, at_least=1)
+    silence_states: int = in_file("hmm.silence_states", default=9, at_least=1)
+    gmm_components: int = in_file("hmm.gmm_components", default=2, at_least=1)
+    em_iters: int = in_file("hmm.em_iters", default=2, at_least=0)
+    decode: DecodeConfig = in_file("hmm.decode",
+                                   default_factory=lambda: DecodeConfig(nbest=8))
+    folds: int = in_file(default=10, at_least=3)   # test, held-out and training folds
+    report_folds: int = in_file(default=8, at_least=1)
+    adapt_fraction: float = in_file("adaptation.fraction", default=0.2, above=0, below=1)
+    seed: int = in_file(default=20160825, at_least=0)   # NumPy seeds are non-negative
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.report_folds > self.folds:
+            raise FieldError("report_folds", "at most folds=%d" % self.folds,
+                             self.report_folds)
 
 
 @dataclass
@@ -388,16 +393,22 @@ def nbest_lattices(recognizer, words, n=None):
 
 @dataclass
 class ScrfConfig:
-    max_duration: int = 40
-    min_letter_duration: int = 2
-    learning_rate: float = 2.0
-    epochs: int = 10
-    l1: float = 0.0
-    l2: float = 1e-4
-    nbest: int = 8
+    max_duration: int = in_file(default=40, at_least=1)
+    min_letter_duration: int = in_file(default=2, at_least=1)
+    learning_rate: float = in_file(default=2.0, at_least=0)
+    epochs: int = in_file(default=10, at_least=0)
+    l1: float = in_file(default=0.0, at_least=0)
+    l2: float = in_file(default=1e-4, at_least=0)
+    nbest: int = in_file(default=8, at_least=1)
     init_scale: float = 8.0
-    rescoring_kinds: tuple = ("mean", "max")
-    ref_policy: str = "add-ground-truth"
+    rescoring_kinds: tuple[str, ...] = ("mean", "max")
+    ref_policy: str = in_file(default="add-ground-truth", choices=REF_POLICIES)
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.min_letter_duration > self.max_duration:
+            raise FieldError("min_letter_duration", "at most max_duration=%d"
+                             % self.max_duration, self.min_letter_duration)
 
 
 def scrf_labels(alphabet):
@@ -530,7 +541,6 @@ def load_scrf(path, recognizer, alphabet, scfg=None):
     """Rebuild a saved segmental model: the feature registry comes from the
     stored manifest (first-pass or rescoring feature set), then the weights
     load with a manifest check."""
-    from .fileio import read_json
     scfg = scfg or ScrfConfig()
     obj = read_json(path)
     names = [m["name"] for m in obj.get("manifest", [])]
@@ -618,7 +628,6 @@ RECOGNIZER_FILES = ("classifier.json", "pca.json", "hmm.json", "lm.arpa", "front
 
 def save_recognizer(rec, directory):
     import os
-    from .fileio import write_json
     os.makedirs(directory, exist_ok=True)
     rec.classifier.save(os.path.join(directory, "classifier.json"))
     write_json(os.path.join(directory, "pca.json"),
@@ -634,7 +643,6 @@ def load_recognizer(directory, cfg=None):
     whose front end is replaced by the bundle's."""
     import os
     from .classifier import load_classifier
-    from .fileio import read_json
     from .hmm import LetterHmm
     from .lm import load_arpa
     from .vision import PcaModel

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabet import BEGIN_SILENCE, END_SILENCE
+from .fileio import read_json, write_json
 from .segments import Segment, check_tiling
 
 START_LABEL = "<start>"
@@ -470,7 +471,6 @@ class SegmentalModel:
         return [{"name": f.name, "dim": int(d)} for f, d in zip(self.features, self.dims)]
 
     def save(self, path):
-        from .fileio import write_json
         write_json(path, {
             "schema": "segspell-scrf-1",
             "labels": self.labels,
@@ -485,7 +485,6 @@ class SegmentalModel:
     def load_weights(self, path):
         """Load weights; fails unless the stored manifest matches this
         model's registered feature functions and dimensions."""
-        from .fileio import read_json
         obj = read_json(path)
         if obj.get("manifest") != self.manifest():
             raise ManifestError("feature manifest mismatch: stored %r vs registered %r"

@@ -32,6 +32,8 @@ from scipy.linalg import expm
 
 from .alphabet import (BEGIN_SILENCE, END_SILENCE, LetterAlphabet,
                        PhoneticFeatureTable)
+from .fileio import (check_fields, in_file, read_json, read_matrix, write_json,
+                     write_matrix)
 from .segments import Segment, check_tiling
 
 TOUCH_CODES = {"-": -1.0, "i": -0.6, "m": -0.2, "m/i": 0.2, "p": 0.6, "r": 1.0}
@@ -82,18 +84,21 @@ class SyntheticSigner:
 
 @dataclass
 class GeneratorConfig:
-    letter_duration: tuple = (8.0, 14.0)   # pre-speed sampling range
+    letter_duration: tuple[float, float] = (8.0, 14.0)   # pre-speed sampling range
     doubled_scale: float = 1.7
     jitter: float = 0.06                   # per-segment target jitter
-    wobble_circles: int = 3
+    wobble_circles: int = in_file(default=3, at_least=0)
     wobble_step: float = 0.5               # radians per frame
     dwell_ramp: float = 4.0                # frames over which motion resumes
     peak_hold: int = 2                     # frames the target pose is held
     min_transition: float = 1.3            # motion floor between peaks
     appearance_strength: float = 1.0
     bias_strength: float = 0.4
-    speed_ratio: float = 1.8
-    image_size: tuple = (48, 64)           # (H, W)
+    speed_ratio: float = in_file(default=1.8, above=0)
+    image_size: tuple[int, int] = in_file(default=(48, 64), at_least=1)   # (H, W)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
@@ -337,7 +342,6 @@ def generate_corpus(word_list, signers, seed, repetitions=2, cfg=None,
 # Corpus on disk: manifest + binary descriptor matrices + ground truth
 
 def save_corpus(corpus, directory):
-    from .fileio import write_json, write_matrix
     from .segments import to_jsonable
     os.makedirs(directory, exist_ok=True)
     entries = []
@@ -367,7 +371,6 @@ def save_corpus(corpus, directory):
 def corpus_files(directory):
     """Every file ``load_corpus`` reads: the manifest, then each entry's
     metadata and descriptor file."""
-    from .fileio import read_json
     manifest = os.path.join(directory, "manifest.json")
     return [manifest] + [os.path.join(directory, e["stem"] + ext)
                          for e in read_json(manifest)["entries"]
@@ -375,7 +378,6 @@ def corpus_files(directory):
 
 
 def load_corpus(directory, signers=None, cfg=None):
-    from .fileio import read_json, read_matrix
     from .segments import from_jsonable
     manifest = read_json(os.path.join(directory, "manifest.json"))
     words = []

@@ -126,7 +126,7 @@ class TestTraining:
         ("dropout", 1.0), ("dropout", 1.5), ("dropout", -0.1),
         ("validation_fraction", 1.0), ("validation_fraction", -0.1)])
     def test_fraction_fields_bounded(self, field, value):
-        with pytest.raises(ValueError, match="dropout and validation_fraction"):
+        with pytest.raises(ValueError, match=field + " must be"):
             C.TrainConfig(**{field: value})
 
     def test_learning_curve_csv(self):

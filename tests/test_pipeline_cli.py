@@ -208,6 +208,28 @@ class TestCliChain:
                      "classifier.validation_fraction", id="validation-fraction-1"),
         pytest.param({"classifier": {"validation_fraction": 2}},
                      "classifier.validation_fraction", id="validation-fraction-2"),
+        # each of these crashed in synthgen after loading
+        pytest.param({"generator": {"jitter": "x"}}, "generator.jitter",
+                     id="generator-jitter"),
+        pytest.param({"generator": {"wobble_circles": -1}}, "generator.wobble_circles",
+                     id="generator-wobble-circles--1"),
+        pytest.param({"generator": {"wobble_circles": 2.5}}, "generator.wobble_circles",
+                     id="generator-wobble-circles-2.5"),
+        pytest.param({"generator": {"speed_ratio": 0}}, "generator.speed_ratio",
+                     id="generator-speed-ratio"),
+        # written as JSON NaN and Infinity
+        pytest.param({"classifier": {"learning_rate": float("nan")}},
+                     "classifier.learning_rate", id="learning-rate-nan"),
+        pytest.param({"hmm": {"decode": {"lm_weight": float("inf")}}},
+                     "hmm.decode.lm_weight", id="lm-weight-inf"),
+        pytest.param({"hmm": {"letter_states": 2.9}}, "hmm.letter_states",
+                     id="letter-states-float"),
+        pytest.param({"seed": "7"}, "seed", id="seed-string"),
+        pytest.param({"scrf": {"epochs": -3}}, "scrf.epochs", id="scrf-epochs"),
+        pytest.param({"scrf": {"learning_rate": -1}}, "scrf.learning_rate",
+                     id="scrf-learning-rate"),
+        pytest.param({"scrf": {"l1": -1}}, "scrf.l1", id="scrf-l1"),
+        pytest.param({"scrf": {"l2": -5}}, "scrf.l2", id="scrf-l2"),
     ])
     def test_bad_fraction_exit_2(self, workdir, tmp_path, capsys, bad, field):
         cfg = tmp_path / "cfg.json"
@@ -283,7 +305,32 @@ class TestCliChain:
             assert (loaded == default) == (key == "frontend.mode"), key
 
     def test_zero_em_iterations_valid(self):
-        assert cli.pipeline_config({"hmm": {"em_iters": 0}}).em_iters == 0
+        assert cli.load_config(None, {"hmm": {"em_iters": 0}}).pipeline.em_iters == 0
+
+    def test_loaded_defaults_are_the_dataclass_defaults(self):
+        from segspell import synthgen
+        cfg = cli.load_config()
+        assert cfg.pipeline == pipeline.PipelineConfig()
+        assert cfg.scrf == pipeline.ScrfConfig()
+        assert cfg.generator == synthgen.GeneratorConfig()
+
+    @pytest.mark.parametrize("name", ["classifier.json", "hmm.json"])
+    def test_non_finite_model_file_exit_3(self, workdir, tmp_path, capsys, name):
+        import re
+        import shutil
+        bundle = tmp_path / "rec"
+        shutil.copytree(workdir / "rec", bundle)
+        text = (bundle / name).read_text()
+        # the first decimal number becomes a JSON NaN
+        text, n = re.subn(r"-?\d+\.\d+([eE][-+]?\d+)?", "NaN", text, count=1)
+        assert n == 1
+        (bundle / name).write_text(text)
+        rc = cli.main(["decode", "--recognizer", str(bundle),
+                       "--corpus", str(workdir / "corpus"), "--signers", "S1",
+                       "--out", str(tmp_path / "hyps.txt")])
+        assert rc == 3
+        assert str(bundle / name) in capsys.readouterr().err
+        assert not (tmp_path / "hyps.txt").exists()
 
     def test_align_and_nbest_outputs(self, workdir):
         d = workdir
