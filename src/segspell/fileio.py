@@ -58,14 +58,19 @@ def write_json(path, obj):
                                        allow_nan=False) + "\n")
 
 
+def refuse_non_finite(where):
+    """A json ``parse_constant`` that refuses NaN and infinity with a
+    DataError naming ``where``."""
+    def refuse(constant):
+        raise DataError("%s holds %s, not a finite number" % (where, constant))
+    return refuse
+
+
 def read_json(path, allow_nan=False):
     """Refuses NaN and infinity (DataError naming the file) unless
     ``allow_nan``."""
-    def refuse(constant):
-        raise DataError("%s holds %s, not a finite number" % (path, constant))
-
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f, parse_constant=None if allow_nan else refuse)
+        return json.load(f, parse_constant=None if allow_nan else refuse_non_finite(path))
 
 
 def write_matrix(path, matrix):

@@ -9,8 +9,9 @@ sequences need not start or end with non-signing frames.  That policy is
 stated once, at unit level, by ``unit_transitions``.
 
 N-best lattices run on the semi-Markov engine (``scrf.nbest_segmentations``):
-each unit's best within-unit state path over every span is one span-table
-entry, and the unit-level policy is the engine's transition matrix.
+each unit's best within-unit state path over every span is one span score
+(the boundary silences' from and to the sequence edges only), and the
+unit-level policy is the engine's transition matrix.
 Viterbi and forced alignment stay frame-synchronous over the expanded state
 graph: built on the span table, Viterbi is O(T^2) per word and measured
 2-2.5x slower on a 2-vCPU x86-64 host (0.27-0.37 s against 0.12-0.15 s
@@ -32,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import BEGIN_SILENCE, END_SILENCE
-from .fileio import atomic_write_text, check_fields, in_file, read_json, write_json
-from .scrf import nbest_segmentations
+from .fileio import (atomic_write_text, check_fields, in_file, read_json,
+                     refuse_non_finite, write_json)
+from .scrf import Tables, nbest_segmentations
 from .segments import Segment, check_tiling
 
 LOG_ZERO = -1e30
@@ -558,16 +560,20 @@ def lattice_from_ranked(labels, ranked, num_frames):
     return lattice_from_hypotheses(hyps, num_frames)
 
 
-def span_table(model, emis):
-    """Best within-unit state path for every span, (T, T, units).
+def span_table(model, emis, policy):
+    """The N-best engine's input: ``scrf.Tables`` of every unit span's best
+    within-unit state path, with ``policy`` = ``unit_transitions``.
 
-    ``[t, d-1, u]`` enters unit u's first state at frame t, covers d frames
-    and leaves its last state after frame t+d-1, that exit's ``log_next``
-    included; it is -inf when d is below the unit's state count.  The chain
-    DP runs over all start frames at once, one step per duration, for each
-    group of units with the same state count."""
+    ``table[t, d-1, u]`` enters letter u's first state at frame t, covers d
+    frames and leaves its last state after frame t+d-1, that exit's
+    ``log_next`` included; it is -inf when d is below the unit's state
+    count.  ``unit_transitions`` enters ``<s>`` only from START and leaves
+    ``</s>`` only to the end, so their spans are ``enter[t]`` over [0, t)
+    and ``leave[t]`` over [t, T).  The chain DP runs over all start frames
+    at once, one step per duration, for each group of units with the same
+    state count."""
     t_len = len(emis)
-    table = np.full((t_len, t_len, len(model.units)), -np.inf)
+    spans = np.full((t_len, t_len, len(model.units)), -np.inf)
     for k in sorted(set(model.unit_nstates.values())):
         group = [i for i, u in enumerate(model.units) if model.unit_nstates[u] == k]
         states = np.array([list(model.unit_states(model.units[i])) for i in group])
@@ -578,11 +584,18 @@ def span_table(model, emis):
         v = np.full((t_len, len(group), k), -np.inf)
         v[:, :, 0] = e[:, :, 0]
         for d in range(1, t_len + 1):
-            table[:t_len - d + 1, d - 1, group] = v[:, :, k - 1] + log_next[:, k - 1]
+            spans[:t_len - d + 1, d - 1, group] = v[:, :, k - 1] + log_next[:, k - 1]
             move = np.full((t_len - d, len(group), k), -np.inf)
             move[:, :, 1:] = v[:-1, :, :-1] + log_next[:, :-1]
             v = np.maximum(v[:-1] + log_self, move) + e[d:]
-    return table
+    beg, end = model.units.index(BEGIN_SILENCE), model.units.index(END_SILENCE)
+    enter = np.full((t_len + 1, len(model.units)), -np.inf)
+    leave = np.full((t_len + 1, len(model.units)), -np.inf)
+    t = np.arange(t_len)
+    enter[1:, beg] = spans[0, :, beg]
+    leave[t, end] = spans[t, t_len - 1 - t, end]
+    letters = len(model.letters)               # the first units
+    return Tables(spans[:, :, :letters], *policy, enter, leave, np.arange(letters))
 
 
 def nbest(model, lm, seq, cfg, policy=None):
@@ -595,8 +608,8 @@ def nbest(model, lm, seq, cfg, policy=None):
     hypotheses.  ``viterbi_decode`` does not use this path: on the span
     table it is O(T^2) per word and measured 2x slower (module docstring)."""
     emis = model.emission_logprobs(seq)
-    trans, final = policy if policy is not None else unit_transitions(model, lm, cfg)
-    ranked = nbest_segmentations(span_table(model, emis), trans, final, cfg.nbest)
+    policy = policy if policy is not None else unit_transitions(model, lm, cfg)
+    ranked = nbest_segmentations(span_table(model, emis, policy), cfg.nbest)
     if not ranked:
         raise NoPathError("no legal path for N-best search")
     return lattice_from_ranked(model.units, ranked, len(emis))
@@ -619,11 +632,12 @@ def load_lattice(path):
     from .segments import from_jsonable
     hyps = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            obj = json.loads(line, parse_constant=refuse_non_finite(
+                "%s line %d" % (path, lineno)))
             segs = from_jsonable(obj["spans"])
             hyps.append(Hypothesis([s.label for s in segs], segs, float(obj["score"])))
     num_frames = hyps[0].segments[-1].end + 1

@@ -20,6 +20,7 @@ import math
 from collections import Counter
 
 from .alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet, UnknownSymbolError
+from .fileio import DataError, atomic_write_text
 
 
 class BigramLm:
@@ -85,7 +86,6 @@ class BigramLm:
         return "\n".join(lines) + "\n"
 
     def save(self, path):
-        from .fileio import atomic_write_text
         atomic_write_text(path, self.to_arpa())
 
 
@@ -131,10 +131,21 @@ def load_arpa(path, alphabet=None):
     inside every consumer's tolerance here."""
     if alphabet is None:
         alphabet = LetterAlphabet()
+
+    def prob(token, lineno):
+        try:
+            value = float(token)
+            if math.isfinite(value):
+                return 10.0 ** value
+        except (ValueError, OverflowError):
+            pass
+        raise DataError("%s line %d holds %s, not a finite log10 value"
+                        % (path, lineno, token))
+
     probs, unis, backoff = {}, {}, {}
     section = None
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
@@ -143,9 +154,9 @@ def load_arpa(path, alphabet=None):
                 continue
             parts = line.split()
             if section == "\\1-grams:":
-                unis[parts[1]] = 10.0 ** float(parts[0])
-                if len(parts) > 2:
-                    backoff[parts[1]] = 10.0 ** float(parts[2])
+                unis[parts[1]] = prob(parts[0], lineno)
+                if len(parts) > 2:   # histories only: </s> has no backoff weight
+                    backoff[parts[1]] = prob(parts[2], lineno)
             elif section == "\\2-grams:":
-                probs[(parts[1], parts[2])] = 10.0 ** float(parts[0])
+                probs[(parts[1], parts[2])] = prob(parts[0], lineno)
     return BigramLm(alphabet, probs, unis, backoff)

@@ -20,7 +20,7 @@ import numpy as np
 from .alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet
 from .classifier import (AdaptationModel, FramePosteriors, TrainConfig, adapt,
                          build_tandem_observation, train_mlp)
-from .fileio import FieldError, check_fields, in_file, read_json, write_json
+from .fileio import DataError, FieldError, check_fields, in_file, read_json, write_json
 from .hmm import (DecodeConfig, build_decode_graph, forced_align, nbest, train_em,
                   unit_transitions, viterbi_decode)
 from .lm import train_bigram
@@ -647,9 +647,13 @@ def load_recognizer(directory, cfg=None):
     from .lm import load_arpa
     from .vision import PcaModel
     cfg = cfg or PipelineConfig()
-    fe = read_json(os.path.join(directory, "frontend.json"))
-    cfg = replace(cfg, frontend=FrontendConfig(
-        **{f.name: fe[f.name] for f in fields(FrontendConfig)}))
+    path = os.path.join(directory, "frontend.json")
+    fe = read_json(path)
+    try:
+        cfg = replace(cfg, frontend=FrontendConfig(
+            **{f.name: fe[f.name] for f in fields(FrontendConfig)}))
+    except FieldError as exc:
+        raise DataError("%s: %s" % (path, exc)) from None
     classifier = load_classifier(os.path.join(directory, "classifier.json"))
     pcas = read_json(os.path.join(directory, "pca.json"))
     return Recognizer(classifier,

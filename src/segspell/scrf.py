@@ -11,8 +11,9 @@ candidate segmentations of a lattice (rescoring mode).
 
 Inference is exact and follows the first-order semi-CRF of Sarawagi &
 Cohen (NIPS 2004).  An edge score splits into a span part, a (start,
-duration, label) table with infeasible spans at -inf, and a label-pair
-part, an (L+1) x L transition matrix whose row 0 is the START context.
+duration, label) table with infeasible spans at -inf plus the boundary
+silences' spans from and to the sequence edges, and a label-pair part, an
+(L+1) x L transition matrix whose row 0 is the START context.
 The only left-dependent feature (the LM feature) reads nothing but the
 label pair, so it lives in that matrix next to the structural
 constraints.  Forward/backward, Viterbi, N-best, marginals and both
@@ -205,15 +206,9 @@ class _Lexicalized:
     def dimension(self, ctx):
         return len(self.labels) * self.block_size(ctx)
 
-    def span_matrix(self, ctx, dmax):
-        """Base vectors for every (start, duration): (T, dmax, block);
-        spans running past the last frame stay zero."""
-        t_len = ctx.num_frames
-        phi = np.zeros((t_len, dmax, self.block_size(ctx)))
-        for t0 in range(t_len):
-            for d in range(1, min(dmax, t_len - t0) + 1):
-                phi[t0, d - 1] = self.base_vector(ctx, t0, t0 + d - 1)
-        return phi
+    def span_vectors(self, ctx, starts, ends):
+        """Base vectors of the spans [starts[i], ends[i]], (spans, block)."""
+        return np.array([self.base_vector(ctx, s, e) for s, e in zip(starts, ends)])
 
 
 class ClassifierStatFeature(_Lexicalized):
@@ -301,24 +296,18 @@ class FirstPassFeatures(_Lexicalized):
         out[-1] = 1.0
         return out
 
-    def span_matrix(self, ctx, dmax):
-        """Base vectors for every (start, duration): (T, dmax, block)."""
+    def span_vectors(self, ctx, starts, ends):
+        """``base_vector`` of every span at once, the mean from a cumsum."""
         g = np.asarray(ctx.letter_posteriors, dtype=np.float64)
-        t_len, c = g.shape
+        c = self.num_classes
         cums = np.vstack([np.zeros(c), np.cumsum(g, axis=0)])
-        phi = np.zeros((t_len, dmax, self.block))
-        t0 = np.arange(t_len)
-        for d in range(1, dmax + 1):
-            s = t0[t0 + d <= t_len]
-            if len(s) == 0:
-                break
-            e = s + d - 1
-            mean = (cums[e + 1] - cums[s]) / d
-            mid = (s + e) // 2
-            phi[s, d - 1, :6 * c] = np.concatenate(
-                [mean, g[s], g[mid], g[e], g[s], g[e]], axis=1)
-            phi[s, d - 1, 6 * c + min(d, self.max_duration) - 1] = 1.0
-            phi[s, d - 1, -1] = 1.0
+        d = ends + 1 - starts
+        phi = np.zeros((len(starts), self.block))
+        phi[:, :c] = (cums[ends + 1] - cums[starts]) / d[:, None]
+        for k, at in enumerate([starts, (starts + ends) // 2, ends, starts, ends], 1):
+            phi[:, k * c:(k + 1) * c] = g[at]
+        phi[np.arange(len(d)), 6 * c + np.minimum(d, self.max_duration) - 1] = 1.0
+        phi[:, -1] = 1.0
         return phi
 
 
@@ -381,8 +370,9 @@ class SegmentalModel:
 
     Durations are bounded by ``max_duration`` except for the boundary
     silences, which are exempt; letters may also get a minimum duration.
-    Optional structural constraints pin which labels may start or end a
-    segmentation (used to keep boundary silences at the sequence edges).
+    As ``transition_ok`` lets no label precede ``<s>`` or follow ``</s>``,
+    their segments always touch the first or the last frame (``Tables``),
+    with or without the optional initial- and final-label constraints.
     """
 
     def __init__(self, labels, features, dims, max_duration=40, min_letter_duration=1,
@@ -522,109 +512,158 @@ def _lse(values, axis=0):
 
 @dataclass
 class Tables:
-    table: np.ndarray        # (T, dmax, L): left-independent edge scores
-    dmax: int
-    trans: np.ndarray        # (L+1, L): label-pair scores, row 0 = START
-    span_features: dict      # feature position -> per-span feature values
-    pair_features: dict      # feature position -> (L+1, L, dim) values
+    """One sequence's edge scores, the input of every inference routine.
+
+    ``table[t, d-1, c]`` scores a segment labeled ``columns[c]`` over
+    frames [t, t+d), d up to dmax.  The unbounded ``<s>`` and ``</s>``
+    segments always cover [0, t) or [t, T) (``SegmentalModel``):
+    ``enter[t, y]`` scores one labeled y over [0, t) and ``leave[t, y]``
+    over [t, T), 2T spans instead of T^2.  Each span is scored in one of
+    the three, infeasible ones at -inf.  ``trans[p, y]`` scores label y
+    after context p (row 0 START, row p+1 label p); ``final[y]`` ends a
+    hypothesis on y.  The feature values behind the scores are kept for
+    the expectations: per left-independent feature one row per span of
+    ``scores``, per left-dependent one (L+1, L, dim)."""
+    table: np.ndarray                  # (T, dmax, len(columns))
+    trans: np.ndarray                  # (L+1, L)
+    final: np.ndarray                  # (L,)
+    enter: np.ndarray                  # (T+1, L); row 0 unread
+    leave: np.ndarray                  # (T+1, L); row T unread
+    columns: np.ndarray                # the table's labels
+    span_features: dict = field(default_factory=dict)
+    pair_features: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        t_len, dmax, _ = self.table.shape
+        # scores[k, y]: span k of _span_bounds labeled y; by_end (by_start)
+        # lists the spans by end (start) boundary, shortest first: the tie
+        # order of nbest_segmentations
+        self.starts, self.ends = _span_bounds(t_len, dmax)
+        cells, dur = len(self.starts) - 2 * t_len, self.ends - self.starts
+        self.scores = np.full((len(dur), len(self.final)), NEG_INF)
+        self.scores[:cells, self.columns] = self.table[self.starts[:cells], dur[:cells] - 1]
+        self.scores[cells:] = np.concatenate([self.enter[1:], self.leave[:-1]])
+        self.by_end = np.lexsort((dur, self.ends))
+        self.by_start = np.lexsort((dur, self.starts))
+        self.end_cut = np.searchsorted(self.ends[self.by_end], np.arange(t_len + 2))
+        self.start_cut = np.searchsorted(self.starts[self.by_start], np.arange(t_len + 1))
+
+    def ending_at(self, t):
+        """(scores (m, L), starts (m,)) of the spans ending at boundary t."""
+        k = self.by_end[self.end_cut[t]:self.end_cut[t + 1]]
+        return self.scores[k], self.starts[k]
+
+    def starting_at(self, t):
+        """(scores (m, L), ends (m,)) of the spans starting at boundary t."""
+        k = self.by_start[self.start_cut[t]:self.start_cut[t + 1]]
+        return self.scores[k], self.ends[k]
+
+
+def _span_bounds(t_len, dmax):
+    """Start and exclusive end boundaries of every span ``Tables`` scores:
+    the table's cells within the frames row-major, then [0, t) for t = 1..T,
+    then [t, T) for t = 0..T-1."""
+    t, d = np.divmod(np.arange(t_len * dmax), dmax)
+    t, e = t[t + d < t_len], (t + d + 1)[t + d < t_len]
+    b = np.arange(1, t_len + 1)
+    return np.concatenate([t, 0 * b, b - 1]), np.concatenate([e, b, t_len + 0 * b])
+
+
+def _label_blocks(f, labels):
+    """(labels, their weight blocks) of a lexicalized feature's labels."""
+    pairs = [(li, f.label_index(l)) for li, l in enumerate(labels)]
+    return np.array([p for p in pairs if p[1] is not None], dtype=int).reshape(-1, 2).T
 
 
 def compute_tables(model, ctx, weights=None):
-    """Both parts of every edge score, built once per sequence.
+    """Every edge score of one sequence, as ``Tables``.
 
-    ``table[t, d-1, y]`` is the left-independent score of a span starting at
-    t with duration d and label y; infeasible spans are -inf.  ``trans[p, y]``
-    is the score of label y following context p, where row 0 is the START
-    context (the initial-label constraint) and row p+1 follows label p:
-    disallowed pairs are -inf and each left-dependent feature adds
-    w . f(left, right).  The feature values behind both are kept for the
-    expectations: (T, dmax, block) base vectors for a lexicalized feature,
-    (T, dmax, L, dim) edge values for any other left-independent one."""
+    Letters fill the (T, dmax, letters) table, dmax = min(max_duration, T),
+    -inf outside their duration bounds; ``<s>`` only enter and ``</s>``
+    only leave, whatever ``initial_labels`` and ``final_labels`` say.  So
+    feature values are computed for T * dmax + 2T spans: base vectors
+    (spans, block) per lexicalized feature, edge values (spans, L, dim) per
+    other left-independent one.  ``trans`` has the initial-label constraint
+    in row 0, -inf for disallowed pairs, and each left-dependent feature's
+    w . f(left, right)."""
     w_all = model.weights if weights is None else weights
     labels = model.labels
-    t_len = ctx.num_frames
-    dmax = min(max(model.max_dur(l, t_len) for l in labels), t_len)
-    nl = len(labels)
-    table = np.zeros((t_len, dmax, nl))
-    trans = np.full((nl + 1, nl), NEG_INF)
-    for li, label in enumerate(labels):
-        if model.initial_ok(label):
-            trans[0, li] = 0.0
-        for pi, prev in enumerate(labels):
-            if model.transition_ok(prev, label):
-                trans[pi + 1, li] = 0.0
+    nl, t_len = len(labels), ctx.num_frames
+    dmax = min(model.max_duration, t_len)
+    starts, ends = _span_bounds(t_len, dmax)
+    scores = np.zeros((len(starts), nl))
+    trans = np.where([list(map(model.initial_ok, labels))]
+                     + [[model.transition_ok(p, y) for y in labels] for p in labels],
+                     0.0, NEG_INF)
     span_features, pair_features = {}, {}
     for fi, (f, off, dim) in enumerate(zip(model.features, model.offsets[:-1], model.dims)):
         w = w_all[off:off + dim]
         if f.left_dependent:
-            phi = f.pair_matrix(ctx, labels)
-            pair_features[fi] = phi
+            pair_features[fi] = phi = f.pair_matrix(ctx, labels)
             trans = trans + phi @ w
-        elif f.lexicalized:
-            phi = f.span_matrix(ctx, dmax)
-            span_features[fi] = phi
-            bd = phi.shape[2]
+            continue
+        if f.lexicalized:
+            bd = f.block_size(ctx)
+            phi = f.span_vectors(ctx, starts, ends - 1)
             wm = np.zeros((nl, bd))
-            for li, label in enumerate(labels):
-                idx = f.label_index(label)
-                if idx is not None:
-                    wm[li] = w[idx * bd:(idx + 1) * bd]
-            table += phi @ wm.T
+            rows, blocks = _label_blocks(f, labels)
+            wm[rows] = w.reshape(-1, bd)[blocks]
+            scores += phi @ wm.T
         else:
-            phi = np.zeros((t_len, dmax, nl, dim))
-            for t0 in range(t_len):
-                for d in range(1, min(dmax, t_len - t0) + 1):
-                    for li, label in enumerate(labels):
-                        phi[t0, d - 1, li] = f.eval(
-                            SegmentEdge(t0, t0 + d - 1, START_LABEL, label), ctx)
-            span_features[fi] = phi
-            table += phi @ w
-    for li, label in enumerate(labels):
-        table[:, :max(model.min_dur(label) - 1, 0), li] = NEG_INF
-        table[:, model.max_dur(label, t_len):, li] = NEG_INF
-    for t0 in range(t_len):
-        table[t0, t_len - t0:, :] = NEG_INF
-    return Tables(table, dmax, trans, span_features, pair_features)
+            phi = np.array([[f.eval(SegmentEdge(int(a), int(e) - 1, START_LABEL, y), ctx)
+                             for y in labels] for a, e in zip(starts, ends)])
+            scores += phi @ w
+        span_features[fi] = phi
+    cells = len(starts) - 2 * t_len
+    # the part of the span order that scores each label: table, enter, leave
+    part = np.repeat([0, 1, 2], [cells, t_len, t_len])
+    own = np.array([{BEGIN_SILENCE: 1, END_SILENCE: 2}.get(l, 0) for l in labels])
+    dur = ends - starts
+    scores[(part[:, None] != own) | (dur[:, None] < [model.min_dur(l) for l in labels])
+           | (dur[:, None] > [model.max_dur(l, t_len) for l in labels])] = NEG_INF
+    letters = np.flatnonzero(own == 0)
+    table = np.full((t_len, dmax, len(letters)), NEG_INF)
+    table[starts[:cells], dur[:cells] - 1] = scores[:cells, letters]
+    enter, leave = np.full((2, t_len + 1, nl), NEG_INF)
+    enter[1:], leave[:-1] = scores[cells:cells + t_len], scores[cells + t_len:]
+    return Tables(table, trans, model.final_mask(), enter, leave, letters,
+                  span_features, pair_features)
 
 
 # ---------------------------------------------------------------------------
 # Exact inference over the full segmentation space
 
-def forward_pass(model, ctx, weights=None, tabs=None):
-    """alpha[t, y]: log-sum over partial hypotheses covering frames [0, t)
-    whose final segment has label y; prev_lse[t, y]: log-sum over contexts
-    preceding a segment starting at t labeled y, with the pair score
-    (START at t=0)."""
-    if tabs is None:
-        tabs = compute_tables(model, ctx, weights)
-    table, dmax, trans = tabs.table, tabs.dmax, tabs.trans
-    t_len = ctx.num_frames
-    nl = len(model.labels)
+def forward_pass(tabs):
+    """(alpha, prev_lse).  alpha[t, y]: log-sum over partial hypotheses
+    covering frames [0, t) whose final segment has label y; prev_lse[t, y]:
+    log-sum over contexts preceding a segment starting at t labeled y, with
+    the pair score (START at t=0, which the enter spans also follow)."""
+    trans = tabs.trans
+    t_len, nl = len(tabs.table), len(tabs.final)
     alpha = np.full((t_len + 1, nl), NEG_INF)
     prev_lse = np.full((t_len + 1, nl), NEG_INF)
     prev_lse[0] = trans[0]
     for t in range(1, t_len + 1):
-        starts = t - np.arange(1, min(dmax, t) + 1)
-        alpha[t] = _lse(table[starts, t - starts - 1, :] + prev_lse[starts])
+        scores, starts = tabs.ending_at(t)
+        alpha[t] = _lse(scores + prev_lse[starts])
         if t < t_len:
             prev_lse[t] = _lse(alpha[t][:, None] + trans[1:])
-    return alpha, prev_lse, tabs
+    return alpha, prev_lse
 
 
-def backward_pass(model, ctx, tabs):
+def backward_pass(tabs):
     """(tail, inner).  tail[t, p]: log-sum over completions of frames
     [t, T) given the previous segment ended at t with label p; tail[T]
-    folds in the final-label mask.  inner[t, y]: the same completions
-    restricted to a first segment labeled y, without its pair score."""
-    table, dmax, trans = tabs.table, tabs.dmax, tabs.trans
-    t_len = ctx.num_frames
-    nl = len(model.labels)
+    is the final score.  inner[t, y]: the same completions restricted to a
+    first segment labeled y, without its pair score."""
+    trans = tabs.trans
+    t_len, nl = len(tabs.table), len(tabs.final)
     tail = np.full((t_len + 1, nl), NEG_INF)
     inner = np.full((t_len, nl), NEG_INF)
-    tail[t_len] = model.final_mask()
+    tail[t_len] = tabs.final
     for t in range(t_len - 1, -1, -1):
-        ends = t + np.arange(1, min(dmax, t_len - t) + 1)
-        inner[t] = _lse(table[t, :len(ends), :] + tail[ends])
+        scores, ends = tabs.starting_at(t)
+        inner[t] = _lse(scores + tail[ends])
         tail[t] = _lse(inner[t][:, None] + trans[1:].T)
     return tail, inner
 
@@ -639,77 +678,43 @@ def log_partition(model, ctx, mode="full", lattice=None, weights=None):
         return _logsumexp(np.array(scores))
     if mode != "full":
         raise ValueError("mode must be 'full' or 'lattice'")
-    alpha, _, _ = forward_pass(model, ctx, weights)
-    return _logsumexp(alpha[ctx.num_frames] + model.final_mask())
+    tabs = compute_tables(model, ctx, weights)
+    alpha, _ = forward_pass(tabs)
+    return _logsumexp(alpha[ctx.num_frames] + tabs.final)
 
 
 def viterbi(model, ctx, weights=None):
-    """Best labeled segmentation under the duration bounds.
-
-    Exact ties resolve to the shortest final segment, then the lowest
-    previous-label index (and, at the last frame, the lowest label index).
-    ``nbest_segmentations`` ranks its ties by the same order (lowest
-    duration, previous label and label first), so its best hypothesis is
-    this one.
-    """
-    tabs = compute_tables(model, ctx, weights)
-    table, dmax, trans = tabs.table, tabs.dmax, tabs.trans
-    t_len = ctx.num_frames
-    nl = len(model.labels)
-    best = np.full((t_len + 1, nl), NEG_INF)
-    # best over previous contexts with the pair score, and that label's index
-    prev_best = np.full((t_len + 1, nl), NEG_INF)
-    prev_arg = np.zeros((t_len + 1, nl), dtype=int)
-    prev_best[0] = trans[0]
-    prev_arg[0] = -1
-    back_d = np.zeros((t_len + 1, nl), dtype=int)
-    for t in range(1, t_len + 1):
-        starts = t - np.arange(1, min(dmax, t) + 1)
-        cand = table[starts, t - starts - 1, :] + prev_best[starts]  # (n_d, nl)
-        di = np.argmax(cand, axis=0)
-        best[t] = cand[di, np.arange(nl)]
-        back_d[t] = di + 1
-        if t < t_len:
-            scores = best[t][:, None] + trans[1:]  # (prev, next)
-            prev_arg[t] = np.argmax(scores, axis=0)
-            prev_best[t] = scores[prev_arg[t], np.arange(nl)]
-    finals = best[t_len] + model.final_mask()
-    li = int(np.argmax(finals))
-    if finals[li] == NEG_INF:
+    """Best labeled segmentation under the duration bounds, as (labels,
+    segments, score): the top of ``nbest_segmentations``, so exact ties
+    resolve to the shortest final segment, then the lowest previous-label
+    index (and, at the last frame, the lowest label index)."""
+    ranked = nbest_segmentations(compute_tables(model, ctx, weights), 1)
+    if not ranked:
         raise ValueError("no legal segmentation (check duration bounds)")
-    final_score = float(finals[li])
-    labels, segments = [], []
-    t = t_len
-    while t > 0:
-        d = int(back_d[t, li])
-        a = t - d
-        labels.append(model.labels[li])
-        segments.append(Segment(model.labels[li], a, t - 1))
-        li = int(prev_arg[a, li])
-        t = a
-    labels.reverse()
-    segments.reverse()
-    return labels, segments, final_score
+    score, spans = ranked[0]
+    segments = [Segment(model.labels[y], start, end) for y, start, end in spans]
+    return [s.label for s in segments], segments, score
 
 
-def _edge_posteriors(prev_lse, table, tail, logz):
-    t_len, dmax, nl = table.shape
-    marg = np.zeros(table.shape)
-    with np.errstate(invalid="ignore"):
-        for d in range(1, dmax + 1):
-            rows = np.arange(0, t_len - d + 1)
-            vals = prev_lse[rows] + table[rows, d - 1, :] + tail[rows + d] - logz
-            marg[rows, d - 1, :] = np.where(np.isfinite(vals), np.exp(vals), 0.0)
-    return marg
+def _marginals(tabs):
+    """(span posteriors (spans, L) in ``Tables.scores``' order, summed over
+    the left label; logZ; alpha; inner)."""
+    alpha, prev_lse = forward_pass(tabs)
+    tail, inner = backward_pass(tabs)
+    logz = _logsumexp(alpha[-1] + tabs.final)
+    return (np.exp(prev_lse[tabs.starts] + tabs.scores + tail[tabs.ends] - logz),
+            logz, alpha, inner)
 
 
 def edge_marginals(model, ctx, weights=None, tabs=None):
     """Posterior probability of each (start, duration, right label) edge
-    (summed over the left label), shape (T, dmax, L), plus logZ."""
-    alpha, prev_lse, tabs = forward_pass(model, ctx, weights, tabs)
-    tail, _ = backward_pass(model, ctx, tabs)
-    logz = _logsumexp(alpha[ctx.num_frames] + model.final_mask())
-    return _edge_posteriors(prev_lse, tabs.table, tail, logz), logz
+    (summed over the left label), shape (T, T, L), plus logZ."""
+    if tabs is None:
+        tabs = compute_tables(model, ctx, weights)
+    post, logz, _, _ = _marginals(tabs)
+    marg = np.zeros((ctx.num_frames, ctx.num_frames, post.shape[1]))
+    np.add.at(marg, (tabs.starts, tabs.ends - tabs.starts - 1), post)
+    return marg, logz
 
 
 # ---------------------------------------------------------------------------
@@ -734,27 +739,23 @@ def candidate_feature_totals(model, ctx, hyp):
     return total
 
 
-def _add_span_expectation(model, tabs, post, li, expect):
-    """expect += sum over spans of post[t, d-1] * f(span labeled li), for
-    every left-independent feature."""
+def _expectation(model, tabs, post, pair_post):
+    """Expected features: post[k, y] * f(span k labeled y) summed over spans
+    (``Tables.scores``' order) and labels, one (spans, L)^T @ (spans, block)
+    product per lexicalized feature, plus pair_post[p, y] * f(p, y) summed
+    over label pairs (indexed like the transition matrix)."""
+    expect = np.zeros(model.total_dim)
     for fi, phi in tabs.span_features.items():
         f, off, dim = model.features[fi], model.offsets[fi], model.dims[fi]
         if f.lexicalized:
-            idx = f.label_index(model.labels[li])
-            if idx is not None:
-                bd = phi.shape[2]
-                expect[off + idx * bd: off + (idx + 1) * bd] += \
-                    np.einsum("td,tdb->b", post, phi)
+            rows, blocks = _label_blocks(f, model.labels)
+            expect[off:off + dim].reshape(-1, phi.shape[1])[blocks] += (post.T @ phi)[rows]
         else:
-            expect[off:off + dim] += np.einsum("td,tdk->k", post, phi[:, :, li])
-
-
-def _add_pair_expectation(model, tabs, post, expect):
-    """expect += sum over label pairs of post[p, y] * f(p, y), for every
-    left-dependent feature; post is indexed like the transition matrix."""
+            expect[off:off + dim] += np.einsum("ky,kyd->d", post, phi)
     for fi, phi in tabs.pair_features.items():
         off, dim = model.offsets[fi], model.dims[fi]
-        expect[off:off + dim] += np.einsum("py,pyk->k", post, phi)
+        expect[off:off + dim] += np.einsum("py,pyk->k", pair_post, phi)
+    return expect
 
 
 def clamped_expectation(model, ctx, ref_labels, weights=None, tabs=None):
@@ -762,71 +763,56 @@ def clamped_expectation(model, ctx, ref_labels, weights=None, tabs=None):
     the reference label sequence (constrained forward-backward).  All of
     them share the reference's label pairs, so the pair score of each
     reference position is one constant, and each position's recursion runs
-    over every (boundary, duration) at once."""
+    over every span at once.  The positions' span posteriors are summed
+    into one (spans, L) array before the expectation."""
     if tabs is None:
         tabs = compute_tables(model, ctx, weights)
-    table, dmax = tabs.table, tabs.dmax
     t_len = ctx.num_frames
     k = len(ref_labels)
     lidx = [model._label_index[l] for l in ref_labels]
     rows = [0] + [li + 1 for li in lidx[:-1]]
     pair = tabs.trans[rows, lidx]
-    # durs[d-1] = d - 1; the span of duration d starting at boundary t ends
-    # at ends[t, d-1] (clipped: spans past the last frame are -inf in the
-    # table), and the one ending at boundary t+1 starts at starts[t, d-1]
-    t_idx = np.arange(t_len)[:, None]
-    durs = np.arange(dmax)[None, :]
-    ends = np.minimum(t_idx + durs + 1, t_len)
-    starts = t_idx - durs
-    fits = starts >= 0
-    starts = np.maximum(starts, 0)
-
+    scores, starts, ends = tabs.scores, tabs.starts, tabs.ends
+    # a[i, t]: the first i positions cover [0, t); b[i, t]: positions i..k-1
+    # cover [t, T)
     a = np.full((k + 1, t_len + 1), NEG_INF)
     a[0, 0] = 0.0
-    for i in range(k):
-        by_end = np.where(fits, table[starts, durs, lidx[i]], NEG_INF)
-        a[i + 1, 1:] = _lse(a[i, starts] + by_end + pair[i], axis=1)
+    for i, y in enumerate(lidx):
+        np.logaddexp.at(a[i + 1], ends, a[i, starts] + scores[:, y] + pair[i])
     b = np.full((k + 1, t_len + 1), NEG_INF)
-    b[k, t_len] = model.final_mask()[lidx[-1]]
+    b[k, t_len] = tabs.final[lidx[-1]]
     for i in range(k - 1, -1, -1):
-        b[i, :t_len] = _lse(b[i + 1, ends] + table[:, :, lidx[i]] + pair[i], axis=1)
+        np.logaddexp.at(b[i], starts, b[i + 1, ends] + scores[:, lidx[i]] + pair[i])
     logz_c = a[k, t_len] + b[k, t_len]
     if logz_c == NEG_INF:
         return None, NEG_INF
 
-    expect = np.zeros(model.total_dim)
-    for i in range(k):
-        pc = np.exp(a[i, :t_len, None] + table[:, :, lidx[i]] + pair[i]
-                    + b[i + 1, ends] - logz_c)
-        _add_span_expectation(model, tabs, pc, lidx[i], expect)
+    post = np.zeros(scores.shape)
+    for i, y in enumerate(lidx):
+        post[:, y] += np.exp(a[i, starts] + scores[:, y] + pair[i] + b[i + 1, ends] - logz_c)
     counts = np.zeros(tabs.trans.shape)
     np.add.at(counts, (rows, lidx), 1.0)
-    _add_pair_expectation(model, tabs, counts, expect)
-    return expect, float(logz_c)
+    return _expectation(model, tabs, post, counts), float(logz_c)
 
 
 def free_expectation(model, ctx, weights=None, tabs=None):
-    """(expected features, logZ) over the full segmentation space.  The
-    label-pair posterior of (p, y) sums, over the boundary t where a segment
-    labeled y starts, exp(alpha[t, p] + trans[p, y] + inner[t, y] - logZ)."""
+    """(expected features, logZ) over the full segmentation space.  A span
+    labeled y from boundary s to e has posterior exp(prev_lse[s, y] + score
+    + tail[e, y] - logZ); the label-pair posterior of (p, y) sums, over the
+    boundary t where a segment labeled y starts, exp(alpha[t, p] +
+    trans[p, y] + inner[t, y] - logZ)."""
     if tabs is None:
         tabs = compute_tables(model, ctx, weights)
-    alpha, prev_lse, _ = forward_pass(model, ctx, weights, tabs)
-    tail, inner = backward_pass(model, ctx, tabs)
-    t_len = ctx.num_frames
-    nl = len(model.labels)
-    logz = _logsumexp(alpha[t_len] + model.final_mask())
-    marg = _edge_posteriors(prev_lse, tabs.table, tail, logz)
-    expect = np.zeros(model.total_dim)
-    for li in range(nl):
-        _add_span_expectation(model, tabs, marg[:, :, li], li, expect)
+    post, logz, alpha, inner = _marginals(tabs)
+    pair_post = None
     if tabs.pair_features:
+        t_len, nl = inner.shape
         head = np.full((t_len, nl + 1), NEG_INF)   # context before boundary t
         head[0, 0] = 0.0
         head[1:, 1:] = alpha[1:t_len]
         vals = head[:, :, None] + tabs.trans[None] + inner[:, None, :] - logz
-        _add_pair_expectation(model, tabs, np.exp(vals).sum(axis=0), expect)
-    return expect, logz
+        pair_post = np.exp(vals).sum(axis=0)
+    return _expectation(model, tabs, post, pair_post), logz
 
 
 def example_gradient(model, example, mode, ref_policy="add-ground-truth"):
@@ -969,44 +955,42 @@ def _merge_top_n(offsets, lists, n):
     return pick[idx, p] * n + r, scores[idx, order]
 
 
-def nbest_segmentations(table, trans, final, n):
+def nbest_segmentations(tabs, n):
     """Top-n labeled segmentations of a first-order semi-Markov model.
 
-    ``table`` (T, dmax, L) holds the span scores, ``trans`` (L+1, L) the
-    label-pair scores with row 0 the START context, and ``final[y]`` is
-    added to every complete hypothesis whose last label is y (-inf bars
-    it).  Returns [(score, [(label index, start, end), ...])] best first,
-    empty when no segmentation is legal; the hypotheses are distinct
-    (label sequence, segmentation) pairs by construction.
+    ``tabs`` (``Tables``; feature values are not read) holds the span and
+    label-pair scores and ``final[y]``, added to every complete hypothesis
+    whose last label is y (-inf bars it).  Returns [(score, [(label index,
+    start, end), ...])] best first, empty when no segmentation is legal;
+    the hypotheses are distinct (label sequence, segmentation) pairs.
 
     List Viterbi (Huang & Chiang, IWPT 2005) with all labels of a boundary
-    t ranked at once, by one ``_merge_top_n`` per step: over (L, n_d)
-    durations for the segments ending at t (span score plus the start's
-    merged list; column (duration - 1) * n + rank), over (L, L) previous
-    labels for the merge (their lists at t plus the pair score, -inf where
-    forbidden; column previous label * n + rank) and over the L lists at T
-    plus ``final`` (column label * n + rank).  Exact ties keep the lowest
-    column, the order of a stable sort of the negated row: hypotheses of
-    equal score rank by their (label, duration) pairs read from the last
-    segment back, ascending, so the best one is ``viterbi``'s."""
-    t_len, dmax, nl = table.shape
+    t ranked at once, by one ``_merge_top_n`` per step: over the spans
+    ending at t, shortest first (``Tables.ending_at``; span score plus the
+    start's merged list), over (L, L) previous labels for the merge (their
+    lists at t plus the pair score, -inf where forbidden) and over the L
+    lists at T plus ``final``.  Exact ties keep the lowest column, the
+    order of a stable sort of the negated row: hypotheses of equal score
+    rank by their (label, duration) pairs read from the last segment back,
+    ascending.  ``viterbi`` is the top hypothesis."""
+    trans = tabs.trans
+    t_len, nl = len(tabs.table), len(tabs.final)
     # cell_s[t, y, r]: r-th best score of a segment of label y ending at t,
-    # cell_bp its column; merged_s[t, y, r]: r-th best over previous labels
-    # with the pair score, merged_bp its column
+    # cell_bp its start * n + rank; merged_s[t, y, r]: r-th best over
+    # previous labels with the pair score, merged_bp its column
     cell_s = np.full((t_len + 1, nl, n), NEG_INF)
     cell_bp = np.zeros((t_len + 1, nl, n), dtype=int)
     merged_s = np.full((t_len + 1, nl, n), NEG_INF)
     merged_bp = np.zeros((t_len + 1, nl, n), dtype=int)
     merged_s[0, :, 0] = trans[0]
     for t in range(1, t_len + 1):
-        starts = t - np.arange(1, min(dmax, t) + 1)
-        bases = table[starts, t - starts - 1, :]            # (n_d, nl)
-        cell_bp[t], cell_s[t] = _merge_top_n(
-            bases.T, merged_s[starts].transpose(1, 0, 2), n)
+        scores, starts = tabs.ending_at(t)
+        cols, cell_s[t] = _merge_top_n(scores.T, merged_s[starts].transpose(1, 0, 2), n)
+        cell_bp[t] = starts[cols // n] * n + cols % n
         if t < t_len:
             merged_bp[t], merged_s[t] = _merge_top_n(
                 trans[1:].T, np.broadcast_to(cell_s[t], (nl, nl, n)), n)
-    top, scores = _merge_top_n(final[None], cell_s[t_len][None], n)
+    top, scores = _merge_top_n(tabs.final[None], cell_s[t_len][None], n)
     ranked = []
     for col, sc in zip(top[0], scores[0]):
         if sc == NEG_INF:
@@ -1015,9 +999,9 @@ def nbest_segmentations(table, trans, final, n):
         spans = []
         t = t_len
         while t > 0:
-            d, rank = divmod(int(cell_bp[t, y, r]), n)
-            spans.append((y, t - d - 1, t - 1))
-            t = t - d - 1
+            a, rank = divmod(int(cell_bp[t, y, r]), n)
+            spans.append((y, a, t - 1))
+            t = a
             y, r = divmod(int(merged_bp[t, y, rank]), n)
         spans.reverse()
         ranked.append((float(sc), spans))
@@ -1028,8 +1012,7 @@ def nbest_decode(model, ctx, n):
     """Top-n labeled segmentations by score; hypotheses are distinct
     (label sequence, segmentation) pairs by construction."""
     from .hmm import lattice_from_ranked
-    tabs = compute_tables(model, ctx)
-    ranked = nbest_segmentations(tabs.table, tabs.trans, model.final_mask(), n)
+    ranked = nbest_segmentations(compute_tables(model, ctx), n)
     if not ranked:
         raise ValueError("no legal segmentation for N-best decode")
     return lattice_from_ranked(model.labels, ranked, ctx.num_frames)

@@ -32,8 +32,8 @@ from scipy.linalg import expm
 
 from .alphabet import (BEGIN_SILENCE, END_SILENCE, LetterAlphabet,
                        PhoneticFeatureTable)
-from .fileio import (check_fields, in_file, read_json, read_matrix, write_json,
-                     write_matrix)
+from .fileio import (FieldError, check_fields, in_file, read_json, read_matrix,
+                     write_json, write_matrix)
 from .segments import Segment, check_tiling
 
 TOUCH_CODES = {"-": -1.0, "i": -0.6, "m": -0.2, "m/i": 0.2, "p": 0.6, "r": 1.0}
@@ -99,6 +99,10 @@ class GeneratorConfig:
 
     def __post_init__(self):
         check_fields(self)
+        low, high = self.letter_duration
+        if low > high:
+            raise FieldError("letter_duration", "a range with low <= high",
+                             self.letter_duration)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import pytest
 
 from segspell import hmm, synthgen
 from segspell.alphabet import LetterAlphabet
+from segspell.fileio import DataError
 from segspell.hmm import (LOG_ZERO, CandidateLattice, DecodeConfig, Hypothesis,
                           LetterHmm, NoPathError, build_decode_graph,
                           forced_align, load_lattice, nbest, save_lattice,
@@ -528,3 +529,14 @@ class TestSerialization:
         assert loaded.hypotheses[0].labels == ["<s>", "A", "</s>"]
         assert loaded.hypotheses[0].score == -12.5
         assert loaded.baseline_frames == lat.baseline_frames
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_lattice_non_finite_score_refused(self, tmp_path, constant):
+        hyps = [Hypothesis(["A"], [Segment("A", 0, 3)], -1.0),
+                Hypothesis(["B"], [Segment("B", 0, 3)], -2.0)]
+        path = tmp_path / "x.lat.jsonl"
+        save_lattice(str(path), CandidateLattice(hyps, ["A"] * 4))
+        path.write_text(path.read_text().replace("-2.0", constant))
+        with pytest.raises(DataError) as e:
+            load_lattice(str(path))
+        assert "%s line 2" % path in str(e.value)

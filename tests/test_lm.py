@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from segspell.alphabet import (BEGIN_SILENCE, END_SILENCE, LetterAlphabet,
                                UnknownSymbolError)
+from segspell.fileio import DataError
 from segspell.lm import load_arpa, train_bigram
 
 
@@ -120,6 +121,35 @@ def test_arpa_roundtrip(tmp_path):
             assert loaded.prob(h, v) == pytest.approx(lm.prob(h, v), rel=2e-6)
         assert sum(loaded.prob(h, v) for v in successors(alphabet)) == \
             pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "400", "x"])
+@pytest.mark.parametrize("column", ["bigram", "unigram", "backoff"])
+def test_arpa_non_finite_value_refused(tmp_path, column, value):
+    path = tmp_path / "lm.arpa"
+    train_bigram(["TULIP", "ROAD"]).save(str(path))
+    lines = path.read_text().split("\n")
+    at = lines.index("\\2-grams:") + 1 if column == "bigram" else \
+        [line.split("\t")[1:2] for line in lines].index(["T"])
+    parts = lines[at].split("\t")
+    parts[2 if column == "backoff" else 0] = value
+    lines[at] = "\t".join(parts)
+    path.write_text("\n".join(lines))
+    with pytest.raises(DataError) as e:
+        load_arpa(str(path))
+    assert "%s line %d" % (path, at + 1) in str(e.value)
+
+
+def test_arpa_keeps_minus_99_and_absent_backoff(tmp_path):
+    path = tmp_path / "lm.arpa"
+    lm = train_bigram(["TULIP", "ROAD"])
+    lm.save(str(path))
+    lines = path.read_text().split("\n")
+    # <s> is never predicted, and </s> is no history: it has no backoff weight
+    assert lines[lines.index("\\1-grams:") + 1].startswith("-99.0000000\t<s>\t")
+    assert any(line.endswith("\t" + END_SILENCE) for line in lines)
+    assert load_arpa(str(path)).prob("T", END_SILENCE) == \
+        pytest.approx(lm.prob("T", END_SILENCE), rel=2e-6)
 
 
 def test_shipped_wordlists_600_types():

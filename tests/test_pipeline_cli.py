@@ -217,6 +217,8 @@ class TestCliChain:
                      id="generator-wobble-circles-2.5"),
         pytest.param({"generator": {"speed_ratio": 0}}, "generator.speed_ratio",
                      id="generator-speed-ratio"),
+        pytest.param({"generator": {"letter_duration": [14.0, 8.0]}},
+                     "generator.letter_duration", id="generator-letter-duration"),
         # written as JSON NaN and Infinity
         pytest.param({"classifier": {"learning_rate": float("nan")}},
                      "classifier.learning_rate", id="learning-rate-nan"),
@@ -330,6 +332,21 @@ class TestCliChain:
                        "--out", str(tmp_path / "hyps.txt")])
         assert rc == 3
         assert str(bundle / name) in capsys.readouterr().err
+        assert not (tmp_path / "hyps.txt").exists()
+
+    def test_bad_bundle_frontend_exit_3(self, workdir, tmp_path, capsys):
+        import shutil
+        bundle = tmp_path / "rec"
+        shutil.copytree(workdir / "rec", bundle)
+        frontend = json.loads((bundle / "frontend.json").read_text())
+        frontend["window"] = 4
+        (bundle / "frontend.json").write_text(json.dumps(frontend))
+        rc = cli.main(["decode", "--recognizer", str(bundle),
+                       "--corpus", str(workdir / "corpus"), "--signers", "S1",
+                       "--out", str(tmp_path / "hyps.txt")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(bundle / "frontend.json") in err and "window" in err
         assert not (tmp_path / "hyps.txt").exists()
 
     def test_align_and_nbest_outputs(self, workdir):

@@ -357,6 +357,115 @@ class TestExactInference:
             log_partition(model, ctx, "lattice", None)
 
 
+def silence_model(rng, ctx, labels, lmax, pinned, with_lm=False, kind="firstpass",
+                  baseline=False):
+    """A model whose labels include <s> and </s>; ``pinned`` also sets the
+    first pass's initial and final labels."""
+    stat = FirstPassFeatures(labels, 4, lmax) if kind == "firstpass" else \
+        ClassifierStatFeature(labels, kind)
+    feats = [stat, PeakFeature(labels)] + [LmFeature()] * with_lm
+    if baseline:
+        ctx.baseline_frames = [labels[i] for i in rng.integers(len(labels), size=ctx.num_frames)]
+        feats.append(BaselineFeature())
+    dims = [f.dimension(ctx) if hasattr(f, "dimension") else f.dim for f in feats]
+    model = SegmentalModel(labels, feats, dims, max_duration=lmax,
+                           initial_labels={"<s>"} if pinned else None,
+                           final_labels={"</s>"} if pinned else None)
+    model.weights = rng.normal(size=model.total_dim)
+    return model
+
+
+class TestBoundarySilences:
+    """<s> and </s> have no duration bound and sit only at the sequence
+    edges, so the tables score them as 2T boundary spans; the engine must
+    still be exact, with or without the initial/final constraints."""
+
+    def test_exact_inference_vs_enumeration(self):
+        rng = np.random.default_rng(23)
+        pick = np.random.default_rng(230)
+        label_sets = [["<s>", "A", "B", "</s>"], ["A", "</s>", "B", "<s>"]]
+        for case in range(24):
+            lmax = 1 + case % 2
+            T = int(rng.integers(lmax + 3, 7))   # T > max_duration + 2
+            labels = label_sets[case % 2]
+            ctx = random_ctx(rng, T, with_lm=case % 3 != 0, labels=labels)
+            model = silence_model(rng, ctx, labels, lmax, pinned=case % 4 < 2,
+                                  with_lm=case % 3 != 0,
+                                  kind="firstpass" if case % 5 else "mean",
+                                  baseline=case % 6 == 5)
+            hyps = enumerate_all(model, ctx)
+            assert any(l[0] == "<s>" and s[0].duration > lmax + 1 for l, s in hyps)
+            scores = np.array([model.score(l, s, ctx) for l, s in hyps])
+            logz = _logsumexp(scores)
+            assert log_partition(model, ctx, "full") == pytest.approx(logz, abs=1e-9)
+            vl, vs, vscore = viterbi(model, ctx)
+            besti = int(np.argmax(scores))
+            assert vscore == pytest.approx(scores[besti], abs=1e-9)
+            assert (vl, [s.span() for s in vs]) == \
+                (hyps[besti][0], [s.span() for s in hyps[besti][1]])
+            marg, _ = edge_marginals(model, ctx)
+            for frame in range(T):
+                cover = sum(marg[a, d].sum() for a in range(T) for d in range(T - a)
+                            if a <= frame <= a + d)
+                assert cover == pytest.approx(1.0, abs=1e-8)
+            feats = np.array([scrf.candidate_feature_totals(
+                model, ctx, Hypothesis(l, s, 0.0)) for l, s in hyps])
+            probs = np.exp(scores - logz)
+            free, _ = free_expectation(model, ctx)
+            np.testing.assert_allclose(free, probs @ feats, rtol=0, atol=1e-9)
+            ref = hyps[int(pick.integers(len(hyps)))][0]
+            in_ref = np.array([l == ref for l, _ in hyps])
+            clamped_scores = np.where(in_ref, scores, -np.inf)
+            clamped, logz_c = clamped_expectation(model, ctx, ref)
+            assert logz_c == pytest.approx(_logsumexp(clamped_scores), abs=1e-9)
+            np.testing.assert_allclose(
+                clamped, np.exp(clamped_scores - logz_c) @ feats, rtol=0, atol=1e-9)
+            ranked = sorted(scores, reverse=True)[:8]
+            got = [h.score for h in nbest_decode(model, ctx, 8).hypotheses]
+            np.testing.assert_allclose(got, ranked, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_gradient_matches_finite_differences(self, pinned):
+        rng = np.random.default_rng(24)
+        labels = ["<s>", "A", "B", "</s>"]
+        ctx = random_ctx(rng, 7, labels=labels)
+        model = silence_model(rng, ctx, labels, 2, pinned, with_lm=True)
+        model.weights *= 0.5
+        ref_labels = ["<s>", "A", "B", "</s>"]
+        ref_segs = [Segment("<s>", 0, 2), Segment("A", 3, 4), Segment("B", 5, 5),
+                    Segment("</s>", 6, 6)]
+        grad, _ = example_gradient(model, TrainingExample(ctx, ref_labels, ref_segs), "full")
+
+        def cll(w):
+            saved, model.weights = model.weights, w
+            val = sequence_log_posterior(model, ctx, ref_labels)
+            model.weights = saved
+            return val
+
+        eps = 1e-5
+        for i in rng.choice(model.total_dim, size=30, replace=False):
+            step = np.zeros(model.total_dim)
+            step[i] = eps
+            fd = (cll(model.weights + step) - cll(model.weights - step)) / (2 * eps)
+            # a zero gradient leaves only the differences' rounding, about 1e-11
+            assert abs(fd - grad[i]) <= 1e-4 * max(abs(fd), abs(grad[i]), 1e-6), (i, fd, grad[i])
+
+    def test_tables_hold_letters_to_max_duration_and_2t_silence_spans(self):
+        rng = np.random.default_rng(25)
+        labels = ["<s>", "A", "B", "</s>"]
+        ctx = random_ctx(rng, 12, labels=labels)
+        model = silence_model(rng, ctx, labels, 3, pinned=False)
+        tabs = compute_tables(model, ctx)
+        assert tabs.table.shape == (12, 3, 2) and list(tabs.columns) == [1, 2]
+        assert np.isfinite(tabs.enter[1:, 0]).all() and np.isfinite(tabs.leave[:-1, 3]).all()
+        assert np.isneginf(np.delete(tabs.enter, 0, axis=1)).all()
+        assert np.isneginf(np.delete(tabs.leave, 3, axis=1)).all()
+        # a silence spanning the whole word is scored as given
+        full = [Segment("<s>", 0, 11)]
+        assert tabs.enter[12, 0] + tabs.trans[0, 0] == \
+            pytest.approx(model.score(["<s>"], full, ctx), abs=1e-12)
+
+
 class TestTraining:
     def test_gradient_matches_finite_differences_full(self):
         rng = np.random.default_rng(10)
@@ -663,6 +772,13 @@ def reference_nbest_segmentations(table, trans, final, n):
     return ranked
 
 
+def engine_nbest(table, trans, final, n):
+    """``scrf.nbest_segmentations`` on a table without boundary spans."""
+    none = np.full((len(table) + 1, len(final)), -np.inf)
+    return scrf.nbest_segmentations(
+        scrf.Tables(table, trans, final, none, none, np.arange(len(final))), n)
+
+
 def random_semi_markov(rng, T, dmax, L, draw=None):
     """Span table, pair scores and final scores with -inf masks."""
     draw = draw or (lambda size: rng.normal(size=size))
@@ -673,25 +789,52 @@ def random_semi_markov(rng, T, dmax, L, draw=None):
     return table, trans, final
 
 
-def ranked_by_brute_force(table, trans, final):
+def ranked_by_brute_force(table, trans, final, enter=None, leave=None, columns=None):
     """Every legal hypothesis, best first; exact ties ordered by their
-    (label, duration) pairs read from the last segment back, ascending."""
-    T, dmax, L = table.shape
+    (label, duration) pairs read from the last segment back, ascending.
+    ``enter``/``leave`` add spans from frame 0 and to the last frame, as in
+    ``scrf.Tables``."""
+    T, dmax, _ = table.shape
+    L = len(final)
+    columns = range(L) if columns is None else columns
     out = []
+
+    def spans_from(t):
+        for d in range(1, min(dmax, T - t) + 1):
+            for c, y in enumerate(columns):
+                yield y, t + d, table[t, d - 1, c]
+        for y in range(L):
+            if leave is not None:
+                yield y, T, leave[t, y]
+            if enter is not None and t == 0:
+                for e in range(1, T + 1):
+                    yield y, e, enter[e, y]
 
     def extend(t, prev, score, spans):
         if t == T:
             if score + final[prev] > -np.inf:
                 out.append((float(score + final[prev]), spans))
             return
-        for d in range(1, min(dmax, T - t) + 1):
-            for y in range(L):
-                s = score + table[t, d - 1, y] + trans[prev + 1, y]
-                if s > -np.inf:
-                    extend(t + d, y, s, spans + [(y, t, t + d - 1)])
+        for y, e, span in spans_from(t):
+            s = score + span + trans[prev + 1, y]
+            if s > -np.inf:
+                extend(e, y, s, spans + [(y, t, e - 1)])
 
     extend(0, -1, 0.0, [])
     return sorted(out, key=lambda h: (-h[0], [(y, e + 1 - a) for y, a, e in h[1][::-1]]))
+
+
+def random_boundary_tables(rng, T, dmax, L, draw):
+    """Tables of L >= 3 labels: one scored only over [0, t) (enter, like
+    <s>), one only over [t, T) (leave, like </s>), the rest by the table."""
+    table, trans, final = random_semi_markov(rng, T, dmax, L, draw)
+    beg, end, *letters = rng.permutation(L)
+    enter, leave = np.full((T + 1, L), -np.inf), np.full((T + 1, L), -np.inf)
+    enter[1:, beg], leave[:-1, end] = draw(T), draw(T)
+    enter[1:, beg][rng.random(T) < 0.2] = -np.inf
+    leave[:-1, end][rng.random(T) < 0.2] = -np.inf
+    letters = np.sort(letters)
+    return scrf.Tables(table[:, :, letters], trans, final, enter, leave, letters)
 
 
 class TestNBestEngine:
@@ -704,7 +847,7 @@ class TestNBestEngine:
         for case in range(40):
             T, dmax, L, n = shapes[case % len(shapes)]
             args = random_semi_markov(rng, T, dmax, L) + (n,)
-            got = scrf.nbest_segmentations(*args)
+            got = engine_nbest(*args)
             assert got == reference_nbest_segmentations(*args)
             nonempty += bool(got)
             short += 0 < len(got) < n
@@ -713,7 +856,7 @@ class TestNBestEngine:
     def test_equals_reference_loop_large(self):
         rng = np.random.default_rng(42)
         args = random_semi_markov(rng, 100, 100, 30) + (8,)
-        got = scrf.nbest_segmentations(*args)
+        got = engine_nbest(*args)
         assert len(got) == 8
         assert got == reference_nbest_segmentations(*args)
 
@@ -722,7 +865,7 @@ class TestNBestEngine:
         # pool ranks by last label, a label's segments ending at T by
         # duration (one-frame first), and the merge by previous label
         zeros = np.zeros((2, 2, 2))
-        ranked = scrf.nbest_segmentations(zeros, np.zeros((3, 2)), np.zeros(2), 6)
+        ranked = engine_nbest(zeros, np.zeros((3, 2)), np.zeros(2), 6)
         assert ranked == [(0.0, [(0, 0, 0), (0, 1, 1)]),
                           (0.0, [(1, 0, 0), (0, 1, 1)]),
                           (0.0, [(0, 0, 1)]),
@@ -730,7 +873,7 @@ class TestNBestEngine:
                           (0.0, [(1, 0, 0), (1, 1, 1)]),
                           (0.0, [(1, 0, 1)])]
         for n in range(1, 6):
-            assert scrf.nbest_segmentations(zeros, np.zeros((3, 2)),
+            assert engine_nbest(zeros, np.zeros((3, 2)),
                                             np.zeros(2), n) == ranked[:n]
 
     def test_tied_tables_match_brute_force_order(self):
@@ -742,9 +885,49 @@ class TestNBestEngine:
             args = random_semi_markov(rng, T, dmax, L,
                                       lambda size: rng.integers(-1, 2, size=size).astype(float))
             expected = ranked_by_brute_force(*args)
-            assert scrf.nbest_segmentations(*args, n) == expected[:n]
+            assert engine_nbest(*args, n) == expected[:n]
             cut_ties += n < len(expected) and expected[n - 1][0] == expected[n][0]
         assert cut_ties >= 10
+
+    def test_boundary_tables_match_brute_force_order(self):
+        # float tables (no ties) and integer tables (ties cut at the n-th
+        # rank), with the boundary labels anywhere in the label order
+        rng = np.random.default_rng(45)
+        cut_ties = 0
+        for case in range(120):
+            T, dmax, L = int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(3, 5))
+            n = int(rng.integers(1, 13))
+            draw = (lambda size: rng.normal(size=size)) if case % 3 == 0 else \
+                (lambda size: rng.integers(-1, 2, size=size).astype(float))
+            tabs = random_boundary_tables(rng, T, dmax, L, draw)
+            expected = ranked_by_brute_force(tabs.table, tabs.trans, tabs.final,
+                                             tabs.enter, tabs.leave, tabs.columns)
+            got = scrf.nbest_segmentations(tabs, n)
+            if case % 3 == 0:   # sums in another order: equal to rounding
+                assert [h[1] for h in got] == [h[1] for h in expected[:n]]
+                np.testing.assert_allclose([h[0] for h in got],
+                                           [h[0] for h in expected[:n]], rtol=0, atol=1e-12)
+            else:
+                assert got == expected[:n]
+                cut_ties += n < len(expected) and expected[n - 1][0] == expected[n][0]
+        assert cut_ties >= 10
+
+    def test_tied_silence_scrf_ranks_by_the_tie_rule(self):
+        # all-zero weights tie every hypothesis, so the ranking is the tie
+        # rule alone: (label, duration) pairs from the last segment back
+        rng = np.random.default_rng(46)
+        labels = ["<s>", "A", "B", "</s>"]
+        for T, pinned in [(5, True), (6, False)]:
+            ctx = random_ctx(rng, T, with_lm=False, labels=labels)
+            model = silence_model(rng, ctx, labels, 2, pinned)
+            model.weights = np.zeros(model.total_dim)
+            order = [(l, [s.span() for s in segs]) for l, segs in sorted(
+                enumerate_all(model, ctx),
+                key=lambda h: [(labels.index(s.label), s.duration) for s in h[1][::-1]])]
+            got = nbest_decode(model, ctx, 12).hypotheses
+            assert [(h.labels, [s.span() for s in h.segments]) for h in got] == order[:12]
+            vl, vs, _ = viterbi(model, ctx)
+            assert (vl, [s.span() for s in vs]) == order[0]
 
     def test_best_of_tied_scrf_is_viterbi(self):
         rng = np.random.default_rng(44)
