@@ -115,8 +115,8 @@ def load_config(path=None, overrides=None):
         try:
             # a NaN or infinity is refused below, naming its field
             cfg = read_json(require(path, "(write a config file)"), allow_nan=True)
-        except json.JSONDecodeError as e:
-            raise ConfigError("config %s is not valid JSON: %s" % (path, e))
+        except DataError as e:
+            raise ConfigError("config %s" % e)
     if not isinstance(cfg, dict):
         raise ConfigError("config %s must be a JSON object" % path)
     if overrides:

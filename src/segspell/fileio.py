@@ -67,10 +67,13 @@ def refuse_non_finite(where):
 
 
 def read_json(path, allow_nan=False):
-    """Refuses NaN and infinity (DataError naming the file) unless
-    ``allow_nan``."""
+    """Refuses text that is not JSON, and NaN and infinity unless
+    ``allow_nan`` (DataError naming the file)."""
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f, parse_constant=None if allow_nan else refuse_non_finite(path))
+        try:
+            return json.load(f, parse_constant=None if allow_nan else refuse_non_finite(path))
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise DataError("%s: not valid JSON: %s" % (path, e)) from None
 
 
 def write_matrix(path, matrix):
@@ -82,15 +85,17 @@ def write_matrix(path, matrix):
 
 
 def read_matrix(path):
+    """Refuses a file without the matrix header or with the wrong payload
+    size (DataError naming the file)."""
     with open(path, "rb") as f:
         raw = f.read()
-    if raw[:4] != MATRIX_MAGIC:
-        raise ValueError("%s: bad magic, not a matrix file" % path)
+    if raw[:4] != MATRIX_MAGIC or len(raw) < 12:
+        raise DataError("%s: bad magic or header, not a matrix file" % path)
     rows, cols = struct.unpack("<II", raw[4:12])
-    data = np.frombuffer(raw[12:], dtype="<f4")
-    if data.size != rows * cols:
-        raise ValueError("%s: truncated payload" % path)
-    return data.reshape(rows, cols).astype(np.float64)
+    if len(raw) != 12 + 4 * rows * cols:
+        raise DataError("%s: truncated payload (%d bytes for a %d x %d matrix)"
+                        % (path, len(raw) - 12, rows, cols))
+    return np.frombuffer(raw[12:], dtype="<f4").reshape(rows, cols).astype(np.float64)
 
 
 def write_matrix_csv(path, matrix):

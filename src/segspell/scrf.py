@@ -1,23 +1,24 @@
 """Semi-Markov (segmental) CRF.
 
 A hypothesis is a label sequence plus a segmentation tiling the frames;
-consecutive segments must change label.  Each edge e carries its span
-[t(e), T(e)], its left (previous) label and its right (current) label, and
-is scored as the dot product of the weight vector with the registered
-feature functions.  The segmentation is a latent variable: the probability
-of a label sequence sums over all segmentations consistent with it, either
-over the full bounded-duration space (first-pass mode) or over the
-candidate segmentations of a lattice (rescoring mode).
+consecutive segments must change label.  Each segment scores its span
+(the weights times the left-independent features of its frames under its
+label) plus its label pair (the left-dependent features).  The
+segmentation is a latent variable: the probability of a label sequence
+sums over all segmentations consistent with it, over the full
+bounded-duration space (first-pass mode) or over the candidate
+segmentations of a lattice (rescoring mode).
 
-Inference is exact and follows the first-order semi-CRF of Sarawagi &
-Cohen (NIPS 2004).  An edge score splits into a span part, a (start,
-duration, label) table with infeasible spans at -inf plus the boundary
-silences' spans from and to the sequence edges, and a label-pair part, an
-(L+1) x L transition matrix whose row 0 is the START context.
-The only left-dependent feature (the LM feature) reads nothing but the
-label pair, so it lives in that matrix next to the structural
-constraints.  Forward/backward, Viterbi, N-best, marginals and both
-feature expectations all run on these two arrays.
+Every score comes from one span path: a feature scores a batch of spans
+under every label at once, a lattice hypothesis gathers its segments from
+one call over the lattice's spans, and expectations weight the same
+values by span posteriors.  ``FirstPassFeatures`` never builds its (spans,
+block) values, each a sum of a few frame rows.  Inference is exact and
+follows the first-order semi-CRF of Sarawagi & Cohen (NIPS 2004), on
+``Tables``: span scores and an (L+1) x L transition matrix, row 0 the
+START context, where the LM feature (it reads nothing but the label pair)
+joins the structural constraints.  A score is linear in the weights, so
+the rest of a table is built once per model and length.
 
 Training maximizes conditional log-likelihood by (sub)gradient ascent with
 L2 and proximal (clip-at-zero) L1 steps; the gradient is the clamped
@@ -32,32 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabet import BEGIN_SILENCE, END_SILENCE
-from .fileio import read_json, write_json
+from .fileio import DataError, read_json, write_json
 from .segments import Segment, check_tiling
 
 START_LABEL = "<start>"
 NEG_INF = -np.inf
-
-
-@dataclass(frozen=True)
-class SegmentEdge:
-    start: int   # t(e), inclusive
-    end: int     # T(e), inclusive
-    left: str    # s_l: previous label, START_LABEL on the first edge
-    right: str   # s_r: label of the segment
-
-    @property
-    def duration(self):
-        return self.end + 1 - self.start
-
-
-def edges_of(labels, segments):
-    prev = START_LABEL
-    out = []
-    for label, seg in zip(labels, segments):
-        out.append(SegmentEdge(seg.start, seg.end, prev, label))
-        prev = label
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +117,12 @@ def segment_thirds(n):
 
 
 # ---------------------------------------------------------------------------
-# Feature functions.  A feature is either lexicalized (a per-span base
-# vector placed in the block of the edge's right label) or global (its
-# eval() is called per edge).  Only the LM feature reads the left label,
-# and it reads nothing else: a left-dependent feature gives its values for
-# every label pair through pair_matrix().
+# Feature functions.  A left-independent feature reads the spans [starts[k],
+# ends[k]], scored with the weight block ``label_index(label)`` (None: no
+# weights).  A lexicalized one has a vector per span (``span_scores``,
+# ``span_expectation``), any other a value per (span, label) for a
+# one-weight block (``span_values``).  Only the LM feature reads the left
+# label, and nothing else: pair_matrix() gives every label pair's values.
 
 class LmFeature:
     """Smoothed bigram probability of the labels across the edge (or its
@@ -155,36 +136,50 @@ class LmFeature:
     def __init__(self, use_log=False):
         self.use_log = use_log
 
-    def eval(self, edge, ctx):
-        try:
-            p = ctx.lm.prob(edge.left, edge.right)
-        except (KeyError, AttributeError):
-            p = 1.0
-        return np.array([math.log(p) if self.use_log else p])
-
     def pair_matrix(self, ctx, labels):
         """Values for every (left, right) pair, (L+1, L, 1); row 0 is START."""
-        return np.array([[self.eval(SegmentEdge(0, 0, left, right), ctx)
-                          for right in labels]
+        def value(left, right):
+            try:
+                p = ctx.lm.prob(left, right)
+            except (KeyError, AttributeError):
+                p = 1.0
+            return math.log(p) if self.use_log else p
+
+        return np.array([[[value(left, right)] for right in labels]
                          for left in [START_LABEL] + list(labels)])
 
 
-class BaselineFeature:
-    """+1 iff the span covers exactly one baseline label run and that label
-    matches the edge's right label; -1 otherwise."""
+class _Scalar:
+    """One value per (span, label), all labels sharing one weight."""
 
-    name = "baseline"
     left_dependent = False
     lexicalized = False
     dim = 1
 
-    def eval(self, edge, ctx):
-        span = ctx.baseline_frames[edge.start:edge.end + 1]
-        ok = len(set(span)) == 1 and span[0] == edge.right
-        return np.array([1.0 if ok else -1.0])
+    def label_index(self, label):
+        return 0
+
+    def block_size(self, ctx):
+        return 1
+
+
+class BaselineFeature(_Scalar):
+    """+1 iff the span covers exactly one baseline label run and that label
+    matches the segment's label; -1 otherwise."""
+
+    name = "baseline"
+
+    def span_values(self, ctx, starts, ends, labels):
+        frames = ctx.baseline_frames
+        run = np.cumsum([0] + [a != b for a, b in zip(frames, frames[1:])])
+        hit = np.array([[frames[s] == l for l in labels] for s in starts], dtype=bool)
+        return np.where((run[starts] == run[ends])[:, None] & hit, 1.0, -1.0)
 
 
 class _Lexicalized:
+    """One value vector per span, scored against the weight block of the
+    segment's label."""
+
     left_dependent = False
     lexicalized = True
 
@@ -195,20 +190,20 @@ class _Lexicalized:
     def label_index(self, label):
         return self._index.get(label)
 
-    def eval(self, edge, ctx):
-        bd = self.block_size(ctx)
-        out = np.zeros(len(self.labels) * bd)
-        idx = self._index.get(edge.right)
-        if idx is not None:
-            out[idx * bd:(idx + 1) * bd] = self.base_vector(ctx, edge.start, edge.end)
-        return out
-
     def dimension(self, ctx):
         return len(self.labels) * self.block_size(ctx)
 
     def span_vectors(self, ctx, starts, ends):
-        """Base vectors of the spans [starts[i], ends[i]], (spans, block)."""
+        """Base vectors of the spans [starts[k], ends[k]], (spans, block)."""
         return np.array([self.base_vector(ctx, s, e) for s, e in zip(starts, ends)])
+
+    def span_scores(self, ctx, starts, ends, wm):
+        """(spans, L): the vectors against each label's block, row of ``wm``."""
+        return self.span_vectors(ctx, starts, ends) @ wm.T
+
+    def span_expectation(self, ctx, starts, ends, post):
+        """(..., L, block): the vectors summed with weights ``post[..., k, y]``."""
+        return post.swapaxes(-1, -2) @ self.span_vectors(ctx, starts, ends)
 
 
 class ClassifierStatFeature(_Lexicalized):
@@ -269,7 +264,8 @@ class FirstPassFeatures(_Lexicalized):
     """The first-pass feature set: per right label, the average classifier
     posterior over the span, posterior samples at the first/middle/last
     frames, posteriors at the two boundary frames, a duration one-hot
-    (bucketed at L_max) and a bias, all lexicalized."""
+    (bucketed at L_max) and a bias, all lexicalized.  Its span products go
+    through the few frame rows each span's values add up (``_rows``)."""
 
     name = "firstpass"
 
@@ -282,58 +278,67 @@ class FirstPassFeatures(_Lexicalized):
     def block_size(self, ctx):
         return self.block
 
-    def base_vector(self, ctx, start, end):
-        g = ctx.letter_posteriors
-        c = self.num_classes
-        out = np.zeros(self.block)
-        out[0:c] = g[start:end + 1].mean(axis=0)
-        out[c:2 * c] = g[start]
-        out[2 * c:3 * c] = g[(start + end) // 2]
-        out[3 * c:4 * c] = g[end]
-        out[4 * c:5 * c] = g[start]
-        out[5 * c:6 * c] = g[end]
-        out[6 * c + min(end + 1 - start, self.max_duration) - 1] = 1.0
-        out[-1] = 1.0
+    def span_vectors(self, ctx, starts, ends):
+        return self.span_scores(ctx, starts, ends, np.eye(self.block))
+
+    def _rows(self, ctx, starts, ends):
+        """(a, parts): row k of the sparse ``a`` picks the frame rows that
+        add up to span k's values: the posteriors' prefix sums at its end + 1
+        and start (times +-1/d: the mean), the posteriors at its first,
+        middle and last frames, its duration bucket and the bias.  ``parts``
+        pairs each group of rows with the feature blocks it fills."""
+        from scipy.sparse import csr_array   # here: only first-pass users pay its 1.5 MB
+        g = np.asarray(ctx.letter_posteriors, dtype=np.float64)
+        t, n, d, c = len(g), len(starts), ends + 1 - starts, self.num_classes
+        cols = np.stack([ends + 1, starts, t + 1 + starts, 2 * t + 1 + (starts + ends) // 2,
+                         3 * t + 1 + ends, 4 * t + np.minimum(d, self.max_duration),
+                         np.full(n, 4 * t + 1 + self.max_duration)], axis=1)
+        vals = np.ones((n, 7))
+        vals[:, 0], vals[:, 1] = 1.0 / d, -1.0 / d
+        a = csr_array((vals.ravel(), cols.ravel(), np.arange(0, 7 * n + 1, 7)),
+                      shape=(n, 4 * t + self.max_duration + 2))
+        block = [slice(k * c, (k + 1) * c) for k in range(6)] + [slice(6 * c, None)]
+        cums = np.vstack([np.zeros(c), np.cumsum(g, axis=0)])
+        return a, [(cums, block[0:1]), (g, block[1::3]), (g, block[2:3]), (g, block[3::2]),
+                   (np.eye(self.max_duration + 1), block[6:])]
+
+    def span_scores(self, ctx, starts, ends, wm):
+        a, parts = self._rows(ctx, starts, ends)
+        return a @ np.vstack([rows @ sum(wm[:, b] for b in blocks).T for rows, blocks in parts])
+
+    def span_expectation(self, ctx, starts, ends, post):
+        a, parts = self._rows(ctx, starts, ends)
+        sums = a.T @ np.moveaxis(post, -2, 0).reshape(len(starts), -1)
+        sums = np.moveaxis(sums.reshape((-1,) + post.shape[:-2] + post.shape[-1:]), 0, -1)
+        out, at = np.empty(sums.shape[:-1] + (self.block,)), 0
+        for rows, blocks in parts:
+            value = sums[..., at:at + len(rows)] @ rows
+            for b in blocks:
+                out[..., b] = value
+            at += len(rows)
         return out
 
-    def span_vectors(self, ctx, starts, ends):
-        """``base_vector`` of every span at once, the mean from a cumsum."""
-        g = np.asarray(ctx.letter_posteriors, dtype=np.float64)
-        c = self.num_classes
-        cums = np.vstack([np.zeros(c), np.cumsum(g, axis=0)])
-        d = ends + 1 - starts
-        phi = np.zeros((len(starts), self.block))
-        phi[:, :c] = (cums[ends + 1] - cums[starts]) / d[:, None]
-        for k, at in enumerate([starts, (starts + ends) // 2, ends, starts, ends], 1):
-            phi[:, k * c:(k + 1) * c] = g[at]
-        phi[np.arange(len(d)), 6 * c + np.minimum(d, self.max_duration) - 1] = 1.0
-        phi[:, -1] = 1.0
-        return phi
 
-
-class FirstPassScoreFeature:
-    """Edge score under a trained first-pass model; summed over a
+class FirstPassScoreFeature(_Scalar):
+    """Span score under a trained first-pass model; summed over a
     segmentation this reproduces that model's total score.  The model must
     be left-independent (see build_second_pass)."""
 
-    lexicalized = False
-    left_dependent = False
     name = "firstpass_score"
-    dim = 1
 
     def __init__(self, model):
         self.model = model
 
-    def eval(self, edge, ctx):
-        return np.array([self.model.edge_score(edge, ctx)])
+    def span_values(self, ctx, starts, ends, labels):
+        cols = np.array([self.model._label_index.get(l, -1) for l in labels])
+        return np.where(cols >= 0, self.model.edge_scores(ctx, starts, ends)[0][:, cols], 0.0)
 
 
-class SegmentClassifierFeature:
+class SegmentClassifierFeature(_Scalar):
     """Posterior of a segment-level classifier for the hypothesized label,
-    from a fixed-dimension summary: the means of the span's three thirds."""
+    from a fixed-dimension summary: the means of the span's three thirds.
+    Each label has its own weight."""
 
-    lexicalized = False   # the value depends on the label itself
-    left_dependent = False
     name = "segment_classifier"
 
     def __init__(self, labels, mlp):
@@ -342,6 +347,9 @@ class SegmentClassifierFeature:
         self.mlp = mlp
         self.dim = len(self.labels)
 
+    def label_index(self, label):
+        return self._index.get(label)
+
     def summary(self, ctx, start, end):
         g = ctx.letter_posteriors[start:end + 1]
         a, b, c = segment_thirds(len(g))
@@ -349,13 +357,12 @@ class SegmentClassifierFeature:
         return np.concatenate([p.mean(axis=0) if len(p) else np.zeros(g.shape[1])
                                for p in parts])
 
-    def eval(self, edge, ctx):
-        out = np.zeros(self.dim)
-        idx = self._index.get(edge.right)
-        if idx is not None:
-            probs = self.mlp.predict_proba(self.summary(ctx, edge.start, edge.end))[0]
-            out[idx] = probs[idx]
-        return out
+    def span_values(self, ctx, starts, ends, labels):
+        """One classifier call for all spans."""
+        probs = self.mlp.predict_proba(np.array([self.summary(ctx, s, e)
+                                                 for s, e in zip(starts, ends)]))
+        cols = np.array([self._index.get(l, -1) for l in labels])
+        return np.where(cols >= 0, probs[:, cols], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +370,12 @@ class SegmentClassifierFeature:
 
 class ManifestError(ValueError):
     pass
+
+
+def _label_blocks(f, labels):
+    """(labels, their weight blocks) of a left-independent feature."""
+    pairs = [(li, f.label_index(l)) for li, l in enumerate(labels)]
+    return np.array([p for p in pairs if p[1] is not None], dtype=int).reshape(-1, 2).T
 
 
 class SegmentalModel:
@@ -394,27 +407,21 @@ class SegmentalModel:
         self.initial_labels = set(initial_labels) if initial_labels is not None else None
         self.final_labels = set(final_labels) if final_labels is not None else None
         self._label_index = {l: i for i, l in enumerate(self.labels)}
+        self._structures = {}   # weight-free parts of Tables (compute_tables)
 
     @property
     def left_dependent(self):
         return any(f.left_dependent for f in self.features)
 
     def min_dur(self, label):
-        if label in (BEGIN_SILENCE, END_SILENCE):
-            return 1
-        return self.min_letter_duration
+        return 1 if label in (BEGIN_SILENCE, END_SILENCE) else self.min_letter_duration
 
     def max_dur(self, label, num_frames):
-        if label in (BEGIN_SILENCE, END_SILENCE):
-            return num_frames
-        return min(self.max_duration, num_frames)
+        silence = label in (BEGIN_SILENCE, END_SILENCE)
+        return num_frames if silence else min(self.max_duration, num_frames)
 
     def transition_ok(self, prev, nxt):
-        if prev == nxt:
-            return False
-        if nxt == BEGIN_SILENCE or prev == END_SILENCE:
-            return False
-        return True
+        return prev != nxt and nxt != BEGIN_SILENCE and prev != END_SILENCE
 
     def initial_ok(self, label):
         return self.initial_labels is None or label in self.initial_labels
@@ -422,24 +429,25 @@ class SegmentalModel:
     def final_ok(self, label):
         return self.final_labels is None or label in self.final_labels
 
-    def feature_vector(self, edge, ctx):
-        return np.concatenate([np.asarray(f.eval(edge, ctx), dtype=np.float64)
-                               for f in self.features])
-
-    def edge_score(self, edge, ctx, weights=None):
-        w = self.weights if weights is None else weights
-        total = 0.0
+    def edge_scores(self, ctx, starts, ends, weights=None):
+        """(span, pair): the left-independent features' score of each span
+        [starts[k], ends[k]] under each label (spans, L), duration bounds not
+        applied, and the left-dependent ones' of each label pair (L+1, L),
+        row 0 the START context."""
+        w_all = self.weights if weights is None else weights
+        nl = len(self.labels)
+        span, pair = np.zeros((len(starts), nl)), np.zeros((nl + 1, nl))
         for f, off, dim in zip(self.features, self.offsets[:-1], self.dims):
-            if f.lexicalized:
-                idx = f.label_index(edge.right)
-                if idx is None:
-                    continue
-                bd = f.block_size(ctx)
-                total += float(np.dot(w[off + idx * bd: off + (idx + 1) * bd],
-                                      f.base_vector(ctx, edge.start, edge.end)))
-            else:
-                total += float(np.dot(w[off:off + dim], f.eval(edge, ctx)))
-        return total
+            w = w_all[off:off + dim]
+            if f.left_dependent:
+                pair += f.pair_matrix(ctx, self.labels) @ w
+                continue
+            rows, blocks = _label_blocks(f, self.labels)
+            wm = np.zeros((nl, f.block_size(ctx)))
+            wm[rows] = w.reshape(-1, wm.shape[1])[blocks]
+            span += f.span_scores(ctx, starts, ends, wm) if f.lexicalized else \
+                f.span_values(ctx, starts, ends, self.labels) * wm[:, 0]
+        return span, pair
 
     def score(self, labels, segments, ctx, weights=None):
         """Total weighted feature score of one labeled segmentation.
@@ -450,7 +458,7 @@ class SegmentalModel:
         check_tiling(segments, ctx.num_frames)
         if len(labels) != len(segments):
             raise ValueError("label/segment count mismatch")
-        return sum(self.edge_score(e, ctx, weights) for e in edges_of(labels, segments))
+        return float(lattice_scores(self, ctx, [(labels, segments)], weights)[0])
 
     def final_mask(self):
         return np.array([0.0 if self.final_ok(l) else NEG_INF for l in self.labels])
@@ -486,6 +494,68 @@ class SegmentalModel:
         return self
 
 
+def _expectation(model, ctx, starts, ends, post, pair_post=None):
+    """Expected features (..., total_dim): ``post[..., k, y]`` times the
+    values of span k (frames [starts[k], ends[k]]) labeled y, summed over
+    spans and labels, plus ``pair_post[..., p, y]`` times the values of the
+    label pair (indexed like the transition matrix)."""
+    lead = post.shape[:-2]
+    expect = np.zeros(lead + (model.total_dim,))
+    for f, off, dim in zip(model.features, model.offsets[:-1], model.dims):
+        if f.left_dependent:
+            expect[..., off:off + dim] = np.einsum(
+                "...py,pyk->...k", pair_post, f.pair_matrix(ctx, model.labels))
+            continue
+        if f.lexicalized:
+            e = f.span_expectation(ctx, starts, ends, post)
+        else:
+            e = (post * f.span_values(ctx, starts, ends, model.labels)).sum(axis=-2)[..., None]
+        rows, blocks = _label_blocks(f, model.labels)
+        place = np.eye(dim // e.shape[-1])[blocks].T   # labels sharing a block add up
+        expect[..., off:off + dim] = (place @ e[..., rows, :]).reshape(lead + (dim,))
+    return expect
+
+
+# ---------------------------------------------------------------------------
+# Lattices: each hypothesis gathers its segments' scores from one edge_scores
+# call over the lattice's distinct spans
+
+def _lattice_spans(model, hyps):
+    """The distinct spans of ``hyps``, (labels, segments) pairs, as (starts,
+    ends), and per segment its hypothesis, span, label index and previous
+    context (0 START, y+1 after label y)."""
+    spans, rows = {}, []
+    for h, (labels, segments) in enumerate(hyps):
+        prev = 0
+        for label, seg in zip(labels, segments):
+            if label not in model._label_index:
+                raise DataError("lattice label %r is not one of the model's labels" % (label,))
+            y = model._label_index[label]
+            rows.append((h, spans.setdefault((seg.start, seg.end), len(spans)), y, prev))
+            prev = y + 1
+    bounds = np.array(list(spans), dtype=int).reshape(-1, 2)
+    return (bounds[:, 0], bounds[:, 1]) + tuple(np.array(rows, dtype=int).reshape(-1, 4).T)
+
+
+def lattice_scores(model, ctx, hyps, weights=None):
+    """Total score of each (labels, segments) pair of ``hyps``."""
+    starts, ends, hyp, span, label, prev = _lattice_spans(model, hyps)
+    span_scores, pair_scores = model.edge_scores(ctx, starts, ends, weights)
+    return np.bincount(hyp, span_scores[span, label] + pair_scores[prev, label], len(hyps))
+
+
+def lattice_feature_totals(model, ctx, hyps):
+    """(H, total_dim) feature totals of each (labels, segments) pair of
+    ``hyps``: an expectation whose span posteriors count their segments."""
+    starts, ends, hyp, span, label, prev = _lattice_spans(model, hyps)
+    nl = len(model.labels)
+    post = np.zeros((len(hyps), len(starts), nl))
+    post[hyp, span, label] = 1.0
+    pairs = np.zeros((len(hyps), nl + 1, nl))
+    np.add.at(pairs, (hyp, prev, label), 1.0)
+    return _expectation(model, ctx, starts, ends, post, pairs)
+
+
 # ---------------------------------------------------------------------------
 # Log-space helpers
 
@@ -499,135 +569,114 @@ def _logsumexp(values):
     return m + math.log(float(np.sum(np.exp(values - m))))
 
 
-def _lse(values, axis=0):
-    """logsumexp along one axis; all -inf lines stay -inf."""
-    m = values.max(axis=axis, keepdims=True)
-    safe = np.where(m == NEG_INF, 0.0, m)
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(values - safe).sum(axis=axis)) + np.squeeze(safe, axis)
+def _lse(values):
+    """logsumexp along axis 0, overwriting ``values``; all -inf columns stay
+    -inf (callers silence the log's divide-by-zero warning)."""
+    m = values.max(axis=0)
+    m[m == NEG_INF] = 0.0
+    values -= m
+    np.exp(values, out=values)
+    out = np.log(values.sum(axis=0))
+    out += m
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Score tables
 
+class SpanIndex:
+    """Start and exclusive end boundaries of the spans ``Tables`` scores for
+    T frames: the table's (t, d <= dmax) cells row-major, then [0, t) for
+    t = 1..T, then [t, T) for t = 0..T-1.  ``by_end[end_cut[t]:end_cut[t+1]]``
+    are the spans ending at t, shortest first (the tie order of
+    nbest_segmentations); ``by_start`` and ``start_cut`` likewise."""
+
+    def __init__(self, t_len, dmax):
+        self.num_frames, self.dmax = t_len, dmax
+        t, d = np.divmod(np.arange(t_len * dmax), dmax)
+        t, e = t[t + d < t_len], (t + d + 1)[t + d < t_len]
+        self.cells = len(t)
+        b = np.arange(1, t_len + 1)
+        self.starts = np.concatenate([t, 0 * b, b - 1])
+        self.ends = np.concatenate([e, b, t_len + 0 * b])
+        self.durations = self.ends - self.starts
+        self.by_end = np.lexsort((self.durations, self.ends))
+        self.by_start = np.lexsort((self.durations, self.starts))
+        self.end_cut = np.searchsorted(self.ends[self.by_end], np.arange(t_len + 2))
+        self.start_cut = np.searchsorted(self.starts[self.by_start], np.arange(t_len + 1))
+
+
 @dataclass
 class Tables:
     """One sequence's edge scores, the input of every inference routine.
 
-    ``table[t, d-1, c]`` scores a segment labeled ``columns[c]`` over
-    frames [t, t+d), d up to dmax.  The unbounded ``<s>`` and ``</s>``
-    segments always cover [0, t) or [t, T) (``SegmentalModel``):
-    ``enter[t, y]`` scores one labeled y over [0, t) and ``leave[t, y]``
-    over [t, T), 2T spans instead of T^2.  Each span is scored in one of
-    the three, infeasible ones at -inf.  ``trans[p, y]`` scores label y
-    after context p (row 0 START, row p+1 label p); ``final[y]`` ends a
-    hypothesis on y.  The feature values behind the scores are kept for
-    the expectations: per left-independent feature one row per span of
-    ``scores``, per left-dependent one (L+1, L, dim)."""
-    table: np.ndarray                  # (T, dmax, len(columns))
+    ``scores[k, y]`` scores a segment labeled y over span k of ``index``,
+    -inf where infeasible; the unbounded ``<s>`` and ``</s>`` segments
+    always cover [0, t) or [t, T) (``SegmentalModel``), 2T spans, not T^2.
+    ``trans[p, y]`` scores label y after context p (row 0 START, row p+1
+    label p); ``final[y]`` ends a hypothesis on y.  ``table[t, d-1, c]``
+    views the scores of label ``columns[c]`` over frames [t, t+d)."""
+    scores: np.ndarray                 # (spans, L)
     trans: np.ndarray                  # (L+1, L)
     final: np.ndarray                  # (L,)
-    enter: np.ndarray                  # (T+1, L); row 0 unread
-    leave: np.ndarray                  # (T+1, L); row T unread
+    index: SpanIndex
     columns: np.ndarray                # the table's labels
-    span_features: dict = field(default_factory=dict)
-    pair_features: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        t_len, dmax, _ = self.table.shape
-        # scores[k, y]: span k of _span_bounds labeled y; by_end (by_start)
-        # lists the spans by end (start) boundary, shortest first: the tie
-        # order of nbest_segmentations
-        self.starts, self.ends = _span_bounds(t_len, dmax)
-        cells, dur = len(self.starts) - 2 * t_len, self.ends - self.starts
-        self.scores = np.full((len(dur), len(self.final)), NEG_INF)
-        self.scores[:cells, self.columns] = self.table[self.starts[:cells], dur[:cells] - 1]
-        self.scores[cells:] = np.concatenate([self.enter[1:], self.leave[:-1]])
-        self.by_end = np.lexsort((dur, self.ends))
-        self.by_start = np.lexsort((dur, self.starts))
-        self.end_cut = np.searchsorted(self.ends[self.by_end], np.arange(t_len + 2))
-        self.start_cut = np.searchsorted(self.starts[self.by_start], np.arange(t_len + 1))
+    @classmethod
+    def from_parts(cls, table, trans, final, enter, leave, columns):
+        """Tables from the (T, dmax, columns) table and the (T+1, L) scores
+        of the spans [0, t) (``enter[t]``) and [t, T) (``leave[t]``)."""
+        ix = SpanIndex(*table.shape[:2])
+        scores = np.full((len(ix.starts), len(final)), NEG_INF)
+        scores[:ix.cells, columns] = table[ix.starts[:ix.cells], ix.durations[:ix.cells] - 1]
+        scores[ix.cells:] = np.concatenate([enter[1:], leave[:-1]])
+        return cls(scores, trans, final, ix, columns)
 
-    def ending_at(self, t):
-        """(scores (m, L), starts (m,)) of the spans ending at boundary t."""
-        k = self.by_end[self.end_cut[t]:self.end_cut[t + 1]]
-        return self.scores[k], self.starts[k]
-
-    def starting_at(self, t):
-        """(scores (m, L), ends (m,)) of the spans starting at boundary t."""
-        k = self.by_start[self.start_cut[t]:self.start_cut[t + 1]]
-        return self.scores[k], self.ends[k]
+    @property
+    def table(self):
+        ix = self.index
+        table = np.full((ix.num_frames, ix.dmax, len(self.columns)), NEG_INF)
+        table[ix.starts[:ix.cells], ix.durations[:ix.cells] - 1] = \
+            self.scores[:ix.cells][:, self.columns]
+        return table
 
 
-def _span_bounds(t_len, dmax):
-    """Start and exclusive end boundaries of every span ``Tables`` scores:
-    the table's cells within the frames row-major, then [0, t) for t = 1..T,
-    then [t, T) for t = 0..T-1."""
-    t, d = np.divmod(np.arange(t_len * dmax), dmax)
-    t, e = t[t + d < t_len], (t + d + 1)[t + d < t_len]
-    b = np.arange(1, t_len + 1)
-    return np.concatenate([t, 0 * b, b - 1]), np.concatenate([e, b, t_len + 0 * b])
-
-
-def _label_blocks(f, labels):
-    """(labels, their weight blocks) of a lexicalized feature's labels."""
-    pairs = [(li, f.label_index(l)) for li, l in enumerate(labels)]
-    return np.array([p for p in pairs if p[1] is not None], dtype=int).reshape(-1, 2).T
+def _structure(model, t_len):
+    """The weight-free part of a T-frame sequence's ``Tables``, built once
+    per model, length and constraints: (span index, infeasible (span, label)
+    mask, constraint part of ``trans``, ``final``, table columns)."""
+    key = (t_len, model.max_duration, model.min_letter_duration, *(
+        s if s is None else frozenset(s) for s in (model.initial_labels, model.final_labels)))
+    if key not in model._structures:
+        labels = model.labels
+        index = SpanIndex(t_len, min(model.max_duration, t_len))
+        # the part of the span order that scores each label: table, enter, leave
+        part = np.repeat([0, 1, 2], [index.cells, t_len, t_len])
+        own = np.array([{BEGIN_SILENCE: 1, END_SILENCE: 2}.get(l, 0) for l in labels])
+        dur = index.durations[:, None]
+        infeasible = ((part[:, None] != own) | (dur < [model.min_dur(l) for l in labels])
+                      | (dur > [model.max_dur(l, t_len) for l in labels]))
+        trans = np.where([list(map(model.initial_ok, labels))]
+                         + [[model.transition_ok(p, y) for y in labels] for p in labels],
+                         0.0, NEG_INF)
+        model._structures[key] = (index, infeasible, trans, model.final_mask(),
+                                  np.flatnonzero(own == 0))
+    return model._structures[key]
 
 
 def compute_tables(model, ctx, weights=None):
     """Every edge score of one sequence, as ``Tables``.
 
-    Letters fill the (T, dmax, letters) table, dmax = min(max_duration, T),
-    -inf outside their duration bounds; ``<s>`` only enter and ``</s>``
-    only leave, whatever ``initial_labels`` and ``final_labels`` say.  So
-    feature values are computed for T * dmax + 2T spans: base vectors
-    (spans, block) per lexicalized feature, edge values (spans, L, dim) per
-    other left-independent one.  ``trans`` has the initial-label constraint
-    in row 0, -inf for disallowed pairs, and each left-dependent feature's
-    w . f(left, right)."""
-    w_all = model.weights if weights is None else weights
-    labels = model.labels
-    nl, t_len = len(labels), ctx.num_frames
-    dmax = min(model.max_duration, t_len)
-    starts, ends = _span_bounds(t_len, dmax)
-    scores = np.zeros((len(starts), nl))
-    trans = np.where([list(map(model.initial_ok, labels))]
-                     + [[model.transition_ok(p, y) for y in labels] for p in labels],
-                     0.0, NEG_INF)
-    span_features, pair_features = {}, {}
-    for fi, (f, off, dim) in enumerate(zip(model.features, model.offsets[:-1], model.dims)):
-        w = w_all[off:off + dim]
-        if f.left_dependent:
-            pair_features[fi] = phi = f.pair_matrix(ctx, labels)
-            trans = trans + phi @ w
-            continue
-        if f.lexicalized:
-            bd = f.block_size(ctx)
-            phi = f.span_vectors(ctx, starts, ends - 1)
-            wm = np.zeros((nl, bd))
-            rows, blocks = _label_blocks(f, labels)
-            wm[rows] = w.reshape(-1, bd)[blocks]
-            scores += phi @ wm.T
-        else:
-            phi = np.array([[f.eval(SegmentEdge(int(a), int(e) - 1, START_LABEL, y), ctx)
-                             for y in labels] for a, e in zip(starts, ends)])
-            scores += phi @ w
-        span_features[fi] = phi
-    cells = len(starts) - 2 * t_len
-    # the part of the span order that scores each label: table, enter, leave
-    part = np.repeat([0, 1, 2], [cells, t_len, t_len])
-    own = np.array([{BEGIN_SILENCE: 1, END_SILENCE: 2}.get(l, 0) for l in labels])
-    dur = ends - starts
-    scores[(part[:, None] != own) | (dur[:, None] < [model.min_dur(l) for l in labels])
-           | (dur[:, None] > [model.max_dur(l, t_len) for l in labels])] = NEG_INF
-    letters = np.flatnonzero(own == 0)
-    table = np.full((t_len, dmax, len(letters)), NEG_INF)
-    table[starts[:cells], dur[:cells] - 1] = scores[:cells, letters]
-    enter, leave = np.full((2, t_len + 1, nl), NEG_INF)
-    enter[1:], leave[:-1] = scores[cells:cells + t_len], scores[cells + t_len:]
-    return Tables(table, trans, model.final_mask(), enter, leave, letters,
-                  span_features, pair_features)
+    Letters are scored over spans up to dmax = min(max_duration, T) frames,
+    -inf outside their duration bounds; ``<s>`` only enters and ``</s>``
+    only leaves, whatever ``initial_labels`` and ``final_labels`` say: one
+    ``SegmentalModel.edge_scores`` call over T * dmax + 2T spans.  ``trans``
+    adds the pair scores to the constraints (initial labels in row 0, -inf
+    for disallowed pairs).  The rest is weight-free (``_structure``)."""
+    index, infeasible, trans, final, letters = _structure(model, ctx.num_frames)
+    scores, pair = model.edge_scores(ctx, index.starts, index.ends - 1, weights)
+    scores[infeasible] = NEG_INF
+    return Tables(scores, trans + pair, final, index, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -638,16 +687,18 @@ def forward_pass(tabs):
     covering frames [0, t) whose final segment has label y; prev_lse[t, y]:
     log-sum over contexts preceding a segment starting at t labeled y, with
     the pair score (START at t=0, which the enter spans also follow)."""
-    trans = tabs.trans
-    t_len, nl = len(tabs.table), len(tabs.final)
+    trans, ix = tabs.trans, tabs.index
+    t_len, nl = ix.num_frames, len(tabs.final)
+    scores, starts = tabs.scores[ix.by_end], ix.starts[ix.by_end]
     alpha = np.full((t_len + 1, nl), NEG_INF)
     prev_lse = np.full((t_len + 1, nl), NEG_INF)
     prev_lse[0] = trans[0]
-    for t in range(1, t_len + 1):
-        scores, starts = tabs.ending_at(t)
-        alpha[t] = _lse(scores + prev_lse[starts])
-        if t < t_len:
-            prev_lse[t] = _lse(alpha[t][:, None] + trans[1:])
+    with np.errstate(divide="ignore"):
+        for t in range(1, t_len + 1):
+            k = slice(ix.end_cut[t], ix.end_cut[t + 1])
+            alpha[t] = _lse(scores[k] + prev_lse[starts[k]])
+            if t < t_len:
+                prev_lse[t] = _lse(alpha[t][:, None] + trans[1:])
     return alpha, prev_lse
 
 
@@ -656,15 +707,17 @@ def backward_pass(tabs):
     [t, T) given the previous segment ended at t with label p; tail[T]
     is the final score.  inner[t, y]: the same completions restricted to a
     first segment labeled y, without its pair score."""
-    trans = tabs.trans
-    t_len, nl = len(tabs.table), len(tabs.final)
+    trans, ix = tabs.trans, tabs.index
+    t_len, nl = ix.num_frames, len(tabs.final)
+    scores, ends = tabs.scores[ix.by_start], ix.ends[ix.by_start]
     tail = np.full((t_len + 1, nl), NEG_INF)
     inner = np.full((t_len, nl), NEG_INF)
     tail[t_len] = tabs.final
-    for t in range(t_len - 1, -1, -1):
-        scores, ends = tabs.starting_at(t)
-        inner[t] = _lse(scores + tail[ends])
-        tail[t] = _lse(inner[t][:, None] + trans[1:].T)
+    with np.errstate(divide="ignore"):
+        for t in range(t_len - 1, -1, -1):
+            k = slice(ix.start_cut[t], ix.start_cut[t + 1])
+            inner[t] = _lse(scores[k] + tail[ends[k]])
+            tail[t] = _lse(inner[t][:, None] + trans[1:].T)
     return tail, inner
 
 
@@ -673,9 +726,8 @@ def log_partition(model, ctx, mode="full", lattice=None, weights=None):
     if mode == "lattice":
         if lattice is None or not lattice.hypotheses:
             raise ValueError("lattice mode requires a non-empty lattice")
-        scores = [model.score(list(h.labels), h.segments, ctx, weights)
-                  for h in lattice.hypotheses]
-        return _logsumexp(np.array(scores))
+        return _logsumexp(lattice_scores(model, ctx, [(h.labels, h.segments)
+                                                      for h in lattice.hypotheses], weights))
     if mode != "full":
         raise ValueError("mode must be 'full' or 'lattice'")
     tabs = compute_tables(model, ctx, weights)
@@ -702,19 +754,9 @@ def _marginals(tabs):
     alpha, prev_lse = forward_pass(tabs)
     tail, inner = backward_pass(tabs)
     logz = _logsumexp(alpha[-1] + tabs.final)
-    return (np.exp(prev_lse[tabs.starts] + tabs.scores + tail[tabs.ends] - logz),
+    ix = tabs.index
+    return (np.exp(prev_lse[ix.starts] + tabs.scores + tail[ix.ends] - logz),
             logz, alpha, inner)
-
-
-def edge_marginals(model, ctx, weights=None, tabs=None):
-    """Posterior probability of each (start, duration, right label) edge
-    (summed over the left label), shape (T, T, L), plus logZ."""
-    if tabs is None:
-        tabs = compute_tables(model, ctx, weights)
-    post, logz, _, _ = _marginals(tabs)
-    marg = np.zeros((ctx.num_frames, ctx.num_frames, post.shape[1]))
-    np.add.at(marg, (tabs.starts, tabs.ends - tabs.starts - 1), post)
-    return marg, logz
 
 
 # ---------------------------------------------------------------------------
@@ -732,32 +774,6 @@ class ReferenceNotInLattice(RuntimeError):
     pass
 
 
-def candidate_feature_totals(model, ctx, hyp):
-    total = np.zeros(model.total_dim)
-    for e in edges_of(list(hyp.labels), hyp.segments):
-        total += model.feature_vector(e, ctx)
-    return total
-
-
-def _expectation(model, tabs, post, pair_post):
-    """Expected features: post[k, y] * f(span k labeled y) summed over spans
-    (``Tables.scores``' order) and labels, one (spans, L)^T @ (spans, block)
-    product per lexicalized feature, plus pair_post[p, y] * f(p, y) summed
-    over label pairs (indexed like the transition matrix)."""
-    expect = np.zeros(model.total_dim)
-    for fi, phi in tabs.span_features.items():
-        f, off, dim = model.features[fi], model.offsets[fi], model.dims[fi]
-        if f.lexicalized:
-            rows, blocks = _label_blocks(f, model.labels)
-            expect[off:off + dim].reshape(-1, phi.shape[1])[blocks] += (post.T @ phi)[rows]
-        else:
-            expect[off:off + dim] += np.einsum("ky,kyd->d", post, phi)
-    for fi, phi in tabs.pair_features.items():
-        off, dim = model.offsets[fi], model.dims[fi]
-        expect[off:off + dim] += np.einsum("py,pyk->k", pair_post, phi)
-    return expect
-
-
 def clamped_expectation(model, ctx, ref_labels, weights=None, tabs=None):
     """(expected features, log-partition) over segmentations consistent with
     the reference label sequence (constrained forward-backward).  All of
@@ -772,7 +788,7 @@ def clamped_expectation(model, ctx, ref_labels, weights=None, tabs=None):
     lidx = [model._label_index[l] for l in ref_labels]
     rows = [0] + [li + 1 for li in lidx[:-1]]
     pair = tabs.trans[rows, lidx]
-    scores, starts, ends = tabs.scores, tabs.starts, tabs.ends
+    scores, starts, ends = tabs.scores, tabs.index.starts, tabs.index.ends
     # a[i, t]: the first i positions cover [0, t); b[i, t]: positions i..k-1
     # cover [t, T)
     a = np.full((k + 1, t_len + 1), NEG_INF)
@@ -792,7 +808,7 @@ def clamped_expectation(model, ctx, ref_labels, weights=None, tabs=None):
         post[:, y] += np.exp(a[i, starts] + scores[:, y] + pair[i] + b[i + 1, ends] - logz_c)
     counts = np.zeros(tabs.trans.shape)
     np.add.at(counts, (rows, lidx), 1.0)
-    return _expectation(model, tabs, post, counts), float(logz_c)
+    return _expectation(model, ctx, starts, ends - 1, post, counts), float(logz_c)
 
 
 def free_expectation(model, ctx, weights=None, tabs=None):
@@ -805,18 +821,20 @@ def free_expectation(model, ctx, weights=None, tabs=None):
         tabs = compute_tables(model, ctx, weights)
     post, logz, alpha, inner = _marginals(tabs)
     pair_post = None
-    if tabs.pair_features:
+    if model.left_dependent:
         t_len, nl = inner.shape
         head = np.full((t_len, nl + 1), NEG_INF)   # context before boundary t
         head[0, 0] = 0.0
         head[1:, 1:] = alpha[1:t_len]
         vals = head[:, :, None] + tabs.trans[None] + inner[:, None, :] - logz
         pair_post = np.exp(vals).sum(axis=0)
-    return _expectation(model, tabs, post, pair_post), logz
+    return _expectation(model, ctx, tabs.index.starts, tabs.index.ends - 1, post, pair_post), logz
 
 
 def example_gradient(model, example, mode, ref_policy="add-ground-truth"):
-    """(CLL gradient, log p(S_ref | O)) for one example."""
+    """(CLL gradient, log p(S_ref | O)) for one example.  In lattice mode
+    the hypotheses' feature totals are weight-free and kept with the
+    example."""
     ctx = example.ctx
     if mode == "full":
         tabs = compute_tables(model, ctx)
@@ -830,23 +848,20 @@ def example_gradient(model, example, mode, ref_policy="add-ground-truth"):
     lattice = _lattice_with_reference(example, ref_policy)
     if lattice is None:  # dropped example
         return np.zeros(model.total_dim), 0.0
-    if example.lattice is not lattice:
-        example.lattice = lattice
+    example.lattice = lattice
     feats = getattr(example, "_feat_cache", None)
     if feats is None or len(feats) != len(lattice.hypotheses):
-        feats = [candidate_feature_totals(model, ctx, h) for h in lattice.hypotheses]
+        feats = lattice_feature_totals(model, ctx, [(h.labels, h.segments)
+                                                    for h in lattice.hypotheses])
         example._feat_cache = feats
-    scores = np.array([float(np.dot(model.weights, f)) for f in feats])
+    scores = feats @ model.weights
     ref = list(example.ref_labels)
     in_ref = np.array([list(h.labels) == ref for h in lattice.hypotheses])
     logz = _logsumexp(scores)
     logz_c = _logsumexp(np.where(in_ref, scores, NEG_INF))
     p_free = np.exp(scores - logz)
     p_clamped = np.where(in_ref, np.exp(scores - logz_c), 0.0)
-    grad = np.zeros(model.total_dim)
-    for pc, pf, f in zip(p_clamped, p_free, feats):
-        grad += (pc - pf) * f
-    return grad, float(logz_c - logz)
+    return (p_clamped - p_free) @ feats, float(logz_c - logz)
 
 
 # What lattice CLL training does with an example whose reference label
@@ -905,15 +920,6 @@ def train_cll(model, data, l1=0.0, l2=0.0, learning_rate=0.5, epochs=10,
     return history
 
 
-def sequence_log_posterior(model, ctx, ref_labels):
-    """log p(S_ref | O) in full mode."""
-    tabs = compute_tables(model, ctx)
-    _, logz_c = clamped_expectation(model, ctx, ref_labels, tabs=tabs)
-    if logz_c == NEG_INF:
-        return NEG_INF
-    return logz_c - log_partition(model, ctx, "full")
-
-
 # ---------------------------------------------------------------------------
 # First-pass N-best, rescoring, and the two-pass cascade
 
@@ -958,23 +964,24 @@ def _merge_top_n(offsets, lists, n):
 def nbest_segmentations(tabs, n):
     """Top-n labeled segmentations of a first-order semi-Markov model.
 
-    ``tabs`` (``Tables``; feature values are not read) holds the span and
-    label-pair scores and ``final[y]``, added to every complete hypothesis
-    whose last label is y (-inf bars it).  Returns [(score, [(label index,
+    ``tabs`` (``Tables``) holds the span and label-pair scores and
+    ``final[y]``, added to every complete hypothesis whose last label is y
+    (-inf bars it).  Returns [(score, [(label index,
     start, end), ...])] best first, empty when no segmentation is legal;
     the hypotheses are distinct (label sequence, segmentation) pairs.
 
     List Viterbi (Huang & Chiang, IWPT 2005) with all labels of a boundary
     t ranked at once, by one ``_merge_top_n`` per step: over the spans
-    ending at t, shortest first (``Tables.ending_at``; span score plus the
+    ending at t, shortest first (``SpanIndex.by_end``; span score plus the
     start's merged list), over (L, L) previous labels for the merge (their
     lists at t plus the pair score, -inf where forbidden) and over the L
     lists at T plus ``final``.  Exact ties keep the lowest column, the
     order of a stable sort of the negated row: hypotheses of equal score
     rank by their (label, duration) pairs read from the last segment back,
     ascending.  ``viterbi`` is the top hypothesis."""
-    trans = tabs.trans
-    t_len, nl = len(tabs.table), len(tabs.final)
+    trans, ix = tabs.trans, tabs.index
+    t_len, nl = ix.num_frames, len(tabs.final)
+    span_scores, span_starts = tabs.scores[ix.by_end], ix.starts[ix.by_end]
     # cell_s[t, y, r]: r-th best score of a segment of label y ending at t,
     # cell_bp its start * n + rank; merged_s[t, y, r]: r-th best over
     # previous labels with the pair score, merged_bp its column
@@ -984,8 +991,9 @@ def nbest_segmentations(tabs, n):
     merged_bp = np.zeros((t_len + 1, nl, n), dtype=int)
     merged_s[0, :, 0] = trans[0]
     for t in range(1, t_len + 1):
-        scores, starts = tabs.ending_at(t)
-        cols, cell_s[t] = _merge_top_n(scores.T, merged_s[starts].transpose(1, 0, 2), n)
+        starts = span_starts[ix.end_cut[t]:ix.end_cut[t + 1]]
+        cols, cell_s[t] = _merge_top_n(span_scores[ix.end_cut[t]:ix.end_cut[t + 1]].T,
+                                       merged_s[starts].transpose(1, 0, 2), n)
         cell_bp[t] = starts[cols // n] * n + cols % n
         if t < t_len:
             merged_bp[t], merged_s[t] = _merge_top_n(
@@ -1025,21 +1033,17 @@ def rescore(model, lattice, ctx):
     log-score)."""
     if lattice is None or not lattice.hypotheses:
         raise ValueError("empty lattice")
+    hyps = lattice.hypotheses
+    scores = lattice_scores(model, ctx, [(h.labels, h.segments) for h in hyps])
     groups = {}
-    order = []
-    for h in lattice.hypotheses:
-        key = tuple(h.labels)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(h)
+    for i, h in enumerate(hyps):
+        groups.setdefault(tuple(h.labels), []).append(i)
     best_key, best_score, best_hyp = None, NEG_INF, None
-    for key in order:
-        scores = [model.score(list(h.labels), h.segments, ctx) for h in groups[key]]
-        seq_score = _logsumexp(np.array(scores))
+    for key, members in groups.items():
+        seq_score = _logsumexp(scores[members])
         if seq_score > best_score:
             best_key, best_score = key, seq_score
-            best_hyp = groups[key][int(np.argmax(scores))]
+            best_hyp = hyps[members[int(np.argmax(scores[members]))]]
     return list(best_key), best_hyp, float(best_score)
 
 
@@ -1050,16 +1054,10 @@ def build_second_pass(first_model, labels, segment_mlp=None):
     label."""
     if first_model.left_dependent:
         raise ValueError("the second pass needs a left-independent first-pass model")
-    feats = [FirstPassScoreFeature(first_model)]
-    dims = [1]
+    feats = [FirstPassScoreFeature(first_model), PeakFeature(labels)]
     if segment_mlp is not None:
-        f = SegmentClassifierFeature(labels, segment_mlp)
-        feats.append(f)
-        dims.append(f.dim)
-    pk = PeakFeature(labels)
-    feats.append(pk)
-    dims.append(len(labels))
-    model = SegmentalModel(labels, feats, dims,
+        feats.insert(1, SegmentClassifierFeature(labels, segment_mlp))
+    model = SegmentalModel(labels, feats, [1] + [len(labels)] * (len(feats) - 1),
                            max_duration=first_model.max_duration,
                            min_letter_duration=first_model.min_letter_duration,
                            initial_labels=first_model.initial_labels,

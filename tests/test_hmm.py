@@ -67,6 +67,23 @@ def toy_lm():
     return train_bigram(["AB", "BA", "A", "B", "AA"], LetterAlphabet())
 
 
+def reference_viterbi(a, pi, omega, emis):
+    """The column-wise form of ``hmm._viterbi``, kept as its oracle: the
+    maximum over each column of score[:, None] + a."""
+    t_len, s = emis.shape
+    score = pi + emis[0]
+    bps = np.zeros((t_len, s), dtype=int)
+    for t in range(1, t_len):
+        cand = score[:, None] + a
+        bps[t] = np.argmax(cand, axis=0)
+        score = cand[bps[t], np.arange(s)] + emis[t]
+    final = score + omega
+    path = [int(np.argmax(final))]
+    for t in range(t_len - 1, 0, -1):
+        path.append(int(bps[t, path[-1]]))
+    return float(final[path[0]]), path[::-1]
+
+
 class TestViterbiExact:
     def test_matches_enumeration(self, toy_lm):
         rng = np.random.default_rng(3)
@@ -80,6 +97,25 @@ class TestViterbiExact:
             letters, segs, score = viterbi_decode(model, toy_lm, obs, cfg)
             assert score == pytest.approx(best_score, abs=1e-9)
             assert tuple((s.label, s.start, s.end) for s in segs) == best_key
+
+    def test_transposed_recursion_equals_column_loop_on_tied_graphs(self):
+        # small integer scores tie many predecessors and end states; both
+        # forms must pick the same (lowest) ones and the same score bits
+        rng = np.random.default_rng(31)
+        ties = 0
+        for case in range(60):
+            s, t_len = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+            draw = (lambda size: rng.integers(-2, 1, size=size).astype(float)) \
+                if case % 2 else (lambda size: rng.normal(size=size))
+            a, pi, omega, emis = draw((s, s)), draw(s), draw(s), draw((t_len, s))
+            a[rng.random((s, s)) < 0.4] = LOG_ZERO
+            pi[rng.random(s) < 0.3] = LOG_ZERO
+            got = hmm._viterbi(a, pi, omega, emis)
+            assert got == reference_viterbi(a, pi, omega, emis)
+            if t_len > 1:   # a tied predecessor at the first step
+                cand = (pi + emis[0])[:, None] + a
+                ties += ((cand == cand.max(axis=0)) & (cand > LOG_ZERO / 2)).sum(axis=0).max() > 1
+        assert ties >= 10
 
     def test_single_letter_vocabulary(self, toy_lm):
         rng = np.random.default_rng(4)

@@ -349,6 +349,28 @@ class TestCliChain:
         assert str(bundle / "frontend.json") in err and "window" in err
         assert not (tmp_path / "hyps.txt").exists()
 
+    @pytest.mark.parametrize("target", ["classifier.json", "word.json", "word.fmat"])
+    def test_unreadable_input_file_exit_3(self, workdir, tmp_path, capsys, target):
+        # a bundle file or a corpus word file that is not JSON, and a
+        # descriptor matrix cut short, each name the file without a traceback
+        import shutil
+        shutil.copytree(workdir / "rec", tmp_path / "rec")
+        shutil.copytree(workdir / "corpus", tmp_path / "corpus")
+        stem = json.loads((tmp_path / "corpus" / "manifest.json").read_text())["entries"][0]["stem"]
+        path = (tmp_path / "rec" / target if target == "classifier.json"
+                else tmp_path / "corpus" / (stem + target[len("word"):]))
+        if target.endswith(".fmat"):
+            path.write_bytes(path.read_bytes()[:-6])
+        else:
+            path.write_text("{not json")
+        rc = cli.main(["decode", "--recognizer", str(tmp_path / "rec"),
+                       "--corpus", str(tmp_path / "corpus"), "--signers", "S1",
+                       "--out", str(tmp_path / "hyps.txt")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "hyps.txt").exists()
+
     def test_align_and_nbest_outputs(self, workdir):
         d = workdir
         assert cli.main(["align", "--recognizer", str(d / "rec"),
@@ -669,6 +691,14 @@ class TestCliSegmental:
                          "--hyp", str(d / "h.txt"),
                          "--json", str(d / "s.json")]) == 0
         assert json.load(open(d / "s.json"))["ler"] <= 10.0
+        # a lattice label the model does not know exits 3, no traceback
+        lattice = sorted((d / "lats").glob("*.lat.jsonl"))[0]
+        hyp = json.loads(lattice.read_text().splitlines()[0])
+        hyp["spans"][0][0] = "?"
+        lattice.write_text(json.dumps(hyp) + "\n")
+        assert cli.main(["decode", "--recognizer", str(d / "rec"),
+                         "--corpus", str(d / "c"), "--scrf", str(d / "re.json"),
+                         "--lattices", str(d / "lats"), "--out", str(d / "h2.txt")]) == 3
 
     def test_realign_adapt_subcommand(self, tmp_path):
         d = tmp_path

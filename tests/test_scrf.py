@@ -7,14 +7,12 @@ import pytest
 from segspell import scrf
 from segspell.scrf import (START_LABEL, BaselineFeature, ClassifierStatFeature,
                            FeatureContext, FirstPassFeatures, LmFeature,
-                           ManifestError, PeakFeature, SegmentEdge,
-                           SegmentalModel, TrainingExample, _logsumexp,
-                           clamped_expectation, compute_tables,
-                           count_interior_minima, delta_peak, edge_marginals,
-                           example_gradient, free_expectation, log_partition,
-                           nbest_decode,
-                           rescore, segment_thirds, sequence_log_posterior,
-                           train_cll, viterbi)
+                           ManifestError, PeakFeature, SegmentalModel,
+                           TrainingExample, _logsumexp, clamped_expectation,
+                           compute_tables, count_interior_minima, delta_peak,
+                           example_gradient, forward_pass, backward_pass,
+                           free_expectation, log_partition, nbest_decode,
+                           rescore, segment_thirds, train_cll, viterbi)
 from segspell.hmm import CandidateLattice, Hypothesis
 from segspell.segments import Segment
 
@@ -77,56 +75,130 @@ def random_model(rng, ctx, labels, lmax, with_lm=True):
     return model
 
 
+# ---------------------------------------------------------------------------
+# Oracles: one edge at a time, from the features' dense definitions
+
+def firstpass_vectors(f, ctx, starts, ends):
+    """``FirstPassFeatures`` values built block by block, (spans, block):
+    the dense oracle of its factored span products."""
+    g = np.asarray(ctx.letter_posteriors, dtype=np.float64)
+    c = f.num_classes
+    cums = np.vstack([np.zeros(c), np.cumsum(g, axis=0)])
+    d = ends + 1 - starts
+    phi = np.zeros((len(starts), f.block))
+    phi[:, :c] = (cums[ends + 1] - cums[starts]) / d[:, None]
+    for k, at in enumerate([starts, (starts + ends) // 2, ends, starts, ends], 1):
+        phi[:, k * c:(k + 1) * c] = g[at]
+    phi[np.arange(len(d)), 6 * c + np.minimum(d, f.max_duration) - 1] = 1.0
+    phi[:, -1] = 1.0
+    return phi
+
+
+def span_vectors(f, ctx, starts, ends):
+    if isinstance(f, FirstPassFeatures):
+        return firstpass_vectors(f, ctx, starts, ends)
+    return f.span_vectors(ctx, starts, ends)
+
+
+def edge_feature_vector(model, ctx, prev, label, start, end):
+    """Feature vector of the segment [start, end] labeled ``label`` after
+    ``prev`` (START_LABEL first), one span at a time: lexicalized values
+    from ``span_vectors`` (``firstpass_vectors`` for the first pass)."""
+    y = model.labels.index(label)
+    row = 0 if prev == START_LABEL else model.labels.index(prev) + 1
+    parts = []
+    for f, dim in zip(model.features, model.dims):
+        out = np.zeros(dim)
+        if f.left_dependent:
+            out[:] = f.pair_matrix(ctx, model.labels)[row, y]
+        elif f.label_index(label) is not None:
+            b, bd = f.label_index(label), f.block_size(ctx)
+            span = np.array([start]), np.array([end])
+            out[b * bd:(b + 1) * bd] = (span_vectors(f, ctx, *span)[0] if f.lexicalized
+                                        else f.span_values(ctx, *span, model.labels)[0, y])
+        parts.append(out)
+    return np.concatenate(parts)
+
+
+def edge_feature_totals(model, ctx, labels, segments):
+    """Feature totals of one labeled segmentation, edge by edge."""
+    prevs = [START_LABEL] + list(labels[:-1])
+    return sum(edge_feature_vector(model, ctx, p, l, s.start, s.end)
+               for p, l, s in zip(prevs, labels, segments))
+
+
+def edge_marginals(model, ctx):
+    """Posterior probability of each (start, duration, right label) edge
+    (summed over the left label), shape (T, T, L), plus logZ."""
+    tabs = compute_tables(model, ctx)
+    post, logz, _, _ = scrf._marginals(tabs)
+    marg = np.zeros((ctx.num_frames, ctx.num_frames, post.shape[1]))
+    np.add.at(marg, (tabs.index.starts, tabs.index.ends - tabs.index.starts - 1), post)
+    return marg, logz
+
+
+def sequence_log_posterior(model, ctx, ref_labels):
+    """log p(S_ref | O) in full mode."""
+    tabs = compute_tables(model, ctx)
+    _, logz_c = clamped_expectation(model, ctx, ref_labels, tabs=tabs)
+    if logz_c == -np.inf:
+        return -np.inf
+    return logz_c - log_partition(model, ctx, "full")
+
+
 class TestFeatureFunctions:
     def test_lm_feature_direct_lookup(self):
         ctx = FeatureContext(4, lm=ToyLm({("A", "B"): 0.5}))
         f = LmFeature()
-        assert f.eval(SegmentEdge(0, 1, "A", "B"), ctx)[0] == 0.5
+        assert f.pair_matrix(ctx, ["A", "B"])[1, 1, 0] == 0.5   # row A, column B
 
     def test_lm_feature_neutral_outside_domain(self):
         ctx = FeatureContext(4, lm=ToyLm({("A", "B"): 0.5}))
-        assert LmFeature().eval(SegmentEdge(0, 1, START_LABEL, "Q"), ctx)[0] == 1.0
-        assert LmFeature(use_log=True).eval(
-            SegmentEdge(0, 1, START_LABEL, "Q"), ctx)[0] == 0.0
+        assert LmFeature().pair_matrix(ctx, ["Q"])[0, 0, 0] == 1.0
+        assert LmFeature(use_log=True).pair_matrix(ctx, ["Q"])[0, 0, 0] == 0.0
 
     def test_lm_feature_in_unit_interval(self):
         rng = np.random.default_rng(0)
         from segspell.lm import train_bigram
         lm = train_bigram(["TULIP", "ROAD", "QUIZ"])
         ctx = FeatureContext(4, lm=lm)
-        f = LmFeature()
         letters = [chr(ord("A") + i) for i in range(26)]
+        values = LmFeature().pair_matrix(ctx, letters)
         for _ in range(100):
-            a = letters[rng.integers(26)]
-            b = letters[rng.integers(26)]
-            v = f.eval(SegmentEdge(0, 1, a, b), ctx)[0]
+            i, j = rng.integers(26), rng.integers(26)
+            a, b = letters[i], letters[j]
+            v = values[i + 1, j, 0]
             assert 0.0 < v <= 1.0
             assert v == pytest.approx(math.exp(lm.logprob(a, b)), abs=1e-12)
 
     def test_baseline_feature_cases(self):
         frames = ["A"] * 5 + ["B"] * 5
         ctx = FeatureContext(10, baseline_frames=frames)
-        f = BaselineFeature()
-        assert f.eval(SegmentEdge(0, 4, START_LABEL, "A"), ctx)[0] == 1.0
-        assert f.eval(SegmentEdge(3, 6, START_LABEL, "A"), ctx)[0] == -1.0  # spans A/B
-        assert f.eval(SegmentEdge(1, 3, START_LABEL, "B"), ctx)[0] == -1.0  # mismatch
+        values = BaselineFeature().span_values(ctx, np.array([0, 3, 1]), np.array([4, 6, 3]),
+                                               ["A", "B"])
+        assert values[0, 0] == 1.0
+        assert values[1, 0] == -1.0  # spans A/B
+        assert values[2, 1] == -1.0  # mismatch
 
     def test_classifier_mean_and_mask(self):
         g = np.array([[0.2, 0.0], [0.4, 0.0]])
         ctx = FeatureContext(2, letter_posteriors=g)
         f = ClassifierStatFeature(["A", "B"], "mean")
-        vec = f.eval(SegmentEdge(0, 1, START_LABEL, "A"), ctx)
+        model = SegmentalModel(["A", "B", "Q"], [f], [4], max_duration=2)
+        vec = edge_feature_vector(model, ctx, START_LABEL, "A", 0, 1)
         assert vec[0] == pytest.approx(0.3)
-        assert f.eval(SegmentEdge(0, 1, START_LABEL, "Q"), ctx).sum() == 0.0
+        assert edge_feature_vector(model, ctx, START_LABEL, "Q", 0, 1).sum() == 0.0
+        model.weights[:] = 1.0
+        assert model.edge_scores(ctx, np.array([0]), np.array([1]))[0][0, 2] == 0.0
 
     def test_div_thirds_of_six(self):
         g = np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [1.0]])
         ctx = FeatureContext(6, letter_posteriors=g)
         div_s = ClassifierStatFeature(["A"], "div_s")
         div_m = ClassifierStatFeature(["A"], "div_m")
-        e = SegmentEdge(0, 5, START_LABEL, "A")
-        np.testing.assert_allclose(div_s.eval(e, ctx), [0.5, 0.5, 0.5])
-        np.testing.assert_allclose(div_m.eval(e, ctx), [1.0, 1.0, 1.0])
+        span = np.array([0]), np.array([5])
+        np.testing.assert_allclose(div_s.span_vectors(ctx, *span)[0], [0.5, 0.5, 0.5])
+        np.testing.assert_allclose(div_m.span_vectors(ctx, *span)[0], [1.0, 1.0, 1.0])
 
     def test_thirds_rule(self):
         assert segment_thirds(6) == (2, 2, 2)
@@ -161,7 +233,9 @@ class TestFeatureFunctions:
         g = rng.random((5, 3))
         ctx = FeatureContext(5, letter_posteriors=g)
         f = FirstPassFeatures(["A", "B"], 3, 4)
-        base = f.base_vector(ctx, 2, 2)
+        base = f.span_vectors(ctx, np.array([2]), np.array([2]))[0]
+        np.testing.assert_allclose(base, firstpass_vectors(f, ctx, np.array([2]), np.array([2]))[0],
+                                   rtol=0, atol=1e-15)
         for k in range(6):
             np.testing.assert_allclose(base[3 * k:3 * (k + 1)], g[2])
         duration = base[18:22]
@@ -226,7 +300,8 @@ class TestScore:
         short_hyp = Hypothesis(["B", "A", "B"], [Segment("B", 0, 2), Segment("A", 3, 5),
                                                  Segment("B", 6, 7)], 0.0)
         lattice = CandidateLattice([long_hyp, short_hyp], ["A"] * 8)
-        totals = [float(np.dot(model.weights, scrf.candidate_feature_totals(model, ctx, h)))
+        totals = [float(np.dot(model.weights,
+                               edge_feature_totals(model, ctx, h.labels, h.segments)))
                   for h in lattice.hypotheses]
         assert model.score(long_hyp.labels, long_hyp.segments, ctx) == \
             pytest.approx(totals[0], abs=1e-12)
@@ -280,8 +355,7 @@ class TestExactInference:
                 assert cover == pytest.approx(1.0, abs=1e-8)
             # free and clamped feature expectations are the probability-
             # weighted feature totals over all / reference-consistent hypotheses
-            feats = np.array([scrf.candidate_feature_totals(
-                model, ctx, Hypothesis(l, s, 0.0)) for l, s in hyps])
+            feats = np.array([edge_feature_totals(model, ctx, l, s) for l, s in hyps])
             probs = np.exp(scores - _logsumexp(scores))
             free, _ = free_expectation(model, ctx)
             np.testing.assert_allclose(free, probs @ feats, rtol=0, atol=1e-9)
@@ -315,8 +389,14 @@ class TestExactInference:
             lexicalized = False
             dim = 1
 
-            def eval(self, edge, ctx):
-                return np.ones(1)
+            def label_index(self, label):
+                return 0
+
+            def block_size(self, ctx):
+                return 1
+
+            def span_values(self, ctx, starts, ends, labels):
+                return np.ones((len(starts), len(labels)))
 
         labels = ["A", "B"]
         f = ClassifierStatFeature(labels, "mean")
@@ -408,8 +488,7 @@ class TestBoundarySilences:
                 cover = sum(marg[a, d].sum() for a in range(T) for d in range(T - a)
                             if a <= frame <= a + d)
                 assert cover == pytest.approx(1.0, abs=1e-8)
-            feats = np.array([scrf.candidate_feature_totals(
-                model, ctx, Hypothesis(l, s, 0.0)) for l, s in hyps])
+            feats = np.array([edge_feature_totals(model, ctx, l, s) for l, s in hyps])
             probs = np.exp(scores - logz)
             free, _ = free_expectation(model, ctx)
             np.testing.assert_allclose(free, probs @ feats, rtol=0, atol=1e-9)
@@ -457,12 +536,13 @@ class TestBoundarySilences:
         model = silence_model(rng, ctx, labels, 3, pinned=False)
         tabs = compute_tables(model, ctx)
         assert tabs.table.shape == (12, 3, 2) and list(tabs.columns) == [1, 2]
-        assert np.isfinite(tabs.enter[1:, 0]).all() and np.isfinite(tabs.leave[:-1, 3]).all()
-        assert np.isneginf(np.delete(tabs.enter, 0, axis=1)).all()
-        assert np.isneginf(np.delete(tabs.leave, 3, axis=1)).all()
+        enter, leave = enter_leave(tabs)
+        assert np.isfinite(enter[1:, 0]).all() and np.isfinite(leave[:-1, 3]).all()
+        assert np.isneginf(np.delete(enter, 0, axis=1)).all()
+        assert np.isneginf(np.delete(leave, 3, axis=1)).all()
         # a silence spanning the whole word is scored as given
         full = [Segment("<s>", 0, 11)]
-        assert tabs.enter[12, 0] + tabs.trans[0, 0] == \
+        assert enter[12, 0] + tabs.trans[0, 0] == \
             pytest.approx(model.score(["<s>"], full, ctx), abs=1e-12)
 
 
@@ -776,7 +856,16 @@ def engine_nbest(table, trans, final, n):
     """``scrf.nbest_segmentations`` on a table without boundary spans."""
     none = np.full((len(table) + 1, len(final)), -np.inf)
     return scrf.nbest_segmentations(
-        scrf.Tables(table, trans, final, none, none, np.arange(len(final))), n)
+        scrf.Tables.from_parts(table, trans, final, none, none, np.arange(len(final))), n)
+
+
+def enter_leave(tabs):
+    """The (T+1, L) scores of the spans [0, t) and [t, T), row t, as
+    ``scrf.Tables.from_parts`` takes them."""
+    T, cells = tabs.index.num_frames, tabs.index.cells
+    enter, leave = np.full((2, T + 1, len(tabs.final)), -np.inf)
+    enter[1:], leave[:-1] = tabs.scores[cells:cells + T], tabs.scores[cells + T:]
+    return enter, leave
 
 
 def random_semi_markov(rng, T, dmax, L, draw=None):
@@ -834,7 +923,7 @@ def random_boundary_tables(rng, T, dmax, L, draw):
     enter[1:, beg][rng.random(T) < 0.2] = -np.inf
     leave[:-1, end][rng.random(T) < 0.2] = -np.inf
     letters = np.sort(letters)
-    return scrf.Tables(table[:, :, letters], trans, final, enter, leave, letters)
+    return scrf.Tables.from_parts(table[:, :, letters], trans, final, enter, leave, letters)
 
 
 class TestNBestEngine:
@@ -901,7 +990,7 @@ class TestNBestEngine:
                 (lambda size: rng.integers(-1, 2, size=size).astype(float))
             tabs = random_boundary_tables(rng, T, dmax, L, draw)
             expected = ranked_by_brute_force(tabs.table, tabs.trans, tabs.final,
-                                             tabs.enter, tabs.leave, tabs.columns)
+                                             *enter_leave(tabs), tabs.columns)
             got = scrf.nbest_segmentations(tabs, n)
             if case % 3 == 0:   # sums in another order: equal to rounding
                 assert [h[1] for h in got] == [h[1] for h in expected[:n]]
@@ -940,3 +1029,174 @@ class TestNBestEngine:
                 best = nbest_decode(model, ctx, n).hypotheses[0]
                 assert best.labels == labels and best.score == score
                 assert [s.span() for s in best.segments] == [s.span() for s in segments]
+
+
+# ---------------------------------------------------------------------------
+# The span path: factored first-pass features, lean passes, lattices
+
+class TestFactoredFirstPass:
+    @pytest.mark.parametrize("T, lmax", [(30, 8), (5, 8), (1, 4), (8, 8)])
+    def test_scores_and_expectation_match_dense_vectors(self, T, lmax):
+        rng = np.random.default_rng(50 + T)
+        labels = ["<s>", "A", "B", "C", "</s>"]
+        ctx = FeatureContext(T, letter_posteriors=rng.dirichlet(np.ones(6), size=T))
+        f = FirstPassFeatures(labels, 6, lmax)
+        index = scrf.SpanIndex(T, min(lmax, T))
+        starts, ends = index.starts, index.ends - 1
+        phi = firstpass_vectors(f, ctx, starts, ends)
+        np.testing.assert_allclose(f.span_vectors(ctx, starts, ends), phi, rtol=0, atol=1e-14)
+        for _ in range(3):
+            wm = rng.normal(scale=3.0, size=(len(labels), f.block))
+            dense = phi @ wm.T
+            got = f.span_scores(ctx, starts, ends, wm)
+            assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+            post = rng.random((2, len(starts), len(labels)))   # batched
+            dense = post.swapaxes(-1, -2) @ phi
+            got = f.span_expectation(ctx, starts, ends, post)
+            assert got.shape == dense.shape
+            assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+            np.testing.assert_allclose(f.span_expectation(ctx, starts, ends, post[0]),
+                                       got[0], rtol=0, atol=0)
+
+    def test_tables_keep_weight_free_structure_only(self):
+        rng = np.random.default_rng(52)
+        labels = ["<s>", "A", "B", "</s>"]
+        ctx = random_ctx(rng, 9, labels=labels)
+        model = silence_model(rng, ctx, labels, 3, pinned=True)
+        first = compute_tables(model, ctx)
+        model.weights = rng.normal(size=model.total_dim)
+        second = compute_tables(model, ctx)
+        assert second.index is first.index and len(model._structures) == 1
+        spans, block = len(first.index.starts), model.features[0].block
+        kept = [a for entry in model._structures.values() for a in entry
+                if isinstance(a, np.ndarray)]
+        kept += [a for a in vars(first.index).values() if isinstance(a, np.ndarray)]
+        assert all(a.size <= spans * len(labels) and block not in a.shape for a in kept)
+        # another constraint setting gets its own structure
+        model.final_labels = None
+        assert compute_tables(model, ctx).index is not first.index
+
+    def test_from_parts_views_round_trip(self):
+        rng = np.random.default_rng(53)
+        tabs = random_boundary_tables(rng, 6, 3, 4, lambda size: rng.normal(size=size))
+        again = scrf.Tables.from_parts(tabs.table, tabs.trans, tabs.final,
+                                       *enter_leave(tabs), tabs.columns)
+        np.testing.assert_array_equal(again.scores, tabs.scores)
+
+
+def reference_lse(values, axis=0):
+    m = values.max(axis=axis, keepdims=True)
+    safe = np.where(m == -np.inf, 0.0, m)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(values - safe).sum(axis=axis)) + np.squeeze(safe, axis)
+
+
+def reference_forward_backward(tabs):
+    """Forward and backward passes with one fancy-indexed read and one
+    ``errstate`` per step: the oracle of the lean passes."""
+    trans, t_len, nl = tabs.trans, tabs.index.num_frames, len(tabs.final)
+    ix = tabs.index
+    alpha = np.full((t_len + 1, nl), -np.inf)
+    prev_lse = np.full((t_len + 1, nl), -np.inf)
+    prev_lse[0] = trans[0]
+    for t in range(1, t_len + 1):
+        k = ix.by_end[ix.end_cut[t]:ix.end_cut[t + 1]]
+        alpha[t] = reference_lse(tabs.scores[k] + prev_lse[ix.starts[k]])
+        if t < t_len:
+            prev_lse[t] = reference_lse(alpha[t][:, None] + trans[1:])
+    tail = np.full((t_len + 1, nl), -np.inf)
+    inner = np.full((t_len, nl), -np.inf)
+    tail[t_len] = tabs.final
+    for t in range(t_len - 1, -1, -1):
+        k = ix.by_start[ix.start_cut[t]:ix.start_cut[t + 1]]
+        inner[t] = reference_lse(tabs.scores[k] + tail[ix.ends[k]])
+        tail[t] = reference_lse(inner[t][:, None] + trans[1:].T)
+    return alpha, prev_lse, tail, inner
+
+
+class TestLeanPasses:
+    def test_bit_identical_to_reference_loop(self):
+        rng = np.random.default_rng(54)
+        for case in range(30):
+            T, dmax, L = int(rng.integers(1, 12)), int(rng.integers(1, 6)), int(rng.integers(3, 6))
+            tabs = random_boundary_tables(rng, T, dmax, L, lambda size: rng.normal(size=size))
+            alpha, prev_lse, tail, inner = reference_forward_backward(tabs)
+            got_a, got_p = forward_pass(tabs)
+            got_t, got_i = backward_pass(tabs)
+            for got, want in [(got_a, alpha), (got_p, prev_lse), (got_t, tail), (got_i, inner)]:
+                assert np.array_equal(got, want)
+
+    def test_bit_identical_on_scrf_tables(self):
+        rng = np.random.default_rng(55)
+        labels = ["<s>", "A", "B", "</s>"]
+        ctx = random_ctx(rng, 40, labels=labels)
+        tabs = compute_tables(silence_model(rng, ctx, labels, 6, pinned=True, with_lm=True), ctx)
+        alpha, prev_lse, tail, inner = reference_forward_backward(tabs)
+        assert np.array_equal(forward_pass(tabs)[0], alpha)
+        assert np.array_equal(backward_pass(tabs)[1], inner)
+
+
+class TestLatticeSpanPath:
+    def lattice(self, rng, T, labels, n=6):
+        hyps = []
+        for _ in range(n):
+            cuts = np.sort(rng.choice(np.arange(1, T), size=int(rng.integers(0, 4)), replace=False))
+            bounds = [0] + cuts.tolist() + [T]
+            seq = [labels[rng.integers(len(labels))]]
+            for _ in bounds[2:]:
+                seq.append(rng.choice([l for l in labels if l != seq[-1]]))
+            hyps.append(Hypothesis(seq, [Segment(l, a, b - 1) for l, a, b
+                                         in zip(seq, bounds, bounds[1:])], 0.0))
+        return CandidateLattice(hyps, [labels[0]] * T)
+
+    def test_totals_and_scores_match_edge_oracle(self):
+        rng = np.random.default_rng(56)
+        labels = ["A", "B", "C"]
+        for case in range(8):
+            ctx = random_ctx(rng, 9, labels=labels)
+            ctx.baseline_frames = [labels[i] for i in rng.integers(3, size=9)]
+            feats = [FirstPassFeatures(labels, 4, 3), ClassifierStatFeature(labels, "div_m"),
+                     PeakFeature(labels), BaselineFeature(), LmFeature()]
+            dims = [f.dimension(ctx) if hasattr(f, "dimension") else f.dim for f in feats]
+            model = SegmentalModel(labels, feats, dims, max_duration=3)
+            model.weights = rng.normal(size=model.total_dim)
+            lat = self.lattice(rng, 9, labels)
+            pairs = [(h.labels, h.segments) for h in lat.hypotheses]
+            oracle = np.array([edge_feature_totals(model, ctx, l, s) for l, s in pairs])
+            np.testing.assert_allclose(scrf.lattice_feature_totals(model, ctx, pairs),
+                                       oracle, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(scrf.lattice_scores(model, ctx, pairs),
+                                       oracle @ model.weights, rtol=1e-12, atol=1e-9)
+
+    def test_segment_classifier_one_call_per_lattice(self):
+        rng = np.random.default_rng(57)
+        labels = ["A", "B", "C"]
+
+        class CountingMlp:
+            calls = 0
+
+            def predict_proba(self, x):
+                CountingMlp.calls += 1
+                return np.tile(np.array([0.2, 0.3, 0.5]), (len(x), 1))
+
+        ctx = random_ctx(rng, 9, with_lm=False, labels=labels)
+        first = random_model(rng, ctx, labels, 3, with_lm=False)
+        second = scrf.build_second_pass(first, labels, CountingMlp())
+        second.weights[1:4] = [1.0, 2.0, 3.0]
+        lat = self.lattice(rng, 9, labels)
+        rescore(second, lat, ctx)
+        assert CountingMlp.calls == 1
+        # the value is the posterior of the segment's own label, per label
+        seg = lat.hypotheses[0].segments[0]
+        lone = scrf.lattice_scores(second, ctx, [([seg.label], [Segment(seg.label, 0, 8)])])
+        y = labels.index(seg.label)
+        first_score = first.score([seg.label], [Segment(seg.label, 0, 8)], ctx)
+        peak = second.weights[4 + y] * delta_peak(ctx, 0, 8)
+        assert lone[0] == pytest.approx(first_score + [0.2, 0.6, 1.5][y] + peak, abs=1e-12)
+
+    def test_unknown_label_rejected(self):
+        rng = np.random.default_rng(58)
+        ctx = random_ctx(rng, 4, with_lm=False)
+        model = random_model(rng, ctx, ["A", "B"], 3, with_lm=False)
+        with pytest.raises(ValueError, match="'Q'"):
+            model.score(["Q"], [Segment("Q", 0, 3)], ctx)
