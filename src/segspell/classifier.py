@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fileio import check_fields, in_file, read_json, write_json
+from .fileio import DataError, check_fields, in_file, read_model, shaped_array, write_json
+from .vision import apply_pca
 
 LOG_FLOOR = 1e-10
 
@@ -95,9 +96,18 @@ class MlpModel:
 
     @classmethod
     def from_jsonable(cls, obj):
+        """Refuses another schema and layers that do not chain from the
+        input to one output per class (DataError)."""
         if obj.get("schema") != cls.SCHEMA:
-            raise ValueError("unsupported model schema: %r" % obj.get("schema"))
-        layers = [(np.array(l["W"]), np.array(l["b"])) for l in obj["layers"]]
+            raise DataError("unsupported model schema: %r" % obj.get("schema"))
+        layers, width = [], None
+        for i, layer in enumerate(obj["layers"]):
+            w = shaped_array(layer["W"], (None, width), "layer %d W" % i)
+            layers.append((w, shaped_array(layer["b"], (len(w),), "layer %d b" % i)))
+            width = len(w)
+        if width != len(obj["class_names"]):
+            raise DataError("output layer of %s units for %d classes"
+                            % (width, len(obj["class_names"])))
         return cls(layers, obj["class_names"])
 
     def save(self, path):
@@ -105,7 +115,7 @@ class MlpModel:
 
     @classmethod
     def load(cls, path):
-        return cls.from_jsonable(read_json(path))
+        return read_model(path, cls.from_jsonable)
 
 
 def softmax(logits):
@@ -258,15 +268,6 @@ def history_csv(history):
     return "\n".join(lines) + "\n"
 
 
-def frame_error_rate(model, windows, labels):
-    """100 * (1 - accuracy) of argmax predictions."""
-    labels = np.asarray(labels, dtype=int)
-    if len(labels) == 0:
-        raise ValueError("empty evaluation set")
-    pred = model.predict(np.asarray(windows, dtype=np.float64))
-    return 100.0 * float(np.mean(pred != labels))
-
-
 # ---------------------------------------------------------------------------
 # Signer adaptation
 
@@ -343,15 +344,28 @@ class AdaptationModel:
 
     @classmethod
     def from_jsonable(cls, obj):
-        if obj.get("schema") != cls.SCHEMA:
-            raise ValueError("unsupported model schema: %r" % obj.get("schema"))
+        """Refuses another schema or mode, a window that does not fill the
+        base's input, and an adapted part whose shapes do not fit the base
+        (DataError)."""
+        if obj.get("schema") != cls.SCHEMA or obj.get("mode") not in MODES:
+            raise DataError("unsupported model schema or mode: %r, %r"
+                            % (obj.get("schema"), obj.get("mode")))
         base = MlpModel.from_jsonable(obj["base"])
+        window, static_dim = obj["window"], obj["static_dim"]
+        if window * static_dim != base.input_dim:
+            raise DataError("window %r x static_dim %r does not fill the base's %d inputs"
+                            % (window, static_dim, base.input_dim))
         if obj["mode"] == "fine-tune":
-            return cls("fine-tune", base, obj["window"], obj["static_dim"],
-                       tuned=MlpModel.from_jsonable(obj["tuned"]))
-        return cls(obj["mode"], base, obj["window"], obj["static_dim"],
-                   w_lin=np.array(obj["w_lin"]), b_lin=np.array(obj["b_lin"]),
-                   out_w=np.array(obj["out_w"]), out_b=np.array(obj["out_b"]))
+            tuned = MlpModel.from_jsonable(obj["tuned"])
+            if [w.shape for w, _ in tuned.layers] != [w.shape for w, _ in base.layers]:
+                raise DataError("tuned layers differ in shape from the base's")
+            return cls("fine-tune", base, window, static_dim, tuned=tuned)
+        w0 = base.layers[-1][0]
+        return cls(obj["mode"], base, window, static_dim,
+                   w_lin=shaped_array(obj["w_lin"], (static_dim,) * 2, "w_lin"),
+                   b_lin=shaped_array(obj["b_lin"], (static_dim,), "b_lin"),
+                   out_w=shaped_array(obj["out_w"], w0.shape, "out_w"),
+                   out_b=shaped_array(obj["out_b"], (len(w0),), "out_b"))
 
     def save(self, path):
         write_json(path, self.to_jsonable())
@@ -359,10 +373,9 @@ class AdaptationModel:
 
 def load_classifier(path):
     """Load either a plain or an adapted classifier from JSON."""
-    obj = read_json(path)
-    if obj.get("schema") == AdaptationModel.SCHEMA:
-        return AdaptationModel.from_jsonable(obj)
-    return MlpModel.from_jsonable(obj)
+    return read_model(path, lambda obj: (
+        AdaptationModel if obj.get("schema") == AdaptationModel.SCHEMA else MlpModel
+    ).from_jsonable(obj))
 
 
 def adapt(model, adaptation_set, mode, cfg, window, static_dim):
@@ -464,7 +477,6 @@ def build_tandem_observation(post, image_feature, mode, pca_classifier=None,
     """Tandem observations: (optionally log) classifier outputs, PCA
     reduced, concatenated with the PCA-reduced image feature.  One frame
     gives a vector; (T, .) posteriors and (T, .) image features give (T, .)."""
-    from .vision import apply_pca
     block = classifier_block(post, mode, feature_order)
     if transform == "log":
         block = np.log(np.maximum(block, LOG_FLOOR))

@@ -9,9 +9,9 @@ only its own work: it writes its artifacts atomically and returns
 codes: 0 on success, 2 on configuration errors (an unknown config key, a
 bad config value or a bad flag names its dotted path, field or flag),
 3 on data errors (a missing upstream artifact names the subcommand that
-produces it; a JSON model or corpus file holding NaN or infinity is
-named).  The environment variable SEGSPELL_SEED overrides the configured
-seed.
+produces it; a JSON model, lattice or corpus file holding NaN or infinity,
+or not what its reader expects, is named).  The environment variable
+SEGSPELL_SEED overrides the configured seed.
 """
 
 from __future__ import annotations
@@ -29,12 +29,16 @@ import numpy as np
 
 from . import pipeline, synthgen
 from .alphabet import LetterAlphabet
-from .classifier import load_classifier
+from .classifier import history_csv, load_classifier
 from .fileio import (DataError, FieldError, atomic_write_text, check_fields, in_file,
                      read_json, read_png, sha256_file, write_json, write_matrix, write_png)
+from .hmm import forced_align
+from .lm import load_arpa, train_bigram
 from .metrics import format_report, score_corpus
 from .pipeline import PipelineConfig, ScrfConfig, load_recognizer, save_recognizer
-from .segments import to_jsonable
+from .segments import load_lattice, save_lattice, to_jsonable
+from .vision import (HogConfig, apply_pca, fit_hand_color_model, fit_pca, hog_descriptor,
+                     segment_hand)
 
 
 class ConfigError(Exception):
@@ -284,8 +288,6 @@ def cmd_gen_data(args, cfg):
 def cmd_extract_features(args, cfg):
     manifest, words = load_corpus_words(args.corpus)
     img_root = require(os.path.join(args.corpus, "images"), "gen-data --images")
-    from .vision import (HogConfig, fit_hand_color_model, hog_descriptor,
-                         segment_hand, fit_pca, apply_pca)
     hog_cfg = HogConfig()
     per_signer_model = {}
     all_desc = []
@@ -334,7 +336,6 @@ def cmd_extract_features(args, cfg):
 
 def cmd_train_lm(args, cfg):
     words = resolve_words(args, cfg)
-    from .lm import train_bigram
     lm = train_bigram(words, LetterAlphabet())
     lm.save(args.out)
     return ("trained bigram LM on %d words -> %s" % (len(words), args.out),
@@ -348,7 +349,6 @@ def cmd_train_classifier(args, cfg):
     model.save(args.out)
     outputs = [args.out]
     if args.curve:
-        from .classifier import history_csv
         atomic_write_text(args.curve, history_csv(history))
         outputs.append(args.curve)
     return ("trained classifier on %d sequences -> %s (final val error %.3f)"
@@ -361,10 +361,8 @@ def cmd_train_hmm(args, cfg):
     alphabet = LetterAlphabet()
     classifier = load_classifier(require(args.classifier, "train-classifier"))
     if args.lm:
-        from .lm import load_arpa
         lm = load_arpa(require(args.lm, "train-lm"))
     else:
-        from .lm import train_bigram
         lm = train_bigram(sorted({w.word for w in words}), alphabet)
     rec, loglik = pipeline.assemble_recognizer(words, alphabet, cfg.pipeline,
                                                classifier, lm)
@@ -394,7 +392,6 @@ def cmd_adapt(args, cfg):
 def cmd_align(args, cfg):
     rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
     manifest, words = load_corpus_words(args.corpus, args.signers)
-    from .hmm import forced_align
     lines = []
     for w, stem in zip(words, manifest["stems"]):
         segs, score = forced_align(rec.hmm, rec.observations(w), w.letters)
@@ -410,7 +407,6 @@ def cmd_nbest(args, cfg):
     n = option(args, "n", cfg.pipeline.decode, "nbest")
     rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
     manifest, words = load_corpus_words(args.corpus, args.signers)
-    from .hmm import save_lattice
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     lattices = pipeline.nbest_lattices(rec, words, n)
@@ -445,7 +441,6 @@ def cmd_decode(args, cfg):
                                    LetterAlphabet(), cfg.scrf)
         inputs.append(args.scrf)
     if args.scrf and args.lattices:
-        from .hmm import load_lattice
         paths = [require(os.path.join(args.lattices, stem + ".lat.jsonl"), "nbest")
                  for stem in stems]
         lattices = [load_lattice(path) for path in paths]
@@ -454,7 +449,7 @@ def cmd_decode(args, cfg):
     elif args.scrf:
         pairs = pipeline.firstpass_decode(model, rec, words)
     else:
-        pairs = pipeline.decode_words(rec, words, threads=args.threads)
+        pairs = pipeline.decode_words(rec, words)
     write_hyps(args.out, [(stem, hyp) for stem, (_, hyp) in zip(stems, pairs)])
     outputs = [args.out]
     if args.refs:
@@ -638,8 +633,6 @@ def build_parser():
     sp.add_argument("--scrf", help="segmental model weights JSON")
     sp.add_argument("--lattices", help="lattice directory (rescoring decode)")
     sp.add_argument("--signers")
-    sp.add_argument("--threads", type=int, default=os.cpu_count(),
-                    help="worker threads for tandem decoding")
 
     sp = command("cascade", cmd_cascade, "two-pass segmental cascade experiment")
     sp.add_argument("--corpus", required=True)

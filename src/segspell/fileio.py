@@ -1,9 +1,10 @@
-"""File formats: binary float matrices, PNG and PPM images, atomic writes,
-and the declaration and checking of config dataclass fields.
+"""File formats: binary float matrices, PNG images, atomic writes, checked
+JSON model files, and the declaration and checking of config dataclass
+fields.
 
 Matrix format (.fmat): little-endian header of 4 magic bytes ``FMAT``,
 uint32 row count, uint32 column count, followed by the row-major float32
-payload.  An optional CSV export mirrors the same matrix.
+payload.
 
 The PNG codec covers exactly what this package emits and consumes:
 8-bit grayscale and 8-bit RGB, non-interlaced, any filter on read,
@@ -76,6 +77,33 @@ def read_json(path, allow_nan=False):
             raise DataError("%s: not valid JSON: %s" % (path, e)) from None
 
 
+def read_model(path, from_jsonable):
+    """``from_jsonable`` of the JSON in ``path``; a DataError it raises, or
+    a missing entry, names the file."""
+    obj = read_json(path)
+    try:
+        return from_jsonable(obj)
+    except DataError as e:
+        raise DataError("%s: %s" % (path, e)) from None
+    except KeyError as e:
+        raise DataError("%s: no %s entry" % (path, e)) from None
+
+
+def shaped_array(value, shape, what):
+    """``value`` as a float array of ``shape`` (None: any length on that
+    axis); DataError naming ``what`` otherwise."""
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != len(shape) or any(
+            n is not None and n != m for n, m in zip(shape, arr.shape)):
+        raise DataError("%s has %s, expected %s" % (
+            what, "ragged rows" if arr is None else "shape %s" % (arr.shape,),
+            " x ".join("n" if n is None else str(n) for n in shape)))
+    return arr
+
+
 def write_matrix(path, matrix):
     m = np.asarray(matrix, dtype=np.float32)
     if m.ndim != 2:
@@ -96,12 +124,6 @@ def read_matrix(path):
         raise DataError("%s: truncated payload (%d bytes for a %d x %d matrix)"
                         % (path, len(raw) - 12, rows, cols))
     return np.frombuffer(raw[12:], dtype="<f4").reshape(rows, cols).astype(np.float64)
-
-
-def write_matrix_csv(path, matrix):
-    m = np.asarray(matrix)
-    lines = [",".join(repr(float(v)) for v in row) for row in m]
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -206,58 +228,6 @@ def read_png(path):
     if channels == 1:
         return flat.reshape(h, w)
     return flat.reshape(h, w, channels)
-
-
-# ---------------------------------------------------------------------------
-# PPM / PGM (binary variants)
-
-def write_ppm(path, image):
-    arr = np.asarray(image, dtype=np.uint8)
-    if arr.ndim == 2:
-        header = b"P5 %d %d 255\n" % (arr.shape[1], arr.shape[0])
-    elif arr.ndim == 3 and arr.shape[2] == 3:
-        header = b"P6 %d %d 255\n" % (arr.shape[1], arr.shape[0])
-    else:
-        raise ValueError("unsupported image shape %s" % (arr.shape,))
-    atomic_write_bytes(path, header + arr.tobytes())
-
-
-def read_ppm(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while raw[pos:pos + 1] not in (b"\n", b""):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    magic, w, h, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 255:
-        raise ValueError("%s: only maxval 255 supported" % path)
-    pos += 1
-    data = np.frombuffer(raw[pos:], dtype=np.uint8)
-    if magic == b"P5":
-        return data[:h * w].reshape(h, w)
-    if magic == b"P6":
-        return data[:h * w * 3].reshape(h, w, 3)
-    raise ValueError("%s: unsupported PNM magic %r" % (path, magic))
-
-
-def read_image(path):
-    """Dispatch on extension: .png or .ppm/.pgm."""
-    ext = os.path.splitext(path)[1].lower()
-    if ext == ".png":
-        return read_png(path)
-    if ext in (".ppm", ".pgm", ".pnm"):
-        return read_ppm(path)
-    raise ValueError("unsupported image format: %s" % path)
 
 
 def sha256_file(path):

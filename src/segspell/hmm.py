@@ -40,10 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import BEGIN_SILENCE, END_SILENCE
-from .fileio import (atomic_write_text, check_fields, in_file, read_json,
-                     refuse_non_finite, write_json)
+from .fileio import DataError, check_fields, in_file, read_model, shaped_array, write_json
 from .scrf import Tables, nbest_segmentations
-from .segments import Segment, check_tiling
+from .segments import Segment, check_tiling, lattice_from_ranked
 
 LOG_ZERO = -1e30
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -144,15 +143,14 @@ class LetterHmm:
 
     @classmethod
     def from_jsonable(cls, obj):
+        """Refuses another schema and a parameter array whose shape does not
+        fit the model's states, components and dimension (DataError)."""
         if obj.get("schema") != cls.SCHEMA:
-            raise ValueError("unsupported model schema: %r" % obj.get("schema"))
+            raise DataError("unsupported model schema: %r" % obj.get("schema"))
         model = cls(obj["letters"], obj["dim"], obj["letter_states"],
                     obj["silence_states"], obj["components"], obj["var_floor"])
-        model.means = np.array(obj["means"])
-        model.variances = np.array(obj["variances"])
-        model.log_weights = np.array(obj["log_weights"])
-        model.log_self = np.array(obj["log_self"])
-        model.log_next = np.array(obj["log_next"])
+        for name in ("means", "variances", "log_weights", "log_self", "log_next"):
+            setattr(model, name, shaped_array(obj[name], getattr(model, name).shape, name))
         return model
 
     def save(self, path):
@@ -160,7 +158,7 @@ class LetterHmm:
 
     @classmethod
     def load(cls, path):
-        return cls.from_jsonable(read_json(path))
+        return read_model(path, cls.from_jsonable)
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +487,13 @@ def viterbi_decode(model, lm, seq, cfg=None, graph=None):
     return letters, segs, best
 
 
-def forced_align(model, seq, letters, include_silences="optional"):
+def forced_align(model, seq, letters):
     """Best state path constrained to the given letter sequence: Viterbi
     over the chain of its units' states.
 
-    Boundary silences are optional-length ('optional'), mandatory ('always'),
-    or absent ('never').  Scoring uses emissions and HMM transitions only.
-    Returns the segmentation (spans tile the sequence)."""
+    Each boundary silence is either absent or entered at its first state and
+    left from its last.  Scoring uses emissions and HMM transitions only.
+    Returns (segmentation tiling the sequence, score)."""
     if not letters:
         raise ValueError("empty letter sequence")
     seq = np.asarray(seq, dtype=np.float64)
@@ -505,15 +503,8 @@ def forced_align(model, seq, letters, include_silences="optional"):
     k = len(states)
     unit_id = np.concatenate([np.full(model.unit_nstates[u], i)
                               for i, u in enumerate(units)])
-    nb, ne = model.unit_nstates[BEGIN_SILENCE], model.unit_nstates[END_SILENCE]
-    if include_silences == "always":
-        starts, ends = [0], [k - 1]
-    elif include_silences == "optional":
-        starts, ends = [0, nb], [k - 1, k - 1 - ne]
-    elif include_silences == "never":
-        starts, ends = [nb], [k - 1 - ne]
-    else:
-        raise ValueError("include_silences must be optional/always/never")
+    starts = [0, model.unit_nstates[BEGIN_SILENCE]]
+    ends = [k - 1, k - 1 - model.unit_nstates[END_SILENCE]]
     if t_len < len(list(letters)) * model.letter_states:
         raise NoPathError("sequence of %d frames too short for %d letters"
                           % (t_len, len(list(letters))))
@@ -534,41 +525,6 @@ def forced_align(model, seq, letters, include_silences="optional"):
 
 # ---------------------------------------------------------------------------
 # N-best lattices
-
-@dataclass
-class Hypothesis:
-    labels: list
-    segments: list
-    score: float
-
-    @property
-    def letters(self):
-        return [l for l in self.labels if l not in (BEGIN_SILENCE, END_SILENCE)]
-
-
-@dataclass
-class CandidateLattice:
-    hypotheses: list
-    baseline_frames: list
-
-    def __post_init__(self):
-        if not self.hypotheses:
-            raise ValueError("empty lattice")
-
-
-def lattice_from_hypotheses(hyps, num_frames):
-    from .segments import frame_labels
-    return CandidateLattice(hyps, frame_labels(hyps[0].segments, num_frames))
-
-
-def lattice_from_ranked(labels, ranked, num_frames):
-    """CandidateLattice from ``scrf.nbest_segmentations`` output."""
-    hyps = []
-    for score, spans in ranked:
-        segs = [Segment(labels[li], start, end) for li, start, end in spans]
-        hyps.append(Hypothesis([s.label for s in segs], segs, score))
-    return lattice_from_hypotheses(hyps, num_frames)
-
 
 def span_table(model, emis, policy):
     """The N-best engine's input: ``scrf.Tables`` of every unit span's best
@@ -623,32 +579,3 @@ def nbest(model, lm, seq, cfg, policy=None):
     if not ranked:
         raise NoPathError("no legal path for N-best search")
     return lattice_from_ranked(model.units, ranked, len(emis))
-
-
-# ---------------------------------------------------------------------------
-# Lattice serialization (JSON lines, one hypothesis per line)
-
-def save_lattice(path, lattice):
-    import json
-    from .segments import to_jsonable
-    lines = [json.dumps({"labels": h.labels, "spans": to_jsonable(h.segments),
-                         "score": h.score}, sort_keys=True)
-             for h in lattice.hypotheses]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def load_lattice(path):
-    import json
-    from .segments import from_jsonable
-    hyps = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line, parse_constant=refuse_non_finite(
-                "%s line %d" % (path, lineno)))
-            segs = from_jsonable(obj["spans"])
-            hyps.append(Hypothesis([s.label for s in segs], segs, float(obj["score"])))
-    num_frames = hyps[0].segments[-1].end + 1
-    return lattice_from_hypotheses(hyps, num_frames)

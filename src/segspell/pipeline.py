@@ -12,6 +12,7 @@ from ground truth or from forced alignments.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
@@ -19,15 +20,18 @@ import numpy as np
 
 from .alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet
 from .classifier import (AdaptationModel, FramePosteriors, TrainConfig, adapt,
-                         build_tandem_observation, train_mlp)
+                         build_tandem_observation, load_classifier, train_mlp)
 from .fileio import DataError, FieldError, check_fields, in_file, read_json, write_json
-from .hmm import (DecodeConfig, build_decode_graph, forced_align, nbest, train_em,
-                  unit_transitions, viterbi_decode)
-from .lm import train_bigram
+from .hmm import (DecodeConfig, LetterHmm, build_decode_graph, forced_align, nbest,
+                  train_em, unit_transitions, viterbi_decode)
+from .lm import load_arpa, train_bigram
 from .metrics import score_corpus
-from .scrf import REF_POLICIES
+from .scrf import (REF_POLICIES, BaselineFeature, ClassifierStatFeature, FeatureContext,
+                   FirstPassFeatures, LmFeature, PeakFeature, SegmentalModel,
+                   SegmentClassifierFeature, TrainingExample, build_second_pass,
+                   nbest_decode, rescore, train_cll, viterbi as scrf_viterbi)
 from .segments import frame_labels, letters_only
-from .vision import fit_pca, stack_windows
+from .vision import PcaModel, fit_pca, stack_windows
 
 
 @dataclass
@@ -36,8 +40,6 @@ class FrontendConfig:
     pca_classifier: int = in_file(default=12, at_least=1)
     pca_image: int = in_file(default=10, at_least=1)
     transform: str = in_file(default="linear", choices=("linear", "log"))  # of posteriors
-    # the tandem classifier block: no phonological-feature classifiers are trained
-    mode: str = in_file(default="letter", choices=("letter",))
 
     def __post_init__(self):
         check_fields(self)
@@ -90,14 +92,14 @@ class Recognizer:
         return self.classifier.predict_proba(windows)
 
     def observations(self, word, post=None):
-        """Tandem observations (T, dim) of a word; ``post`` are its frame
+        """Tandem observations (T, dim) of a word from its letter posteriors
+        (no phonological-feature classifiers are trained); ``post`` are those
         posteriors when the caller already has them."""
         if post is None:
             post = self.posteriors(word)
-        fe = self.cfg.frontend
         return build_tandem_observation(FramePosteriors(letters=post),
-                                        word.descriptors, fe.mode, self.pca_post,
-                                        self.pca_image, fe.transform)
+                                        word.descriptors, "letter", self.pca_post,
+                                        self.pca_image, self.cfg.frontend.transform)
 
 
 def ground_truth_frame_labels(word, alphabet):
@@ -157,25 +159,18 @@ def build_recognizer(train_words, alphabet, cfg, lm_words=None, seed_offset=0):
     return assemble_recognizer(train_words, alphabet, cfg, classifier, lm)[0]
 
 
-def decode_words(recognizer, words, threads=1):
-    """Tandem Viterbi decode; returns [(reference letters, hypothesis
-    letters)] with boundary silences stripped.  Decoding is pure per
-    sequence, so worker threads collect results in input order and the
-    output is independent of the thread count.  The decode graph is built
-    once for all words."""
+def decode_words(recognizer, words):
+    """Tandem Viterbi decode, one word after another; returns [(reference
+    letters, hypothesis letters)] with boundary silences stripped.  The
+    decode graph is built once for all words."""
     graph = build_decode_graph(recognizer.hmm, recognizer.lm, recognizer.cfg.decode)
-
-    def one(w):
+    pairs = []
+    for w in words:
         obs = recognizer.observations(w)
         letters, _, _ = viterbi_decode(recognizer.hmm, recognizer.lm, obs,
                                        recognizer.cfg.decode, graph)
-        return (w.letters, letters)
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, words))
-    return [one(w) for w in words]
+        pairs.append((w.letters, letters))
+    return pairs
 
 
 def evaluate(recognizer, words):
@@ -247,8 +242,6 @@ def realign_adapt(recognizer, adapt_words, eval_words, alphabet, iters=2):
         adapted, _ = adapt_recognizer(current, adapt_words, alphabet,
                                       mode="fine-tune", label_source="FA",
                                       seed_offset=100 + it)
-        # the recognizer (HMM/LM/PCA) never changes; only the classifier does
-        adapted = replace(adapted, cfg=recognizer.cfg)
         lers.append(evaluate(adapted, eval_words)["ler"])
         current = adapted
     return current, lers
@@ -417,7 +410,6 @@ def scrf_labels(alphabet):
 
 
 def make_context(recognizer, word, lm=None, baseline_frames=None):
-    from .scrf import FeatureContext
     return FeatureContext(word.num_frames,
                           letter_posteriors=recognizer.posteriors(word),
                           descriptors=word.descriptors,
@@ -432,14 +424,11 @@ def build_firstpass_model(alphabet, num_classes, scfg):
     """First-pass segmental model; the average-posterior weight of each
     label's own classifier class starts positive, so the initial model is
     already a per-segment posterior decoder that training then refines."""
-    from .scrf import FirstPassFeatures, SegmentalModel
     labels = scrf_labels(alphabet)
     feat = FirstPassFeatures(labels, num_classes, scfg.max_duration)
-    model = SegmentalModel(labels, [feat], [len(labels) * feat.block],
-                          max_duration=scfg.max_duration,
-                          min_letter_duration=scfg.min_letter_duration,
-                          initial_labels={BEGIN_SILENCE},
-                          final_labels={END_SILENCE})
+    model = SegmentalModel(labels, [feat], max_duration=scfg.max_duration,
+                           min_letter_duration=scfg.min_letter_duration,
+                           initial_labels={BEGIN_SILENCE}, final_labels={END_SILENCE})
     for li, label in enumerate(labels):
         if li < num_classes:
             model.weights[li * feat.block + li] = scfg.init_scale
@@ -453,7 +442,6 @@ def train_firstpass(recognizer, train_words, alphabet, scfg=None):
     dropped: a segment boundary must change the label, so such references
     admit no segmentation (doubled-letter tokens cover that case when
     enabled)."""
-    from .scrf import TrainingExample, train_cll
     scfg = scfg or ScrfConfig()
     num_classes = len(recognizer.classifier.class_names)
     model = build_firstpass_model(alphabet, num_classes, scfg)
@@ -470,7 +458,6 @@ def train_firstpass(recognizer, train_words, alphabet, scfg=None):
 
 
 def firstpass_decode(model, recognizer, words):
-    from .scrf import viterbi as scrf_viterbi
     pairs = []
     for w in words:
         ctx = make_context(recognizer, w)
@@ -483,20 +470,10 @@ def build_rescoring_model(alphabet, num_classes, scfg):
     """Rescoring segmental model over baseline lattices: LM probability,
     baseline-consistency, lexicalized classifier span statistics, and peak
     detection features."""
-    from .scrf import (BaselineFeature, ClassifierStatFeature, LmFeature,
-                       PeakFeature, SegmentalModel)
     labels = scrf_labels(alphabet)
-    feats = [LmFeature(), BaselineFeature()]
-    dims = [1, 1]
-    for kind in scfg.rescoring_kinds:
-        f = ClassifierStatFeature(labels, kind)
-        feats.append(f)
-        per = 3 if kind.startswith("div") else 1
-        dims.append(len(labels) * per * num_classes)
-    pk = PeakFeature(labels)
-    feats.append(pk)
-    dims.append(len(labels))
-    model = SegmentalModel(labels, feats, dims,
+    feats = [LmFeature(), BaselineFeature()] + [
+        ClassifierStatFeature(labels, kind, num_classes) for kind in scfg.rescoring_kinds]
+    model = SegmentalModel(labels, feats + [PeakFeature(labels)],
                            max_duration=scfg.max_duration,
                            min_letter_duration=scfg.min_letter_duration)
     model.weights[0] = 1.0   # start from the LM
@@ -507,7 +484,6 @@ def build_rescoring_model(alphabet, num_classes, scfg):
 def train_rescoring(recognizer, train_words, alphabet, scfg=None, lattices=None):
     """Rescoring SCRF trained by lattice-restricted CLL over baseline
     N-best lattices (generated here when not supplied)."""
-    from .scrf import TrainingExample, train_cll
     scfg = scfg or ScrfConfig()
     num_classes = len(recognizer.classifier.class_names)
     model = build_rescoring_model(alphabet, num_classes, scfg)
@@ -525,7 +501,6 @@ def train_rescoring(recognizer, train_words, alphabet, scfg=None, lattices=None)
 
 
 def rescore_words(model, recognizer, words, lattices=None):
-    from .scrf import rescore
     if lattices is None:
         lattices = nbest_lattices(recognizer, words)
     pairs = []
@@ -564,7 +539,6 @@ def train_segment_classifier(recognizer, train_words, alphabet, cfg, seed_offset
     """Segment-level classifier on ground-truth segments: input is the
     fixed-dimension summary (means of the span's thirds of the frame
     posteriors), output the segment label."""
-    from .scrf import SegmentClassifierFeature
     labels = scrf_labels(alphabet)
     probe = SegmentClassifierFeature(labels, None)
     xs, ys = [], []
@@ -588,8 +562,6 @@ def run_cascade(recognizer_train, recognizer_eval, train_words, eval_words,
     signers' recognizer; evaluation runs with the (possibly adapted)
     recognizer for the test signer.  Returns first- and second-pass LERs.
     """
-    from .scrf import (TrainingExample, build_second_pass, nbest_decode,
-                       rescore, train_cll)
     scfg = scfg or ScrfConfig()
     first, _ = train_firstpass(recognizer_train, train_words, alphabet, scfg)
 
@@ -627,7 +599,6 @@ RECOGNIZER_FILES = ("classifier.json", "pca.json", "hmm.json", "lm.arpa", "front
 
 
 def save_recognizer(rec, directory):
-    import os
     os.makedirs(directory, exist_ok=True)
     rec.classifier.save(os.path.join(directory, "classifier.json"))
     write_json(os.path.join(directory, "pca.json"),
@@ -641,11 +612,6 @@ def save_recognizer(rec, directory):
 def load_recognizer(directory, cfg=None):
     """The bundle in ``directory`` under ``cfg`` (default PipelineConfig()),
     whose front end is replaced by the bundle's."""
-    import os
-    from .classifier import load_classifier
-    from .hmm import LetterHmm
-    from .lm import load_arpa
-    from .vision import PcaModel
     cfg = cfg or PipelineConfig()
     path = os.path.join(directory, "frontend.json")
     fe = read_json(path)

@@ -34,7 +34,9 @@ import numpy as np
 
 from .alphabet import BEGIN_SILENCE, END_SILENCE
 from .fileio import DataError, read_json, write_json
-from .segments import Segment, check_tiling
+from .metrics import align
+from .segments import (CandidateLattice, Hypothesis, Segment, check_tiling,
+                       lattice_from_ranked)
 
 START_LABEL = "<start>"
 NEG_INF = -np.inf
@@ -117,33 +119,32 @@ def segment_thirds(n):
 
 
 # ---------------------------------------------------------------------------
-# Feature functions.  A left-independent feature reads the spans [starts[k],
-# ends[k]], scored with the weight block ``label_index(label)`` (None: no
-# weights).  A lexicalized one has a vector per span (``span_scores``,
+# Feature functions.  Each has ``dim`` weights.  A left-independent feature
+# reads the spans [starts[k], ends[k]], scored with the weight block
+# ``label_index(label)`` (None: no weights) of ``block`` weights.  A
+# lexicalized one has a vector per span (``span_scores``,
 # ``span_expectation``), any other a value per (span, label) for a
 # one-weight block (``span_values``).  Only the LM feature reads the left
 # label, and nothing else: pair_matrix() gives every label pair's values.
 
 class LmFeature:
-    """Smoothed bigram probability of the labels across the edge (or its
-    log, when configured).  Pairs outside the LM's domain score neutrally."""
+    """Bigram probability p(right | left) of the labels across the edge,
+    from ``ctx.lm``.  A pair the LM has no probability for scores 1.0: every
+    pair from START (the LM's begin context is ``<s>``), after ``</s>`` or
+    into ``<s>``, and every pair when the context has no LM."""
 
     name = "lm"
     left_dependent = True
     lexicalized = False
     dim = 1
 
-    def __init__(self, use_log=False):
-        self.use_log = use_log
-
     def pair_matrix(self, ctx, labels):
         """Values for every (left, right) pair, (L+1, L, 1); row 0 is START."""
         def value(left, right):
             try:
-                p = ctx.lm.prob(left, right)
+                return ctx.lm.prob(left, right)
             except (KeyError, AttributeError):
-                p = 1.0
-            return math.log(p) if self.use_log else p
+                return 1.0
 
         return np.array([[[value(left, right)] for right in labels]
                          for left in [START_LABEL] + list(labels)])
@@ -154,13 +155,10 @@ class _Scalar:
 
     left_dependent = False
     lexicalized = False
-    dim = 1
+    dim = block = 1
 
     def label_index(self, label):
         return 0
-
-    def block_size(self, ctx):
-        return 1
 
 
 class BaselineFeature(_Scalar):
@@ -177,8 +175,8 @@ class BaselineFeature(_Scalar):
 
 
 class _Lexicalized:
-    """One value vector per span, scored against the weight block of the
-    segment's label."""
+    """One value vector of ``block`` values per span, scored against the
+    weight block of the segment's label."""
 
     left_dependent = False
     lexicalized = True
@@ -187,11 +185,12 @@ class _Lexicalized:
         self.labels = list(labels)
         self._index = {l: i for i, l in enumerate(self.labels)}
 
+    @property
+    def dim(self):
+        return len(self.labels) * self.block
+
     def label_index(self, label):
         return self._index.get(label)
-
-    def dimension(self, ctx):
-        return len(self.labels) * self.block_size(ctx)
 
     def span_vectors(self, ctx, starts, ends):
         """Base vectors of the spans [starts[k], ends[k]], (spans, block)."""
@@ -211,13 +210,15 @@ class ClassifierStatFeature(_Lexicalized):
 
     kind 'mean'/'max' give one value per (label, classifier value); the
     'div_s'/'div_m' kinds give three, one per contiguous third of the span
-    (empty thirds contribute zeros).
+    (empty thirds contribute zeros).  The classifier has ``num_classes``
+    values per frame.
     """
 
-    def __init__(self, labels, kind, classifier="letter"):
-        super().__init__(labels)
+    def __init__(self, labels, kind, num_classes, classifier="letter"):
         if kind not in ("mean", "max", "div_s", "div_m"):
             raise ValueError("unknown statistic kind %r" % (kind,))
+        super().__init__(labels)
+        self.block = (3 if kind.startswith("div") else 1) * num_classes
         self.kind = kind
         self.classifier = classifier
         self.name = "classifier_%s_%s" % (classifier, kind)
@@ -229,10 +230,6 @@ class ClassifierStatFeature(_Lexicalized):
             raise ValueError("classifier outputs %r missing from context"
                              % (self.classifier,))
         return post
-
-    def block_size(self, ctx):
-        per = 3 if self.kind.startswith("div") else 1
-        return per * self._posteriors(ctx).shape[1]
 
     def base_vector(self, ctx, start, end):
         g = self._posteriors(ctx)[start:end + 1]
@@ -252,9 +249,7 @@ class PeakFeature(_Lexicalized):
     whether the span's smoothed derivative has exactly one local minimum."""
 
     name = "peak"
-
-    def block_size(self, ctx):
-        return 1
+    block = 1
 
     def base_vector(self, ctx, start, end):
         return np.array([delta_peak(ctx, start, end)])
@@ -274,9 +269,6 @@ class FirstPassFeatures(_Lexicalized):
         self.num_classes = num_classes
         self.max_duration = max_duration
         self.block = 6 * num_classes + max_duration + 1
-
-    def block_size(self, ctx):
-        return self.block
 
     def span_vectors(self, ctx, starts, ends):
         return self.span_scores(ctx, starts, ends, np.eye(self.block))
@@ -368,7 +360,7 @@ class SegmentClassifierFeature(_Scalar):
 # ---------------------------------------------------------------------------
 # Model
 
-class ManifestError(ValueError):
+class ManifestError(DataError):
     pass
 
 
@@ -379,7 +371,8 @@ def _label_blocks(f, labels):
 
 
 class SegmentalModel:
-    """Feature registry plus weights, label set and duration bounds.
+    """Feature registry plus weights, label set and duration bounds; each
+    feature brings its ``dim`` weights.
 
     Durations are bounded by ``max_duration`` except for the boundary
     silences, which are exempt; letters may also get a minimum duration.
@@ -388,13 +381,11 @@ class SegmentalModel:
     with or without the optional initial- and final-label constraints.
     """
 
-    def __init__(self, labels, features, dims, max_duration=40, min_letter_duration=1,
+    def __init__(self, labels, features, max_duration=40, min_letter_duration=1,
                  initial_labels=None, final_labels=None, weights=None):
         self.labels = list(labels)
         self.features = list(features)
-        self.dims = [int(d) for d in dims]
-        if len(self.dims) != len(self.features):
-            raise ValueError("need one dimension per feature function")
+        self.dims = [f.dim for f in self.features]
         self.offsets = np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
         self.total_dim = int(self.offsets[-1])
         self.weights = np.zeros(self.total_dim) if weights is None else \
@@ -443,7 +434,7 @@ class SegmentalModel:
                 pair += f.pair_matrix(ctx, self.labels) @ w
                 continue
             rows, blocks = _label_blocks(f, self.labels)
-            wm = np.zeros((nl, f.block_size(ctx)))
+            wm = np.zeros((nl, f.block))
             wm[rows] = w.reshape(-1, wm.shape[1])[blocks]
             span += f.span_scores(ctx, starts, ends, wm) if f.lexicalized else \
                 f.span_values(ctx, starts, ends, self.labels) * wm[:, 0]
@@ -485,11 +476,12 @@ class SegmentalModel:
         model's registered feature functions and dimensions."""
         obj = read_json(path)
         if obj.get("manifest") != self.manifest():
-            raise ManifestError("feature manifest mismatch: stored %r vs registered %r"
-                                % (obj.get("manifest"), self.manifest()))
+            raise ManifestError("%s: feature manifest mismatch: stored %r vs registered %r"
+                                % (path, obj.get("manifest"), self.manifest()))
         weights = np.asarray(obj["weights"], dtype=np.float64)
-        if len(weights) != self.total_dim:
-            raise ManifestError("stored weight length does not match manifest")
+        if weights.shape != (self.total_dim,):
+            raise ManifestError("%s: %d weights for a manifest of %d"
+                                % (path, len(weights), self.total_dim))
         self.weights = weights
         return self
 
@@ -866,12 +858,10 @@ def example_gradient(model, example, mode, ref_policy="add-ground-truth"):
 
 # What lattice CLL training does with an example whose reference label
 # sequence is not among its lattice's hypotheses.
-REF_POLICIES = ("fail", "drop-example", "add-ground-truth", "add-forced-alignment",
-                "use-best-match")
+REF_POLICIES = ("fail", "drop-example", "add-ground-truth", "use-best-match")
 
 
 def _lattice_with_reference(example, policy):
-    from .hmm import Hypothesis, CandidateLattice
     if policy not in REF_POLICIES:
         raise ValueError("unknown reference policy %r" % (policy,))
     lattice = example.lattice
@@ -882,12 +872,9 @@ def _lattice_with_reference(example, policy):
         raise ReferenceNotInLattice("reference %r not among candidates" % ("".join(ref),))
     if policy == "drop-example":
         return None
-    if policy in ("add-ground-truth", "add-forced-alignment"):
-        # with the forced-alignment policy the caller puts aligned spans in
-        # ref_segments; ground truth uses the annotated segmentation
+    if policy == "add-ground-truth":   # the annotated segmentation
         hyp = Hypothesis(ref, list(example.ref_segments), 0.0)
         return CandidateLattice(list(lattice.hypotheses) + [hyp], lattice.baseline_frames)
-    from .metrics import align   # use-best-match
     best = min(lattice.hypotheses,
                key=lambda h: align(ref, list(h.labels)).total_errors)
     example.ref_labels = list(best.labels)
@@ -1019,7 +1006,6 @@ def nbest_segmentations(tabs, n):
 def nbest_decode(model, ctx, n):
     """Top-n labeled segmentations by score; hypotheses are distinct
     (label sequence, segmentation) pairs by construction."""
-    from .hmm import lattice_from_ranked
     ranked = nbest_segmentations(compute_tables(model, ctx), n)
     if not ranked:
         raise ValueError("no legal segmentation for N-best decode")
@@ -1057,8 +1043,7 @@ def build_second_pass(first_model, labels, segment_mlp=None):
     feats = [FirstPassScoreFeature(first_model), PeakFeature(labels)]
     if segment_mlp is not None:
         feats.insert(1, SegmentClassifierFeature(labels, segment_mlp))
-    model = SegmentalModel(labels, feats, [1] + [len(labels)] * (len(feats) - 1),
-                           max_duration=first_model.max_duration,
+    model = SegmentalModel(labels, feats, max_duration=first_model.max_duration,
                            min_letter_duration=first_model.min_letter_duration,
                            initial_labels=first_model.initial_labels,
                            final_labels=first_model.final_labels)

@@ -1,12 +1,17 @@
-"""Labeled segmentations of frame sequences.
+"""Labeled segmentations of frame sequences, and lattices of them.
 
 A segmentation is an ordered list of ``Segment(label, start, end)`` with
 ``end`` inclusive; consecutive segments must tile the frame range exactly.
+A lattice is a list of scored (labels, segmentation) hypotheses, saved as
+JSON lines, one hypothesis per line.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+
+from .fileio import DataError, atomic_write_text, refuse_non_finite
 
 
 @dataclass(frozen=True)
@@ -58,34 +63,73 @@ def letters_only(labels, silences=("<s>", "</s>")):
     return [l for l in labels if l not in silences]
 
 
-def labels_from_peaks(letters, peaks, signing_start, signing_end, num_frames):
-    """Per-frame labels from letter peak positions.
-
-    The boundary between consecutive letters is the midpoint between their
-    peaks; an odd gap rounds the boundary toward the earlier letter.  Frames
-    before ``signing_start`` / after ``signing_end`` are labeled as the
-    begin/end silences.
-    """
-    if len(letters) != len(peaks):
-        raise ValueError("need one peak per letter")
-    if sorted(peaks) != list(peaks):
-        raise ValueError("peaks must be increasing")
-    out = ["<s>"] * num_frames
-    bounds = [signing_start]
-    for a, b in zip(peaks, peaks[1:]):
-        bounds.append((a + b) // 2 + 1)
-    bounds.append(signing_end + 1)
-    for letter, lo, hi in zip(letters, bounds, bounds[1:]):
-        for t in range(lo, hi):
-            out[t] = letter
-    for t in range(signing_end + 1, num_frames):
-        out[t] = "</s>"
-    return out
-
-
 def to_jsonable(segments):
     return [[s.label, s.start, s.end] for s in segments]
 
 
 def from_jsonable(items):
     return [Segment(str(l), int(a), int(b)) for l, a, b in items]
+
+
+# ---------------------------------------------------------------------------
+# Lattices
+
+@dataclass
+class Hypothesis:
+    labels: list
+    segments: list
+    score: float
+
+    @property
+    def letters(self):
+        return letters_only(self.labels)
+
+
+@dataclass
+class CandidateLattice:
+    hypotheses: list
+    baseline_frames: list
+
+    def __post_init__(self):
+        if not self.hypotheses:
+            raise ValueError("empty lattice")
+
+
+def lattice_from_hypotheses(hyps, num_frames):
+    return CandidateLattice(hyps, frame_labels(hyps[0].segments, num_frames))
+
+
+def lattice_from_ranked(labels, ranked, num_frames):
+    """CandidateLattice from ``scrf.nbest_segmentations`` output."""
+    hyps = []
+    for score, spans in ranked:
+        segs = [Segment(labels[li], start, end) for li, start, end in spans]
+        hyps.append(Hypothesis([s.label for s in segs], segs, score))
+    return lattice_from_hypotheses(hyps, num_frames)
+
+
+def save_lattice(path, lattice):
+    lines = [json.dumps({"labels": h.labels, "spans": to_jsonable(h.segments),
+                         "score": h.score}, sort_keys=True)
+             for h in lattice.hypotheses]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def load_lattice(path):
+    """Refuses a file without hypotheses and a line without ``spans`` or
+    ``score`` (DataError naming the file)."""
+    hyps = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            where = "%s line %d" % (path, lineno)
+            obj = json.loads(line, parse_constant=refuse_non_finite(where))
+            try:
+                segs = from_jsonable(obj["spans"])
+                hyps.append(Hypothesis([s.label for s in segs], segs, float(obj["score"])))
+            except (KeyError, TypeError, ValueError) as e:
+                raise DataError("%s: not a lattice hypothesis (%s)" % (where, e)) from None
+    if not hyps:
+        raise DataError("%s: no lattice hypotheses" % path)
+    return lattice_from_hypotheses(hyps, hyps[0].segments[-1].end + 1)

@@ -34,7 +34,8 @@ from .alphabet import (BEGIN_SILENCE, END_SILENCE, LetterAlphabet,
                        PhoneticFeatureTable)
 from .fileio import (FieldError, check_fields, in_file, read_json, read_matrix,
                      write_json, write_matrix)
-from .segments import Segment, check_tiling
+from .scrf import smoothed_derivative
+from .segments import Segment, check_tiling, from_jsonable, to_jsonable
 
 TOUCH_CODES = {"-": -1.0, "i": -0.6, "m": -0.2, "m/i": 0.2, "p": 0.6, "r": 1.0}
 PALM_CODES = {"for": -1.0, "in": 0.0, "dwn": 1.0}
@@ -276,7 +277,6 @@ def generate_word(word, signer, seed_key, cfg=None, alphabet=None, table=None):
 
     # ground-truth boundaries sit at the maximum-motion frame between
     # consecutive peaks, so each segment brackets its own motion dip
-    from .scrf import smoothed_derivative
     curve = smoothed_derivative(desc)
     cuts = []
     for p0, p1 in zip(peaks, peaks[1:]):
@@ -346,7 +346,6 @@ def generate_corpus(word_list, signers, seed, repetitions=2, cfg=None,
 # Corpus on disk: manifest + binary descriptor matrices + ground truth
 
 def save_corpus(corpus, directory):
-    from .segments import to_jsonable
     os.makedirs(directory, exist_ok=True)
     entries = []
     for i, w in enumerate(corpus.words):
@@ -382,7 +381,6 @@ def corpus_files(directory):
 
 
 def load_corpus(directory, signers=None, cfg=None):
-    from .segments import from_jsonable
     manifest = read_json(os.path.join(directory, "manifest.json"))
     words = []
     for entry in manifest["entries"]:

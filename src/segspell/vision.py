@@ -3,7 +3,7 @@
 Pipeline pieces: a color model scoring pixels as hand vs background, mask
 cleanup with largest-connected-component selection, gradient-orientation
 histograms over a three-level spatial pyramid (2688 dims), PCA reduction,
-multi-frame window stacking, and temporal speed resampling.
+and multi-frame window stacking.
 """
 
 from __future__ import annotations
@@ -409,19 +409,3 @@ def stack_windows(seq, w):
     idx = np.clip(np.arange(len(seq))[:, None] + np.arange(-half, half + 1),
                   0, len(seq) - 1)
     return seq[idx].reshape(len(seq), -1)
-
-
-def resample_speed(seq, factor):
-    """Linear time interpolation to round(T / factor) frames."""
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    seq = np.asarray(seq, dtype=np.float64)
-    t = len(seq)
-    if t < 2:
-        raise ValueError("need at least two frames")
-    new_len = max(2, int(round(t / factor)))
-    pos = np.clip(np.arange(new_len) * factor, 0, t - 1)
-    lo = np.floor(pos).astype(int)
-    hi = np.minimum(lo + 1, t - 1)
-    frac = (pos - lo)[:, None]
-    return seq[lo] * (1 - frac) + seq[hi] * frac

@@ -132,13 +132,11 @@ def test_criterion_1_semimarkov_exactness():
         ctx = scrf.FeatureContext(T, letter_posteriors=rng.random((T, 4)),
                                   descriptors=rng.normal(size=(T, 3)),
                                   lm=ToyLm(probs))
-        feats = [scrf.ClassifierStatFeature(labels, "mean"),
+        feats = [scrf.ClassifierStatFeature(labels, "mean", 4),
                  scrf.PeakFeature(labels)]
         if with_lm:
             feats.append(scrf.LmFeature())
-        dims = [f.dimension(ctx) if hasattr(f, "dimension") else f.dim
-                for f in feats]
-        model = scrf.SegmentalModel(labels, feats, dims, max_duration=lmax)
+        model = scrf.SegmentalModel(labels, feats, max_duration=lmax)
         model.weights = rng.normal(size=model.total_dim)
         hyps = enumerate_scrf(model, ctx)
         if not hyps:
@@ -170,11 +168,10 @@ def test_criterion_2_gradient_checks():
     ctx = scrf.FeatureContext(3, letter_posteriors=rng.random((3, 3)),
                               descriptors=rng.normal(size=(3, 2)),
                               lm=ToyLm(probs))
-    feats = [scrf.ClassifierStatFeature(labels, "mean"),
-             scrf.ClassifierStatFeature(labels, "div_s"),
+    feats = [scrf.ClassifierStatFeature(labels, "mean", 3),
+             scrf.ClassifierStatFeature(labels, "div_s", 3),
              scrf.PeakFeature(labels), scrf.LmFeature()]
-    dims = [f.dimension(ctx) if hasattr(f, "dimension") else f.dim for f in feats]
-    model = scrf.SegmentalModel(labels, feats, dims, max_duration=3)
+    model = scrf.SegmentalModel(labels, feats, max_duration=3)
     model.weights = 0.5 * rng.normal(size=model.total_dim)
     ref = (["A", "B"], [Segment("A", 0, 1), Segment("B", 2, 2)])
     grad, _ = scrf.example_gradient(

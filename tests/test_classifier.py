@@ -139,43 +139,6 @@ class TestTraining:
         assert len(lines) == 4
 
 
-class TestFrameErrorRate:
-    def test_perfect_predictions(self):
-        model = small_model()
-        x, _ = make_data(n=30)
-        y = model.predict(x)
-        assert C.frame_error_rate(model, x, y) == 0.0
-
-    def test_constant_predictor_on_balanced_28(self):
-        model = C.init_mlp(4, [], 28, [str(i) for i in range(28)], seed=0)
-        w, b = model.layers[0]
-        w[:] = 0.0
-        b[:] = 0.0
-        b[5] = 100.0  # always predicts class 5
-        x = np.zeros((28 * 10, 4))
-        y = np.repeat(np.arange(28), 10)
-        fer = C.frame_error_rate(model, x, y)
-        assert fer == pytest.approx(100.0 * 27 / 28, abs=1e-9)
-
-    def test_majority_class_matches_count_oracle(self):
-        rng = np.random.default_rng(9)
-        y = rng.integers(0, 4, size=200)
-        counts = np.bincount(y, minlength=4)
-        major = int(np.argmax(counts))
-        model = C.init_mlp(3, [], 4, list("abcd"), seed=0)
-        w, b = model.layers[0]
-        w[:] = 0.0
-        b[:] = 0.0
-        b[major] = 50.0
-        chance = 100.0 * (1 - counts[major] / len(y))
-        assert C.frame_error_rate(model, np.zeros((200, 3)), y) == \
-            pytest.approx(chance, abs=1e-9)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            C.frame_error_rate(small_model(), np.zeros((0, 6)), np.zeros(0, dtype=int))
-
-
 class TestAdaptation:
     window, static_dim = 3, 4
 

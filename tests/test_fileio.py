@@ -23,14 +23,6 @@ def test_matrix_bad_magic(tmp_path):
         fileio.read_matrix(path)
 
 
-def test_matrix_csv(tmp_path):
-    m = np.array([[1.0, 2.5], [3.0, -4.25]])
-    path = str(tmp_path / "m.csv")
-    fileio.write_matrix_csv(path, m)
-    rows = [line.split(",") for line in open(path).read().strip().split("\n")]
-    assert [[float(v) for v in r] for r in rows] == m.tolist()
-
-
 @pytest.mark.parametrize("shape", [(5, 7), (6, 4, 3)])
 def test_png_roundtrip(tmp_path, shape):
     rng = np.random.default_rng(0)
@@ -47,17 +39,6 @@ def test_png_deterministic_bytes(tmp_path):
     fileio.write_png(p1, img)
     fileio.write_png(p2, img)
     assert open(p1, "rb").read() == open(p2, "rb").read()
-
-
-@pytest.mark.parametrize("shape", [(4, 6), (3, 5, 3)])
-def test_ppm_roundtrip(tmp_path, shape):
-    rng = np.random.default_rng(1)
-    img = rng.integers(0, 256, size=shape, dtype=np.uint8)
-    ext = ".pgm" if len(shape) == 2 else ".ppm"
-    path = str(tmp_path / ("img" + ext))
-    fileio.write_ppm(path, img)
-    back = fileio.read_image(path)
-    assert np.array_equal(back, img)
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):

@@ -7,12 +7,12 @@ import pytest
 from segspell import hmm, synthgen
 from segspell.alphabet import LetterAlphabet
 from segspell.fileio import DataError
-from segspell.hmm import (LOG_ZERO, CandidateLattice, DecodeConfig, Hypothesis,
-                          LetterHmm, NoPathError, build_decode_graph,
-                          forced_align, load_lattice, nbest, save_lattice,
-                          train_em, viterbi_decode)
+from segspell.hmm import (LOG_ZERO, DecodeConfig, LetterHmm, NoPathError,
+                          build_decode_graph, forced_align, nbest, train_em,
+                          viterbi_decode)
 from segspell.lm import train_bigram
-from segspell.segments import Segment, check_tiling
+from segspell.segments import (CandidateLattice, Hypothesis, Segment, check_tiling,
+                               load_lattice, save_lattice)
 
 
 def toy_model(rng, letters=("A", "B"), letter_states=1, silence_states=1, dim=2):
@@ -232,7 +232,7 @@ class TestForcedAlign:
         model = toy_model(rng, letter_states=3, silence_states=1)
         # exactly 3 frames per letter, silences skipped
         obs = rng.normal(size=(6, 2))
-        segs, _ = forced_align(model, obs, ["A", "B"], include_silences="never")
+        segs, _ = forced_align(model, obs, ["A", "B"])
         assert [s.span() for s in segs] == [(0, 2), (3, 5)]
 
     def test_alignment_tiles(self, toy_lm):
@@ -254,8 +254,7 @@ class TestForcedAlign:
             _, _, v_score = viterbi_decode(model, toy_lm, obs, cfg)
             assert fa_score <= v_score + 1e-9
 
-    @pytest.mark.parametrize("mode", ["optional", "always", "never"])
-    def test_matches_exhaustive_chain_paths(self, mode):
+    def test_matches_exhaustive_chain_paths(self):
         rng = np.random.default_rng(18)
         model = toy_model(rng, letter_states=2, silence_states=2)
         model.log_self[:] = np.log(rng.uniform(0.2, 0.8, model.n_states))
@@ -265,8 +264,8 @@ class TestForcedAlign:
         states = [s for u in units for s in model.unit_states(u)]
         unit_of = [i for i, u in enumerate(units) for _ in model.unit_states(u)]
         k = len(states)
-        starts = {"always": [0], "optional": [0, 2], "never": [2]}[mode]
-        ends = {"always": [k - 1], "optional": [k - 1, k - 3], "never": [k - 3]}[mode]
+        # each boundary silence (two states) is present or skipped
+        starts, ends = [0, 2], [k - 1, k - 3]
         for t_len in range(6, 12):
             obs = rng.normal(size=(t_len, 2))
             emis = model.emission_logprobs(obs)
@@ -284,9 +283,9 @@ class TestForcedAlign:
                     best = (score, pos)
             if best[1] is None:
                 with pytest.raises(NoPathError):
-                    forced_align(model, obs, letters, include_silences=mode)
+                    forced_align(model, obs, letters)
                 continue
-            segs, score = forced_align(model, obs, letters, include_silences=mode)
+            segs, score = forced_align(model, obs, letters)
             assert score == pytest.approx(best[0], abs=1e-9)
             runs = [(units[unit_of[p]], t) for t, p in enumerate(best[1])
                     if t == 0 or unit_of[p] != unit_of[best[1][t - 1]]]

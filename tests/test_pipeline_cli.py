@@ -1,12 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import segspell
 from segspell import cli, pipeline
 from segspell.metrics import score_corpus
-from segspell.segments import labels_from_peaks
 
 
 @pytest.fixture(scope="module")
@@ -102,14 +104,6 @@ class TestPipeline:
         labels = pipeline.forced_alignment_frame_labels(recognizer, test[0], alphabet)
         assert len(labels) == test[0].num_frames
 
-    def test_labels_from_peaks_midpoint_rule(self):
-        labels = labels_from_peaks(["A", "B"], [4, 9], 2, 12, 15)
-        # boundary at (4+9)//2 = 6, so frames 2..6 are A, 7..12 are B
-        assert labels[:2] == ["<s>", "<s>"]
-        assert labels[2:7] == ["A"] * 5
-        assert labels[7:13] == ["B"] * 6
-        assert labels[13:] == ["</s>"] * 2
-
 
 class TestCliChain:
     @pytest.fixture(scope="class")
@@ -172,7 +166,6 @@ class TestCliChain:
 
     @pytest.mark.parametrize("bad, field", [
         pytest.param({"adaptation": {"fraction": 1.5}}, "fraction", id="fraction"),
-        pytest.param({"frontend": {"mode": "feature"}}, "frontend.mode", id="mode"),
         pytest.param({"frontend": {"transform": "sqrt"}}, "frontend.transform",
                      id="transform"),
         pytest.param({"scrf": {"max_duration": "x"}}, "scrf.max_duration",
@@ -186,6 +179,9 @@ class TestCliChain:
         pytest.param({"scrf": {"nbest": 0}}, "scrf.nbest", id="scrf-nbest"),
         pytest.param({"scrf": {"ref_policy": "bogus"}}, "scrf.ref_policy",
                      id="scrf-ref-policy"),
+        # the ground-truth policy under another name: no caller aligns spans
+        pytest.param({"scrf": {"ref_policy": "add-forced-alignment"}}, "scrf.ref_policy",
+                     id="scrf-ref-policy-forced-alignment"),
         pytest.param({"hmm": {"em_iters": "x"}}, "hmm.em_iters", id="em-iters-number"),
         pytest.param({"frontend": {"window": 4}}, "frontend.window", id="window-even"),
         pytest.param({"frontend": {"window": 0}}, "frontend.window", id="window-0"),
@@ -255,6 +251,8 @@ class TestCliChain:
                      id="rescoring-kinds"),
         pytest.param({"generator": {"speed": 2.0}}, "generator.speed", id="generator"),
         pytest.param({"hmm": 3}, "hmm", id="not-a-section"),
+        # the tandem classifier block is always the letter posteriors
+        pytest.param({"frontend": {"mode": "letter"}}, "frontend.mode", id="frontend-mode"),
     ])
     def test_unknown_config_key_exit_2(self, workdir, tmp_path, capsys, bad, path):
         cfg = tmp_path / "cfg.json"
@@ -267,11 +265,11 @@ class TestCliChain:
 
     def test_every_config_key_is_read(self):
         from dataclasses import replace
-        # one non-default legal value per key; frontend.mode has only one
+        # one non-default legal value per key
         full = {"seed": 3, "folds": 12, "report_folds": 2,
                 "data": {"signers": 2, "repetitions": 1, "words": 5, "wordlist": "2"},
                 "frontend": {"window": 3, "pca_classifier": 6, "pca_image": 4,
-                             "transform": "log", "mode": "letter", "hog_pca": 7},
+                             "transform": "log", "hog_pca": 7},
                 "classifier": {"arch": [8], "learning_rate": 0.1, "momentum": 0.5,
                                "weight_decay": 0.0, "dropout": 0.2,
                                "validation_fraction": 0.2, "batch_size": 7,
@@ -304,7 +302,7 @@ class TestCliChain:
             for part in reversed(key.split(".")):
                 value = {part: value}
             loaded = replace(cli.load_config(None, value), raw={})
-            assert (loaded == default) == (key == "frontend.mode"), key
+            assert loaded != default, key
 
     def test_zero_em_iterations_valid(self):
         assert cli.load_config(None, {"hmm": {"em_iters": 0}}).pipeline.em_iters == 0
@@ -349,22 +347,66 @@ class TestCliChain:
         assert str(bundle / "frontend.json") in err and "window" in err
         assert not (tmp_path / "hyps.txt").exists()
 
-    @pytest.mark.parametrize("target", ["classifier.json", "word.json", "word.fmat"])
+    # model files that are JSON but not what their readers expect
+    BROKEN_MODELS = {
+        "classifier.json-schema": lambda m: m.update(schema="segspell-mlp-0"),
+        "classifier.json-row": lambda m: m["layers"][0]["W"].pop(),
+        "hmm.json-schema": lambda m: m.update(schema="segspell-hmm-0"),
+        "hmm.json-means": lambda m: m["means"].pop(),
+    }
+
+    @pytest.mark.parametrize("target", ["classifier.json", "word.json", "word.fmat"]
+                             + sorted(BROKEN_MODELS))
     def test_unreadable_input_file_exit_3(self, workdir, tmp_path, capsys, target):
-        # a bundle file or a corpus word file that is not JSON, and a
-        # descriptor matrix cut short, each name the file without a traceback
+        # a bundle file or a corpus word file that is not JSON, a descriptor
+        # matrix cut short, and a model of another schema or with a lost row
+        # of weights or a lost state, each name the file without a traceback
         import shutil
         shutil.copytree(workdir / "rec", tmp_path / "rec")
         shutil.copytree(workdir / "corpus", tmp_path / "corpus")
         stem = json.loads((tmp_path / "corpus" / "manifest.json").read_text())["entries"][0]["stem"]
-        path = (tmp_path / "rec" / target if target == "classifier.json"
-                else tmp_path / "corpus" / (stem + target[len("word"):]))
-        if target.endswith(".fmat"):
+        name = target.split("-")[0]
+        path = (tmp_path / "corpus" / (stem + name[len("word"):]) if name.startswith("word")
+                else tmp_path / "rec" / name)
+        if target in self.BROKEN_MODELS:
+            model = json.loads(path.read_text())
+            self.BROKEN_MODELS[target](model)
+            path.write_text(json.dumps(model))
+        elif target.endswith(".fmat"):
             path.write_bytes(path.read_bytes()[:-6])
         else:
             path.write_text("{not json")
         rc = cli.main(["decode", "--recognizer", str(tmp_path / "rec"),
                        "--corpus", str(tmp_path / "corpus"), "--signers", "S1",
+                       "--out", str(tmp_path / "hyps.txt")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "hyps.txt").exists()
+
+    @pytest.mark.parametrize("target", ["scrf-weights", "lattice-empty", "lattice-spans"])
+    def test_unreadable_segmental_input_exit_3(self, workdir, tmp_path, capsys, alphabet,
+                                               target):
+        # an SCRF file a weight short, and a lattice file that is empty or
+        # has a line without spans, each name the file without a traceback
+        classes = json.loads((workdir / "rec" / "classifier.json").read_text())["class_names"]
+        scrf_path, lats = tmp_path / "fp.json", tmp_path / "lats"
+        pipeline.build_firstpass_model(alphabet, len(classes),
+                                       pipeline.ScrfConfig()).save(str(scrf_path))
+        if target == "scrf-weights":
+            model = json.loads(scrf_path.read_text())
+            model["weights"].pop()
+            scrf_path.write_text(json.dumps(model))
+        stems = [e["stem"] for e in json.loads((workdir / "corpus" / "manifest.json")
+                                               .read_text())["entries"] if e["signer"] == "S1"]
+        lats.mkdir()
+        for stem in stems:
+            (lats / (stem + ".lat.jsonl")).write_text(
+                "" if target == "lattice-empty" else '{"labels": ["A"], "score": 0.0}\n')
+        path = scrf_path if target == "scrf-weights" else lats / (stems[0] + ".lat.jsonl")
+        rc = cli.main(["decode", "--recognizer", str(workdir / "rec"),
+                       "--corpus", str(workdir / "corpus"), "--signers", "S1",
+                       "--scrf", str(scrf_path), "--lattices", str(lats),
                        "--out", str(tmp_path / "hyps.txt")])
         err = capsys.readouterr().err
         assert rc == 3
@@ -481,6 +523,15 @@ class TestCliChain:
                          "--words", "5"]) == 0
         rec = json.load(open(str(out) + ".run.json"))
         assert rec["seed"] == 123
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # scipy.sparse loads with the first first-pass span product only
+    src = os.path.dirname(os.path.dirname(segspell.__file__))
+    code = "import sys, segspell.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestCliRunRecords:

@@ -13,8 +13,7 @@ from segspell.scrf import (START_LABEL, BaselineFeature, ClassifierStatFeature,
                            example_gradient, forward_pass, backward_pass,
                            free_expectation, log_partition, nbest_decode,
                            rescore, segment_thirds, train_cll, viterbi)
-from segspell.hmm import CandidateLattice, Hypothesis
-from segspell.segments import Segment
+from segspell.segments import CandidateLattice, Hypothesis, Segment
 
 
 class ToyLm:
@@ -66,11 +65,10 @@ def random_ctx(rng, T, with_lm=True, labels=("A", "B", "C")):
 
 
 def random_model(rng, ctx, labels, lmax, with_lm=True):
-    feats = [ClassifierStatFeature(labels, "mean"), PeakFeature(labels)]
+    feats = [ClassifierStatFeature(labels, "mean", 4), PeakFeature(labels)]
     if with_lm:
         feats.append(LmFeature())
-    dims = [f.dimension(ctx) if hasattr(f, "dimension") else f.dim for f in feats]
-    model = SegmentalModel(list(labels), feats, dims, max_duration=lmax)
+    model = SegmentalModel(list(labels), feats, max_duration=lmax)
     model.weights = rng.normal(size=model.total_dim)
     return model
 
@@ -112,7 +110,7 @@ def edge_feature_vector(model, ctx, prev, label, start, end):
         if f.left_dependent:
             out[:] = f.pair_matrix(ctx, model.labels)[row, y]
         elif f.label_index(label) is not None:
-            b, bd = f.label_index(label), f.block_size(ctx)
+            b, bd = f.label_index(label), f.block
             span = np.array([start]), np.array([end])
             out[b * bd:(b + 1) * bd] = (span_vectors(f, ctx, *span)[0] if f.lexicalized
                                         else f.span_values(ctx, *span, model.labels)[0, y])
@@ -155,7 +153,6 @@ class TestFeatureFunctions:
     def test_lm_feature_neutral_outside_domain(self):
         ctx = FeatureContext(4, lm=ToyLm({("A", "B"): 0.5}))
         assert LmFeature().pair_matrix(ctx, ["Q"])[0, 0, 0] == 1.0
-        assert LmFeature(use_log=True).pair_matrix(ctx, ["Q"])[0, 0, 0] == 0.0
 
     def test_lm_feature_in_unit_interval(self):
         rng = np.random.default_rng(0)
@@ -183,8 +180,8 @@ class TestFeatureFunctions:
     def test_classifier_mean_and_mask(self):
         g = np.array([[0.2, 0.0], [0.4, 0.0]])
         ctx = FeatureContext(2, letter_posteriors=g)
-        f = ClassifierStatFeature(["A", "B"], "mean")
-        model = SegmentalModel(["A", "B", "Q"], [f], [4], max_duration=2)
+        f = ClassifierStatFeature(["A", "B"], "mean", 2)
+        model = SegmentalModel(["A", "B", "Q"], [f], max_duration=2)
         vec = edge_feature_vector(model, ctx, START_LABEL, "A", 0, 1)
         assert vec[0] == pytest.approx(0.3)
         assert edge_feature_vector(model, ctx, START_LABEL, "Q", 0, 1).sum() == 0.0
@@ -194,8 +191,8 @@ class TestFeatureFunctions:
     def test_div_thirds_of_six(self):
         g = np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [1.0]])
         ctx = FeatureContext(6, letter_posteriors=g)
-        div_s = ClassifierStatFeature(["A"], "div_s")
-        div_m = ClassifierStatFeature(["A"], "div_m")
+        div_s = ClassifierStatFeature(["A"], "div_s", 1)
+        div_m = ClassifierStatFeature(["A"], "div_m", 1)
         span = np.array([0]), np.array([5])
         np.testing.assert_allclose(div_s.span_vectors(ctx, *span)[0], [0.5, 0.5, 0.5])
         np.testing.assert_allclose(div_m.span_vectors(ctx, *span)[0], [1.0, 1.0, 1.0])
@@ -246,8 +243,7 @@ class TestFeatureFunctions:
         labels = [str(i) for i in range(30)]
         f = FirstPassFeatures(labels, 28, 40)
         assert f.block == 3 * 28 + 28 + 2 * 28 + 40 + 1
-        ctx = FeatureContext(3, letter_posteriors=np.zeros((3, 28)))
-        assert f.dimension(ctx) == 30 * (3 * 28 + 28 + 2 * 28 + 40 + 1)
+        assert f.dim == 30 * (3 * 28 + 28 + 2 * 28 + 40 + 1)
 
 
 class TestScore:
@@ -272,9 +268,9 @@ class TestScore:
         g = np.array([[0.2, 0.8], [0.6, 0.4], [1.0, 0.0]])
         ctx = FeatureContext(3, letter_posteriors=g,
                              lm=ToyLm({(START_LABEL, "A"): 0.5, ("A", "B"): 0.25}))
-        f1 = ClassifierStatFeature(["A", "B"], "mean")
+        f1 = ClassifierStatFeature(["A", "B"], "mean", 2)
         f2 = LmFeature()
-        model = SegmentalModel(["A", "B"], [f1, f2], [4, 1], max_duration=3)
+        model = SegmentalModel(["A", "B"], [f1, f2], max_duration=3)
         model.weights = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
         segs = [Segment("A", 0, 1), Segment("B", 2, 2)]
         # edge 1: mean g over frames 0..1 in the A block = (0.4, 0.6);
@@ -315,8 +311,8 @@ class TestExactInference:
     def test_t1_two_labels_zero_weights_log2(self):
         ctx = FeatureContext(1, letter_posteriors=np.zeros((1, 2)),
                              descriptors=np.zeros((1, 2)))
-        f = ClassifierStatFeature(["A", "B"], "mean")
-        model = SegmentalModel(["A", "B"], [f], [4], max_duration=3)
+        f = ClassifierStatFeature(["A", "B"], "mean", 2)
+        model = SegmentalModel(["A", "B"], [f], max_duration=3)
         assert log_partition(model, ctx, "full") == pytest.approx(math.log(2), abs=1e-12)
 
     def test_log_partition_viterbi_marginals_vs_enumeration(self):
@@ -372,8 +368,8 @@ class TestExactInference:
         g[:2, 0] = 1.0
         g[2:, 1] = 1.0
         ctx = FeatureContext(4, letter_posteriors=g)
-        f = ClassifierStatFeature(["A", "B"], "mean")
-        model = SegmentalModel(["A", "B"], [f], [4], max_duration=4)
+        f = ClassifierStatFeature(["A", "B"], "mean", 2)
+        model = SegmentalModel(["A", "B"], [f], max_duration=4)
         model.weights = np.array([50.0, -50.0, -50.0, 50.0])
         labels, segs, _ = viterbi(model, ctx)
         assert labels == ["A", "B"]
@@ -387,21 +383,18 @@ class TestExactInference:
             name = "bias"
             left_dependent = False
             lexicalized = False
-            dim = 1
+            dim = block = 1
 
             def label_index(self, label):
                 return 0
-
-            def block_size(self, ctx):
-                return 1
 
             def span_values(self, ctx, starts, ends, labels):
                 return np.ones((len(starts), len(labels)))
 
         labels = ["A", "B"]
-        f = ClassifierStatFeature(labels, "mean")
+        f = ClassifierStatFeature(labels, "mean", 4)
         bias = BiasFeature()
-        model = SegmentalModel(labels, [f, bias], [8, 1], max_duration=3)
+        model = SegmentalModel(labels, [f, bias], max_duration=3)
         model.weights[:-1] = rng.normal(size=model.total_dim - 1)
         l1, s1, _ = viterbi(model, ctx)
         model.weights[-1] += 5.0
@@ -409,7 +402,6 @@ class TestExactInference:
         assert l1 == l2 and [x.span() for x in s1] == [x.span() for x in s2]
 
     def test_lattice_partition_and_rescore_agree_with_full_on_tiny(self):
-        from segspell.hmm import CandidateLattice, Hypothesis
         rng = np.random.default_rng(8)
         labels = ["A", "B"]
         ctx = random_ctx(rng, 3, with_lm=False, labels=labels)
@@ -442,13 +434,12 @@ def silence_model(rng, ctx, labels, lmax, pinned, with_lm=False, kind="firstpass
     """A model whose labels include <s> and </s>; ``pinned`` also sets the
     first pass's initial and final labels."""
     stat = FirstPassFeatures(labels, 4, lmax) if kind == "firstpass" else \
-        ClassifierStatFeature(labels, kind)
+        ClassifierStatFeature(labels, kind, 4)
     feats = [stat, PeakFeature(labels)] + [LmFeature()] * with_lm
     if baseline:
         ctx.baseline_frames = [labels[i] for i in rng.integers(len(labels), size=ctx.num_frames)]
         feats.append(BaselineFeature())
-    dims = [f.dimension(ctx) if hasattr(f, "dimension") else f.dim for f in feats]
-    model = SegmentalModel(labels, feats, dims, max_duration=lmax,
+    model = SegmentalModel(labels, feats, max_duration=lmax,
                            initial_labels={"<s>"} if pinned else None,
                            final_labels={"</s>"} if pinned else None)
     model.weights = rng.normal(size=model.total_dim)
@@ -551,11 +542,10 @@ class TestTraining:
         rng = np.random.default_rng(10)
         labels = ["A", "B"]
         ctx = random_ctx(rng, 4, labels=labels)
-        feats = [ClassifierStatFeature(labels, "mean"),
-                 ClassifierStatFeature(labels, "div_s"),
+        feats = [ClassifierStatFeature(labels, "mean", 4),
+                 ClassifierStatFeature(labels, "div_s", 4),
                  PeakFeature(labels), LmFeature()]
-        dims = [f.dimension(ctx) if hasattr(f, "dimension") else f.dim for f in feats]
-        model = SegmentalModel(labels, feats, dims, max_duration=3)
+        model = SegmentalModel(labels, feats, max_duration=3)
         model.weights = 0.5 * rng.normal(size=model.total_dim)
         ref_labels = ["A", "B"]
         ref_segs = [Segment("A", 0, 1), Segment("B", 2, 3)]
@@ -583,14 +573,12 @@ class TestTraining:
             assert rel < 1e-4, (i, fd, grad[i])
 
     def test_gradient_matches_finite_differences_lattice(self):
-        from segspell.hmm import CandidateLattice, Hypothesis
         rng = np.random.default_rng(11)
         labels = ["A", "B"]
         ctx = random_ctx(rng, 4, labels=labels)
         ctx.baseline_frames = ["A", "A", "B", "B"]
-        feats = [ClassifierStatFeature(labels, "max"), BaselineFeature(), LmFeature()]
-        dims = [f.dimension(ctx) if hasattr(f, "dimension") else f.dim for f in feats]
-        model = SegmentalModel(labels, feats, dims, max_duration=4)
+        feats = [ClassifierStatFeature(labels, "max", 4), BaselineFeature(), LmFeature()]
+        model = SegmentalModel(labels, feats, max_duration=4)
         model.weights = 0.3 * rng.normal(size=model.total_dim)
         hyps = [ (["A", "B"], [Segment("A", 0, 1), Segment("B", 2, 3)]),
                  (["A", "B"], [Segment("A", 0, 2), Segment("B", 3, 3)]),
@@ -661,7 +649,6 @@ class TestTraining:
         assert np.mean(model.weights == 0.0) > 0.5
 
     def test_reference_policies(self):
-        from segspell.hmm import CandidateLattice, Hypothesis
         rng = np.random.default_rng(15)
         labels = ["A", "B"]
         ctx = random_ctx(rng, 4, with_lm=False, labels=labels)
@@ -689,7 +676,6 @@ class TestTraining:
 
 class TestRescoreCascade:
     def test_single_hypothesis_lattice(self):
-        from segspell.hmm import CandidateLattice, Hypothesis
         rng = np.random.default_rng(16)
         ctx = random_ctx(rng, 4, with_lm=False)
         model = random_model(rng, ctx, ["A", "B"], 4, with_lm=False)
@@ -698,12 +684,11 @@ class TestRescoreCascade:
         assert labels == ["A"] and best is h
 
     def test_baseline_weight_selects_baseline_hypothesis(self):
-        from segspell.hmm import CandidateLattice, Hypothesis
         baseline = ["A"] * 3 + ["B"] * 3
         ctx = FeatureContext(6, letter_posteriors=np.zeros((6, 2)),
                              baseline_frames=baseline)
         f = BaselineFeature()
-        model = SegmentalModel(["A", "B"], [f], [1], max_duration=6)
+        model = SegmentalModel(["A", "B"], [f], max_duration=6)
         model.weights = np.array([4.0])
         good = Hypothesis(["A", "B"], [Segment("A", 0, 2), Segment("B", 3, 5)], 0.0)
         bad = Hypothesis(["B", "A"], [Segment("B", 0, 2), Segment("A", 3, 5)], 0.0)
@@ -713,7 +698,6 @@ class TestRescoreCascade:
         assert labels == ["A", "B"]
 
     def test_rescore_output_always_from_lattice(self):
-        from segspell.hmm import CandidateLattice, Hypothesis
         rng = np.random.default_rng(17)
         ctx = random_ctx(rng, 5, with_lm=False)
         model = random_model(rng, ctx, ["A", "B"], 5, with_lm=False)
@@ -733,7 +717,6 @@ class TestRescoreCascade:
         seen = set()
         uniq = [h for h in lattice.hypotheses
                 if tuple(h.labels) not in seen and not seen.add(tuple(h.labels))]
-        from segspell.hmm import CandidateLattice
         lattice = CandidateLattice(uniq, lattice.baseline_frames)
         second = scrf.build_second_pass(first, labels)
         np.testing.assert_array_equal(second.weights[:1], [1.0])
@@ -782,7 +765,7 @@ class TestSerialization:
         fresh = random_model(np.random.default_rng(21), ctx, labels, 3, with_lm=False)
         fresh.load_weights(path)
         np.testing.assert_array_equal(fresh.weights, model.weights)
-        other = SegmentalModel(labels, [PeakFeature(labels)], [2], max_duration=3)
+        other = SegmentalModel(labels, [PeakFeature(labels)], max_duration=3)
         with pytest.raises(ManifestError):
             other.load_weights(path)
 
@@ -1155,10 +1138,9 @@ class TestLatticeSpanPath:
         for case in range(8):
             ctx = random_ctx(rng, 9, labels=labels)
             ctx.baseline_frames = [labels[i] for i in rng.integers(3, size=9)]
-            feats = [FirstPassFeatures(labels, 4, 3), ClassifierStatFeature(labels, "div_m"),
+            feats = [FirstPassFeatures(labels, 4, 3), ClassifierStatFeature(labels, "div_m", 4),
                      PeakFeature(labels), BaselineFeature(), LmFeature()]
-            dims = [f.dimension(ctx) if hasattr(f, "dimension") else f.dim for f in feats]
-            model = SegmentalModel(labels, feats, dims, max_duration=3)
+            model = SegmentalModel(labels, feats, max_duration=3)
             model.weights = rng.normal(size=model.total_dim)
             lat = self.lattice(rng, 9, labels)
             pairs = [(h.labels, h.segments) for h in lat.hypotheses]

@@ -312,30 +312,3 @@ class TestTemporal:
     def test_windows_of_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="empty sequence"):
             vision.stack_windows(np.zeros((0, 4)), 5)
-
-    def test_resample_identity(self):
-        rng = np.random.default_rng(0)
-        seq = rng.normal(size=(12, 3))
-        np.testing.assert_allclose(vision.resample_speed(seq, 1.0), seq, atol=1e-12)
-
-    def test_resample_half_speed_hits_grid(self):
-        rng = np.random.default_rng(1)
-        seq = rng.normal(size=(10, 4))
-        out = vision.resample_speed(seq, 0.5)
-        assert len(out) == 20
-        for i in range(10):
-            np.testing.assert_allclose(out[2 * i], seq[i], atol=1e-9)
-
-    def test_resample_roundtrip_length(self):
-        rng = np.random.default_rng(2)
-        for factor in (0.8, 1.2, 1.5):
-            seq = rng.normal(size=(37, 2))
-            back = vision.resample_speed(vision.resample_speed(seq, factor), 1 / factor)
-            assert abs(len(back) - 37) <= 1
-
-    def test_augmentation_triples_count(self):
-        seqs = [np.zeros((10, 2)), np.zeros((14, 2))]
-        augmented = list(seqs)
-        for f in (0.8, 1.2):
-            augmented += [vision.resample_speed(s, f) for s in seqs]
-        assert len(augmented) == 3 * len(seqs)
