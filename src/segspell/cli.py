@@ -32,7 +32,7 @@ from .alphabet import LetterAlphabet
 from .classifier import history_csv, load_classifier
 from .fileio import (DataError, FieldError, atomic_write_text, check_fields, in_file,
                      read_json, read_png, sha256_file, write_json, write_matrix, write_png)
-from .hmm import forced_align
+from .hmm import NoPathError, forced_align
 from .lm import load_arpa, train_bigram
 from .metrics import format_report, score_corpus
 from .pipeline import PipelineConfig, ScrfConfig, load_recognizer, save_recognizer
@@ -443,7 +443,7 @@ def cmd_decode(args, cfg):
     if args.scrf and args.lattices:
         paths = [require(os.path.join(args.lattices, stem + ".lat.jsonl"), "nbest")
                  for stem in stems]
-        lattices = [load_lattice(path) for path in paths]
+        lattices = [load_lattice(path, w.num_frames) for path, w in zip(paths, words)]
         inputs += paths
         pairs = pipeline.rescore_words(model, rec, words, lattices)
     elif args.scrf:
@@ -676,7 +676,7 @@ def main(argv=None):
         if out:
             write_run_record(out, args.command, cfg, inputs, outputs, t0)
         return 0
-    except (ConfigError, DataError) as e:
+    except (ConfigError, DataError, NoPathError) as e:
         print("error: %s" % e, file=sys.stderr)
         return e.exit_code
     except FileNotFoundError as e:

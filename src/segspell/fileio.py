@@ -78,20 +78,20 @@ def read_json(path, allow_nan=False):
 
 
 def read_model(path, from_jsonable):
-    """``from_jsonable`` of the JSON in ``path``; a DataError it raises, or
-    a missing entry, names the file."""
+    """``from_jsonable`` of the JSON in ``path``; what it refuses (a
+    missing entry, one of the wrong type or value) names the file."""
     obj = read_json(path)
     try:
         return from_jsonable(obj)
-    except DataError as e:
-        raise DataError("%s: %s" % (path, e)) from None
     except KeyError as e:
         raise DataError("%s: no %s entry" % (path, e)) from None
+    except (AttributeError, IndexError, TypeError, ValueError) as e:
+        raise DataError("%s: %s" % (path, e)) from None
 
 
 def shaped_array(value, shape, what):
-    """``value`` as a float array of ``shape`` (None: any length on that
-    axis); DataError naming ``what`` otherwise."""
+    """``value`` as a finite float array of ``shape`` (None: any length on
+    that axis); DataError naming ``what`` otherwise."""
     try:
         arr = np.array(value, dtype=np.float64)
     except (TypeError, ValueError):
@@ -101,6 +101,8 @@ def shaped_array(value, shape, what):
         raise DataError("%s has %s, expected %s" % (
             what, "ragged rows" if arr is None else "shape %s" % (arr.shape,),
             " x ".join("n" if n is None else str(n) for n in shape)))
+    if not np.isfinite(arr).all():
+        raise DataError("%s holds NaN or infinity" % what)
     return arr
 
 
@@ -113,8 +115,8 @@ def write_matrix(path, matrix):
 
 
 def read_matrix(path):
-    """Refuses a file without the matrix header or with the wrong payload
-    size (DataError naming the file)."""
+    """Refuses a file without the matrix header, with the wrong payload
+    size or with NaN or infinity (DataError naming the file)."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != MATRIX_MAGIC or len(raw) < 12:
@@ -123,7 +125,8 @@ def read_matrix(path):
     if len(raw) != 12 + 4 * rows * cols:
         raise DataError("%s: truncated payload (%d bytes for a %d x %d matrix)"
                         % (path, len(raw) - 12, rows, cols))
-    return np.frombuffer(raw[12:], dtype="<f4").reshape(rows, cols).astype(np.float64)
+    return shaped_array(np.frombuffer(raw[12:], dtype="<f4").reshape(rows, cols), (rows, cols),
+                        path)
 
 
 # ---------------------------------------------------------------------------

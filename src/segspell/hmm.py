@@ -59,7 +59,8 @@ class DecodeConfig:
 
 
 class NoPathError(RuntimeError):
-    pass
+    """No state path fits the sequence; the command line exits 3."""
+    exit_code = 3
 
 
 class LetterHmm:

@@ -134,9 +134,9 @@ def load_arpa(path, alphabet=None):
 
     def prob(token, lineno):
         try:
-            value = float(token)
-            if math.isfinite(value):
-                return 10.0 ** value
+            value = 10.0 ** float(token)
+            if 0.0 < value < math.inf:
+                return value
         except (ValueError, OverflowError):
             pass
         raise DataError("%s line %d holds %s, not a finite log10 value"
@@ -144,19 +144,23 @@ def load_arpa(path, alphabet=None):
 
     probs, unis, backoff = {}, {}, {}
     section = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("\\"):
-                section = line
-                continue
-            parts = line.split()
-            if section == "\\1-grams:":
-                unis[parts[1]] = prob(parts[0], lineno)
-                if len(parts) > 2:   # histories only: </s> has no backoff weight
-                    backoff[parts[1]] = prob(parts[2], lineno)
-            elif section == "\\2-grams:":
-                probs[(parts[1], parts[2])] = prob(parts[0], lineno)
-    return BigramLm(alphabet, probs, unis, backoff)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("\\"):
+                    section = line
+                    continue
+                parts = line.split()
+                if section == "\\1-grams:":
+                    unis[parts[1]] = prob(parts[0], lineno)
+                    if len(parts) > 2:   # histories only: </s> has no backoff weight
+                        backoff[parts[1]] = prob(parts[2], lineno)
+                elif section == "\\2-grams:":
+                    probs[(parts[1], parts[2])] = prob(parts[0], lineno)
+        return BigramLm(alphabet, probs, unis, backoff)
+    except (IndexError, KeyError, UnicodeDecodeError) as e:
+        raise DataError("%s: not an ARPA bigram file (%s: %s)"
+                        % (path, type(e).__name__, e)) from None

@@ -21,13 +21,13 @@ import numpy as np
 from .alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet
 from .classifier import (AdaptationModel, FramePosteriors, TrainConfig, adapt,
                          build_tandem_observation, load_classifier, train_mlp)
-from .fileio import DataError, FieldError, check_fields, in_file, read_json, write_json
+from .fileio import DataError, FieldError, check_fields, in_file, read_model, write_json
 from .hmm import (DecodeConfig, LetterHmm, build_decode_graph, forced_align, nbest,
                   train_em, unit_transitions, viterbi_decode)
 from .lm import load_arpa, train_bigram
 from .metrics import score_corpus
-from .scrf import (REF_POLICIES, BaselineFeature, ClassifierStatFeature, FeatureContext,
-                   FirstPassFeatures, LmFeature, PeakFeature, SegmentalModel,
+from .scrf import (BaselineFeature, ClassifierStatFeature, FeatureContext,
+                   FirstPassFeatures, LmFeature, PeakFeature, ScrfConfig, SegmentalModel,
                    SegmentClassifierFeature, TrainingExample, build_second_pass,
                    nbest_decode, rescore, train_cll, viterbi as scrf_viterbi)
 from .segments import frame_labels, letters_only
@@ -370,39 +370,14 @@ def format_protocol_table(report):
 # Lattices for the segmental models
 
 def nbest_lattices(recognizer, words, n=None):
-    out = []
-    cfg = recognizer.cfg.decode
-    if n is not None:
-        cfg = replace(cfg, nbest=n)
+    cfg = recognizer.cfg.decode if n is None else replace(recognizer.cfg.decode, nbest=n)
     policy = unit_transitions(recognizer.hmm, recognizer.lm, cfg)
-    for w in words:
-        obs = recognizer.observations(w)
-        out.append(nbest(recognizer.hmm, recognizer.lm, obs, cfg, policy))
-    return out
+    return [nbest(recognizer.hmm, recognizer.lm, recognizer.observations(w), cfg, policy)
+            for w in words]
 
 
 # ---------------------------------------------------------------------------
 # Segmental models: first-pass training, rescoring, and the cascade
-
-@dataclass
-class ScrfConfig:
-    max_duration: int = in_file(default=40, at_least=1)
-    min_letter_duration: int = in_file(default=2, at_least=1)
-    learning_rate: float = in_file(default=2.0, at_least=0)
-    epochs: int = in_file(default=10, at_least=0)
-    l1: float = in_file(default=0.0, at_least=0)
-    l2: float = in_file(default=1e-4, at_least=0)
-    nbest: int = in_file(default=8, at_least=1)
-    init_scale: float = 8.0
-    rescoring_kinds: tuple[str, ...] = ("mean", "max")
-    ref_policy: str = in_file(default="add-ground-truth", choices=REF_POLICIES)
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.min_letter_duration > self.max_duration:
-            raise FieldError("min_letter_duration", "at most max_duration=%d"
-                             % self.max_duration, self.min_letter_duration)
-
 
 def scrf_labels(alphabet):
     return list(alphabet.letters) + list(alphabet.doubled) \
@@ -416,8 +391,13 @@ def make_context(recognizer, word, lm=None, baseline_frames=None):
                           lm=lm, baseline_frames=baseline_frames)
 
 
-def _has_adjacent_repeat(labels):
-    return any(a == b for a, b in zip(labels, labels[1:]))
+def _full_space_examples(recognizer, words):
+    """Full-space CLL examples of ``words``, less those whose reference
+    label sequence has adjacent identical letters: a segment boundary must
+    change the label, so such references admit no segmentation
+    (doubled-letter tokens cover that case when enabled)."""
+    return [TrainingExample(make_context(recognizer, w), list(w.labels), list(w.segments))
+            for w in words if not any(a == b for a, b in zip(w.labels, w.labels[1:]))]
 
 
 def build_firstpass_model(alphabet, num_classes, scfg):
@@ -435,35 +415,15 @@ def build_firstpass_model(alphabet, num_classes, scfg):
     return model
 
 
-def train_firstpass(recognizer, train_words, alphabet, scfg=None):
-    """First-pass segmental model trained by full-space CLL.
-
-    Words whose reference label sequence has adjacent identical letters are
-    dropped: a segment boundary must change the label, so such references
-    admit no segmentation (doubled-letter tokens cover that case when
-    enabled)."""
-    scfg = scfg or ScrfConfig()
-    num_classes = len(recognizer.classifier.class_names)
-    model = build_firstpass_model(alphabet, num_classes, scfg)
-    data = []
-    for w in train_words:
-        if _has_adjacent_repeat(w.labels):
-            continue
-        ctx = make_context(recognizer, w)
-        data.append(TrainingExample(ctx, list(w.labels), list(w.segments)))
-    history = train_cll(model, data, l1=scfg.l1, l2=scfg.l2,
-                        learning_rate=scfg.learning_rate, epochs=scfg.epochs,
-                        mode="full")
-    return model, history
+def train_firstpass(recognizer, train_words, alphabet, scfg=ScrfConfig()):
+    """First-pass segmental model trained by full-space CLL."""
+    model = build_firstpass_model(alphabet, len(recognizer.classifier.class_names), scfg)
+    return model, train_cll(model, _full_space_examples(recognizer, train_words), scfg)
 
 
 def firstpass_decode(model, recognizer, words):
-    pairs = []
-    for w in words:
-        ctx = make_context(recognizer, w)
-        labels, _, _ = scrf_viterbi(model, ctx)
-        pairs.append((w.letters, letters_only(labels)))
-    return pairs
+    return [(w.letters, letters_only(scrf_viterbi(model, make_context(recognizer, w))[0]))
+            for w in words]
 
 
 def build_rescoring_model(alphabet, num_classes, scfg):
@@ -481,10 +441,9 @@ def build_rescoring_model(alphabet, num_classes, scfg):
     return model
 
 
-def train_rescoring(recognizer, train_words, alphabet, scfg=None, lattices=None):
+def train_rescoring(recognizer, train_words, alphabet, scfg=ScrfConfig(), lattices=None):
     """Rescoring SCRF trained by lattice-restricted CLL over baseline
     N-best lattices (generated here when not supplied)."""
-    scfg = scfg or ScrfConfig()
     num_classes = len(recognizer.classifier.class_names)
     model = build_rescoring_model(alphabet, num_classes, scfg)
     if lattices is None:
@@ -494,45 +453,38 @@ def train_rescoring(recognizer, train_words, alphabet, scfg=None, lattices=None)
         ctx = make_context(recognizer, w, lm=recognizer.lm,
                            baseline_frames=lattice.baseline_frames)
         data.append(TrainingExample(ctx, list(w.labels), list(w.segments), lattice))
-    history = train_cll(model, data, l1=scfg.l1, l2=scfg.l2,
-                        learning_rate=scfg.learning_rate, epochs=scfg.epochs,
-                        mode="lattice", ref_policy=scfg.ref_policy)
+    history = train_cll(model, data, scfg)
     return model, history
 
 
 def rescore_words(model, recognizer, words, lattices=None):
     if lattices is None:
         lattices = nbest_lattices(recognizer, words)
-    pairs = []
-    for w, lattice in zip(words, lattices):
-        ctx = make_context(recognizer, w, lm=recognizer.lm,
-                           baseline_frames=lattice.baseline_frames)
-        labels, _, _ = rescore(model, lattice, ctx)
-        pairs.append((w.letters, letters_only(labels)))
-    return pairs
+    return [(w.letters, letters_only(rescore(model, lattice, make_context(
+        recognizer, w, lm=recognizer.lm, baseline_frames=lattice.baseline_frames))[0]))
+        for w, lattice in zip(words, lattices)]
 
 
-def load_scrf(path, recognizer, alphabet, scfg=None):
+def load_scrf(path, recognizer, alphabet, scfg=ScrfConfig()):
     """Rebuild a saved segmental model: the feature registry comes from the
     stored manifest (first-pass or rescoring feature set), then the weights
     load with a manifest check."""
-    scfg = scfg or ScrfConfig()
-    obj = read_json(path)
-    names = [m["name"] for m in obj.get("manifest", [])]
     num_classes = len(recognizer.classifier.class_names)
-    scfg = replace(scfg, max_duration=obj.get("max_duration", scfg.max_duration),
-                   min_letter_duration=obj.get("min_letter_duration",
-                                               scfg.min_letter_duration))
-    if names == ["firstpass"]:
-        model = build_firstpass_model(alphabet, num_classes, scfg)
-    else:
+
+    def build(obj):
+        names = [m["name"] for m in obj.get("manifest", [])]
+        cfg = replace(scfg, max_duration=obj.get("max_duration", scfg.max_duration),
+                      min_letter_duration=obj.get("min_letter_duration",
+                                                  scfg.min_letter_duration))
+        if names == ["firstpass"]:
+            return build_firstpass_model(alphabet, num_classes, cfg)
         kinds = tuple(n.split("_")[-1] for n in names
                       if n.startswith("classifier_letter_"))
         kinds = tuple("div_" + k if k in ("s", "m") else k for k in kinds)
-        model = build_rescoring_model(alphabet, num_classes,
-                                      replace(scfg, rescoring_kinds=kinds))
-    model.load_weights(path)
-    return model
+        return build_rescoring_model(alphabet, num_classes,
+                                     replace(cfg, rescoring_kinds=kinds))
+
+    return read_model(path, build).load_weights(path)
 
 
 def train_segment_classifier(recognizer, train_words, alphabet, cfg, seed_offset=0):
@@ -555,28 +507,19 @@ def train_segment_classifier(recognizer, train_words, alphabet, cfg, seed_offset
 
 
 def run_cascade(recognizer_train, recognizer_eval, train_words, eval_words,
-                alphabet, cfg, scfg=None):
+                alphabet, cfg, scfg=ScrfConfig()):
     """Two-pass discriminative segmental cascade.
 
     The first-pass model and the second-pass features train on the training
     signers' recognizer; evaluation runs with the (possibly adapted)
     recognizer for the test signer.  Returns first- and second-pass LERs.
     """
-    scfg = scfg or ScrfConfig()
     first, _ = train_firstpass(recognizer_train, train_words, alphabet, scfg)
 
     seg_mlp = train_segment_classifier(recognizer_train, train_words, alphabet, cfg)
     second = build_second_pass(first, scrf_labels(alphabet), seg_mlp)
-    data = []
-    for w in train_words:
-        if _has_adjacent_repeat(w.labels):
-            continue
-        ctx = make_context(recognizer_train, w)
-        lattice = nbest_decode(first, ctx, scfg.nbest)
-        data.append(TrainingExample(ctx, list(w.labels), list(w.segments), lattice))
-    train_cll(second, data, l1=scfg.l1, l2=scfg.l2,
-              learning_rate=scfg.learning_rate, epochs=scfg.epochs,
-              mode="lattice", ref_policy=scfg.ref_policy)
+    train_cll(second, [replace(ex, lattice=nbest_decode(first, ex.ctx, scfg.nbest))
+                       for ex in _full_space_examples(recognizer_train, train_words)], scfg)
 
     first_pairs, second_pairs = [], []
     for w in eval_words:
@@ -611,19 +554,28 @@ def save_recognizer(rec, directory):
 
 def load_recognizer(directory, cfg=None):
     """The bundle in ``directory`` under ``cfg`` (default PipelineConfig()),
-    whose front end is replaced by the bundle's."""
-    cfg = cfg or PipelineConfig()
-    path = os.path.join(directory, "frontend.json")
-    fe = read_json(path)
-    try:
-        cfg = replace(cfg, frontend=FrontendConfig(
-            **{f.name: fe[f.name] for f in fields(FrontendConfig)}))
-    except FieldError as exc:
-        raise DataError("%s: %s" % (path, exc)) from None
-    classifier = load_classifier(os.path.join(directory, "classifier.json"))
-    pcas = read_json(os.path.join(directory, "pca.json"))
-    return Recognizer(classifier,
-                      PcaModel.from_jsonable(pcas["classifier_block"]),
-                      PcaModel.from_jsonable(pcas["image_block"]),
-                      LetterHmm.load(os.path.join(directory, "hmm.json")),
-                      load_arpa(os.path.join(directory, "lm.arpa")), cfg)
+    whose front end is replaced by the bundle's.  Refuses parts that do not
+    fit together (DataError naming the file): the classifier reads windows
+    of ``frontend.window`` frames, the PCAs its classes and one frame of
+    its input, the HMM their outputs, and its letters are the LM's."""
+    path = partial(os.path.join, directory)
+    frontend = read_model(path("frontend.json"), lambda fe: FrontendConfig(
+        **{f.name: fe[f.name] for f in fields(FrontendConfig)}))
+    classifier = load_classifier(path("classifier.json"))
+    pca_post, pca_image = read_model(path("pca.json"), lambda pcas: [
+        PcaModel.from_jsonable(pcas[block]) for block in ("classifier_block", "image_block")])
+    hmm = LetterHmm.load(path("hmm.json"))
+    lm = load_arpa(path("lm.arpa"))
+    width = getattr(classifier, "base", classifier).input_dim
+    for name, what, got, want in [
+            ("classifier.json", "input width modulo the window", width % frontend.window, 0),
+            ("pca.json", "input sizes", (len(pca_post.mean), len(pca_image.mean)),
+             (len(classifier.class_names), width // frontend.window)),
+            ("pca.json", "output size", len(pca_post.components) + len(pca_image.components),
+             hmm.dim),
+            ("hmm.json", "distinct LM letters", len(set(hmm.letters) & set(lm.histories[1:])),
+             len(hmm.letters))]:
+        if got != want:
+            raise DataError("%s: %s %s, expected %s" % (path(name), what, got, want))
+    return Recognizer(classifier, pca_post, pca_image, hmm, lm,
+                      replace(cfg or PipelineConfig(), frontend=frontend))

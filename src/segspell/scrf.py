@@ -5,9 +5,9 @@ consecutive segments must change label.  Each segment scores its span
 (the weights times the left-independent features of its frames under its
 label) plus its label pair (the left-dependent features).  The
 segmentation is a latent variable: the probability of a label sequence
-sums over all segmentations consistent with it, over the full
-bounded-duration space (first-pass mode) or over the candidate
-segmentations of a lattice (rescoring mode).
+sums over all segmentations consistent with it: over the candidate
+segmentations of a lattice when it has one, else over the full
+bounded-duration space.
 
 Every score comes from one span path: a feature scores a batch of spans
 under every label at once, a lattice hypothesis gathers its segments from
@@ -21,19 +21,21 @@ joins the structural constraints.  A score is linear in the weights, so
 the rest of a table is built once per model and length.
 
 Training maximizes conditional log-likelihood by (sub)gradient ascent with
-L2 and proximal (clip-at-zero) L1 steps; the gradient is the clamped
-(reference label sequence) feature expectation minus the free one.
+L2 and proximal (clip-at-zero) L1 steps, set by ``ScrfConfig``; the
+gradient is the clamped (reference label sequence) feature expectation
+minus the free one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .alphabet import BEGIN_SILENCE, END_SILENCE
-from .fileio import DataError, read_json, write_json
+from .fileio import (DataError, FieldError, check_fields, in_file, read_json, shaped_array,
+                     write_json)
 from .metrics import align
 from .segments import (CandidateLattice, Hypothesis, Segment, check_tiling,
                        lattice_from_ranked)
@@ -478,11 +480,7 @@ class SegmentalModel:
         if obj.get("manifest") != self.manifest():
             raise ManifestError("%s: feature manifest mismatch: stored %r vs registered %r"
                                 % (path, obj.get("manifest"), self.manifest()))
-        weights = np.asarray(obj["weights"], dtype=np.float64)
-        if weights.shape != (self.total_dim,):
-            raise ManifestError("%s: %d weights for a manifest of %d"
-                                % (path, len(weights), self.total_dim))
-        self.weights = weights
+        self.weights = shaped_array(obj.get("weights"), (self.total_dim,), "%s: weights" % path)
         return self
 
 
@@ -754,8 +752,35 @@ def _marginals(tabs):
 # ---------------------------------------------------------------------------
 # Training: conditional log-likelihood
 
+# What lattice CLL training does with an example whose reference label
+# sequence is not among its lattice's hypotheses.
+REF_POLICIES = ("fail", "drop-example", "add-ground-truth", "use-best-match")
+
+
+@dataclass(frozen=True)
+class ScrfConfig:
+    max_duration: int = in_file(default=40, at_least=1)
+    min_letter_duration: int = in_file(default=2, at_least=1)
+    learning_rate: float = in_file(default=2.0, at_least=0)
+    epochs: int = in_file(default=10, at_least=0)
+    l1: float = in_file(default=0.0, at_least=0)
+    l2: float = in_file(default=1e-4, at_least=0)
+    nbest: int = in_file(default=8, at_least=1)
+    init_scale: float = 8.0
+    rescoring_kinds: tuple[str, ...] = ("mean", "max")
+    ref_policy: str = in_file(default="add-ground-truth", choices=REF_POLICIES)
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.min_letter_duration > self.max_duration:
+            raise FieldError("min_letter_duration", "at most max_duration=%d"
+                             % self.max_duration, self.min_letter_duration)
+
+
 @dataclass
 class TrainingExample:
+    """Trains over the hypotheses of its ``lattice``, or without one over
+    the full segmentation space."""
     ctx: FeatureContext
     ref_labels: list
     ref_segments: list
@@ -823,32 +848,52 @@ def free_expectation(model, ctx, weights=None, tabs=None):
     return _expectation(model, ctx, tabs.index.starts, tabs.index.ends - 1, post, pair_post), logz
 
 
-def example_gradient(model, example, mode, ref_policy="add-ground-truth"):
-    """(CLL gradient, log p(S_ref | O)) for one example.  In lattice mode
-    the hypotheses' feature totals are weight-free and kept with the
-    example."""
+def resolve_reference(example, policy):
+    """``example`` when its reference labels are among its lattice's, else
+    under ``policy`` None (drop-example), a copy whose lattice gains the
+    annotated segmentation (add-ground-truth) or whose reference is the
+    hypothesis of fewest letter errors (use-best-match); ``fail`` raises
+    ReferenceNotInLattice.  ``example`` is never changed."""
+    lattice = example.lattice
+    ref = list(example.ref_labels)
+    if any(list(h.labels) == ref for h in lattice.hypotheses):
+        return example
+    if policy == "fail":
+        raise ReferenceNotInLattice("reference %r not among candidates" % ("".join(ref),))
+    if policy == "drop-example":
+        return None
+    if policy == "add-ground-truth":   # the annotated segmentation
+        hyp = Hypothesis(ref, list(example.ref_segments), 0.0)
+        return replace(example, lattice=CandidateLattice(list(lattice.hypotheses) + [hyp],
+                                                         lattice.baseline_frames))
+    best = min(lattice.hypotheses,
+               key=lambda h: align(ref, list(h.labels)).total_errors)
+    return replace(example, ref_labels=list(best.labels))
+
+
+def lattice_terms(model, example):
+    """(feature totals (H, total_dim), reference mask (H,)) of a lattice
+    example's hypotheses; both are weight-free."""
+    hyps = example.lattice.hypotheses
+    ref = list(example.ref_labels)
+    return (lattice_feature_totals(model, example.ctx, [(h.labels, h.segments) for h in hyps]),
+            np.array([list(h.labels) == ref for h in hyps]))
+
+
+def example_gradient(model, example, terms=None):
+    """(CLL gradient, log p(S_ref | O)) for one example: over its lattice's
+    hypotheses when it has one (``terms``: its ``lattice_terms``, built here
+    when not given), over the full segmentation space otherwise."""
     ctx = example.ctx
-    if mode == "full":
+    if example.lattice is None:
         tabs = compute_tables(model, ctx)
         emp, logz_c = clamped_expectation(model, ctx, example.ref_labels, tabs=tabs)
         if emp is None:
             raise ValueError("reference labels admit no segmentation")
         exp_free, logz = free_expectation(model, ctx, tabs=tabs)
         return emp - exp_free, logz_c - logz
-    if mode != "lattice":
-        raise ValueError("mode must be 'full' or 'lattice'")
-    lattice = _lattice_with_reference(example, ref_policy)
-    if lattice is None:  # dropped example
-        return np.zeros(model.total_dim), 0.0
-    example.lattice = lattice
-    feats = getattr(example, "_feat_cache", None)
-    if feats is None or len(feats) != len(lattice.hypotheses):
-        feats = lattice_feature_totals(model, ctx, [(h.labels, h.segments)
-                                                    for h in lattice.hypotheses])
-        example._feat_cache = feats
+    feats, in_ref = lattice_terms(model, example) if terms is None else terms
     scores = feats @ model.weights
-    ref = list(example.ref_labels)
-    in_ref = np.array([list(h.labels) == ref for h in lattice.hypotheses])
     logz = _logsumexp(scores)
     logz_c = _logsumexp(np.where(in_ref, scores, NEG_INF))
     p_free = np.exp(scores - logz)
@@ -856,54 +901,34 @@ def example_gradient(model, example, mode, ref_policy="add-ground-truth"):
     return (p_clamped - p_free) @ feats, float(logz_c - logz)
 
 
-# What lattice CLL training does with an example whose reference label
-# sequence is not among its lattice's hypotheses.
-REF_POLICIES = ("fail", "drop-example", "add-ground-truth", "use-best-match")
-
-
-def _lattice_with_reference(example, policy):
-    if policy not in REF_POLICIES:
-        raise ValueError("unknown reference policy %r" % (policy,))
-    lattice = example.lattice
-    ref = list(example.ref_labels)
-    if any(list(h.labels) == ref for h in lattice.hypotheses):
-        return lattice
-    if policy == "fail":
-        raise ReferenceNotInLattice("reference %r not among candidates" % ("".join(ref),))
-    if policy == "drop-example":
-        return None
-    if policy == "add-ground-truth":   # the annotated segmentation
-        hyp = Hypothesis(ref, list(example.ref_segments), 0.0)
-        return CandidateLattice(list(lattice.hypotheses) + [hyp], lattice.baseline_frames)
-    best = min(lattice.hypotheses,
-               key=lambda h: align(ref, list(h.labels)).total_errors)
-    example.ref_labels = list(best.labels)
-    return lattice
-
-
-def train_cll(model, data, l1=0.0, l2=0.0, learning_rate=0.5, epochs=10,
-              mode="lattice", ref_policy="add-ground-truth"):
-    """Subgradient ascent on mean log p(S|O) - l2||w||^2 - l1||w||_1.
-
-    Step size decays as 1/(1+epoch); the L1 term applies as a proximal
-    clip-at-zero step per coordinate.  Returns per-epoch objectives."""
+def train_cll(model, data, cfg):
+    """Subgradient ascent on mean log p(S|O) - l2||w||^2 - l1||w||_1, set
+    by ``cfg`` (``ScrfConfig``).  Each lattice example is resolved once
+    (``resolve_reference``; a dropped one still counts in the mean) and
+    its ``lattice_terms`` built, before the first epoch.  Step size decays
+    as 1/(1+epoch); the L1 term applies as a proximal clip-at-zero step
+    per coordinate.  Returns per-epoch objectives."""
+    resolved = [ex if ex.lattice is None else resolve_reference(ex, cfg.ref_policy)
+                for ex in data]
+    kept = [(ex, None if ex.lattice is None else lattice_terms(model, ex))
+            for ex in resolved if ex is not None]
     history = []
     n = max(len(data), 1)
-    for epoch in range(epochs):
-        lr = learning_rate / (1.0 + epoch)
+    for epoch in range(cfg.epochs):
+        lr = cfg.learning_rate / (1.0 + epoch)
         grad = np.zeros(model.total_dim)
         cll = 0.0
-        for example in data:
-            g, ll = example_gradient(model, example, mode, ref_policy)
+        for example, terms in kept:
+            g, ll = example_gradient(model, example, terms)
             grad += g
             cll += ll
         grad /= n
-        step = model.weights + lr * (grad - 2.0 * l2 * model.weights)
-        if l1 > 0:
-            step = np.sign(step) * np.maximum(np.abs(step) - lr * l1, 0.0)
+        step = model.weights + lr * (grad - 2.0 * cfg.l2 * model.weights)
+        if cfg.l1 > 0:
+            step = np.sign(step) * np.maximum(np.abs(step) - lr * cfg.l1, 0.0)
         model.weights = step
-        history.append(cll / n - l2 * float(np.sum(model.weights ** 2))
-                       - l1 * float(np.sum(np.abs(model.weights))))
+        history.append(cll / n - cfg.l2 * float(np.sum(model.weights ** 2))
+                       - cfg.l1 * float(np.sum(np.abs(model.weights))))
     return history
 
 

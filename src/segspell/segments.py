@@ -33,7 +33,7 @@ class TilingError(ValueError):
 
 
 def check_tiling(segments, num_frames):
-    """Raise TilingError unless the segments tile [0, num_frames) exactly."""
+    """``segments``; TilingError unless they tile [0, num_frames) exactly."""
     if not segments:
         raise TilingError("empty segmentation for %d frames" % num_frames)
     if segments[0].start != 0:
@@ -47,6 +47,7 @@ def check_tiling(segments, num_frames):
     if segments[-1].end != num_frames - 1:
         raise TilingError("segmentation ends at %d, expected %d"
                           % (segments[-1].end, num_frames - 1))
+    return segments
 
 
 def frame_labels(segments, num_frames):
@@ -115,21 +116,24 @@ def save_lattice(path, lattice):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_lattice(path):
-    """Refuses a file without hypotheses and a line without ``spans`` or
-    ``score`` (DataError naming the file)."""
+def load_lattice(path, num_frames=None):
+    """Refuses a file without hypotheses, a line without ``spans`` or
+    ``score``, and a hypothesis that does not tile the frames of the first
+    one, or ``num_frames`` frames when given (DataError naming the file)."""
     hyps = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            where = "%s line %d" % (path, lineno)
-            obj = json.loads(line, parse_constant=refuse_non_finite(where))
             try:
+                obj = json.loads(line, parse_constant=refuse_non_finite("the line"))
                 segs = from_jsonable(obj["spans"])
+                num_frames = num_frames or segs[-1].end + 1
+                check_tiling(segs, num_frames)
                 hyps.append(Hypothesis([s.label for s in segs], segs, float(obj["score"])))
-            except (KeyError, TypeError, ValueError) as e:
-                raise DataError("%s: not a lattice hypothesis (%s)" % (where, e)) from None
+            except (IndexError, KeyError, OverflowError, TypeError, ValueError) as e:
+                raise DataError("%s line %d: not a lattice hypothesis (%s)"
+                                % (path, lineno, e)) from None
     if not hyps:
         raise DataError("%s: no lattice hypotheses" % path)
-    return lattice_from_hypotheses(hyps, hyps[0].segments[-1].end + 1)
+    return lattice_from_hypotheses(hyps, num_frames)

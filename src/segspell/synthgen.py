@@ -32,7 +32,7 @@ from scipy.linalg import expm
 
 from .alphabet import (BEGIN_SILENCE, END_SILENCE, LetterAlphabet,
                        PhoneticFeatureTable)
-from .fileio import (FieldError, check_fields, in_file, read_json, read_matrix,
+from .fileio import (FieldError, check_fields, in_file, read_json, read_matrix, read_model,
                      write_json, write_matrix)
 from .scrf import smoothed_derivative
 from .segments import Segment, check_tiling, from_jsonable, to_jsonable
@@ -381,16 +381,18 @@ def corpus_files(directory):
 
 
 def load_corpus(directory, signers=None, cfg=None):
+    """Refuses a word whose metadata is incomplete or whose segments do not
+    tile its descriptor frames (DataError naming the file)."""
     manifest = read_json(os.path.join(directory, "manifest.json"))
     words = []
     for entry in manifest["entries"]:
-        meta = read_json(os.path.join(directory, entry["stem"] + ".json"))
-        desc = read_matrix(os.path.join(directory, entry["stem"] + ".fmat"))
-        words.append(SyntheticWord(
+        stem = os.path.join(directory, entry["stem"])
+        desc = read_matrix(stem + ".fmat")
+        words.append(read_model(stem + ".json", lambda meta: SyntheticWord(
             word=meta["word"], signer_id=meta["signer"], labels=meta["labels"],
-            segments=from_jsonable(meta["segments"]), peaks=meta["peaks"],
-            descriptors=desc, raw_durations=meta["raw_durations"],
-            seed_key=tuple(meta["seed_key"])))
+            segments=check_tiling(from_jsonable(meta["segments"]), len(desc)),
+            peaks=meta["peaks"], descriptors=desc, raw_durations=meta["raw_durations"],
+            seed_key=tuple(meta["seed_key"]))))
     return manifest, words
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .fileio import shaped_array
+
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -353,8 +355,11 @@ class PcaModel:
 
     @classmethod
     def from_jsonable(cls, obj):
-        return cls(np.array(obj["mean"]), np.array(obj["components"]),
-                   np.array(obj["variances"]))
+        """Refuses arrays of disagreeing shapes (DataError)."""
+        mean = shaped_array(obj["mean"], (None,), "mean")
+        components = shaped_array(obj["components"], (None, len(mean)), "components")
+        return cls(mean, components,
+                   shaped_array(obj["variances"], (len(components),), "variances"))
 
 
 def fit_pca(data, k):

@@ -174,8 +174,7 @@ def test_criterion_2_gradient_checks():
     model = scrf.SegmentalModel(labels, feats, max_duration=3)
     model.weights = 0.5 * rng.normal(size=model.total_dim)
     ref = (["A", "B"], [Segment("A", 0, 1), Segment("B", 2, 2)])
-    grad, _ = scrf.example_gradient(
-        model, scrf.TrainingExample(ctx, ref[0], ref[1]), "full")
+    grad, _ = scrf.example_gradient(model, scrf.TrainingExample(ctx, ref[0], ref[1]))
 
     def cll(w):
         saved = model.weights

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import segspell
 from segspell import cli, pipeline
@@ -103,6 +110,62 @@ class TestPipeline:
         _, test = split
         labels = pipeline.forced_alignment_frame_labels(recognizer, test[0], alphabet)
         assert len(labels) == test[0].num_frames
+
+
+# Damage done to a file decode reads: cut at a fraction of its length, one
+# byte set at a fraction of its length, the whole file swapped for random
+# JSON, or one node at depth at most 2 of its JSON (the first line of a
+# lattice) swapped for random JSON
+RANDOM_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 50) | st.floats(-1e3, 1e3) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                             max_size=3),
+    max_leaves=6)
+DAMAGE = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True)),
+    st.tuples(st.just("byte"), st.tuples(st.floats(0, 1, exclude_max=True),
+                                         st.integers(0, 255))),
+    st.tuples(st.just("file"), RANDOM_JSON),
+    st.tuples(st.just("node"), st.tuples(st.integers(0, 10 ** 6), RANDOM_JSON)))
+
+
+def _nodes(obj, at=()):
+    """Paths of the nodes of a JSON value, at most 2 steps below the top."""
+    yield at
+    if len(at) < 2 and isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _nodes(value, at + (key,))
+
+
+def damage_file(path, damage):
+    raw = path.read_bytes()
+    kind, arg = damage
+    if kind == "truncate":
+        raw = raw[:int(arg * len(raw))]
+    elif kind == "byte":
+        at = int(arg[0] * len(raw))
+        raw = raw[:at] + bytes([arg[1]]) + raw[at + 1:]
+    elif kind == "file":
+        raw = json.dumps(arg).encode()
+    else:
+        first, rest = raw, b""
+        if path.suffix == ".jsonl":
+            first, _, rest = raw.partition(b"\n")
+        try:
+            obj = json.loads(first)
+        except ValueError:   # a matrix or an ARPA file
+            obj = None
+        paths = list(_nodes(obj))
+        where = paths[arg[0] % len(paths)]
+        if not where:
+            obj = arg[1]
+        else:
+            parent = obj
+            for key in where[:-1]:
+                parent = parent[key]
+            parent[where[-1]] = arg[1]
+        raw = json.dumps(obj).encode() + (b"\n" + rest if rest else b"")
+    path.write_bytes(raw)
 
 
 class TestCliChain:
@@ -347,12 +410,19 @@ class TestCliChain:
         assert str(bundle / "frontend.json") in err and "window" in err
         assert not (tmp_path / "hyps.txt").exists()
 
-    # model files that are JSON but not what their readers expect
+    # model files that are JSON but not what their readers expect, or that
+    # do not fit the rest of the bundle
     BROKEN_MODELS = {
         "classifier.json-schema": lambda m: m.update(schema="segspell-mlp-0"),
         "classifier.json-row": lambda m: m["layers"][0]["W"].pop(),
+        "classifier.json-window": lambda m: [row.pop() for row in m["layers"][0]["W"]],
         "hmm.json-schema": lambda m: m.update(schema="segspell-hmm-0"),
         "hmm.json-means": lambda m: m["means"].pop(),
+        "pca.json-row": lambda m: m["classifier_block"]["components"].pop(),
+        "pca.json-output": lambda m: [m["classifier_block"][k].pop()
+                                      for k in ("components", "variances")],
+        "pca.json-input": lambda m: [row.pop() for row in [m["image_block"]["mean"]]
+                                     + m["image_block"]["components"]],
     }
 
     @pytest.mark.parametrize("target", ["classifier.json", "word.json", "word.fmat"]
@@ -384,11 +454,16 @@ class TestCliChain:
         assert str(path) in err and "Traceback" not in err
         assert not (tmp_path / "hyps.txt").exists()
 
-    @pytest.mark.parametrize("target", ["scrf-weights", "lattice-empty", "lattice-spans"])
+    @pytest.mark.parametrize("target", ["scrf-weights", "lattice-empty", "lattice-spans",
+                                        "lattice-start", "lattice-later-hypothesis",
+                                        "lattice-length"])
     def test_unreadable_segmental_input_exit_3(self, workdir, tmp_path, capsys, alphabet,
                                                target):
-        # an SCRF file a weight short, and a lattice file that is empty or
-        # has a line without spans, each name the file without a traceback
+        # an SCRF file a weight short, and a lattice file that is empty, has
+        # a line without spans, a first or a later hypothesis that does not
+        # start at frame 0, or covers more frames than its word, each name
+        # the file without a traceback
+        from segspell.fileio import read_matrix
         classes = json.loads((workdir / "rec" / "classifier.json").read_text())["class_names"]
         scrf_path, lats = tmp_path / "fp.json", tmp_path / "lats"
         pipeline.build_firstpass_model(alphabet, len(classes),
@@ -399,10 +474,16 @@ class TestCliChain:
             scrf_path.write_text(json.dumps(model))
         stems = [e["stem"] for e in json.loads((workdir / "corpus" / "manifest.json")
                                                .read_text())["entries"] if e["signer"] == "S1"]
+        t = len(read_matrix(str(workdir / "corpus" / (stems[0] + ".fmat"))))
+        good = {"spans": [["<s>", 0, 2], ["A", 3, t - 1]], "score": 0.0}
+        lines = {"lattice-empty": [], "lattice-spans": [{"labels": ["A"], "score": 0.0}],
+                 "lattice-start": [{"spans": [["<s>", 3, 5], ["A", 6, t - 1]], "score": 0.0}],
+                 "lattice-later-hypothesis": [good, {"spans": [["A", 3, t - 1]], "score": 0.0}],
+                 "lattice-length": [{"spans": [["<s>", 0, 2], ["A", 3, t + 4]], "score": 0.0}],
+                 }.get(target, [good])
         lats.mkdir()
         for stem in stems:
-            (lats / (stem + ".lat.jsonl")).write_text(
-                "" if target == "lattice-empty" else '{"labels": ["A"], "score": 0.0}\n')
+            (lats / (stem + ".lat.jsonl")).write_text("".join(json.dumps(l) + "\n" for l in lines))
         path = scrf_path if target == "scrf-weights" else lats / (stems[0] + ".lat.jsonl")
         rc = cli.main(["decode", "--recognizer", str(workdir / "rec"),
                        "--corpus", str(workdir / "corpus"), "--signers", "S1",
@@ -412,6 +493,49 @@ class TestCliChain:
         assert rc == 3
         assert str(path) in err and "Traceback" not in err
         assert not (tmp_path / "hyps.txt").exists()
+
+    @pytest.fixture(scope="class")
+    def one_word(self, workdir, alphabet, tmp_path_factory):
+        """The bundle, a one-word corpus (the first S1 word), a first-pass
+        SCRF model and the word's N-best lattice."""
+        d = tmp_path_factory.mktemp("one_word")
+        shutil.copytree(workdir / "rec", d / "rec")
+        manifest = json.loads((workdir / "corpus" / "manifest.json").read_text())
+        entry = next(e for e in manifest["entries"] if e["signer"] == "S1")
+        (d / "corpus").mkdir()
+        for ext in (".json", ".fmat"):
+            shutil.copy(workdir / "corpus" / (entry["stem"] + ext), d / "corpus")
+        (d / "corpus" / "manifest.json").write_text(json.dumps(dict(manifest, entries=[entry])))
+        classes = json.loads((d / "rec" / "classifier.json").read_text())["class_names"]
+        pipeline.build_firstpass_model(alphabet, len(classes),
+                                       pipeline.ScrfConfig()).save(str(d / "fp.json"))
+        assert cli.main(["nbest", "--recognizer", str(d / "rec"), "--corpus", str(d / "corpus"),
+                         "--out", str(d / "lats"), "--n", "3"]) == 0
+        return d, entry["stem"]
+
+    DECODE_READS = ("rec/classifier.json", "rec/pca.json", "rec/hmm.json", "rec/lm.arpa",
+                    "rec/frontend.json", "corpus/{}.json", "corpus/{}.fmat", "fp.json",
+                    "lats/{}.lat.jsonl")
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(target=st.sampled_from(DECODE_READS), damage=DAMAGE)
+    def test_decode_refuses_damaged_input_without_traceback(self, one_word, target, damage):
+        # decode, plain and rescoring lattices, exits 0, 2 or 3 whatever
+        # damage one of the files it reads has taken
+        src, stem = one_word
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            for name in ("rec", "corpus", "lats"):
+                shutil.copytree(src / name, d / name)
+            shutil.copy(src / "fp.json", d)
+            damage_file(d / target.format(stem), damage)
+            for extra in ([], ["--scrf", str(d / "fp.json"), "--lattices", str(d / "lats")]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    rc = cli.main(["decode", "--recognizer", str(d / "rec"),
+                                   "--corpus", str(d / "corpus"),
+                                   "--out", str(d / "hyps.txt")] + extra)
+                assert rc in (0, 2, 3) and "Traceback" not in err.getvalue()
 
     def test_align_and_nbest_outputs(self, workdir):
         d = workdir

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -7,13 +8,15 @@ import pytest
 from segspell import scrf
 from segspell.scrf import (START_LABEL, BaselineFeature, ClassifierStatFeature,
                            FeatureContext, FirstPassFeatures, LmFeature,
-                           ManifestError, PeakFeature, SegmentalModel,
+                           ManifestError, PeakFeature, ScrfConfig, SegmentalModel,
                            TrainingExample, _logsumexp, clamped_expectation,
                            compute_tables, count_interior_minima, delta_peak,
                            example_gradient, forward_pass, backward_pass,
                            free_expectation, log_partition, nbest_decode,
-                           rescore, segment_thirds, train_cll, viterbi)
-from segspell.segments import CandidateLattice, Hypothesis, Segment
+                           resolve_reference, rescore, segment_thirds, train_cll,
+                           viterbi)
+from segspell.metrics import align
+from segspell.segments import CandidateLattice, Hypothesis, Segment, frame_labels
 
 
 class ToyLm:
@@ -504,7 +507,7 @@ class TestBoundarySilences:
         ref_labels = ["<s>", "A", "B", "</s>"]
         ref_segs = [Segment("<s>", 0, 2), Segment("A", 3, 4), Segment("B", 5, 5),
                     Segment("</s>", 6, 6)]
-        grad, _ = example_gradient(model, TrainingExample(ctx, ref_labels, ref_segs), "full")
+        grad, _ = example_gradient(model, TrainingExample(ctx, ref_labels, ref_segs))
 
         def cll(w):
             saved, model.weights = model.weights, w
@@ -550,7 +553,7 @@ class TestTraining:
         ref_labels = ["A", "B"]
         ref_segs = [Segment("A", 0, 1), Segment("B", 2, 3)]
         ex = TrainingExample(ctx, ref_labels, ref_segs)
-        grad, _ = example_gradient(model, ex, "full")
+        grad, _ = example_gradient(model, ex)
 
         def cll(w):
             saved = model.weights
@@ -586,7 +589,7 @@ class TestTraining:
         lattice = CandidateLattice([Hypothesis(l, s, 0.0) for l, s in hyps],
                                    ctx.baseline_frames)
         ex = TrainingExample(ctx, ["A", "B"], hyps[0][1], lattice)
-        grad, _ = example_gradient(model, ex, "lattice")
+        grad, _ = example_gradient(model, ex)
 
         def cll(w):
             saved = model.weights
@@ -628,7 +631,7 @@ class TestTraining:
         model.weights = np.zeros(model.total_dim)
         ref = (["A", "B"], [Segment("A", 0, 2), Segment("B", 3, 4)])
         data = [TrainingExample(ctx, ref[0], ref[1])]
-        history = train_cll(model, data, learning_rate=2.0, epochs=15, mode="full")
+        history = train_cll(model, data, ScrfConfig(learning_rate=2.0, epochs=15, l2=0.0))
         assert all(b >= a - 1e-9 for a, b in zip(history, history[1:]))
         # the reference label sequence becomes the most probable one
         hyps = enumerate_all(model, ctx)
@@ -645,7 +648,7 @@ class TestTraining:
         model = random_model(rng, ctx, labels, 3, with_lm=False)
         ref = (["A", "B"], [Segment("A", 0, 1), Segment("B", 2, 3)])
         train_cll(model, [TrainingExample(ctx, ref[0], ref[1])],
-                  l1=5.0, learning_rate=0.5, epochs=5, mode="full")
+                  ScrfConfig(l1=5.0, l2=0.0, learning_rate=0.5, epochs=5))
         assert np.mean(model.weights == 0.0) > 0.5
 
     def test_reference_policies(self):
@@ -659,19 +662,158 @@ class TestTraining:
 
         ex = TrainingExample(ctx, ["A", "B"], ref_segs, lattice)
         with pytest.raises(scrf.ReferenceNotInLattice):
-            example_gradient(model, ex, "lattice", ref_policy="fail")
+            resolve_reference(ex, "fail")
+        assert resolve_reference(ex, "drop-example") is None
 
-        ex = TrainingExample(ctx, ["A", "B"], ref_segs, lattice)
-        g, ll = example_gradient(model, ex, "lattice", ref_policy="drop-example")
-        assert not g.any() and ll == 0.0
+        added = resolve_reference(ex, "add-ground-truth")
+        assert [h.labels for h in added.lattice.hypotheses] == [["B"], ["A", "B"]]
+        assert added.lattice.hypotheses[-1].segments == ref_segs
+        assert added.ref_labels == ["A", "B"]
 
-        ex = TrainingExample(ctx, ["A", "B"], ref_segs, lattice)
-        example_gradient(model, ex, "lattice", ref_policy="add-ground-truth")
-        assert any(list(h.labels) == ["A", "B"] for h in ex.lattice.hypotheses)
+        matched = resolve_reference(ex, "use-best-match")
+        assert matched.ref_labels == ["B"] and matched.lattice is lattice
+        # the input example is never changed, and one whose reference is
+        # in its lattice comes back as it is
+        assert ex.ref_labels == ["A", "B"] and ex.lattice is lattice
+        assert lattice.hypotheses == [other]
+        assert all(resolve_reference(matched, p) is matched for p in scrf.REF_POLICIES)
 
-        ex = TrainingExample(ctx, ["A", "B"], ref_segs, lattice)
-        example_gradient(model, ex, "lattice", ref_policy="use-best-match")
-        assert ex.ref_labels == ["B"]
+
+# ---------------------------------------------------------------------------
+# Oracle: CLL training as it was with a mode switch, the reference policy
+# applied in every epoch by rewriting the examples, and the lattice feature
+# totals cached on them
+
+def _oracle_lattice_with_reference(example, policy):
+    lattice = example.lattice
+    ref = list(example.ref_labels)
+    if any(list(h.labels) == ref for h in lattice.hypotheses):
+        return lattice
+    if policy == "fail":
+        raise scrf.ReferenceNotInLattice("reference %r not among candidates" % ("".join(ref),))
+    if policy == "drop-example":
+        return None
+    if policy == "add-ground-truth":
+        hyp = Hypothesis(ref, list(example.ref_segments), 0.0)
+        return CandidateLattice(list(lattice.hypotheses) + [hyp], lattice.baseline_frames)
+    best = min(lattice.hypotheses, key=lambda h: align(ref, list(h.labels)).total_errors)
+    example.ref_labels = list(best.labels)
+    return lattice
+
+
+def _oracle_example_gradient(model, example, mode, ref_policy):
+    ctx = example.ctx
+    if mode == "full":
+        tabs = compute_tables(model, ctx)
+        emp, logz_c = clamped_expectation(model, ctx, example.ref_labels, tabs=tabs)
+        exp_free, logz = free_expectation(model, ctx, tabs=tabs)
+        return emp - exp_free, logz_c - logz
+    lattice = _oracle_lattice_with_reference(example, ref_policy)
+    if lattice is None:
+        return np.zeros(model.total_dim), 0.0
+    example.lattice = lattice
+    feats = getattr(example, "_feat_cache", None)
+    if feats is None or len(feats) != len(lattice.hypotheses):
+        feats = scrf.lattice_feature_totals(model, ctx, [(h.labels, h.segments)
+                                                         for h in lattice.hypotheses])
+        example._feat_cache = feats
+    scores = feats @ model.weights
+    ref = list(example.ref_labels)
+    in_ref = np.array([list(h.labels) == ref for h in lattice.hypotheses])
+    logz = _logsumexp(scores)
+    logz_c = _logsumexp(np.where(in_ref, scores, -np.inf))
+    p_free = np.exp(scores - logz)
+    p_clamped = np.where(in_ref, np.exp(scores - logz_c), 0.0)
+    return (p_clamped - p_free) @ feats, float(logz_c - logz)
+
+
+def _oracle_train_cll(model, data, l1, l2, learning_rate, epochs, mode, ref_policy):
+    history = []
+    n = max(len(data), 1)
+    for epoch in range(epochs):
+        lr = learning_rate / (1.0 + epoch)
+        grad = np.zeros(model.total_dim)
+        cll = 0.0
+        for example in data:
+            g, ll = _oracle_example_gradient(model, example, mode, ref_policy)
+            grad += g
+            cll += ll
+        grad /= n
+        step = model.weights + lr * (grad - 2.0 * l2 * model.weights)
+        if l1 > 0:
+            step = np.sign(step) * np.maximum(np.abs(step) - lr * l1, 0.0)
+        model.weights = step
+        history.append(cll / n - l2 * float(np.sum(model.weights ** 2))
+                       - l1 * float(np.sum(np.abs(model.weights))))
+    return history
+
+
+def _training_data(lattices):
+    """A model and four examples over labels A, B, C; with ``lattices``
+    each gets a lattice of enumerated hypotheses, the reference among them
+    for the first two only."""
+    rng = np.random.default_rng(30)
+    labels = ["A", "B", "C"]
+    refs = [["A", "B"], ["B", "C", "A"], ["C", "A"], ["A", "C", "B"]]
+    ctxs = [random_ctx(rng, t, labels=labels) for t in (5, 6, 5, 6)]
+    model = random_model(rng, ctxs[0], labels, 3)
+    data = []
+    for i, (ctx, ref) in enumerate(zip(ctxs, refs)):
+        hyps = enumerate_all(model, ctx)
+        ref_segs = next(s for l, s in hyps if l == ref)
+        lattice = None
+        if lattices:
+            pool = [h for h in hyps if h[0] != ref]
+            picked = [pool[j] for j in rng.choice(len(pool), size=4, replace=False)]
+            if i < 2:
+                picked.insert(1, (ref, ref_segs))
+            lattice = CandidateLattice([Hypothesis(l, s, 0.0) for l, s in picked],
+                                       frame_labels(picked[0][1], ctx.num_frames))
+        data.append(TrainingExample(ctx, list(ref), ref_segs, lattice))
+    return model, data
+
+
+class TestTrainCllOracle:
+    CFG = dict(l1=0.01, l2=1e-3, learning_rate=1.5, epochs=4)
+
+    def _both(self, lattices, policy):
+        model, data = _training_data(lattices)
+        old_model, old_data = copy.deepcopy(model), copy.deepcopy(data)
+        old = _oracle_train_cll(old_model, old_data, mode="lattice" if lattices else "full",
+                                ref_policy=policy, **self.CFG)
+        new = train_cll(model, data, ScrfConfig(ref_policy=policy, **self.CFG))
+        return (model, new, data), (old_model, old)
+
+    def test_full_space_data(self):
+        (model, new, _), (old_model, old) = self._both(False, "fail")
+        assert np.array_equal(model.weights, old_model.weights) and new == old
+
+    @pytest.mark.parametrize("policy", ["drop-example", "add-ground-truth", "use-best-match"])
+    def test_lattice_data(self, policy):
+        (model, new, _), (old_model, old) = self._both(True, policy)
+        assert np.array_equal(model.weights, old_model.weights) and new == old
+        assert not np.array_equal(model.weights, _training_data(True)[0].weights)
+
+    def test_fail_raises_before_any_update(self):
+        model, data = _training_data(True)
+        start = model.weights.copy()
+        with pytest.raises(scrf.ReferenceNotInLattice) as new:
+            train_cll(model, data, ScrfConfig(ref_policy="fail", **self.CFG))
+        with pytest.raises(scrf.ReferenceNotInLattice) as old:
+            _oracle_train_cll(copy.deepcopy(model), copy.deepcopy(data), mode="lattice",
+                              ref_policy="fail", **self.CFG)
+        assert str(new.value) == str(old.value)
+        assert np.array_equal(model.weights, start)
+
+    @pytest.mark.parametrize("policy", ["add-ground-truth", "use-best-match"])
+    def test_data_left_unchanged(self, policy):
+        model, data = _training_data(True)
+        before = [(vars(ex).copy(), ex.lattice, list(ex.lattice.hypotheses),
+                   list(ex.ref_labels)) for ex in data]
+        train_cll(model, data, ScrfConfig(ref_policy=policy, **self.CFG))
+        for ex, (attrs, lattice, hyps, ref) in zip(data, before):
+            assert vars(ex) == attrs and ex.lattice is lattice
+            assert ex.lattice.hypotheses == hyps and ex.ref_labels == ref
 
 
 class TestRescoreCascade:
