@@ -116,11 +116,6 @@ class PhonologicalFeatureTable:
                     raise ValueError("value %r not declared for feature %r" % (val, feat))
             self.assignments[letter] = dict(vals)
 
-    @classmethod
-    def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as f:
-            return cls(json.load(f))
-
     @property
     def total_value_count(self):
         return sum(len(v) for v in self.features.values())
@@ -186,11 +181,6 @@ class PhoneticFeatureTable:
                 if v not in self.ANGLE_VALUES:
                     raise ValueError("row %r has out-of-table value %r" % (letter, v))
             self.rows[letter] = row
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as f:
-            return cls(json.load(f))
 
     def phonetic_values(self, letter):
         key = letter.lower()

@@ -23,6 +23,7 @@ import os
 import sys
 import time
 import typing
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -216,7 +217,11 @@ def recognizer_inputs(args):
         + synthgen.corpus_files(args.corpus)
 
 
-def load_corpus_words(directory, signers=None):
+def load_corpus_words(directory, signers=None, classifier=None, window=None):
+    """The manifest, with each kept word's ``stems``, and the words of
+    ``signers`` (a comma list; all when None) in corpus ``directory``.
+    With a ``classifier``, each kept word's descriptor width times
+    ``window`` must be its input width (DataError naming the ``.fmat``)."""
     require(os.path.join(directory, "manifest.json"), "gen-data")
     manifest, words = synthgen.load_corpus(directory)
     stems = [e["stem"] for e in manifest["entries"]]
@@ -227,16 +232,34 @@ def load_corpus_words(directory, signers=None):
             raise DataError("no sequences for signers %s in %s" % (signers, directory))
         words = [w for w, _ in pairs]
         stems = [s for _, s in pairs]
-    manifest = dict(manifest)
-    manifest["stems"] = stems
-    return manifest, words
+    if classifier is not None:
+        width = getattr(classifier, "base", classifier).input_dim
+        for w, stem in zip(words, stems):
+            if w.descriptors.shape[1] * window != width:
+                raise DataError("%s: %d columns x window %d, the classifier reads %d" % (
+                    os.path.join(directory, stem + ".fmat"), w.descriptors.shape[1], window,
+                    width))
+    return dict(manifest, stems=stems), words
 
 
-def group_words(words):
-    out = {}
-    for w in words:
-        out.setdefault(w.signer_id, []).append(w)
-    return out
+def recognizer_words(args, cfg, signers):
+    """The ``--recognizer`` bundle and its ``load_corpus_words`` of
+    ``--corpus`` for ``signers``, checked against the bundle's classifier."""
+    rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
+    manifest, words = load_corpus_words(args.corpus, signers, rec.classifier,
+                                        rec.cfg.frontend.window)
+    return rec, manifest, words
+
+
+@contextmanager
+def naming_words(directory, stems):
+    """A NoPathError raised by ``pipeline.each_word`` for a word names the
+    word's ``.fmat`` in corpus ``directory``."""
+    try:
+        yield
+    except NoPathError as e:
+        raise NoPathError("%s: %s" % (os.path.join(directory, stems[e.word_index] + ".fmat"),
+                                      e)) from None
 
 
 def write_hyps(path, pairs_with_ids):
@@ -245,15 +268,9 @@ def write_hyps(path, pairs_with_ids):
 
 
 def read_labeled_file(path):
-    out = {}
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(None, 1)
-            out[parts[0]] = list(parts[1]) if len(parts) > 1 else []
-    return out
+        parts = [line.split(None, 1) for line in f if line.strip()]
+    return {p[0]: list(p[1].strip()) if len(p) > 1 else [] for p in parts}
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +307,6 @@ def cmd_extract_features(args, cfg):
     img_root = require(os.path.join(args.corpus, "images"), "gen-data --images")
     hog_cfg = HogConfig()
     per_signer_model = {}
-    all_desc = []
     word_desc = []
     entries = {e["stem"]: e for e in manifest["entries"]}
     stems = sorted(entries)
@@ -298,9 +314,7 @@ def cmd_extract_features(args, cfg):
         img_dir = os.path.join(img_root, stem)
         require(img_dir, "gen-data --images")
         signer = entries[stem]["signer"]
-        frames = []
-        masks = []
-        t = 0
+        frames, masks, t = [], [], 0
         while os.path.exists(os.path.join(img_dir, "f%04d.png" % t)):
             frames.append(read_png(os.path.join(img_dir, "f%04d.png" % t)))
             masks.append(read_png(os.path.join(img_dir, "m%04d.png" % t)) > 127)
@@ -316,8 +330,7 @@ def cmd_extract_features(args, cfg):
             else:
                 descs.append(hog_descriptor(frame, mask, hog_cfg))
         word_desc.append((stem, np.asarray(descs)))
-        all_desc.append(word_desc[-1][1])
-    stacked = np.concatenate(all_desc)
+    stacked = np.concatenate([descs for _, descs in word_desc])
     pca = fit_pca(stacked, min(cfg.hog_pca, stacked.shape[1], len(stacked) - 1))
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -357,9 +370,10 @@ def cmd_train_classifier(args, cfg):
 
 
 def cmd_train_hmm(args, cfg):
-    _, words = load_corpus_words(args.corpus, args.signers)
-    alphabet = LetterAlphabet()
     classifier = load_classifier(require(args.classifier, "train-classifier"))
+    _, words = load_corpus_words(args.corpus, args.signers, classifier,
+                                 cfg.pipeline.frontend.window)
+    alphabet = LetterAlphabet()
     if args.lm:
         lm = load_arpa(require(args.lm, "train-lm"))
     else:
@@ -376,8 +390,7 @@ def cmd_train_hmm(args, cfg):
 
 def cmd_adapt(args, cfg):
     fraction = option(args, "fraction", cfg.pipeline, "adapt_fraction")
-    rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
-    _, words = load_corpus_words(args.corpus, args.signer)
+    rec, _, words = recognizer_words(args, cfg, args.signer)
     adapt_words, _ = pipeline.adaptation_split(words, fraction, cfg.pipeline.seed)
     adapted, history = pipeline.adapt_recognizer(rec, adapt_words, LetterAlphabet(),
                                                  mode=args.mode,
@@ -390,14 +403,14 @@ def cmd_adapt(args, cfg):
 
 
 def cmd_align(args, cfg):
-    rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
-    manifest, words = load_corpus_words(args.corpus, args.signers)
-    lines = []
-    for w, stem in zip(words, manifest["stems"]):
-        segs, score = forced_align(rec.hmm, rec.observations(w), w.letters)
-        lines.append(json.dumps({"stem": stem, "word": w.word,
-                                 "spans": to_jsonable(segs), "score": score},
-                                sort_keys=True))
+    rec, manifest, words = recognizer_words(args, cfg, args.signers)
+    stems = manifest["stems"]
+    with naming_words(args.corpus, stems):
+        aligned = pipeline.each_word(
+            lambda w: forced_align(rec.hmm, rec.observations(w), w.letters), words)
+    lines = [json.dumps({"stem": stem, "word": w.word, "spans": to_jsonable(segs),
+                         "score": score}, sort_keys=True)
+             for stem, w, (segs, score) in zip(stems, words, aligned)]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     return ("aligned %d sequences -> %s" % (len(words), args.out),
             recognizer_inputs(args), [args.out])
@@ -405,11 +418,11 @@ def cmd_align(args, cfg):
 
 def cmd_nbest(args, cfg):
     n = option(args, "n", cfg.pipeline.decode, "nbest")
-    rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
-    manifest, words = load_corpus_words(args.corpus, args.signers)
+    rec, manifest, words = recognizer_words(args, cfg, args.signers)
+    with naming_words(args.corpus, manifest["stems"]):
+        lattices = pipeline.nbest_lattices(rec, words, n)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
-    lattices = pipeline.nbest_lattices(rec, words, n)
     for stem, lattice in zip(manifest["stems"], lattices):
         path = os.path.join(args.out, stem + ".lat.jsonl")
         save_lattice(path, lattice)
@@ -420,8 +433,7 @@ def cmd_nbest(args, cfg):
 
 
 def cmd_train_scrf(args, cfg):
-    rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
-    _, words = load_corpus_words(args.corpus, args.signers)
+    rec, _, words = recognizer_words(args, cfg, args.signers)
     train = {"firstpass": pipeline.train_firstpass,
              "rescoring": pipeline.train_rescoring}[args.mode]
     model, history = train(rec, words, LetterAlphabet(), cfg.scrf)
@@ -432,8 +444,7 @@ def cmd_train_scrf(args, cfg):
 
 
 def cmd_decode(args, cfg):
-    rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
-    manifest, words = load_corpus_words(args.corpus, args.signers)
+    rec, manifest, words = recognizer_words(args, cfg, args.signers)
     stems = manifest["stems"]
     inputs = recognizer_inputs(args)
     if args.scrf:
@@ -449,7 +460,8 @@ def cmd_decode(args, cfg):
     elif args.scrf:
         pairs = pipeline.firstpass_decode(model, rec, words)
     else:
-        pairs = pipeline.decode_words(rec, words)
+        with naming_words(args.corpus, stems):
+            pairs = pipeline.decode_words(rec, words)
     write_hyps(args.out, [(stem, hyp) for stem, (_, hyp) in zip(stems, pairs)])
     outputs = [args.out]
     if args.refs:
@@ -462,7 +474,9 @@ def cmd_cascade(args, cfg):
     pcfg = cfg.pipeline
     _, words = load_corpus_words(args.corpus)
     alphabet = LetterAlphabet()
-    by_signer = group_words(words)
+    by_signer = {}
+    for w in words:
+        by_signer.setdefault(w.signer_id, []).append(w)
     eval_signer = args.eval_signer
     if eval_signer not in by_signer:
         raise DataError("signer %s not in corpus (have %s)"
@@ -488,8 +502,7 @@ def cmd_cascade(args, cfg):
 
 def cmd_realign_adapt(args, cfg):
     pcfg = cfg.pipeline
-    rec = load_recognizer(require(args.recognizer, "train-hmm"), pcfg)
-    _, words = load_corpus_words(args.corpus, args.signer)
+    rec, _, words = recognizer_words(args, cfg, args.signer)
     adapt_words, eval_words = pipeline.adaptation_split(words, pcfg.adapt_fraction,
                                                         pcfg.seed)
     _, lers = pipeline.realign_adapt(rec, adapt_words, eval_words, LetterAlphabet(),

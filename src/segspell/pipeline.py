@@ -22,8 +22,8 @@ from .alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet
 from .classifier import (AdaptationModel, FramePosteriors, TrainConfig, adapt,
                          build_tandem_observation, load_classifier, train_mlp)
 from .fileio import DataError, FieldError, check_fields, in_file, read_model, write_json
-from .hmm import (DecodeConfig, LetterHmm, build_decode_graph, forced_align, nbest,
-                  train_em, unit_transitions, viterbi_decode)
+from .hmm import (DecodeConfig, LetterHmm, NoPathError, build_decode_graph, forced_align,
+                  nbest, train_em, unit_transitions, viterbi_decode)
 from .lm import load_arpa, train_bigram
 from .metrics import score_corpus
 from .scrf import (BaselineFeature, ClassifierStatFeature, FeatureContext,
@@ -159,18 +159,27 @@ def build_recognizer(train_words, alphabet, cfg, lm_words=None, seed_offset=0):
     return assemble_recognizer(train_words, alphabet, cfg, classifier, lm)[0]
 
 
+def each_word(fn, words):
+    """[fn(w) for w in words]; a NoPathError raised for a word carries the
+    word's position in ``words`` as ``word_index``."""
+    out = []
+    for i, w in enumerate(words):
+        try:
+            out.append(fn(w))
+        except NoPathError as e:
+            e.word_index = i
+            raise
+    return out
+
+
 def decode_words(recognizer, words):
     """Tandem Viterbi decode, one word after another; returns [(reference
     letters, hypothesis letters)] with boundary silences stripped.  The
     decode graph is built once for all words."""
     graph = build_decode_graph(recognizer.hmm, recognizer.lm, recognizer.cfg.decode)
-    pairs = []
-    for w in words:
-        obs = recognizer.observations(w)
-        letters, _, _ = viterbi_decode(recognizer.hmm, recognizer.lm, obs,
-                                       recognizer.cfg.decode, graph)
-        pairs.append((w.letters, letters))
-    return pairs
+    return each_word(lambda w: (w.letters, viterbi_decode(
+        recognizer.hmm, recognizer.lm, recognizer.observations(w), recognizer.cfg.decode,
+        graph)[0]), words)
 
 
 def evaluate(recognizer, words):
@@ -372,8 +381,8 @@ def format_protocol_table(report):
 def nbest_lattices(recognizer, words, n=None):
     cfg = recognizer.cfg.decode if n is None else replace(recognizer.cfg.decode, nbest=n)
     policy = unit_transitions(recognizer.hmm, recognizer.lm, cfg)
-    return [nbest(recognizer.hmm, recognizer.lm, recognizer.observations(w), cfg, policy)
-            for w in words]
+    return each_word(lambda w: nbest(recognizer.hmm, recognizer.lm,
+                                     recognizer.observations(w), cfg, policy), words)
 
 
 # ---------------------------------------------------------------------------

@@ -935,42 +935,27 @@ def train_cll(model, data, cfg):
 # ---------------------------------------------------------------------------
 # First-pass N-best, rescoring, and the two-pass cascade
 
-def _best_columns(rows, n):
-    """Columns of the n best entries of each row of ``rows`` (R, m >= n),
-    in column order.  Of equal finite values the lower column is kept, as
-    a stable sort of the negated row keeps it; a row where argpartition
-    split such a tie at the n-th value is sorted outright.  Which -inf
-    entries fill a row is left open."""
-    k = rows.shape[1] - n
-    cols = np.sort(np.argpartition(rows, k, axis=1)[:, k:], axis=1)
-    kth = np.take_along_axis(rows, cols, 1).min(axis=1, keepdims=True)
-    split = np.isfinite(kth[:, 0]) & ((rows >= kth).sum(1) > n)
-    for i in np.flatnonzero(split):
-        cols[i] = np.sort(np.argsort(-rows[i], kind="stable")[:n])
-    return cols
-
-
 def _merge_top_n(offsets, lists, n):
     """Row-wise top n of ``offsets[i, j] + lists[i, j, r]``, each list
     ``lists[i, j]`` sorted best first: returns (column j * n + r, score),
-    both (R, n) and best first; exact ties keep the lower column.
+    both (R, n) and best first.  Both steps are stable sorts of negated
+    rows, so exact ties keep the lower column by construction.
 
     An entry can reach its row's top n only from one of the n lists with
     the best heads ``offsets + lists[..., 0]``: those n heads rank above
     every entry of any other list.  So only those lists' n x n entries are
-    ranked (the frontier of Huang & Chiang, IWPT 2005, Alg. 2)."""
+    ranked (the frontier of Huang & Chiang, IWPT 2005, Alg. 2); on a head
+    tie at the n-th place the lower-column list is kept."""
     n_rows, m = offsets.shape
     idx = np.arange(n_rows)[:, None]
     if m > n:
-        pick = _best_columns(offsets + lists[:, :, 0], n)
+        heads = offsets + lists[:, :, 0]
+        pick = np.sort(np.argsort(-heads, axis=1, kind="stable")[:, :n], axis=1)
     else:
         pick = np.broadcast_to(np.arange(m), (n_rows, m))
     cand = (offsets[idx, pick][:, :, None] + lists[idx, pick]).reshape(n_rows, -1)
-    cols = _best_columns(cand, n)
-    scores = cand[idx, cols]
-    order = np.argsort(-scores, axis=1, kind="stable")
-    p, r = np.divmod(cols[idx, order], n)
-    return pick[idx, p] * n + r, scores[idx, order]
+    order = np.argsort(-cand, axis=1, kind="stable")[:, :n]
+    return pick[idx, order // n] * n + order % n, cand[idx, order]
 
 
 def nbest_segmentations(tabs, n):
@@ -987,10 +972,10 @@ def nbest_segmentations(tabs, n):
     ending at t, shortest first (``SpanIndex.by_end``; span score plus the
     start's merged list), over (L, L) previous labels for the merge (their
     lists at t plus the pair score, -inf where forbidden) and over the L
-    lists at T plus ``final``.  Exact ties keep the lowest column, the
-    order of a stable sort of the negated row: hypotheses of equal score
-    rank by their (label, duration) pairs read from the last segment back,
-    ascending.  ``viterbi`` is the top hypothesis."""
+    lists at T plus ``final``.  Each merge is a stable sort of the negated
+    row, so exact ties keep the lowest column by construction: hypotheses
+    of equal score rank by their (label, duration) pairs read from the
+    last segment back, ascending.  ``viterbi`` is the top hypothesis."""
     trans, ix = tabs.trans, tabs.index
     t_len, nl = ix.num_frames, len(tabs.final)
     span_scores, span_starts = tabs.scores[ix.by_end], ix.starts[ix.by_end]

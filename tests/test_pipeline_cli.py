@@ -425,13 +425,15 @@ class TestCliChain:
                                      + m["image_block"]["components"]],
     }
 
-    @pytest.mark.parametrize("target", ["classifier.json", "word.json", "word.fmat"]
-                             + sorted(BROKEN_MODELS))
+    @pytest.mark.parametrize("target", ["classifier.json", "word.json", "word.fmat",
+                                        "word.fmat-width"] + sorted(BROKEN_MODELS))
     def test_unreadable_input_file_exit_3(self, workdir, tmp_path, capsys, target):
         # a bundle file or a corpus word file that is not JSON, a descriptor
-        # matrix cut short, and a model of another schema or with a lost row
-        # of weights or a lost state, each name the file without a traceback
+        # matrix cut short or a column narrower than the classifier reads,
+        # and a model of another schema or with a lost row of weights or a
+        # lost state, each name the file without a traceback
         import shutil
+        from segspell.fileio import read_matrix, write_matrix
         shutil.copytree(workdir / "rec", tmp_path / "rec")
         shutil.copytree(workdir / "corpus", tmp_path / "corpus")
         stem = json.loads((tmp_path / "corpus" / "manifest.json").read_text())["entries"][0]["stem"]
@@ -442,6 +444,8 @@ class TestCliChain:
             model = json.loads(path.read_text())
             self.BROKEN_MODELS[target](model)
             path.write_text(json.dumps(model))
+        elif target == "word.fmat-width":
+            write_matrix(str(path), read_matrix(str(path))[:, :-1])
         elif target.endswith(".fmat"):
             path.write_bytes(path.read_bytes()[:-6])
         else:
@@ -453,6 +457,37 @@ class TestCliChain:
         assert rc == 3
         assert str(path) in err and "Traceback" not in err
         assert not (tmp_path / "hyps.txt").exists()
+
+    @pytest.mark.parametrize("command", ["decode", "align", "nbest"])
+    def test_no_path_names_the_word(self, workdir, tmp_path, capsys, monkeypatch, command):
+        # the top byte of frame 0, column 1 of the second S1 word's
+        # descriptors set to 0x58 (about 5e14) leaves tandem Viterbi and
+        # forced alignment no path; N-best still finds a lattice there, so its engine is made to
+        # refuse the second word.  The exit-3 message names the word's file
+        from segspell.hmm import NoPathError
+        shutil.copytree(workdir / "corpus", tmp_path / "corpus")
+        stems = [e["stem"] for e in json.loads((tmp_path / "corpus" / "manifest.json")
+                                               .read_text())["entries"] if e["signer"] == "S1"]
+        path = tmp_path / "corpus" / (stems[1] + ".fmat")
+        if command == "nbest":
+            calls, real = iter(range(len(stems))), pipeline.nbest
+
+            def refuse_second(*args):
+                if next(calls) == 1:
+                    raise NoPathError("no legal path for N-best search")
+                return real(*args)
+            monkeypatch.setattr(pipeline, "nbest", refuse_second)
+        else:
+            raw = path.read_bytes()
+            at = 12 + 4 * 1 + 3             # the header is 12 bytes, floats <f4
+            path.write_bytes(raw[:at] + b"\x58" + raw[at + 1:])
+        rc = cli.main([command, "--recognizer", str(workdir / "rec"),
+                       "--corpus", str(tmp_path / "corpus"), "--signers", "S1",
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(path) in err and "no " in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("target", ["scrf-weights", "lattice-empty", "lattice-spans",
                                         "lattice-start", "lattice-later-hypothesis",

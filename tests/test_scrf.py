@@ -1155,6 +1155,39 @@ class TestNBestEngine:
                 assert best.labels == labels and best.score == score
                 assert [s.span() for s in best.segments] == [s.span() for s in segments]
 
+    def test_merge_top_n_equals_full_stable_sort(self):
+        # oracle: every offsets[i, j] + lists[i, j, r] at column j * n + r,
+        # ranked by one stable sort of the negated row; small integers tie
+        # everywhere, heads across the n-th pick included
+        rng = np.random.default_rng(47)
+        seen = {"m < n": 0, "m == n": 0, "m > n": 0, "head tie at n": 0,
+                "R == 1": 0, "-inf list": 0}
+        for case in range(400):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, 2 * n + 3))
+            rows = 1 if case % 4 == 0 else int(rng.integers(2, 6))
+            offsets = rng.integers(-2, 3, size=(rows, m)).astype(float)
+            offsets[rng.random((rows, m)) < 0.1] = -np.inf
+            lists = np.sort(rng.integers(-3, 3, size=(rows, m, n)), axis=2)[..., ::-1].astype(float)
+            cut = np.where(rng.random((rows, m, 1)) < 0.3, rng.integers(1, n + 1, (rows, m, 1)), 0)
+            lists[np.arange(n) >= n - cut] = -np.inf
+            values = (offsets[:, :, None] + lists).reshape(rows, -1)
+            order = np.argsort(-values, axis=1, kind="stable")[:, :n]
+            want = np.take_along_axis(values, order, 1)
+            cols, scores = scrf._merge_top_n(offsets, lists, n)
+            assert np.array_equal(scores, want)
+            finite = np.isfinite(want)
+            assert np.array_equal(cols[finite], order[finite])
+            heads = -np.sort(-(offsets + lists[:, :, 0]), axis=1)
+            seen["m < n"] += m < n
+            seen["m == n"] += m == n
+            seen["m > n"] += m > n
+            seen["head tie at n"] += m > n and bool(np.any(
+                np.isfinite(heads[:, n]) & (heads[:, n - 1] == heads[:, n])))
+            seen["R == 1"] += rows == 1
+            seen["-inf list"] += bool(np.any(np.isneginf(offsets + lists[:, :, 0])))
+        assert min(seen.values()) >= 20, seen
+
 
 # ---------------------------------------------------------------------------
 # The span path: factored first-pass features, lean passes, lattices
