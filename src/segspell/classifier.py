@@ -8,6 +8,10 @@ a per-frame affine input transform and a trainable copy of the softmax layer
 onto the frozen hidden layers; fine-tune retrains a copy of the whole network.
 At their initializations they reproduce the unadapted outputs exactly.
 Training and every adaptation mode share one SGD loop, ``_sgd``.
+Each parameter set it trains is one flat float64 vector, ``params``: weight
+matrices first, then biases, each array a view of it.  Gradients are written
+into views of a vector of the same layout, so a step's momentum update is a
+few whole-vector operations.
 """
 
 from __future__ import annotations
@@ -41,13 +45,16 @@ class TrainConfig:
 
 
 class MlpModel:
-    """Weights plus class names; layers[i] = (W, b) with W shaped (out, in)."""
+    """Weights plus class names; layers[i] = (W, b) with W shaped (out, in),
+    views of ``params`` (every W, then every b), to be changed in place."""
 
     SCHEMA = "segspell-mlp-1"
 
     def __init__(self, layers, class_names):
-        self.layers = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
-                       for w, b in layers]
+        self.layers = list(layers)    # like() reads the shapes from these
+        self.params = np.concatenate([np.ravel(a) for part in zip(*self.layers) for a in part],
+                                     dtype=np.float64)
+        self.layers = self.like(self.params)
         self.class_names = list(class_names)
         if self.layers[-1][0].shape[0] != len(self.class_names):
             raise ValueError("output layer size does not match class count")
@@ -61,24 +68,19 @@ class MlpModel:
         return len(self.class_names)
 
     def copy(self):
-        return MlpModel([(w.copy(), b.copy()) for w, b in self.layers],
-                        self.class_names)
+        return MlpModel(self.layers, self.class_names)
+
+    def like(self, flat):
+        """[(W, b)] views of a vector laid out like ``params``."""
+        views = _views(flat, [a for part in zip(*self.layers) for a in part])
+        return list(zip(views[:len(self.layers)], views[len(self.layers):]))
 
     def forward(self, x, keep_hidden=False, dropout_masks=None):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.input_dim:
             raise ValueError("input dim %d does not match model dim %d"
                              % (x.shape[1], self.input_dim))
-        hidden = [x]
-        h = x
-        for i, (w, b) in enumerate(self.layers[:-1]):
-            h = np.maximum(h @ w.T + b, 0.0)
-            if dropout_masks is not None:
-                h = h * dropout_masks[i]
-            hidden.append(h)
-        w, b = self.layers[-1]
-        logits = h @ w.T + b
-        return (logits, hidden) if keep_hidden else logits
+        return _forward(self.layers, x, keep_hidden, dropout_masks)
 
     def predict_proba(self, x):
         return softmax(self.forward(x))
@@ -118,10 +120,32 @@ class MlpModel:
         return read_model(path, cls.from_jsonable)
 
 
+def _views(flat, arrays):
+    """Views of the vector ``flat`` shaped like ``arrays``, end to end."""
+    cuts = np.cumsum([np.size(a) for a in arrays])[:-1]
+    return [v.reshape(np.shape(a)) for v, a in zip(np.split(flat, cuts), arrays)]
+
+
+def _forward(layers, x, keep_hidden=False, dropout_masks=None):
+    """Logits of the ReLU stack ``layers`` on rows x (and each layer's input)."""
+    hidden = [x]
+    for i, (w, b) in enumerate(layers):
+        h = hidden[-1] @ w.T
+        h += b
+        if i == len(layers) - 1:
+            return (h, hidden) if keep_hidden else h
+        np.maximum(h, 0.0, out=h)
+        if dropout_masks is not None:
+            h *= dropout_masks[i]
+        hidden.append(h)
+
+
 def softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place in ``logits``."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def init_mlp(input_dim, hidden, num_classes, class_names, seed=0):
@@ -136,35 +160,36 @@ def init_mlp(input_dim, hidden, num_classes, class_names, seed=0):
 
 
 def cross_entropy(probs, labels):
-    return float(-np.mean(np.log(np.maximum(probs[np.arange(len(labels)), labels],
-                                            LOG_FLOOR))))
+    p = np.maximum(probs[np.arange(len(labels)), labels], LOG_FLOOR)
+    return float(-(np.log(p, out=p).sum() / len(p)))
 
 
-def loss_and_gradients(model, x, labels, weight_decay=0.0, dropout_masks=None):
+def loss_and_gradients(model, x, labels, weight_decay=0.0, dropout_masks=None, grads=None):
     """Regularized cross-entropy and its gradient for every layer.
 
     loss = mean CE + 0.5 * weight_decay * sum ||W||^2   (biases unpenalized)
-    """
+
+    The gradient goes into ``grads``, ``model.like`` views of a vector laid
+    out like ``model.params`` (new ones when None); returns (loss, grads)."""
+    grads = model.like(np.empty_like(model.params)) if grads is None else grads
     logits, hidden = model.forward(x, keep_hidden=True, dropout_masks=dropout_masks)
-    probs = softmax(logits)
+    delta = softmax(logits)
     n = len(labels)
-    loss = cross_entropy(probs, labels)
+    loss = cross_entropy(delta, labels)
     if weight_decay:
-        loss += 0.5 * weight_decay * sum(float(np.sum(w * w)) for w, _ in model.layers)
-    delta = probs.copy()
+        loss += 0.5 * weight_decay * sum(float((w * w).sum()) for w, _ in model.layers)
     delta[np.arange(n), labels] -= 1.0
     delta /= n
-    grads = [None] * len(model.layers)
     for i in range(len(model.layers) - 1, -1, -1):
-        w, _ = model.layers[i]
-        gw = delta.T @ hidden[i] + weight_decay * w
-        gb = delta.sum(axis=0)
-        grads[i] = (gw, gb)
+        (w, _), (gw, gb) = model.layers[i], grads[i]
+        np.matmul(delta.T, hidden[i], out=gw)
+        gw += weight_decay * w    # also when 0, which turns a -0.0 into 0.0
+        delta.sum(axis=0, out=gb)
         if i > 0:
             delta = delta @ w
             if dropout_masks is not None:
-                delta = delta * dropout_masks[i - 1]
-            delta = delta * (hidden[i] > 0)
+                delta *= dropout_masks[i - 1]
+            delta *= hidden[i] > 0
     return loss, grads
 
 
@@ -196,12 +221,14 @@ def train_mlp(dataset, cfg, arch, class_names):
     xt, yt = x[train_idx], y[train_idx]
     xv, yv = (x[val_idx], y[val_idx]) if n_val else (xt, yt)
 
+    grad = np.empty_like(model.params)
+    grads = model.like(grad)
+
     def step(idx):
         masks = [(rng.random((len(idx), w.shape[0])) >= cfg.dropout) / (1.0 - cfg.dropout)
                  for w, _ in model.layers[:-1]] if cfg.dropout > 0 else None
-        loss, grads = loss_and_gradients(model, xt[idx], yt[idx],
-                                         cfg.weight_decay, masks)
-        return loss, _flat(grads)
+        return loss_and_gradients(model, xt[idx], yt[idx], cfg.weight_decay, masks,
+                                  grads)[0], grad
 
     def evaluate(train_loss):
         val_probs = model.predict_proba(xv)
@@ -210,27 +237,23 @@ def train_mlp(dataset, cfg, arch, class_names):
         return (val_err, val_loss), {"train_loss": train_loss, "val_error": val_err,
                                      "val_loss": val_loss}
 
-    history = _sgd(_flat(model.layers), step, evaluate, (np.inf, np.inf), len(xt),
-                   cfg, rng)
+    history = _sgd(model.params, step, evaluate, (np.inf, np.inf), len(xt), cfg, rng)
     return model, history
 
 
-def _flat(layers):
-    return [a for pair in layers for a in pair]
-
-
 def _sgd(params, step, evaluate, best, n, cfg, rng):
-    """Minibatch SGD with momentum on the arrays ``params``, in place.
+    """Minibatch SGD with momentum on the flat vector ``params``, in place.
 
     Each epoch visits a fresh permutation of the n examples in batches;
-    ``step(idx)`` returns (loss, grads aligned with params).  After each
-    epoch ``evaluate(mean batch loss)`` returns (key, record); the learning
-    rate halves after ``plateau_patience`` epochs whose key does not beat the
+    ``step(idx)`` returns (loss, gradient), a vector laid out like params
+    (weights first, then biases), as is the velocity.  After each epoch
+    ``evaluate(mean batch loss)`` returns (key, record); the learning rate
+    halves after ``plateau_patience`` epochs whose key does not beat the
     best, and the parameters of the best epoch (the starting ones if none
     beats ``best``) are restored at the end.  Returns the epoch records.
     """
-    velocity = [np.zeros_like(p) for p in params]
-    best_params = [p.copy() for p in params]
+    velocity = np.zeros_like(params)
+    best_params = params.copy()
     lr = cfg.learning_rate
     since_improve = 0
     history = []
@@ -238,25 +261,23 @@ def _sgd(params, step, evaluate, best, n, cfg, rng):
         order = rng.permutation(n)
         total, batches = 0.0, 0
         for start in range(0, n, cfg.batch_size):
-            loss, grads = step(order[start:start + cfg.batch_size])
+            loss, grad = step(order[start:start + cfg.batch_size])
             total += loss
             batches += 1
-            for p, v, g in zip(params, velocity, grads):
-                v *= cfg.momentum
-                v -= lr * g
-                p += v
+            velocity *= cfg.momentum
+            velocity -= lr * grad
+            params += velocity
         key, record = evaluate(total / max(batches, 1))
         history.append({"epoch": epoch + 1, **record, "lr": lr})
         if key < best:
             best, since_improve = key, 0
-            best_params = [p.copy() for p in params]
+            best_params = params.copy()
         else:
             since_improve += 1
             if since_improve >= cfg.plateau_patience:
                 lr *= 0.5
                 since_improve = 0
-    for p, saved in zip(params, best_params):
-        p[...] = saved
+    params[...] = best_params
     return history
 
 
@@ -272,7 +293,7 @@ def history_csv(history):
 # Signer adaptation
 
 MODES = ("LIN+UP", "LIN+LON", "fine-tune")
-LIN_PARAMS = ("w_lin", "b_lin", "out_w", "out_b")
+LIN_PARAMS = ("w_lin", "out_w", "b_lin", "out_b")   # their order in params
 
 
 class AdaptationModel:
@@ -283,7 +304,8 @@ class AdaptationModel:
     layers of the base network, and carry their own softmax layer, a copy of
     the base's.  LIN+UP and LIN+LON train the same four arrays (W_LIN, b_LIN
     and the softmax layer) from the same start, so they give identical models
-    and histories.  fine-tune carries a fully retrained copy of the base.
+    and histories; they are views of ``params``, in ``LIN_PARAMS`` order.
+    fine-tune carries a fully retrained copy of the base and its ``params``.
     """
 
     def __init__(self, mode, base, window, static_dim,
@@ -296,18 +318,24 @@ class AdaptationModel:
         self.static_dim = static_dim
         if mode == "fine-tune":
             self.tuned = tuned if tuned is not None else base.copy()
+            self.params = self.tuned.params
         else:
-            self.w_lin = np.eye(static_dim) if w_lin is None else np.asarray(w_lin, float)
-            self.b_lin = np.zeros(static_dim) if b_lin is None else np.asarray(b_lin, float)
+            w0, b0 = base.layers[-1]
+            start = [np.eye(static_dim) if w_lin is None else w_lin, w0 if out_w is None else out_w,
+                     np.zeros(static_dim) if b_lin is None else b_lin, b0 if out_b is None else out_b]
+            self.params = np.concatenate([np.ravel(a) for a in start], dtype=np.float64)
+            self.w_lin, self.out_w, self.b_lin, self.out_b = _views(self.params, start)
             if self.w_lin.shape != (static_dim, static_dim):
                 raise ValueError("W_LIN must be square over the static descriptor")
-            w0, b0 = base.layers[-1]
-            self.out_w = w0.copy() if out_w is None else np.asarray(out_w, float)
-            self.out_b = b0.copy() if out_b is None else np.asarray(out_b, float)
 
     @property
     def class_names(self):
         return self.base.class_names
+
+    def like(self, flat):
+        """Views of a vector laid out like ``params``, by name in the LIN modes."""
+        return self.tuned.like(flat) if self.mode == "fine-tune" else dict(
+            zip(LIN_PARAMS, _views(flat, [getattr(self, k) for k in LIN_PARAMS])))
 
     def _transform(self, x):
         n = x.shape[0]
@@ -318,9 +346,8 @@ class AdaptationModel:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.mode == "fine-tune":
             return self.tuned.forward(x, keep_hidden=keep_hidden)
-        net = MlpModel(self.base.layers[:-1] + [(self.out_w, self.out_b)],
-                       self.class_names)
-        return net.forward(self._transform(x), keep_hidden=keep_hidden)
+        return _forward(self.base.layers[:-1] + [(self.out_w, self.out_b)],
+                        self._transform(x), keep_hidden)
 
     forward = logits
 
@@ -391,30 +418,25 @@ def adapt(model, adaptation_set, mode, cfg, window, static_dim):
     y = np.asarray(y, dtype=int)
     if len(x) == 0:
         raise ValueError("empty adaptation set")
-    if mode not in MODES:
-        raise ValueError("unknown adaptation mode %r" % (mode,))
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xADA9)))
     adapted = AdaptationModel(mode, model, window, static_dim)
+    grad = np.empty_like(adapted.params)
+    grads = adapted.like(grad)
     if mode == "fine-tune":
-        params = _flat(adapted.tuned.layers)
-
         def step(idx):
-            loss, grads = loss_and_gradients(adapted.tuned, x[idx], y[idx],
-                                             cfg.weight_decay)
-            return loss, _flat(grads)
+            return loss_and_gradients(adapted.tuned, x[idx], y[idx], cfg.weight_decay,
+                                      grads=grads)[0], grad
     else:
-        params = [getattr(adapted, k) for k in LIN_PARAMS]
-
         def step(idx):   # the batch loss is not tracked here
-            grads = _lin_gradients(adapted, x[idx], y[idx], cfg.weight_decay)
-            return 0.0, [grads[k] for k in LIN_PARAMS]
+            _lin_gradients(adapted, x[idx], y[idx], cfg.weight_decay, grads)
+            return 0.0, grad
 
     def evaluate(_):
         loss = _adapted_loss(adapted, x, y)
         return loss, {"loss": loss}
 
     start = _adapted_loss(adapted, x, y)
-    history = _sgd(params, step, evaluate, start, len(x), cfg, rng)
+    history = _sgd(adapted.params, step, evaluate, start, len(x), cfg, rng)
     return adapted, [{"epoch": 0, "loss": start}] + history
 
 
@@ -422,24 +444,28 @@ def _adapted_loss(adapted, x, y):
     return cross_entropy(softmax(adapted.logits(x)), y)
 
 
-def _lin_gradients(adapted, x, y, weight_decay):
+def _lin_gradients(adapted, x, y, weight_decay, g=None):
+    """The LIN parameters' gradient, written into and returned as ``g``,
+    ``adapted.like`` views (new ones when None)."""
+    g = adapted.like(np.empty_like(adapted.params)) if g is None else g
     logits, hidden = adapted.logits(x, keep_hidden=True)
-    probs = softmax(logits)
+    delta = softmax(logits)
     n = len(y)
-    delta = probs.copy()
     delta[np.arange(n), y] -= 1.0
     delta /= n
-    g_out_w = delta.T @ hidden[-1] + weight_decay * adapted.out_w
-    g_out_b = delta.sum(axis=0)
+    np.matmul(delta.T, hidden[-1], out=g["out_w"])
+    g["out_w"] += weight_decay * adapted.out_w
+    delta.sum(axis=0, out=g["out_b"])
     delta = delta @ adapted.out_w
     for i in range(len(adapted.base.layers) - 2, -1, -1):
-        delta = delta * (hidden[i + 1] > 0)
+        delta *= hidden[i + 1] > 0
         delta = delta @ adapted.base.layers[i][0]
     frames = x.reshape(n, adapted.window, adapted.static_dim)
     dflat = delta.reshape(n, adapted.window, adapted.static_dim)
-    g_w_lin = np.einsum("nwo,nwi->oi", dflat, frames) + weight_decay * adapted.w_lin
-    g_b_lin = dflat.sum(axis=(0, 1))
-    return {"w_lin": g_w_lin, "b_lin": g_b_lin, "out_w": g_out_w, "out_b": g_out_b}
+    np.einsum("nwo,nwi->oi", dflat, frames, out=g["w_lin"])
+    g["w_lin"] += weight_decay * adapted.w_lin
+    dflat.sum(axis=(0, 1), out=g["b_lin"])
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,12 @@ class NoPathError(RuntimeError):
     exit_code = 3
 
 
+def _no_path(score):
+    """A best score at or below ``LOG_ZERO / 2`` took a forbidden move or
+    an emission as unlikely; every search counts it as no path."""
+    return score <= LOG_ZERO / 2
+
+
 class LetterHmm:
     SCHEMA = "segspell-hmm-1"
 
@@ -481,7 +487,7 @@ def viterbi_decode(model, lm, seq, cfg=None, graph=None):
         cfg = DecodeConfig()
     a, pi, omega = graph if graph is not None else build_decode_graph(model, lm, cfg)
     best, path = _viterbi(a, pi, omega, model.emission_logprobs(seq))
-    if best <= LOG_ZERO / 2:
+    if _no_path(best):
         raise NoPathError("no legal path (sequence too short for any letter sequence?)")
     segs = _states_to_segments(model, path)
     letters = [s.label for s in segs if s.label not in (BEGIN_SILENCE, END_SILENCE)]
@@ -517,7 +523,7 @@ def forced_align(model, seq, letters):
     pi[starts] = 0.0
     omega[ends] = model.log_next[states[ends]]
     best, path = _viterbi(a, pi, omega, model.emission_logprobs_subset(seq, states)[1])
-    if best <= LOG_ZERO / 2:
+    if _no_path(best):
         raise NoPathError("no alignment path for the constrained sequence")
     ids = unit_id[path]
     bounds = [0] + (np.flatnonzero(np.diff(ids)) + 1).tolist() + [t_len]
@@ -572,11 +578,15 @@ def nbest(model, lm, seq, cfg, policy=None):
     decode-graph policy of ``unit_transitions`` (``policy``, when given, is
     its result built once for many words); a hypothesis scores its
     best state path, so within-unit state wiggles never produce duplicate
-    hypotheses.  ``viterbi_decode`` does not use this path: on the span
-    table it is O(T^2) per word and measured 2x slower (module docstring)."""
+    hypotheses.  Hypotheses that ``viterbi_decode`` would count as no path
+    are dropped (NoPathError when none is left).  ``viterbi_decode`` does
+    not use this path: on the span table it is O(T^2) per word and
+    measured 2x slower (module docstring)."""
     emis = model.emission_logprobs(seq)
     policy = policy if policy is not None else unit_transitions(model, lm, cfg)
-    ranked = nbest_segmentations(span_table(model, emis, policy), cfg.nbest)
+    ranked = [(score, spans) for score, spans in
+              nbest_segmentations(span_table(model, emis, policy), cfg.nbest)
+              if not _no_path(score)]
     if not ranked:
         raise NoPathError("no legal path for N-best search")
     return lattice_from_ranked(model.units, ranked, len(emis))

@@ -32,7 +32,7 @@ from scipy.linalg import expm
 
 from .alphabet import (BEGIN_SILENCE, END_SILENCE, LetterAlphabet,
                        PhoneticFeatureTable)
-from .fileio import (FieldError, check_fields, in_file, read_json, read_matrix, read_model,
+from .fileio import (FieldError, check_fields, in_file, read_matrix, read_model,
                      write_json, write_matrix)
 from .scrf import smoothed_derivative
 from .segments import Segment, check_tiling, from_jsonable, to_jsonable
@@ -371,19 +371,30 @@ def save_corpus(corpus, directory):
     })
 
 
+def read_manifest(directory):
+    """The corpus manifest; refuses one without a list of ``entries`` that
+    each name their word's files by a string ``stem`` (DataError naming the
+    file)."""
+    def checked(manifest):
+        if not all(isinstance(e["stem"], str) for e in manifest["entries"]):
+            raise ValueError("an entry's stem is not a string")
+        return manifest
+    return read_model(os.path.join(directory, "manifest.json"), checked)
+
+
 def corpus_files(directory):
     """Every file ``load_corpus`` reads: the manifest, then each entry's
     metadata and descriptor file."""
-    manifest = os.path.join(directory, "manifest.json")
-    return [manifest] + [os.path.join(directory, e["stem"] + ext)
-                         for e in read_json(manifest)["entries"]
-                         for ext in (".json", ".fmat")]
+    return [os.path.join(directory, "manifest.json")] + [
+        os.path.join(directory, e["stem"] + ext)
+        for e in read_manifest(directory)["entries"] for ext in (".json", ".fmat")]
 
 
 def load_corpus(directory, signers=None, cfg=None):
     """Refuses a word whose metadata is incomplete or whose segments do not
-    tile its descriptor frames (DataError naming the file)."""
-    manifest = read_json(os.path.join(directory, "manifest.json"))
+    tile its descriptor frames, and a manifest ``read_manifest`` refuses
+    (DataError naming the file)."""
+    manifest = read_manifest(directory)
     words = []
     for entry in manifest["entries"]:
         stem = os.path.join(directory, entry["stem"])

@@ -263,25 +263,89 @@ class TestTandemObservation:
 # ---------------------------------------------------------------------------
 # Oracle for the shared SGD loop: test-local copies of the three loops it
 # replaced (plain training, the LIN adaptation loop with its own hidden-layer
-# forward, and fine-tuning), each with its own momentum update, plateau
-# halving and best-epoch restore.
+# forward, and fine-tuning), each with its own per-array momentum update,
+# plateau halving and best-epoch restore.  They run on test-local copies of
+# the allocating forward pass, softmax, cross-entropy and gradients that the
+# flat-vector step replaced, so the oracle shares no arithmetic with the code
+# it checks.
+
+def ref_forward(layers, x, keep_hidden=False, dropout_masks=None):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    hidden = [x]
+    h = x
+    for i, (w, b) in enumerate(layers[:-1]):
+        h = np.maximum(h @ w.T + b, 0.0)
+        if dropout_masks is not None:
+            h = h * dropout_masks[i]
+        hidden.append(h)
+    w, b = layers[-1]
+    logits = h @ w.T + b
+    return (logits, hidden) if keep_hidden else logits
+
+
+def ref_softmax(logits):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_cross_entropy(probs, labels):
+    return float(-np.mean(np.log(np.maximum(probs[np.arange(len(labels)), labels],
+                                            C.LOG_FLOOR))))
+
+
+def ref_loss_and_gradients(layers, x, labels, weight_decay=0.0, dropout_masks=None):
+    logits, hidden = ref_forward(layers, x, keep_hidden=True, dropout_masks=dropout_masks)
+    probs = ref_softmax(logits)
+    n = len(labels)
+    loss = ref_cross_entropy(probs, labels)
+    if weight_decay:
+        loss += 0.5 * weight_decay * sum(float(np.sum(w * w)) for w, _ in layers)
+    delta = probs.copy()
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        gw = delta.T @ hidden[i] + weight_decay * w
+        gb = delta.sum(axis=0)
+        grads[i] = (gw, gb)
+        if i > 0:
+            delta = delta @ w
+            if dropout_masks is not None:
+                delta = delta * dropout_masks[i - 1]
+            delta = delta * (hidden[i] > 0)
+    return loss, grads
+
+
+def ref_momentum_step(layers, velocity, grads, lr, cfg):
+    for i, ((gw, gb), (vw, vb)) in enumerate(zip(grads, velocity)):
+        vw *= cfg.momentum
+        vw -= lr * gw
+        vb *= cfg.momentum
+        vb -= lr * gb
+        w, b = layers[i]
+        layers[i] = (w + vw, b + vb)
+
 
 def reference_train_mlp(dataset, cfg, arch, class_names):
+    """(the trained layers' arrays, history)"""
     x, y = dataset
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=int)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5eed)))
-    model = C.init_mlp(x.shape[1], arch, len(class_names), class_names, seed=cfg.seed)
+    init = C.init_mlp(x.shape[1], arch, len(class_names), class_names, seed=cfg.seed)
+    layers = [(w.copy(), b.copy()) for w, b in init.layers]
     perm = rng.permutation(len(x))
     n_val = int(round(cfg.validation_fraction * len(x)))
     n_val = min(max(n_val, 0), len(x) - 1)
     val_idx, train_idx = perm[len(x) - n_val:], perm[:len(x) - n_val]
     xt, yt = x[train_idx], y[train_idx]
     xv, yv = (x[val_idx], y[val_idx]) if n_val else (xt, yt)
-    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers]
+    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
     lr = cfg.learning_rate
     best = (np.inf, np.inf)
-    best_layers = [(w.copy(), b.copy()) for w, b in model.layers]
+    best_layers = [(w.copy(), b.copy()) for w, b in layers]
     since_improve = 0
     history = []
     for epoch in range(cfg.max_epochs):
@@ -294,26 +358,20 @@ def reference_train_mlp(dataset, cfg, arch, class_names):
             if cfg.dropout > 0:
                 masks = [(rng.random((len(idx), w.shape[0])) >= cfg.dropout)
                          / (1.0 - cfg.dropout)
-                         for w, _ in model.layers[:-1]]
-            loss, grads = C.loss_and_gradients(model, xt[idx], yt[idx],
-                                               cfg.weight_decay, masks)
+                         for w, _ in layers[:-1]]
+            loss, grads = ref_loss_and_gradients(layers, xt[idx], yt[idx],
+                                                 cfg.weight_decay, masks)
             epoch_loss += loss
             nb += 1
-            for i, ((gw, gb), (vw, vb)) in enumerate(zip(grads, velocity)):
-                vw *= cfg.momentum
-                vw -= lr * gw
-                vb *= cfg.momentum
-                vb -= lr * gb
-                w, b = model.layers[i]
-                model.layers[i] = (w + vw, b + vb)
-        val_probs = model.predict_proba(xv)
+            ref_momentum_step(layers, velocity, grads, lr, cfg)
+        val_probs = ref_softmax(ref_forward(layers, xv))
         val_err = float(np.mean(np.argmax(val_probs, axis=1) != yv))
-        val_loss = C.cross_entropy(val_probs, yv)
+        val_loss = ref_cross_entropy(val_probs, yv)
         history.append({"epoch": epoch + 1, "train_loss": epoch_loss / max(nb, 1),
                         "val_error": val_err, "val_loss": val_loss, "lr": lr})
         if (val_err, val_loss) < best:
             best = (val_err, val_loss)
-            best_layers = [(w.copy(), b.copy()) for w, b in model.layers]
+            best_layers = [(w.copy(), b.copy()) for w, b in layers]
             since_improve = 0
         else:
             since_improve += 1
@@ -321,56 +379,56 @@ def reference_train_mlp(dataset, cfg, arch, class_names):
                 lr *= 0.5
                 since_improve = 0
     if cfg.max_epochs > 0:
-        model.layers = best_layers
-    return model, history
+        layers = best_layers
+    return [a for layer in layers for a in layer], history
 
 
-def reference_lin_logits(adapted, x, keep_hidden=False):
+def reference_lin_logits(base, params, x, window, static_dim, keep_hidden=False):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    xt = adapted._transform(x)
-    hidden = [xt]
-    h = xt
-    for w, b in adapted.base.layers[:-1]:
-        h = np.maximum(h @ w.T + b, 0.0)
-        hidden.append(h)
-    logits = h @ adapted.out_w.T + adapted.out_b
-    return (logits, hidden) if keep_hidden else logits
+    frames = x.reshape(len(x), window, static_dim)
+    xt = (frames @ params["w_lin"].T + params["b_lin"]).reshape(len(x), -1)
+    return ref_forward(base.layers[:-1] + [(params["out_w"], params["out_b"])], xt,
+                       keep_hidden)
 
 
-def reference_lin_loss(adapted, x, y):
-    return C.cross_entropy(C.softmax(reference_lin_logits(adapted, x)), y)
+def reference_lin_loss(base, params, x, y, window, static_dim):
+    return ref_cross_entropy(ref_softmax(reference_lin_logits(base, params, x, window,
+                                                              static_dim)), y)
 
 
-def reference_lin_gradients(adapted, x, y, weight_decay):
-    logits, hidden = reference_lin_logits(adapted, x, keep_hidden=True)
-    probs = C.softmax(logits)
+def reference_lin_gradients(base, params, x, y, weight_decay, window, static_dim):
+    logits, hidden = reference_lin_logits(base, params, x, window, static_dim,
+                                          keep_hidden=True)
+    probs = ref_softmax(logits)
     n = len(y)
     delta = probs.copy()
     delta[np.arange(n), y] -= 1.0
     delta /= n
-    g_out_w = delta.T @ hidden[-1] + weight_decay * adapted.out_w
+    g_out_w = delta.T @ hidden[-1] + weight_decay * params["out_w"]
     g_out_b = delta.sum(axis=0)
-    delta = delta @ adapted.out_w
-    for i in range(len(adapted.base.layers) - 2, -1, -1):
+    delta = delta @ params["out_w"]
+    for i in range(len(base.layers) - 2, -1, -1):
         delta = delta * (hidden[i + 1] > 0)
-        delta = delta @ adapted.base.layers[i][0]
-    frames = x.reshape(n, adapted.window, adapted.static_dim)
-    dflat = delta.reshape(n, adapted.window, adapted.static_dim)
-    g_w_lin = np.einsum("nwo,nwi->oi", dflat, frames) + weight_decay * adapted.w_lin
+        delta = delta @ base.layers[i][0]
+    frames = x.reshape(n, window, static_dim)
+    dflat = delta.reshape(n, window, static_dim)
+    g_w_lin = np.einsum("nwo,nwi->oi", dflat, frames) + weight_decay * params["w_lin"]
     g_b_lin = dflat.sum(axis=(0, 1))
     return {"w_lin": g_w_lin, "b_lin": g_b_lin, "out_w": g_out_w, "out_b": g_out_b}
 
 
 def reference_adapt(model, x, y, mode, cfg, window, static_dim):
+    """(the adapted arrays in ``adapted_arrays`` order, history)"""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xADA9)))
     if mode == "fine-tune":
-        return reference_finetune(model, x, y, cfg, rng, window, static_dim)
-    adapted = C.AdaptationModel(mode, model, window, static_dim)
-    params = {"w_lin": adapted.w_lin, "b_lin": adapted.b_lin,
-              "out_w": adapted.out_w, "out_b": adapted.out_b}
+        return reference_finetune(model, x, y, cfg, rng)
+    w0, b0 = model.layers[-1]
+    params = {"w_lin": np.eye(static_dim), "b_lin": np.zeros(static_dim),
+              "out_w": w0.copy(), "out_b": b0.copy()}
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     lr = cfg.learning_rate
-    history = [{"epoch": 0, "loss": reference_lin_loss(adapted, x, y)}]
+    history = [{"epoch": 0,
+                "loss": reference_lin_loss(model, params, x, y, window, static_dim)}]
     best = history[0]["loss"]
     best_state = {k: v.copy() for k, v in params.items()}
     since_improve = 0
@@ -378,12 +436,13 @@ def reference_adapt(model, x, y, mode, cfg, window, static_dim):
         order = rng.permutation(len(x))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            grads = reference_lin_gradients(adapted, x[idx], y[idx], cfg.weight_decay)
+            grads = reference_lin_gradients(model, params, x[idx], y[idx],
+                                            cfg.weight_decay, window, static_dim)
             for k in params:
                 velocity[k] *= cfg.momentum
                 velocity[k] -= lr * grads[k]
                 params[k] += velocity[k]
-        loss = reference_lin_loss(adapted, x, y)
+        loss = reference_lin_loss(model, params, x, y, window, static_dim)
         history.append({"epoch": epoch + 1, "loss": loss, "lr": lr})
         if loss < best:
             best = loss
@@ -394,44 +453,42 @@ def reference_adapt(model, x, y, mode, cfg, window, static_dim):
             if since_improve >= cfg.plateau_patience:
                 lr *= 0.5
                 since_improve = 0
-    for k, v in best_state.items():
-        params[k][...] = v
-    return adapted, history
+    return [best_state[k] for k in ("w_lin", "b_lin", "out_w", "out_b")], history
 
 
-def reference_finetune(model, x, y, cfg, rng, window, static_dim):
-    tuned = model.copy()
-    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in tuned.layers]
+def reference_finetune(model, x, y, cfg, rng):
+    layers = [(w.copy(), b.copy()) for w, b in model.layers]
+    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
     lr = cfg.learning_rate
-    history = [{"epoch": 0, "loss": C.cross_entropy(tuned.predict_proba(x), y)}]
+    history = [{"epoch": 0, "loss": ref_cross_entropy(ref_softmax(ref_forward(layers, x)), y)}]
     best = history[0]["loss"]
-    best_layers = [(w.copy(), b.copy()) for w, b in tuned.layers]
+    best_layers = [(w.copy(), b.copy()) for w, b in layers]
     since_improve = 0
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(len(x))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            _, grads = C.loss_and_gradients(tuned, x[idx], y[idx], cfg.weight_decay)
-            for i, ((gw, gb), (vw, vb)) in enumerate(zip(grads, velocity)):
-                vw *= cfg.momentum
-                vw -= lr * gw
-                vb *= cfg.momentum
-                vb -= lr * gb
-                w, b = tuned.layers[i]
-                tuned.layers[i] = (w + vw, b + vb)
-        loss = C.cross_entropy(tuned.predict_proba(x), y)
+            _, grads = ref_loss_and_gradients(layers, x[idx], y[idx], cfg.weight_decay)
+            ref_momentum_step(layers, velocity, grads, lr, cfg)
+        loss = ref_cross_entropy(ref_softmax(ref_forward(layers, x)), y)
         history.append({"epoch": epoch + 1, "loss": loss, "lr": lr})
         if loss < best:
             best = loss
-            best_layers = [(w.copy(), b.copy()) for w, b in tuned.layers]
+            best_layers = [(w.copy(), b.copy()) for w, b in layers]
             since_improve = 0
         else:
             since_improve += 1
             if since_improve >= cfg.plateau_patience:
                 lr *= 0.5
                 since_improve = 0
-    tuned.layers = best_layers
-    return C.AdaptationModel("fine-tune", model, window, static_dim, tuned=tuned), history
+    return [a for layer in best_layers for a in layer], history
+
+
+def reference_logits(mode, base, arrays, x, window, static_dim):
+    if mode == "fine-tune":
+        return ref_forward(list(zip(arrays[0::2], arrays[1::2])), x)
+    params = dict(zip(("w_lin", "b_lin", "out_w", "out_b"), arrays))
+    return reference_lin_logits(base, params, x, window, static_dim)
 
 
 def adapted_arrays(adapted):
@@ -444,6 +501,13 @@ def assert_arrays_equal(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def protocol_shaped_data(n, seed):
+    """n frames of the protocol's 100 inputs (a window of 5 x 20) and 28
+    classes."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 100)), rng.integers(0, 28, size=n)
 
 
 class TestSgdOracle:
@@ -464,10 +528,21 @@ class TestSgdOracle:
         names = ["a", "b", "c", "d"]
         model, history = C.train_mlp((x, y), cfg, [9, 7], names)
         ref, ref_history = reference_train_mlp((x, y), cfg, [9, 7], names)
-        assert_arrays_equal([a for l in model.layers for a in l],
-                            [a for l in ref.layers for a in l])
+        assert_arrays_equal([a for l in model.layers for a in l], ref)
         assert history == ref_history
         assert len(history) == max_epochs
+
+    @pytest.mark.parametrize("weight_decay, dropout", [(1e-5, 0.0), (0.0, 0.0), (1e-5, 0.2)])
+    def test_train_mlp_equals_reference_at_protocol_shapes(self, weight_decay, dropout):
+        # 471 training frames: four batches of 100 and a partial one of 71
+        x, y = protocol_shaped_data(523, seed=31)
+        cfg = C.TrainConfig(learning_rate=0.05, max_epochs=4, weight_decay=weight_decay,
+                            dropout=dropout, plateau_patience=1, seed=6)
+        names = ["c%d" % i for i in range(28)]
+        model, history = C.train_mlp((x, y), cfg, [64, 64], names)
+        ref, ref_history = reference_train_mlp((x, y), cfg, [64, 64], names)
+        assert_arrays_equal([a for l in model.layers for a in l], ref)
+        assert history == ref_history
 
     def test_train_mlp_oracle_covers_plateau_halving(self):
         x, y = make_data(n=83, d=6, classes=4, seed=21)
@@ -476,6 +551,17 @@ class TestSgdOracle:
                             seed=4)
         _, history = C.train_mlp((x, y), cfg, [9, 7], ["a", "b", "c", "d"])
         assert history[-1]["lr"] < history[0]["lr"]
+
+    def check_adapt(self, base, x, y, cfg, mode, window, static_dim):
+        before = [a.copy() for layer in base.layers for a in layer]
+        adapted, history = C.adapt(base, (x, y), mode, cfg, window, static_dim)
+        assert_arrays_equal([a for layer in base.layers for a in layer], before)
+        ref, ref_history = reference_adapt(base, x, y, mode, cfg, window, static_dim)
+        assert_arrays_equal(adapted_arrays(adapted), ref)
+        assert history == ref_history
+        assert len(history) == cfg.max_epochs + 1
+        assert np.array_equal(adapted.logits(x),
+                              reference_logits(mode, base, ref, x, window, static_dim))
 
     @pytest.mark.parametrize("mode", ["LIN+UP", "LIN+LON", "fine-tune"])
     @pytest.mark.parametrize("learning_rate, max_epochs, weight_decay", [
@@ -487,19 +573,20 @@ class TestSgdOracle:
         base = C.init_mlp(window * static_dim, [10, 6], 5, list("abcde"), seed=13)
         x = rng.normal(size=(47, window * static_dim))
         y = rng.integers(0, 5, size=47)
-        before = [a.copy() for layer in base.layers for a in layer]
         cfg = C.TrainConfig(learning_rate=learning_rate, momentum=0.9, batch_size=10,
                             max_epochs=max_epochs, weight_decay=weight_decay,
                             plateau_patience=1, seed=2)
-        adapted, history = C.adapt(base, (x, y), mode, cfg, window, static_dim)
-        assert_arrays_equal([a for layer in base.layers for a in layer], before)
-        ref, ref_history = reference_adapt(base, x, y, mode, cfg, window, static_dim)
-        assert_arrays_equal(adapted_arrays(adapted), adapted_arrays(ref))
-        assert history == ref_history
-        assert len(history) == max_epochs + 1
-        forward = ref.logits if mode == "fine-tune" else \
-            (lambda x: reference_lin_logits(ref, x))
-        assert np.array_equal(adapted.logits(x), forward(x))
+        self.check_adapt(base, x, y, cfg, mode, window, static_dim)
+
+    @pytest.mark.parametrize("mode", ["LIN+UP", "fine-tune"])
+    @pytest.mark.parametrize("weight_decay", [1e-5, 0.0])
+    def test_adapt_equals_reference_at_protocol_shapes(self, mode, weight_decay):
+        # 250 frames: two batches of 100 and a partial one of 50
+        x, y = protocol_shaped_data(250, seed=32)
+        base = C.init_mlp(100, [64, 64], 28, ["c%d" % i for i in range(28)], seed=7)
+        cfg = C.TrainConfig(learning_rate=0.05, max_epochs=3, weight_decay=weight_decay,
+                            plateau_patience=1, seed=8)
+        self.check_adapt(base, x, y, cfg, mode, 5, 20)
 
     def test_adapt_oracle_covers_restore_of_start(self):
         # with a huge rate no epoch beats the epoch-0 loss, so the loop must
@@ -531,3 +618,36 @@ class TestSgdOracle:
         lon, h_lon = C.adapt(base, (x, y), "LIN+LON", cfg, window, static_dim)
         assert_arrays_equal(adapted_arrays(up), adapted_arrays(lon))
         assert h_up == h_lon
+
+
+class TestFlatParameters:
+    """Trained layers are views of one vector; copies and saved models hold
+    the same values in their own vectors."""
+
+    def test_trained_model_survives_copy_and_save_load(self, tmp_path):
+        x, y = protocol_shaped_data(300, seed=33)
+        cfg = C.TrainConfig(max_epochs=2, seed=9)
+        model, _ = C.train_mlp((x, y), cfg, [64, 64], ["c%d" % i for i in range(28)])
+        assert all(np.shares_memory(a, model.params) for l in model.layers for a in l)
+        model.save(str(tmp_path / "m.json"))
+        for other in (model.copy(), C.MlpModel.load(str(tmp_path / "m.json"))):
+            assert not np.shares_memory(other.params, model.params)
+            assert np.array_equal(other.params, model.params)
+            assert_arrays_equal([a for l in other.layers for a in l],
+                                [a for l in model.layers for a in l])
+            assert np.array_equal(other.forward(x), model.forward(x))
+        copy = model.copy()
+        copy.layers[0][0][0, 0] += 1.0
+        assert copy.params[0] == model.params[0] + 1.0
+
+    @pytest.mark.parametrize("mode", ["LIN+UP", "fine-tune"])
+    def test_adapted_model_survives_save_load(self, tmp_path, mode):
+        x, y = protocol_shaped_data(200, seed=34)
+        base = C.init_mlp(100, [64, 64], 28, ["c%d" % i for i in range(28)], seed=7)
+        adapted, _ = C.adapt(base, (x, y), mode, C.TrainConfig(max_epochs=2, seed=1), 5, 20)
+        assert all(np.shares_memory(a, adapted.params) for a in adapted_arrays(adapted))
+        adapted.save(str(tmp_path / "a.json"))
+        loaded = C.load_classifier(str(tmp_path / "a.json"))
+        assert np.array_equal(loaded.params, adapted.params)
+        assert_arrays_equal(adapted_arrays(loaded), adapted_arrays(adapted))
+        assert np.array_equal(loaded.logits(x), adapted.logits(x))

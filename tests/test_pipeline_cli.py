@@ -423,6 +423,8 @@ class TestCliChain:
                                       for k in ("components", "variances")],
         "pca.json-input": lambda m: [row.pop() for row in [m["image_block"]["mean"]]
                                      + m["image_block"]["components"]],
+        "manifest.json-entries": lambda m: m.pop("entries"),
+        "manifest.json-stem": lambda m: m["entries"][0].update(stem=7),
     }
 
     @pytest.mark.parametrize("target", ["classifier.json", "word.json", "word.fmat",
@@ -430,16 +432,19 @@ class TestCliChain:
     def test_unreadable_input_file_exit_3(self, workdir, tmp_path, capsys, target):
         # a bundle file or a corpus word file that is not JSON, a descriptor
         # matrix cut short or a column narrower than the classifier reads,
-        # and a model of another schema or with a lost row of weights or a
-        # lost state, each name the file without a traceback
+        # a model of another schema or with a lost row of weights or a lost
+        # state, and a corpus manifest without entries or with a stem that
+        # is not a string, each name the file without a traceback
         import shutil
         from segspell.fileio import read_matrix, write_matrix
         shutil.copytree(workdir / "rec", tmp_path / "rec")
         shutil.copytree(workdir / "corpus", tmp_path / "corpus")
         stem = json.loads((tmp_path / "corpus" / "manifest.json").read_text())["entries"][0]["stem"]
         name = target.split("-")[0]
-        path = (tmp_path / "corpus" / (stem + name[len("word"):]) if name.startswith("word")
-                else tmp_path / "rec" / name)
+        if name.startswith("word"):
+            path = tmp_path / "corpus" / (stem + name[len("word"):])
+        else:
+            path = tmp_path / ("corpus" if name == "manifest.json" else "rec") / name
         if target in self.BROKEN_MODELS:
             model = json.loads(path.read_text())
             self.BROKEN_MODELS[target](model)
@@ -459,28 +464,18 @@ class TestCliChain:
         assert not (tmp_path / "hyps.txt").exists()
 
     @pytest.mark.parametrize("command", ["decode", "align", "nbest"])
-    def test_no_path_names_the_word(self, workdir, tmp_path, capsys, monkeypatch, command):
+    def test_no_path_names_the_word(self, workdir, tmp_path, capsys, command):
         # the top byte of frame 0, column 1 of the second S1 word's
-        # descriptors set to 0x58 (about 5e14) leaves tandem Viterbi and
-        # forced alignment no path; N-best still finds a lattice there, so its engine is made to
-        # refuse the second word.  The exit-3 message names the word's file
-        from segspell.hmm import NoPathError
+        # descriptors set to 0x58 (about 5e14) leaves tandem Viterbi, forced
+        # alignment and N-best no path.  The exit-3 message names the word's
+        # file
         shutil.copytree(workdir / "corpus", tmp_path / "corpus")
         stems = [e["stem"] for e in json.loads((tmp_path / "corpus" / "manifest.json")
                                                .read_text())["entries"] if e["signer"] == "S1"]
         path = tmp_path / "corpus" / (stems[1] + ".fmat")
-        if command == "nbest":
-            calls, real = iter(range(len(stems))), pipeline.nbest
-
-            def refuse_second(*args):
-                if next(calls) == 1:
-                    raise NoPathError("no legal path for N-best search")
-                return real(*args)
-            monkeypatch.setattr(pipeline, "nbest", refuse_second)
-        else:
-            raw = path.read_bytes()
-            at = 12 + 4 * 1 + 3             # the header is 12 bytes, floats <f4
-            path.write_bytes(raw[:at] + b"\x58" + raw[at + 1:])
+        raw = path.read_bytes()
+        at = 12 + 4 * 1 + 3             # the header is 12 bytes, floats <f4
+        path.write_bytes(raw[:at] + b"\x58" + raw[at + 1:])
         rc = cli.main([command, "--recognizer", str(workdir / "rec"),
                        "--corpus", str(tmp_path / "corpus"), "--signers", "S1",
                        "--out", str(tmp_path / "out")])
@@ -548,15 +543,16 @@ class TestCliChain:
                          "--out", str(d / "lats"), "--n", "3"]) == 0
         return d, entry["stem"]
 
-    DECODE_READS = ("rec/classifier.json", "rec/pca.json", "rec/hmm.json", "rec/lm.arpa",
-                    "rec/frontend.json", "corpus/{}.json", "corpus/{}.fmat", "fp.json",
-                    "lats/{}.lat.jsonl")
+    NBEST_READS = ("rec/classifier.json", "rec/pca.json", "rec/hmm.json", "rec/lm.arpa",
+                   "rec/frontend.json", "corpus/manifest.json", "corpus/{}.json",
+                   "corpus/{}.fmat")
+    DECODE_READS = NBEST_READS + ("fp.json", "lats/{}.lat.jsonl")
 
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(target=st.sampled_from(DECODE_READS), damage=DAMAGE)
     def test_decode_refuses_damaged_input_without_traceback(self, one_word, target, damage):
-        # decode, plain and rescoring lattices, exits 0, 2 or 3 whatever
-        # damage one of the files it reads has taken
+        # decode, plain and rescoring lattices, and nbest exit 0, 2 or 3
+        # whatever damage one of the files they read has taken
         src, stem = one_word
         with tempfile.TemporaryDirectory() as tmp:
             d = Path(tmp)
@@ -564,13 +560,17 @@ class TestCliChain:
                 shutil.copytree(src / name, d / name)
             shutil.copy(src / "fp.json", d)
             damage_file(d / target.format(stem), damage)
-            for extra in ([], ["--scrf", str(d / "fp.json"), "--lattices", str(d / "lats")]):
+            runs = [["decode", "--out", str(d / "hyps.txt")],
+                    ["decode", "--out", str(d / "hyps.txt"), "--scrf", str(d / "fp.json"),
+                     "--lattices", str(d / "lats")]]
+            if target in self.NBEST_READS:
+                runs.append(["nbest", "--out", str(d / "nbest"), "--n", "3"])
+            for argv in runs:
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err):
-                    rc = cli.main(["decode", "--recognizer", str(d / "rec"),
-                                   "--corpus", str(d / "corpus"),
-                                   "--out", str(d / "hyps.txt")] + extra)
-                assert rc in (0, 2, 3) and "Traceback" not in err.getvalue()
+                    rc = cli.main(argv[:1] + ["--recognizer", str(d / "rec"),
+                                              "--corpus", str(d / "corpus")] + argv[1:])
+                assert rc in (0, 2, 3) and "Traceback" not in err.getvalue(), argv
 
     def test_align_and_nbest_outputs(self, workdir):
         d = workdir
