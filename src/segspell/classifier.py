@@ -171,13 +171,19 @@ def loss_and_gradients(model, x, labels, weight_decay=0.0, dropout_masks=None, g
 
     The gradient goes into ``grads``, ``model.like`` views of a vector laid
     out like ``model.params`` (new ones when None); returns (loss, grads)."""
-    grads = model.like(np.empty_like(model.params)) if grads is None else grads
     logits, hidden = model.forward(x, keep_hidden=True, dropout_masks=dropout_masks)
-    delta = softmax(logits)
-    n = len(labels)
-    loss = cross_entropy(delta, labels)
+    probs = softmax(logits)
+    loss = cross_entropy(probs, labels)
     if weight_decay:
         loss += 0.5 * weight_decay * sum(float((w * w).sum()) for w, _ in model.layers)
+    return loss, _backprop(model, probs, hidden, labels, weight_decay, dropout_masks, grads)
+
+
+def _backprop(model, delta, hidden, labels, weight_decay, dropout_masks=None, grads=None):
+    """``loss_and_gradients``' gradient from its forward pass: the softmax
+    outputs ``delta`` (overwritten) and the hidden activations."""
+    grads = model.like(np.empty_like(model.params)) if grads is None else grads
+    n = len(labels)
     delta[np.arange(n), labels] -= 1.0
     delta /= n
     for i in range(len(model.layers) - 1, -1, -1):
@@ -190,7 +196,7 @@ def loss_and_gradients(model, x, labels, weight_decay=0.0, dropout_masks=None, g
             if dropout_masks is not None:
                 delta *= dropout_masks[i - 1]
             delta *= hidden[i] > 0
-    return loss, grads
+    return grads
 
 
 def train_mlp(dataset, cfg, arch, class_names):
@@ -422,14 +428,15 @@ def adapt(model, adaptation_set, mode, cfg, window, static_dim):
     adapted = AdaptationModel(mode, model, window, static_dim)
     grad = np.empty_like(adapted.params)
     grads = adapted.like(grad)
-    if mode == "fine-tune":
-        def step(idx):
-            return loss_and_gradients(adapted.tuned, x[idx], y[idx], cfg.weight_decay,
-                                      grads=grads)[0], grad
-    else:
-        def step(idx):   # the batch loss is not tracked here
+
+    def step(idx):   # evaluate ignores the batch loss, so none is computed
+        if mode == "fine-tune":
+            logits, hidden = adapted.tuned.forward(x[idx], keep_hidden=True)
+            _backprop(adapted.tuned, softmax(logits), hidden, y[idx], cfg.weight_decay,
+                      grads=grads)
+        else:
             _lin_gradients(adapted, x[idx], y[idx], cfg.weight_decay, grads)
-            return 0.0, grad
+        return 0.0, grad
 
     def evaluate(_):
         loss = _adapted_loss(adapted, x, y)

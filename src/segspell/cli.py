@@ -542,13 +542,14 @@ def cmd_run_protocol(args, cfg):
     if not set(rows) <= set(pipeline.PROTOCOL_ROWS):
         raise ConfigError("--rows must be a comma list from %s, got %r"
                           % (",".join(pipeline.PROTOCOL_ROWS), args.rows))
+    # the manifest's top-level fields are checked by synthgen.read_manifest
     manifest, words = load_corpus_words(args.corpus)
-    signers = synthgen.make_signers(len(manifest["signers"]), manifest["seed"],
-                                    cfg.generator)
-    corpus = synthgen.Corpus(words, signers, manifest["word_list"],
-                             manifest["seed"], cfg.generator)
     if len(manifest["signers"]) < 2:
         raise DataError("protocol needs at least 2 signers for leave-one-out")
+    signers = synthgen.make_signers(len(manifest["signers"]), manifest["seed"],
+                                    cfg.generator)
+    corpus = synthgen.Corpus(words, signers, manifest["word_list"], manifest["seed"],
+                             cfg.generator, manifest["repetitions"])
     progress = print if args.verbose else None
     report = pipeline.run_protocol(corpus, cfg.pipeline, rows=rows, progress=progress)
     table = pipeline.format_protocol_table(report)

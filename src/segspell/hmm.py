@@ -409,13 +409,16 @@ def unit_transitions(model, lm, cfg):
     beg, end = idx[BEGIN_SILENCE], idx[END_SILENCE]
     trans[0, beg] = 0.0
     final[end] = 0.0
-    for l1 in model.letters:
-        i = idx[l1]
-        trans[0, i] = trans[beg + 1, i] = lw * lm.logprob(BEGIN_SILENCE, l1) - pen
-        trans[i + 1, end] = final[i] = lw * lm.logprob(l1, END_SILENCE)
-        for l2 in model.letters:
-            if l2 != l1 or model.unit_nstates[l1] > 1:
-                trans[i + 1, idx[l2]] = lw * lm.logprob(l1, l2) - pen
+    letters = list(model.letters)
+    li = np.array([idx[l] for l in letters], dtype=int)
+    # weighted log-probabilities: row 0 from <s>, column -1 into </s>
+    lp = lw * lm.logprobs[np.ix_(*lm.cells([BEGIN_SILENCE] + letters,
+                                            letters + [END_SILENCE]))]
+    trans[0, li] = trans[beg + 1, li] = lp[0, :-1] - pen
+    trans[li + 1, end] = final[li] = lp[1:, -1]
+    pairs = lp[1:, :-1] - pen
+    pairs[np.diag([model.unit_nstates[l] == 1 for l in letters])] = -np.inf
+    trans[np.ix_(li + 1, li)] = pairs
     return trans, final
 
 

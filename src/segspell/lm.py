@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
+
 from .alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet, UnknownSymbolError
 from .fileio import DataError, atomic_write_text
 
@@ -27,32 +29,54 @@ class BigramLm:
     """Bigram probabilities for the pairs seen in training plus backed-off
     unigrams for the rest: p(v | h) = bigram[h, v] when (h, v) was seen,
     else bow(h) * p1(v).  Both ``train_bigram`` and ``load_arpa`` build
-    this class, so a model behaves the same before and after a save."""
+    this class, so a model behaves the same before and after a save.
+
+    Every value is kept in one (histories x successors) table, ``probs``,
+    with its natural log in ``logprobs`` (each taken by ``math.log``:
+    ``np.log`` differs from it in the last bit for some values)."""
 
     def __init__(self, alphabet, bigram_probs, unigram_probs, backoff):
         self.alphabet = alphabet
         self.histories = (BEGIN_SILENCE,) + alphabet.letters + alphabet.doubled
         self.successors = alphabet.letters + alphabet.doubled + (END_SILENCE,)
-        self._succ_set = set(self.successors)
-        self._hist_set = set(self.histories)
+        self._row = {h: i for i, h in enumerate(self.histories)}
+        self._col = {v: j for j, v in enumerate(self.successors)}
         self.bigram_probs = dict(bigram_probs)
         self._uni = {s: unigram_probs[s] for s in self.successors}
         self._bow = dict(backoff)
+        table = [[self.bigram_probs.get((h, v), self._bow.get(h, 1.0) * self._uni[v])
+                  for v in self.successors] for h in self.histories]
+        self.probs = np.array(table)
+        self.logprobs = np.array([[math.log(p) for p in row] for row in table])
+
+    def cells(self, prevs, nexts):
+        """(rows, columns) of the table for the histories ``prevs`` and the
+        successors ``nexts``; UnknownSymbolError for a symbol outside them."""
+        for symbols, index, what in ((prevs, self._row, "history"),
+                                     (nexts, self._col, "successor")):
+            for s in symbols:
+                if s not in index:
+                    raise UnknownSymbolError("unknown %s symbol: %r" % (what, s))
+        return [self._row[s] for s in prevs], [self._col[s] for s in nexts]
 
     def backoff_weight(self, prev):
-        if prev not in self._hist_set:
-            raise UnknownSymbolError("unknown history symbol: %r" % (prev,))
+        self.cells([prev], [])
         return self._bow.get(prev, 1.0)
 
     def prob(self, prev, next_sym):
-        bow = self.backoff_weight(prev)
-        if next_sym not in self._succ_set:
-            raise UnknownSymbolError("unknown successor symbol: %r" % (next_sym,))
-        seen = self.bigram_probs.get((prev, next_sym))
-        return bow * self._uni[next_sym] if seen is None else seen
+        (i,), (j,) = self.cells([prev], [next_sym])
+        return float(self.probs[i, j])
 
     def logprob(self, prev, next_sym):
-        return math.log(self.prob(prev, next_sym))
+        (i,), (j,) = self.cells([prev], [next_sym])
+        return float(self.logprobs[i, j])
+
+    def prob_matrix(self, prevs, nexts):
+        """(len(prevs), len(nexts)) probabilities read from the table, 1.0
+        for a pair whose history or successor is outside the model."""
+        rows = np.array([self._row.get(s, -1) for s in prevs], dtype=int)
+        cols = np.array([self._col.get(s, -1) for s in nexts], dtype=int)
+        return np.where((rows >= 0)[:, None] & (cols >= 0), self.probs[np.ix_(rows, cols)], 1.0)
 
     def to_arpa(self):
         """Serialize in ARPA plain text (log10 values)."""
@@ -61,7 +85,7 @@ class BigramLm:
         # <s> is never predicted; by convention it gets log10 p = -99
         unigrams.append((-99.0, BEGIN_SILENCE, math.log10(self.backoff_weight(BEGIN_SILENCE))))
         for s in self.successors:
-            bow = self.backoff_weight(s) if s in self._hist_set else None
+            bow = self.backoff_weight(s) if s in self._row else None
             unigrams.append((math.log10(self._uni[s]), s, None if bow is None else math.log10(bow)))
         bigrams = []
         for h in self.histories:

@@ -77,14 +77,28 @@ class FeatureContext:
 
 def smoothed_derivative(descriptors, window=5):
     """L2 norms of consecutive-frame differences (length T-1), smoothed by a
-    centered moving average; windows shrink at the edges."""
+    centered moving average; windows shrink at the edges.
+
+    A full window of fewer than 8 values is summed left to right,
+    ``(((d0 + d1) + d2) + d3) + d4`` for window 5, then divided by its
+    length: the bits ``diffs[lo:hi].mean()`` gives, since NumPy adds so
+    few contiguous values in order.  Edge windows, and full windows of 8
+    or more, use ``mean()`` itself."""
     x = np.asarray(descriptors, dtype=np.float64)
     diffs = np.linalg.norm(np.diff(x, axis=0), axis=1)
+    n = len(diffs)
     half = window // 2
+    width = 2 * half + 1
     out = np.empty_like(diffs)
-    for i in range(len(diffs)):
-        lo, hi = max(0, i - half), min(len(diffs), i + half + 1)
-        out[i] = diffs[lo:hi].mean()
+    edges = range(n)
+    if width < 8 and n >= width:
+        total = diffs[:n - width + 1].copy()
+        for k in range(1, width):
+            total += diffs[k:n - width + 1 + k]
+        out[half:n - half] = total / width
+        edges = list(range(half)) + list(range(n - half, n))
+    for i in edges:
+        out[i] = diffs[max(0, i - half):min(n, i + half + 1)].mean()
     return out
 
 
@@ -141,15 +155,11 @@ class LmFeature:
     dim = 1
 
     def pair_matrix(self, ctx, labels):
-        """Values for every (left, right) pair, (L+1, L, 1); row 0 is START."""
-        def value(left, right):
-            try:
-                return ctx.lm.prob(left, right)
-            except (KeyError, AttributeError):
-                return 1.0
-
-        return np.array([[[value(left, right)] for right in labels]
-                         for left in [START_LABEL] + list(labels)])
+        """Values for every (left, right) pair, (L+1, L, 1); row 0 is START.
+        They are read from the LM's ``prob_matrix``."""
+        if ctx.lm is None:
+            return np.ones((len(labels) + 1, len(labels), 1))
+        return ctx.lm.prob_matrix([START_LABEL] + list(labels), labels)[..., None]
 
 
 class _Scalar:
@@ -271,6 +281,7 @@ class FirstPassFeatures(_Lexicalized):
         self.num_classes = num_classes
         self.max_duration = max_duration
         self.block = 6 * num_classes + max_duration + 1
+        self._selectors = {}    # T -> (starts, ends, a): see _selector
 
     def span_vectors(self, ctx, starts, ends):
         return self.span_scores(ctx, starts, ends, np.eye(self.block))
@@ -281,20 +292,32 @@ class FirstPassFeatures(_Lexicalized):
         and start (times +-1/d: the mean), the posteriors at its first,
         middle and last frames, its duration bucket and the bias.  ``parts``
         pairs each group of rows with the feature blocks it fills."""
-        from scipy.sparse import csr_array   # here: only first-pass users pay its 1.5 MB
         g = np.asarray(ctx.letter_posteriors, dtype=np.float64)
-        t, n, d, c = len(g), len(starts), ends + 1 - starts, self.num_classes
-        cols = np.stack([ends + 1, starts, t + 1 + starts, 2 * t + 1 + (starts + ends) // 2,
-                         3 * t + 1 + ends, 4 * t + np.minimum(d, self.max_duration),
-                         np.full(n, 4 * t + 1 + self.max_duration)], axis=1)
-        vals = np.ones((n, 7))
-        vals[:, 0], vals[:, 1] = 1.0 / d, -1.0 / d
-        a = csr_array((vals.ravel(), cols.ravel(), np.arange(0, 7 * n + 1, 7)),
-                      shape=(n, 4 * t + self.max_duration + 2))
+        t, c = len(g), self.num_classes
         block = [slice(k * c, (k + 1) * c) for k in range(6)] + [slice(6 * c, None)]
         cums = np.vstack([np.zeros(c), np.cumsum(g, axis=0)])
-        return a, [(cums, block[0:1]), (g, block[1::3]), (g, block[2:3]), (g, block[3::2]),
-                   (np.eye(self.max_duration + 1), block[6:])]
+        return self._selector(t, starts, ends), [
+            (cums, block[0:1]), (g, block[1::3]), (g, block[2:3]), (g, block[3::2]),
+            (np.eye(self.max_duration + 1), block[6:])]
+
+    def _selector(self, t, starts, ends):
+        """``_rows``' ``a``, which depends on the spans and T alone.  The
+        last one built for each T is kept with the arrays it was built for,
+        so the tables and both expectations of a full-space span set (the
+        same ``SpanIndex`` arrays on every call and epoch) build it once."""
+        held = self._selectors.get(t)
+        if held is None or held[0] is not starts or held[1] is not ends:
+            from scipy.sparse import csr_array   # here: only first-pass users pay its 1.5 MB
+            n, d = len(starts), ends + 1 - starts
+            cols = np.stack([ends + 1, starts, t + 1 + starts, 2 * t + 1 + (starts + ends) // 2,
+                             3 * t + 1 + ends, 4 * t + np.minimum(d, self.max_duration),
+                             np.full(n, 4 * t + 1 + self.max_duration)], axis=1)
+            vals = np.ones((n, 7))
+            vals[:, 0], vals[:, 1] = 1.0 / d, -1.0 / d
+            held = self._selectors[t] = (starts, ends, csr_array(
+                (vals.ravel(), cols.ravel(), np.arange(0, 7 * n + 1, 7)),
+                shape=(n, 4 * t + self.max_duration + 2)))
+        return held[2]
 
     def span_scores(self, ctx, starts, ends, wm):
         a, parts = self._rows(ctx, starts, ends)
@@ -590,6 +613,7 @@ class SpanIndex:
         self.starts = np.concatenate([t, 0 * b, b - 1])
         self.ends = np.concatenate([e, b, t_len + 0 * b])
         self.durations = self.ends - self.starts
+        self.last = self.ends - 1            # inclusive last frames
         self.by_end = np.lexsort((self.durations, self.ends))
         self.by_start = np.lexsort((self.durations, self.starts))
         self.end_cut = np.searchsorted(self.ends[self.by_end], np.arange(t_len + 2))
@@ -664,7 +688,7 @@ def compute_tables(model, ctx, weights=None):
     adds the pair scores to the constraints (initial labels in row 0, -inf
     for disallowed pairs).  The rest is weight-free (``_structure``)."""
     index, infeasible, trans, final, letters = _structure(model, ctx.num_frames)
-    scores, pair = model.edge_scores(ctx, index.starts, index.ends - 1, weights)
+    scores, pair = model.edge_scores(ctx, index.starts, index.last, weights)
     scores[infeasible] = NEG_INF
     return Tables(scores, trans + pair, final, index, letters)
 
@@ -825,7 +849,7 @@ def clamped_expectation(model, ctx, ref_labels, weights=None, tabs=None):
         post[:, y] += np.exp(a[i, starts] + scores[:, y] + pair[i] + b[i + 1, ends] - logz_c)
     counts = np.zeros(tabs.trans.shape)
     np.add.at(counts, (rows, lidx), 1.0)
-    return _expectation(model, ctx, starts, ends - 1, post, counts), float(logz_c)
+    return _expectation(model, ctx, starts, tabs.index.last, post, counts), float(logz_c)
 
 
 def free_expectation(model, ctx, weights=None, tabs=None):
@@ -845,7 +869,7 @@ def free_expectation(model, ctx, weights=None, tabs=None):
         head[1:, 1:] = alpha[1:t_len]
         vals = head[:, :, None] + tabs.trans[None] + inner[:, None, :] - logz
         pair_post = np.exp(vals).sum(axis=0)
-    return _expectation(model, ctx, tabs.index.starts, tabs.index.ends - 1, post, pair_post), logz
+    return _expectation(model, ctx, tabs.index.starts, tabs.index.last, post, pair_post), logz
 
 
 def resolve_reference(example, policy):

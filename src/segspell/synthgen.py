@@ -177,14 +177,11 @@ def generate_word(word, signer, seed_key, cfg=None, alphabet=None, table=None):
 
     lo, hi = cfg.letter_duration
     raw = []
-    durations = []
-    for tok in tokens:
-        base = rng.uniform(lo, hi)
+    for tok, base in zip(tokens, rng.uniform(lo, hi, len(tokens)).tolist()):
         if len(tok) == 2:  # doubled letter: one prolonged articulation
             base *= cfg.doubled_scale
-        pre_clamp = base * signer.speed
-        raw.append(pre_clamp)
-        durations.append(int(np.clip(round(pre_clamp), 2, 40)))
+        raw.append(base * signer.speed)
+    durations = [min(max(round(d), 2), 40) for d in raw]
     sil_lo, sil_hi = signer.nonsigning_frames
     d_begin = int(rng.integers(sil_lo, sil_hi + 1))
     d_end = int(rng.integers(sil_lo, sil_hi + 1))
@@ -198,31 +195,30 @@ def generate_word(word, signer, seed_key, cfg=None, alphabet=None, table=None):
         peaks.append(start + d // 2)
         start += d
 
-    targets = []
-    for u in units:
-        if u in (BEGIN_SILENCE, END_SILENCE):
-            base = rest_pose(u)
-        else:
-            base = letter_target(table.phonetic_values(u[0] * 2 if len(u) == 2 else u))
-        targets.append(base + cfg.jitter * rng.normal(size=POSE_DIM))
+    bases = np.array([rest_pose(u) if u in (BEGIN_SILENCE, END_SILENCE) else
+                      letter_target(table.phonetic_values(u[0] * 2 if len(u) == 2 else u))
+                      for u in units])
+    targets = bases + cfg.jitter * rng.normal(size=bases.shape)
 
     amp = signer.nonsigning_amplitude
     pre = targets[0] + amp * _unit(rng.normal(size=POSE_DIM))
     post = targets[-1] + amp * _unit(rng.normal(size=POSE_DIM))
     # each articulation holds its target pose around the peak, so the only
     # motion there is the wobble dip centered on the peak; holds shrink when
-    # neighboring peaks are close, keeping a real transition in between
-    knot_t, knot_x = [0], [pre]
+    # neighboring peaks are close, keeping a real transition in between.
+    # Knots name their pose by its row in ``poses``: pre, one per unit, post.
+    poses = np.vstack([pre, targets, post])
+    knot_t, knot_x = [0], [0]
     bounds = [0] + peaks + [t_len - 1]
-    for i, (p, x) in enumerate(zip(peaks, targets)):
+    for i, p in enumerate(peaks):
         gap_prev = p - bounds[i]
         gap_next = bounds[i + 2] - p
         hold_l = min(cfg.peak_hold, max(0, (gap_prev - 3) // 2))
         hold_r = min(cfg.peak_hold, max(0, (gap_next - 3) // 2))
         knot_t.extend([p - hold_l, p + hold_r])
-        knot_x.extend([x, x])
+        knot_x.extend([i + 1, i + 1])
     knot_t.append(t_len - 1)
-    knot_x.append(post)
+    knot_x.append(len(poses) - 1)
     # enforce strictly increasing knot times (tight gaps collapse the hold)
     ktimes, kvals = [0], [knot_x[0]]
     for t, x in zip(knot_t[1:], knot_x[1:]):
@@ -232,28 +228,30 @@ def generate_word(word, signer, seed_key, cfg=None, alphabet=None, table=None):
         else:
             ktimes.append(t)
             kvals.append(x)
+    # frame t < t_len - 1 lies on the interval [a, b) with a <= t < b, so a
+    # shared knot takes the later interval's pose
+    xa = poses[kvals[:-1]]
+    delta = poses[kvals[1:]] - xa
+    kt = np.asarray(ktimes)
+    span = np.repeat(np.arange(len(kt) - 1), np.diff(kt))
+    s = _smoothstep((np.arange(t_len - 1) - kt[span]) / (kt[span + 1] - kt[span]))
     pose = np.empty((t_len, POSE_DIM))
-    for a, b, xa, xb in zip(ktimes, ktimes[1:], kvals, kvals[1:]):
-        delta = xb - xa
-        dist_ab = float(np.linalg.norm(delta))
-        # transitions with too little motion (repeated letters, short edge
-        # moves) get a circular bounce orthogonal to the direct path, paced
-        # by the same smoothstep so motion still dips only at the knots
-        bounce = None
-        if xa is not xb and dist_ab < cfg.min_transition and b - a >= 3:
-            e1 = _unit(_orthogonalize(rng.normal(size=POSE_DIM), delta))
-            e2 = _unit(_orthogonalize(rng.normal(size=POSE_DIM), delta, e1))
+    pose[:-1] = xa[span] + s[:, None] * delta[span]
+    pose[-1] = poses[kvals[-1]]
+    # transitions with too little motion (repeated letters, short edge
+    # moves) get a circular bounce orthogonal to the direct path, paced by
+    # the same smoothstep so motion still dips only at the knots
+    for k, d in enumerate(delta):
+        dist_ab = _norm(d)
+        a, b = ktimes[k], ktimes[k + 1]
+        if kvals[k] != kvals[k + 1] and dist_ab < cfg.min_transition and b - a >= 3:
+            e1 = _unit(_orthogonalize(rng.normal(size=POSE_DIM), d))
+            e2 = _unit(_orthogonalize(rng.normal(size=POSE_DIM), d, e1))
             radius = 0.5 * (cfg.min_transition - dist_ab)
-            bounce = (radius, e1, e2)
-        for t in range(a, b + 1):
-            u = (t - a) / (b - a)
-            s = _smoothstep(u)
-            pose[t] = xa + s * delta
-            if bounce is not None:
-                radius, e1, e2 = bounce
-                psi = 2.0 * math.pi * s
-                pose[t] += radius * (math.sin(psi) * e1 + (1.0 - math.cos(psi)) * e2)
-    pose[ktimes[-1]:] = kvals[-1]
+            psi = (2.0 * math.pi * s[a:b]).tolist()
+            sin = np.array([math.sin(v) for v in psi])
+            cos = np.array([math.cos(v) for v in psi])
+            pose[a:b] += radius * (sin[:, None] * e1 + (1.0 - cos)[:, None] * e2)
 
     # wobble channels: random walks on circles whose angular step (hence
     # increment norm) shrinks near articulation peaks, so all motion dips
@@ -261,14 +259,17 @@ def generate_word(word, signer, seed_key, cfg=None, alphabet=None, table=None):
     mids = np.arange(t_len - 1) + 0.5
     dist = np.min(np.abs(mids[:, None] - np.asarray(peaks)[None, :]), axis=1)
     dwell = 0.35 + 0.65 * np.minimum(1.0, dist / cfg.dwell_ramp)
-    wobble = np.empty((t_len, 2 * cfg.wobble_circles))
+    theta = np.empty((cfg.wobble_circles, 1))
+    signs = np.empty((cfg.wobble_circles, t_len - 1))
     for c in range(cfg.wobble_circles):
-        theta = rng.uniform(0, 2 * math.pi)
-        signs = rng.choice([-1.0, 1.0], size=t_len - 1)
-        steps = signs * cfg.wobble_step * dwell
-        angles = theta + np.concatenate([[0.0], np.cumsum(steps)])
-        wobble[:, 2 * c] = signer.wobble_amplitude * np.cos(angles)
-        wobble[:, 2 * c + 1] = signer.wobble_amplitude * np.sin(angles)
+        theta[c] = rng.uniform(0, 2 * math.pi)
+        signs[c] = rng.choice([-1.0, 1.0], size=t_len - 1)
+    steps = np.zeros((cfg.wobble_circles, t_len))
+    np.cumsum(signs * cfg.wobble_step * dwell, axis=1, out=steps[:, 1:])
+    angles = theta + steps
+    wobble = np.empty((t_len, 2 * cfg.wobble_circles))
+    wobble[:, 0::2] = (signer.wobble_amplitude * np.cos(angles)).T
+    wobble[:, 1::2] = (signer.wobble_amplitude * np.sin(angles)).T
 
     desc = np.concatenate([pose, wobble], axis=1)
     if signer.noise_level > 0:
@@ -298,14 +299,20 @@ def generate_word(word, signer, seed_key, cfg=None, alphabet=None, table=None):
                          raw_durations=raw, seed_key=tuple(seed_key))
 
 
+def _norm(v):
+    """``np.linalg.norm`` of a float vector (the same bits), without its
+    argument handling."""
+    return math.sqrt(v.dot(v))
+
+
 def _unit(v):
-    n = np.linalg.norm(v)
+    n = _norm(v)
     return v / n if n > 0 else v
 
 
 def _orthogonalize(v, *others):
     for o in others:
-        n = np.linalg.norm(o)
+        n = _norm(o)
         if n > 0:
             v = v - (np.dot(v, o) / (n * n)) * o
     return v
@@ -372,10 +379,25 @@ def save_corpus(corpus, directory):
 
 
 def read_manifest(directory):
-    """The corpus manifest; refuses one without a list of ``entries`` that
-    each name their word's files by a string ``stem`` (DataError naming the
-    file)."""
+    """The corpus manifest; refuses one whose ``signers`` is not a non-empty
+    list of strings, ``seed`` not an integer, ``word_list`` not a list of
+    strings, ``repetitions`` not an integer of at least 1, or without a list
+    of ``entries`` that each name their word's files by a string ``stem``
+    (DataError naming the file)."""
+    def strings(value):
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+    def integer(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
     def checked(manifest):
+        for key, ok, what in (
+                ("signers", lambda v: strings(v) and len(v) > 0, "a non-empty list of strings"),
+                ("seed", integer, "an integer"),
+                ("word_list", strings, "a list of strings"),
+                ("repetitions", lambda v: integer(v) and v >= 1, "an integer >= 1")):
+            if not ok(manifest[key]):
+                raise ValueError("%s must be %s, got %r" % (key, what, manifest[key]))
         if not all(isinstance(e["stem"], str) for e in manifest["entries"]):
             raise ValueError("an entry's stem is not a string")
         return manifest

@@ -89,6 +89,9 @@ class ToyLm:
     def prob(self, a, b):
         return self.probs[(a, b)]
 
+    def prob_matrix(self, prevs, nexts):
+        return np.array([[self.probs.get((a, b), 1.0) for b in nexts] for a in prevs])
+
 
 def enumerate_scrf(model, ctx):
     out = []

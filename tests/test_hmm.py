@@ -575,3 +575,37 @@ class TestSerialization:
         with pytest.raises(DataError) as e:
             load_lattice(str(path))
         assert "%s line 2" % path in str(e.value)
+
+
+def reference_unit_transitions(model, lm, cfg):
+    """The decode graph's unit policy built one ``lm.logprob`` call at a
+    time: the oracle of the table-indexed ``unit_transitions``."""
+    from segspell.alphabet import BEGIN_SILENCE, END_SILENCE
+    idx = {u: i for i, u in enumerate(model.units)}
+    trans = np.full((len(idx) + 1, len(idx)), -np.inf)
+    final = np.full(len(idx), -np.inf)
+    lw, pen = cfg.lm_weight, cfg.penalty
+    beg, end = idx[BEGIN_SILENCE], idx[END_SILENCE]
+    trans[0, beg] = 0.0
+    final[end] = 0.0
+    for l1 in model.letters:
+        i = idx[l1]
+        trans[0, i] = trans[beg + 1, i] = lw * lm.logprob(BEGIN_SILENCE, l1) - pen
+        trans[i + 1, end] = final[i] = lw * lm.logprob(l1, END_SILENCE)
+        for l2 in model.letters:
+            if l2 != l1 or model.unit_nstates[l1] > 1:
+                trans[i + 1, idx[l2]] = lw * lm.logprob(l1, l2) - pen
+    return trans, final
+
+
+@pytest.mark.parametrize("letter_states", [1, 3])
+@pytest.mark.parametrize("lm_weight, penalty", [(1.0, 0.0), (2.7, 1.3), (0.35, -4.0)])
+def test_unit_transitions_match_per_pair_lookups(letter_states, lm_weight, penalty):
+    rng = np.random.default_rng(61)
+    alphabet = LetterAlphabet()
+    lm = train_bigram(["TULIP", "ROAD", "QUIZ", "ANNA", "BOX"], alphabet)
+    letters = ("Q", "A", "N", "Z", "B")
+    model = toy_model(rng, letters, letter_states=letter_states)
+    cfg = DecodeConfig(lm_weight=lm_weight, penalty=penalty)
+    got, want = hmm.unit_transitions(model, lm, cfg), reference_unit_transitions(model, lm, cfg)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -159,3 +159,24 @@ def test_shipped_wordlists_600_types():
     assert len(set(w1)) == 300 and len(set(w2)) == 300
     lm = train_bigram(w1 + w2)
     assert lm.prob("Q", "U") > lm.prob("Q", "Z")
+
+
+@pytest.mark.parametrize("doubled", [(), ("ZZ",)])
+def test_table_entries_equal_prob_and_logprob(tmp_path, doubled):
+    # one (histories x successors) table serves every lookup; its logs are
+    # math.log's bits, before and after an ARPA round trip
+    alphabet = LetterAlphabet(doubled=doubled)
+    trained = train_bigram(["PIZZA", "JAZZ", "TULIP", "ROAD", "QUIZ"], alphabet)
+    trained.save(str(tmp_path / "lm.arpa"))
+    for lm in (trained, load_arpa(str(tmp_path / "lm.arpa"), alphabet)):
+        assert lm.probs.shape == lm.logprobs.shape == (len(lm.histories), len(lm.successors))
+        for i, h in enumerate(lm.histories):
+            for j, v in enumerate(lm.successors):
+                assert lm.probs[i, j] == lm.prob(h, v)
+                assert lm.logprobs[i, j] == lm.logprob(h, v) == math.log(lm.prob(h, v))
+        outside = ["<start>", "<s>", "A", "</s>"]
+        matrix = lm.prob_matrix(outside, outside)
+        for i, h in enumerate(outside):
+            for j, v in enumerate(outside):
+                known = h in lm.histories and v in lm.successors
+                assert matrix[i, j] == (lm.prob(h, v) if known else 1.0)

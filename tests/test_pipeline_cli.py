@@ -425,6 +425,16 @@ class TestCliChain:
                                      + m["image_block"]["components"]],
         "manifest.json-entries": lambda m: m.pop("entries"),
         "manifest.json-stem": lambda m: m["entries"][0].update(stem=7),
+        "manifest.json-signers-null": lambda m: m.update(signers=None),
+        "manifest.json-signers-int": lambda m: m.update(signers=5),
+        "manifest.json-signers-empty": lambda m: m.update(signers=[]),
+        "manifest.json-signers-items": lambda m: m.update(signers=["S1", 2]),
+        "manifest.json-seed": lambda m: m.update(seed="x"),
+        "manifest.json-seed-float": lambda m: m.update(seed=1.5),
+        "manifest.json-word_list": lambda m: m.pop("word_list"),
+        "manifest.json-word_list-items": lambda m: m.update(word_list=[1, 2]),
+        "manifest.json-repetitions": lambda m: m.update(repetitions=0),
+        "manifest.json-repetitions-type": lambda m: m.update(repetitions="2"),
     }
 
     @pytest.mark.parametrize("target", ["classifier.json", "word.json", "word.fmat",
@@ -433,8 +443,9 @@ class TestCliChain:
         # a bundle file or a corpus word file that is not JSON, a descriptor
         # matrix cut short or a column narrower than the classifier reads,
         # a model of another schema or with a lost row of weights or a lost
-        # state, and a corpus manifest without entries or with a stem that
-        # is not a string, each name the file without a traceback
+        # state, and a corpus manifest without entries, with a stem that is
+        # not a string, or with a top-level field of the wrong type or
+        # value, each name the file without a traceback
         import shutil
         from segspell.fileio import read_matrix, write_matrix
         shutil.copytree(workdir / "rec", tmp_path / "rec")
@@ -462,6 +473,23 @@ class TestCliChain:
         assert rc == 3
         assert str(path) in err and "Traceback" not in err
         assert not (tmp_path / "hyps.txt").exists()
+
+    @pytest.mark.parametrize("target", [t for t in BROKEN_MODELS
+                                        if t.startswith("manifest.json-")])
+    def test_run_protocol_bad_manifest_exit_3(self, workdir, tmp_path, capsys, target):
+        # run-protocol reads the manifest's top-level fields through the
+        # same checking reader, so it stops before training anything
+        shutil.copytree(workdir / "corpus", tmp_path / "corpus")
+        path = tmp_path / "corpus" / "manifest.json"
+        model = json.loads(path.read_text())
+        self.BROKEN_MODELS[target](model)
+        path.write_text(json.dumps(model))
+        rc = cli.main(["run-protocol", "--corpus", str(tmp_path / "corpus"),
+                       "--out", str(tmp_path / "proto.json")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "proto.json").exists()
 
     @pytest.mark.parametrize("command", ["decode", "align", "nbest"])
     def test_no_path_names_the_word(self, workdir, tmp_path, capsys, command):

@@ -26,6 +26,9 @@ class ToyLm:
     def prob(self, a, b):
         return self.probs[(a, b)]
 
+    def prob_matrix(self, prevs, nexts):
+        return np.array([[self.probs.get((a, b), 1.0) for b in nexts] for a in prevs])
+
 
 def enumerate_all(model, ctx):
     """All (label sequence, segmentation) pairs under the model's
@@ -1233,6 +1236,34 @@ class TestFactoredFirstPass:
         # another constraint setting gets its own structure
         model.final_labels = None
         assert compute_tables(model, ctx).index is not first.index
+
+    def test_selector_built_once_per_span_set(self):
+        # the tables and both expectations of one full-space span set share
+        # one sparse selector across epochs; a lattice's spans of the same
+        # length get their own, and every result keeps its bits
+        rng = np.random.default_rng(56)
+        labels = ["<s>", "A", "B", "</s>"]
+        ctx = random_ctx(rng, 11, labels=labels)
+        model = silence_model(rng, ctx, labels, 4, pinned=True)
+        f, ref = model.features[0], ["<s>", "A", "B", "</s>"]
+
+        def epoch():
+            tabs = compute_tables(model, ctx)
+            return [tabs.scores, free_expectation(model, ctx, tabs=tabs)[0],
+                    clamped_expectation(model, ctx, ref, tabs=tabs)[0]]
+
+        epoch()
+        a = f._selectors[11][2]
+        model.weights = rng.normal(size=model.total_dim)
+        again = epoch()
+        assert f._selectors[11][2] is a
+        lattice = [(["<s>", "A", "</s>"], [Segment("<s>", 0, 2), Segment("A", 3, 7),
+                                           Segment("</s>", 8, 10)])]
+        scrf.lattice_scores(model, ctx, lattice)
+        assert f._selectors[11][2] is not a
+        f._selectors.clear()
+        for kept, rebuilt in zip(again, epoch()):
+            assert np.array_equal(kept, rebuilt)
 
     def test_from_parts_views_round_trip(self):
         rng = np.random.default_rng(53)

@@ -1,10 +1,15 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from segspell import synthgen
-from segspell.alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet
-from segspell.scrf import FeatureContext, delta_peak
-from segspell.segments import check_tiling
+from segspell.alphabet import (BEGIN_SILENCE, END_SILENCE, LetterAlphabet,
+                               PhoneticFeatureTable)
+from segspell.cli import builtin_wordlist
+from segspell.scrf import FeatureContext, delta_peak, smoothed_derivative
+from segspell.segments import Segment, check_tiling
 
 
 class TestGenerateWord:
@@ -177,3 +182,170 @@ class TestRenderFrames:
         assert frames[0].dtype == np.uint8
         assert masks[0].dtype == np.bool_
         assert len(frames) == word.num_frames
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the generator as it was written with per-frame loops.  The
+# vectorized generator must give the same bits on every token.
+
+def reference_smoothed_derivative(descriptors, window=5):
+    x = np.asarray(descriptors, dtype=np.float64)
+    diffs = np.linalg.norm(np.diff(x, axis=0), axis=1)
+    half = window // 2
+    out = np.empty_like(diffs)
+    for i in range(len(diffs)):
+        lo, hi = max(0, i - half), min(len(diffs), i + half + 1)
+        out[i] = diffs[lo:hi].mean()
+    return out
+
+
+def reference_generate_word(word, signer, seed_key, cfg, alphabet, table):
+    unit, orthogonalize = synthgen._unit, synthgen._orthogonalize
+    tokens = alphabet.tokenize(word)
+    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
+    lo, hi = cfg.letter_duration
+    raw = []
+    durations = []
+    for tok in tokens:
+        base = rng.uniform(lo, hi)
+        if len(tok) == 2:
+            base *= cfg.doubled_scale
+        pre_clamp = base * signer.speed
+        raw.append(pre_clamp)
+        durations.append(int(np.clip(round(pre_clamp), 2, 40)))
+    sil_lo, sil_hi = signer.nonsigning_frames
+    d_begin = int(rng.integers(sil_lo, sil_hi + 1))
+    d_end = int(rng.integers(sil_lo, sil_hi + 1))
+    units = [BEGIN_SILENCE] + tokens + [END_SILENCE]
+    unit_durs = [d_begin] + durations + [d_end]
+    t_len = sum(unit_durs)
+    peaks = []
+    start = 0
+    for d in unit_durs:
+        peaks.append(start + d // 2)
+        start += d
+    targets = []
+    for u in units:
+        if u in (BEGIN_SILENCE, END_SILENCE):
+            base = synthgen.rest_pose(u)
+        else:
+            base = synthgen.letter_target(
+                table.phonetic_values(u[0] * 2 if len(u) == 2 else u))
+        targets.append(base + cfg.jitter * rng.normal(size=synthgen.POSE_DIM))
+    amp = signer.nonsigning_amplitude
+    pre = targets[0] + amp * unit(rng.normal(size=synthgen.POSE_DIM))
+    post = targets[-1] + amp * unit(rng.normal(size=synthgen.POSE_DIM))
+    knot_t, knot_x = [0], [pre]
+    bounds = [0] + peaks + [t_len - 1]
+    for i, (p, x) in enumerate(zip(peaks, targets)):
+        hold_l = min(cfg.peak_hold, max(0, (p - bounds[i] - 3) // 2))
+        hold_r = min(cfg.peak_hold, max(0, (bounds[i + 2] - p - 3) // 2))
+        knot_t.extend([p - hold_l, p + hold_r])
+        knot_x.extend([x, x])
+    knot_t.append(t_len - 1)
+    knot_x.append(post)
+    ktimes, kvals = [0], [knot_x[0]]
+    for t, x in zip(knot_t[1:], knot_x[1:]):
+        t = min(max(t, ktimes[-1] + 1), t_len - 1)
+        if t <= ktimes[-1]:
+            kvals[-1] = x
+        else:
+            ktimes.append(t)
+            kvals.append(x)
+    pose = np.empty((t_len, synthgen.POSE_DIM))
+    for a, b, xa, xb in zip(ktimes, ktimes[1:], kvals, kvals[1:]):
+        delta = xb - xa
+        dist_ab = float(np.linalg.norm(delta))
+        bounce = None
+        if xa is not xb and dist_ab < cfg.min_transition and b - a >= 3:
+            e1 = unit(orthogonalize(rng.normal(size=synthgen.POSE_DIM), delta))
+            e2 = unit(orthogonalize(rng.normal(size=synthgen.POSE_DIM), delta, e1))
+            bounce = (0.5 * (cfg.min_transition - dist_ab), e1, e2)
+        for t in range(a, b + 1):
+            s = synthgen._smoothstep((t - a) / (b - a))
+            pose[t] = xa + s * delta
+            if bounce is not None:
+                radius, e1, e2 = bounce
+                psi = 2.0 * math.pi * s
+                pose[t] += radius * (math.sin(psi) * e1 + (1.0 - math.cos(psi)) * e2)
+    pose[ktimes[-1]:] = kvals[-1]
+    mids = np.arange(t_len - 1) + 0.5
+    dist = np.min(np.abs(mids[:, None] - np.asarray(peaks)[None, :]), axis=1)
+    dwell = 0.35 + 0.65 * np.minimum(1.0, dist / cfg.dwell_ramp)
+    wobble = np.empty((t_len, 2 * cfg.wobble_circles))
+    for c in range(cfg.wobble_circles):
+        theta = rng.uniform(0, 2 * math.pi)
+        signs = rng.choice([-1.0, 1.0], size=t_len - 1)
+        angles = theta + np.concatenate([[0.0], np.cumsum(signs * cfg.wobble_step * dwell)])
+        wobble[:, 2 * c] = signer.wobble_amplitude * np.cos(angles)
+        wobble[:, 2 * c + 1] = signer.wobble_amplitude * np.sin(angles)
+    desc = np.concatenate([pose, wobble], axis=1)
+    if signer.noise_level > 0:
+        desc = desc + signer.noise_level * rng.normal(size=desc.shape)
+    desc = desc @ signer.rotation.T + signer.bias
+    curve = reference_smoothed_derivative(desc)
+    cuts = []
+    for p0, p1 in zip(peaks, peaks[1:]):
+        mid = (p0 + p1) // 2
+        lo = max(p0 + 1, mid - 2)
+        hi = min(p1 - 2, mid + 2)
+        if hi < lo:
+            m = min(max(mid, p0 + 1), max(p1 - 1, p0 + 1))
+        else:
+            m = lo + int(np.argmax(curve[lo:hi + 1]))
+        cuts.append(m)
+    segments = [Segment(u, s, e) for u, s, e in
+                zip(units, [0] + [m + 1 for m in cuts], cuts + [t_len - 1])]
+    return desc, segments, peaks, raw
+
+
+def oracle_tokens(signers, gen_config):
+    """(word, signer, seed key, config, alphabet) for 317 tokens: list-1
+    words, the ZZ alphabet, one-letter words, adjacent repeated letters,
+    and signers and configs without noise or wobble."""
+    plain, zz = LetterAlphabet(), LetterAlphabet(doubled=("ZZ",))
+    quiet = [dataclasses.replace(s, noise_level=0.0) for s in signers]
+    still = dataclasses.replace(gen_config, wobble_circles=0)
+    still_signers = synthgen.make_signers(4, 12, still)
+    repeated = ["ANN", "BOO", "MISSISSIPPI", "TALLAHASSEE", "AAAA", "EE", "BOOKKEEPER"]
+    tokens = []
+    for wi, word in enumerate(builtin_wordlist("1")[:160]):
+        tokens.append((word, signers[wi % 4], (7, wi % 4, wi, 0), gen_config, plain))
+    for wi, word in enumerate(["PIZZA", "JAZZ", "ZZ", "FIZZ", "BUZZ", "ZZZ"] * 4):
+        tokens.append((word, signers[wi % 4], (8, wi % 4, wi, 0), gen_config, zz))
+    for wi, word in enumerate("ABCDEFGHIJKLMNOPQRSTUVWXYZ"):
+        tokens.append((word, signers[wi % 4], (9, wi % 4, wi, 1), gen_config, plain))
+    for wi, word in enumerate(repeated * 4):
+        tokens.append((word, signers[wi % 4], (10, wi % 4, wi, 0), gen_config, plain))
+    for wi, word in enumerate(builtin_wordlist("2")[:40] + repeated[:4]):
+        tokens.append((word, quiet[wi % 4], (11, wi % 4, wi, 0), gen_config, plain))
+    for wi, word in enumerate(builtin_wordlist("2")[40:70] + repeated[4:] + ["Q", "JAZZ"]):
+        tokens.append((word, still_signers[wi % 4], (12, wi % 4, wi, 0), still,
+                       zz if "ZZ" in word else plain))
+    return tokens
+
+
+class TestGeneratorOracle:
+    def test_tokens_match_reference_bit_for_bit(self, signers, gen_config):
+        table = PhoneticFeatureTable()
+        tokens = oracle_tokens(signers, gen_config)
+        assert len(tokens) >= 300
+        for word, signer, key, cfg, alphabet in tokens:
+            got = synthgen.generate_word(word, signer, key, cfg, alphabet, table)
+            desc, segments, peaks, raw = reference_generate_word(
+                word, signer, key, cfg, alphabet, table)
+            assert np.array_equal(got.descriptors, desc), (word, key)
+            assert got.segments == segments, (word, key)
+            assert got.peaks == peaks, (word, key)
+            assert got.raw_durations == raw, (word, key)
+
+    @pytest.mark.parametrize("window", [3, 5, 7])
+    def test_smoothed_derivative_matches_reference(self, window):
+        rng = np.random.default_rng(np.random.SeedSequence((16, window)))
+        for frames in range(1, 16):
+            for scale in 10.0 ** np.arange(-3, 4):
+                for _ in range(5):
+                    x = scale * rng.normal(size=(frames, 6))
+                    assert np.array_equal(smoothed_derivative(x, window),
+                                          reference_smoothed_derivative(x, window)), \
+                        (frames, scale)
