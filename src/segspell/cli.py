@@ -19,11 +19,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import os
 import sys
 import time
 import typing
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -33,11 +33,11 @@ from .alphabet import LetterAlphabet
 from .classifier import history_csv, load_classifier
 from .fileio import (DataError, FieldError, atomic_write_text, check_fields, in_file,
                      read_json, read_png, sha256_file, write_json, write_matrix, write_png)
-from .hmm import NoPathError, forced_align
+from .hmm import forced_align
 from .lm import load_arpa, train_bigram
 from .metrics import format_report, score_corpus
 from .pipeline import PipelineConfig, ScrfConfig, load_recognizer, save_recognizer
-from .segments import load_lattice, save_lattice, to_jsonable
+from .segments import NoPathError, load_lattice, save_lattice, to_jsonable
 from .vision import (HogConfig, apply_pca, fit_hand_color_model, fit_pca, hog_descriptor,
                      segment_hand)
 
@@ -234,11 +234,10 @@ def load_corpus_words(directory, signers=None, classifier=None, window=None):
         stems = [s for _, s in pairs]
     if classifier is not None:
         width = getattr(classifier, "base", classifier).input_dim
-        for w, stem in zip(words, stems):
+        for w in words:
             if w.descriptors.shape[1] * window != width:
                 raise DataError("%s: %d columns x window %d, the classifier reads %d" % (
-                    os.path.join(directory, stem + ".fmat"), w.descriptors.shape[1], window,
-                    width))
+                    w.path, w.descriptors.shape[1], window, width))
     return dict(manifest, stems=stems), words
 
 
@@ -249,17 +248,6 @@ def recognizer_words(args, cfg, signers):
     manifest, words = load_corpus_words(args.corpus, signers, rec.classifier,
                                         rec.cfg.frontend.window)
     return rec, manifest, words
-
-
-@contextmanager
-def naming_words(directory, stems):
-    """A NoPathError raised by ``pipeline.each_word`` for a word names the
-    word's ``.fmat`` in corpus ``directory``."""
-    try:
-        yield
-    except NoPathError as e:
-        raise NoPathError("%s: %s" % (os.path.join(directory, stems[e.word_index] + ".fmat"),
-                                      e)) from None
 
 
 def write_hyps(path, pairs_with_ids):
@@ -405,9 +393,8 @@ def cmd_adapt(args, cfg):
 def cmd_align(args, cfg):
     rec, manifest, words = recognizer_words(args, cfg, args.signers)
     stems = manifest["stems"]
-    with naming_words(args.corpus, stems):
-        aligned = pipeline.each_word(
-            lambda w: forced_align(rec.hmm, rec.observations(w), w.letters), words)
+    aligned = pipeline.each_word(
+        lambda w: forced_align(rec.hmm, rec.observations(w), w.letters), words)
     lines = [json.dumps({"stem": stem, "word": w.word, "spans": to_jsonable(segs),
                          "score": score}, sort_keys=True)
              for stem, w, (segs, score) in zip(stems, words, aligned)]
@@ -419,8 +406,7 @@ def cmd_align(args, cfg):
 def cmd_nbest(args, cfg):
     n = option(args, "n", cfg.pipeline.decode, "nbest")
     rec, manifest, words = recognizer_words(args, cfg, args.signers)
-    with naming_words(args.corpus, manifest["stems"]):
-        lattices = pipeline.nbest_lattices(rec, words, n)
+    lattices = pipeline.nbest_lattices(rec, words, n)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     for stem, lattice in zip(manifest["stems"], lattices):
@@ -460,8 +446,7 @@ def cmd_decode(args, cfg):
     elif args.scrf:
         pairs = pipeline.firstpass_decode(model, rec, words)
     else:
-        with naming_words(args.corpus, stems):
-            pairs = pipeline.decode_words(rec, words)
+        pairs = pipeline.decode_words(rec, words)
     write_hyps(args.out, [(stem, hyp) for stem, (_, hyp) in zip(stems, pairs)])
     outputs = [args.out]
     if args.refs:
@@ -550,8 +535,10 @@ def cmd_run_protocol(args, cfg):
                                     cfg.generator)
     corpus = synthgen.Corpus(words, signers, manifest["word_list"], manifest["seed"],
                              cfg.generator, manifest["repetitions"])
-    progress = print if args.verbose else None
-    report = pipeline.run_protocol(corpus, cfg.pipeline, rows=rows, progress=progress)
+    if args.verbose:   # progress lines go to stderr: stdout keeps the table
+        logging.basicConfig(format="%(message)s")
+        logging.getLogger("segspell").setLevel(logging.INFO)
+    report = pipeline.run_protocol(corpus, cfg.pipeline, rows=rows)
     table = pipeline.format_protocol_table(report)
     write_json(args.out, report)
     table_path = os.path.splitext(args.out)[0] + ".txt"

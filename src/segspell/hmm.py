@@ -42,10 +42,10 @@ import numpy as np
 from .alphabet import BEGIN_SILENCE, END_SILENCE
 from .fileio import DataError, check_fields, in_file, read_model, shaped_array, write_json
 from .scrf import Tables, nbest_segmentations
-from .segments import Segment, check_tiling, lattice_from_ranked
+from .segments import NoPathError, Segment, check_tiling, lattice_from_ranked
+from .vision import diag_gaussian_logpdf
 
 LOG_ZERO = -1e30
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
@@ -56,11 +56,6 @@ class DecodeConfig:
 
     def __post_init__(self):
         check_fields(self)
-
-
-class NoPathError(RuntimeError):
-    """No state path fits the sequence; the command line exits 3."""
-    exit_code = 3
 
 
 def _no_path(score):
@@ -84,26 +79,18 @@ class LetterHmm:
 
         counts = [letter_states] * len(self.letters) + [silence_states] * 2
         self.unit_nstates = dict(zip(self.units, counts))
-        self.unit_first = {}
-        offset = 0
-        unit_of = []
-        is_last = []
-        for u, c in zip(self.units, counts):
-            self.unit_first[u] = offset
-            unit_of.extend([u] * c)
-            is_last.extend([False] * (c - 1) + [True])
-            offset += c
-        self.n_states = offset
-        self.state_unit = unit_of
-        self.is_last = np.array(is_last)
+        self.unit_first = dict(zip(self.units, (np.cumsum(counts) - counts).tolist()))
+        self.state_unit_index = np.repeat(np.arange(len(self.units)), counts)
+        self.n_states = s = len(self.state_unit_index)
+        self.is_last = np.diff(self.state_unit_index, append=-1) != 0
 
-        self.means = np.zeros((offset, components, dim))
-        self.variances = np.ones((offset, components, dim))
-        self.log_weights = np.full((offset, components), -math.log(components))
+        self.means = np.zeros((s, components, dim))
+        self.variances = np.ones((s, components, dim))
+        self.log_weights = np.full((s, components), -math.log(components))
         # two-outcome transitions per state: stay vs advance (advance from a
         # unit's final state means leaving the unit)
-        self.log_self = np.full(offset, math.log(0.5))
-        self.log_next = np.full(offset, math.log(0.5))
+        self.log_self = np.full(s, math.log(0.5))
+        self.log_next = np.full(s, math.log(0.5))
 
     def unit_states(self, unit):
         first = self.unit_first[unit]
@@ -121,12 +108,8 @@ class LetterHmm:
 
         Returns (ll_comp, ll_tot) with shapes (T, k, M) and (T, k)."""
         seq = np.asarray(seq, dtype=np.float64)
-        diff = seq[:, None, None, :] - self.means[None, states]
-        np.square(diff, out=diff)
-        diff /= self.variances[None, states]
-        ll = -0.5 * (np.sum(diff, axis=3)
-                     + np.sum(np.log(self.variances[states]), axis=2)[None]
-                     + self.dim * LOG_2PI)
+        ll = diag_gaussian_logpdf(seq[:, None, None, :], self.means[states],
+                                  self.variances[states])
         ll += self.log_weights[None, states]
         m = ll.max(axis=2)
         tot = m + np.log(np.sum(np.exp(ll - m[:, :, None]), axis=2))
@@ -447,17 +430,15 @@ def build_decode_graph(model, lm, cfg):
     return a, pi, omega
 
 
-def _states_to_segments(model, state_path):
-    segs = []
-    start = 0
-    for t in range(1, len(state_path) + 1):
-        boundary = (t == len(state_path)
-                    or model.state_unit[state_path[t]] != model.state_unit[state_path[t - 1]]
-                    or state_path[t] < state_path[t - 1])
-        if boundary:
-            segs.append(Segment(model.state_unit[state_path[start]], start, t - 1))
-            start = t
-    return segs
+def _path_segments(units, unit_of, path):
+    """The segments of a state path, state s being in unit
+    ``units[unit_of[s]]``.  A segment ends where the unit changes or where
+    the state index falls: a unit re-entered after itself."""
+    path = np.asarray(path)
+    ids = unit_of[path]
+    cuts = np.flatnonzero((np.diff(ids) != 0) | (np.diff(path) < 0)) + 1
+    bounds = [0] + cuts.tolist() + [len(path)]
+    return [Segment(units[ids[b]], b, e - 1) for b, e in zip(bounds, bounds[1:])]
 
 
 def _viterbi(a, pi, omega, emis):
@@ -492,7 +473,7 @@ def viterbi_decode(model, lm, seq, cfg=None, graph=None):
     best, path = _viterbi(a, pi, omega, model.emission_logprobs(seq))
     if _no_path(best):
         raise NoPathError("no legal path (sequence too short for any letter sequence?)")
-    segs = _states_to_segments(model, path)
+    segs = _path_segments(model.units, model.state_unit_index, path)
     letters = [s.label for s in segs if s.label not in (BEGIN_SILENCE, END_SILENCE)]
     return letters, segs, best
 
@@ -528,9 +509,7 @@ def forced_align(model, seq, letters):
     best, path = _viterbi(a, pi, omega, model.emission_logprobs_subset(seq, states)[1])
     if _no_path(best):
         raise NoPathError("no alignment path for the constrained sequence")
-    ids = unit_id[path]
-    bounds = [0] + (np.flatnonzero(np.diff(ids)) + 1).tolist() + [t_len]
-    return [Segment(units[ids[b]], b, e - 1) for b, e in zip(bounds, bounds[1:])], best
+    return _path_segments(units, unit_id, path), best
 
 
 # ---------------------------------------------------------------------------

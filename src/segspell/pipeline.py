@@ -12,6 +12,7 @@ from ground truth or from forced alignments.
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -22,16 +23,18 @@ from .alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet
 from .classifier import (AdaptationModel, FramePosteriors, TrainConfig, adapt,
                          build_tandem_observation, load_classifier, train_mlp)
 from .fileio import DataError, FieldError, check_fields, in_file, read_model, write_json
-from .hmm import (DecodeConfig, LetterHmm, NoPathError, build_decode_graph, forced_align,
-                  nbest, train_em, unit_transitions, viterbi_decode)
+from .hmm import (DecodeConfig, LetterHmm, build_decode_graph, forced_align, nbest, train_em,
+                  unit_transitions, viterbi_decode)
 from .lm import load_arpa, train_bigram
 from .metrics import score_corpus
 from .scrf import (BaselineFeature, ClassifierStatFeature, FeatureContext,
                    FirstPassFeatures, LmFeature, PeakFeature, ScrfConfig, SegmentalModel,
                    SegmentClassifierFeature, TrainingExample, build_second_pass,
                    nbest_decode, rescore, train_cll, viterbi as scrf_viterbi)
-from .segments import frame_labels, letters_only
+from .segments import NoPathError, frame_labels, letters_only
 from .vision import PcaModel, fit_pca, stack_windows
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -110,7 +113,8 @@ def frame_dataset(words, alphabet, window, labels=ground_truth_frame_labels):
     """Stacked windows and integer frame labels (``labels(word, alphabet)``,
     ground truth by default), pooled over words."""
     return (np.concatenate([stack_windows(w.descriptors, window) for w in words]),
-            np.asarray([y for w in words for y in labels(w, alphabet)], dtype=int))
+            np.asarray([y for ys in each_word(lambda w: labels(w, alphabet), words)
+                        for y in ys], dtype=int))
 
 
 def train_frame_classifier(words, alphabet, cfg, seed_offset=0):
@@ -160,14 +164,16 @@ def build_recognizer(train_words, alphabet, cfg, lm_words=None, seed_offset=0):
 
 
 def each_word(fn, words):
-    """[fn(w) for w in words]; a NoPathError raised for a word carries the
-    word's position in ``words`` as ``word_index``."""
+    """[fn(w) for w in words]; a NoPathError raised for a word carries that
+    word as ``word``, unless a nested call already set it, so its message
+    names the word's file."""
     out = []
-    for i, w in enumerate(words):
+    for w in words:
         try:
             out.append(fn(w))
         except NoPathError as e:
-            e.word_index = i
+            if e.word is None:
+                e.word = w
             raise
     return out
 
@@ -269,13 +275,14 @@ def split_by_signer(corpus):
 PROTOCOL_ROWS = ("independent", "FA", "GT", "dependent")
 
 
-def run_protocol(corpus, cfg=None, alphabet=None, rows=PROTOCOL_ROWS, progress=None):
+def run_protocol(corpus, cfg=None, alphabet=None, rows=PROTOCOL_ROWS):
     """The full evaluation protocol on a synthetic corpus.
 
     Emits a table shaped like the headline letter-error-rate table: one row
     per training condition (signer-independent, forced-alignment adapted,
     ground-truth adapted, signer-dependent), one column per signer plus the
     mean, each cell a letter error rate with its D/S/I decomposition.
+    Progress goes to this module's logger at INFO.
     """
     cfg = cfg or PipelineConfig()
     alphabet = alphabet or LetterAlphabet()
@@ -284,11 +291,6 @@ def run_protocol(corpus, cfg=None, alphabet=None, rows=PROTOCOL_ROWS, progress=N
     lm_words = corpus.word_list
     results = {row: {} for row in rows}
     details = {row: {} for row in rows}
-
-    def note(msg):
-        if progress:
-            progress(msg)
-
     if "dependent" in rows:
         for si, sid in enumerate(signer_ids):
             folds = dependent_folds(by_signer[sid], cfg.folds, cfg.seed + si)
@@ -303,7 +305,7 @@ def run_protocol(corpus, cfg=None, alphabet=None, rows=PROTOCOL_ROWS, progress=N
                 pairs = decode_words(rec, test)
                 pooled.extend(pairs)
                 fold_scores.append(score_corpus(pairs)["ler"])
-                note("dependent %s fold %d: LER %.2f" % (sid, f, fold_scores[-1]))
+                log.info("dependent %s fold %d: LER %.2f", sid, f, fold_scores[-1])
             scores = score_corpus(pooled)
             results["dependent"][sid] = scores["ler"]
             details["dependent"][sid] = scores
@@ -315,14 +317,14 @@ def run_protocol(corpus, cfg=None, alphabet=None, rows=PROTOCOL_ROWS, progress=N
                      for w in by_signer[other]]
             independents[sid] = build_recognizer(train, alphabet, cfg, lm_words,
                                                  seed_offset=1000 + si)
-            note("independent recognizer for %s trained" % sid)
+            log.info("independent recognizer for %s trained", sid)
 
     if "independent" in rows:
         for sid in signer_ids:
             scores = evaluate(independents[sid], by_signer[sid])
             results["independent"][sid] = scores["ler"]
             details["independent"][sid] = scores
-            note("independent %s: LER %.2f" % (sid, scores["ler"]))
+            log.info("independent %s: LER %.2f", sid, scores["ler"])
 
     for row, source in (("GT", "GT"), ("FA", "FA")):
         if row not in rows:
@@ -336,7 +338,7 @@ def run_protocol(corpus, cfg=None, alphabet=None, rows=PROTOCOL_ROWS, progress=N
             scores = evaluate(adapted, eval_words)
             results[row][sid] = scores["ler"]
             details[row][sid] = scores
-            note("%s-adapted %s: LER %.2f" % (source, sid, scores["ler"]))
+            log.info("%s-adapted %s: LER %.2f", source, sid, scores["ler"])
 
     for row in rows:
         vals = [results[row][sid] for sid in signer_ids]
@@ -431,8 +433,8 @@ def train_firstpass(recognizer, train_words, alphabet, scfg=ScrfConfig()):
 
 
 def firstpass_decode(model, recognizer, words):
-    return [(w.letters, letters_only(scrf_viterbi(model, make_context(recognizer, w))[0]))
-            for w in words]
+    return each_word(lambda w: (w.letters, letters_only(
+        scrf_viterbi(model, make_context(recognizer, w))[0])), words)
 
 
 def build_rescoring_model(alphabet, num_classes, scfg):
@@ -452,11 +454,12 @@ def build_rescoring_model(alphabet, num_classes, scfg):
 
 def train_rescoring(recognizer, train_words, alphabet, scfg=ScrfConfig(), lattices=None):
     """Rescoring SCRF trained by lattice-restricted CLL over baseline
-    N-best lattices (generated here when not supplied)."""
+    N-best lattices; when not supplied, the recognizer's ``nbest_lattices``,
+    the size ``rescore_words`` decodes on."""
     num_classes = len(recognizer.classifier.class_names)
     model = build_rescoring_model(alphabet, num_classes, scfg)
     if lattices is None:
-        lattices = nbest_lattices(recognizer, train_words, scfg.nbest)
+        lattices = nbest_lattices(recognizer, train_words)
     data = []
     for w, lattice in zip(train_words, lattices):
         ctx = make_context(recognizer, w, lm=recognizer.lm,
@@ -530,13 +533,14 @@ def run_cascade(recognizer_train, recognizer_eval, train_words, eval_words,
     train_cll(second, [replace(ex, lattice=nbest_decode(first, ex.ctx, scfg.nbest))
                        for ex in _full_space_examples(recognizer_train, train_words)], scfg)
 
-    first_pairs, second_pairs = [], []
-    for w in eval_words:
+    def both_passes(w):
         ctx = make_context(recognizer_eval, w)
         lattice = nbest_decode(first, ctx, scfg.nbest)
-        first_pairs.append((w.letters, letters_only(list(lattice.hypotheses[0].labels))))
-        labels, _, _ = rescore(second, lattice, ctx)
-        second_pairs.append((w.letters, letters_only(labels)))
+        return ((w.letters, letters_only(list(lattice.hypotheses[0].labels))),
+                (w.letters, letters_only(rescore(second, lattice, ctx)[0])))
+
+    pairs = each_word(both_passes, eval_words)
+    first_pairs, second_pairs = [p for p, _ in pairs], [p for _, p in pairs]
     return {"first_ler": score_corpus(first_pairs)["ler"],
             "second_ler": score_corpus(second_pairs)["ler"],
             "first_pairs": first_pairs, "second_pairs": second_pairs}

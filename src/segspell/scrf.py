@@ -37,8 +37,8 @@ from .alphabet import BEGIN_SILENCE, END_SILENCE
 from .fileio import (DataError, FieldError, check_fields, in_file, read_json, shaped_array,
                      write_json)
 from .metrics import align
-from .segments import (CandidateLattice, Hypothesis, Segment, check_tiling,
-                       lattice_from_ranked)
+from .segments import (CandidateLattice, Hypothesis, NoPathError, Segment, check_tiling,
+                       lattice_from_ranked, letters_only)
 
 START_LABEL = "<start>"
 NEG_INF = -np.inf
@@ -749,15 +749,22 @@ def log_partition(model, ctx, mode="full", lattice=None, weights=None):
     return _logsumexp(alpha[ctx.num_frames] + tabs.final)
 
 
+def _ranked(model, ctx, n, weights=None):
+    """``nbest_segmentations`` of the sequence's tables, NoPathError when
+    it is empty."""
+    ranked = nbest_segmentations(compute_tables(model, ctx, weights), n)
+    if not ranked:
+        raise NoPathError("no legal segmentation of %d frames" % ctx.num_frames)
+    return ranked
+
+
 def viterbi(model, ctx, weights=None):
     """Best labeled segmentation under the duration bounds, as (labels,
     segments, score): the top of ``nbest_segmentations``, so exact ties
     resolve to the shortest final segment, then the lowest previous-label
-    index (and, at the last frame, the lowest label index)."""
-    ranked = nbest_segmentations(compute_tables(model, ctx, weights), 1)
-    if not ranked:
-        raise ValueError("no legal segmentation (check duration bounds)")
-    score, spans = ranked[0]
+    index (and, at the last frame, the lowest label index).  NoPathError
+    when no segmentation is legal."""
+    score, spans = _ranked(model, ctx, 1, weights)[0]
     segments = [Segment(model.labels[y], start, end) for y, start, end in spans]
     return [s.label for s in segments], segments, score
 
@@ -789,7 +796,7 @@ class ScrfConfig:
     epochs: int = in_file(default=10, at_least=0)
     l1: float = in_file(default=0.0, at_least=0)
     l2: float = in_file(default=1e-4, at_least=0)
-    nbest: int = in_file(default=8, at_least=1)
+    nbest: int = in_file(default=8, at_least=1)   # the cascade's first-pass lattices only
     init_scale: float = 8.0
     rescoring_kinds: tuple[str, ...] = ("mean", "max")
     ref_policy: str = in_file(default="add-ground-truth", choices=REF_POLICIES)
@@ -821,7 +828,8 @@ def clamped_expectation(model, ctx, ref_labels, weights=None, tabs=None):
     them share the reference's label pairs, so the pair score of each
     reference position is one constant, and each position's recursion runs
     over every span at once.  The positions' span posteriors are summed
-    into one (spans, L) array before the expectation."""
+    into one (spans, L) array before the expectation.  NoPathError when
+    no segmentation carries the reference labels."""
     if tabs is None:
         tabs = compute_tables(model, ctx, weights)
     t_len = ctx.num_frames
@@ -842,7 +850,8 @@ def clamped_expectation(model, ctx, ref_labels, weights=None, tabs=None):
         np.logaddexp.at(b[i], starts, b[i + 1, ends] + scores[:, lidx[i]] + pair[i])
     logz_c = a[k, t_len] + b[k, t_len]
     if logz_c == NEG_INF:
-        return None, NEG_INF
+        raise NoPathError("no segmentation of %d frames carries the reference %s"
+                          % (t_len, "".join(letters_only(ref_labels))))
 
     post = np.zeros(scores.shape)
     for i, y in enumerate(lidx):
@@ -912,8 +921,6 @@ def example_gradient(model, example, terms=None):
     if example.lattice is None:
         tabs = compute_tables(model, ctx)
         emp, logz_c = clamped_expectation(model, ctx, example.ref_labels, tabs=tabs)
-        if emp is None:
-            raise ValueError("reference labels admit no segmentation")
         exp_free, logz = free_expectation(model, ctx, tabs=tabs)
         return emp - exp_free, logz_c - logz
     feats, in_ref = lattice_terms(model, example) if terms is None else terms
@@ -1039,11 +1046,9 @@ def nbest_segmentations(tabs, n):
 
 def nbest_decode(model, ctx, n):
     """Top-n labeled segmentations by score; hypotheses are distinct
-    (label sequence, segmentation) pairs by construction."""
-    ranked = nbest_segmentations(compute_tables(model, ctx), n)
-    if not ranked:
-        raise ValueError("no legal segmentation for N-best decode")
-    return lattice_from_ranked(model.labels, ranked, ctx.num_frames)
+    (label sequence, segmentation) pairs by construction.  NoPathError
+    when no segmentation is legal."""
+    return lattice_from_ranked(model.labels, _ranked(model, ctx, n), ctx.num_frames)
 
 
 def rescore(model, lattice, ctx):

@@ -32,6 +32,18 @@ class TilingError(ValueError):
     pass
 
 
+class NoPathError(RuntimeError):
+    """No path of a search, HMM or segmental, fits the sequence; the command
+    line exits 3.  ``pipeline.each_word`` sets ``word`` to the word searched,
+    and the message then starts with that word's file."""
+    exit_code = 3
+    word = None
+
+    def __str__(self):
+        path = getattr(self.word, "path", None)
+        return super().__str__() if path is None else "%s: %s" % (path, super().__str__())
+
+
 def check_tiling(segments, num_frames):
     """``segments``; TilingError unless they tile [0, num_frames) exactly."""
     if not segments:

@@ -116,6 +116,7 @@ class SyntheticWord:
     descriptors: np.ndarray       # (T, D)
     raw_durations: list           # pre-clamp letter durations (floats)
     seed_key: tuple
+    path: str = field(default=None, compare=False)   # the .fmat it was read from
 
     @property
     def num_frames(self):
@@ -425,7 +426,7 @@ def load_corpus(directory, signers=None, cfg=None):
             word=meta["word"], signer_id=meta["signer"], labels=meta["labels"],
             segments=check_tiling(from_jsonable(meta["segments"]), len(desc)),
             peaks=meta["peaks"], descriptors=desc, raw_durations=meta["raw_durations"],
-            seed_key=tuple(meta["seed_key"]))))
+            seed_key=tuple(meta["seed_key"]), path=stem + ".fmat")))
     return manifest, words
 
 

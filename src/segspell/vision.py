@@ -18,6 +18,18 @@ from .fileio import shaped_array
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def diag_gaussian_logpdf(x, means, variances):
+    """log N(x; means, diag(variances)) over the last axis; the three
+    broadcast against each other.  The squared differences are divided in
+    place, as the HMM's emissions need at their (frames, states,
+    components, dim) size."""
+    diff = x - means
+    np.square(diff, out=diff)
+    diff /= variances
+    return -0.5 * (np.sum(diff, axis=-1) + np.sum(np.log(variances), axis=-1)
+                   + means.shape[-1] * LOG_2PI)
+
+
 # ---------------------------------------------------------------------------
 # Color space
 
@@ -75,10 +87,7 @@ class DiagGmm:
     def log_density(self, x):
         """Componentwise log N summed over dims, logsumexp over components."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        diff = x[:, None, :] - self.means[None, :, :]
-        ll = -0.5 * (np.sum(diff * diff / self.variances[None], axis=2)
-                     + np.sum(np.log(self.variances), axis=1)[None]
-                     + self.means.shape[1] * LOG_2PI)
+        ll = diag_gaussian_logpdf(x[:, None, :], self.means, self.variances)
         ll = ll + np.log(self.weights)[None]
         m = ll.max(axis=1)
         return m + np.log(np.sum(np.exp(ll - m[:, None]), axis=1))
@@ -114,10 +123,7 @@ def fit_diag_gmm(x, k=3, iters=20, var_floor=1e-4):
     variances = np.maximum(variances, var_floor)
     gmm = DiagGmm(weights, centers, variances)
     for _ in range(iters):
-        diff = x[:, None, :] - gmm.means[None]
-        ll = (-0.5 * (np.sum(diff * diff / gmm.variances[None], axis=2)
-                      + np.sum(np.log(gmm.variances), axis=1)[None]
-                      + d * LOG_2PI)
+        ll = (diag_gaussian_logpdf(x[:, None, :], gmm.means, gmm.variances)
               + np.log(gmm.weights)[None])
         m = ll.max(axis=1, keepdims=True)
         resp = np.exp(ll - m)
@@ -144,10 +150,7 @@ class HandColorModel:
         return self.hand_gmm.log_density(lab_pixels)
 
     def bg_log_density(self, lab_image):
-        diff = lab_image - self.bg_mean
-        return -0.5 * (np.sum(diff * diff / self.bg_var, axis=2)
-                       + np.sum(np.log(self.bg_var), axis=2)
-                       + 3 * LOG_2PI)
+        return diag_gaussian_logpdf(lab_image, self.bg_mean, self.bg_var)
 
 
 def fit_hand_color_model(frames, rois, components=3, dilate_radius=5,

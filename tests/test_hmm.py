@@ -32,14 +32,15 @@ def enumerate_hypotheses(model, lm, obs, cfg):
     emis = model.emission_logprobs(obs)
     T, S = emis.shape
     out = {}
+    state_unit = [model.units[u] for u in model.state_unit_index]
 
     def hyp_key(path):
         segs = []
         start = 0
         for i in range(1, T + 1):
-            if i == T or model.state_unit[path[i]] != model.state_unit[path[i - 1]] \
+            if i == T or state_unit[path[i]] != state_unit[path[i - 1]] \
                     or path[i] < path[i - 1]:
-                segs.append((model.state_unit[path[start]], start, i - 1))
+                segs.append((state_unit[path[start]], start, i - 1))
                 start = i
         return tuple(segs)
 
@@ -303,6 +304,50 @@ class TestForcedAlign:
         model = toy_model(rng)
         with pytest.raises(ValueError):
             forced_align(model, rng.normal(size=(5, 2)), [])
+
+
+def reference_states_to_segments(model, state_path):
+    """The per-frame splitter ``viterbi_decode`` used before the vectorized
+    one."""
+    state_unit = [model.units[u] for u in model.state_unit_index]
+    segs = []
+    start = 0
+    for t in range(1, len(state_path) + 1):
+        boundary = (t == len(state_path)
+                    or state_unit[state_path[t]] != state_unit[state_path[t - 1]]
+                    or state_path[t] < state_path[t - 1])
+        if boundary:
+            segs.append(Segment(state_unit[state_path[start]], start, t - 1))
+            start = t
+    return segs
+
+
+def reference_chain_segments(units, unit_id, path):
+    """The run bounds ``forced_align`` used before the shared splitter."""
+    ids = unit_id[path]
+    bounds = [0] + (np.flatnonzero(np.diff(ids)) + 1).tolist() + [len(path)]
+    return [Segment(units[ids[b]], b, e - 1) for b, e in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("letter_states", [1, 2, 3])
+def test_path_splitter_matches_both_old_splitters(letter_states):
+    # random state paths, with letters re-entered after themselves, and
+    # forced alignment's chain paths (never falling) split as before
+    rng = np.random.default_rng(31 + letter_states)
+    model = LetterHmm(["A", "B", "C"], dim=1, letter_states=letter_states, silence_states=2)
+    for _ in range(200):
+        path = rng.integers(model.n_states, size=int(rng.integers(1, 30)))
+        if rng.random() < 0.5:   # runs of repeated states, as paths have
+            path = np.repeat(path, rng.integers(1, 4, size=len(path)))
+        assert hmm._path_segments(model.units, model.state_unit_index, path.tolist()) == \
+            reference_states_to_segments(model, path.tolist())
+        units = ["<s>"] + list(rng.choice(["A", "B", "C"], size=int(rng.integers(1, 5)))) \
+            + ["</s>"]
+        unit_id = np.concatenate([np.full(model.unit_nstates[u], i)
+                                  for i, u in enumerate(units)])
+        chain = np.sort(rng.integers(len(unit_id), size=int(rng.integers(1, 30))))
+        assert hmm._path_segments(units, unit_id, chain) == \
+            reference_chain_segments(units, unit_id, chain)
 
 
 def reference_train_em(sequences, transcriptions, letters, dim,

@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -712,6 +714,79 @@ class TestCliChain:
         assert rec["seed"] == 123
 
 
+class TestOneFrameWord:
+    """A corpus that loads but whose second word, AFGHANISTAN, is cut to one
+    frame of boundary silence: no recognizer has a path for it."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory, alphabet):
+        from segspell.fileio import read_matrix, write_matrix
+        d = tmp_path_factory.mktemp("one_frame")
+        assert cli.main(["gen-data", "--out", str(d / "good"), "--words", "4",
+                         "--signers", "2", "--reps", "1"]) == 0
+        assert cli.main(["train-classifier", "--corpus", str(d / "good"),
+                         "--out", str(d / "clf.json")]) == 0
+        assert cli.main(["train-hmm", "--corpus", str(d / "good"),
+                         "--classifier", str(d / "clf.json"), "--out", str(d / "rec")]) == 0
+        classes = json.loads((d / "rec" / "classifier.json").read_text())["class_names"]
+        pipeline.build_firstpass_model(alphabet, len(classes),
+                                       pipeline.ScrfConfig()).save(str(d / "fp.json"))
+        shutil.copytree(d / "good", d / "bad")
+        fmat, meta_path = d / "bad" / "S1_w0001.fmat", d / "bad" / "S1_w0001.json"
+        write_matrix(str(fmat), read_matrix(str(fmat))[:1])
+        meta = json.loads(meta_path.read_text())
+        assert meta["word"] == "AFGHANISTAN"
+        meta_path.write_text(json.dumps(dict(meta, segments=[["<s>", 0, 0]])))
+        (d / "small.json").write_text(json.dumps({
+            "folds": 3, "report_folds": 1, "classifier": {"max_epochs": 1},
+            "adaptation": {"max_epochs": 1}, "scrf": {"epochs": 1}}))
+        return d
+
+    # the file names the word of a per-word search; a failed first-pass
+    # training example gives its reference and frame count instead
+    FILE, REFERENCE = "{fmat}", "1 frames carries the reference AFGHANISTAN"
+
+    @pytest.mark.parametrize("argv, names", [
+        pytest.param(["decode", "{rec}"], FILE, id="decode"),
+        pytest.param(["decode", "{rec}", "--scrf", "{fp}"], FILE, id="decode-scrf"),
+        pytest.param(["nbest", "{rec}"], FILE, id="nbest"),
+        pytest.param(["align", "{rec}"], FILE, id="align"),
+        pytest.param(["train-scrf", "{rec}"], REFERENCE, id="train-scrf-firstpass"),
+        pytest.param(["train-scrf", "{rec}", "--mode", "rescoring"], FILE,
+                     id="train-scrf-rescoring"),
+        pytest.param(["adapt", "{rec}", "--signer", "S1", "--labels", "FA",
+                      "--fraction", "0.9"], FILE, id="adapt-FA"),
+        pytest.param(["cascade", "--eval-signer", "S1"], FILE, id="cascade-S1"),
+        pytest.param(["cascade", "--eval-signer", "S2"], REFERENCE, id="cascade-S2"),
+        pytest.param(["realign-adapt", "{rec}", "--signer", "S1"], FILE, id="realign-adapt"),
+        pytest.param(["run-protocol"], FILE, id="run-protocol"),
+    ])
+    def test_no_path_exits_3_naming_the_word(self, corpus, tmp_path, capsys, argv, names):
+        d = corpus
+        fill = {"{rec}": ["--recognizer", str(d / "rec")], "{fp}": [str(d / "fp.json")]}
+        argv = [a for arg in argv for a in fill.get(arg, [arg])]
+        rc = cli.main(argv + ["--corpus", str(d / "bad"), "--config", str(d / "small.json"),
+                              "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3 and "Traceback" not in err
+        assert names.format(fmat=d / "bad" / "S1_w0001.fmat") in err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_protocol_logs_progress(self, corpus, tmp_path, capsys, caplog):
+        # --verbose logs progress at INFO through the segspell logger;
+        # stdout keeps only the table
+        d = corpus
+        caplog.set_level(logging.NOTSET, logger="segspell")   # restored after the test
+        assert cli.main(["run-protocol", "--corpus", str(d / "good"), "--rows", "dependent",
+                         "--config", str(d / "small.json"), "--out", str(tmp_path / "p.json"),
+                         "--verbose"]) == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "segspell.pipeline"] == [
+            "dependent %s fold 0: LER %.2f" % (sid, ler) for sid, ler in
+            json.loads((tmp_path / "p.json").read_text())["ler"]["dependent"].items()
+            if sid != "Mean"]
+        assert capsys.readouterr().out == (tmp_path / "p.txt").read_text() + "\n"
+
+
 def test_cli_import_leaves_scipy_sparse_out():
     # scipy.sparse loads with the first first-pass span product only
     src = os.path.dirname(os.path.dirname(segspell.__file__))
@@ -857,7 +932,10 @@ class TestSegmentalPipeline:
     def test_rescoring_improves_or_matches_baseline(self, recognizer, split,
                                                     alphabet):
         train, test = split
-        scfg = pipeline.ScrfConfig(epochs=6, nbest=5)
+        # the training lattices take the recognizer's decode N-best size
+        recognizer = replace(recognizer, cfg=replace(
+            recognizer.cfg, decode=replace(recognizer.cfg.decode, nbest=5)))
+        scfg = pipeline.ScrfConfig(epochs=6)
         model, _ = pipeline.train_rescoring(recognizer, train[:24], alphabet, scfg)
         lattices = pipeline.nbest_lattices(recognizer, test, 5)
         pairs = pipeline.rescore_words(model, recognizer, test, lattices)
@@ -868,6 +946,18 @@ class TestSegmentalPipeline:
                           for w, lat in zip(test, lattices)]
         baseline = score_corpus(baseline_pairs)["ler"]
         assert rescored <= baseline + 2.0
+
+    def test_rescoring_trains_on_the_decode_lattices(self, recognizer, split, alphabet):
+        # scrf.nbest sizes the cascade's first-pass lattices only: rescoring
+        # trains on the lattices nbest_lattices gives for decoding
+        train = split[0][:6]
+        rec = replace(recognizer, cfg=replace(recognizer.cfg,
+                                              decode=replace(recognizer.cfg.decode, nbest=5)))
+        scfg = pipeline.ScrfConfig(epochs=2, nbest=3)
+        model, _ = pipeline.train_rescoring(rec, train, alphabet, scfg)
+        given, _ = pipeline.train_rescoring(rec, train, alphabet, scfg,
+                                            pipeline.nbest_lattices(rec, train))
+        assert np.array_equal(model.weights, given.weights)
 
     def test_scrf_save_load_roundtrip_through_pipeline(self, recognizer, split,
                                                        alphabet, tmp_path):

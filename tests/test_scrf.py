@@ -16,7 +16,8 @@ from segspell.scrf import (START_LABEL, BaselineFeature, ClassifierStatFeature,
                            resolve_reference, rescore, segment_thirds, train_cll,
                            viterbi)
 from segspell.metrics import align
-from segspell.segments import CandidateLattice, Hypothesis, Segment, frame_labels
+from segspell.segments import (CandidateLattice, Hypothesis, NoPathError, Segment,
+                               frame_labels)
 
 
 class ToyLm:
@@ -541,6 +542,23 @@ class TestBoundarySilences:
         full = [Segment("<s>", 0, 11)]
         assert enter[12, 0] + tabs.trans[0, 0] == \
             pytest.approx(model.score(["<s>"], full, ctx), abs=1e-12)
+
+    def test_one_frame_has_no_path(self):
+        # a pinned model needs <s> and </s> frames: one frame has no
+        # segmentation, and every search over it raises NoPathError, as the
+        # HMM's do; the N-best engine itself returns no hypotheses
+        rng = np.random.default_rng(27)
+        labels = ["<s>", "A", "B", "</s>"]
+        ctx = random_ctx(rng, 1, labels=labels)
+        model = silence_model(rng, ctx, labels, 3, pinned=True)
+        assert scrf.nbest_segmentations(compute_tables(model, ctx), 4) == []
+        ref = ["<s>", "A", "</s>"]
+        for search in (lambda: viterbi(model, ctx), lambda: nbest_decode(model, ctx, 4),
+                       lambda: clamped_expectation(model, ctx, ref),
+                       lambda: example_gradient(model, TrainingExample(
+                           ctx, ref, [Segment("<s>", 0, 0)]))):
+            with pytest.raises(NoPathError, match="1 frames"):
+                search()
 
 
 class TestTraining:

@@ -27,6 +27,83 @@ def blob_frames(n, hand_color=(0.8, 0.45, 0.35), bg=(0.2, 0.25, 0.3), h=24, w=32
     return frames, masks
 
 
+LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def reference_hmm_emissions(model, seq, states):
+    """``LetterHmm.emission_logprobs_subset`` before the shared kernel."""
+    diff = seq[:, None, None, :] - model.means[None, states]
+    np.square(diff, out=diff)
+    diff /= model.variances[None, states]
+    ll = -0.5 * (np.sum(diff, axis=3)
+                 + np.sum(np.log(model.variances[states]), axis=2)[None]
+                 + model.dim * LOG_2PI)
+    ll += model.log_weights[None, states]
+    m = ll.max(axis=2)
+    return ll, m + np.log(np.sum(np.exp(ll - m[:, :, None]), axis=2))
+
+
+def reference_gmm_log_density(gmm, x):
+    """``DiagGmm.log_density`` before the shared kernel."""
+    diff = x[:, None, :] - gmm.means[None, :, :]
+    ll = -0.5 * (np.sum(diff * diff / gmm.variances[None], axis=2)
+                 + np.sum(np.log(gmm.variances), axis=1)[None]
+                 + gmm.means.shape[1] * LOG_2PI)
+    ll = ll + np.log(gmm.weights)[None]
+    m = ll.max(axis=1)
+    return m + np.log(np.sum(np.exp(ll - m[:, None]), axis=1))
+
+
+def reference_em_step_loglik(gmm, x):
+    """``fit_diag_gmm``'s E-step log-likelihoods before the shared kernel."""
+    diff = x[:, None, :] - gmm.means[None]
+    return (-0.5 * (np.sum(diff * diff / gmm.variances[None], axis=2)
+                    + np.sum(np.log(gmm.variances), axis=1)[None]
+                    + x.shape[1] * LOG_2PI)
+            + np.log(gmm.weights)[None])
+
+
+def reference_bg_log_density(model, lab_image):
+    """``HandColorModel.bg_log_density`` before the shared kernel."""
+    diff = lab_image - model.bg_mean
+    return -0.5 * (np.sum(diff * diff / model.bg_var, axis=2)
+                   + np.sum(np.log(model.bg_var), axis=2) + 3 * LOG_2PI)
+
+
+def test_gaussian_kernel_matches_the_four_old_densities():
+    # the HMM emissions (all states and a subset), the hand GMM, the GMM
+    # E-step and the per-pixel background keep their bits
+    from segspell.hmm import LetterHmm
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        t, d, m = (int(v) for v in rng.integers(1, [20, 9, 4]))
+        scale = 10.0 ** rng.uniform(-3, 2)
+        hmm = LetterHmm(["A", "B"], dim=d, letter_states=int(rng.integers(1, 4)),
+                        silence_states=2, components=m)
+        hmm.means = scale * rng.normal(size=hmm.means.shape)
+        hmm.variances = 10.0 ** rng.uniform(-4, 2, size=hmm.variances.shape)
+        hmm.log_weights = np.log(rng.dirichlet(np.ones(m), size=hmm.n_states))
+        seq = scale * rng.normal(size=(t, d))
+        subset = np.sort(rng.choice(hmm.n_states, size=int(rng.integers(1, hmm.n_states + 1)),
+                                    replace=False))
+        for states in (slice(None), subset):
+            for got, want in zip(hmm.emission_logprobs_subset(seq, states),
+                                 reference_hmm_emissions(hmm, seq, states)):
+                assert np.array_equal(got, want)
+        gmm = vision.DiagGmm(rng.dirichlet(np.ones(m)), scale * rng.normal(size=(m, d)),
+                             10.0 ** rng.uniform(-4, 2, size=(m, d)))
+        x = scale * rng.normal(size=(t, d))
+        assert np.array_equal(gmm.log_density(x), reference_gmm_log_density(gmm, x))
+        assert np.array_equal(
+            vision.diag_gaussian_logpdf(x[:, None, :], gmm.means, gmm.variances)
+            + np.log(gmm.weights)[None], reference_em_step_loglik(gmm, x))
+        h, w = (int(v) for v in rng.integers(1, 12, size=2))
+        bg = vision.HandColorModel(gmm, scale * rng.normal(size=(h, w, 3)),
+                                   10.0 ** rng.uniform(-4, 2, size=(h, w, 3)), 0.1, -5.0)
+        lab = scale * rng.normal(size=(h, w, 3))
+        assert np.array_equal(bg.bg_log_density(lab), reference_bg_log_density(bg, lab))
+
+
 class TestHandColorModel:
     def test_prior_is_roi_fraction(self):
         frames, masks = blob_frames(8)
