@@ -5,8 +5,10 @@ config once, starts the clock, calls the subcommand's handler, prints the
 summary line the handler returns, and writes the run-record JSON (config
 hash, seed, input hashes, wall time) next to the artifacts.  A handler does
 only its own work: it writes its artifacts atomically and returns
-``(summary, inputs, outputs)``; the inputs are every file it reads.  Exit
-codes: 0 on success, 2 on configuration errors (an unknown config key, a
+``(summary, outputs)``.  The inputs are the files opened through
+``fileio.open_input`` while the handler runs, word-list files and rendered
+frames included; the config file is not one, as ``config_hash`` covers it.
+Exit codes: 0 on success, 2 on configuration errors (an unknown config key, a
 bad config value or a bad flag names its dotted path, field or flag),
 3 on data errors (a missing upstream artifact names the subcommand that
 produces it; a JSON model, lattice or corpus file holding NaN or infinity,
@@ -32,7 +34,8 @@ from . import pipeline, synthgen
 from .alphabet import LetterAlphabet
 from .classifier import history_csv, load_classifier
 from .fileio import (DataError, FieldError, atomic_write_text, check_fields, in_file,
-                     read_json, read_png, sha256_file, write_json, write_matrix, write_png)
+                     open_input, read_json, read_png, recording_inputs, sha256_file,
+                     write_json, write_matrix, write_png)
 from .hmm import forced_align
 from .lm import load_arpa, train_bigram
 from .metrics import format_report, score_corpus
@@ -174,7 +177,7 @@ def write_run_record(out, subcommand, cfg, inputs, outputs, t0):
         "config_hash": hashlib.sha256(json.dumps(cfg.raw, sort_keys=True)
                                       .encode()).hexdigest(),
         "seed": cfg.pipeline.seed,
-        "inputs": {p: sha256_file(p) for p in inputs if os.path.isfile(p)},
+        "inputs": {p: sha256_file(p) for p in inputs},
         "outputs": sorted(outputs),
         "wall_time_s": round(time.time() - t0, 3),
     }
@@ -196,7 +199,7 @@ def builtin_wordlist(which):
 def resolve_words(args, cfg):
     wordlist = args.wordlist or cfg.wordlist
     if os.path.exists(str(wordlist)):
-        with open(wordlist, "r", encoding="utf-8") as f:
+        with open_input(wordlist) as f:
             words = [w.strip().upper() for w in f if w.strip()]
     elif str(wordlist) in ("1", "2"):
         words = builtin_wordlist(str(wordlist))
@@ -210,18 +213,11 @@ def resolve_words(args, cfg):
     return words
 
 
-def recognizer_inputs(args):
-    """Run-record inputs of a handler reading ``--recognizer`` and
-    ``--corpus``: the bundle's files and the corpus files."""
-    return [os.path.join(args.recognizer, name) for name in pipeline.RECOGNIZER_FILES] \
-        + synthgen.corpus_files(args.corpus)
-
-
 def load_corpus_words(directory, signers=None, classifier=None, window=None):
-    """The manifest, with each kept word's ``stems``, and the words of
-    ``signers`` (a comma list; all when None) in corpus ``directory``.
-    With a ``classifier``, each kept word's descriptor width times
-    ``window`` must be its input width (DataError naming the ``.fmat``)."""
+    """The manifest as read, and the stems and words of ``signers`` (a
+    comma list; all when None) in corpus ``directory``.  With a
+    ``classifier``, each kept word's descriptor width times ``window`` must
+    be its input width (DataError naming the ``.fmat``)."""
     require(os.path.join(directory, "manifest.json"), "gen-data")
     manifest, words = synthgen.load_corpus(directory)
     stems = [e["stem"] for e in manifest["entries"]]
@@ -238,16 +234,16 @@ def load_corpus_words(directory, signers=None, classifier=None, window=None):
             if w.descriptors.shape[1] * window != width:
                 raise DataError("%s: %d columns x window %d, the classifier reads %d" % (
                     w.path, w.descriptors.shape[1], window, width))
-    return dict(manifest, stems=stems), words
+    return manifest, stems, words
 
 
 def recognizer_words(args, cfg, signers):
-    """The ``--recognizer`` bundle and its ``load_corpus_words`` of
-    ``--corpus`` for ``signers``, checked against the bundle's classifier."""
+    """The ``--recognizer`` bundle, and the stems and words of ``--corpus``
+    for ``signers``, checked against the bundle's classifier."""
     rec = load_recognizer(require(args.recognizer, "train-hmm"), cfg.pipeline)
-    manifest, words = load_corpus_words(args.corpus, signers, rec.classifier,
+    _, stems, words = load_corpus_words(args.corpus, signers, rec.classifier,
                                         rec.cfg.frontend.window)
-    return rec, manifest, words
+    return rec, stems, words
 
 
 def write_hyps(path, pairs_with_ids):
@@ -256,14 +252,14 @@ def write_hyps(path, pairs_with_ids):
 
 
 def read_labeled_file(path):
-    with open(path, "r", encoding="utf-8") as f:
+    with open_input(path) as f:
         parts = [line.split(None, 1) for line in f if line.strip()]
     return {p[0]: list(p[1].strip()) if len(p) > 1 else [] for p in parts}
 
 
 # ---------------------------------------------------------------------------
 # Subcommands: each takes the parsed flags and the loaded Config, writes its
-# artifacts and returns (summary line, input paths, output paths).
+# artifacts and returns (summary line, output paths).
 
 def cmd_gen_data(args, cfg):
     words = resolve_words(args, cfg)
@@ -287,11 +283,11 @@ def cmd_gen_data(args, cfg):
                           (mask * 255).astype(np.uint8))
     return ("wrote %d sequences (%d signers x %d words x %d reps) to %s"
             % (len(corpus.words), n_signers, len(words), reps, args.out),
-            [], [os.path.join(args.out, "manifest.json")])
+            [os.path.join(args.out, "manifest.json")])
 
 
 def cmd_extract_features(args, cfg):
-    manifest, words = load_corpus_words(args.corpus)
+    manifest, _, _ = load_corpus_words(args.corpus)
     img_root = require(os.path.join(args.corpus, "images"), "gen-data --images")
     hog_cfg = HogConfig()
     per_signer_model = {}
@@ -331,20 +327,18 @@ def cmd_extract_features(args, cfg):
         outputs.append(out_path)
     write_json(os.path.join(args.out, "manifest.json"), manifest)
     return ("extracted HOG+PCA descriptors for %d sequences into %s"
-            % (len(word_desc), args.out),
-            synthgen.corpus_files(args.corpus), outputs)
+            % (len(word_desc), args.out), outputs)
 
 
 def cmd_train_lm(args, cfg):
     words = resolve_words(args, cfg)
     lm = train_bigram(words, LetterAlphabet())
     lm.save(args.out)
-    return ("trained bigram LM on %d words -> %s" % (len(words), args.out),
-            [], [args.out])
+    return "trained bigram LM on %d words -> %s" % (len(words), args.out), [args.out]
 
 
 def cmd_train_classifier(args, cfg):
-    _, words = load_corpus_words(args.corpus, args.signers)
+    _, _, words = load_corpus_words(args.corpus, args.signers)
     model, history = pipeline.train_frame_classifier(words, LetterAlphabet(),
                                                      cfg.pipeline)
     model.save(args.out)
@@ -354,13 +348,13 @@ def cmd_train_classifier(args, cfg):
         outputs.append(args.curve)
     return ("trained classifier on %d sequences -> %s (final val error %.3f)"
             % (len(words), args.out, history[-1]["val_error"] if history else float("nan")),
-            synthgen.corpus_files(args.corpus), outputs)
+            outputs)
 
 
 def cmd_train_hmm(args, cfg):
     classifier = load_classifier(require(args.classifier, "train-classifier"))
-    _, words = load_corpus_words(args.corpus, args.signers, classifier,
-                                 cfg.pipeline.frontend.window)
+    _, _, words = load_corpus_words(args.corpus, args.signers, classifier,
+                                    cfg.pipeline.frontend.window)
     alphabet = LetterAlphabet()
     if args.lm:
         lm = load_arpa(require(args.lm, "train-lm"))
@@ -371,8 +365,6 @@ def cmd_train_hmm(args, cfg):
     save_recognizer(rec, args.out)
     return ("trained HMM on %d sequences (EM log-lik %s) -> %s"
             % (len(words), ["%.0f" % v for v in loglik], args.out),
-            synthgen.corpus_files(args.corpus) + [args.classifier]
-            + ([args.lm] if args.lm else []),
             [os.path.join(args.out, "hmm.json")])
 
 
@@ -387,35 +379,31 @@ def cmd_adapt(args, cfg):
     return ("adapted (%s, %s labels, %.0f%% = %d words) -> %s; loss %.4f -> %.4f"
             % (args.mode, args.labels, 100 * fraction, len(adapt_words), args.out,
                history[0]["loss"], min(h["loss"] for h in history)),
-            recognizer_inputs(args), [os.path.join(args.out, "classifier.json")])
+            [os.path.join(args.out, "classifier.json")])
 
 
 def cmd_align(args, cfg):
-    rec, manifest, words = recognizer_words(args, cfg, args.signers)
-    stems = manifest["stems"]
+    rec, stems, words = recognizer_words(args, cfg, args.signers)
     aligned = pipeline.each_word(
         lambda w: forced_align(rec.hmm, rec.observations(w), w.letters), words)
     lines = [json.dumps({"stem": stem, "word": w.word, "spans": to_jsonable(segs),
                          "score": score}, sort_keys=True)
              for stem, w, (segs, score) in zip(stems, words, aligned)]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
-    return ("aligned %d sequences -> %s" % (len(words), args.out),
-            recognizer_inputs(args), [args.out])
+    return "aligned %d sequences -> %s" % (len(words), args.out), [args.out]
 
 
 def cmd_nbest(args, cfg):
     n = option(args, "n", cfg.pipeline.decode, "nbest")
-    rec, manifest, words = recognizer_words(args, cfg, args.signers)
+    rec, stems, words = recognizer_words(args, cfg, args.signers)
     lattices = pipeline.nbest_lattices(rec, words, n)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
-    for stem, lattice in zip(manifest["stems"], lattices):
+    for stem, lattice in zip(stems, lattices):
         path = os.path.join(args.out, stem + ".lat.jsonl")
         save_lattice(path, lattice)
         outputs.append(path)
-    return ("wrote %d lattices (N=%d) to %s"
-            % (len(lattices), n, args.out),
-            recognizer_inputs(args), outputs)
+    return "wrote %d lattices (N=%d) to %s" % (len(lattices), n, args.out), outputs
 
 
 def cmd_train_scrf(args, cfg):
@@ -426,22 +414,18 @@ def cmd_train_scrf(args, cfg):
     model.save(args.out)
     return ("trained %s SCRF on %d sequences -> %s (objective %s)"
             % (args.mode, len(words), args.out, ["%.3f" % h for h in history[-3:]]),
-            recognizer_inputs(args), [args.out])
+            [args.out])
 
 
 def cmd_decode(args, cfg):
-    rec, manifest, words = recognizer_words(args, cfg, args.signers)
-    stems = manifest["stems"]
-    inputs = recognizer_inputs(args)
+    rec, stems, words = recognizer_words(args, cfg, args.signers)
     if args.scrf:
         model = pipeline.load_scrf(require(args.scrf, "train-scrf"), rec,
                                    LetterAlphabet(), cfg.scrf)
-        inputs.append(args.scrf)
     if args.scrf and args.lattices:
         paths = [require(os.path.join(args.lattices, stem + ".lat.jsonl"), "nbest")
                  for stem in stems]
         lattices = [load_lattice(path, w.num_frames) for path, w in zip(paths, words)]
-        inputs += paths
         pairs = pipeline.rescore_words(model, rec, words, lattices)
     elif args.scrf:
         pairs = pipeline.firstpass_decode(model, rec, words)
@@ -452,12 +436,12 @@ def cmd_decode(args, cfg):
     if args.refs:
         write_hyps(args.refs, [(stem, w.letters) for stem, w in zip(stems, words)])
         outputs.append(args.refs)
-    return "decoded %d sequences -> %s" % (len(words), args.out), inputs, outputs
+    return "decoded %d sequences -> %s" % (len(words), args.out), outputs
 
 
 def cmd_cascade(args, cfg):
     pcfg = cfg.pipeline
-    _, words = load_corpus_words(args.corpus)
+    _, _, words = load_corpus_words(args.corpus)
     alphabet = LetterAlphabet()
     by_signer = {}
     for w in words:
@@ -481,8 +465,7 @@ def cmd_cascade(args, cfg):
               "eval_sequences": len(eval_words)}
     write_json(args.out, report)
     return ("cascade: first pass LER %.2f%% -> second pass %.2f%% (%s)"
-            % (result["first_ler"], result["second_ler"], args.out),
-            synthgen.corpus_files(args.corpus), [args.out])
+            % (result["first_ler"], result["second_ler"], args.out), [args.out])
 
 
 def cmd_realign_adapt(args, cfg):
@@ -497,7 +480,7 @@ def cmd_realign_adapt(args, cfg):
     write_json(args.out, report)
     return ("realign-adapt %s: " % args.signer
             + "  ".join("iter %d LER %.2f%%" % (i + 1, l) for i, l in enumerate(lers)),
-            recognizer_inputs(args), [args.out])
+            [args.out])
 
 
 def cmd_score(args, cfg):
@@ -519,7 +502,7 @@ def cmd_score(args, cfg):
         outputs.append(args.report)
     return ("LER %.4f%%  (D %d, S %d, I %d, N %d)"
             % (scores["ler"], scores["D"], scores["S"], scores["I"], scores["N"]),
-            [args.ref, args.hyp], outputs)
+            outputs)
 
 
 def cmd_run_protocol(args, cfg):
@@ -528,7 +511,7 @@ def cmd_run_protocol(args, cfg):
         raise ConfigError("--rows must be a comma list from %s, got %r"
                           % (",".join(pipeline.PROTOCOL_ROWS), args.rows))
     # the manifest's top-level fields are checked by synthgen.read_manifest
-    manifest, words = load_corpus_words(args.corpus)
+    manifest, _, words = load_corpus_words(args.corpus)
     if len(manifest["signers"]) < 2:
         raise DataError("protocol needs at least 2 signers for leave-one-out")
     signers = synthgen.make_signers(len(manifest["signers"]), manifest["seed"],
@@ -543,7 +526,7 @@ def cmd_run_protocol(args, cfg):
     write_json(args.out, report)
     table_path = os.path.splitext(args.out)[0] + ".txt"
     atomic_write_text(table_path, table)
-    return table, synthgen.corpus_files(args.corpus), [args.out, table_path]
+    return table, [args.out, table_path]
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +654,8 @@ def main(argv=None):
     try:
         t0 = time.time()
         cfg = load_config(args.config, {"seed": args.seed})
-        summary, inputs, outputs = args.handler(args, cfg)
+        with recording_inputs() as inputs:
+            summary, outputs = args.handler(args, cfg)
         print(summary)
         out = getattr(args, "out", None) or next(iter(outputs), None)
         if out:

@@ -1,6 +1,6 @@
 """File formats: binary float matrices, PNG images, atomic writes, checked
-JSON model files, and the declaration and checking of config dataclass
-fields.
+JSON model files, the recording of the input files a run opens, and the
+declaration and checking of config dataclass fields.
 
 Matrix format (.fmat): little-endian header of 4 magic bytes ``FMAT``,
 uint32 row count, uint32 column count, followed by the row-major float32
@@ -13,6 +13,8 @@ filter 0 on write.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import json
 import math
@@ -33,6 +35,28 @@ class DataError(ValueError):
     """A data or model file is missing or does not hold what its reader
     expects; the command line exits 3."""
     exit_code = 3
+
+
+_recorded_inputs = contextvars.ContextVar("recorded_inputs", default=None)
+
+
+def open_input(path, mode="r"):
+    """``open`` for a file the program reads as input: UTF-8 text unless
+    ``mode`` is binary.  Inside ``recording_inputs`` the path is noted."""
+    f = open(path, mode, encoding=None if "b" in mode else "utf-8")
+    if _recorded_inputs.get() is not None:
+        _recorded_inputs.get().append(path)
+    return f
+
+
+@contextlib.contextmanager
+def recording_inputs():
+    """The list of the paths ``open_input`` opens inside the block."""
+    token = _recorded_inputs.set([])
+    try:
+        yield _recorded_inputs.get()
+    finally:
+        _recorded_inputs.reset(token)
 
 
 def atomic_write_bytes(path, payload):
@@ -70,7 +94,7 @@ def refuse_non_finite(where):
 def read_json(path, allow_nan=False):
     """Refuses text that is not JSON, and NaN and infinity unless
     ``allow_nan`` (DataError naming the file)."""
-    with open(path, "r", encoding="utf-8") as f:
+    with open_input(path) as f:
         try:
             return json.load(f, parse_constant=None if allow_nan else refuse_non_finite(path))
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
@@ -117,7 +141,7 @@ def write_matrix(path, matrix):
 def read_matrix(path):
     """Refuses a file without the matrix header, with the wrong payload
     size or with NaN or infinity (DataError naming the file)."""
-    with open(path, "rb") as f:
+    with open_input(path, "rb") as f:
         raw = f.read()
     if raw[:4] != MATRIX_MAGIC or len(raw) < 12:
         raise DataError("%s: bad magic or header, not a matrix file" % path)
@@ -202,7 +226,7 @@ def _unfilter(data, h, w, channels):
 
 def read_png(path):
     """Read an 8-bit grayscale or RGB PNG into a uint8 array."""
-    with open(path, "rb") as f:
+    with open_input(path, "rb") as f:
         raw = f.read()
     if raw[:8] != b"\x89PNG\r\n\x1a\n":
         raise ValueError("%s: not a PNG file" % path)

@@ -22,7 +22,7 @@ from collections import Counter
 import numpy as np
 
 from .alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet, UnknownSymbolError
-from .fileio import DataError, atomic_write_text
+from .fileio import DataError, atomic_write_text, open_input
 
 
 class BigramLm:
@@ -169,7 +169,7 @@ def load_arpa(path, alphabet=None):
     probs, unis, backoff = {}, {}, {}
     section = None
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open_input(path) as f:
             for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:

@@ -367,7 +367,7 @@ def format_protocol_table(report):
         cells += ["%8.2f" % report["ler"][row]["Mean"]]
         lines.append("".join(cells))
     lines.append("")
-    lines.append("D/S/I decomposition (%% of reference letters):")
+    lines.append("D/S/I decomposition (% of reference letters):")
     for row in report["rows"]:
         for s in signers:
             d = report["details"][row][s]
@@ -550,9 +550,6 @@ def run_cascade(recognizer_train, recognizer_eval, train_words, eval_words,
 # Recognizer bundles on disk.  A bundle stores what training fitted and the
 # front end it was fitted for; decode settings come from the decoding run's
 # config (a ``decode`` block in an older frontend.json is ignored).
-
-RECOGNIZER_FILES = ("classifier.json", "pca.json", "hmm.json", "lm.arpa", "frontend.json")
-
 
 def save_recognizer(rec, directory):
     os.makedirs(directory, exist_ok=True)

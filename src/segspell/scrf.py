@@ -29,7 +29,7 @@ minus the free one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,7 +51,6 @@ NEG_INF = -np.inf
 class FeatureContext:
     num_frames: int
     letter_posteriors: np.ndarray = None    # (T, C)
-    feature_posteriors: dict = field(default_factory=dict)
     descriptors: np.ndarray = None          # (T, d)
     lm: object = None
     baseline_frames: list = None            # length-T labels from the 1-best baseline
@@ -218,7 +217,7 @@ class _Lexicalized:
 
 
 class ClassifierStatFeature(_Lexicalized):
-    """Lexicalized span statistics of one frame classifier's outputs.
+    """Lexicalized span statistics of the letter classifier's posteriors.
 
     kind 'mean'/'max' give one value per (label, classifier value); the
     'div_s'/'div_m' kinds give three, one per contiguous third of the span
@@ -226,25 +225,16 @@ class ClassifierStatFeature(_Lexicalized):
     values per frame.
     """
 
-    def __init__(self, labels, kind, num_classes, classifier="letter"):
+    def __init__(self, labels, kind, num_classes):
         if kind not in ("mean", "max", "div_s", "div_m"):
             raise ValueError("unknown statistic kind %r" % (kind,))
         super().__init__(labels)
         self.block = (3 if kind.startswith("div") else 1) * num_classes
         self.kind = kind
-        self.classifier = classifier
-        self.name = "classifier_%s_%s" % (classifier, kind)
-
-    def _posteriors(self, ctx):
-        post = ctx.letter_posteriors if self.classifier == "letter" \
-            else ctx.feature_posteriors.get(self.classifier)
-        if post is None:
-            raise ValueError("classifier outputs %r missing from context"
-                             % (self.classifier,))
-        return post
+        self.name = "classifier_letter_" + kind   # the name saved models store
 
     def base_vector(self, ctx, start, end):
-        g = self._posteriors(ctx)[start:end + 1]
+        g = ctx.letter_posteriors[start:end + 1]
         if self.kind == "mean":
             return g.mean(axis=0)
         if self.kind == "max":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .fileio import DataError, atomic_write_text, refuse_non_finite
+from .fileio import DataError, atomic_write_text, open_input, refuse_non_finite
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def load_lattice(path, num_frames=None):
     ``score``, and a hypothesis that does not tile the frames of the first
     one, or ``num_frames`` frames when given (DataError naming the file)."""
     hyps = []
-    with open(path, "rb") as f:
+    with open_input(path, "rb") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue

@@ -32,7 +32,7 @@ from scipy.linalg import expm
 
 from .alphabet import (BEGIN_SILENCE, END_SILENCE, LetterAlphabet,
                        PhoneticFeatureTable)
-from .fileio import (FieldError, check_fields, in_file, read_matrix, read_model,
+from .fileio import (DataError, FieldError, check_fields, in_file, read_matrix, read_model,
                      write_json, write_matrix)
 from .scrf import smoothed_derivative
 from .segments import Segment, check_tiling, from_jsonable, to_jsonable
@@ -405,28 +405,28 @@ def read_manifest(directory):
     return read_model(os.path.join(directory, "manifest.json"), checked)
 
 
-def corpus_files(directory):
-    """Every file ``load_corpus`` reads: the manifest, then each entry's
-    metadata and descriptor file."""
-    return [os.path.join(directory, "manifest.json")] + [
-        os.path.join(directory, e["stem"] + ext)
-        for e in read_manifest(directory)["entries"] for ext in (".json", ".fmat")]
-
-
-def load_corpus(directory, signers=None, cfg=None):
+def load_corpus(directory):
     """Refuses a word whose metadata is incomplete or whose segments do not
-    tile its descriptor frames, and a manifest ``read_manifest`` refuses
-    (DataError naming the file)."""
+    tile its descriptor frames, a manifest ``read_manifest`` refuses, and a
+    manifest entry whose ``word``, ``signer`` or ``seed_key`` is not the
+    one in its word's ``.json`` (DataError naming the file)."""
     manifest = read_manifest(directory)
     words = []
     for entry in manifest["entries"]:
         stem = os.path.join(directory, entry["stem"])
         desc = read_matrix(stem + ".fmat")
-        words.append(read_model(stem + ".json", lambda meta: SyntheticWord(
+        w = read_model(stem + ".json", lambda meta: SyntheticWord(
             word=meta["word"], signer_id=meta["signer"], labels=meta["labels"],
             segments=check_tiling(from_jsonable(meta["segments"]), len(desc)),
             peaks=meta["peaks"], descriptors=desc, raw_durations=meta["raw_durations"],
-            seed_key=tuple(meta["seed_key"]), path=stem + ".fmat")))
+            seed_key=tuple(meta["seed_key"]), path=stem + ".fmat"))
+        for key, value in (("word", w.word), ("signer", w.signer_id),
+                           ("seed_key", list(w.seed_key))):
+            if entry.get(key) != value:
+                raise DataError("%s: entry %s has %s %r, its .json %r" % (
+                    os.path.join(directory, "manifest.json"), entry["stem"], key,
+                    entry.get(key), value))
+        words.append(w)
     return manifest, words
 
 

@@ -1,12 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from segspell import synthgen
 from segspell.alphabet import LetterAlphabet
-
-warnings.filterwarnings("ignore", message="classes absent from training data")
 
 SEED = 20160825
 

@@ -427,6 +427,9 @@ class TestCliChain:
                                      + m["image_block"]["components"]],
         "manifest.json-entries": lambda m: m.pop("entries"),
         "manifest.json-stem": lambda m: m["entries"][0].update(stem=7),
+        # an entry must name the word, signer and seed key of its word file
+        "manifest.json-signer": lambda m: m["entries"][0].update(signer=7),
+        "manifest.json-word": lambda m: m["entries"][0].update(word=None),
         "manifest.json-signers-null": lambda m: m.update(signers=None),
         "manifest.json-signers-int": lambda m: m.update(signers=5),
         "manifest.json-signers-empty": lambda m: m.update(signers=[]),
@@ -446,8 +449,9 @@ class TestCliChain:
         # matrix cut short or a column narrower than the classifier reads,
         # a model of another schema or with a lost row of weights or a lost
         # state, and a corpus manifest without entries, with a stem that is
-        # not a string, or with a top-level field of the wrong type or
-        # value, each name the file without a traceback
+        # not a string, an entry that disagrees with its word file, or with
+        # a top-level field of the wrong type or value, each name the file
+        # without a traceback
         import shutil
         from segspell.fileio import read_matrix, write_matrix
         shutil.copytree(workdir / "rec", tmp_path / "rec")
@@ -785,6 +789,7 @@ class TestOneFrameWord:
             json.loads((tmp_path / "p.json").read_text())["ler"]["dependent"].items()
             if sid != "Mean"]
         assert capsys.readouterr().out == (tmp_path / "p.txt").read_text() + "\n"
+        assert "(% of reference letters)" in (tmp_path / "p.txt").read_text()
 
 
 def test_cli_import_leaves_scipy_sparse_out():
@@ -819,6 +824,19 @@ class TestCliRunRecords:
         assert rec["outputs"] == sorted(outputs)
         assert len(rec["config_hash"]) == 64 and rec["wall_time_s"] >= 0
 
+    @pytest.mark.parametrize("command, extra, record, outputs", [
+        pytest.param("gen-data", ["--signers", "1", "--reps", "1"], "out/run_record.json",
+                     ["out/manifest.json"], id="gen-data"),
+        pytest.param("train-lm", [], "out.run.json", ["out"], id="train-lm")])
+    def test_wordlist_file_is_an_input(self, tmp_path, capsys, command, extra, record,
+                                       outputs):
+        words = tmp_path / "words.txt"
+        words.write_text("sun\nart\n")
+        self.run(capsys, [command, "--wordlist", str(words), "--out", str(tmp_path / "out"),
+                          "--seed", "3"] + extra,
+                 str(tmp_path / record), 3, [str(words)],
+                 [str(tmp_path / path) for path in outputs])
+
     def test_every_subcommand(self, tmp_path, capsys):
         d = str(tmp_path)
         p = lambda *parts: os.path.join(d, *parts)
@@ -842,8 +860,10 @@ class TestCliRunRecords:
                                  for ext in (".json", ".fmat")]
 
         stems = [e["stem"] for e in json.load(open(p("ic", "manifest.json")))["entries"]]
+        # extract-features also reads every rendered frame and mask
+        pngs = [p("ic", "images", s, f) for s in stems for f in os.listdir(p("ic", "images", s))]
         self.run(capsys, ["extract-features", "--corpus", p("ic"), "--out", p("feat")] + conf,
-                 p("feat", "run_record.json"), 31, corpus_files("ic"),
+                 p("feat", "run_record.json"), 31, corpus_files("ic") + pngs,
                  [p("feat", s + ".fmat") for s in stems])
         words = corpus_files("c")
         self.run(capsys, ["train-lm", "--out", p("lm.arpa"), "--words", "10"] + conf,
@@ -915,6 +935,8 @@ class TestImagePipeline:
         assert len(mats) == 2
         m = read_matrix(str(d / "feat" / mats[0]))
         assert m.shape[1] == 40
+        assert json.loads((d / "feat" / "manifest.json").read_text()) == \
+            json.loads((d / "icorpus" / "manifest.json").read_text())
 
 
 class TestSegmentalPipeline:
