@@ -98,9 +98,8 @@ class LetterAlphabet:
 class PhonologicalFeatureTable:
     """Six-feature table; per-letter assignments may be partial."""
 
-    def __init__(self, data=None):
-        if data is None:
-            data = _load_data("phonological_features.json")
+    def __init__(self):
+        data = _load_data("phonological_features.json")
         self.features = {name: tuple(spec["values"])
                          for name, spec in data["features"].items()}
         if tuple(self.features) != PHONOLOGICAL_FEATURES:
@@ -159,9 +158,8 @@ class PhoneticFeatureTable:
 
     ANGLE_VALUES = frozenset({0, 45, 90, 135, 180, -45, -1, 1})
 
-    def __init__(self, data=None):
-        if data is None:
-            data = _load_data("phonetic_features.json")
+    def __init__(self):
+        data = _load_data("phonetic_features.json")
         rows = data["rows"]
         if len(rows) != 27:
             raise ValueError("phonetic table must have 27 rows, got %d" % len(rows))

@@ -504,17 +504,22 @@ def classifier_block(post, mode, feature_order=None):
     raise ValueError("mode must be 'letter' or 'feature'")
 
 
+def tandem_transform(block, transform):
+    """Classifier outputs as the tandem front end takes them: as they are
+    ('linear') or their log, floored at ``LOG_FLOOR`` ('log')."""
+    if transform == "log":
+        return np.log(np.maximum(block, LOG_FLOOR))
+    if transform != "linear":
+        raise ValueError("transform must be 'linear' or 'log'")
+    return block
+
+
 def build_tandem_observation(post, image_feature, mode, pca_classifier=None,
-                             pca_image=None, transform="linear",
-                             feature_order=None):
-    """Tandem observations: (optionally log) classifier outputs, PCA
+                             pca_image=None, transform="linear"):
+    """Tandem observations: ``tandem_transform``ed classifier outputs, PCA
     reduced, concatenated with the PCA-reduced image feature.  One frame
     gives a vector; (T, .) posteriors and (T, .) image features give (T, .)."""
-    block = classifier_block(post, mode, feature_order)
-    if transform == "log":
-        block = np.log(np.maximum(block, LOG_FLOOR))
-    elif transform != "linear":
-        raise ValueError("transform must be 'linear' or 'log'")
+    block = tandem_transform(classifier_block(post, mode), transform)
     if pca_classifier is not None:
         block = apply_pca(pca_classifier, block)
     img = np.asarray(image_feature, dtype=np.float64)

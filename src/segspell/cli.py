@@ -65,8 +65,7 @@ class Config:
     the config file (``config_keys``)."""
     raw: dict = in_file(None, default_factory=dict)
     pipeline: PipelineConfig = in_file("", default_factory=PipelineConfig)  # top level
-    scrf: ScrfConfig = in_file("scrf", ("rescoring_kinds",),  # a saved model records its own
-                               default_factory=ScrfConfig)
+    scrf: ScrfConfig = in_file("scrf", default_factory=ScrfConfig)
     generator: synthgen.GeneratorConfig = in_file(
         "generator", default_factory=synthgen.GeneratorConfig)
     signers: int = in_file("data.signers", default=4, at_least=1)
@@ -517,7 +516,7 @@ def cmd_run_protocol(args, cfg):
     signers = synthgen.make_signers(len(manifest["signers"]), manifest["seed"],
                                     cfg.generator)
     corpus = synthgen.Corpus(words, signers, manifest["word_list"], manifest["seed"],
-                             cfg.generator, manifest["repetitions"])
+                             manifest["repetitions"])
     if args.verbose:   # progress lines go to stderr: stdout keeps the table
         logging.basicConfig(format="%(message)s")
         logging.getLogger("segspell").setLevel(logging.INFO)

@@ -225,11 +225,19 @@ def _unfilter(data, h, w, channels):
 
 
 def read_png(path):
-    """Read an 8-bit grayscale or RGB PNG into a uint8 array."""
+    """Read an 8-bit grayscale or RGB PNG into a uint8 array; a file that is
+    not one, or is cut short, raises DataError naming it."""
     with open_input(path, "rb") as f:
         raw = f.read()
+    try:
+        return _decode_png(raw)
+    except (IndexError, ValueError, struct.error, zlib.error) as e:
+        raise DataError("%s: %s" % (path, e)) from None
+
+
+def _decode_png(raw):
     if raw[:8] != b"\x89PNG\r\n\x1a\n":
-        raise ValueError("%s: not a PNG file" % path)
+        raise ValueError("not a PNG file")
     pos = 8
     idat = b""
     meta = None
@@ -241,14 +249,14 @@ def read_png(path):
         if tag == b"IHDR":
             w, h, depth, color_type, comp, filt, interlace = struct.unpack(">IIBBBBB", payload)
             if depth != 8 or color_type not in (0, 2) or interlace != 0:
-                raise ValueError("%s: only 8-bit gray/RGB non-interlaced PNG supported" % path)
+                raise ValueError("only 8-bit gray/RGB non-interlaced PNG supported")
             meta = (h, w, 1 if color_type == 0 else 3)
         elif tag == b"IDAT":
             idat += payload
         elif tag == b"IEND":
             break
     if meta is None:
-        raise ValueError("%s: missing IHDR" % path)
+        raise ValueError("missing IHDR")
     h, w, channels = meta
     data = zlib.decompress(idat)
     flat = _unfilter(data, h, w, channels)

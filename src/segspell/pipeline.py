@@ -21,7 +21,8 @@ import numpy as np
 
 from .alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet
 from .classifier import (AdaptationModel, FramePosteriors, TrainConfig, adapt,
-                         build_tandem_observation, load_classifier, train_mlp)
+                         build_tandem_observation, load_classifier, tandem_transform,
+                         train_mlp)
 from .fileio import DataError, FieldError, check_fields, in_file, read_model, write_json
 from .hmm import (DecodeConfig, LetterHmm, build_decode_graph, forced_align, nbest, train_em,
                   unit_transitions, viterbi_decode)
@@ -29,8 +30,8 @@ from .lm import load_arpa, train_bigram
 from .metrics import score_corpus
 from .scrf import (BaselineFeature, ClassifierStatFeature, FeatureContext,
                    FirstPassFeatures, LmFeature, PeakFeature, ScrfConfig, SegmentalModel,
-                   SegmentClassifierFeature, TrainingExample, build_second_pass,
-                   nbest_decode, rescore, train_cll, viterbi as scrf_viterbi)
+                   TrainingExample, build_second_pass, nbest_decode, rescore,
+                   span_thirds, train_cll, viterbi as scrf_viterbi)
 from .segments import NoPathError, frame_labels, letters_only
 from .vision import PcaModel, fit_pca, stack_windows
 
@@ -127,10 +128,8 @@ def train_frame_classifier(words, alphabet, cfg, seed_offset=0):
 def fit_frontend_pcas(words, posts, cfg):
     """Separate PCA models for the classifier block and the image block,
     fit on the training words and their frame posteriors."""
-    posts = np.concatenate(posts)
+    posts = tandem_transform(np.concatenate(posts), cfg.frontend.transform)
     descs = np.concatenate([w.descriptors for w in words])
-    if cfg.frontend.transform == "log":
-        posts = np.log(np.maximum(posts, 1e-10))
     k1 = min(cfg.frontend.pca_classifier, posts.shape[1], len(posts) - 1)
     k2 = min(cfg.frontend.pca_image, descs.shape[1], len(descs) - 1)
     return fit_pca(posts, k1), fit_pca(descs, k2)
@@ -275,7 +274,7 @@ def split_by_signer(corpus):
 PROTOCOL_ROWS = ("independent", "FA", "GT", "dependent")
 
 
-def run_protocol(corpus, cfg=None, alphabet=None, rows=PROTOCOL_ROWS):
+def run_protocol(corpus, cfg=None, rows=PROTOCOL_ROWS):
     """The full evaluation protocol on a synthetic corpus.
 
     Emits a table shaped like the headline letter-error-rate table: one row
@@ -285,7 +284,7 @@ def run_protocol(corpus, cfg=None, alphabet=None, rows=PROTOCOL_ROWS):
     Progress goes to this module's logger at INFO.
     """
     cfg = cfg or PipelineConfig()
-    alphabet = alphabet or LetterAlphabet()
+    alphabet = LetterAlphabet()
     by_signer = split_by_signer(corpus)
     signer_ids = [s.signer_id for s in corpus.signers]
     lm_words = corpus.word_list
@@ -443,7 +442,7 @@ def build_rescoring_model(alphabet, num_classes, scfg):
     detection features."""
     labels = scrf_labels(alphabet)
     feats = [LmFeature(), BaselineFeature()] + [
-        ClassifierStatFeature(labels, kind, num_classes) for kind in scfg.rescoring_kinds]
+        ClassifierStatFeature(labels, kind, num_classes) for kind in ("mean", "max")]
     model = SegmentalModel(labels, feats + [PeakFeature(labels)],
                            max_duration=scfg.max_duration,
                            min_letter_duration=scfg.min_letter_duration)
@@ -478,9 +477,10 @@ def rescore_words(model, recognizer, words, lattices=None):
 
 
 def load_scrf(path, recognizer, alphabet, scfg=ScrfConfig()):
-    """Rebuild a saved segmental model: the feature registry comes from the
-    stored manifest (first-pass or rescoring feature set), then the weights
-    load with a manifest check."""
+    """Rebuild a saved segmental model: the first-pass feature set when the
+    stored manifest names only ``firstpass``, else the rescoring set that
+    ``build_rescoring_model`` builds.  The weights then load with a manifest
+    check, which refuses a model of any other feature set (DataError)."""
     num_classes = len(recognizer.classifier.class_names)
 
     def build(obj):
@@ -488,31 +488,26 @@ def load_scrf(path, recognizer, alphabet, scfg=ScrfConfig()):
         cfg = replace(scfg, max_duration=obj.get("max_duration", scfg.max_duration),
                       min_letter_duration=obj.get("min_letter_duration",
                                                   scfg.min_letter_duration))
-        if names == ["firstpass"]:
-            return build_firstpass_model(alphabet, num_classes, cfg)
-        kinds = tuple(n.split("_")[-1] for n in names
-                      if n.startswith("classifier_letter_"))
-        kinds = tuple("div_" + k if k in ("s", "m") else k for k in kinds)
-        return build_rescoring_model(alphabet, num_classes,
-                                     replace(cfg, rescoring_kinds=kinds))
+        build_model = build_firstpass_model if names == ["firstpass"] else build_rescoring_model
+        return build_model(alphabet, num_classes, cfg)
 
     return read_model(path, build).load_weights(path)
 
 
-def train_segment_classifier(recognizer, train_words, alphabet, cfg, seed_offset=0):
+def train_segment_classifier(recognizer, train_words, alphabet, cfg):
     """Segment-level classifier on ground-truth segments: input is the
     fixed-dimension summary (means of the span's thirds of the frame
-    posteriors), output the segment label."""
+    posteriors, as ``SegmentClassifierFeature`` reads them), output the
+    segment label."""
     labels = scrf_labels(alphabet)
-    probe = SegmentClassifierFeature(labels, None)
     xs, ys = [], []
     index = {l: i for i, l in enumerate(labels)}
     for w in train_words:
-        ctx = make_context(recognizer, w)
+        post = recognizer.posteriors(w)
         for seg in w.segments:
-            xs.append(probe.summary(ctx, seg.start, seg.end))
+            xs.append(span_thirds(post[seg.start:seg.end + 1], np.mean))
             ys.append(index[seg.label])
-    tcfg = replace(cfg.adapt_train, seed=cfg.seed + 9000 + seed_offset)
+    tcfg = replace(cfg.adapt_train, seed=cfg.seed + 9000)
     model, _ = train_mlp((np.asarray(xs), np.asarray(ys, dtype=int)), tcfg,
                          list(cfg.arch), labels)
     return model

@@ -133,6 +133,14 @@ def segment_thirds(n):
     return a, b, rest - b
 
 
+def span_thirds(rows, op):
+    """``op`` (np.mean or np.max) over each contiguous third of a span's
+    posterior rows, concatenated; an empty third gives zeros."""
+    a, b, c = segment_thirds(len(rows))
+    return np.concatenate([op(p, axis=0) if len(p) else np.zeros(rows.shape[1])
+                           for p in (rows[0:a], rows[a:a + b], rows[a + b:a + b + c])])
+
+
 # ---------------------------------------------------------------------------
 # Feature functions.  Each has ``dim`` weights.  A left-independent feature
 # reads the spans [starts[k], ends[k]], scored with the weight block
@@ -239,11 +247,7 @@ class ClassifierStatFeature(_Lexicalized):
             return g.mean(axis=0)
         if self.kind == "max":
             return g.max(axis=0)
-        a, b, c = segment_thirds(len(g))
-        parts = [g[0:a], g[a:a + b], g[a + b:a + b + c]]
-        op = np.mean if self.kind == "div_s" else np.max
-        return np.concatenate([op(p, axis=0) if len(p) else np.zeros(g.shape[1])
-                               for p in parts])
+        return span_thirds(g, np.mean if self.kind == "div_s" else np.max)
 
 
 class PeakFeature(_Lexicalized):
@@ -343,8 +347,8 @@ class FirstPassScoreFeature(_Scalar):
 
 class SegmentClassifierFeature(_Scalar):
     """Posterior of a segment-level classifier for the hypothesized label,
-    from a fixed-dimension summary: the means of the span's three thirds.
-    Each label has its own weight."""
+    from a fixed-dimension summary: the means of the span's three thirds
+    (``span_thirds`` with np.mean).  Each label has its own weight."""
 
     name = "segment_classifier"
 
@@ -357,16 +361,10 @@ class SegmentClassifierFeature(_Scalar):
     def label_index(self, label):
         return self._index.get(label)
 
-    def summary(self, ctx, start, end):
-        g = ctx.letter_posteriors[start:end + 1]
-        a, b, c = segment_thirds(len(g))
-        parts = [g[0:a], g[a:a + b], g[a + b:a + b + c]]
-        return np.concatenate([p.mean(axis=0) if len(p) else np.zeros(g.shape[1])
-                               for p in parts])
-
     def span_values(self, ctx, starts, ends, labels):
         """One classifier call for all spans."""
-        probs = self.mlp.predict_proba(np.array([self.summary(ctx, s, e)
+        g = ctx.letter_posteriors
+        probs = self.mlp.predict_proba(np.array([span_thirds(g[s:e + 1], np.mean)
                                                  for s, e in zip(starts, ends)]))
         cols = np.array([self._index.get(l, -1) for l in labels])
         return np.where(cols >= 0, probs[:, cols], 0.0)
@@ -387,7 +385,8 @@ def _label_blocks(f, labels):
 
 class SegmentalModel:
     """Feature registry plus weights, label set and duration bounds; each
-    feature brings its ``dim`` weights.
+    feature brings its ``dim`` weights.  ``weights`` start at zero, are set
+    by training or ``load_weights``, and are what every score reads.
 
     Durations are bounded by ``max_duration`` except for the boundary
     silences, which are exempt; letters may also get a minimum duration.
@@ -397,17 +396,13 @@ class SegmentalModel:
     """
 
     def __init__(self, labels, features, max_duration=40, min_letter_duration=1,
-                 initial_labels=None, final_labels=None, weights=None):
+                 initial_labels=None, final_labels=None):
         self.labels = list(labels)
         self.features = list(features)
         self.dims = [f.dim for f in self.features]
         self.offsets = np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
         self.total_dim = int(self.offsets[-1])
-        self.weights = np.zeros(self.total_dim) if weights is None else \
-            np.asarray(weights, dtype=np.float64)
-        if len(self.weights) != self.total_dim:
-            raise ValueError("weight vector length %d != feature dimensionality %d"
-                             % (len(self.weights), self.total_dim))
+        self.weights = np.zeros(self.total_dim)
         self.max_duration = max_duration
         self.min_letter_duration = min_letter_duration
         self.initial_labels = set(initial_labels) if initial_labels is not None else None
@@ -435,16 +430,15 @@ class SegmentalModel:
     def final_ok(self, label):
         return self.final_labels is None or label in self.final_labels
 
-    def edge_scores(self, ctx, starts, ends, weights=None):
+    def edge_scores(self, ctx, starts, ends):
         """(span, pair): the left-independent features' score of each span
         [starts[k], ends[k]] under each label (spans, L), duration bounds not
         applied, and the left-dependent ones' of each label pair (L+1, L),
         row 0 the START context."""
-        w_all = self.weights if weights is None else weights
         nl = len(self.labels)
         span, pair = np.zeros((len(starts), nl)), np.zeros((nl + 1, nl))
         for f, off, dim in zip(self.features, self.offsets[:-1], self.dims):
-            w = w_all[off:off + dim]
+            w = self.weights[off:off + dim]
             if f.left_dependent:
                 pair += f.pair_matrix(ctx, self.labels) @ w
                 continue
@@ -455,7 +449,7 @@ class SegmentalModel:
                 f.span_values(ctx, starts, ends, self.labels) * wm[:, 0]
         return span, pair
 
-    def score(self, labels, segments, ctx, weights=None):
+    def score(self, labels, segments, ctx):
         """Total weighted feature score of one labeled segmentation.
 
         The duration bounds only size the full-space tables, so a lattice
@@ -464,7 +458,7 @@ class SegmentalModel:
         check_tiling(segments, ctx.num_frames)
         if len(labels) != len(segments):
             raise ValueError("label/segment count mismatch")
-        return float(lattice_scores(self, ctx, [(labels, segments)], weights)[0])
+        return float(lattice_scores(self, ctx, [(labels, segments)])[0])
 
     def final_mask(self):
         return np.array([0.0 if self.final_ok(l) else NEG_INF for l in self.labels])
@@ -540,10 +534,10 @@ def _lattice_spans(model, hyps):
     return (bounds[:, 0], bounds[:, 1]) + tuple(np.array(rows, dtype=int).reshape(-1, 4).T)
 
 
-def lattice_scores(model, ctx, hyps, weights=None):
+def lattice_scores(model, ctx, hyps):
     """Total score of each (labels, segments) pair of ``hyps``."""
     starts, ends, hyp, span, label, prev = _lattice_spans(model, hyps)
-    span_scores, pair_scores = model.edge_scores(ctx, starts, ends, weights)
+    span_scores, pair_scores = model.edge_scores(ctx, starts, ends)
     return np.bincount(hyp, span_scores[span, label] + pair_scores[prev, label], len(hyps))
 
 
@@ -668,7 +662,7 @@ def _structure(model, t_len):
     return model._structures[key]
 
 
-def compute_tables(model, ctx, weights=None):
+def compute_tables(model, ctx):
     """Every edge score of one sequence, as ``Tables``.
 
     Letters are scored over spans up to dmax = min(max_duration, T) frames,
@@ -678,7 +672,7 @@ def compute_tables(model, ctx, weights=None):
     adds the pair scores to the constraints (initial labels in row 0, -inf
     for disallowed pairs).  The rest is weight-free (``_structure``)."""
     index, infeasible, trans, final, letters = _structure(model, ctx.num_frames)
-    scores, pair = model.edge_scores(ctx, index.starts, index.last, weights)
+    scores, pair = model.edge_scores(ctx, index.starts, index.last)
     scores[infeasible] = NEG_INF
     return Tables(scores, trans + pair, final, index, letters)
 
@@ -725,36 +719,33 @@ def backward_pass(tabs):
     return tail, inner
 
 
-def log_partition(model, ctx, mode="full", lattice=None, weights=None):
-    """log sum over in-scope labeled segmentations of exp(score)."""
-    if mode == "lattice":
-        if lattice is None or not lattice.hypotheses:
-            raise ValueError("lattice mode requires a non-empty lattice")
+def log_partition(model, ctx, lattice=None):
+    """log sum of exp(score) over the hypotheses of ``lattice``, or without
+    one over every labeled segmentation of the sequence."""
+    if lattice is not None:
         return _logsumexp(lattice_scores(model, ctx, [(h.labels, h.segments)
-                                                      for h in lattice.hypotheses], weights))
-    if mode != "full":
-        raise ValueError("mode must be 'full' or 'lattice'")
-    tabs = compute_tables(model, ctx, weights)
+                                                      for h in lattice.hypotheses]))
+    tabs = compute_tables(model, ctx)
     alpha, _ = forward_pass(tabs)
     return _logsumexp(alpha[ctx.num_frames] + tabs.final)
 
 
-def _ranked(model, ctx, n, weights=None):
+def _ranked(model, ctx, n):
     """``nbest_segmentations`` of the sequence's tables, NoPathError when
     it is empty."""
-    ranked = nbest_segmentations(compute_tables(model, ctx, weights), n)
+    ranked = nbest_segmentations(compute_tables(model, ctx), n)
     if not ranked:
         raise NoPathError("no legal segmentation of %d frames" % ctx.num_frames)
     return ranked
 
 
-def viterbi(model, ctx, weights=None):
+def viterbi(model, ctx):
     """Best labeled segmentation under the duration bounds, as (labels,
     segments, score): the top of ``nbest_segmentations``, so exact ties
     resolve to the shortest final segment, then the lowest previous-label
     index (and, at the last frame, the lowest label index).  NoPathError
     when no segmentation is legal."""
-    score, spans = _ranked(model, ctx, 1, weights)[0]
+    score, spans = _ranked(model, ctx, 1)[0]
     segments = [Segment(model.labels[y], start, end) for y, start, end in spans]
     return [s.label for s in segments], segments, score
 
@@ -788,7 +779,6 @@ class ScrfConfig:
     l2: float = in_file(default=1e-4, at_least=0)
     nbest: int = in_file(default=8, at_least=1)   # the cascade's first-pass lattices only
     init_scale: float = 8.0
-    rescoring_kinds: tuple[str, ...] = ("mean", "max")
     ref_policy: str = in_file(default="add-ground-truth", choices=REF_POLICIES)
 
     def __post_init__(self):
@@ -812,7 +802,7 @@ class ReferenceNotInLattice(RuntimeError):
     pass
 
 
-def clamped_expectation(model, ctx, ref_labels, weights=None, tabs=None):
+def clamped_expectation(model, ctx, ref_labels, tabs=None):
     """(expected features, log-partition) over segmentations consistent with
     the reference label sequence (constrained forward-backward).  All of
     them share the reference's label pairs, so the pair score of each
@@ -821,7 +811,7 @@ def clamped_expectation(model, ctx, ref_labels, weights=None, tabs=None):
     into one (spans, L) array before the expectation.  NoPathError when
     no segmentation carries the reference labels."""
     if tabs is None:
-        tabs = compute_tables(model, ctx, weights)
+        tabs = compute_tables(model, ctx)
     t_len = ctx.num_frames
     k = len(ref_labels)
     lidx = [model._label_index[l] for l in ref_labels]
@@ -851,14 +841,14 @@ def clamped_expectation(model, ctx, ref_labels, weights=None, tabs=None):
     return _expectation(model, ctx, starts, tabs.index.last, post, counts), float(logz_c)
 
 
-def free_expectation(model, ctx, weights=None, tabs=None):
+def free_expectation(model, ctx, tabs=None):
     """(expected features, logZ) over the full segmentation space.  A span
     labeled y from boundary s to e has posterior exp(prev_lse[s, y] + score
     + tail[e, y] - logZ); the label-pair posterior of (p, y) sums, over the
     boundary t where a segment labeled y starts, exp(alpha[t, p] +
     trans[p, y] + inner[t, y] - logZ)."""
     if tabs is None:
-        tabs = compute_tables(model, ctx, weights)
+        tabs = compute_tables(model, ctx)
     post, logz, alpha, inner = _marginals(tabs)
     pair_post = None
     if model.left_dependent:

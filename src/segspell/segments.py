@@ -71,9 +71,10 @@ def frame_labels(segments, num_frames):
     return out
 
 
-def letters_only(labels, silences=("<s>", "</s>")):
-    """Drop boundary-silence labels from a label sequence."""
-    return [l for l in labels if l not in silences]
+def letters_only(labels):
+    """Drop the boundary-silence labels ``<s>`` and ``</s>`` from a label
+    sequence."""
+    return [l for l in labels if l not in ("<s>", "</s>")]
 
 
 def to_jsonable(segments):

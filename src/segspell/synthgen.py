@@ -131,7 +131,7 @@ def descriptor_dim(cfg):
     return POSE_DIM + 2 * cfg.wobble_circles
 
 
-def make_signers(count, seed, cfg=None, alphabet=None):
+def make_signers(count, seed, cfg=None):
     """Signers with speeds spanning cfg.speed_ratio and per-signer random
     orthogonal appearance transforms."""
     cfg = cfg or GeneratorConfig()
@@ -325,29 +325,27 @@ class Corpus:
     signers: list
     word_list: list
     seed: int
-    config: GeneratorConfig = field(default_factory=GeneratorConfig)
     repetitions: int = 2
 
     def by_signer(self, signer_id):
         return [w for w in self.words if w.signer_id == signer_id]
 
 
-def generate_corpus(word_list, signers, seed, repetitions=2, cfg=None,
-                    alphabet=None, table=None):
+def generate_corpus(word_list, signers, seed, repetitions=2, cfg=None):
     """Every word spelled ``repetitions`` times by every signer, with
     per-token seeds spawned from (seed, signer index, word index, rep)."""
     if not word_list:
         raise ValueError("empty word list")
     cfg = cfg or GeneratorConfig()
-    alphabet = alphabet or LetterAlphabet()
-    table = table or PhoneticFeatureTable()
+    alphabet = LetterAlphabet()
+    table = PhoneticFeatureTable()
     words = []
     for si, signer in enumerate(signers):
         for wi, word in enumerate(word_list):
             for rep in range(repetitions):
                 key = (seed, si, wi, rep)
                 words.append(generate_word(word, signer, key, cfg, alphabet, table))
-    return Corpus(words, list(signers), list(word_list), seed, cfg, repetitions)
+    return Corpus(words, list(signers), list(word_list), seed, repetitions)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +431,7 @@ def load_corpus(directory):
 # ---------------------------------------------------------------------------
 # Image mode
 
-def render_frames(synth_word, signer, cfg=None, with_noise=True):
+def render_frames(synth_word, signer, cfg=None):
     """Toy frames: background plus an elliptical hand blob whose orientation
     and eccentricity encode the frame's pose; returns (frames, masks) with
     frames uint8 RGB and masks boolean."""
@@ -461,8 +459,7 @@ def render_frames(synth_word, signer, cfg=None, with_noise=True):
         img = np.empty((h, w, 3))
         img[:] = bg
         img[mask] = hand
-        if with_noise:
-            img += 0.015 * rng.normal(size=img.shape)
+        img += 0.015 * rng.normal(size=img.shape)
         frames.append((np.clip(img, 0, 1) * 255).astype(np.uint8))
         masks.append(mask)
     return frames, masks

@@ -108,7 +108,8 @@ def _kmeans_init(x, k):
     return centers, assign
 
 
-def fit_diag_gmm(x, k=3, iters=20, var_floor=1e-4):
+def fit_diag_gmm(x, k, var_floor):
+    """Diagonal GMM of the rows of ``x``: k-means start, 20 EM iterations."""
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     k = min(k, n)
@@ -122,7 +123,7 @@ def fit_diag_gmm(x, k=3, iters=20, var_floor=1e-4):
         variances[j] = sel.var(axis=0) if len(sel) > 1 else x.var(axis=0)
     variances = np.maximum(variances, var_floor)
     gmm = DiagGmm(weights, centers, variances)
-    for _ in range(iters):
+    for _ in range(20):
         ll = (diag_gaussian_logpdf(x[:, None, :], gmm.means, gmm.variances)
               + np.log(gmm.weights)[None])
         m = ll.max(axis=1, keepdims=True)
@@ -136,6 +137,9 @@ def fit_diag_gmm(x, k=3, iters=20, var_floor=1e-4):
         gmm.variances = np.maximum(sq / np.maximum(nk[:, None], 1e-12)
                                    - gmm.means ** 2, var_floor)
     return gmm
+
+
+VAR_FLOOR = 1e-4   # of the hand color model's variances
 
 
 @dataclass
@@ -153,15 +157,15 @@ class HandColorModel:
         return diag_gaussian_logpdf(lab_image, self.bg_mean, self.bg_var)
 
 
-def fit_hand_color_model(frames, rois, components=3, dilate_radius=5,
-                         var_floor=1e-4, floor_percentile=1.0):
+def fit_hand_color_model(frames, rois):
     """Fit the hand/background color model from annotated frames.
 
     ``frames`` are RGB images; ``rois`` give the hand region per frame as a
-    binary mask or as polygon vertices.  The background model is a single
+    binary mask or as polygon vertices.  The hand model is a 3-component
+    diagonal GMM of the annotated pixels.  The background model is a single
     Gaussian per pixel fit over frames where that pixel is not in or near
-    (within ``dilate_radius``) a hand region; the hand prior is the fraction
-    of annotated hand pixels.
+    (within 5 pixels of) a hand region.  The hand prior is the fraction of
+    annotated hand pixels, and its density floor their 1st percentile.
     """
     if len(frames) == 0 or len(frames) != len(rois):
         raise ValueError("need matching non-empty frame and ROI lists")
@@ -177,9 +181,9 @@ def fit_hand_color_model(frames, rois, components=3, dilate_radius=5,
         masks.append(mask)
 
     hand_pixels = np.concatenate([lab[m] for lab, m in zip(labs, masks)])
-    hand_gmm = fit_diag_gmm(hand_pixels, k=components, var_floor=var_floor)
+    hand_gmm = fit_diag_gmm(hand_pixels, 3, VAR_FLOOR)
 
-    structure = np.ones((2 * dilate_radius + 1, 2 * dilate_radius + 1), dtype=bool)
+    structure = np.ones((11, 11), dtype=bool)   # dilation by 5 pixels
     count = np.zeros(shape)
     acc = np.zeros(shape + (3,))
     acc2 = np.zeros(shape + (3,))
@@ -192,16 +196,16 @@ def fit_hand_color_model(frames, rois, components=3, dilate_radius=5,
     # pixels never observed as background fall back to the global statistics
     global_mean = acc.sum(axis=(0, 1)) / np.maximum(count.sum(), 1.0)
     global_var = np.maximum(acc2.sum(axis=(0, 1)) / np.maximum(count.sum(), 1.0)
-                            - global_mean ** 2, var_floor)
+                            - global_mean ** 2, VAR_FLOOR)
     safe = np.maximum(count, 1.0)[..., None]
     bg_mean = acc / safe
-    bg_var = np.maximum(acc2 / safe - bg_mean ** 2, var_floor)
+    bg_var = np.maximum(acc2 / safe - bg_mean ** 2, VAR_FLOOR)
     missing = count < 2
     bg_mean[missing] = global_mean
     bg_var[missing] = global_var
 
     prior = float(np.mean([m.mean() for m in masks]))
-    floor = float(np.percentile(hand_gmm.log_density(hand_pixels), floor_percentile))
+    floor = float(np.percentile(hand_gmm.log_density(hand_pixels), 1.0))
     return HandColorModel(hand_gmm, bg_mean, bg_var, prior, floor)
 
 
@@ -258,7 +262,6 @@ class HogConfig:
     canonical_size: int = 128
     grids: tuple = (4, 8, 16)
     orientation_bins: int = 8
-    respect_mask: bool = True   # zero out gradient contributions off the hand
     epsilon: float = 1e-6
 
     @property
@@ -327,8 +330,7 @@ def hog_descriptor(frame, mask, cfg=None):
     theta = np.arctan2(gy, gx) % np.pi
     nb = cfg.orientation_bins
     bins = np.minimum((theta / np.pi * nb).astype(int), nb - 1)
-    if cfg.respect_mask:
-        mag = mag * mcrop
+    mag = mag * mcrop
 
     pieces = []
     for g in cfg.grids:

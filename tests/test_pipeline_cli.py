@@ -938,6 +938,32 @@ class TestImagePipeline:
         assert json.loads((d / "feat" / "manifest.json").read_text()) == \
             json.loads((d / "icorpus" / "manifest.json").read_text())
 
+    @pytest.fixture(scope="class")
+    def icorpus(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("images") / "icorpus"
+        assert cli.main(["gen-data", "--out", str(out), "--wordlist", "1", "--words", "1",
+                         "--signers", "1", "--reps", "1", "--seed", "3", "--images"]) == 0
+        return out
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda raw: raw[:100], id="cut-in-data"),
+        pytest.param(lambda raw: b"arbitrary bytes, not an image", id="not-png"),
+        pytest.param(lambda raw: raw[:20], id="cut-in-header")])
+    def test_damaged_frame_exit_3(self, icorpus, tmp_path, capsys, damage):
+        # a rendered frame cut short or replaced names its file without a
+        # traceback, and extract-features writes nothing
+        corpus = tmp_path / "icorpus"
+        shutil.copytree(icorpus, corpus)
+        stem = sorted(os.listdir(corpus / "images"))[0]
+        path = corpus / "images" / stem / "f0000.png"
+        path.write_bytes(damage(path.read_bytes()))
+        rc = cli.main(["extract-features", "--corpus", str(corpus),
+                       "--out", str(tmp_path / "feat")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "feat").exists()
+
 
 class TestSegmentalPipeline:
     def test_firstpass_beats_or_matches_tandem_dependent(self, recognizer, split,
@@ -993,6 +1019,22 @@ class TestSegmentalPipeline:
         p1 = pipeline.firstpass_decode(model, recognizer, test[:3])
         p2 = pipeline.firstpass_decode(loaded, recognizer, test[:3])
         assert p1 == p2
+
+    def test_load_scrf_refuses_another_feature_set(self, recognizer, alphabet, tmp_path):
+        # a saved SCRF is the first-pass set or the rescoring set
+        # build_rescoring_model builds; any other manifest is refused
+        from segspell import scrf
+        from segspell.fileio import DataError
+        labels = pipeline.scrf_labels(alphabet)
+        num_classes = len(recognizer.classifier.class_names)
+        other = scrf.SegmentalModel(labels, [
+            scrf.LmFeature(), scrf.BaselineFeature(),
+            scrf.ClassifierStatFeature(labels, "div_s", num_classes), scrf.PeakFeature(labels)])
+        path = str(tmp_path / "other.json")
+        other.save(path)
+        with pytest.raises(DataError, match="manifest mismatch") as e:
+            pipeline.load_scrf(path, recognizer, alphabet)
+        assert path in str(e.value)
 
 
 class TestCliSegmental:

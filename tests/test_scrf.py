@@ -148,7 +148,7 @@ def sequence_log_posterior(model, ctx, ref_labels):
     _, logz_c = clamped_expectation(model, ctx, ref_labels, tabs=tabs)
     if logz_c == -np.inf:
         return -np.inf
-    return logz_c - log_partition(model, ctx, "full")
+    return logz_c - log_partition(model, ctx)
 
 
 class TestFeatureFunctions:
@@ -320,7 +320,7 @@ class TestExactInference:
                              descriptors=np.zeros((1, 2)))
         f = ClassifierStatFeature(["A", "B"], "mean", 2)
         model = SegmentalModel(["A", "B"], [f], max_duration=3)
-        assert log_partition(model, ctx, "full") == pytest.approx(math.log(2), abs=1e-12)
+        assert log_partition(model, ctx) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_log_partition_viterbi_marginals_vs_enumeration(self):
         rng = np.random.default_rng(6)
@@ -339,14 +339,14 @@ class TestExactInference:
             if not hyps:
                 continue
             scores = np.array([model.score(l, s, ctx) for l, s in hyps])
-            assert log_partition(model, ctx, "full") == \
+            assert log_partition(model, ctx) == \
                 pytest.approx(_logsumexp(scores), abs=1e-9)
             vl, vs, vscore = viterbi(model, ctx)
             besti = int(np.argmax(scores))
             assert vscore == pytest.approx(scores[besti], abs=1e-9)
             assert vl == hyps[besti][0]
             assert [s.span() for s in vs] == [s.span() for s in hyps[besti][1]]
-            assert vscore <= log_partition(model, ctx, "full") + 1e-12
+            assert vscore <= log_partition(model, ctx) + 1e-12
             # per-frame coverage marginals sum to one
             marg, _ = edge_marginals(model, ctx)
             for frame in range(T):
@@ -417,8 +417,8 @@ class TestExactInference:
         lattice = CandidateLattice(
             [Hypothesis(l, s, model.score(l, s, ctx)) for l, s in hyps],
             ["A"] * 3)
-        assert log_partition(model, ctx, "lattice", lattice) == \
-            pytest.approx(log_partition(model, ctx, "full"), abs=1e-9)
+        assert log_partition(model, ctx, lattice) == \
+            pytest.approx(log_partition(model, ctx), abs=1e-9)
         vl, _, _ = viterbi(model, ctx)
         rl, _, _ = rescore(model, lattice, ctx)
         scores = {}
@@ -433,7 +433,9 @@ class TestExactInference:
         ctx = random_ctx(rng, 3, with_lm=False)
         model = random_model(rng, ctx, ["A", "B"], 3, with_lm=False)
         with pytest.raises(ValueError):
-            log_partition(model, ctx, "lattice", None)
+            rescore(model, None, ctx)
+        with pytest.raises(ValueError):
+            CandidateLattice([], [])
 
 
 def silence_model(rng, ctx, labels, lmax, pinned, with_lm=False, kind="firstpass",
@@ -475,7 +477,7 @@ class TestBoundarySilences:
             assert any(l[0] == "<s>" and s[0].duration > lmax + 1 for l, s in hyps)
             scores = np.array([model.score(l, s, ctx) for l, s in hyps])
             logz = _logsumexp(scores)
-            assert log_partition(model, ctx, "full") == pytest.approx(logz, abs=1e-9)
+            assert log_partition(model, ctx) == pytest.approx(logz, abs=1e-9)
             vl, vs, vscore = viterbi(model, ctx)
             besti = int(np.argmax(scores))
             assert vscore == pytest.approx(scores[besti], abs=1e-9)
@@ -581,7 +583,7 @@ class TestTraining:
             model.weights = w
             tabs = compute_tables(model, ctx)
             _, lzc = clamped_expectation(model, ctx, ref_labels, tabs=tabs)
-            val = lzc - log_partition(model, ctx, "full")
+            val = lzc - log_partition(model, ctx)
             model.weights = saved
             return val
 
@@ -889,16 +891,7 @@ class TestRescoreCascade:
 
     def test_segment_summary_constant_posterior(self):
         g = np.full((6, 3), 1.0 / 3)
-
-        class DummyMlp:
-            class_names = ["A", "B"]
-
-            def predict_proba(self, x):
-                return np.full((1, 2), 0.5)
-
-        ctx = FeatureContext(6, letter_posteriors=g)
-        f = scrf.SegmentClassifierFeature(["A", "B"], DummyMlp())
-        s = f.summary(ctx, 0, 5)
+        s = scrf.span_thirds(g, np.mean)
         np.testing.assert_allclose(s[:3], s[3:6])
         np.testing.assert_allclose(s[3:6], s[6:])
 
