@@ -20,6 +20,7 @@ from importlib import resources
 
 BEGIN_SILENCE = "<s>"
 END_SILENCE = "</s>"
+SILENCES = (BEGIN_SILENCE, END_SILENCE)
 LETTERS = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 PHONOLOGICAL_FEATURES = ("SF POR", "SF joints", "SF quantity",
@@ -48,7 +49,7 @@ class LetterAlphabet:
                 raise ValueError("doubled token must repeat one letter: %r" % (tok,))
         self.letters = LETTERS
         self.doubled = tuple(doubled)
-        self.symbols = self.letters + self.doubled + (BEGIN_SILENCE, END_SILENCE)
+        self.symbols = self.letters + self.doubled + SILENCES
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("duplicate symbols in alphabet")
         self._index = {s: i for i, s in enumerate(self.symbols)}
@@ -56,10 +57,6 @@ class LetterAlphabet:
     @property
     def class_count(self):
         return len(self.symbols)
-
-    @property
-    def silences(self):
-        return (BEGIN_SILENCE, END_SILENCE)
 
     def letter_index(self, symbol):
         try:
@@ -72,9 +69,6 @@ class LetterAlphabet:
             raise UnknownSymbolError("index out of range: %d" % index)
         return self.symbols[index]
 
-    def is_silence(self, symbol):
-        return symbol in (BEGIN_SILENCE, END_SILENCE)
-
     def tokenize(self, word):
         """Split a word into letter tokens, greedily matching doubled tokens."""
         tokens = []
@@ -86,7 +80,7 @@ class LetterAlphabet:
                 i += 2
                 continue
             ch = word[i]
-            if ch not in self._index or self.is_silence(ch):
+            if ch not in LETTERS:
                 raise UnknownSymbolError(
                     "word %r has out-of-alphabet character %r at position %d"
                     % (word, ch, i))

@@ -286,17 +286,16 @@ def cmd_gen_data(args, cfg):
 
 
 def cmd_extract_features(args, cfg):
-    manifest, _, _ = load_corpus_words(args.corpus)
+    manifest, stems, words = load_corpus_words(args.corpus)
     img_root = require(os.path.join(args.corpus, "images"), "gen-data --images")
     hog_cfg = HogConfig()
     per_signer_model = {}
     word_desc = []
-    entries = {e["stem"]: e for e in manifest["entries"]}
-    stems = sorted(entries)
-    for stem in stems:
+    by_stem = dict(zip(stems, words))
+    for stem in sorted(by_stem):
         img_dir = os.path.join(img_root, stem)
         require(img_dir, "gen-data --images")
-        signer = entries[stem]["signer"]
+        signer = by_stem[stem].signer_id
         frames, masks, t = [], [], 0
         while os.path.exists(os.path.join(img_dir, "f%04d.png" % t)):
             frames.append(read_png(os.path.join(img_dir, "f%04d.png" % t)))
@@ -321,8 +320,7 @@ def cmd_extract_features(args, cfg):
         reduced = apply_pca(pca, descs)
         out_path = os.path.join(args.out, stem + ".fmat")
         write_matrix(out_path, reduced)
-        meta = read_json(os.path.join(args.corpus, stem + ".json"))
-        write_json(os.path.join(args.out, stem + ".json"), meta)
+        synthgen.save_word_metadata(os.path.join(args.out, stem + ".json"), by_stem[stem])
         outputs.append(out_path)
     write_json(os.path.join(args.out, "manifest.json"), manifest)
     return ("extracted HOG+PCA descriptors for %d sequences into %s"
@@ -511,11 +509,8 @@ def cmd_run_protocol(args, cfg):
                           % (",".join(pipeline.PROTOCOL_ROWS), args.rows))
     # the manifest's top-level fields are checked by synthgen.read_manifest
     manifest, _, words = load_corpus_words(args.corpus)
-    if len(manifest["signers"]) < 2:
-        raise DataError("protocol needs at least 2 signers for leave-one-out")
-    signers = synthgen.make_signers(len(manifest["signers"]), manifest["seed"],
-                                    cfg.generator)
-    corpus = synthgen.Corpus(words, signers, manifest["word_list"], manifest["seed"],
+    # run_protocol takes its signers from the words
+    corpus = synthgen.Corpus(words, [], manifest["word_list"], manifest["seed"],
                              manifest["repetitions"])
     if args.verbose:   # progress lines go to stderr: stdout keeps the table
         logging.basicConfig(format="%(message)s")

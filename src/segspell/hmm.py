@@ -39,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import BEGIN_SILENCE, END_SILENCE
+from .alphabet import BEGIN_SILENCE, END_SILENCE, SILENCES
 from .fileio import DataError, check_fields, in_file, read_model, shaped_array, write_json
 from .scrf import Tables, nbest_segmentations
-from .segments import NoPathError, Segment, check_tiling, lattice_from_ranked
+from .segments import NoPathError, Segment, check_tiling, lattice_from_ranked, letters_only
 from .vision import diag_gaussian_logpdf
 
 LOG_ZERO = -1e30
@@ -70,7 +70,7 @@ class LetterHmm:
     def __init__(self, letters, dim, letter_states=3, silence_states=9,
                  components=2, var_floor=1e-4):
         self.letters = tuple(letters)
-        self.units = self.letters + (BEGIN_SILENCE, END_SILENCE)
+        self.units = self.letters + SILENCES
         self.dim = dim
         self.letter_states = letter_states
         self.silence_states = silence_states
@@ -474,7 +474,7 @@ def viterbi_decode(model, lm, seq, cfg=None, graph=None):
     if _no_path(best):
         raise NoPathError("no legal path (sequence too short for any letter sequence?)")
     segs = _path_segments(model.units, model.state_unit_index, path)
-    letters = [s.label for s in segs if s.label not in (BEGIN_SILENCE, END_SILENCE)]
+    letters = letters_only([s.label for s in segs])
     return letters, segs, best
 
 

@@ -265,9 +265,10 @@ def realign_adapt(recognizer, adapt_words, eval_words, alphabet, iters=2):
 # Protocol
 
 def split_by_signer(corpus):
+    """The corpus's words per signer id, signers in order of first word."""
     out = {}
-    for s in corpus.signers:
-        out[s.signer_id] = corpus.by_signer(s.signer_id)
+    for w in corpus.words:
+        out.setdefault(w.signer_id, []).append(w)
     return out
 
 
@@ -280,13 +281,16 @@ def run_protocol(corpus, cfg=None, rows=PROTOCOL_ROWS):
     Emits a table shaped like the headline letter-error-rate table: one row
     per training condition (signer-independent, forced-alignment adapted,
     ground-truth adapted, signer-dependent), one column per signer plus the
-    mean, each cell a letter error rate with its D/S/I decomposition.
-    Progress goes to this module's logger at INFO.
+    mean, each cell a letter error rate with its D/S/I decomposition.  The
+    signers are those with words.  Progress goes to this module's logger at
+    INFO.
     """
     cfg = cfg or PipelineConfig()
     alphabet = LetterAlphabet()
     by_signer = split_by_signer(corpus)
-    signer_ids = [s.signer_id for s in corpus.signers]
+    signer_ids = list(by_signer)
+    if len(signer_ids) < 2:
+        raise DataError("protocol needs at least 2 signers with words for leave-one-out")
     lm_words = corpus.word_list
     results = {row: {} for row in rows}
     details = {row: {} for row in rows}
@@ -389,11 +393,6 @@ def nbest_lattices(recognizer, words, n=None):
 # ---------------------------------------------------------------------------
 # Segmental models: first-pass training, rescoring, and the cascade
 
-def scrf_labels(alphabet):
-    return list(alphabet.letters) + list(alphabet.doubled) \
-        + [BEGIN_SILENCE, END_SILENCE]
-
-
 def make_context(recognizer, word, lm=None, baseline_frames=None):
     return FeatureContext(word.num_frames,
                           letter_posteriors=recognizer.posteriors(word),
@@ -414,14 +413,12 @@ def build_firstpass_model(alphabet, num_classes, scfg):
     """First-pass segmental model; the average-posterior weight of each
     label's own classifier class starts positive, so the initial model is
     already a per-segment posterior decoder that training then refines."""
-    labels = scrf_labels(alphabet)
-    feat = FirstPassFeatures(labels, num_classes, scfg.max_duration)
-    model = SegmentalModel(labels, [feat], max_duration=scfg.max_duration,
+    feat = FirstPassFeatures(num_classes, scfg.max_duration)
+    model = SegmentalModel(alphabet.symbols, [feat], max_duration=scfg.max_duration,
                            min_letter_duration=scfg.min_letter_duration,
                            initial_labels={BEGIN_SILENCE}, final_labels={END_SILENCE})
-    for li, label in enumerate(labels):
-        if li < num_classes:
-            model.weights[li * feat.block + li] = scfg.init_scale
+    for li in range(min(num_classes, len(model.labels))):
+        model.weights[li * feat.block + li] = scfg.init_scale
     return model
 
 
@@ -438,12 +435,11 @@ def firstpass_decode(model, recognizer, words):
 
 def build_rescoring_model(alphabet, num_classes, scfg):
     """Rescoring segmental model over baseline lattices: LM probability,
-    baseline-consistency, lexicalized classifier span statistics, and peak
+    baseline-consistency, per-label classifier span statistics, and peak
     detection features."""
-    labels = scrf_labels(alphabet)
     feats = [LmFeature(), BaselineFeature()] + [
-        ClassifierStatFeature(labels, kind, num_classes) for kind in ("mean", "max")]
-    model = SegmentalModel(labels, feats + [PeakFeature(labels)],
+        ClassifierStatFeature(kind, num_classes) for kind in ("mean", "max")]
+    model = SegmentalModel(alphabet.symbols, feats + [PeakFeature()],
                            max_duration=scfg.max_duration,
                            min_letter_duration=scfg.min_letter_duration)
     model.weights[0] = 1.0   # start from the LM
@@ -499,17 +495,15 @@ def train_segment_classifier(recognizer, train_words, alphabet, cfg):
     fixed-dimension summary (means of the span's thirds of the frame
     posteriors, as ``SegmentClassifierFeature`` reads them), output the
     segment label."""
-    labels = scrf_labels(alphabet)
     xs, ys = [], []
-    index = {l: i for i, l in enumerate(labels)}
     for w in train_words:
         post = recognizer.posteriors(w)
         for seg in w.segments:
             xs.append(span_thirds(post[seg.start:seg.end + 1], np.mean))
-            ys.append(index[seg.label])
+            ys.append(alphabet.letter_index(seg.label))
     tcfg = replace(cfg.adapt_train, seed=cfg.seed + 9000)
     model, _ = train_mlp((np.asarray(xs), np.asarray(ys, dtype=int)), tcfg,
-                         list(cfg.arch), labels)
+                         list(cfg.arch), list(alphabet.symbols))
     return model
 
 
@@ -524,7 +518,7 @@ def run_cascade(recognizer_train, recognizer_eval, train_words, eval_words,
     first, _ = train_firstpass(recognizer_train, train_words, alphabet, scfg)
 
     seg_mlp = train_segment_classifier(recognizer_train, train_words, alphabet, cfg)
-    second = build_second_pass(first, scrf_labels(alphabet), seg_mlp)
+    second = build_second_pass(first, seg_mlp)
     train_cll(second, [replace(ex, lattice=nbest_decode(first, ex.ctx, scfg.nbest))
                        for ex in _full_space_examples(recognizer_train, train_words)], scfg)
 

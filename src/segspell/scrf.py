@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .alphabet import BEGIN_SILENCE, END_SILENCE
+from .alphabet import BEGIN_SILENCE, END_SILENCE, SILENCES
 from .fileio import (DataError, FieldError, check_fields, in_file, read_json, shaped_array,
                      write_json)
 from .metrics import align
@@ -142,13 +142,13 @@ def span_thirds(rows, op):
 
 
 # ---------------------------------------------------------------------------
-# Feature functions.  Each has ``dim`` weights.  A left-independent feature
-# reads the spans [starts[k], ends[k]], scored with the weight block
-# ``label_index(label)`` (None: no weights) of ``block`` weights.  A
-# lexicalized one has a vector per span (``span_scores``,
-# ``span_expectation``), any other a value per (span, label) for a
-# one-weight block (``span_values``).  Only the LM feature reads the left
-# label, and nothing else: pair_matrix() gives every label pair's values.
+# Feature functions, each over the model's labels.  A feature has ``block``
+# weights, one block ``shared`` by all labels or one per label (in the
+# model's label order).  A left-independent one scores the spans [starts[k],
+# ends[k]] under every label (``span_scores``, from the (blocks, block)
+# weight matrix ``wm``) and sums their values weighted by span posteriors
+# (``span_expectation``).  Only the LM feature reads the left label, and
+# nothing else: pair_matrix() gives every label pair's values.
 
 class LmFeature:
     """Bigram probability p(right | left) of the labels across the edge,
@@ -158,8 +158,8 @@ class LmFeature:
 
     name = "lm"
     left_dependent = True
-    lexicalized = False
-    dim = 1
+    shared = True
+    block = 1
 
     def pair_matrix(self, ctx, labels):
         """Values for every (left, right) pair, (L+1, L, 1); row 0 is START.
@@ -170,14 +170,19 @@ class LmFeature:
 
 
 class _Scalar:
-    """One value per (span, label), all labels sharing one weight."""
+    """One value per (span, label) (``span_values``) and one weight, by
+    default shared by all labels."""
 
     left_dependent = False
-    lexicalized = False
-    dim = block = 1
+    shared = True
+    block = 1
 
-    def label_index(self, label):
-        return 0
+    def span_scores(self, ctx, starts, ends, labels, wm):
+        return self.span_values(ctx, starts, ends, labels) * wm[:, 0]
+
+    def span_expectation(self, ctx, starts, ends, labels, post):
+        """(..., L, 1): the values summed with weights ``post[..., k, y]``."""
+        return (post * self.span_values(ctx, starts, ends, labels)).sum(axis=-2)[..., None]
 
 
 class BaselineFeature(_Scalar):
@@ -193,39 +198,28 @@ class BaselineFeature(_Scalar):
         return np.where((run[starts] == run[ends])[:, None] & hit, 1.0, -1.0)
 
 
-class _Lexicalized:
+class _SpanVector:
     """One value vector of ``block`` values per span, scored against the
     weight block of the segment's label."""
 
     left_dependent = False
-    lexicalized = True
-
-    def __init__(self, labels):
-        self.labels = list(labels)
-        self._index = {l: i for i, l in enumerate(self.labels)}
-
-    @property
-    def dim(self):
-        return len(self.labels) * self.block
-
-    def label_index(self, label):
-        return self._index.get(label)
+    shared = False
 
     def span_vectors(self, ctx, starts, ends):
         """Base vectors of the spans [starts[k], ends[k]], (spans, block)."""
         return np.array([self.base_vector(ctx, s, e) for s, e in zip(starts, ends)])
 
-    def span_scores(self, ctx, starts, ends, wm):
+    def span_scores(self, ctx, starts, ends, labels, wm):
         """(spans, L): the vectors against each label's block, row of ``wm``."""
         return self.span_vectors(ctx, starts, ends) @ wm.T
 
-    def span_expectation(self, ctx, starts, ends, post):
+    def span_expectation(self, ctx, starts, ends, labels, post):
         """(..., L, block): the vectors summed with weights ``post[..., k, y]``."""
         return post.swapaxes(-1, -2) @ self.span_vectors(ctx, starts, ends)
 
 
-class ClassifierStatFeature(_Lexicalized):
-    """Lexicalized span statistics of the letter classifier's posteriors.
+class ClassifierStatFeature(_SpanVector):
+    """Per-label span statistics of the letter classifier's posteriors.
 
     kind 'mean'/'max' give one value per (label, classifier value); the
     'div_s'/'div_m' kinds give three, one per contiguous third of the span
@@ -233,10 +227,9 @@ class ClassifierStatFeature(_Lexicalized):
     values per frame.
     """
 
-    def __init__(self, labels, kind, num_classes):
+    def __init__(self, kind, num_classes):
         if kind not in ("mean", "max", "div_s", "div_m"):
             raise ValueError("unknown statistic kind %r" % (kind,))
-        super().__init__(labels)
         self.block = (3 if kind.startswith("div") else 1) * num_classes
         self.kind = kind
         self.name = "classifier_letter_" + kind   # the name saved models store
@@ -250,8 +243,8 @@ class ClassifierStatFeature(_Lexicalized):
         return span_thirds(g, np.mean if self.kind == "div_s" else np.max)
 
 
-class PeakFeature(_Lexicalized):
-    """Lexicalized single-peak indicator: entry y is delta(label = y) times
+class PeakFeature(_SpanVector):
+    """Per-label single-peak indicator: entry y is delta(label = y) times
     whether the span's smoothed derivative has exactly one local minimum."""
 
     name = "peak"
@@ -261,24 +254,23 @@ class PeakFeature(_Lexicalized):
         return np.array([delta_peak(ctx, start, end)])
 
 
-class FirstPassFeatures(_Lexicalized):
+class FirstPassFeatures(_SpanVector):
     """The first-pass feature set: per right label, the average classifier
     posterior over the span, posterior samples at the first/middle/last
     frames, posteriors at the two boundary frames, a duration one-hot
-    (bucketed at L_max) and a bias, all lexicalized.  Its span products go
+    (bucketed at L_max) and a bias, a block per label.  Its span products go
     through the few frame rows each span's values add up (``_rows``)."""
 
     name = "firstpass"
 
-    def __init__(self, labels, num_classes, max_duration):
-        super().__init__(labels)
+    def __init__(self, num_classes, max_duration):
         self.num_classes = num_classes
         self.max_duration = max_duration
         self.block = 6 * num_classes + max_duration + 1
         self._selectors = {}    # T -> (starts, ends, a): see _selector
 
     def span_vectors(self, ctx, starts, ends):
-        return self.span_scores(ctx, starts, ends, np.eye(self.block))
+        return self.span_scores(ctx, starts, ends, None, np.eye(self.block))
 
     def _rows(self, ctx, starts, ends):
         """(a, parts): row k of the sparse ``a`` picks the frame rows that
@@ -313,11 +305,11 @@ class FirstPassFeatures(_Lexicalized):
                 shape=(n, 4 * t + self.max_duration + 2)))
         return held[2]
 
-    def span_scores(self, ctx, starts, ends, wm):
+    def span_scores(self, ctx, starts, ends, labels, wm):
         a, parts = self._rows(ctx, starts, ends)
         return a @ np.vstack([rows @ sum(wm[:, b] for b in blocks).T for rows, blocks in parts])
 
-    def span_expectation(self, ctx, starts, ends, post):
+    def span_expectation(self, ctx, starts, ends, labels, post):
         a, parts = self._rows(ctx, starts, ends)
         sums = a.T @ np.moveaxis(post, -2, 0).reshape(len(starts), -1)
         sums = np.moveaxis(sums.reshape((-1,) + post.shape[:-2] + post.shape[-1:]), 0, -1)
@@ -333,7 +325,8 @@ class FirstPassFeatures(_Lexicalized):
 class FirstPassScoreFeature(_Scalar):
     """Span score under a trained first-pass model; summed over a
     segmentation this reproduces that model's total score.  The model must
-    be left-independent (see build_second_pass)."""
+    be left-independent and have the second pass's labels (see
+    build_second_pass)."""
 
     name = "firstpass_score"
 
@@ -341,33 +334,26 @@ class FirstPassScoreFeature(_Scalar):
         self.model = model
 
     def span_values(self, ctx, starts, ends, labels):
-        cols = np.array([self.model._label_index.get(l, -1) for l in labels])
-        return np.where(cols >= 0, self.model.edge_scores(ctx, starts, ends)[0][:, cols], 0.0)
+        return self.model.edge_scores(ctx, starts, ends)[0]
 
 
 class SegmentClassifierFeature(_Scalar):
     """Posterior of a segment-level classifier for the hypothesized label,
     from a fixed-dimension summary: the means of the span's three thirds
-    (``span_thirds`` with np.mean).  Each label has its own weight."""
+    (``span_thirds`` with np.mean); its classes are the model's labels.
+    Each label has its own weight."""
 
     name = "segment_classifier"
+    shared = False
 
-    def __init__(self, labels, mlp):
-        self.labels = list(labels)
-        self._index = {l: i for i, l in enumerate(self.labels)}
+    def __init__(self, mlp):
         self.mlp = mlp
-        self.dim = len(self.labels)
-
-    def label_index(self, label):
-        return self._index.get(label)
 
     def span_values(self, ctx, starts, ends, labels):
         """One classifier call for all spans."""
         g = ctx.letter_posteriors
-        probs = self.mlp.predict_proba(np.array([span_thirds(g[s:e + 1], np.mean)
-                                                 for s, e in zip(starts, ends)]))
-        cols = np.array([self._index.get(l, -1) for l in labels])
-        return np.where(cols >= 0, probs[:, cols], 0.0)
+        return self.mlp.predict_proba(np.array([span_thirds(g[s:e + 1], np.mean)
+                                                for s, e in zip(starts, ends)]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +363,11 @@ class ManifestError(DataError):
     pass
 
 
-def _label_blocks(f, labels):
-    """(labels, their weight blocks) of a left-independent feature."""
-    pairs = [(li, f.label_index(l)) for li, l in enumerate(labels)]
-    return np.array([p for p in pairs if p[1] is not None], dtype=int).reshape(-1, 2).T
-
-
 class SegmentalModel:
     """Feature registry plus weights, label set and duration bounds; each
-    feature brings its ``dim`` weights.  ``weights`` start at zero, are set
-    by training or ``load_weights``, and are what every score reads.
+    feature brings ``dims`` weights: its ``block``, once when ``shared``,
+    else once per label.  ``weights`` start at zero, are set by training or
+    ``load_weights``, and are what every score reads.
 
     Durations are bounded by ``max_duration`` except for the boundary
     silences, which are exempt; letters may also get a minimum duration.
@@ -399,7 +380,7 @@ class SegmentalModel:
                  initial_labels=None, final_labels=None):
         self.labels = list(labels)
         self.features = list(features)
-        self.dims = [f.dim for f in self.features]
+        self.dims = [f.block * (1 if f.shared else len(self.labels)) for f in self.features]
         self.offsets = np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
         self.total_dim = int(self.offsets[-1])
         self.weights = np.zeros(self.total_dim)
@@ -407,7 +388,7 @@ class SegmentalModel:
         self.min_letter_duration = min_letter_duration
         self.initial_labels = set(initial_labels) if initial_labels is not None else None
         self.final_labels = set(final_labels) if final_labels is not None else None
-        self._label_index = {l: i for i, l in enumerate(self.labels)}
+        self._ids = {l: i for i, l in enumerate(self.labels)}
         self._structures = {}   # weight-free parts of Tables (compute_tables)
 
     @property
@@ -415,11 +396,10 @@ class SegmentalModel:
         return any(f.left_dependent for f in self.features)
 
     def min_dur(self, label):
-        return 1 if label in (BEGIN_SILENCE, END_SILENCE) else self.min_letter_duration
+        return 1 if label in SILENCES else self.min_letter_duration
 
     def max_dur(self, label, num_frames):
-        silence = label in (BEGIN_SILENCE, END_SILENCE)
-        return num_frames if silence else min(self.max_duration, num_frames)
+        return num_frames if label in SILENCES else min(self.max_duration, num_frames)
 
     def transition_ok(self, prev, nxt):
         return prev != nxt and nxt != BEGIN_SILENCE and prev != END_SILENCE
@@ -441,12 +421,8 @@ class SegmentalModel:
             w = self.weights[off:off + dim]
             if f.left_dependent:
                 pair += f.pair_matrix(ctx, self.labels) @ w
-                continue
-            rows, blocks = _label_blocks(f, self.labels)
-            wm = np.zeros((nl, f.block))
-            wm[rows] = w.reshape(-1, wm.shape[1])[blocks]
-            span += f.span_scores(ctx, starts, ends, wm) if f.lexicalized else \
-                f.span_values(ctx, starts, ends, self.labels) * wm[:, 0]
+            else:
+                span += f.span_scores(ctx, starts, ends, self.labels, w.reshape(-1, f.block))
         return span, pair
 
     def score(self, labels, segments, ctx):
@@ -495,7 +471,8 @@ def _expectation(model, ctx, starts, ends, post, pair_post=None):
     """Expected features (..., total_dim): ``post[..., k, y]`` times the
     values of span k (frames [starts[k], ends[k]]) labeled y, summed over
     spans and labels, plus ``pair_post[..., p, y]`` times the values of the
-    label pair (indexed like the transition matrix)."""
+    label pair (indexed like the transition matrix).  A shared block adds
+    up its labels' values."""
     lead = post.shape[:-2]
     expect = np.zeros(lead + (model.total_dim,))
     for f, off, dim in zip(model.features, model.offsets[:-1], model.dims):
@@ -503,13 +480,10 @@ def _expectation(model, ctx, starts, ends, post, pair_post=None):
             expect[..., off:off + dim] = np.einsum(
                 "...py,pyk->...k", pair_post, f.pair_matrix(ctx, model.labels))
             continue
-        if f.lexicalized:
-            e = f.span_expectation(ctx, starts, ends, post)
-        else:
-            e = (post * f.span_values(ctx, starts, ends, model.labels)).sum(axis=-2)[..., None]
-        rows, blocks = _label_blocks(f, model.labels)
-        place = np.eye(dim // e.shape[-1])[blocks].T   # labels sharing a block add up
-        expect[..., off:off + dim] = (place @ e[..., rows, :]).reshape(lead + (dim,))
+        e = f.span_expectation(ctx, starts, ends, model.labels, post)
+        if f.shared:
+            e = np.ones((1, e.shape[-2])) @ e
+        expect[..., off:off + dim] = e.reshape(lead + (dim,))
     return expect
 
 
@@ -525,9 +499,9 @@ def _lattice_spans(model, hyps):
     for h, (labels, segments) in enumerate(hyps):
         prev = 0
         for label, seg in zip(labels, segments):
-            if label not in model._label_index:
+            if label not in model._ids:
                 raise DataError("lattice label %r is not one of the model's labels" % (label,))
-            y = model._label_index[label]
+            y = model._ids[label]
             rows.append((h, spans.setdefault((seg.start, seg.end), len(spans)), y, prev))
             prev = y + 1
     bounds = np.array(list(spans), dtype=int).reshape(-1, 2)
@@ -814,7 +788,7 @@ def clamped_expectation(model, ctx, ref_labels, tabs=None):
         tabs = compute_tables(model, ctx)
     t_len = ctx.num_frames
     k = len(ref_labels)
-    lidx = [model._label_index[l] for l in ref_labels]
+    lidx = [model._ids[l] for l in ref_labels]
     rows = [0] + [li + 1 for li in lidx[:-1]]
     pair = tabs.trans[rows, lidx]
     scores, starts, ends = tabs.scores, tabs.index.starts, tabs.index.ends
@@ -1052,17 +1026,20 @@ def rescore(model, lattice, ctx):
     return list(best_key), best_hyp, float(best_score)
 
 
-def build_second_pass(first_model, labels, segment_mlp=None):
-    """Second-pass model over first-pass lattices: first-pass score,
-    segment-classifier posteriors, and peak features.  The first-pass score
-    is a per-span feature, so the first model must not read the left
-    label."""
+def build_second_pass(first_model, segment_mlp=None):
+    """Second-pass model over first-pass lattices, with the first model's
+    labels: first-pass score, segment-classifier posteriors, and peak
+    features.  The first-pass score is a per-span feature, so the first
+    model must not read the left label; the segment classifier's classes
+    must be those labels."""
     if first_model.left_dependent:
         raise ValueError("the second pass needs a left-independent first-pass model")
-    feats = [FirstPassScoreFeature(first_model), PeakFeature(labels)]
+    feats = [FirstPassScoreFeature(first_model), PeakFeature()]
     if segment_mlp is not None:
-        feats.insert(1, SegmentClassifierFeature(labels, segment_mlp))
-    model = SegmentalModel(labels, feats, max_duration=first_model.max_duration,
+        if list(segment_mlp.class_names) != first_model.labels:
+            raise ValueError("the segment classifier's classes are not the first pass's labels")
+        feats.insert(1, SegmentClassifierFeature(segment_mlp))
+    model = SegmentalModel(first_model.labels, feats, max_duration=first_model.max_duration,
                            min_letter_duration=first_model.min_letter_duration,
                            initial_labels=first_model.initial_labels,
                            final_labels=first_model.final_labels)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .alphabet import SILENCES
 from .fileio import DataError, atomic_write_text, open_input, refuse_non_finite
 
 
@@ -74,7 +75,7 @@ def frame_labels(segments, num_frames):
 def letters_only(labels):
     """Drop the boundary-silence labels ``<s>`` and ``</s>`` from a label
     sequence."""
-    return [l for l in labels if l not in ("<s>", "</s>")]
+    return [l for l in labels if l not in SILENCES]
 
 
 def to_jsonable(segments):

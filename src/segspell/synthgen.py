@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .alphabet import (BEGIN_SILENCE, END_SILENCE, LetterAlphabet,
+from .alphabet import (BEGIN_SILENCE, END_SILENCE, SILENCES, LetterAlphabet,
                        PhoneticFeatureTable)
 from .fileio import (DataError, FieldError, check_fields, in_file, read_matrix, read_model,
                      write_json, write_matrix)
 from .scrf import smoothed_derivative
-from .segments import Segment, check_tiling, from_jsonable, to_jsonable
+from .segments import Segment, check_tiling, from_jsonable, letters_only, to_jsonable
 
 TOUCH_CODES = {"-": -1.0, "i": -0.6, "m": -0.2, "m/i": 0.2, "p": 0.6, "r": 1.0}
 PALM_CODES = {"for": -1.0, "in": 0.0, "dwn": 1.0}
@@ -124,7 +124,7 @@ class SyntheticWord:
 
     @property
     def letters(self):
-        return [l for l in self.labels if l not in (BEGIN_SILENCE, END_SILENCE)]
+        return letters_only(self.labels)
 
 
 def descriptor_dim(cfg):
@@ -196,7 +196,7 @@ def generate_word(word, signer, seed_key, cfg=None, alphabet=None, table=None):
         peaks.append(start + d // 2)
         start += d
 
-    bases = np.array([rest_pose(u) if u in (BEGIN_SILENCE, END_SILENCE) else
+    bases = np.array([rest_pose(u) if u in SILENCES else
                       letter_target(table.phonetic_values(u[0] * 2 if len(u) == 2 else u))
                       for u in units])
     targets = bases + cfg.jitter * rng.normal(size=bases.shape)
@@ -351,21 +351,26 @@ def generate_corpus(word_list, signers, seed, repetitions=2, cfg=None):
 # ---------------------------------------------------------------------------
 # Corpus on disk: manifest + binary descriptor matrices + ground truth
 
+def save_word_metadata(path, w):
+    """A word's ``.json``: everything but its descriptors."""
+    write_json(path, {
+        "word": w.word,
+        "signer": w.signer_id,
+        "labels": w.labels,
+        "segments": to_jsonable(w.segments),
+        "peaks": w.peaks,
+        "raw_durations": w.raw_durations,
+        "seed_key": list(w.seed_key),
+    })
+
+
 def save_corpus(corpus, directory):
     os.makedirs(directory, exist_ok=True)
     entries = []
     for i, w in enumerate(corpus.words):
         stem = "%s_w%04d" % (w.signer_id, i)
         write_matrix(os.path.join(directory, stem + ".fmat"), w.descriptors)
-        write_json(os.path.join(directory, stem + ".json"), {
-            "word": w.word,
-            "signer": w.signer_id,
-            "labels": w.labels,
-            "segments": to_jsonable(w.segments),
-            "peaks": w.peaks,
-            "raw_durations": w.raw_durations,
-            "seed_key": list(w.seed_key),
-        })
+        save_word_metadata(os.path.join(directory, stem + ".json"), w)
         entries.append({"stem": stem, "word": w.word, "signer": w.signer_id,
                         "seed_key": list(w.seed_key)})
     write_json(os.path.join(directory, "manifest.json"), {

@@ -135,8 +135,8 @@ def test_criterion_1_semimarkov_exactness():
         ctx = scrf.FeatureContext(T, letter_posteriors=rng.random((T, 4)),
                                   descriptors=rng.normal(size=(T, 3)),
                                   lm=ToyLm(probs))
-        feats = [scrf.ClassifierStatFeature(labels, "mean", 4),
-                 scrf.PeakFeature(labels)]
+        feats = [scrf.ClassifierStatFeature("mean", 4),
+                 scrf.PeakFeature()]
         if with_lm:
             feats.append(scrf.LmFeature())
         model = scrf.SegmentalModel(labels, feats, max_duration=lmax)
@@ -171,9 +171,9 @@ def test_criterion_2_gradient_checks():
     ctx = scrf.FeatureContext(3, letter_posteriors=rng.random((3, 3)),
                               descriptors=rng.normal(size=(3, 2)),
                               lm=ToyLm(probs))
-    feats = [scrf.ClassifierStatFeature(labels, "mean", 3),
-             scrf.ClassifierStatFeature(labels, "div_s", 3),
-             scrf.PeakFeature(labels), scrf.LmFeature()]
+    feats = [scrf.ClassifierStatFeature("mean", 3),
+             scrf.ClassifierStatFeature("div_s", 3),
+             scrf.PeakFeature(), scrf.LmFeature()]
     model = scrf.SegmentalModel(labels, feats, max_duration=3)
     model.weights = 0.5 * rng.normal(size=model.total_dim)
     ref = (["A", "B"], [Segment("A", 0, 1), Segment("B", 2, 2)])

@@ -61,7 +61,7 @@ class TestPipeline:
         assert [h for _, h in p1] == [h for _, h in p2]
         # the LM feature sees the same label-pair values after a reload,
         # START row, <s> column and </s> row included
-        labels = pipeline.scrf_labels(alphabet)
+        labels = alphabet.symbols
         m1, m2 = (LmFeature().pair_matrix(FeatureContext(1, lm=r.lm), labels)
                   for r in (recognizer, loaded))
         np.testing.assert_allclose(m2, m1, rtol=0, atol=1e-6)
@@ -792,6 +792,53 @@ class TestOneFrameWord:
         assert "(% of reference letters)" in (tmp_path / "p.txt").read_text()
 
 
+class TestProtocolSigners:
+    """run-protocol's signers are the corpus's signers with words, whatever
+    the manifest's ``signers`` list names."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("protocol_signers")
+        assert cli.main(["gen-data", "--out", str(d / "c"), "--words", "4",
+                         "--signers", "2", "--reps", "1"]) == 0
+        (d / "small.json").write_text(json.dumps({
+            "folds": 3, "report_folds": 1, "classifier": {"max_epochs": 1}}))
+        return d
+
+    @pytest.mark.parametrize("signers, keep, rc", [
+        pytest.param(["S1", "S2", "S3"], ("S1", "S2"), 0, id="signer-without-words"),
+        pytest.param(["S1", "S2"], ("S1",), 3, id="one-signer-with-words")])
+    def test_manifest_signers_without_words(self, corpus, tmp_path, capsys, signers, keep, rc):
+        shutil.copytree(corpus / "c", tmp_path / "c")
+        path = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest.update(signers=signers,
+                        entries=[e for e in manifest["entries"] if e["signer"] in keep])
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "p.json"
+        assert cli.main(["run-protocol", "--corpus", str(tmp_path / "c"), "--rows", "dependent",
+                         "--config", str(corpus / "small.json"), "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if rc:
+            assert "at least 2 signers" in err and not out.exists()
+        else:
+            assert json.loads(out.read_text())["signers"] == ["S1", "S2"]
+
+
+def test_saved_scrf_manifests_are_pinned():
+    # every saved model file is checked against these at load_scrf, so a
+    # change of the feature layout would refuse them all
+    from segspell.alphabet import LetterAlphabet
+    alphabet, scfg = LetterAlphabet(), pipeline.ScrfConfig()
+    assert pipeline.build_firstpass_model(alphabet, 28, scfg).manifest() == [
+        {"name": "firstpass", "dim": 5852}]
+    assert pipeline.build_rescoring_model(alphabet, 28, scfg).manifest() == [
+        {"name": "lm", "dim": 1}, {"name": "baseline", "dim": 1},
+        {"name": "classifier_letter_mean", "dim": 784},
+        {"name": "classifier_letter_max", "dim": 784}, {"name": "peak", "dim": 28}]
+
+
 def test_cli_import_leaves_scipy_sparse_out():
     # scipy.sparse loads with the first first-pass span product only
     src = os.path.dirname(os.path.dirname(segspell.__file__))
@@ -937,6 +984,9 @@ class TestImagePipeline:
         assert m.shape[1] == 40
         assert json.loads((d / "feat" / "manifest.json").read_text()) == \
             json.loads((d / "icorpus" / "manifest.json").read_text())
+        for mat in mats:   # each word's metadata is written as gen-data wrote it
+            name = mat[:-len(".fmat")] + ".json"
+            assert (d / "feat" / name).read_bytes() == (d / "icorpus" / name).read_bytes()
 
     @pytest.fixture(scope="class")
     def icorpus(self, tmp_path_factory):
@@ -1025,11 +1075,11 @@ class TestSegmentalPipeline:
         # build_rescoring_model builds; any other manifest is refused
         from segspell import scrf
         from segspell.fileio import DataError
-        labels = pipeline.scrf_labels(alphabet)
+        labels = alphabet.symbols
         num_classes = len(recognizer.classifier.class_names)
         other = scrf.SegmentalModel(labels, [
             scrf.LmFeature(), scrf.BaselineFeature(),
-            scrf.ClassifierStatFeature(labels, "div_s", num_classes), scrf.PeakFeature(labels)])
+            scrf.ClassifierStatFeature("div_s", num_classes), scrf.PeakFeature()])
         path = str(tmp_path / "other.json")
         other.save(path)
         with pytest.raises(DataError, match="manifest mismatch") as e:

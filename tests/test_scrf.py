@@ -72,7 +72,7 @@ def random_ctx(rng, T, with_lm=True, labels=("A", "B", "C")):
 
 
 def random_model(rng, ctx, labels, lmax, with_lm=True):
-    feats = [ClassifierStatFeature(labels, "mean", 4), PeakFeature(labels)]
+    feats = [ClassifierStatFeature("mean", 4), PeakFeature()]
     if with_lm:
         feats.append(LmFeature())
     model = SegmentalModel(list(labels), feats, max_duration=lmax)
@@ -107,8 +107,9 @@ def span_vectors(f, ctx, starts, ends):
 
 def edge_feature_vector(model, ctx, prev, label, start, end):
     """Feature vector of the segment [start, end] labeled ``label`` after
-    ``prev`` (START_LABEL first), one span at a time: lexicalized values
-    from ``span_vectors`` (``firstpass_vectors`` for the first pass)."""
+    ``prev`` (START_LABEL first), one span at a time: a vector feature's
+    values from ``span_vectors`` (``firstpass_vectors`` for the first pass)
+    in the block of the segment's label, or one shared by all labels."""
     y = model.labels.index(label)
     row = 0 if prev == START_LABEL else model.labels.index(prev) + 1
     parts = []
@@ -116,11 +117,12 @@ def edge_feature_vector(model, ctx, prev, label, start, end):
         out = np.zeros(dim)
         if f.left_dependent:
             out[:] = f.pair_matrix(ctx, model.labels)[row, y]
-        elif f.label_index(label) is not None:
-            b, bd = f.label_index(label), f.block
+        else:
+            b, bd = 0 if f.shared else y, f.block
             span = np.array([start]), np.array([end])
-            out[b * bd:(b + 1) * bd] = (span_vectors(f, ctx, *span)[0] if f.lexicalized
-                                        else f.span_values(ctx, *span, model.labels)[0, y])
+            out[b * bd:(b + 1) * bd] = (f.span_values(ctx, *span, model.labels)[0, y]
+                                        if hasattr(f, "span_values") else
+                                        span_vectors(f, ctx, *span)[0])
         parts.append(out)
     return np.concatenate(parts)
 
@@ -184,22 +186,19 @@ class TestFeatureFunctions:
         assert values[1, 0] == -1.0  # spans A/B
         assert values[2, 1] == -1.0  # mismatch
 
-    def test_classifier_mean_and_mask(self):
+    def test_classifier_mean(self):
         g = np.array([[0.2, 0.0], [0.4, 0.0]])
         ctx = FeatureContext(2, letter_posteriors=g)
-        f = ClassifierStatFeature(["A", "B"], "mean", 2)
+        f = ClassifierStatFeature("mean", 2)
         model = SegmentalModel(["A", "B", "Q"], [f], max_duration=2)
         vec = edge_feature_vector(model, ctx, START_LABEL, "A", 0, 1)
         assert vec[0] == pytest.approx(0.3)
-        assert edge_feature_vector(model, ctx, START_LABEL, "Q", 0, 1).sum() == 0.0
-        model.weights[:] = 1.0
-        assert model.edge_scores(ctx, np.array([0]), np.array([1]))[0][0, 2] == 0.0
 
     def test_div_thirds_of_six(self):
         g = np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [1.0]])
         ctx = FeatureContext(6, letter_posteriors=g)
-        div_s = ClassifierStatFeature(["A"], "div_s", 1)
-        div_m = ClassifierStatFeature(["A"], "div_m", 1)
+        div_s = ClassifierStatFeature("div_s", 1)
+        div_m = ClassifierStatFeature("div_m", 1)
         span = np.array([0]), np.array([5])
         np.testing.assert_allclose(div_s.span_vectors(ctx, *span)[0], [0.5, 0.5, 0.5])
         np.testing.assert_allclose(div_m.span_vectors(ctx, *span)[0], [1.0, 1.0, 1.0])
@@ -236,7 +235,7 @@ class TestFeatureFunctions:
         rng = np.random.default_rng(1)
         g = rng.random((5, 3))
         ctx = FeatureContext(5, letter_posteriors=g)
-        f = FirstPassFeatures(["A", "B"], 3, 4)
+        f = FirstPassFeatures(3, 4)
         base = f.span_vectors(ctx, np.array([2]), np.array([2]))[0]
         np.testing.assert_allclose(base, firstpass_vectors(f, ctx, np.array([2]), np.array([2]))[0],
                                    rtol=0, atol=1e-15)
@@ -248,9 +247,9 @@ class TestFeatureFunctions:
 
     def test_firstpass_dimensionality(self):
         labels = [str(i) for i in range(30)]
-        f = FirstPassFeatures(labels, 28, 40)
+        f = FirstPassFeatures(28, 40)
         assert f.block == 3 * 28 + 28 + 2 * 28 + 40 + 1
-        assert f.dim == 30 * (3 * 28 + 28 + 2 * 28 + 40 + 1)
+        assert SegmentalModel(labels, [f]).dims == [30 * (3 * 28 + 28 + 2 * 28 + 40 + 1)]
 
 
 class TestScore:
@@ -275,7 +274,7 @@ class TestScore:
         g = np.array([[0.2, 0.8], [0.6, 0.4], [1.0, 0.0]])
         ctx = FeatureContext(3, letter_posteriors=g,
                              lm=ToyLm({(START_LABEL, "A"): 0.5, ("A", "B"): 0.25}))
-        f1 = ClassifierStatFeature(["A", "B"], "mean", 2)
+        f1 = ClassifierStatFeature("mean", 2)
         f2 = LmFeature()
         model = SegmentalModel(["A", "B"], [f1, f2], max_duration=3)
         model.weights = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
@@ -318,7 +317,7 @@ class TestExactInference:
     def test_t1_two_labels_zero_weights_log2(self):
         ctx = FeatureContext(1, letter_posteriors=np.zeros((1, 2)),
                              descriptors=np.zeros((1, 2)))
-        f = ClassifierStatFeature(["A", "B"], "mean", 2)
+        f = ClassifierStatFeature("mean", 2)
         model = SegmentalModel(["A", "B"], [f], max_duration=3)
         assert log_partition(model, ctx) == pytest.approx(math.log(2), abs=1e-12)
 
@@ -375,7 +374,7 @@ class TestExactInference:
         g[:2, 0] = 1.0
         g[2:, 1] = 1.0
         ctx = FeatureContext(4, letter_posteriors=g)
-        f = ClassifierStatFeature(["A", "B"], "mean", 2)
+        f = ClassifierStatFeature("mean", 2)
         model = SegmentalModel(["A", "B"], [f], max_duration=4)
         model.weights = np.array([50.0, -50.0, -50.0, 50.0])
         labels, segs, _ = viterbi(model, ctx)
@@ -386,20 +385,14 @@ class TestExactInference:
         rng = np.random.default_rng(7)
         ctx = random_ctx(rng, 5, with_lm=False)
 
-        class BiasFeature:
+        class BiasFeature(scrf._Scalar):
             name = "bias"
-            left_dependent = False
-            lexicalized = False
-            dim = block = 1
-
-            def label_index(self, label):
-                return 0
 
             def span_values(self, ctx, starts, ends, labels):
                 return np.ones((len(starts), len(labels)))
 
         labels = ["A", "B"]
-        f = ClassifierStatFeature(labels, "mean", 4)
+        f = ClassifierStatFeature("mean", 4)
         bias = BiasFeature()
         model = SegmentalModel(labels, [f, bias], max_duration=3)
         model.weights[:-1] = rng.normal(size=model.total_dim - 1)
@@ -442,9 +435,9 @@ def silence_model(rng, ctx, labels, lmax, pinned, with_lm=False, kind="firstpass
                   baseline=False):
     """A model whose labels include <s> and </s>; ``pinned`` also sets the
     first pass's initial and final labels."""
-    stat = FirstPassFeatures(labels, 4, lmax) if kind == "firstpass" else \
-        ClassifierStatFeature(labels, kind, 4)
-    feats = [stat, PeakFeature(labels)] + [LmFeature()] * with_lm
+    stat = FirstPassFeatures(4, lmax) if kind == "firstpass" else \
+        ClassifierStatFeature(kind, 4)
+    feats = [stat, PeakFeature()] + [LmFeature()] * with_lm
     if baseline:
         ctx.baseline_frames = [labels[i] for i in rng.integers(len(labels), size=ctx.num_frames)]
         feats.append(BaselineFeature())
@@ -568,9 +561,9 @@ class TestTraining:
         rng = np.random.default_rng(10)
         labels = ["A", "B"]
         ctx = random_ctx(rng, 4, labels=labels)
-        feats = [ClassifierStatFeature(labels, "mean", 4),
-                 ClassifierStatFeature(labels, "div_s", 4),
-                 PeakFeature(labels), LmFeature()]
+        feats = [ClassifierStatFeature("mean", 4),
+                 ClassifierStatFeature("div_s", 4),
+                 PeakFeature(), LmFeature()]
         model = SegmentalModel(labels, feats, max_duration=3)
         model.weights = 0.5 * rng.normal(size=model.total_dim)
         ref_labels = ["A", "B"]
@@ -603,7 +596,7 @@ class TestTraining:
         labels = ["A", "B"]
         ctx = random_ctx(rng, 4, labels=labels)
         ctx.baseline_frames = ["A", "A", "B", "B"]
-        feats = [ClassifierStatFeature(labels, "max", 4), BaselineFeature(), LmFeature()]
+        feats = [ClassifierStatFeature("max", 4), BaselineFeature(), LmFeature()]
         model = SegmentalModel(labels, feats, max_duration=4)
         model.weights = 0.3 * rng.normal(size=model.total_dim)
         hyps = [ (["A", "B"], [Segment("A", 0, 1), Segment("B", 2, 3)]),
@@ -883,11 +876,23 @@ class TestRescoreCascade:
         uniq = [h for h in lattice.hypotheses
                 if tuple(h.labels) not in seen and not seen.add(tuple(h.labels))]
         lattice = CandidateLattice(uniq, lattice.baseline_frames)
-        second = scrf.build_second_pass(first, labels)
+        second = scrf.build_second_pass(first)
         np.testing.assert_array_equal(second.weights[:1], [1.0])
         assert second.weights[1:].sum() == 0.0
         labels2, _, _ = scrf.rescore(second, lattice, ctx)
         assert labels2 == list(lattice.hypotheses[0].labels)
+
+    def test_second_pass_refuses_classifier_of_other_labels(self):
+        # the segment classifier's posterior columns are the model's labels
+        rng = np.random.default_rng(18)
+        ctx = random_ctx(rng, 5, with_lm=False)
+        first = random_model(rng, ctx, ["A", "B"], 3, with_lm=False)
+
+        class OtherMlp:
+            class_names = ["B", "A"]
+
+        with pytest.raises(ValueError, match="segment classifier"):
+            scrf.build_second_pass(first, OtherMlp())
 
     def test_segment_summary_constant_posterior(self):
         g = np.full((6, 3), 1.0 / 3)
@@ -921,7 +926,7 @@ class TestSerialization:
         fresh = random_model(np.random.default_rng(21), ctx, labels, 3, with_lm=False)
         fresh.load_weights(path)
         np.testing.assert_array_equal(fresh.weights, model.weights)
-        other = SegmentalModel(labels, [PeakFeature(labels)], max_duration=3)
+        other = SegmentalModel(labels, [PeakFeature()], max_duration=3)
         with pytest.raises(ManifestError):
             other.load_weights(path)
 
@@ -1212,7 +1217,7 @@ class TestFactoredFirstPass:
         rng = np.random.default_rng(50 + T)
         labels = ["<s>", "A", "B", "C", "</s>"]
         ctx = FeatureContext(T, letter_posteriors=rng.dirichlet(np.ones(6), size=T))
-        f = FirstPassFeatures(labels, 6, lmax)
+        f = FirstPassFeatures(6, lmax)
         index = scrf.SpanIndex(T, min(lmax, T))
         starts, ends = index.starts, index.ends - 1
         phi = firstpass_vectors(f, ctx, starts, ends)
@@ -1220,14 +1225,14 @@ class TestFactoredFirstPass:
         for _ in range(3):
             wm = rng.normal(scale=3.0, size=(len(labels), f.block))
             dense = phi @ wm.T
-            got = f.span_scores(ctx, starts, ends, wm)
+            got = f.span_scores(ctx, starts, ends, labels, wm)
             assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
             post = rng.random((2, len(starts), len(labels)))   # batched
             dense = post.swapaxes(-1, -2) @ phi
-            got = f.span_expectation(ctx, starts, ends, post)
+            got = f.span_expectation(ctx, starts, ends, labels, post)
             assert got.shape == dense.shape
             assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
-            np.testing.assert_allclose(f.span_expectation(ctx, starts, ends, post[0]),
+            np.testing.assert_allclose(f.span_expectation(ctx, starts, ends, labels, post[0]),
                                        got[0], rtol=0, atol=0)
 
     def test_tables_keep_weight_free_structure_only(self):
@@ -1355,8 +1360,8 @@ class TestLatticeSpanPath:
         for case in range(8):
             ctx = random_ctx(rng, 9, labels=labels)
             ctx.baseline_frames = [labels[i] for i in rng.integers(3, size=9)]
-            feats = [FirstPassFeatures(labels, 4, 3), ClassifierStatFeature(labels, "div_m", 4),
-                     PeakFeature(labels), BaselineFeature(), LmFeature()]
+            feats = [FirstPassFeatures(4, 3), ClassifierStatFeature("div_m", 4),
+                     PeakFeature(), BaselineFeature(), LmFeature()]
             model = SegmentalModel(labels, feats, max_duration=3)
             model.weights = rng.normal(size=model.total_dim)
             lat = self.lattice(rng, 9, labels)
@@ -1373,6 +1378,7 @@ class TestLatticeSpanPath:
 
         class CountingMlp:
             calls = 0
+            class_names = labels
 
             def predict_proba(self, x):
                 CountingMlp.calls += 1
@@ -1380,7 +1386,7 @@ class TestLatticeSpanPath:
 
         ctx = random_ctx(rng, 9, with_lm=False, labels=labels)
         first = random_model(rng, ctx, labels, 3, with_lm=False)
-        second = scrf.build_second_pass(first, labels, CountingMlp())
+        second = scrf.build_second_pass(first, CountingMlp())
         second.weights[1:4] = [1.0, 2.0, 3.0]
         lat = self.lattice(rng, 9, labels)
         rescore(second, lat, ctx)
