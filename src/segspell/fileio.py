@@ -78,9 +78,13 @@ def atomic_write_text(path, text):
 
 
 def write_json(path, obj):
-    """Refuses NaN and infinity (ValueError) before anything is written."""
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True,
-                                       allow_nan=False) + "\n")
+    """Refuses NaN and infinity (DataError naming the file) before anything
+    is written."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise DataError("%s not written: %s" % (path, e)) from None
+    atomic_write_text(path, text + "\n")
 
 
 def refuse_non_finite(where):

@@ -9,9 +9,10 @@ sequences need not start or end with non-signing frames.  That policy is
 stated once, at unit level, by ``unit_transitions``.
 
 N-best lattices run on the semi-Markov engine (``scrf.nbest_segmentations``):
-each unit's best within-unit state path over every span is one span score
-(the boundary silences' from and to the sequence edges only), and the
-unit-level policy is the engine's transition matrix.
+each unit's best within-unit state path over every span is one span score,
+written straight into the engine's span order (the boundary silences' from
+and to the sequence edges only), and the unit-level policy is the engine's
+transition matrix.
 Viterbi and forced alignment stay frame-synchronous over the expanded state
 graph: built on the span table, Viterbi is O(T^2) per word and measured
 2-2.5x slower on a 2-vCPU x86-64 host (0.27-0.37 s against 0.12-0.15 s
@@ -41,7 +42,7 @@ import numpy as np
 
 from .alphabet import BEGIN_SILENCE, END_SILENCE, SILENCES
 from .fileio import DataError, check_fields, in_file, read_model, shaped_array, write_json
-from .scrf import Tables, nbest_segmentations
+from .scrf import SpanIndex, Tables, nbest_segmentations
 from .segments import NoPathError, Segment, check_tiling, lattice_from_ranked, letters_only
 from .vision import diag_gaussian_logpdf
 
@@ -519,38 +520,43 @@ def span_table(model, emis, policy):
     """The N-best engine's input: ``scrf.Tables`` of every unit span's best
     within-unit state path, with ``policy`` = ``unit_transitions``.
 
-    ``table[t, d-1, u]`` enters letter u's first state at frame t, covers d
-    frames and leaves its last state after frame t+d-1, that exit's
-    ``log_next`` included; it is -inf when d is below the unit's state
-    count.  ``unit_transitions`` enters ``<s>`` only from START and leaves
-    ``</s>`` only to the end, so their spans are ``enter[t]`` over [0, t)
-    and ``leave[t]`` over [t, T).  The chain DP runs over all start frames
-    at once, one step per duration, for each group of units with the same
-    state count."""
+    A letter's span [t, t+d) enters its first state at frame t and leaves
+    its last state after frame t+d-1, that exit's ``log_next`` included;
+    it is -inf when d is below the unit's state count.  Letters are
+    unbounded (dmax = T).  ``unit_transitions`` enters ``<s>`` only from
+    START and leaves ``</s>`` only to the end, so only their spans [0, t)
+    and [t, T) are scored.  The chain DP runs over all start frames at
+    once, one step per duration, for each group of units with the same
+    state count, and writes each duration's scores straight into the span
+    order of ``Tables``."""
     t_len = len(emis)
-    spans = np.full((t_len, t_len, len(model.units)), -np.inf)
+    ix = SpanIndex(t_len, t_len)
+    scores = np.full((len(ix.starts), len(model.units)), -np.inf)
+    # the span [t, t+d) of the table is at row first[t] + d - 1
+    first = np.concatenate([[0], np.cumsum(np.arange(t_len, 1, -1))])
+    beg, end = model.units.index(BEGIN_SILENCE), model.units.index(END_SILENCE)
+    letters = len(model.letters)               # the first units
     for k in sorted(set(model.unit_nstates.values())):
         group = [i for i, u in enumerate(model.units) if model.unit_nstates[u] == k]
         states = np.array([list(model.unit_states(model.units[i])) for i in group])
         e = emis[:, states]                              # (T, units, k)
         log_self = model.log_self[states]
         log_next = model.log_next[states]
+        lead = letters if k == model.letter_states else 0   # letters come first
         # v[t, u, j]: best path from frame t to frame t+d-1, now in state j
         v = np.full((t_len, len(group), k), -np.inf)
         v[:, :, 0] = e[:, :, 0]
         for d in range(1, t_len + 1):
-            spans[:t_len - d + 1, d - 1, group] = v[:, :, k - 1] + log_next[:, k - 1]
+            out = v[:, :, k - 1] + log_next[:, k - 1]
+            scores[first[:t_len - d + 1] + d - 1, :lead] = out[:, :lead]
+            if beg in group:        # <s> over [0, d), </s> over [T-d, T)
+                scores[ix.cells + d - 1, beg] = out[0, group.index(beg)]
+            if end in group:
+                scores[ix.cells + 2 * t_len - d, end] = out[t_len - d, group.index(end)]
             move = np.full((t_len - d, len(group), k), -np.inf)
             move[:, :, 1:] = v[:-1, :, :-1] + log_next[:, :-1]
             v = np.maximum(v[:-1] + log_self, move) + e[d:]
-    beg, end = model.units.index(BEGIN_SILENCE), model.units.index(END_SILENCE)
-    enter = np.full((t_len + 1, len(model.units)), -np.inf)
-    leave = np.full((t_len + 1, len(model.units)), -np.inf)
-    t = np.arange(t_len)
-    enter[1:, beg] = spans[0, :, beg]
-    leave[t, end] = spans[t, t_len - 1 - t, end]
-    letters = len(model.letters)               # the first units
-    return Tables.from_parts(spans[:, :, :letters], *policy, enter, leave, np.arange(letters))
+    return Tables(scores, *policy, ix, np.arange(letters))
 
 
 def nbest(model, lm, seq, cfg, policy=None):

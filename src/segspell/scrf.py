@@ -28,6 +28,7 @@ minus the free one.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 
@@ -594,16 +595,6 @@ class Tables:
     index: SpanIndex
     columns: np.ndarray                # the table's labels
 
-    @classmethod
-    def from_parts(cls, table, trans, final, enter, leave, columns):
-        """Tables from the (T, dmax, columns) table and the (T+1, L) scores
-        of the spans [0, t) (``enter[t]``) and [t, T) (``leave[t]``)."""
-        ix = SpanIndex(*table.shape[:2])
-        scores = np.full((len(ix.starts), len(final)), NEG_INF)
-        scores[:ix.cells, columns] = table[ix.starts[:ix.cells], ix.durations[:ix.cells] - 1]
-        scores[ix.cells:] = np.concatenate([enter[1:], leave[:-1]])
-        return cls(scores, trans, final, ix, columns)
-
     @property
     def table(self):
         ix = self.index
@@ -920,29 +911,6 @@ def train_cll(model, data, cfg):
 # ---------------------------------------------------------------------------
 # First-pass N-best, rescoring, and the two-pass cascade
 
-def _merge_top_n(offsets, lists, n):
-    """Row-wise top n of ``offsets[i, j] + lists[i, j, r]``, each list
-    ``lists[i, j]`` sorted best first: returns (column j * n + r, score),
-    both (R, n) and best first.  Both steps are stable sorts of negated
-    rows, so exact ties keep the lower column by construction.
-
-    An entry can reach its row's top n only from one of the n lists with
-    the best heads ``offsets + lists[..., 0]``: those n heads rank above
-    every entry of any other list.  So only those lists' n x n entries are
-    ranked (the frontier of Huang & Chiang, IWPT 2005, Alg. 2); on a head
-    tie at the n-th place the lower-column list is kept."""
-    n_rows, m = offsets.shape
-    idx = np.arange(n_rows)[:, None]
-    if m > n:
-        heads = offsets + lists[:, :, 0]
-        pick = np.sort(np.argsort(-heads, axis=1, kind="stable")[:, :n], axis=1)
-    else:
-        pick = np.broadcast_to(np.arange(m), (n_rows, m))
-    cand = (offsets[idx, pick][:, :, None] + lists[idx, pick]).reshape(n_rows, -1)
-    order = np.argsort(-cand, axis=1, kind="stable")[:, :n]
-    return pick[idx, order // n] * n + order % n, cand[idx, order]
-
-
 def nbest_segmentations(tabs, n):
     """Top-n labeled segmentations of a first-order semi-Markov model.
 
@@ -952,49 +920,102 @@ def nbest_segmentations(tabs, n):
     start, end), ...])] best first, empty when no segmentation is legal;
     the hypotheses are distinct (label sequence, segmentation) pairs.
 
-    List Viterbi (Huang & Chiang, IWPT 2005) with all labels of a boundary
-    t ranked at once, by one ``_merge_top_n`` per step: over the spans
-    ending at t, shortest first (``SpanIndex.by_end``; span score plus the
-    start's merged list), over (L, L) previous labels for the merge (their
-    lists at t plus the pair score, -inf where forbidden) and over the L
-    lists at T plus ``final``.  Each merge is a stable sort of the negated
-    row, so exact ties keep the lowest column by construction: hypotheses
-    of equal score rank by their (label, duration) pairs read from the
-    last segment back, ascending.  ``viterbi`` is the top hypothesis."""
-    trans, ix = tabs.trans, tabs.index
-    t_len, nl = ix.num_frames, len(tabs.final)
-    span_scores, span_starts = tabs.scores[ix.by_end], ix.starts[ix.by_end]
-    # cell_s[t, y, r]: r-th best score of a segment of label y ending at t,
-    # cell_bp its start * n + rank; merged_s[t, y, r]: r-th best over
-    # previous labels with the pair score, merged_bp its column
-    cell_s = np.full((t_len + 1, nl, n), NEG_INF)
-    cell_bp = np.zeros((t_len + 1, nl, n), dtype=int)
-    merged_s = np.full((t_len + 1, nl, n), NEG_INF)
-    merged_bp = np.zeros((t_len + 1, nl, n), dtype=int)
-    merged_s[0, :, 0] = trans[0]
+    A forward 1-best pass, then lazy k-best extraction (Huang & Chiang,
+    IWPT 2005, Alg. 3), written as a loop over an explicit stack, so no
+    recursion depth grows with T.  A node is a segment of label y ending
+    at t, whose edges are the spans ending there, shortest first
+    (``SpanIndex.by_end``), each read back through the context before its
+    start; that context, whose edges are the previous labels with their
+    pair score (START at t = 0); or the end, whose edges are the last
+    labels with ``final``.  A node ranks its derivations on demand from a
+    heap keyed (-score, edge, tail rank), seeded with each edge's best
+    derivation (from the 1-best pass), sorted once and cut to n.  So exact
+    ties keep the lower edge, then the lower rank: hypotheses of equal
+    score rank by their (label, duration) pairs read from the last segment
+    back, ascending, and ``viterbi`` is the top hypothesis.  Only the
+    nodes the top n hypotheses read are ranked."""
+    trans, final, ix = tabs.trans, tabs.final, tabs.index
+    t_len, nl = ix.num_frames, len(final)
+    # best[t, y]: the best segment of label y ending at t; ctx[t, y]: the
+    # best context before a segment of label y starting at t
+    best, ctx = np.full((2, t_len + 1, nl), NEG_INF)
+    ctx[0] = trans[0]
     for t in range(1, t_len + 1):
-        starts = span_starts[ix.end_cut[t]:ix.end_cut[t + 1]]
-        cols, cell_s[t] = _merge_top_n(span_scores[ix.end_cut[t]:ix.end_cut[t + 1]].T,
-                                       merged_s[starts].transpose(1, 0, 2), n)
-        cell_bp[t] = starts[cols // n] * n + cols % n
+        k = ix.by_end[ix.end_cut[t]:ix.end_cut[t + 1]]
+        best[t] = (tabs.scores[k] + ctx[ix.starts[k]]).max(axis=0)
         if t < t_len:
-            merged_bp[t], merged_s[t] = _merge_top_n(
-                trans[1:].T, np.broadcast_to(cell_s[t], (nl, nl, n)), n)
-    top, scores = _merge_top_n(tabs.final[None], cell_s[t_len][None], n)
+            ctx[t] = (trans[1:] + best[t][:, None]).max(axis=0)
+
+    # a node (t, y, True) holds the segments of label y ending at t,
+    # (t, y, False) the contexts before one starting at t; the end is the
+    # context (T, L, False), whose edges are the last labels
+    end = (t_len, nl, False)
+    weights, found, heaps = {}, {}, {}
+
+    def tail(node, e):
+        """The node edge e reads back to, None for START."""
+        t, y, segment = node
+        if segment:
+            return int(ix.starts[ix.by_end[ix.end_cut[t] + e]]), y, False
+        return (t, e, True) if t else None
+
+    def open_node(node):
+        t, y, segment = node
+        if segment:
+            k = ix.by_end[ix.end_cut[t]:ix.end_cut[t + 1]]
+            w = tabs.scores[k, y]
+            head = w + ctx[ix.starts[k], y]
+        elif t == 0:
+            w = head = trans[0, y:y + 1]
+        else:
+            w = final if y == nl else trans[1:, y]
+            head = w + best[t]
+        order = np.argsort(-head, kind="stable")[:n]
+        weights[node], found[node] = w, []
+        heaps[node] = [(-h, e, 0) for h, e in zip(head[order].tolist(), order.tolist())
+                       if h > NEG_INF]
+
+    def expand(node, k):
+        """Rank the node's derivations up to rank k, or all it has."""
+        stack = [(node, k)]
+        while stack:
+            v, k = stack[-1]
+            if v not in found:
+                open_node(v)
+            got, heap = found[v], heaps[v]
+            if len(got) > k or heap is None:
+                stack.pop()
+                continue
+            if got:      # first queue the next derivation on the last one's edge
+                _, e, r = got[-1]
+                u = tail(v, e)
+                if u is not None:
+                    if u not in found or (len(found[u]) <= r + 1 and heaps[u] is not None):
+                        stack.append((u, r + 1))
+                        continue
+                    if len(found[u]) > r + 1:
+                        heapq.heappush(heap, (-(weights[v][e] + found[u][r + 1][0]), e, r + 1))
+            if heap:
+                neg, e, r = heapq.heappop(heap)
+                got.append((-neg, e, r))
+            else:
+                heaps[v] = None
+
     ranked = []
-    for col, sc in zip(top[0], scores[0]):
-        if sc == NEG_INF:
+    for i in range(n):
+        expand(end, i)
+        if len(found[end]) <= i:
             break
-        y, r = divmod(int(col), n)
-        spans = []
-        t = t_len
-        while t > 0:
-            a, rank = divmod(int(cell_bp[t, y, r]), n)
-            spans.append((y, a, t - 1))
-            t = a
-            y, r = divmod(int(merged_bp[t, y, rank]), n)
+        node, r, spans = end, i, []
+        while node is not None:
+            expand(node, r)
+            _, e, r = found[node][r]
+            before = tail(node, e)
+            if node[2]:
+                spans.append((node[1], before[0], node[0] - 1))
+            node = before
         spans.reverse()
-        ranked.append((float(sc), spans))
+        ranked.append((found[end][i][0], spans))
     return ranked
 
 

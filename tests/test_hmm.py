@@ -654,3 +654,45 @@ def test_unit_transitions_match_per_pair_lookups(letter_states, lm_weight, penal
     cfg = DecodeConfig(lm_weight=lm_weight, penalty=penalty)
     got, want = hmm.unit_transitions(model, lm, cfg), reference_unit_transitions(model, lm, cfg)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def reference_span_table(model, emis, policy):
+    """``hmm.span_table`` through a dense (T, T, units) table of every span,
+    then the engine's span order: the oracle of the direct layout."""
+    from segspell.alphabet import BEGIN_SILENCE, END_SILENCE
+    from tests.test_scrf import tables_from_parts
+    t_len, units = len(emis), model.units
+    spans = np.full((t_len, t_len, len(units)), -np.inf)
+    for u, unit in enumerate(units):
+        states = list(model.unit_states(unit))
+        for t in range(t_len):
+            v = np.full(len(states), -np.inf)
+            v[0] = emis[t, states[0]]
+            for d in range(1, t_len - t + 1):
+                spans[t, d - 1, u] = v[-1] + model.log_next[states[-1]]
+                if t + d < t_len:
+                    move = np.concatenate([[-np.inf], v[:-1] + model.log_next[states[:-1]]])
+                    v = np.maximum(v + model.log_self[states], move) + emis[t + d, states]
+    beg, end = units.index(BEGIN_SILENCE), units.index(END_SILENCE)
+    enter, leave = np.full((2, t_len + 1, len(units)), -np.inf)
+    enter[1:, beg] = spans[0, :, beg]
+    leave[:-1, end] = spans[np.arange(t_len), t_len - 1 - np.arange(t_len), end]
+    letters = len(model.letters)
+    return tables_from_parts(spans[:, :, :letters], *policy, enter, leave, np.arange(letters))
+
+
+@pytest.mark.parametrize("letter_states, silence_states", [(1, 1), (2, 3), (3, 2)])
+def test_span_table_equals_dense_reference(toy_lm, letter_states, silence_states):
+    # letters and silences in one state-count group, then in two
+    rng = np.random.default_rng(62)
+    model = toy_model(rng, letter_states=letter_states, silence_states=silence_states)
+    stay = rng.uniform(0.2, 0.8, size=model.n_states)
+    model.log_self, model.log_next = np.log(stay), np.log(1 - stay)
+    policy = hmm.unit_transitions(model, toy_lm, DecodeConfig(lm_weight=0.7, penalty=0.3))
+    for T in (1, 2, 5, 9):
+        emis = model.emission_logprobs(rng.normal(size=(T, 2)))
+        got, want = hmm.span_table(model, emis, policy), reference_span_table(model, emis, policy)
+        assert np.array_equal(got.scores, want.scores)
+        assert (got.index.num_frames, got.index.dmax) == (want.index.num_frames, want.index.dmax)
+        assert np.array_equal(got.columns, want.columns)
+        assert np.array_equal(got.trans, want.trans) and np.array_equal(got.final, want.final)

@@ -412,6 +412,20 @@ class TestCliChain:
         assert str(bundle / "frontend.json") in err and "window" in err
         assert not (tmp_path / "hyps.txt").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_weights_not_saved_exit_3(self, workdir, tmp_path, capsys):
+        # a learning rate of 1000 trains the classifier to NaN weights
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classifier": {"learning_rate": 1000}}))
+        out = tmp_path / "clf.json"
+        rc = cli.main(["train-classifier", "--config", str(cfg), "--corpus",
+                       str(workdir / "corpus"), "--signers", "S1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(out) in err and "Traceback" not in err
+        assert not out.exists()
+
     # model files that are JSON but not what their readers expect, or that
     # do not fit the rest of the bundle
     BROKEN_MODELS = {

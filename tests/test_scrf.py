@@ -996,16 +996,26 @@ def reference_nbest_segmentations(table, trans, final, n):
     return ranked
 
 
+def tables_from_parts(table, trans, final, enter, leave, columns):
+    """``scrf.Tables`` from a (T, dmax, columns) table and the (T+1, L)
+    scores of the spans [0, t) (``enter[t]``) and [t, T) (``leave[t]``)."""
+    ix = scrf.SpanIndex(*table.shape[:2])
+    scores = np.full((len(ix.starts), len(final)), -np.inf)
+    scores[:ix.cells, columns] = table[ix.starts[:ix.cells], ix.durations[:ix.cells] - 1]
+    scores[ix.cells:] = np.concatenate([enter[1:], leave[:-1]])
+    return scrf.Tables(scores, trans, final, ix, columns)
+
+
 def engine_nbest(table, trans, final, n):
     """``scrf.nbest_segmentations`` on a table without boundary spans."""
     none = np.full((len(table) + 1, len(final)), -np.inf)
     return scrf.nbest_segmentations(
-        scrf.Tables.from_parts(table, trans, final, none, none, np.arange(len(final))), n)
+        tables_from_parts(table, trans, final, none, none, np.arange(len(final))), n)
 
 
 def enter_leave(tabs):
     """The (T+1, L) scores of the spans [0, t) and [t, T), row t, as
-    ``scrf.Tables.from_parts`` takes them."""
+    ``tables_from_parts`` takes them."""
     T, cells = tabs.index.num_frames, tabs.index.cells
     enter, leave = np.full((2, T + 1, len(tabs.final)), -np.inf)
     enter[1:], leave[:-1] = tabs.scores[cells:cells + T], tabs.scores[cells + T:]
@@ -1067,7 +1077,7 @@ def random_boundary_tables(rng, T, dmax, L, draw):
     enter[1:, beg][rng.random(T) < 0.2] = -np.inf
     leave[:-1, end][rng.random(T) < 0.2] = -np.inf
     letters = np.sort(letters)
-    return scrf.Tables.from_parts(table[:, :, letters], trans, final, enter, leave, letters)
+    return tables_from_parts(table[:, :, letters], trans, final, enter, leave, letters)
 
 
 class TestNBestEngine:
@@ -1174,38 +1184,38 @@ class TestNBestEngine:
                 assert best.labels == labels and best.score == score
                 assert [s.span() for s in best.segments] == [s.span() for s in segments]
 
-    def test_merge_top_n_equals_full_stable_sort(self):
-        # oracle: every offsets[i, j] + lists[i, j, r] at column j * n + r,
-        # ranked by one stable sort of the negated row; small integers tie
-        # everywhere, heads across the n-th pick included
+    def test_rank0_cut_keeps_the_tie_order(self):
+        # small integer tables tie everywhere and small n cuts each node's
+        # rank-0 edges: the end's last labels often tie across the n-th
+        # place, where the lower label must be kept
         rng = np.random.default_rng(47)
-        seen = {"m < n": 0, "m == n": 0, "m > n": 0, "head tie at n": 0,
-                "R == 1": 0, "-inf list": 0}
+        seen = {"L > n": 0, "head tie at n": 0, "n == 1": 0, "-inf head": 0, "cut tie": 0}
         for case in range(400):
-            n = int(rng.integers(1, 6))
-            m = int(rng.integers(1, 2 * n + 3))
-            rows = 1 if case % 4 == 0 else int(rng.integers(2, 6))
-            offsets = rng.integers(-2, 3, size=(rows, m)).astype(float)
-            offsets[rng.random((rows, m)) < 0.1] = -np.inf
-            lists = np.sort(rng.integers(-3, 3, size=(rows, m, n)), axis=2)[..., ::-1].astype(float)
-            cut = np.where(rng.random((rows, m, 1)) < 0.3, rng.integers(1, n + 1, (rows, m, 1)), 0)
-            lists[np.arange(n) >= n - cut] = -np.inf
-            values = (offsets[:, :, None] + lists).reshape(rows, -1)
-            order = np.argsort(-values, axis=1, kind="stable")[:, :n]
-            want = np.take_along_axis(values, order, 1)
-            cols, scores = scrf._merge_top_n(offsets, lists, n)
-            assert np.array_equal(scores, want)
-            finite = np.isfinite(want)
-            assert np.array_equal(cols[finite], order[finite])
-            heads = -np.sort(-(offsets + lists[:, :, 0]), axis=1)
-            seen["m < n"] += m < n
-            seen["m == n"] += m == n
-            seen["m > n"] += m > n
-            seen["head tie at n"] += m > n and bool(np.any(
-                np.isfinite(heads[:, n]) & (heads[:, n - 1] == heads[:, n])))
-            seen["R == 1"] += rows == 1
-            seen["-inf list"] += bool(np.any(np.isneginf(offsets + lists[:, :, 0])))
+            n = int(rng.integers(1, 5))
+            T, dmax, L = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(2, 6))
+            args = random_semi_markov(rng, T, dmax, L,
+                                      lambda size: rng.integers(-1, 2, size=size).astype(float))
+            expected = ranked_by_brute_force(*args)
+            assert engine_nbest(*args, n) == expected[:n]
+            heads = np.full(L, -np.inf)     # each last label's best hypothesis
+            for score, spans in expected:
+                heads[spans[-1][0]] = max(heads[spans[-1][0]], score)
+            heads = -np.sort(-heads)
+            seen["L > n"] += L > n
+            seen["head tie at n"] += L > n and heads[n] > -np.inf and heads[n - 1] == heads[n]
+            seen["n == 1"] += n == 1
+            seen["-inf head"] += bool(np.isneginf(heads).any())
+            seen["cut tie"] += n < len(expected) and expected[n - 1][0] == expected[n][0]
         assert min(seen.values()) >= 20, seen
+
+    def test_long_table_needs_no_deep_recursion(self):
+        # every hypothesis has at least T / dmax = 750 segments, each read
+        # back through its node and its context's node
+        rng = np.random.default_rng(48)
+        args = random_semi_markov(rng, 1500, 2, 3) + (8,)
+        got = engine_nbest(*args)
+        assert len(got) == 8
+        assert got == reference_nbest_segmentations(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -1284,8 +1294,8 @@ class TestFactoredFirstPass:
     def test_from_parts_views_round_trip(self):
         rng = np.random.default_rng(53)
         tabs = random_boundary_tables(rng, 6, 3, 4, lambda size: rng.normal(size=size))
-        again = scrf.Tables.from_parts(tabs.table, tabs.trans, tabs.final,
-                                       *enter_leave(tabs), tabs.columns)
+        again = tables_from_parts(tabs.table, tabs.trans, tabs.final,
+                                  *enter_leave(tabs), tabs.columns)
         np.testing.assert_array_equal(again.scores, tabs.scores)
 
 
