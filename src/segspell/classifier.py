@@ -85,9 +85,6 @@ class MlpModel:
     def predict_proba(self, x):
         return softmax(self.forward(x))
 
-    def predict(self, x):
-        return np.argmax(self.predict_proba(x), axis=1)
-
     def to_jsonable(self):
         return {
             "schema": self.SCHEMA,
@@ -257,6 +254,8 @@ def _sgd(params, step, evaluate, best, n, cfg, rng):
     halves after ``plateau_patience`` epochs whose key does not beat the
     best, and the parameters of the best epoch (the starting ones if none
     beats ``best``) are restored at the end.  Returns the epoch records.
+    An epoch whose record holds NaN or infinity has diverged: DataError
+    naming the epoch.
     """
     velocity = np.zeros_like(params)
     best_params = params.copy()
@@ -275,6 +274,9 @@ def _sgd(params, step, evaluate, best, n, cfg, rng):
             params += velocity
         key, record = evaluate(total / max(batches, 1))
         history.append({"epoch": epoch + 1, **record, "lr": lr})
+        if not np.isfinite(list(record.values())).all():
+            raise DataError("training diverged at epoch %d (%s); lower the learning rate"
+                            % (epoch + 1, ", ".join("%s %s" % kv for kv in record.items())))
         if key < best:
             best, since_improve = key, 0
             best_params = params.copy()
@@ -359,9 +361,6 @@ class AdaptationModel:
 
     def predict_proba(self, x):
         return softmax(self.logits(x))
-
-    def predict(self, x):
-        return np.argmax(self.predict_proba(x), axis=1)
 
     SCHEMA = "segspell-adapted-mlp-1"
 

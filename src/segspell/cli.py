@@ -41,7 +41,7 @@ from .lm import load_arpa, train_bigram
 from .metrics import format_report, score_corpus
 from .pipeline import PipelineConfig, ScrfConfig, load_recognizer, save_recognizer
 from .segments import NoPathError, load_lattice, save_lattice, to_jsonable
-from .vision import (HogConfig, apply_pca, fit_hand_color_model, fit_pca, hog_descriptor,
+from .vision import (HOG_DIM, apply_pca, fit_hand_color_model, fit_pca, hog_descriptor,
                      segment_hand)
 
 
@@ -236,6 +236,14 @@ def load_corpus_words(directory, signers=None, classifier=None, window=None):
     return manifest, stems, words
 
 
+def read_corpus(directory):
+    """The corpus in ``directory``; ``synthgen.read_manifest`` checks the
+    manifest's top-level fields."""
+    manifest, _, words = load_corpus_words(directory)
+    return synthgen.Corpus(words, manifest["word_list"], manifest["seed"],
+                           manifest["repetitions"])
+
+
 def recognizer_words(args, cfg, signers):
     """The ``--recognizer`` bundle, and the stems and words of ``--corpus``
     for ``signers``, checked against the bundle's classifier."""
@@ -288,7 +296,6 @@ def cmd_gen_data(args, cfg):
 def cmd_extract_features(args, cfg):
     manifest, stems, words = load_corpus_words(args.corpus)
     img_root = require(os.path.join(args.corpus, "images"), "gen-data --images")
-    hog_cfg = HogConfig()
     per_signer_model = {}
     word_desc = []
     by_stem = dict(zip(stems, words))
@@ -308,9 +315,9 @@ def cmd_extract_features(args, cfg):
         for frame in frames:
             mask = segment_hand(frame, model)
             if not mask.any():
-                descs.append(np.zeros(hog_cfg.dimension))
+                descs.append(np.zeros(HOG_DIM))
             else:
-                descs.append(hog_descriptor(frame, mask, hog_cfg))
+                descs.append(hog_descriptor(frame, mask))
         word_desc.append((stem, np.asarray(descs)))
     stacked = np.concatenate([descs for _, descs in word_desc])
     pca = fit_pca(stacked, min(cfg.hog_pca, stacked.shape[1], len(stacked) - 1))
@@ -438,22 +445,16 @@ def cmd_decode(args, cfg):
 
 def cmd_cascade(args, cfg):
     pcfg = cfg.pipeline
-    _, _, words = load_corpus_words(args.corpus)
     alphabet = LetterAlphabet()
-    by_signer = {}
-    for w in words:
-        by_signer.setdefault(w.signer_id, []).append(w)
+    by_signer = pipeline.split_by_signer(read_corpus(args.corpus))
     eval_signer = args.eval_signer
     if eval_signer not in by_signer:
         raise DataError("signer %s not in corpus (have %s)"
                         % (eval_signer, ",".join(sorted(by_signer))))
     train_ids = [s for s in sorted(by_signer) if s != eval_signer]
     train_words = [w for s in train_ids for w in by_signer[s]]
-    rec_train = pipeline.build_recognizer(train_words, alphabet, pcfg)
-    adapt_words, eval_words = pipeline.adaptation_split(
-        by_signer[eval_signer], pcfg.adapt_fraction, pcfg.seed)
-    rec_eval, _ = pipeline.adapt_recognizer(rec_train, adapt_words, alphabet,
-                                            "fine-tune", "GT")
+    rec_train, rec_eval, eval_words = pipeline.cascade_recognizers(
+        train_words, by_signer[eval_signer], alphabet, pcfg)
     result = pipeline.run_cascade(rec_train, rec_eval, train_words, eval_words,
                                   alphabet, pcfg, cfg.scrf)
     report = {"first_pass_ler": result["first_ler"],
@@ -507,11 +508,7 @@ def cmd_run_protocol(args, cfg):
     if not set(rows) <= set(pipeline.PROTOCOL_ROWS):
         raise ConfigError("--rows must be a comma list from %s, got %r"
                           % (",".join(pipeline.PROTOCOL_ROWS), args.rows))
-    # the manifest's top-level fields are checked by synthgen.read_manifest
-    manifest, _, words = load_corpus_words(args.corpus)
-    # run_protocol takes its signers from the words
-    corpus = synthgen.Corpus(words, [], manifest["word_list"], manifest["seed"],
-                             manifest["repetitions"])
+    corpus = read_corpus(args.corpus)
     if args.verbose:   # progress lines go to stderr: stdout keeps the table
         logging.basicConfig(format="%(message)s")
         logging.getLogger("segspell").setLevel(logging.INFO)

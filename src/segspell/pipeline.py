@@ -1,5 +1,6 @@
 """Experiment engine: tandem recognizer assembly, splits, adaptation runs,
-and the full evaluation protocol (dependent / independent / adapted rows).
+the full evaluation protocol (dependent / independent / adapted rows) and
+the two-pass segmental cascade.
 
 A recognizer bundle is (frame classifier, PCA pair, letter HMM, bigram LM)
 plus the frontend settings used to build tandem observations.  The
@@ -7,7 +8,9 @@ protocol mirrors the recording-and-evaluation design: per-signer 10-fold
 signer-dependent runs reported over 8 folds, leave-one-signer-out
 signer-independent runs, and signer-adapted runs that fine-tune only the
 frame classifiers on a fraction of the test signer's data labeled either
-from ground truth or from forced alignments.
+from ground truth or from forced alignments.  The cascade runs in the
+adapted setting; ``cascade_recognizers`` builds its recognizers for every
+caller.
 """
 
 from __future__ import annotations
@@ -505,6 +508,17 @@ def train_segment_classifier(recognizer, train_words, alphabet, cfg):
     model, _ = train_mlp((np.asarray(xs), np.asarray(ys, dtype=int)), tcfg,
                          list(cfg.arch), list(alphabet.symbols))
     return model
+
+
+def cascade_recognizers(train_words, target_words, alphabet, cfg, lm_words=None):
+    """The cascade's recognizers: one built on ``train_words`` (its LM on
+    ``lm_words``, as in ``build_recognizer``), and a copy fine-tuned on the
+    ground-truth labels of the test signer's adaptation words.  Returns
+    (train recognizer, adapted recognizer, the rest of ``target_words``)."""
+    rec_train = build_recognizer(train_words, alphabet, cfg, lm_words)
+    adapt_words, eval_words = adaptation_split(target_words, cfg.adapt_fraction, cfg.seed)
+    rec_eval, _ = adapt_recognizer(rec_train, adapt_words, alphabet)
+    return rec_train, rec_eval, eval_words
 
 
 def run_cascade(recognizer_train, recognizer_eval, train_words, eval_words,

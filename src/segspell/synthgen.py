@@ -40,6 +40,8 @@ from .segments import Segment, check_tiling, from_jsonable, letters_only, to_jso
 TOUCH_CODES = {"-": -1.0, "i": -0.6, "m": -0.2, "m/i": 0.2, "p": 0.6, "r": 1.0}
 PALM_CODES = {"for": -1.0, "in": 0.0, "dwn": 1.0}
 POSE_DIM = 14
+WOBBLE_AMPLITUDE = 0.25       # radius of each wobble channel's circle
+HAND_AREA_FRACTION = 0.06     # the hand blob's share of a rendered frame
 
 
 def letter_target(row):
@@ -73,8 +75,6 @@ class SyntheticSigner:
     nonsigning_amplitude: float
     nonsigning_frames: tuple      # (lo, hi) inclusive range
     noise_level: float = 0.003    # iid per-frame descriptor noise
-    wobble_amplitude: float = 0.25
-    hand_area_fraction: float = 0.06
 
     def __post_init__(self):
         if self.speed <= 0:
@@ -269,8 +269,8 @@ def generate_word(word, signer, seed_key, cfg=None, alphabet=None, table=None):
     np.cumsum(signs * cfg.wobble_step * dwell, axis=1, out=steps[:, 1:])
     angles = theta + steps
     wobble = np.empty((t_len, 2 * cfg.wobble_circles))
-    wobble[:, 0::2] = (signer.wobble_amplitude * np.cos(angles)).T
-    wobble[:, 1::2] = (signer.wobble_amplitude * np.sin(angles)).T
+    wobble[:, 0::2] = (WOBBLE_AMPLITUDE * np.cos(angles)).T
+    wobble[:, 1::2] = (WOBBLE_AMPLITUDE * np.sin(angles)).T
 
     desc = np.concatenate([pose, wobble], axis=1)
     if signer.noise_level > 0:
@@ -322,13 +322,9 @@ def _orthogonalize(v, *others):
 @dataclass
 class Corpus:
     words: list                   # SyntheticWord instances
-    signers: list
     word_list: list
     seed: int
-    repetitions: int = 2
-
-    def by_signer(self, signer_id):
-        return [w for w in self.words if w.signer_id == signer_id]
+    repetitions: int
 
 
 def generate_corpus(word_list, signers, seed, repetitions=2, cfg=None):
@@ -345,7 +341,7 @@ def generate_corpus(word_list, signers, seed, repetitions=2, cfg=None):
             for rep in range(repetitions):
                 key = (seed, si, wi, rep)
                 words.append(generate_word(word, signer, key, cfg, alphabet, table))
-    return Corpus(words, list(signers), list(word_list), seed, repetitions)
+    return Corpus(words, list(word_list), seed, repetitions)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +371,7 @@ def save_corpus(corpus, directory):
                         "seed_key": list(w.seed_key)})
     write_json(os.path.join(directory, "manifest.json"), {
         "seed": corpus.seed,
-        "signers": [s.signer_id for s in corpus.signers],
+        "signers": list(dict.fromkeys(w.signer_id for w in corpus.words)),
         "word_list": corpus.word_list,
         "repetitions": corpus.repetitions,
         "entries": entries,
@@ -443,7 +439,7 @@ def render_frames(synth_word, signer, cfg=None):
     cfg = cfg or GeneratorConfig()
     h, w = cfg.image_size
     rng = np.random.default_rng(np.random.SeedSequence(tuple(synth_word.seed_key) + (0x1A6E,)))
-    area = signer.hand_area_fraction * h * w
+    area = HAND_AREA_FRACTION * h * w
     frames = []
     masks = []
     yy, xx = np.mgrid[0:h, 0:w]

@@ -257,16 +257,11 @@ def largest_component(mask):
 # ---------------------------------------------------------------------------
 # HOG pyramid descriptor
 
-@dataclass
-class HogConfig:
-    canonical_size: int = 128
-    grids: tuple = (4, 8, 16)
-    orientation_bins: int = 8
-    epsilon: float = 1e-6
-
-    @property
-    def dimension(self):
-        return sum(g * g for g in self.grids) * self.orientation_bins
+HOG_SIZE = 128            # side of the square the hand crop is resized to
+HOG_GRIDS = (4, 8, 16)    # cells per side at each pyramid level
+HOG_BINS = 8              # orientation bins over [0, pi)
+HOG_EPSILON = 1e-6        # keeps an empty level's normalization finite
+HOG_DIM = sum(g * g for g in HOG_GRIDS) * HOG_BINS   # 2688
 
 
 def resize_bilinear(image, out_h, out_w):
@@ -298,7 +293,7 @@ def resize_nearest(image, out_h, out_w):
     return image[np.ix_(ys, xs)]
 
 
-def hog_descriptor(frame, mask, cfg=None):
+def hog_descriptor(frame, mask):
     """Pyramid of unsigned gradient-orientation histograms over the masked
     hand region, resized from its tight bounding box to the canonical size.
 
@@ -306,8 +301,6 @@ def hog_descriptor(frame, mask, cfg=None):
     [0, pi) fall into hard bins; each pyramid level is L2-normalized as one
     block.  Pixels outside the mask contribute nothing.
     """
-    if cfg is None:
-        cfg = HogConfig()
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("empty mask: no hand region to describe")
@@ -318,7 +311,7 @@ def hog_descriptor(frame, mask, cfg=None):
     cols = np.where(mask.any(axis=0))[0]
     crop = frame[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
     mcrop = mask[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-    size = cfg.canonical_size
+    size = HOG_SIZE
     if crop.shape != (size, size):
         crop = resize_bilinear(crop, size, size)
         mcrop = resize_nearest(mcrop.astype(np.uint8), size, size).astype(bool)
@@ -328,19 +321,19 @@ def hog_descriptor(frame, mask, cfg=None):
     gy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
     mag = np.hypot(gx, gy)
     theta = np.arctan2(gy, gx) % np.pi
-    nb = cfg.orientation_bins
+    nb = HOG_BINS
     bins = np.minimum((theta / np.pi * nb).astype(int), nb - 1)
     mag = mag * mcrop
 
     pieces = []
-    for g in cfg.grids:
+    for g in HOG_GRIDS:
         cell = size // g
         ci = np.arange(size) // cell
         hist = np.zeros((g, g, nb))
         np.add.at(hist, (ci[:, None].repeat(size, 1), ci[None, :].repeat(size, 0), bins), mag)
         vec = hist.ravel()
         norm = np.linalg.norm(vec)
-        pieces.append(vec / (norm + cfg.epsilon))
+        pieces.append(vec / (norm + HOG_EPSILON))
     return np.concatenate(pieces)
 
 

@@ -14,10 +14,14 @@ Criteria (tolerances pinned here):
  8. iterated forced-alignment adaptation does not regress by > 0.5 LER
  9. cascade second pass <= first pass + 0.5 LER in the adapted setting
 10. byte-identical artifacts and reports for identical config + seed
+
+Criteria 7-9 also pin their results at SEED (the constants below).
 """
 
 import functools
+import hashlib
 import itertools
+import json
 import time
 from dataclasses import replace
 
@@ -32,9 +36,33 @@ from segspell.hmm import DecodeConfig, nbest, train_em, viterbi_decode
 from segspell.lm import train_bigram
 from segspell.metrics import ErrorDecomposition, align, ler
 from segspell.segments import Segment
-from segspell.vision import HogConfig, stack_window
+from segspell.vision import HOG_DIM, stack_window
 
 SEED = 20160825
+
+# The kept behaviour at SEED; a pinned value changes only with an
+# explanation in CHANGES.md.  The full-scale protocol table, every cell to
+# two decimals (one letter moves a cell by more): per signer the LER and
+# its D, S and I rates, and each row's mean LER.
+PROTOCOL_TABLE = {
+    "independent": {"S1": "129.57 5.01 77.82 46.74", "S2": "108.82 8.27 77.82 22.73",
+                    "S3": "115.90 11.69 75.68 28.54", "S4": "151.91 2.86 73.93 75.12",
+                    "Mean": "126.55"},
+    "FA": {"S1": "76.20 56.80 16.80 2.60", "S2": "80.36 52.81 25.07 2.47",
+           "S3": "80.71 53.38 20.86 6.46", "S4": "92.81 20.87 51.28 20.67",
+           "Mean": "82.52"},
+    "GT": {"S1": "17.70 2.60 10.90 4.20", "S2": "68.11 0.99 15.00 52.12",
+           "S3": "63.37 2.15 20.47 40.74", "S4": "67.32 1.18 15.35 50.79",
+           "Mean": "54.13"},
+    "dependent": {"S1": "0.20 0.10 0.00 0.10", "S2": "0.10 0.10 0.00 0.00",
+                  "S3": "0.10 0.00 0.00 0.10", "S4": "0.39 0.00 0.00 0.39",
+                  "Mean": "0.20"}}
+# criterion 8's LERs of the two iterations per signer
+FA_ITERATIONS = {"S1": ["75.90", "60.60"], "S2": ["81.44", "59.72"],
+                 "S3": ["85.11", "73.07"], "S4": ["95.87", "88.78"]}
+# criterion 9's first- and second-pass LERs, and the sha256 of its
+# [reference, hypothesis] letter strings, first pass then second, as JSON
+CASCADE = ("5.85", "5.85", "402a3d2070a9dac00d4999d56ab847f0c2a62329db65d84a437a1c5ff799613d")
 
 
 def report(name, ok, detail=""):
@@ -56,26 +84,34 @@ def full_corpus():
 @pytest.fixture(scope="module")
 def protocol_state(full_corpus):
     """Everything criteria 7 and 8 need, computed once: the four protocol
-    rows plus per-signer iterated-FA letter error rates."""
+    rows plus per-signer iterated-FA letter error rates, which start from
+    the protocol's own signer-independent recognizers."""
     alphabet = LetterAlphabet()
     pcfg = pipeline.PipelineConfig()
-    t0 = time.time()
-    report_data = pipeline.run_protocol(full_corpus, pcfg)
-    # iterated FA on top of the same corpus: fresh independent recognizers
     by_signer = pipeline.split_by_signer(full_corpus)
-    signer_ids = [s.signer_id for s in full_corpus.signers]
+    signer_ids = list(by_signer)
+    build = pipeline.build_recognizer
+    captured = []   # (left-out signer, recognizer)
+
+    def keep_independent(train, *args, **kwargs):
+        rec = build(train, *args, **kwargs)
+        left_out = set(signer_ids) - {w.signer_id for w in train}
+        if len(left_out) == 1:   # a dependent run trains on one signer's words
+            captured.append((left_out.pop(), rec))
+        return rec
+
+    t0 = time.time()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "build_recognizer", keep_independent)
+        report_data = pipeline.run_protocol(full_corpus, pcfg)
+    assert sorted(sid for sid, _ in captured) == signer_ids
+    independents = dict(captured)
     fa_iters = {}
     for si, sid in enumerate(signer_ids):
-        train = [w for other in signer_ids if other != sid
-                 for w in by_signer[other]]
-        rec = pipeline.build_recognizer(train, alphabet, pcfg,
-                                        full_corpus.word_list,
-                                        seed_offset=1000 + si)
         adapt_words, eval_words = pipeline.adaptation_split(
             by_signer[sid], pcfg.adapt_fraction, pcfg.seed + si)
-        _, lers = pipeline.realign_adapt(rec, adapt_words, eval_words,
-                                         alphabet, iters=2)
-        fa_iters[sid] = lers
+        _, fa_iters[sid] = pipeline.realign_adapt(independents[sid], adapt_words,
+                                                  eval_words, alphabet, iters=2)
     return {"report": report_data, "fa_iters": fa_iters,
             "elapsed": time.time() - t0}
 
@@ -312,7 +348,7 @@ def test_criterion_4_metric_oracle():
 def test_criterion_5_dimensional_fidelity():
     ok = True
     details = []
-    hog_dim = HogConfig().dimension
+    hog_dim = HOG_DIM
     ok &= hog_dim == 2688
     details.append("HOG %d" % hog_dim)
     letter_block = clf.classifier_block(
@@ -342,9 +378,10 @@ def test_criterion_6_adaptation_identities(full_corpus):
     window, static_dim = pcfg.frontend.window, full_corpus.words[0].descriptors.shape[1]
     # signer-independent classifier on three signers; adapt to the fourth
     # with the default corpus split (criterion's "default synthetic split")
-    train = [w for sid in ("S1", "S2", "S3") for w in full_corpus.by_signer(sid)][:120]
+    by_signer = pipeline.split_by_signer(full_corpus)
+    train = [w for sid in ("S1", "S2", "S3") for w in by_signer[sid]][:120]
     base, _ = pipeline.train_frame_classifier(train, alphabet, pcfg)
-    s4 = full_corpus.by_signer("S4")
+    s4 = by_signer["S4"]
     adapt_words, _ = pipeline.adaptation_split(s4, pcfg.adapt_fraction, pcfg.seed)
     xs, ys = [], []
     from segspell.vision import stack_windows
@@ -392,6 +429,18 @@ def test_criterion_7_end_to_end_trends(protocol_state):
                           {k: v for k, v in conditions.items() if not v} or "all ok"))
 
 
+def test_protocol_results_are_pinned(protocol_state):
+    r = protocol_state["report"]
+    table = {row: {sid: "%.2f %.2f %.2f %.2f" % tuple(
+        r["details"][row][sid][k] for k in ("ler", "D_rate", "S_rate", "I_rate"))
+        for sid in r["signers"]} for row in r["rows"]}
+    for row in r["rows"]:
+        table[row]["Mean"] = "%.2f" % r["ler"][row]["Mean"]
+    assert table == PROTOCOL_TABLE
+    assert {sid: ["%.2f" % v for v in lers]
+            for sid, lers in protocol_state["fa_iters"].items()} == FA_ITERATIONS
+
+
 def test_criterion_8_iterated_fa(protocol_state):
     iters = protocol_state["fa_iters"]
     first = float(np.mean([v[0] for v in iters.values()]))
@@ -410,12 +459,8 @@ def test_criterion_9_cascade(full_corpus):
     # cascade training set desk-sized
     train = [w for sid in ("S1", "S2", "S3")
              for i, w in enumerate(by_signer[sid]) if i % 2 == 0][:120]
-    rec_train = pipeline.build_recognizer(train, alphabet, pcfg,
-                                          full_corpus.word_list)
-    adapt_words, eval_words = pipeline.adaptation_split(
-        by_signer["S4"], pcfg.adapt_fraction, pcfg.seed)
-    rec_eval, _ = pipeline.adapt_recognizer(rec_train, adapt_words, alphabet,
-                                            "fine-tune", "GT")
+    rec_train, rec_eval, eval_words = pipeline.cascade_recognizers(
+        train, by_signer["S4"], alphabet, pcfg, full_corpus.word_list)
     t0 = time.time()
     result = pipeline.run_cascade(rec_train, rec_eval, train, eval_words[:60],
                                   alphabet, pcfg, scfg)
@@ -423,6 +468,10 @@ def test_criterion_9_cascade(full_corpus):
     report("9 (segmental cascade)", ok,
            "first pass %.2f -> second pass %.2f LER (%.0fs)"
            % (result["first_ler"], result["second_ler"], time.time() - t0))
+    pairs = [["".join(ref), "".join(hyp)]
+             for ref, hyp in result["first_pairs"] + result["second_pairs"]]
+    assert ("%.2f" % result["first_ler"], "%.2f" % result["second_ler"],
+            hashlib.sha256(json.dumps(pairs).encode()).hexdigest()) == CASCADE
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -98,7 +98,7 @@ class TestTraining:
                             max_epochs=50, weight_decay=0.0,
                             validation_fraction=0.0, seed=7)
         model, _ = C.train_mlp((x, y), cfg, [8], ["a", "b"])
-        assert (model.predict(x) == y).all()
+        assert (np.argmax(model.predict_proba(x), axis=1) == y).all()
 
     def test_training_bit_reproducible(self):
         x, y = make_data(seed=11)

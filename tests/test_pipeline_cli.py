@@ -30,7 +30,7 @@ def tiny_pcfg():
 
 @pytest.fixture(scope="module")
 def split(small_corpus):
-    s1 = small_corpus.by_signer("S1")
+    s1 = pipeline.split_by_signer(small_corpus)["S1"]
     rng = np.random.default_rng(0)
     idx = rng.permutation(len(s1))
     return [s1[i] for i in idx[:44]], [s1[i] for i in idx[44:]]
@@ -86,7 +86,7 @@ class TestPipeline:
             assert np.array_equal(rec.observations(w, post), obs)
 
     def test_adaptation_split_deterministic(self, small_corpus):
-        s2 = small_corpus.by_signer("S2")
+        s2 = pipeline.split_by_signer(small_corpus)["S2"]
         a1, e1 = pipeline.adaptation_split(s2, 0.2, 7)
         a2, e2 = pipeline.adaptation_split(s2, 0.2, 7)
         assert [w.word for w in a1] == [w.word for w in a2]
@@ -94,7 +94,7 @@ class TestPipeline:
         assert len(a1) + len(e1) == len(s2)
 
     def test_fold_assignment_reproducible(self, small_corpus):
-        s1 = small_corpus.by_signer("S1")
+        s1 = pipeline.split_by_signer(small_corpus)["S1"]
         f1 = pipeline.dependent_folds(s1, 10, 3)
         f2 = pipeline.dependent_folds(s1, 10, 3)
         assert [[w.word for w in f] for f in f1] == [[w.word for w in f] for f in f2]
@@ -415,7 +415,8 @@ class TestCliChain:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_weights_not_saved_exit_3(self, workdir, tmp_path, capsys):
-        # a learning rate of 1000 trains the classifier to NaN weights
+        # a learning rate of 1000 trains the classifier to NaN weights,
+        # which stops training at the epoch that diverged
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"classifier": {"learning_rate": 1000}}))
         out = tmp_path / "clf.json"
@@ -423,7 +424,7 @@ class TestCliChain:
                        str(workdir / "corpus"), "--signers", "S1", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 3
-        assert str(out) in err and "Traceback" not in err
+        assert "training diverged at epoch" in err and "Traceback" not in err
         assert not out.exists()
 
     # model files that are JSON but not what their readers expect, or that
@@ -840,6 +841,25 @@ class TestProtocolSigners:
             assert json.loads(out.read_text())["signers"] == ["S1", "S2"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_diverged_protocol_exit_3(tmp_path, capsys):
+    # a diverged classifier stops the protocol; it used to report a table
+    # of pure deletions and exit 0
+    assert cli.main(["gen-data", "--out", str(tmp_path / "c"), "--words", "6",
+                     "--signers", "2", "--reps", "1"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"classifier": {"learning_rate": 1e12}, "folds": 3,
+                               "report_folds": 1}))
+    out = tmp_path / "p.json"
+    rc = cli.main(["run-protocol", "--corpus", str(tmp_path / "c"), "--rows", "dependent",
+                   "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "training diverged at epoch" in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "p.txt").exists()
+
+
 def test_saved_scrf_manifests_are_pinned():
     # every saved model file is checked against these at load_scrf, so a
     # change of the feature layout would refuse them all
@@ -1177,10 +1197,10 @@ class TestCliSegmental:
 
 class TestRealignAdapt:
     def test_realign_does_not_collapse(self, small_corpus, tiny_pcfg, alphabet):
-        train = small_corpus.by_signer("S1")
+        train = pipeline.split_by_signer(small_corpus)["S1"]
         rec = pipeline.build_recognizer(train, alphabet, tiny_pcfg,
                                         small_corpus.word_list)
-        s2 = small_corpus.by_signer("S2")
+        s2 = pipeline.split_by_signer(small_corpus)["S2"]
         adapt_words, eval_words = pipeline.adaptation_split(s2, 0.2, 1)
         _, lers = pipeline.realign_adapt(rec, adapt_words, eval_words[:20],
                                          alphabet, iters=2)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from segspell import synthgen
+from segspell import pipeline, synthgen
 from segspell.alphabet import (BEGIN_SILENCE, END_SILENCE, LetterAlphabet,
                                PhoneticFeatureTable)
 from segspell.cli import builtin_wordlist
@@ -112,8 +112,9 @@ class TestCorpus:
         corpus = synthgen.generate_corpus(["SUN", "ART", "INK"], signers, 7,
                                           repetitions=2, cfg=gen_config)
         assert len(corpus.words) == 3 * 4 * 2
+        by_signer = pipeline.split_by_signer(corpus)
         for s in signers:
-            assert len(corpus.by_signer(s.signer_id)) == 6
+            assert len(by_signer[s.signer_id]) == 6
 
     def test_300_word_list_gives_600_tokens(self, gen_config):
         from segspell.cli import builtin_wordlist
@@ -158,7 +159,7 @@ class TestRenderFrames:
         word = synthgen.generate_word("SUN", signers[0], (13, 0, 0, 0), gen_config)
         frames, masks = synthgen.render_frames(word, signers[0], gen_config)
         h, w = gen_config.image_size
-        target = signers[0].hand_area_fraction * h * w
+        target = synthgen.HAND_AREA_FRACTION * h * w
         for mask in masks[::10]:
             assert abs(mask.sum() - target) / target <= 0.1
 
@@ -277,8 +278,8 @@ def reference_generate_word(word, signer, seed_key, cfg, alphabet, table):
         theta = rng.uniform(0, 2 * math.pi)
         signs = rng.choice([-1.0, 1.0], size=t_len - 1)
         angles = theta + np.concatenate([[0.0], np.cumsum(signs * cfg.wobble_step * dwell)])
-        wobble[:, 2 * c] = signer.wobble_amplitude * np.cos(angles)
-        wobble[:, 2 * c + 1] = signer.wobble_amplitude * np.sin(angles)
+        wobble[:, 2 * c] = synthgen.WOBBLE_AMPLITUDE * np.cos(angles)
+        wobble[:, 2 * c + 1] = synthgen.WOBBLE_AMPLITUDE * np.sin(angles)
     desc = np.concatenate([pose, wobble], axis=1)
     if signer.noise_level > 0:
         desc = desc + signer.noise_level * rng.normal(size=desc.shape)

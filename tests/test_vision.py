@@ -217,13 +217,12 @@ class TestSegmentHand:
 
 class TestHog:
     def test_descriptor_length_2688(self):
-        cfg = vision.HogConfig()
-        assert cfg.dimension == 2688
+        assert vision.HOG_DIM == 2688
         rng = np.random.default_rng(0)
         img = rng.random((64, 80))
         mask = np.zeros((64, 80), dtype=bool)
         mask[10:50, 20:70] = True
-        desc = vision.hog_descriptor(img, mask, cfg)
+        desc = vision.hog_descriptor(img, mask)
         assert desc.shape == (2688,)
 
     def test_constant_image_zero_descriptor(self):
