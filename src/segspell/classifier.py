@@ -39,6 +39,7 @@ class TrainConfig:
     validation_fraction: float = in_file(default=0.1, at_least=0, below=1)
     plateau_patience: int = 2   # epochs without val improvement before halving
     seed: int = 0
+    section: str = in_file(None, default="classifier")   # the config section, named in errors
 
     def __post_init__(self):
         check_fields(self)
@@ -255,7 +256,7 @@ def _sgd(params, step, evaluate, best, n, cfg, rng):
     best, and the parameters of the best epoch (the starting ones if none
     beats ``best``) are restored at the end.  Returns the epoch records.
     An epoch whose record holds NaN or infinity has diverged: DataError
-    naming the epoch.
+    naming the epoch and the learning rate's config field.
     """
     velocity = np.zeros_like(params)
     best_params = params.copy()
@@ -275,8 +276,9 @@ def _sgd(params, step, evaluate, best, n, cfg, rng):
         key, record = evaluate(total / max(batches, 1))
         history.append({"epoch": epoch + 1, **record, "lr": lr})
         if not np.isfinite(list(record.values())).all():
-            raise DataError("training diverged at epoch %d (%s); lower the learning rate"
-                            % (epoch + 1, ", ".join("%s %s" % kv for kv in record.items())))
+            raise DataError("%s.learning_rate: training diverged at epoch %d (%s); lower it"
+                            % (cfg.section, epoch + 1,
+                               ", ".join("%s %s" % kv for kv in record.items())))
         if key < best:
             best, since_improve = key, 0
             best_params = params.copy()

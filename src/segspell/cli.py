@@ -375,7 +375,8 @@ def cmd_train_hmm(args, cfg):
 def cmd_adapt(args, cfg):
     fraction = option(args, "fraction", cfg.pipeline, "adapt_fraction")
     rec, _, words = recognizer_words(args, cfg, args.signer)
-    adapt_words, _ = pipeline.adaptation_split(words, fraction, cfg.pipeline.seed)
+    adapt_words, _ = pipeline.adaptation_split(words, fraction, cfg.pipeline.seed,
+                                               evaluated=False)
     adapted, history = pipeline.adapt_recognizer(rec, adapt_words, LetterAlphabet(),
                                                  mode=args.mode,
                                                  label_source=args.labels)

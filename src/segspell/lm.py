@@ -11,13 +11,14 @@ distinct successor types of h, and the unigram statistics run over all
 successor tokens (letters and ``</s>``).  Every word contributes the
 transitions ``<s> -> w[0]``, ``w[i] -> w[i+1]`` and ``w[-1] -> </s>``.
 Per-history distributions sum to one exactly, and every probability is
-strictly positive, so log probabilities are always finite.
+strictly positive, so log probabilities are always finite.  A model is
+its ARPA file's content in arrays (``BigramLm``): ``train_bigram`` computes
+them from counts, and ``load_arpa`` reads them back.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -25,29 +26,28 @@ from .alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet, UnknownSymbolE
 from .fileio import DataError, atomic_write_text, open_input
 
 
-class BigramLm:
-    """Bigram probabilities for the pairs seen in training plus backed-off
-    unigrams for the rest: p(v | h) = bigram[h, v] when (h, v) was seen,
-    else bow(h) * p1(v).  Both ``train_bigram`` and ``load_arpa`` build
-    this class, so a model behaves the same before and after a save.
+def _indices(alphabet):
+    """({history: row}, {successor: column}) of a bigram model over
+    ``alphabet``: ``<s>`` and the tokens, then the tokens and ``</s>``."""
+    successors = alphabet.letters + alphabet.doubled + (END_SILENCE,)
+    return ({h: i for i, h in enumerate((BEGIN_SILENCE,) + successors[:-1])},
+            {v: j for j, v in enumerate(successors)})
 
-    Every value is kept in one (histories x successors) table, ``probs``,
-    with its natural log in ``logprobs`` (each taken by ``math.log``:
+
+class BigramLm:
+    """An ARPA bigram file's content over (histories x successors):
+    ``bigram[h, v]`` the probability of each pair seen in training (0
+    elsewhere), ``unigram[v]`` p1(v) and ``backoff[h]`` bow(h).  Every
+    lookup reads ``probs``, bigram[h, v] for a seen pair and else
+    bow(h) * p1(v), or its natural log ``logprobs`` (by ``math.log``:
     ``np.log`` differs from it in the last bit for some values)."""
 
-    def __init__(self, alphabet, bigram_probs, unigram_probs, backoff):
-        self.alphabet = alphabet
-        self.histories = (BEGIN_SILENCE,) + alphabet.letters + alphabet.doubled
-        self.successors = alphabet.letters + alphabet.doubled + (END_SILENCE,)
-        self._row = {h: i for i, h in enumerate(self.histories)}
-        self._col = {v: j for j, v in enumerate(self.successors)}
-        self.bigram_probs = dict(bigram_probs)
-        self._uni = {s: unigram_probs[s] for s in self.successors}
-        self._bow = dict(backoff)
-        table = [[self.bigram_probs.get((h, v), self._bow.get(h, 1.0) * self._uni[v])
-                  for v in self.successors] for h in self.histories]
-        self.probs = np.array(table)
-        self.logprobs = np.array([[math.log(p) for p in row] for row in table])
+    def __init__(self, alphabet, bigram, unigram, backoff):
+        self._row, self._col = _indices(alphabet)
+        self.histories, self.successors = tuple(self._row), tuple(self._col)
+        self.bigram, self.unigram, self.backoff = bigram, unigram, backoff
+        self.probs = np.where(bigram > 0, bigram, backoff[:, None] * unigram)
+        self.logprobs = np.array([[math.log(p) for p in row] for row in self.probs.tolist()])
 
     def cells(self, prevs, nexts):
         """(rows, columns) of the table for the histories ``prevs`` and the
@@ -58,10 +58,6 @@ class BigramLm:
                 if s not in index:
                     raise UnknownSymbolError("unknown %s symbol: %r" % (what, s))
         return [self._row[s] for s in prevs], [self._col[s] for s in nexts]
-
-    def backoff_weight(self, prev):
-        self.cells([prev], [])
-        return self._bow.get(prev, 1.0)
 
     def prob(self, prev, next_sym):
         (i,), (j,) = self.cells([prev], [next_sym])
@@ -79,34 +75,16 @@ class BigramLm:
         return np.where((rows >= 0)[:, None] & (cols >= 0), self.probs[np.ix_(rows, cols)], 1.0)
 
     def to_arpa(self):
-        """Serialize in ARPA plain text (log10 values)."""
-        lines = ["\\data\\"]
-        unigrams = []
-        # <s> is never predicted; by convention it gets log10 p = -99
-        unigrams.append((-99.0, BEGIN_SILENCE, math.log10(self.backoff_weight(BEGIN_SILENCE))))
-        for s in self.successors:
-            bow = self.backoff_weight(s) if s in self._row else None
-            unigrams.append((math.log10(self._uni[s]), s, None if bow is None else math.log10(bow)))
-        bigrams = []
-        for h in self.histories:
-            for v in self.successors:
-                if (h, v) in self.bigram_probs:
-                    bigrams.append((math.log10(self.bigram_probs[(h, v)]), h, v))
-        lines.append("ngram 1=%d" % len(unigrams))
-        lines.append("ngram 2=%d" % len(bigrams))
-        lines.append("")
-        lines.append("\\1-grams:")
-        for logp, sym, bow in unigrams:
-            if bow is None:
-                lines.append("%.7f\t%s" % (logp, sym))
-            else:
-                lines.append("%.7f\t%s\t%.7f" % (logp, sym, bow))
-        lines.append("")
-        lines.append("\\2-grams:")
-        for logp, h, v in bigrams:
-            lines.append("%.7f\t%s %s" % (logp, h, v))
-        lines.append("")
-        lines.append("\\end\\")
+        """ARPA plain text (log10 values), the seen pairs row-major."""
+        # <s> is never predicted (log10 p = -99 by convention); </s> is no history
+        logps = [-99.0] + [math.log10(p) for p in self.unigram.tolist()]
+        unigrams = ["%.7f\t%s" % (p, v) + ("" if b is None else "\t%.7f" % math.log10(b))
+                    for p, v, b in zip(logps, self.histories + (END_SILENCE,),
+                                       self.backoff.tolist() + [None])]
+        bigrams = ["%.7f\t%s %s" % (math.log10(self.bigram[i, j]), self.histories[i],
+                                    self.successors[j]) for i, j in zip(*np.nonzero(self.bigram))]
+        lines = ["\\data\\", "ngram 1=%d" % len(unigrams), "ngram 2=%d" % len(bigrams), "",
+                 "\\1-grams:", *unigrams, "", "\\2-grams:", *bigrams, "", "\\end\\"]
         return "\n".join(lines) + "\n"
 
     def save(self, path):
@@ -114,47 +92,31 @@ class BigramLm:
 
 
 def train_bigram(words, alphabet=None):
-    """Count-based Witten-Bell bigram training over a word list.
-
-    Out-of-alphabet characters are rejected with the word and position named.
-    """
-    if alphabet is None:
-        alphabet = LetterAlphabet()
+    """Count-based Witten-Bell bigram training over a word list; an
+    out-of-alphabet character is rejected, naming the word and position."""
+    alphabet = alphabet or LetterAlphabet()
     words = list(words)
     if not words:
         raise ValueError("empty training corpus")
-    bigram_counts = Counter()
-    unigram_counts = Counter()
-    for word in words:
-        tokens = alphabet.tokenize(word)
-        prev = BEGIN_SILENCE
-        for tok in tokens:
-            bigram_counts[(prev, tok)] += 1
-            unigram_counts[tok] += 1
-            prev = tok
-        bigram_counts[(prev, END_SILENCE)] += 1
-        unigram_counts[END_SILENCE] += 1
-    successors = alphabet.letters + alphabet.doubled + (END_SILENCE,)
-    n1 = sum(unigram_counts.values())
-    uni = {s: (unigram_counts.get(s, 0) + 1.0) / (n1 + len(successors))
-           for s in successors}
-    totals, types = Counter(), Counter()
-    for (h, v), c in bigram_counts.items():
-        totals[h] += c
-        types[h] += 1
-    backoff = {h: types[h] / (totals[h] + types[h]) for h in totals}
-    probs = {(h, v): c / (totals[h] + types[h]) + backoff[h] * uni[v]
-             for (h, v), c in bigram_counts.items()}
-    return BigramLm(alphabet, probs, uni, backoff)
+    row, col = _indices(alphabet)
+    pairs = [row[h] * len(col) + col[v] for word in words
+             for tokens in [alphabet.tokenize(word)]
+             for h, v in zip([BEGIN_SILENCE] + tokens, tokens + [END_SILENCE])]
+    counts = np.bincount(pairs, minlength=len(row) * len(col)).reshape(len(row), len(col))
+    unigram = (counts.sum(axis=0) + 1.0) / (counts.sum() + len(col))
+    totals, types = counts.sum(axis=1), (counts > 0).sum(axis=1)
+    denominators = np.maximum(totals + types, 1)   # an unseen history has no pairs
+    backoff = np.where(totals > 0, types / denominators, 1.0)
+    bigram = np.where(counts > 0, counts / denominators[:, None] + backoff[:, None] * unigram, 0)
+    return BigramLm(alphabet, bigram, unigram, backoff)
 
 
 def load_arpa(path, alphabet=None):
-    """Read an ARPA bigram file written by ``BigramLm.save``.
-
-    Probabilities round-trip through the log10 text within 1e-7, which is
-    inside every consumer's tolerance here."""
-    if alphabet is None:
-        alphabet = LetterAlphabet()
+    """Read an ARPA bigram file written by ``BigramLm.save``, skipping any
+    symbol outside ``alphabet``.  Probabilities round-trip through the
+    log10 text within 1e-7, inside every consumer's tolerance here."""
+    alphabet = alphabet or LetterAlphabet()
+    row, col = _indices(alphabet)
 
     def prob(token, lineno):
         try:
@@ -166,25 +128,28 @@ def load_arpa(path, alphabet=None):
         raise DataError("%s line %d holds %s, not a finite log10 value"
                         % (path, lineno, token))
 
-    probs, unis, backoff = {}, {}, {}
+    # one spare slot at the end of each axis takes the skipped symbols (-1)
+    bigram = np.zeros((len(row) + 1, len(col) + 1))
+    unigram, backoff = np.zeros(len(col) + 1), np.ones(len(row) + 1)
     section = None
     try:
         with open_input(path) as f:
             for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("\\"):
-                    section = line
-                    continue
                 parts = line.split()
-                if section == "\\1-grams:":
-                    unis[parts[1]] = prob(parts[0], lineno)
+                if not parts:
+                    continue
+                if parts[0].startswith("\\"):
+                    section = parts[0]
+                elif section == "\\1-grams:":
+                    unigram[col.get(parts[1], -1)] = prob(parts[0], lineno)
                     if len(parts) > 2:   # histories only: </s> has no backoff weight
-                        backoff[parts[1]] = prob(parts[2], lineno)
+                        backoff[row.get(parts[1], -1)] = prob(parts[2], lineno)
                 elif section == "\\2-grams:":
-                    probs[(parts[1], parts[2])] = prob(parts[0], lineno)
-        return BigramLm(alphabet, probs, unis, backoff)
-    except (IndexError, KeyError, UnicodeDecodeError) as e:
+                    bigram[row.get(parts[1], -1), col.get(parts[2], -1)] = prob(parts[0], lineno)
+    except (IndexError, UnicodeDecodeError) as e:
         raise DataError("%s: not an ARPA bigram file (%s: %s)"
                         % (path, type(e).__name__, e)) from None
+    missing = ", ".join(v for v, p in zip(col, unigram) if not p)
+    if missing:
+        raise DataError("%s: not an ARPA bigram file (no unigram for %s)" % (path, missing))
+    return BigramLm(alphabet, bigram[:-1, :-1], unigram[:-1], backoff[:-1])

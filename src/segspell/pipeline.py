@@ -66,7 +66,8 @@ class PipelineConfig:
     adapt_train: TrainConfig = in_file(
         "adaptation", ("seed", "plateau_patience", "dropout", "validation_fraction"),
         default_factory=lambda: TrainConfig(
-            learning_rate=0.01, momentum=0.9, max_epochs=16, validation_fraction=0.0))
+            learning_rate=0.01, momentum=0.9, max_epochs=16, validation_fraction=0.0,
+            section="adaptation"))
     letter_states: int = in_file("hmm.letter_states", default=3, at_least=1)
     silence_states: int = in_file("hmm.silence_states", default=9, at_least=1)
     gmm_components: int = in_file("hmm.gmm_components", default=2, at_least=1)
@@ -198,7 +199,11 @@ def evaluate(recognizer, words):
 # Splits
 
 def dependent_folds(words, n_folds, seed):
-    """Deterministic shuffle of one signer's word tokens into folds."""
+    """Deterministic shuffle of one signer's word tokens into folds;
+    DataError when a fold would be empty."""
+    if len(words) < n_folds:
+        raise DataError("signer %s has %d word(s), fewer than folds=%d"
+                        % (words[0].signer_id, len(words), n_folds))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF01D)))
     order = rng.permutation(len(words))
     folds = [[] for _ in range(n_folds)]
@@ -207,11 +212,16 @@ def dependent_folds(words, n_folds, seed):
     return folds
 
 
-def adaptation_split(words, fraction, seed):
-    """Adaptation subset vs evaluation remainder for one signer."""
+def adaptation_split(words, fraction, seed, evaluated=True):
+    """Adaptation subset vs evaluation remainder for one signer; DataError
+    when the subset would be empty, or the remainder when ``evaluated``."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xADA7)))
     order = rng.permutation(len(words))
     n_adapt = int(round(fraction * len(words)))
+    if not n_adapt or evaluated and n_adapt == len(words):
+        raise DataError("signer %s has %d word(s): adaptation.fraction %g leaves no word to %s"
+                        % (words[0].signer_id, len(words), fraction,
+                           "evaluate" if n_adapt else "adapt on"))
     adapt_idx = set(order[:n_adapt].tolist())
     adapt_words = [words[i] for i in sorted(adapt_idx)]
     eval_words = [words[i] for i in range(len(words)) if i not in adapt_idx]
@@ -515,8 +525,8 @@ def cascade_recognizers(train_words, target_words, alphabet, cfg, lm_words=None)
     ``lm_words``, as in ``build_recognizer``), and a copy fine-tuned on the
     ground-truth labels of the test signer's adaptation words.  Returns
     (train recognizer, adapted recognizer, the rest of ``target_words``)."""
-    rec_train = build_recognizer(train_words, alphabet, cfg, lm_words)
     adapt_words, eval_words = adaptation_split(target_words, cfg.adapt_fraction, cfg.seed)
+    rec_train = build_recognizer(train_words, alphabet, cfg, lm_words)
     rec_eval, _ = adapt_recognizer(rec_train, adapt_words, alphabet)
     return rec_train, rec_eval, eval_words
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -561,7 +562,8 @@ class SpanIndex:
     T frames: the table's (t, d <= dmax) cells row-major, then [0, t) for
     t = 1..T, then [t, T) for t = 0..T-1.  ``by_end[end_cut[t]:end_cut[t+1]]``
     are the spans ending at t, shortest first (the tie order of
-    nbest_segmentations); ``by_start`` and ``start_cut`` likewise."""
+    nbest_segmentations); ``by_start`` and ``start_cut`` likewise, built on
+    first use (only ``backward_pass`` reads them)."""
 
     def __init__(self, t_len, dmax):
         self.num_frames, self.dmax = t_len, dmax
@@ -574,9 +576,15 @@ class SpanIndex:
         self.durations = self.ends - self.starts
         self.last = self.ends - 1            # inclusive last frames
         self.by_end = np.lexsort((self.durations, self.ends))
-        self.by_start = np.lexsort((self.durations, self.starts))
         self.end_cut = np.searchsorted(self.ends[self.by_end], np.arange(t_len + 2))
-        self.start_cut = np.searchsorted(self.starts[self.by_start], np.arange(t_len + 1))
+
+    @cached_property
+    def by_start(self):
+        return np.lexsort((self.durations, self.starts))
+
+    @cached_property
+    def start_cut(self):
+        return np.searchsorted(self.starts[self.by_start], np.arange(self.num_frames + 1))
 
 
 @dataclass
@@ -883,7 +891,8 @@ def train_cll(model, data, cfg):
     (``resolve_reference``; a dropped one still counts in the mean) and
     its ``lattice_terms`` built, before the first epoch.  Step size decays
     as 1/(1+epoch); the L1 term applies as a proximal clip-at-zero step
-    per coordinate.  Returns per-epoch objectives."""
+    per coordinate.  Returns per-epoch objectives; DataError at the first
+    epoch whose objective is not finite."""
     resolved = [ex if ex.lattice is None else resolve_reference(ex, cfg.ref_policy)
                 for ex in data]
     kept = [(ex, None if ex.lattice is None else lattice_terms(model, ex))
@@ -905,6 +914,9 @@ def train_cll(model, data, cfg):
         model.weights = step
         history.append(cll / n - cfg.l2 * float(np.sum(model.weights ** 2))
                        - cfg.l1 * float(np.sum(np.abs(model.weights))))
+        if not math.isfinite(history[-1]):
+            raise DataError("scrf.learning_rate: training diverged at epoch %d (objective %r);"
+                            " lower it" % (epoch + 1, history[-1]))
     return history
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,6 +154,26 @@ def test_arpa_keeps_minus_99_and_absent_backoff(tmp_path):
         pytest.approx(lm.prob("T", END_SILENCE), rel=2e-6)
 
 
+def test_arpa_successor_without_unigram_refused(tmp_path):
+    path = tmp_path / "lm.arpa"
+    train_bigram(["TULIP", "ROAD"]).save(str(path))
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(line for line in lines if line.split("\t")[1:2] != ["Q"]))
+    with pytest.raises(DataError, match="not an ARPA bigram file .*Q"):
+        load_arpa(str(path))
+
+
+def test_arpa_symbols_outside_the_alphabet_are_skipped(tmp_path):
+    # each cell reads only its own pair's values, so the plain alphabet's
+    # table is the doubled one's, less the doubled tokens
+    doubled = LetterAlphabet(doubled=("LL", "ZZ"))
+    path = tmp_path / "lm.arpa"
+    train_bigram(["PIZZA", "BALL", "JAZZ", "ROAD"], doubled).save(str(path))
+    full, plain = load_arpa(str(path), doubled), load_arpa(str(path))
+    rows, cols = full.cells(plain.histories, plain.successors)
+    assert np.array_equal(plain.probs, full.probs[np.ix_(rows, cols)])
+
+
 def test_shipped_wordlists_600_types():
     from segspell.cli import builtin_wordlist
     w1, w2 = builtin_wordlist("1"), builtin_wordlist("2")
@@ -180,3 +202,35 @@ def test_table_entries_equal_prob_and_logprob(tmp_path, doubled):
             for j, v in enumerate(outside):
                 known = h in lm.histories and v in lm.successors
                 assert matrix[i, j] == (lm.prob(h, v) if known else 1.0)
+
+
+# sha256 prefixes of (to_arpa(), probs.tobytes(), logprobs.tobytes()) for a
+# trained model and for the same model after a save/load round trip; they
+# change only with an explanation in CHANGES.md
+LM_DIGESTS = {
+    "list1": (("1fbd5e90bcb7b84f", "79ff7198c75fe35f", "a61b50eaee5575e2"),
+              ("1fbd5e90bcb7b84f", "4c3e7273d16de8ad", "25c0ca35534aa1c0")),
+    "lists1+2": (("b5ec8e9a9fd38c03", "0a8155eabe47bfb7", "504f6efb47b6ac6e"),
+                 ("b5ec8e9a9fd38c03", "7adcd452f44fe764", "63e1d0857ff891b1")),
+    "list1-first5": (("0c0d7a759f2c1cea", "a73860d34e53c135", "cc528e8bfb28f7d4"),
+                     ("0c0d7a759f2c1cea", "2ac6df1caf2014a6", "0151539d21605ede")),
+    "list1-doubled": (("7415cc9ef7b95f78", "f78c940d5c7890d7", "937469468f89ecfa"),
+                      ("7415cc9ef7b95f78", "3189f8a7b1cc33aa", "ae546c8508fdaac5")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LM_DIGESTS))
+def test_lm_bits_are_pinned(tmp_path, case):
+    from segspell.cli import builtin_wordlist
+    w1 = builtin_wordlist("1")
+    words, doubled = {"list1": (w1, ()), "lists1+2": (w1 + builtin_wordlist("2"), ()),
+                      "list1-first5": (w1[:5], ()),   # the protocol workload's LM
+                      "list1-doubled": (w1, ("LL", "SS", "ZZ"))}[case]
+    alphabet = LetterAlphabet(doubled=doubled)
+    trained = train_bigram(words, alphabet)
+    trained.save(str(tmp_path / "lm.arpa"))
+    loaded = load_arpa(str(tmp_path / "lm.arpa"), alphabet)
+    digests = tuple(tuple(hashlib.sha256(b).hexdigest()[:16] for b in (
+        lm.to_arpa().encode(), lm.probs.tobytes(), lm.logprobs.tobytes()))
+        for lm in (trained, loaded))
+    assert digests == LM_DIGESTS[case]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import segspell
 from segspell import cli, pipeline
+from segspell.fileio import DataError
 from segspell.metrics import score_corpus
 
 
@@ -424,7 +425,7 @@ class TestCliChain:
                        str(workdir / "corpus"), "--signers", "S1", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 3
-        assert "training diverged at epoch" in err and "Traceback" not in err
+        assert "classifier.learning_rate: training diverged at epoch" in err and "Traceback" not in err
         assert not out.exists()
 
     # model files that are JSON but not what their readers expect, or that
@@ -856,8 +857,57 @@ def test_diverged_protocol_exit_3(tmp_path, capsys):
                    "--config", str(cfg), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 3
-    assert "training diverged at epoch" in err and "Traceback" not in err
+    assert "classifier.learning_rate: training diverged at epoch" in err and "Traceback" not in err
     assert not out.exists() and not (tmp_path / "p.txt").exists()
+
+
+EMPTY_SPLIT_CFG = {"classifier": {"max_epochs": 1}, "adaptation": {"max_epochs": 1},
+                   "scrf": {"epochs": 1}}
+
+
+@pytest.mark.parametrize("words, extra, argv, message", [
+    # 0.2 of 2 words rounds to no adaptation word
+    pytest.param(2, {}, ["cascade", "--eval-signer", "S2"],
+                 "signer S2 has 2 word(s): adaptation.fraction 0.2", id="cascade"),
+    pytest.param(2, {}, ["run-protocol", "--rows", "GT"],
+                 "signer S1 has 2 word(s): adaptation.fraction 0.2", id="protocol-GT"),
+    # two words leave a training fold of 3 empty
+    pytest.param(2, {"folds": 3, "report_folds": 1}, ["run-protocol", "--rows", "dependent"],
+                 "signer S1 has 2 word(s), fewer than folds=3", id="protocol-dependent"),
+    # 0.6 of 1 word rounds to no evaluation word
+    pytest.param(1, {"adaptation": {"max_epochs": 1, "fraction": 0.6}},
+                 ["run-protocol", "--rows", "GT"],
+                 "signer S1 has 1 word(s): adaptation.fraction 0.6", id="no-eval-word"),
+])
+def test_empty_split_exit_3(tmp_path, capsys, words, extra, argv, message):
+    # an empty adaptation, evaluation or training split used to end in a
+    # traceback from frame_dataset or score_corpus
+    assert cli.main(["gen-data", "--out", str(tmp_path / "c"), "--words", str(words),
+                     "--signers", "2", "--reps", "1"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**EMPTY_SPLIT_CFG, **extra}))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    rc = cli.main(argv + ["--corpus", str(tmp_path / "c"), "--config", str(cfg),
+                          "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3 and message in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_diverged_adaptation_names_its_learning_rate(recognizer, split, alphabet):
+    # adaptation and the segment classifier train with the adaptation settings
+    cfg = recognizer.cfg
+    rec = replace(recognizer, cfg=replace(cfg, adapt_train=replace(
+        cfg.adapt_train, learning_rate=1e12)))
+    with pytest.raises(DataError,
+                       match="^adaptation.learning_rate: training diverged at epoch "):
+        pipeline.adapt_recognizer(rec, split[1], alphabet)
+    with pytest.raises(DataError,
+                       match="^adaptation.learning_rate: training diverged at epoch "):
+        pipeline.train_segment_classifier(rec, split[1], alphabet, rec.cfg)
 
 
 def test_saved_scrf_manifests_are_pinned():

@@ -15,6 +15,7 @@ from segspell.scrf import (START_LABEL, BaselineFeature, ClassifierStatFeature,
                            free_expectation, log_partition, nbest_decode,
                            resolve_reference, rescore, segment_thirds, train_cll,
                            viterbi)
+from segspell.fileio import DataError
 from segspell.metrics import align
 from segspell.segments import (CandidateLattice, Hypothesis, NoPathError, Segment,
                                frame_labels)
@@ -656,6 +657,20 @@ class TestTraining:
             by_seq.setdefault(tuple(l), []).append(model.score(l, s, ctx))
         ranked = sorted(by_seq, key=lambda k: -_logsumexp(np.array(by_seq[k])))
         assert ranked[0] == tuple(ref[0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_cll_divergence_names_the_learning_rate(self):
+        # the first epoch's step overflows the objective; training used to
+        # go on and fail only where a later stage read the weights
+        rng = np.random.default_rng(13)
+        labels = ["A", "B"]
+        ctx = random_ctx(rng, 5, with_lm=False, labels=labels)
+        model = random_model(rng, ctx, labels, 3, with_lm=False)
+        model.weights = np.zeros(model.total_dim)
+        data = [TrainingExample(ctx, ["A", "B"], [Segment("A", 0, 2), Segment("B", 3, 4)])]
+        with pytest.raises(DataError, match="^scrf.learning_rate: training diverged at epoch 1 "):
+            train_cll(model, data, ScrfConfig(learning_rate=1e200, epochs=3))
 
     def test_l1_proximal_step_zeroes_coordinates(self):
         rng = np.random.default_rng(14)
