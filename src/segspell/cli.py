@@ -423,11 +423,15 @@ def cmd_train_scrf(args, cfg):
 
 
 def cmd_decode(args, cfg):
+    if args.lattices and not args.scrf:
+        raise ConfigError("--lattices needs --scrf: only a segmental model rescores lattices")
     rec, stems, words = recognizer_words(args, cfg, args.signers)
     if args.scrf:
         model = pipeline.load_scrf(require(args.scrf, "train-scrf"), rec,
                                    LetterAlphabet(), cfg.scrf)
-    if args.scrf and args.lattices:
+        if not args.lattices and [f.name for f in model.features] != ["firstpass"]:
+            raise ConfigError("--scrf %s: a rescoring model needs --lattices" % args.scrf)
+    if args.lattices:
         paths = [require(os.path.join(args.lattices, stem + ".lat.jsonl"), "nbest")
                  for stem in stems]
         lattices = [load_lattice(path, w.num_frames) for path, w in zip(paths, words)]
@@ -606,8 +610,8 @@ def build_parser():
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--refs", help="also write reference transcriptions here")
-    sp.add_argument("--scrf", help="segmental model weights JSON")
-    sp.add_argument("--lattices", help="lattice directory (rescoring decode)")
+    sp.add_argument("--scrf", help="segmental model weights JSON (a rescoring one needs --lattices)")
+    sp.add_argument("--lattices", help="lattice directory to rescore with --scrf")
     sp.add_argument("--signers")
 
     sp = command("cascade", cmd_cascade, "two-pass segmental cascade experiment")

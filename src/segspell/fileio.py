@@ -7,8 +7,8 @@ uint32 row count, uint32 column count, followed by the row-major float32
 payload.
 
 The PNG codec covers exactly what this package emits and consumes:
-8-bit grayscale and 8-bit RGB, non-interlaced, any filter on read,
-filter 0 on write.
+8-bit grayscale and 8-bit RGB, non-interlaced, every scanline unfiltered
+(filter type 0) on write and on read.
 """
 
 from __future__ import annotations
@@ -187,50 +187,10 @@ def write_png(path, image):
     atomic_write_bytes(path, payload)
 
 
-def _unfilter(data, h, w, channels):
-    stride = w * channels
-    bpp = channels
-    out = np.zeros((h, stride), dtype=np.uint8)
-    pos = 0
-    prev = np.zeros(stride, dtype=np.uint8)
-    for row in range(h):
-        ftype = data[pos]
-        pos += 1
-        line = np.frombuffer(data[pos:pos + stride], dtype=np.uint8).astype(np.int32)
-        pos += stride
-        if ftype == 0:
-            cur = line
-        elif ftype == 1:
-            cur = line.copy()
-            for i in range(bpp, stride):
-                cur[i] = (cur[i] + cur[i - bpp]) & 0xFF
-        elif ftype == 2:
-            cur = (line + prev) & 0xFF
-        elif ftype == 3:
-            cur = line.copy()
-            for i in range(stride):
-                left = cur[i - bpp] if i >= bpp else 0
-                cur[i] = (cur[i] + ((left + int(prev[i])) >> 1)) & 0xFF
-        elif ftype == 4:
-            cur = line.copy()
-            for i in range(stride):
-                a = cur[i - bpp] if i >= bpp else 0
-                b = int(prev[i])
-                c = int(prev[i - bpp]) if i >= bpp else 0
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-                cur[i] = (cur[i] + pred) & 0xFF
-        else:
-            raise ValueError("unsupported PNG filter type %d" % ftype)
-        out[row] = cur.astype(np.uint8)
-        prev = out[row]
-    return out
-
-
 def read_png(path):
     """Read an 8-bit grayscale or RGB PNG into a uint8 array; a file that is
-    not one, or is cut short, raises DataError naming it."""
+    not one, is cut short or has a filtered scanline raises DataError
+    naming it."""
     with open_input(path, "rb") as f:
         raw = f.read()
     try:
@@ -263,10 +223,15 @@ def _decode_png(raw):
         raise ValueError("missing IHDR")
     h, w, channels = meta
     data = zlib.decompress(idat)
-    flat = _unfilter(data, h, w, channels)
-    if channels == 1:
-        return flat.reshape(h, w)
-    return flat.reshape(h, w, channels)
+    stride = w * channels + 1               # a filter byte, then the pixels
+    if len(data) != h * stride:
+        raise ValueError("image data holds %d bytes, not %d" % (len(data), h * stride))
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(h, stride)
+    filtered = np.flatnonzero(rows[:, 0])
+    if len(filtered):                       # write_png filters no scanline
+        raise ValueError("scanline %d has filter type %d; only 0 is read"
+                         % (filtered[0], rows[filtered[0], 0]))
+    return rows[:, 1:].reshape((h, w) if channels == 1 else (h, w, channels)).copy()
 
 
 def sha256_file(path):

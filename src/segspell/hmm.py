@@ -6,14 +6,15 @@ diagonal-covariance GMMs.  Decoding runs over a composite graph
 silence - letter loop - silence with bigram-LM-weighted letter transitions
 and a per-letter insertion penalty; boundary silences may be skipped so
 sequences need not start or end with non-signing frames.  That policy is
-stated once, at unit level, by ``unit_transitions``.
+stated once, at unit level, by ``unit_transitions``; ``_graph`` expands
+it, or forced alignment's reference chain, into states.
 
 N-best lattices run on the semi-Markov engine (``scrf.nbest_segmentations``):
 each unit's best within-unit state path over every span is one span score,
 written straight into the engine's span order (the boundary silences' from
 and to the sequence edges only), and the unit-level policy is the engine's
 transition matrix.
-Viterbi and forced alignment stay frame-synchronous over the expanded state
+Viterbi and forced alignment stay frame-synchronous over that state
 graph: built on the span table, Viterbi is O(T^2) per word and measured
 2-2.5x slower on a 2-vCPU x86-64 host (0.27-0.37 s against 0.12-0.15 s
 for nine words of 74-193 frames), with scores within 4e-12.  The dense
@@ -83,7 +84,6 @@ class LetterHmm:
         self.unit_first = dict(zip(self.units, (np.cumsum(counts) - counts).tolist()))
         self.state_unit_index = np.repeat(np.arange(len(self.units)), counts)
         self.n_states = s = len(self.state_unit_index)
-        self.is_last = np.diff(self.state_unit_index, append=-1) != 0
 
         self.means = np.zeros((s, components, dim))
         self.variances = np.ones((s, components, dim))
@@ -406,29 +406,34 @@ def unit_transitions(model, lm, cfg):
     return trans, final
 
 
-def build_decode_graph(model, lm, cfg):
-    """Dense log-transition matrix plus initial/final vectors, expanded
-    from ``unit_transitions``: within-unit self-loops and advances, and
-    each allowed unit pair as an edge from the first unit's last state
+def _graph(model, units, trans, final):
+    """Dense log-transition matrix plus initial/final vectors of the unit
+    sequence ``units`` (a unit may repeat) under a unit-level policy:
+    ``trans`` (U+1, U), row 0 the START context and row i+1 following
+    ``units[i]``, and ``final`` (U,).  Within-unit self-loops and advances,
+    and each allowed unit pair as an edge from the first unit's last state
     (with its exit probability) to the second unit's first state."""
-    trans, final = unit_transitions(model, lm, cfg)
-    s = model.n_states
-    a = np.full((s, s), LOG_ZERO)
-    idx = np.arange(s)
-    a[idx, idx] = model.log_self
-    inner = idx[~model.is_last]
-    a[inner, inner + 1] = model.log_next[inner]
-
-    first = np.array([model.unit_first[u] for u in model.units])
-    last = first + np.array([model.unit_nstates[u] for u in model.units]) - 1
-    exits = model.log_next[last]
+    counts = np.array([model.unit_nstates[u] for u in units])
+    states = np.concatenate([model.unit_states(u) for u in units])
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    a = np.full((len(states), len(states)), LOG_ZERO)
+    a[np.diag_indices(len(states))] = model.log_self[states]
+    inner = np.delete(np.arange(len(states)), last)
+    a[inner, inner + 1] = model.log_next[states[inner]]
+    exits = model.log_next[states[last]]
     src, dst = np.nonzero(np.isfinite(trans[1:]))
     a[last[src], first[dst]] = exits[src] + trans[1:][src, dst]
-    pi = np.full(s, LOG_ZERO)
-    omega = np.full(s, LOG_ZERO)
+    pi, omega = np.full((2, len(states)), LOG_ZERO)
     pi[first] = np.where(np.isfinite(trans[0]), trans[0], LOG_ZERO)
     omega[last] = np.where(np.isfinite(final), exits + final, LOG_ZERO)
     return a, pi, omega
+
+
+def build_decode_graph(model, lm, cfg):
+    """The decode graph: ``unit_transitions`` expanded over ``model.units``
+    into states (``_graph``)."""
+    return _graph(model, model.units, *unit_transitions(model, lm, cfg))
 
 
 def _path_segments(units, unit_of, path):
@@ -481,35 +486,29 @@ def viterbi_decode(model, lm, seq, cfg=None, graph=None):
 
 def forced_align(model, seq, letters):
     """Best state path constrained to the given letter sequence: Viterbi
-    over the chain of its units' states.
+    over the chain of its units' states (``_graph``).
 
     Each boundary silence is either absent or entered at its first state and
-    left from its last.  Scoring uses emissions and HMM transitions only.
-    Returns (segmentation tiling the sequence, score)."""
+    left from its last: START enters ``<s>`` or the first letter, each unit
+    enters the next, and the word ends after the last letter or ``</s>``.
+    Scoring uses emissions and HMM transitions only.  Returns (segmentation
+    tiling the sequence, score)."""
     if not letters:
         raise ValueError("empty letter sequence")
-    seq = np.asarray(seq, dtype=np.float64)
-    t_len = len(seq)
-    units = [BEGIN_SILENCE] + list(letters) + [END_SILENCE]
-    states = np.concatenate([np.array(list(model.unit_states(u))) for u in units])
-    k = len(states)
-    unit_id = np.concatenate([np.full(model.unit_nstates[u], i)
-                              for i, u in enumerate(units)])
-    starts = [0, model.unit_nstates[BEGIN_SILENCE]]
-    ends = [k - 1, k - 1 - model.unit_nstates[END_SILENCE]]
-    if t_len < len(list(letters)) * model.letter_states:
+    if len(seq) < len(letters) * model.letter_states:
         raise NoPathError("sequence of %d frames too short for %d letters"
-                          % (t_len, len(list(letters))))
-
-    a = np.full((k, k), LOG_ZERO)
-    a[np.arange(k), np.arange(k)] = model.log_self[states]
-    a[np.arange(k - 1), np.arange(1, k)] = model.log_next[states[:-1]]
-    pi, omega = np.full(k, LOG_ZERO), np.full(k, LOG_ZERO)
-    pi[starts] = 0.0
-    omega[ends] = model.log_next[states[ends]]
-    best, path = _viterbi(a, pi, omega, model.emission_logprobs_subset(seq, states)[1])
+                          % (len(seq), len(letters)))
+    units = [BEGIN_SILENCE] + list(letters) + [END_SILENCE]
+    n = len(units)
+    trans = np.where(np.eye(n + 1, n, dtype=bool), 0.0, -np.inf)
+    trans[0, 1] = 0.0
+    final = np.where(np.arange(n) < n - 2, -np.inf, 0.0)
+    states = np.concatenate([model.unit_states(u) for u in units])
+    best, path = _viterbi(*_graph(model, units, trans, final),
+                          model.emission_logprobs_subset(seq, states)[1])
     if _no_path(best):
         raise NoPathError("no alignment path for the constrained sequence")
+    unit_id = np.repeat(np.arange(n), [model.unit_nstates[u] for u in units])
     return _path_segments(units, unit_id, path), best
 
 
@@ -575,6 +574,4 @@ def nbest(model, lm, seq, cfg, policy=None):
     ranked = [(score, spans) for score, spans in
               nbest_segmentations(span_table(model, emis, policy), cfg.nbest)
               if not _no_path(score)]
-    if not ranked:
-        raise NoPathError("no legal path for N-best search")
     return lattice_from_ranked(model.units, ranked, len(emis))

@@ -18,12 +18,13 @@ follows the first-order semi-CRF of Sarawagi & Cohen (NIPS 2004), on
 ``Tables``: span scores and an (L+1) x L transition matrix, row 0 the
 START context, where the LM feature (it reads nothing but the label pair)
 joins the structural constraints.  A score is linear in the weights, so
-the rest of a table is built once per model and length.
+the rest of a table is built once per model and length.  One forward
+sweep serves log-partition (log-sum-exp) and N-best (maximum).
 
 Training maximizes conditional log-likelihood by (sub)gradient ascent with
 L2 and proximal (clip-at-zero) L1 steps, set by ``ScrfConfig``; the
 gradient is the clamped (reference label sequence) feature expectation
-minus the free one.
+minus the free one.  An epoch that overflows stops training (DataError).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .alphabet import BEGIN_SILENCE, END_SILENCE, SILENCES
 from .fileio import (DataError, FieldError, check_fields, in_file, read_json, shaped_array,
                      write_json)
 from .metrics import align
-from .segments import (CandidateLattice, Hypothesis, NoPathError, Segment, check_tiling,
+from .segments import (CandidateLattice, Hypothesis, NoPathError, check_tiling,
                        lattice_from_ranked, letters_only)
 
 START_LABEL = "<start>"
@@ -653,11 +654,12 @@ def compute_tables(model, ctx):
 # ---------------------------------------------------------------------------
 # Exact inference over the full segmentation space
 
-def forward_pass(tabs):
+def forward_pass(tabs, reduce=_lse):
     """(alpha, prev_lse).  alpha[t, y]: log-sum over partial hypotheses
     covering frames [0, t) whose final segment has label y; prev_lse[t, y]:
     log-sum over contexts preceding a segment starting at t labeled y, with
-    the pair score (START at t=0, which the enter spans also follow)."""
+    the pair score (START at t=0, which the enter spans also follow).
+    ``reduce=np.maximum.reduce`` takes the best instead: the 1-best pass."""
     trans, ix = tabs.trans, tabs.index
     t_len, nl = ix.num_frames, len(tabs.final)
     scores, starts = tabs.scores[ix.by_end], ix.starts[ix.by_end]
@@ -667,9 +669,9 @@ def forward_pass(tabs):
     with np.errstate(divide="ignore"):
         for t in range(1, t_len + 1):
             k = slice(ix.end_cut[t], ix.end_cut[t + 1])
-            alpha[t] = _lse(scores[k] + prev_lse[starts[k]])
+            alpha[t] = reduce(scores[k] + prev_lse[starts[k]])
             if t < t_len:
-                prev_lse[t] = _lse(alpha[t][:, None] + trans[1:])
+                prev_lse[t] = reduce(alpha[t][:, None] + trans[1:])
     return alpha, prev_lse
 
 
@@ -703,24 +705,14 @@ def log_partition(model, ctx, lattice=None):
     return _logsumexp(alpha[ctx.num_frames] + tabs.final)
 
 
-def _ranked(model, ctx, n):
-    """``nbest_segmentations`` of the sequence's tables, NoPathError when
-    it is empty."""
-    ranked = nbest_segmentations(compute_tables(model, ctx), n)
-    if not ranked:
-        raise NoPathError("no legal segmentation of %d frames" % ctx.num_frames)
-    return ranked
-
-
 def viterbi(model, ctx):
     """Best labeled segmentation under the duration bounds, as (labels,
-    segments, score): the top of ``nbest_segmentations``, so exact ties
-    resolve to the shortest final segment, then the lowest previous-label
-    index (and, at the last frame, the lowest label index).  NoPathError
-    when no segmentation is legal."""
-    score, spans = _ranked(model, ctx, 1)[0]
-    segments = [Segment(model.labels[y], start, end) for y, start, end in spans]
-    return [s.label for s in segments], segments, score
+    segments, score): the top of ``nbest_decode``, so exact ties resolve
+    to the shortest final segment, then the lowest previous-label index
+    (and, at the last frame, the lowest label index).  NoPathError when no
+    segmentation is legal."""
+    top = nbest_decode(model, ctx, 1).hypotheses[0]
+    return top.labels, top.segments, top.score
 
 
 def _marginals(tabs):
@@ -881,7 +873,7 @@ def example_gradient(model, example, terms=None):
     logz = _logsumexp(scores)
     logz_c = _logsumexp(np.where(in_ref, scores, NEG_INF))
     p_free = np.exp(scores - logz)
-    p_clamped = np.where(in_ref, np.exp(scores - logz_c), 0.0)
+    p_clamped = np.exp(np.where(in_ref, scores - logz_c, NEG_INF))   # no exp of a masked score
     return (p_clamped - p_free) @ feats, float(logz_c - logz)
 
 
@@ -892,31 +884,35 @@ def train_cll(model, data, cfg):
     its ``lattice_terms`` built, before the first epoch.  Step size decays
     as 1/(1+epoch); the L1 term applies as a proximal clip-at-zero step
     per coordinate.  Returns per-epoch objectives; DataError at the first
-    epoch whose objective is not finite."""
+    epoch that overflows, does an invalid operation or ends not finite."""
     resolved = [ex if ex.lattice is None else resolve_reference(ex, cfg.ref_policy)
                 for ex in data]
     kept = [(ex, None if ex.lattice is None else lattice_terms(model, ex))
             for ex in resolved if ex is not None]
     history = []
     n = max(len(data), 1)
-    for epoch in range(cfg.epochs):
-        lr = cfg.learning_rate / (1.0 + epoch)
-        grad = np.zeros(model.total_dim)
-        cll = 0.0
-        for example, terms in kept:
-            g, ll = example_gradient(model, example, terms)
-            grad += g
-            cll += ll
-        grad /= n
-        step = model.weights + lr * (grad - 2.0 * cfg.l2 * model.weights)
-        if cfg.l1 > 0:
-            step = np.sign(step) * np.maximum(np.abs(step) - lr * cfg.l1, 0.0)
-        model.weights = step
-        history.append(cll / n - cfg.l2 * float(np.sum(model.weights ** 2))
-                       - cfg.l1 * float(np.sum(np.abs(model.weights))))
-        if not math.isfinite(history[-1]):
-            raise DataError("scrf.learning_rate: training diverged at epoch %d (objective %r);"
-                            " lower it" % (epoch + 1, history[-1]))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(cfg.epochs):
+                lr = cfg.learning_rate / (1.0 + epoch)
+                grad = np.zeros(model.total_dim)
+                cll = 0.0
+                for example, terms in kept:
+                    g, ll = example_gradient(model, example, terms)
+                    grad += g
+                    cll += ll
+                grad /= n
+                step = model.weights + lr * (grad - 2.0 * cfg.l2 * model.weights)
+                if cfg.l1 > 0:
+                    step = np.sign(step) * np.maximum(np.abs(step) - lr * cfg.l1, 0.0)
+                model.weights = step
+                history.append(cll / n - cfg.l2 * float(np.sum(model.weights ** 2))
+                               - cfg.l1 * float(np.sum(np.abs(model.weights))))
+                if not math.isfinite(history[-1]):
+                    raise FloatingPointError("objective %r" % history[-1])
+    except FloatingPointError as e:
+        raise DataError("scrf.learning_rate: training diverged at epoch %d (%s); lower it"
+                        % (epoch + 1, e)) from None
     return history
 
 
@@ -932,31 +928,25 @@ def nbest_segmentations(tabs, n):
     start, end), ...])] best first, empty when no segmentation is legal;
     the hypotheses are distinct (label sequence, segmentation) pairs.
 
-    A forward 1-best pass, then lazy k-best extraction (Huang & Chiang,
-    IWPT 2005, Alg. 3), written as a loop over an explicit stack, so no
-    recursion depth grows with T.  A node is a segment of label y ending
-    at t, whose edges are the spans ending there, shortest first
-    (``SpanIndex.by_end``), each read back through the context before its
-    start; that context, whose edges are the previous labels with their
-    pair score (START at t = 0); or the end, whose edges are the last
-    labels with ``final``.  A node ranks its derivations on demand from a
-    heap keyed (-score, edge, tail rank), seeded with each edge's best
-    derivation (from the 1-best pass), sorted once and cut to n.  So exact
-    ties keep the lower edge, then the lower rank: hypotheses of equal
-    score rank by their (label, duration) pairs read from the last segment
-    back, ascending, and ``viterbi`` is the top hypothesis.  Only the
-    nodes the top n hypotheses read are ranked."""
+    A forward 1-best pass (``forward_pass``, reducing by maximum), then lazy
+    k-best extraction (Huang & Chiang, IWPT 2005, Alg. 3), written as a
+    loop over an explicit stack, so no recursion depth grows with T.  A
+    node is a segment of label y ending at t, whose edges are the spans
+    ending there, shortest first (``SpanIndex.by_end``), each read back
+    through the context before its start; that context, whose edges are
+    the previous labels with their pair score (START at t = 0); or the
+    end, whose edges are the last labels with ``final``.  A node ranks its
+    derivations on demand from a heap keyed (-score, edge, tail rank),
+    seeded with each edge's best derivation (from the 1-best pass), sorted
+    once and cut to n.  So exact ties keep the lower edge, then the lower
+    rank: hypotheses of equal score rank by their (label, duration) pairs
+    read from the last segment back, ascending, and ``viterbi`` is the top
+    hypothesis.  Only the nodes the top n hypotheses read are ranked."""
     trans, final, ix = tabs.trans, tabs.final, tabs.index
     t_len, nl = ix.num_frames, len(final)
     # best[t, y]: the best segment of label y ending at t; ctx[t, y]: the
     # best context before a segment of label y starting at t
-    best, ctx = np.full((2, t_len + 1, nl), NEG_INF)
-    ctx[0] = trans[0]
-    for t in range(1, t_len + 1):
-        k = ix.by_end[ix.end_cut[t]:ix.end_cut[t + 1]]
-        best[t] = (tabs.scores[k] + ctx[ix.starts[k]]).max(axis=0)
-        if t < t_len:
-            ctx[t] = (trans[1:] + best[t][:, None]).max(axis=0)
+    best, ctx = forward_pass(tabs, np.maximum.reduce)
 
     # a node (t, y, True) holds the segments of label y ending at t,
     # (t, y, False) the contexts before one starting at t; the end is the
@@ -1035,7 +1025,8 @@ def nbest_decode(model, ctx, n):
     """Top-n labeled segmentations by score; hypotheses are distinct
     (label sequence, segmentation) pairs by construction.  NoPathError
     when no segmentation is legal."""
-    return lattice_from_ranked(model.labels, _ranked(model, ctx, n), ctx.num_frames)
+    return lattice_from_ranked(model.labels, nbest_segmentations(compute_tables(model, ctx), n),
+                               ctx.num_frames)
 
 
 def rescore(model, lattice, ctx):

@@ -115,7 +115,9 @@ def lattice_from_hypotheses(hyps, num_frames):
 
 
 def lattice_from_ranked(labels, ranked, num_frames):
-    """CandidateLattice from ``scrf.nbest_segmentations`` output."""
+    """CandidateLattice from ``scrf.nbest_segmentations`` output; NoPathError if empty."""
+    if not ranked:
+        raise NoPathError("no legal segmentation of %d frames" % num_frames)
     hyps = []
     for score, spans in ranked:
         segs = [Segment(labels[li], start, end) for li, start, end in spans]

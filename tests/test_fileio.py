@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -60,3 +63,20 @@ def test_write_json_refuses_non_finite(tmp_path):
     with pytest.raises(ValueError):
         fileio.write_json(str(path), {"w": [1.0, float("inf")]})
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scanlines, message", [
+    # write_png filters no scanline, so read_png reads none
+    pytest.param(b"\x00\x01\x02" + b"\x01\x03\x04", "scanline 1 has filter type 1; only 0 is read",
+                 id="filter-1"),
+    pytest.param(b"\x00\x01\x02" + b"\x00\x03", "image data holds 5 bytes, not 6", id="short"),
+])
+def test_png_refuses_filtered_or_short_scanlines(tmp_path, scanlines, message):
+    path = tmp_path / "img.png"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n"
+                     + fileio._png_chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0))
+                     + fileio._png_chunk(b"IDAT", zlib.compress(scanlines))
+                     + fileio._png_chunk(b"IEND", b""))
+    with pytest.raises(fileio.DataError) as e:
+        fileio.read_png(str(path))
+    assert str(e.value) == "%s: %s" % (path, message)

@@ -15,6 +15,9 @@ from segspell.segments import (CandidateLattice, Hypothesis, Segment, check_tili
                                load_lattice, save_lattice)
 
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 def toy_model(rng, letters=("A", "B"), letter_states=1, silence_states=1, dim=2):
     model = LetterHmm(list(letters), dim=dim, letter_states=letter_states,
                       silence_states=silence_states, components=1)

@@ -861,6 +861,26 @@ def test_diverged_protocol_exit_3(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "p.txt").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverged_scrf_training_shows_only_its_error(tmp_path, capsys):
+    # the diverging first pass used to print four NumPy RuntimeWarnings with
+    # their source lines before the error
+    assert cli.main(["gen-data", "--out", str(tmp_path / "c"), "--words", "6",
+                     "--signers", "3", "--reps", "1"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scrf": {"learning_rate": 1e15, "epochs": 3},
+                               "classifier": {"max_epochs": 2}, "adaptation": {"max_epochs": 2}}))
+    out = tmp_path / "cascade.json"
+    capsys.readouterr()
+    rc = cli.main(["cascade", "--corpus", str(tmp_path / "c"), "--eval-signer", "S3",
+                   "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "error: scrf.learning_rate: training diverged at epoch 3 (" in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 EMPTY_SPLIT_CFG = {"classifier": {"max_epochs": 1}, "adaptation": {"max_epochs": 1},
                    "scrf": {"epochs": 1}}
 
@@ -1194,8 +1214,11 @@ class TestCliSegmental:
         # plumbing check; model quality is covered by the larger-corpus tests
         assert json.load(open(d / "s.json"))["ler"] <= 30.0
 
-    def test_rescoring_scrf_with_lattices(self, tmp_path):
-        d = tmp_path
+    @pytest.fixture(scope="class")
+    def rescoring_chain(self, tmp_path_factory):
+        """A recognizer ``rec``, its 4-best lattices ``lats`` and a rescoring
+        model ``re.json`` for the corpus ``c``, one signer of 6 words."""
+        d = tmp_path_factory.mktemp("rescoring")
         assert cli.main(["gen-data", "--out", str(d / "c"), "--wordlist", "1",
                          "--words", "6", "--signers", "1", "--seed", "22"]) == 0
         assert cli.main(["train-classifier", "--corpus", str(d / "c"),
@@ -1209,6 +1232,29 @@ class TestCliSegmental:
         assert cli.main(["train-scrf", "--recognizer", str(d / "rec"),
                          "--corpus", str(d / "c"), "--mode", "rescoring",
                          "--out", str(d / "re.json"), "--seed", "22"]) == 0
+        return d
+
+    @pytest.mark.parametrize("flag, message", [
+        # the rescoring model's baseline feature reads the lattices' 1-best
+        # labels; firstpass decoding used to end in a TypeError traceback
+        pytest.param("--scrf", "re.json: a rescoring model needs --lattices",
+                     id="rescoring-without-lattices"),
+        # the lattices used to be ignored and tandem Viterbi hypotheses written
+        pytest.param("--lattices", "--lattices needs --scrf", id="lattices-without-scrf"),
+    ])
+    def test_decode_flag_error_exit_2(self, rescoring_chain, tmp_path, capsys, flag, message):
+        d = rescoring_chain
+        out = tmp_path / "h.txt"
+        target = d / ("re.json" if flag == "--scrf" else "lats")
+        capsys.readouterr()
+        rc = cli.main(["decode", "--recognizer", str(d / "rec"), "--corpus", str(d / "c"),
+                       flag, str(target), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_rescoring_scrf_with_lattices(self, rescoring_chain):
+        d = rescoring_chain
         assert cli.main(["decode", "--recognizer", str(d / "rec"),
                          "--corpus", str(d / "c"), "--scrf", str(d / "re.json"),
                          "--lattices", str(d / "lats"),

@@ -21,6 +21,9 @@ from segspell.segments import (CandidateLattice, Hypothesis, NoPathError, Segmen
                                frame_labels)
 
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 class ToyLm:
     def __init__(self, probs):
         self.probs = probs
@@ -658,8 +661,6 @@ class TestTraining:
         ranked = sorted(by_seq, key=lambda k: -_logsumexp(np.array(by_seq[k])))
         assert ranked[0] == tuple(ref[0])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_cll_divergence_names_the_learning_rate(self):
         # the first epoch's step overflows the objective; training used to
         # go on and fail only where a later stage read the weights
