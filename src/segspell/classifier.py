@@ -255,38 +255,41 @@ def _sgd(params, step, evaluate, best, n, cfg, rng):
     halves after ``plateau_patience`` epochs whose key does not beat the
     best, and the parameters of the best epoch (the starting ones if none
     beats ``best``) are restored at the end.  Returns the epoch records.
-    An epoch whose record holds NaN or infinity has diverged: DataError
-    naming the epoch and the learning rate's config field.
+    An overflow, an invalid operation or a NaN or infinity in the record
+    is divergence: DataError naming the epoch and the learning rate's config field.
     """
     velocity = np.zeros_like(params)
     best_params = params.copy()
     lr = cfg.learning_rate
     since_improve = 0
     history = []
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(n)
-        total, batches = 0.0, 0
-        for start in range(0, n, cfg.batch_size):
-            loss, grad = step(order[start:start + cfg.batch_size])
-            total += loss
-            batches += 1
-            velocity *= cfg.momentum
-            velocity -= lr * grad
-            params += velocity
-        key, record = evaluate(total / max(batches, 1))
-        history.append({"epoch": epoch + 1, **record, "lr": lr})
-        if not np.isfinite(list(record.values())).all():
-            raise DataError("%s.learning_rate: training diverged at epoch %d (%s); lower it"
-                            % (cfg.section, epoch + 1,
-                               ", ".join("%s %s" % kv for kv in record.items())))
-        if key < best:
-            best, since_improve = key, 0
-            best_params = params.copy()
-        else:
-            since_improve += 1
-            if since_improve >= cfg.plateau_patience:
-                lr *= 0.5
-                since_improve = 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(cfg.max_epochs):
+                order = rng.permutation(n)
+                total, batches = 0.0, 0
+                for start in range(0, n, cfg.batch_size):
+                    loss, grad = step(order[start:start + cfg.batch_size])
+                    total += loss
+                    batches += 1
+                    velocity *= cfg.momentum
+                    velocity -= lr * grad
+                    params += velocity
+                key, record = evaluate(total / max(batches, 1))
+                history.append({"epoch": epoch + 1, **record, "lr": lr})
+                if not np.isfinite(list(record.values())).all():
+                    raise FloatingPointError(", ".join("%s %s" % kv for kv in record.items()))
+                if key < best:
+                    best, since_improve = key, 0
+                    best_params = params.copy()
+                else:
+                    since_improve += 1
+                    if since_improve >= cfg.plateau_patience:
+                        lr *= 0.5
+                        since_improve = 0
+    except FloatingPointError as e:
+        raise DataError("%s.learning_rate: training diverged at epoch %d (%s); lower it"
+                        % (cfg.section, epoch + 1, e)) from None
     params[...] = best_params
     return history
 

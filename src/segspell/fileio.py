@@ -189,8 +189,8 @@ def write_png(path, image):
 
 def read_png(path):
     """Read an 8-bit grayscale or RGB PNG into a uint8 array; a file that is
-    not one, is cut short or has a filtered scanline raises DataError
-    naming it."""
+    not one, is cut short, declares a compression or filter method other
+    than 0 or has a filtered scanline raises DataError naming it."""
     with open_input(path, "rb") as f:
         raw = f.read()
     try:
@@ -214,6 +214,9 @@ def _decode_png(raw):
             w, h, depth, color_type, comp, filt, interlace = struct.unpack(">IIBBBBB", payload)
             if depth != 8 or color_type not in (0, 2) or interlace != 0:
                 raise ValueError("only 8-bit gray/RGB non-interlaced PNG supported")
+            for field, method in (("compression", comp), ("filter", filt)):
+                if method != 0:     # the only method defined, and write_png's
+                    raise ValueError("%s method %d; only 0 is defined" % (field, method))
             meta = (h, w, 1 if color_type == 0 else 3)
         elif tag == b"IDAT":
             idat += payload

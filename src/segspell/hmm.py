@@ -7,7 +7,9 @@ silence - letter loop - silence with bigram-LM-weighted letter transitions
 and a per-letter insertion penalty; boundary silences may be skipped so
 sequences need not start or end with non-signing frames.  That policy is
 stated once, at unit level, by ``unit_transitions``; ``_graph`` expands
-it, or forced alignment's reference chain, into states.
+it, or forced alignment's reference chain, into states.  Only a forbidden
+move scores -inf: with floored variances, finite observations have finite
+emissions, so a word has no path only when the graph allows none.
 
 N-best lattices run on the semi-Markov engine (``scrf.nbest_segmentations``):
 each unit's best within-unit state path over every span is one span score,
@@ -47,8 +49,6 @@ from .scrf import SpanIndex, Tables, nbest_segmentations
 from .segments import NoPathError, Segment, check_tiling, lattice_from_ranked, letters_only
 from .vision import diag_gaussian_logpdf
 
-LOG_ZERO = -1e30
-
 
 @dataclass
 class DecodeConfig:
@@ -58,12 +58,6 @@ class DecodeConfig:
 
     def __post_init__(self):
         check_fields(self)
-
-
-def _no_path(score):
-    """A best score at or below ``LOG_ZERO / 2`` took a forbidden move or
-    an emission as unlikely; every search counts it as no path."""
-    return score <= LOG_ZERO / 2
 
 
 class LetterHmm:
@@ -223,9 +217,9 @@ def _forward_backward(model, chains, acc):
         log_next = model.log_next[states]
         rows = np.arange(n)
 
-        alpha = np.full((n, t_max, k), LOG_ZERO)
+        alpha = np.full((n, t_max, k), -np.inf)
         alpha[:, 0, 0] = emis[:, 0, 0]
-        move = np.full((n, k), LOG_ZERO)
+        move = np.full((n, k), -np.inf)
         for t in range(1, t_max):
             stay = alpha[:, t - 1] + log_self
             move[:, 1:] = alpha[:, t - 1, :-1] + log_next[:, :-1]
@@ -233,10 +227,10 @@ def _forward_backward(model, chains, acc):
         ll = alpha[rows, lens - 1, k - 1] + log_next[:, k - 1]
         lls[ids] = ll
 
-        # beta starts at each chain's own last frame; padded frames stay LOG_ZERO
-        beta = np.full((n, t_max, k), LOG_ZERO)
+        # beta starts at each chain's own last frame; padded frames stay -inf
+        beta = np.full((n, t_max, k), -np.inf)
         beta[rows, lens - 1, k - 1] = log_next[:, k - 1]
-        move = np.full((n, k), LOG_ZERO)
+        move = np.full((n, k), -np.inf)
         for t in range(t_max - 2, -1, -1):
             stay = beta[:, t + 1] + log_self + emis[:, t + 1]
             move[:, :-1] = beta[:, t + 1, 1:] + log_next[:, :-1] + emis[:, t + 1, 1:]
@@ -411,22 +405,22 @@ def _graph(model, units, trans, final):
     sequence ``units`` (a unit may repeat) under a unit-level policy:
     ``trans`` (U+1, U), row 0 the START context and row i+1 following
     ``units[i]``, and ``final`` (U,).  Within-unit self-loops and advances,
-    and each allowed unit pair as an edge from the first unit's last state
-    (with its exit probability) to the second unit's first state."""
+    each allowed unit pair as an edge from the first unit's last state (with
+    its exit probability) to the second's first state, the rest -inf."""
     counts = np.array([model.unit_nstates[u] for u in units])
     states = np.concatenate([model.unit_states(u) for u in units])
     last = np.cumsum(counts) - 1
     first = last - counts + 1
-    a = np.full((len(states), len(states)), LOG_ZERO)
+    a = np.full((len(states), len(states)), -np.inf)
     a[np.diag_indices(len(states))] = model.log_self[states]
     inner = np.delete(np.arange(len(states)), last)
     a[inner, inner + 1] = model.log_next[states[inner]]
     exits = model.log_next[states[last]]
     src, dst = np.nonzero(np.isfinite(trans[1:]))
     a[last[src], first[dst]] = exits[src] + trans[1:][src, dst]
-    pi, omega = np.full((2, len(states)), LOG_ZERO)
-    pi[first] = np.where(np.isfinite(trans[0]), trans[0], LOG_ZERO)
-    omega[last] = np.where(np.isfinite(final), exits + final, LOG_ZERO)
+    pi, omega = np.full((2, len(states)), -np.inf)
+    pi[first] = trans[0]
+    omega[last] = exits + final
     return a, pi, omega
 
 
@@ -477,7 +471,7 @@ def viterbi_decode(model, lm, seq, cfg=None, graph=None):
         cfg = DecodeConfig()
     a, pi, omega = graph if graph is not None else build_decode_graph(model, lm, cfg)
     best, path = _viterbi(a, pi, omega, model.emission_logprobs(seq))
-    if _no_path(best):
+    if best == -np.inf:
         raise NoPathError("no legal path (sequence too short for any letter sequence?)")
     segs = _path_segments(model.units, model.state_unit_index, path)
     letters = letters_only([s.label for s in segs])
@@ -506,7 +500,7 @@ def forced_align(model, seq, letters):
     states = np.concatenate([model.unit_states(u) for u in units])
     best, path = _viterbi(*_graph(model, units, trans, final),
                           model.emission_logprobs_subset(seq, states)[1])
-    if _no_path(best):
+    if best == -np.inf:
         raise NoPathError("no alignment path for the constrained sequence")
     unit_id = np.repeat(np.arange(n), [model.unit_nstates[u] for u in units])
     return _path_segments(units, unit_id, path), best
@@ -565,13 +559,11 @@ def nbest(model, lm, seq, cfg, policy=None):
     decode-graph policy of ``unit_transitions`` (``policy``, when given, is
     its result built once for many words); a hypothesis scores its
     best state path, so within-unit state wiggles never produce duplicate
-    hypotheses.  Hypotheses that ``viterbi_decode`` would count as no path
-    are dropped (NoPathError when none is left).  ``viterbi_decode`` does
-    not use this path: on the span table it is O(T^2) per word and
-    measured 2x slower (module docstring)."""
+    hypotheses.  The engine returns only finite-score hypotheses
+    (NoPathError when there are none).  ``viterbi_decode`` does not use
+    this path: on the span table it is O(T^2) per word and measured 2x
+    slower (module docstring)."""
     emis = model.emission_logprobs(seq)
     policy = policy if policy is not None else unit_transitions(model, lm, cfg)
-    ranked = [(score, spans) for score, spans in
-              nbest_segmentations(span_table(model, emis, policy), cfg.nbest)
-              if not _no_path(score)]
-    return lattice_from_ranked(model.units, ranked, len(emis))
+    return lattice_from_ranked(model.units, nbest_segmentations(
+        span_table(model, emis, policy), cfg.nbest), len(emis))

