@@ -35,7 +35,7 @@ from .alphabet import LetterAlphabet
 from .classifier import history_csv, load_classifier
 from .fileio import (DataError, FieldError, atomic_write_text, check_fields, in_file,
                      open_input, read_json, read_png, recording_inputs, sha256_file,
-                     write_json, write_matrix, write_png)
+                     write_json, write_png)
 from .hmm import forced_align
 from .lm import load_arpa, train_bigram
 from .metrics import format_report, score_corpus
@@ -213,13 +213,13 @@ def resolve_words(args, cfg):
 
 
 def load_corpus_words(directory, signers=None, classifier=None, window=None):
-    """The manifest as read, and the stems and words of ``signers`` (a
-    comma list; all when None) in corpus ``directory``.  With a
-    ``classifier``, each kept word's descriptor width times ``window`` must
-    be its input width (DataError naming the ``.fmat``)."""
+    """The corpus in ``directory``, and the stems and words of ``signers``
+    (a comma list; all when None).  With a ``classifier``, each kept word's
+    descriptor width times ``window`` must be its input width (DataError
+    naming the ``.fmat``)."""
     require(os.path.join(directory, "manifest.json"), "gen-data")
-    manifest, words = synthgen.load_corpus(directory)
-    stems = [e["stem"] for e in manifest["entries"]]
+    corpus, stems = synthgen.load_corpus(directory)
+    words = corpus.words
     if signers:
         keep = set(signers.split(","))
         pairs = [(w, s) for w, s in zip(words, stems) if w.signer_id in keep]
@@ -233,15 +233,7 @@ def load_corpus_words(directory, signers=None, classifier=None, window=None):
             if w.descriptors.shape[1] * window != width:
                 raise DataError("%s: %d columns x window %d, the classifier reads %d" % (
                     w.path, w.descriptors.shape[1], window, width))
-    return manifest, stems, words
-
-
-def read_corpus(directory):
-    """The corpus in ``directory``; ``synthgen.read_manifest`` checks the
-    manifest's top-level fields."""
-    manifest, _, words = load_corpus_words(directory)
-    return synthgen.Corpus(words, manifest["word_list"], manifest["seed"],
-                           manifest["repetitions"])
+    return corpus, stems, words
 
 
 def recognizer_words(args, cfg, signers):
@@ -294,11 +286,11 @@ def cmd_gen_data(args, cfg):
 
 
 def cmd_extract_features(args, cfg):
-    manifest, stems, words = load_corpus_words(args.corpus)
+    corpus, stems, _ = load_corpus_words(args.corpus)
     img_root = require(os.path.join(args.corpus, "images"), "gen-data --images")
     per_signer_model = {}
-    word_desc = []
-    by_stem = dict(zip(stems, words))
+    word_desc = {}
+    by_stem = dict(zip(stems, corpus.words))
     for stem in sorted(by_stem):
         img_dir = os.path.join(img_root, stem)
         require(img_dir, "gen-data --images")
@@ -318,20 +310,15 @@ def cmd_extract_features(args, cfg):
                 descs.append(np.zeros(HOG_DIM))
             else:
                 descs.append(hog_descriptor(frame, mask))
-        word_desc.append((stem, np.asarray(descs)))
-    stacked = np.concatenate([descs for _, descs in word_desc])
+        word_desc[stem] = np.asarray(descs)
+    stacked = np.concatenate(list(word_desc.values()))   # the fit reads sorted stems
     pca = fit_pca(stacked, min(cfg.hog_pca, stacked.shape[1], len(stacked) - 1))
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    for stem, descs in word_desc:
-        reduced = apply_pca(pca, descs)
-        out_path = os.path.join(args.out, stem + ".fmat")
-        write_matrix(out_path, reduced)
-        synthgen.save_word_metadata(os.path.join(args.out, stem + ".json"), by_stem[stem])
-        outputs.append(out_path)
-    write_json(os.path.join(args.out, "manifest.json"), manifest)
+    reduced = [replace(w, descriptors=apply_pca(pca, word_desc[stem]))
+               for stem, w in zip(stems, corpus.words)]
+    written = synthgen.save_corpus(replace(corpus, words=reduced), args.out)
     return ("extracted HOG+PCA descriptors for %d sequences into %s"
-            % (len(word_desc), args.out), outputs)
+            % (len(reduced), args.out),
+            [os.path.join(args.out, stem + ".fmat") for stem in written])
 
 
 def cmd_train_lm(args, cfg):
@@ -451,7 +438,8 @@ def cmd_decode(args, cfg):
 def cmd_cascade(args, cfg):
     pcfg = cfg.pipeline
     alphabet = LetterAlphabet()
-    by_signer = pipeline.split_by_signer(read_corpus(args.corpus))
+    corpus, _, _ = load_corpus_words(args.corpus)
+    by_signer = pipeline.split_by_signer(corpus)
     eval_signer = args.eval_signer
     if eval_signer not in by_signer:
         raise DataError("signer %s not in corpus (have %s)"
@@ -513,7 +501,7 @@ def cmd_run_protocol(args, cfg):
     if not set(rows) <= set(pipeline.PROTOCOL_ROWS):
         raise ConfigError("--rows must be a comma list from %s, got %r"
                           % (",".join(pipeline.PROTOCOL_ROWS), args.rows))
-    corpus = read_corpus(args.corpus)
+    corpus, _, _ = load_corpus_words(args.corpus)
     if args.verbose:   # progress lines go to stderr: stdout keeps the table
         logging.basicConfig(format="%(message)s")
         logging.getLogger("segspell").setLevel(logging.INFO)

@@ -305,7 +305,6 @@ def run_protocol(corpus, cfg=None, rows=PROTOCOL_ROWS):
     if len(signer_ids) < 2:
         raise DataError("protocol needs at least 2 signers with words for leave-one-out")
     lm_words = corpus.word_list
-    results = {row: {} for row in rows}
     details = {row: {} for row in rows}
     if "dependent" in rows:
         for si, sid in enumerate(signer_ids):
@@ -323,7 +322,6 @@ def run_protocol(corpus, cfg=None, rows=PROTOCOL_ROWS):
                 fold_scores.append(score_corpus(pairs)["ler"])
                 log.info("dependent %s fold %d: LER %.2f", sid, f, fold_scores[-1])
             scores = score_corpus(pooled)
-            results["dependent"][sid] = scores["ler"]
             details["dependent"][sid] = scores
 
     independents = {}
@@ -338,7 +336,6 @@ def run_protocol(corpus, cfg=None, rows=PROTOCOL_ROWS):
     if "independent" in rows:
         for sid in signer_ids:
             scores = evaluate(independents[sid], by_signer[sid])
-            results["independent"][sid] = scores["ler"]
             details["independent"][sid] = scores
             log.info("independent %s: LER %.2f", sid, scores["ler"])
 
@@ -352,15 +349,15 @@ def run_protocol(corpus, cfg=None, rows=PROTOCOL_ROWS):
                                           alphabet, "fine-tune", source,
                                           seed_offset=si)
             scores = evaluate(adapted, eval_words)
-            results[row][sid] = scores["ler"]
             details[row][sid] = scores
             log.info("%s-adapted %s: LER %.2f", source, sid, scores["ler"])
 
+    ler = {}
     for row in rows:
-        vals = [results[row][sid] for sid in signer_ids]
-        results[row]["Mean"] = float(np.mean(vals))
+        vals = [details[row][sid]["ler"] for sid in signer_ids]
+        ler[row] = dict(zip(signer_ids, vals), Mean=float(np.mean(vals)))
     return {"rows": list(rows), "signers": signer_ids,
-            "ler": results, "details": {
+            "ler": ler, "details": {
                 row: {sid: {k: details[row][sid][k]
                             for k in ("ler", "D_rate", "S_rate", "I_rate", "N")}
                       for sid in signer_ids}

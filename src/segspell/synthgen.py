@@ -347,26 +347,25 @@ def generate_corpus(word_list, signers, seed, repetitions=2, cfg=None):
 # ---------------------------------------------------------------------------
 # Corpus on disk: manifest + binary descriptor matrices + ground truth
 
-def save_word_metadata(path, w):
-    """A word's ``.json``: everything but its descriptors."""
-    write_json(path, {
-        "word": w.word,
-        "signer": w.signer_id,
-        "labels": w.labels,
-        "segments": to_jsonable(w.segments),
-        "peaks": w.peaks,
-        "raw_durations": w.raw_durations,
-        "seed_key": list(w.seed_key),
-    })
-
-
 def save_corpus(corpus, directory):
+    """Write ``corpus`` to ``directory``: for each word a ``<stem>.fmat`` of
+    its descriptors and a ``<stem>.json`` of everything else, then
+    ``manifest.json``.  Returns the stems, ``<signer>_w<index>`` in word
+    order."""
     os.makedirs(directory, exist_ok=True)
     entries = []
     for i, w in enumerate(corpus.words):
         stem = "%s_w%04d" % (w.signer_id, i)
         write_matrix(os.path.join(directory, stem + ".fmat"), w.descriptors)
-        save_word_metadata(os.path.join(directory, stem + ".json"), w)
+        write_json(os.path.join(directory, stem + ".json"), {
+            "word": w.word,
+            "signer": w.signer_id,
+            "labels": w.labels,
+            "segments": to_jsonable(w.segments),
+            "peaks": w.peaks,
+            "raw_durations": w.raw_durations,
+            "seed_key": list(w.seed_key),
+        })
         entries.append({"stem": stem, "word": w.word, "signer": w.signer_id,
                         "seed_key": list(w.seed_key)})
     write_json(os.path.join(directory, "manifest.json"), {
@@ -376,6 +375,7 @@ def save_corpus(corpus, directory):
         "repetitions": corpus.repetitions,
         "entries": entries,
     })
+    return [e["stem"] for e in entries]
 
 
 def read_manifest(directory):
@@ -405,10 +405,13 @@ def read_manifest(directory):
 
 
 def load_corpus(directory):
-    """Refuses a word whose metadata is incomplete or whose segments do not
-    tile its descriptor frames, a manifest ``read_manifest`` refuses, and a
-    manifest entry whose ``word``, ``signer`` or ``seed_key`` is not the
-    one in its word's ``.json`` (DataError naming the file)."""
+    """The corpus in ``directory`` and its words' stems, in manifest order.
+
+    Refuses a manifest ``read_manifest`` refuses, a word whose metadata is
+    incomplete, whose segments do not tile its descriptor frames or whose
+    ``labels`` are not its segments' labels, and a manifest entry whose
+    ``word``, ``signer`` or ``seed_key`` is not the one in its word's
+    ``.json`` (DataError naming the file)."""
     manifest = read_manifest(directory)
     words = []
     for entry in manifest["entries"]:
@@ -419,6 +422,9 @@ def load_corpus(directory):
             segments=check_tiling(from_jsonable(meta["segments"]), len(desc)),
             peaks=meta["peaks"], descriptors=desc, raw_durations=meta["raw_durations"],
             seed_key=tuple(meta["seed_key"]), path=stem + ".fmat"))
+        if [s.label for s in w.segments] != w.labels:
+            raise DataError("%s.json: labels %s are not its segments' labels %s" % (
+                stem, w.labels, [s.label for s in w.segments]))
         for key, value in (("word", w.word), ("signer", w.signer_id),
                            ("seed_key", list(w.seed_key))):
             if entry.get(key) != value:
@@ -426,7 +432,8 @@ def load_corpus(directory):
                     os.path.join(directory, "manifest.json"), entry["stem"], key,
                     entry.get(key), value))
         words.append(w)
-    return manifest, words
+    corpus = Corpus(words, manifest["word_list"], manifest["seed"], manifest["repetitions"])
+    return corpus, [e["stem"] for e in manifest["entries"]]
 
 
 # ---------------------------------------------------------------------------

@@ -55,26 +55,6 @@ def rgb_to_lab(image):
     return lab
 
 
-def polygon_mask(vertices, shape):
-    """Rasterize a polygon (list of (row, col)) into a binary mask
-    using the even-odd rule at pixel centers."""
-    verts = np.asarray(vertices, dtype=np.float64)
-    h, w = shape
-    rows, cols = np.mgrid[0:h, 0:w]
-    px = cols + 0.0
-    py = rows + 0.0
-    inside = np.zeros(shape, dtype=bool)
-    n = len(verts)
-    for i in range(n):
-        y0, x0 = verts[i]
-        y1, x1 = verts[(i + 1) % n]
-        cond = (py < max(y0, y1)) & (py >= min(y0, y1))
-        if y1 != y0:
-            xint = x0 + (py - y0) * (x1 - x0) / (y1 - y0)
-            inside ^= cond & (px < xint)
-    return inside
-
-
 # ---------------------------------------------------------------------------
 # Diagonal-covariance Gaussian mixture (hand color model)
 
@@ -161,7 +141,7 @@ def fit_hand_color_model(frames, rois):
     """Fit the hand/background color model from annotated frames.
 
     ``frames`` are RGB images; ``rois`` give the hand region per frame as a
-    binary mask or as polygon vertices.  The hand model is a 3-component
+    boolean mask of the frame's size.  The hand model is a 3-component
     diagonal GMM of the annotated pixels.  The background model is a single
     Gaussian per pixel fit over frames where that pixel is not in or near
     (within 5 pixels of) a hand region.  The hand prior is the fraction of
@@ -173,8 +153,7 @@ def fit_hand_color_model(frames, rois):
     labs, masks = [], []
     for frame, roi in zip(frames, rois):
         lab = rgb_to_lab(frame)
-        roi = np.asarray(roi)
-        mask = roi.astype(bool) if roi.ndim == 2 else polygon_mask(roi, shape)
+        mask = np.asarray(roi, dtype=bool)
         if not mask.any():
             raise ValueError("empty hand ROI")
         labs.append(lab)
@@ -209,13 +188,12 @@ def fit_hand_color_model(frames, rois):
     return HandColorModel(hand_gmm, bg_mean, bg_var, prior, floor)
 
 
-def segment_hand(frame, model, exclusion_mask=None, signing_region=None):
-    """Binary hand mask for one RGB frame.
+def segment_hand(frame, model):
+    """Binary hand mask for one RGB frame under a hand color model.
 
-    Pixels pass the prior-weighted odds test, then exclusion-mask pixels,
-    low hand-density pixels and pixels outside the signing region are
-    suppressed; the result is the largest 8-connected surviving component
-    (all-false if nothing survives).
+    Pixels pass the prior-weighted odds test, then low hand-density pixels
+    are suppressed; the result is the largest 8-connected surviving
+    component (all-false if nothing survives).
     """
     lab = rgb_to_lab(frame)
     h, w = lab.shape[:2]
@@ -227,13 +205,6 @@ def segment_hand(frame, model, exclusion_mask=None, signing_region=None):
     passed = (log_hand + np.log(model.prior_hand)
               > log_bg + np.log(1.0 - model.prior_hand))
     passed &= log_hand >= model.hand_logdensity_floor
-    if exclusion_mask is not None:
-        passed &= ~np.asarray(exclusion_mask, dtype=bool)
-    if signing_region is not None:
-        r0, c0, r1, c1 = signing_region
-        region = np.zeros((h, w), dtype=bool)
-        region[r0:r1, c0:c1] = True
-        passed &= region
     return largest_component(passed)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import segspell
 from segspell import cli, pipeline
-from segspell.fileio import DataError
+from segspell.fileio import DataError, sha256_file
 from segspell.metrics import score_corpus
 
 
@@ -745,7 +746,7 @@ class TestCliChain:
 
 class TestOneFrameWord:
     """A corpus that loads but whose second word, AFGHANISTAN, is cut to one
-    frame of boundary silence: no recognizer has a path for it."""
+    frame spelling A: no recognizer has a path for it."""
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory, alphabet):
@@ -760,12 +761,15 @@ class TestOneFrameWord:
         classes = json.loads((d / "rec" / "classifier.json").read_text())["class_names"]
         pipeline.build_firstpass_model(alphabet, len(classes),
                                        pipeline.ScrfConfig()).save(str(d / "fp.json"))
-        shutil.copytree(d / "good", d / "bad")
-        fmat, meta_path = d / "bad" / "S1_w0001.fmat", d / "bad" / "S1_w0001.json"
-        write_matrix(str(fmat), read_matrix(str(fmat))[:1])
-        meta = json.loads(meta_path.read_text())
-        assert meta["word"] == "AFGHANISTAN"
-        meta_path.write_text(json.dumps(dict(meta, segments=[["<s>", 0, 0]])))
+        # "mismatch" keeps the word's 13 labels over its one segment
+        for name, damage in (("bad", {"segments": [["A", 0, 0]], "labels": ["A"]}),
+                             ("mismatch", {"segments": [["<s>", 0, 0]]})):
+            shutil.copytree(d / "good", d / name)
+            fmat, meta_path = d / name / "S1_w0001.fmat", d / name / "S1_w0001.json"
+            write_matrix(str(fmat), read_matrix(str(fmat))[:1])
+            meta = json.loads(meta_path.read_text())
+            assert meta["word"] == "AFGHANISTAN"
+            meta_path.write_text(json.dumps(dict(meta, **damage)))
         (d / "small.json").write_text(json.dumps({
             "folds": 3, "report_folds": 1, "classifier": {"max_epochs": 1},
             "adaptation": {"max_epochs": 1}, "scrf": {"epochs": 1}}))
@@ -773,7 +777,7 @@ class TestOneFrameWord:
 
     # the file names the word of a per-word search; a failed first-pass
     # training example gives its reference and frame count instead
-    FILE, REFERENCE = "{fmat}", "1 frames carries the reference AFGHANISTAN"
+    FILE, REFERENCE = "{fmat}", "1 frames carries the reference A"
 
     @pytest.mark.parametrize("argv, names", [
         pytest.param(["decode", "{rec}"], FILE, id="decode"),
@@ -800,6 +804,17 @@ class TestOneFrameWord:
         assert rc == 3 and "Traceback" not in err
         assert names.format(fmat=d / "bad" / "S1_w0001.fmat") in err
         assert not (tmp_path / "out").exists()
+
+    def test_labels_contradicting_segments_exit_3(self, corpus, tmp_path, capsys):
+        # such a word used to load: the frame classifier trained on its
+        # segments and the SCRFs on its labels
+        d = corpus
+        rc = cli.main(["train-classifier", "--corpus", str(d / "mismatch"),
+                       "--config", str(d / "small.json"), "--out", str(tmp_path / "clf.json")])
+        err = capsys.readouterr().err
+        assert rc == 3 and "Traceback" not in err
+        assert str(d / "mismatch" / "S1_w0001.json") in err
+        assert not (tmp_path / "clf.json").exists()
 
     def test_run_protocol_logs_progress(self, corpus, tmp_path, capsys, caplog):
         # --verbose logs progress at INFO through the segspell logger;
@@ -956,16 +971,48 @@ def test_cli_import_leaves_scipy_sparse_out():
     assert out.stdout.strip() == "False"
 
 
+def artifact_digests(root, skip):
+    """{name: first 16 hex digits of a sha256} of each file and directory
+    in ``root`` but those in ``skip`` and the run records (they hold times
+    and paths): a file's bytes, or a directory's sorted lines of relative
+    path and file sha256."""
+    def digest(path):
+        if not os.path.isdir(path):
+            return sha256_file(path)[:16]
+        lines = sorted("%s %s" % (os.path.relpath(os.path.join(top, f), path),
+                                  sha256_file(os.path.join(top, f)))
+                       for top, _, files in os.walk(path) for f in files
+                       if f != "run_record.json")
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    return {name: digest(os.path.join(root, name)) for name in sorted(os.listdir(root))
+            if name not in skip and not name.endswith(".run.json")}
+
+
 class TestCliRunRecords:
     """All 14 subcommands through ``cli.main`` on a tiny corpus with a fast
     config: exit code, artifacts, a summary on stdout, and the run record's
     path, subcommand, seed, input keys and outputs.  A corpus input is the
     manifest plus every word's metadata and descriptor file, all of which
-    the handler reads."""
+    the handler reads.  Every saved artifact is pinned to the byte; the
+    config runs one EM iteration and two epochs, so EM and SGD reach the
+    files."""
 
     FAST = {"seed": 31, "folds": 3, "report_folds": 1,
-            "classifier": {"max_epochs": 1}, "adaptation": {"max_epochs": 1},
-            "hmm": {"em_iters": 0}, "scrf": {"epochs": 1, "nbest": 3}}
+            "classifier": {"max_epochs": 2}, "adaptation": {"max_epochs": 2},
+            "hmm": {"em_iters": 1}, "scrf": {"epochs": 2, "nbest": 3}}
+    # a pin changes only with an explanation in CHANGES.md
+    ARTIFACTS = {"ali.jsonl": "f25424c5b11e9e26", "c": "b33d80a9de497669",
+                 "cascade.json": "99d0e20ec3396d9f", "clf.json": "60312dbd15ae2b7d",
+                 "curve.csv": "cfaccc760f9af38f", "feat": "d80fc5659adbed64",
+                 "firstpass.json": "1d33a68292d0e447", "h1.ref": "062f8fe985bfd8c8",
+                 "h1.txt": "d41a35ea68753368", "h2.ref": "062f8fe985bfd8c8",
+                 "h2.txt": "273f5ca7bc346011", "h3.ref": "062f8fe985bfd8c8",
+                 "h3.txt": "5b2cf21a275bc927", "ic": "2a0650fb6211a5b2",
+                 "lats": "9e59feb38b8a3910", "lm.arpa": "362fe0b82b1788a6",
+                 "proto.json": "ae5cbcb5c82e7649", "proto.txt": "93414fbcb6debfa0",
+                 "realign.json": "2324a670dbfedbba", "rec": "07b8e6f4b8f7973a",
+                 "rec2": "4b69fafbd4cc7c11", "rescoring.json": "e7d7a7d1bffb42b0",
+                 "s.json": "78de2f3cfd964b2c", "s.txt": "f3d368c1e5aeb3cf"}
 
     def run(self, capsys, argv, record, seed, inputs, outputs):
         assert cli.main(argv) == 0
@@ -1069,6 +1116,7 @@ class TestCliRunRecords:
         self.run(capsys, ["run-protocol", "--corpus", p("c"), "--out", p("proto.json"),
                           "--seed", "9"] + conf,
                  p("proto.json.run.json"), 9, words, [p("proto.json"), p("proto.txt")])
+        assert artifact_digests(d, {"fast.json"}) == self.ARTIFACTS
 
 
 class TestImagePipeline:

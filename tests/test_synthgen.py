@@ -128,12 +128,13 @@ class TestCorpus:
         corpus = synthgen.generate_corpus(["BOX", "JOE"], signers[:2], 9,
                                           repetitions=1, cfg=gen_config)
         d = str(tmp_path / "corpus")
-        synthgen.save_corpus(corpus, d)
-        manifest, loaded = synthgen.load_corpus(d)
-        for orig, entry in zip(corpus.words, manifest["entries"]):
+        stems = synthgen.save_corpus(corpus, d)
+        loaded, loaded_stems = synthgen.load_corpus(d)
+        assert loaded_stems == stems == ["S1_w0000", "S1_w0001", "S2_w0002", "S2_w0003"]
+        assert (loaded.word_list, loaded.seed, loaded.repetitions) == (["BOX", "JOE"], 9, 1)
+        for orig, saved in zip(corpus.words, loaded.words):
             signer = next(s for s in signers if s.signer_id == orig.signer_id)
-            regen = synthgen.generate_word(entry["word"], signer,
-                                           tuple(entry["seed_key"]), gen_config)
+            regen = synthgen.generate_word(saved.word, signer, saved.seed_key, gen_config)
             assert np.array_equal(regen.descriptors, orig.descriptors)
             assert regen.segments == orig.segments
 
@@ -142,8 +143,8 @@ class TestCorpus:
                                           repetitions=1, cfg=gen_config)
         d = str(tmp_path / "c2")
         synthgen.save_corpus(corpus, d)
-        _, loaded = synthgen.load_corpus(d)
-        np.testing.assert_allclose(loaded[0].descriptors,
+        loaded, _ = synthgen.load_corpus(d)
+        np.testing.assert_allclose(loaded.words[0].descriptors,
                                    corpus.words[0].descriptors, atol=1e-5)
 
     def test_speed_ratio_configurable(self, gen_config):

@@ -177,16 +177,6 @@ class TestSegmentHand:
         out = vision.segment_hand(bg_only, model)
         assert not out.any()
 
-    def test_exclusion_and_region(self):
-        frames, masks = blob_frames(12)
-        model = vision.fit_hand_color_model(frames[:10], masks[:10])
-        frame, mask = frames[11], masks[11]
-        out = vision.segment_hand(frame, model, exclusion_mask=mask)
-        assert not out[mask].any()
-        region = (0, 0, 1, 1)
-        out2 = vision.segment_hand(frame, model, signing_region=region)
-        assert not out2.any() or out2[:1, :1].all()
-
     def test_size_mismatch_rejected(self):
         frames, masks = blob_frames(5)
         model = vision.fit_hand_color_model(frames, masks)
