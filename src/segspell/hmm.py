@@ -15,18 +15,16 @@ N-best lattices run on the semi-Markov engine (``scrf.nbest_segmentations``):
 each unit's best within-unit state path over every span is one span score,
 written straight into the engine's span order (the boundary silences' from
 and to the sequence edges only), and the unit-level policy is the engine's
-transition matrix.
-Viterbi and forced alignment stay frame-synchronous over that state
-graph: built on the span table, Viterbi is O(T^2) per word and measured
-2-2.5x slower on a 2-vCPU x86-64 host (0.27-0.37 s against 0.12-0.15 s
-for nine words of 74-193 frames), with scores within 4e-12.  The dense
+transition matrix.  The span scores come from a state-major chain DP
+(``span_table``), each of whose NumPy calls runs over every (start, unit) cell.
+Viterbi and forced alignment stay frame-synchronous over the state graph:
+the engine's 1-best on the span table is O(T^2) per word and measured
+about 2x slower on a 2-vCPU x86-64 host (0.10-0.14 s against 0.06-0.07 s
+for nine words of 74-193 frames), with scores within 3e-12.  The dense
 recursion reads the transposed transition matrix, so each state's
-predecessors are one contiguous row; on nine words of 1,025 frames (96
-states) that is 1.3x faster than a maximum over columns, with identical
-scores and paths.  A sparse form (self-loop and advance as shifted
-vectors, unit entries as one (U, U) maximum) gave the same paths at 0.9x
-the speed of the column form: per frame, its extra NumPy calls cost more
-than the (S, S) additions they avoid.
+predecessors are one contiguous row: 1.3x faster than a maximum over
+columns on nine words of 1,025 frames (96 states), with identical scores
+and paths.
 
 Training supports two modes: segmented (each unit trained on its annotated
 spans, initialized from a uniform within-span state split) and flat-start
@@ -319,8 +317,9 @@ def train_em(sequences, transcriptions, letters, dim, segmentations=None,
 
     With segmentations, each unit is trained on its own spans (segmented
     mode); without, embedded EM runs over whole-word composite chains
-    (flat-start).  iters=0 returns the mode's initialization.
-    """
+    (flat-start).  iters=0 returns the mode's initialization.  An overflow
+    or an invalid operation raises DataError naming its EM iteration, 0 for
+    the initialization."""
     if not sequences:
         raise ValueError("no training sequences")
     if len(sequences) != len(transcriptions):
@@ -328,41 +327,41 @@ def train_em(sequences, transcriptions, letters, dim, segmentations=None,
     sequences = [np.asarray(seq, dtype=np.float64) for seq in sequences]
     model = LetterHmm(letters, dim, letter_states, silence_states,
                       components, var_floor)
-    if segmentations is not None:
-        if len(segmentations) != len(sequences):
-            raise ValueError("sequence/segmentation count mismatch")
-        _segmented_init(model, sequences, segmentations)
-    else:
-        _global_init(model, sequences)
-
-    if segmentations is not None:
-        # spans shorter than their chain are skipped; the set is fixed, so
-        # the EM curve stays comparable across iterations
-        chains = [(seq[seg.start:seg.end + 1], list(model.unit_states(seg.label)))
-                  for seq, segs in zip(sequences, segmentations) for seg in segs
-                  if seg.duration >= model.unit_nstates[seg.label]]
-    else:
-        chains = [(seq, [s for u in (BEGIN_SILENCE, *word, END_SILENCE)
-                         for s in model.unit_states(u)])
-                  for seq, word in zip(sequences, transcriptions)]
-    loglik_curve = []
-    for _ in range(iters):
-        acc = _Accumulator(model)
-        total = 0.0
-        for ll in _forward_backward(model, chains, acc):
-            total += ll
-        acc.apply(model)
-        loglik_curve.append(total)
-    if iters > 0 and segmentations is None:
-        # flat-start: units never seen in any transcription keep their broad
-        # global-statistics emissions; push them away from the data so they
-        # are never decoded
-        occ = acc.gamma.sum(axis=1)
-        unseen = occ == 0
-        if unseen.any():
-            allx = np.concatenate([np.asarray(s, dtype=np.float64) for s in sequences])
-            offset = 100.0 * np.sqrt(np.maximum(allx.var(axis=0), model.var_floor))
-            model.means[unseen] += offset[None, None, :]
+    if segmentations is not None and len(segmentations) != len(sequences):
+        raise ValueError("sequence/segmentation count mismatch")
+    loglik_curve, it = [], 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if segmentations is not None:
+                _segmented_init(model, sequences, segmentations)
+                # spans shorter than their chain are skipped; the set is
+                # fixed, so the EM curve stays comparable across iterations
+                chains = [(seq[seg.start:seg.end + 1], list(model.unit_states(seg.label)))
+                          for seq, segs in zip(sequences, segmentations) for seg in segs
+                          if seg.duration >= model.unit_nstates[seg.label]]
+            else:
+                _global_init(model, sequences)
+                chains = [(seq, [s for u in (BEGIN_SILENCE, *word, END_SILENCE)
+                                 for s in model.unit_states(u)])
+                          for seq, word in zip(sequences, transcriptions)]
+            for it in range(1, iters + 1):
+                acc = _Accumulator(model)
+                total = 0.0
+                for ll in _forward_backward(model, chains, acc):
+                    total += ll
+                acc.apply(model)
+                loglik_curve.append(total)
+            if iters > 0 and segmentations is None:
+                # flat-start: units never seen in any transcription keep their
+                # broad global-statistics emissions; push them away from the
+                # data so they are never decoded
+                unseen = acc.gamma.sum(axis=1) == 0
+                if unseen.any():
+                    var = np.maximum(np.concatenate(sequences).var(axis=0), model.var_floor)
+                    model.means[unseen] += 100.0 * np.sqrt(var)
+    except FloatingPointError as e:
+        raise DataError("HMM training failed at EM iteration %d (0 is the "
+                        "initialization): %s; check the observations" % (it, e)) from None
     return model, loglik_curve
 
 
@@ -521,7 +520,10 @@ def span_table(model, emis, policy):
     and [t, T) are scored.  The chain DP runs over all start frames at
     once, one step per duration, for each group of units with the same
     state count, and writes each duration's scores straight into the span
-    order of ``Tables``."""
+    order of ``Tables``.  State-major, so each of a step's four in-place
+    calls runs over one contiguous run, not k-element inner loops: row j of
+    the flat v holds state j of every (start, unit) cell, and a run also
+    updates the cells past each row's last start, which feed only each other."""
     t_len = len(emis)
     ix = SpanIndex(t_len, t_len)
     scores = np.full((len(ix.starts), len(model.units)), -np.inf)
@@ -531,24 +533,31 @@ def span_table(model, emis, policy):
     letters = len(model.letters)               # the first units
     for k in sorted(set(model.unit_nstates.values())):
         group = [i for i, u in enumerate(model.units) if model.unit_nstates[u] == k]
+        g, w = len(group), t_len * len(group)
         states = np.array([list(model.unit_states(model.units[i])) for i in group])
-        e = emis[:, states]                              # (T, units, k)
-        log_self = model.log_self[states]
-        log_next = model.log_next[states]
+        # v[j*w + t*g + u]: unit u's best path over frames [t, t+d), now in state j
+        e = emis[:, states].transpose(2, 0, 1).ravel()
+        log_self = np.tile(model.log_self[states].T, t_len).ravel()
+        log_next = np.tile(model.log_next[states].T, t_len).ravel()
         lead = letters if k == model.letter_states else 0   # letters come first
-        # v[t, u, j]: best path from frame t to frame t+d-1, now in state j
-        v = np.full((t_len, len(group), k), -np.inf)
-        v[:, :, 0] = e[:, :, 0]
+        v, move = np.full((2, k * w), -np.inf)
+        v[:w] = e[:w]
+        last = (k - 1) * w          # row k-1: the units' final states
         for d in range(1, t_len + 1):
-            out = v[:, :, k - 1] + log_next[:, k - 1]
-            scores[first[:t_len - d + 1] + d - 1, :lead] = out[:, :lead]
+            n = last + (t_len - d + 1) * g      # row k-1 through its last start
+            out = (v[last:n] + log_next[last:n]).reshape(-1, g)
+            if lead:
+                scores[first[:t_len - d + 1] + (d - 1), :lead] = out[:, :lead]
             if beg in group:        # <s> over [0, d), </s> over [T-d, T)
                 scores[ix.cells + d - 1, beg] = out[0, group.index(beg)]
             if end in group:
                 scores[ix.cells + 2 * t_len - d, end] = out[t_len - d, group.index(end)]
-            move = np.full((t_len - d, len(group), k), -np.inf)
-            move[:, :, 1:] = v[:-1, :, :-1] + log_next[:, :-1]
-            v = np.maximum(v[:-1] + log_self, move) + e[d:]
+            n -= g                  # through row k-1's starts in bounds at d+1
+            adv = max(n - w, 0)     # the advances j-1 -> j; none when k is 1
+            np.add(v[:adv], log_next[:adv], out=move[w:w + adv])
+            np.add(v[:n], log_self[:n], out=v[:n])
+            np.maximum(v[w:n], move[w:n], out=v[w:n])
+            np.add(v[:n], e[d * g:d * g + n], out=v[:n])
     return Tables(scores, *policy, ix, np.arange(letters))
 
 
@@ -561,8 +570,8 @@ def nbest(model, lm, seq, cfg, policy=None):
     best state path, so within-unit state wiggles never produce duplicate
     hypotheses.  The engine returns only finite-score hypotheses
     (NoPathError when there are none).  ``viterbi_decode`` does not use
-    this path: on the span table it is O(T^2) per word and measured 2x
-    slower (module docstring)."""
+    this path: on the span table it is O(T^2) per word and about 2x slower
+    (module docstring)."""
     emis = model.emission_logprobs(seq)
     policy = policy if policy is not None else unit_transitions(model, lm, cfg)
     return lattice_from_ranked(model.units, nbest_segmentations(

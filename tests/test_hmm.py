@@ -579,6 +579,21 @@ class TestEm:
         with pytest.raises(ValueError):
             train_em([], [], ["A"], 2)
 
+    @pytest.mark.parametrize("segmented, value, iteration", [
+        (True, 1e200, 0), (True, 1e154, 1), (False, 1e200, 0), (False, 1e154, 2)])
+    def test_extreme_observation_is_refused(self, segmented, value, iteration):
+        # one finite extreme value overflows the initialization's squared
+        # deviations (1e200) or an EM step's statistics (1e154); training
+        # used to return a NaN curve with RuntimeWarnings only
+        rng = np.random.default_rng(5)
+        seqs = [rng.normal(size=(30, 2)) for _ in range(3)]
+        seqs[1][12, 0] = value
+        segs = [[Segment("<s>", 0, 8), Segment("A", 9, 14), Segment("B", 15, 20),
+                 Segment("</s>", 21, 29)]] * 3
+        with pytest.raises(DataError, match="EM iteration %d " % iteration):
+            train_em(seqs, [["A", "B"]] * 3, ["A", "B"], 2,
+                     segmentations=segs if segmented else None, iters=2)
+
 
 class TestSerialization:
     def test_model_roundtrip(self, tmp_path, toy_lm):
@@ -681,15 +696,16 @@ def reference_span_table(model, emis, policy):
     return tables_from_parts(spans[:, :, :letters], *policy, enter, leave, np.arange(letters))
 
 
-@pytest.mark.parametrize("letter_states, silence_states", [(1, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("letter_states, silence_states", [(1, 1), (2, 3), (3, 2), (3, 9)])
 def test_span_table_equals_dense_reference(toy_lm, letter_states, silence_states):
-    # letters and silences in one state-count group, then in two
+    # letters and silences in one state-count group, then in two, the last
+    # the recognizer's default; T runs below, at and above each state count
     rng = np.random.default_rng(62)
     model = toy_model(rng, letter_states=letter_states, silence_states=silence_states)
     stay = rng.uniform(0.2, 0.8, size=model.n_states)
     model.log_self, model.log_next = np.log(stay), np.log(1 - stay)
     policy = hmm.unit_transitions(model, toy_lm, DecodeConfig(lm_weight=0.7, penalty=0.3))
-    for T in (1, 2, 5, 9):
+    for T in (1, 2, 3, 5, 8, 9, 10, 40):
         emis = model.emission_logprobs(rng.normal(size=(T, 2)))
         got, want = hmm.span_table(model, emis, policy), reference_span_table(model, emis, policy)
         assert np.array_equal(got.scores, want.scores)

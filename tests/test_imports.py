@@ -1,5 +1,6 @@
 """No module of the package imports a name it never uses, so a deletion
-that leaves its import behind fails here."""
+that leaves its import behind fails here; and only ``cli.main`` prints,
+since progress goes through ``logging``."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,34 @@ def test_no_module_imports_an_unused_name():
     assert len(modules) > 10
     assert {m.name: unused_imports(m.read_text()) for m in modules
             if unused_imports(m.read_text())} == {}
+
+
+def print_callers(source):
+    """The functions of ``source`` that call ``print``, by qualified name
+    (``<module>`` for a call outside any function)."""
+    found = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if name == "<module>" else name + "." + child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "print"):
+                found.add(name)
+            visit(child, name)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_print_callers_are_found():
+    source = ("print(1)\ndef f():\n    def g():\n        print(2)\n    return g\n"
+              "class C:\n    def m(self):\n        print(3)\n    def n(self):\n        log(4)\n")
+    assert print_callers(source) == ["<module>", "C.m", "f.g"]
+
+
+def test_only_cli_main_prints():
+    modules = sorted(Path(segspell.__file__).parent.glob("*.py"))
+    callers = {m.stem + "." + f for m in modules for f in print_callers(m.read_text())}
+    assert callers == {"cli.main"}
