@@ -1,15 +1,12 @@
-"""Label alphabets and the linguistic handshape feature tables.
+"""The letter alphabet and the phonetic handshape table.
 
 The letter alphabet is A-Z plus the two boundary symbols ``<s>`` (begin
 silence) and ``</s>`` (end silence), 28 classes in total.  Doubled-letter
 tokens (e.g. ``ZZ``) are off by default and can be enabled per experiment.
 
-Two feature tables ship as editable JSON under ``segspell/data``:
-
-* phonological: six contrastive handshape features with 4+7+5+3+4+3 = 26
-  values in total; per-letter assignments are intentionally partial.
-* phonetic: 27 rows (a-z plus zz) of joint angles, spread flag, thumb
-  parameters and palm orientation.
+The phonetic table ships as editable JSON under ``segspell/data``: 27 rows
+(a-z plus zz) of joint angles, spread flag, thumb parameters and palm
+orientation.
 """
 
 from __future__ import annotations
@@ -23,17 +20,9 @@ END_SILENCE = "</s>"
 SILENCES = (BEGIN_SILENCE, END_SILENCE)
 LETTERS = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
-PHONOLOGICAL_FEATURES = ("SF POR", "SF joints", "SF quantity",
-                         "SF thumb", "SF handpart", "UF")
-
 
 class UnknownSymbolError(KeyError):
     """Raised when a symbol is not part of the alphabet or a table."""
-
-
-def _load_data(name):
-    with resources.files("segspell.data").joinpath(name).open("r", encoding="utf-8") as f:
-        return json.load(f)
 
 
 class LetterAlphabet:
@@ -89,41 +78,6 @@ class LetterAlphabet:
         return tokens
 
 
-class PhonologicalFeatureTable:
-    """Six-feature table; per-letter assignments may be partial."""
-
-    def __init__(self):
-        data = _load_data("phonological_features.json")
-        self.features = {name: tuple(spec["values"])
-                         for name, spec in data["features"].items()}
-        if tuple(self.features) != PHONOLOGICAL_FEATURES:
-            raise ValueError("feature table must declare the six features in order")
-        self.assignments = {}
-        for letter, vals in data.get("assignments", {}).items():
-            if letter not in LETTERS:
-                raise UnknownSymbolError("assignment for non-letter %r" % (letter,))
-            for feat, val in vals.items():
-                if feat not in self.features:
-                    raise ValueError("unknown feature %r for letter %r" % (feat, letter))
-                if val not in self.features[feat]:
-                    raise ValueError("value %r not declared for feature %r" % (val, feat))
-            self.assignments[letter] = dict(vals)
-
-    @property
-    def total_value_count(self):
-        return sum(len(v) for v in self.features.values())
-
-    def value_count(self, feature):
-        return len(self.features[feature])
-
-    def phonological_values(self, letter):
-        """Stored assignments for one letter; unassigned features map to None."""
-        if letter not in LETTERS:
-            raise UnknownSymbolError("unknown letter: %r" % (letter,))
-        stored = self.assignments.get(letter, {})
-        return {feat: stored.get(feat) for feat in self.features}
-
-
 @dataclass(frozen=True)
 class PhoneticRow:
     index_mcp: float
@@ -153,7 +107,8 @@ class PhoneticFeatureTable:
     ANGLE_VALUES = frozenset({0, 45, 90, 135, 180, -45, -1, 1})
 
     def __init__(self):
-        data = _load_data("phonetic_features.json")
+        data = json.loads(resources.files("segspell.data").joinpath(
+            "phonetic_features.json").read_text(encoding="utf-8"))
         rows = data["rows"]
         if len(rows) != 27:
             raise ValueError("phonetic table must have 27 rows, got %d" % len(rows))

@@ -17,7 +17,7 @@ few whole-vector operations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -482,32 +482,6 @@ def _lin_gradients(adapted, x, y, weight_decay, g=None):
 # ---------------------------------------------------------------------------
 # Tandem observations
 
-@dataclass
-class FramePosteriors:
-    """Per-frame classifier outputs: letter distribution and/or the six
-    phonological feature distributions (feature name -> vector)."""
-    letters: np.ndarray = None
-    features: dict = field(default_factory=dict)
-
-
-def classifier_block(post, mode, feature_order=None):
-    """Concatenated classifier outputs on the last axis, for one frame or a
-    (T, .) block: 28 values in letter mode, 26 (= 4+7+5+3+4+3) in feature
-    mode."""
-    if mode == "letter":
-        if post.letters is None:
-            raise ValueError("letter posteriors missing")
-        return np.asarray(post.letters, dtype=np.float64)
-    if mode == "feature":
-        order = feature_order or sorted(post.features)
-        missing = [f for f in order if f not in post.features]
-        if missing:
-            raise ValueError("feature posteriors missing: %s" % ", ".join(missing))
-        return np.concatenate([np.asarray(post.features[f], dtype=np.float64)
-                               for f in order], axis=-1)
-    raise ValueError("mode must be 'letter' or 'feature'")
-
-
 def tandem_transform(block, transform):
     """Classifier outputs as the tandem front end takes them: as they are
     ('linear') or their log, floored at ``LOG_FLOOR`` ('log')."""
@@ -518,15 +492,10 @@ def tandem_transform(block, transform):
     return block
 
 
-def build_tandem_observation(post, image_feature, mode, pca_classifier=None,
-                             pca_image=None, transform="linear"):
-    """Tandem observations: ``tandem_transform``ed classifier outputs, PCA
-    reduced, concatenated with the PCA-reduced image feature.  One frame
-    gives a vector; (T, .) posteriors and (T, .) image features give (T, .)."""
-    block = tandem_transform(classifier_block(post, mode), transform)
-    if pca_classifier is not None:
-        block = apply_pca(pca_classifier, block)
-    img = np.asarray(image_feature, dtype=np.float64)
-    if pca_image is not None:
-        img = apply_pca(pca_image, img)
-    return np.concatenate([block, img], axis=-1)
+def build_tandem_observation(letter_post, descriptors, pca_post, pca_image, transform):
+    """Tandem observations: letter posteriors, ``tandem_transform``ed and
+    reduced by ``pca_post``, concatenated with the descriptors reduced by
+    ``pca_image``.  (T, classes) posteriors and (T, dim) descriptors give
+    (T, .); one frame of each gives one vector."""
+    return np.concatenate([apply_pca(pca_post, tandem_transform(letter_post, transform)),
+                           apply_pca(pca_image, descriptors)], axis=-1)

@@ -126,14 +126,25 @@ class LetterHmm:
 
     @classmethod
     def from_jsonable(cls, obj):
-        """Refuses another schema and a parameter array whose shape does not
-        fit the model's states, components and dimension (DataError)."""
+        """Refuses another schema, a parameter array whose shape does not
+        fit the model's states, components and dimension, a variance below
+        ``var_floor`` or not above 0, and a log-probability above 0
+        (DataError naming the array).  Training writes none of these: every
+        variance it sets is floored at ``var_floor``."""
         if obj.get("schema") != cls.SCHEMA:
             raise DataError("unsupported model schema: %r" % obj.get("schema"))
         model = cls(obj["letters"], obj["dim"], obj["letter_states"],
                     obj["silence_states"], obj["components"], obj["var_floor"])
         for name in ("means", "variances", "log_weights", "log_self", "log_next"):
             setattr(model, name, shaped_array(obj[name], getattr(model, name).shape, name))
+        least = model.variances.min()
+        if not (least >= model.var_floor and least > 0):
+            raise DataError("variances hold %r, below var_floor %r or not above 0"
+                            % (float(least), model.var_floor))
+        for name in ("log_weights", "log_self", "log_next"):
+            top = getattr(model, name).max()
+            if top > 0:
+                raise DataError("%s holds %r, a log-probability above 0" % (name, float(top)))
         return model
 
     def save(self, path):

@@ -118,15 +118,18 @@ def load_arpa(path, alphabet=None):
     alphabet = alphabet or LetterAlphabet()
     row, col = _indices(alphabet)
 
-    def prob(token, lineno):
+    def prob(token, lineno, what="probability"):
+        """10 ** ``token``; a probability's log10 is at most 0, a backoff
+        weight's may be positive."""
         try:
-            value = 10.0 ** float(token)
-            if 0.0 < value < math.inf:
+            log10 = float(token)
+            value = 10.0 ** log10
+            if 0.0 < value < math.inf and (log10 <= 0 or what == "weight"):
                 return value
         except (ValueError, OverflowError):
             pass
-        raise DataError("%s line %d holds %s, not a finite log10 value"
-                        % (path, lineno, token))
+        raise DataError("%s line %d holds %s, not the finite log10 of a %s"
+                        % (path, lineno, token, what))
 
     # one spare slot at the end of each axis takes the skipped symbols (-1)
     bigram = np.zeros((len(row) + 1, len(col) + 1))
@@ -143,7 +146,7 @@ def load_arpa(path, alphabet=None):
                 elif section == "\\1-grams:":
                     unigram[col.get(parts[1], -1)] = prob(parts[0], lineno)
                     if len(parts) > 2:   # histories only: </s> has no backoff weight
-                        backoff[row.get(parts[1], -1)] = prob(parts[2], lineno)
+                        backoff[row.get(parts[1], -1)] = prob(parts[2], lineno, "weight")
                 elif section == "\\2-grams:":
                     bigram[row.get(parts[1], -1), col.get(parts[2], -1)] = prob(parts[0], lineno)
     except (IndexError, UnicodeDecodeError) as e:

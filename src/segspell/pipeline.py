@@ -23,9 +23,8 @@ from functools import partial
 import numpy as np
 
 from .alphabet import BEGIN_SILENCE, END_SILENCE, LetterAlphabet
-from .classifier import (AdaptationModel, FramePosteriors, TrainConfig, adapt,
-                         build_tandem_observation, load_classifier, tandem_transform,
-                         train_mlp)
+from .classifier import (AdaptationModel, TrainConfig, adapt, build_tandem_observation,
+                         load_classifier, tandem_transform, train_mlp)
 from .fileio import DataError, FieldError, check_fields, in_file, read_model, write_json
 from .hmm import (DecodeConfig, LetterHmm, build_decode_graph, forced_align, nbest, train_em,
                   unit_transitions, viterbi_decode)
@@ -101,12 +100,11 @@ class Recognizer:
 
     def observations(self, word, post=None):
         """Tandem observations (T, dim) of a word from its letter posteriors
-        (no phonological-feature classifiers are trained); ``post`` are those
-        posteriors when the caller already has them."""
+        and descriptors; ``post`` are those posteriors when the caller
+        already has them."""
         if post is None:
             post = self.posteriors(word)
-        return build_tandem_observation(FramePosteriors(letters=post),
-                                        word.descriptors, "letter", self.pca_post,
+        return build_tandem_observation(post, word.descriptors, self.pca_post,
                                         self.pca_image, self.cfg.frontend.transform)
 
 

@@ -1,8 +1,7 @@
 import pytest
 
 from segspell.alphabet import (BEGIN_SILENCE, END_SILENCE, LetterAlphabet,
-                               PhoneticFeatureTable, PhonologicalFeatureTable,
-                               UnknownSymbolError)
+                               PhoneticFeatureTable, UnknownSymbolError)
 
 
 def test_class_count_and_fixed_indices(alphabet):
@@ -42,38 +41,6 @@ def test_tokenize_rejects_out_of_alphabet(alphabet):
     with pytest.raises(UnknownSymbolError) as e:
         alphabet.tokenize("AB9")
     assert "AB9" in str(e.value) and "2" in str(e.value)
-
-
-class TestPhonological:
-    table = PhonologicalFeatureTable()
-
-    def test_value_total_is_26(self):
-        assert self.table.total_value_count == 26
-        sizes = [self.table.value_count(f) for f in self.table.features]
-        assert sizes == [4, 7, 5, 3, 4, 3]
-
-    def test_attested_entries(self):
-        assert self.table.phonological_values("C")["SF thumb"] == "opposed"
-        a = self.table.phonological_values("A")
-        assert a["SF thumb"] == "unopposed"
-        assert a["SF joints"] == "spread"
-        assert a["UF"] == "closed"
-        assert a["SF handpart"] == "base"
-        assert a["SF POR"] == "radial"
-
-    def test_unlisted_letter_fully_unassigned(self):
-        q = self.table.phonological_values("Q")
-        assert all(v is None for v in q.values())
-        assert set(q) == set(self.table.features)
-
-    def test_assignments_use_declared_values(self):
-        for letter, vals in self.table.assignments.items():
-            for feat, val in vals.items():
-                assert val in self.table.features[feat]
-
-    def test_unknown_letter_rejected(self):
-        with pytest.raises(UnknownSymbolError):
-            self.table.phonological_values("7")
 
 
 class TestPhonetic:

@@ -225,39 +225,32 @@ class TestAdaptation:
 
 class TestTandemObservation:
     def test_letter_block_is_28(self):
-        post = C.FramePosteriors(letters=np.full(28, 1.0 / 28))
-        block = C.classifier_block(post, "letter")
-        assert block.shape == (28,)
-
-    def test_feature_block_is_26(self):
-        sizes = {"SF POR": 4, "SF joints": 7, "SF quantity": 5,
-                 "SF thumb": 3, "SF handpart": 4, "UF": 3}
-        post = C.FramePosteriors(features={k: np.full(v, 1.0 / v)
-                                           for k, v in sizes.items()})
-        block = C.classifier_block(post, "feature", feature_order=sorted(sizes))
-        assert block.shape == (26,)
+        # the classifier block is the letter posteriors, one value per class
+        from segspell.alphabet import LetterAlphabet
+        from segspell.vision import fit_pca
+        rng = np.random.default_rng(0)
+        posts = rng.random((30, LetterAlphabet().class_count))
+        imgs = rng.normal(size=(30, 6))
+        assert posts.shape[1] == 28
+        obs = C.build_tandem_observation(posts, imgs, fit_pca(posts, 28), fit_pca(imgs, 6),
+                                         "linear")
+        assert obs.shape == (30, 34)
 
     def test_log_floor(self):
-        post = C.FramePosteriors(letters=np.zeros(28))
-        obs = C.build_tandem_observation(post, np.zeros(4), "letter",
-                                         transform="log")
-        np.testing.assert_allclose(obs[:28], np.log(1e-10), atol=1e-12)
-
-    def test_missing_classifier_rejected(self):
-        post = C.FramePosteriors()
-        with pytest.raises(ValueError):
-            C.build_tandem_observation(post, np.zeros(4), "letter")
+        block = C.tandem_transform(np.zeros(28), "log")
+        np.testing.assert_allclose(block, np.log(1e-10), atol=1e-12)
 
     def test_pca_applied_and_concatenated(self):
-        from segspell.vision import fit_pca
+        from segspell.vision import apply_pca, fit_pca
         rng = np.random.default_rng(0)
         posts = rng.random((30, 28))
         imgs = rng.normal(size=(30, 6))
         p1 = fit_pca(posts, 5)
         p2 = fit_pca(imgs, 3)
-        post = C.FramePosteriors(letters=posts[0])
-        obs = C.build_tandem_observation(post, imgs[0], "letter", p1, p2)
+        obs = C.build_tandem_observation(posts[0], imgs[0], p1, p2, "linear")
         assert obs.shape == (8,)
+        assert np.array_equal(obs, np.concatenate([apply_pca(p1, posts[0]),
+                                                   apply_pca(p2, imgs[0])]))
 
 
 # ---------------------------------------------------------------------------

@@ -608,6 +608,28 @@ class TestSerialization:
         assert out1[0] == out2[0]
         assert out1[2] == pytest.approx(out2[2], abs=1e-12)
 
+    @pytest.mark.parametrize("name, value", [
+        ("variances", -1.0), ("variances", 0.0), ("variances", 5e-5),
+        ("log_weights", 0.5), ("log_self", 5.0), ("log_next", 1e-9)])
+    def test_not_a_probability_model_refused(self, tmp_path, name, value):
+        # a variance below var_floor (1e-4 here) or not above 0, or a
+        # log-probability above 0
+        model = toy_model(np.random.default_rng(20))
+        getattr(model, name).flat[0] = value
+        path = str(tmp_path / "hmm.json")
+        model.save(path)
+        with pytest.raises(DataError) as e:
+            LetterHmm.load(path)
+        assert path in str(e.value) and name in str(e.value)
+
+    def test_model_at_the_bounds_loads(self, tmp_path):
+        model = toy_model(np.random.default_rng(20))
+        model.variances.flat[0] = model.var_floor
+        model.log_weights.flat[0] = model.log_self[0] = 0.0
+        path = str(tmp_path / "hmm.json")
+        model.save(path)
+        assert LetterHmm.load(path).variances.flat[0] == model.var_floor
+
     def test_lattice_jsonl_roundtrip(self, tmp_path):
         hyps = [Hypothesis(["<s>", "A", "</s>"],
                            [Segment("<s>", 0, 2), Segment("A", 3, 6),

@@ -1,6 +1,7 @@
-"""No module of the package imports a name it never uses, so a deletion
-that leaves its import behind fails here; and only ``cli.main`` prints,
-since progress goes through ``logging``."""
+"""No module of the package imports a name it never uses, and every file
+under ``segspell/data`` is named in a module's source, so a deletion that
+leaves its import or its data file behind fails here; and only
+``cli.main`` prints, since progress goes through ``logging``."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,14 @@ def test_no_module_imports_an_unused_name():
     assert len(modules) > 10
     assert {m.name: unused_imports(m.read_text()) for m in modules
             if unused_imports(m.read_text())} == {}
+
+
+def test_every_data_file_is_named_in_a_module():
+    package = Path(segspell.__file__).parent
+    sources = "".join(m.read_text() for m in package.glob("*.py"))
+    names = sorted(p.name for p in (package / "data").iterdir() if p.is_file())
+    assert len(names) >= 3
+    assert [name for name in names if name not in sources] == []
 
 
 def print_callers(source):

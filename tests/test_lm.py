@@ -125,9 +125,10 @@ def test_arpa_roundtrip(tmp_path):
             pytest.approx(1.0, abs=1e-5)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "400", "x"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "400", "x", "0.5"])
 @pytest.mark.parametrize("column", ["bigram", "unigram", "backoff"])
 def test_arpa_non_finite_value_refused(tmp_path, column, value):
+    # a log10 above 0 is a probability above 1, but a backoff weight may exceed 1
     path = tmp_path / "lm.arpa"
     train_bigram(["TULIP", "ROAD"]).save(str(path))
     lines = path.read_text().split("\n")
@@ -137,6 +138,10 @@ def test_arpa_non_finite_value_refused(tmp_path, column, value):
     parts[2 if column == "backoff" else 0] = value
     lines[at] = "\t".join(parts)
     path.write_text("\n".join(lines))
+    if (column, value) == ("backoff", "0.5"):
+        lm = load_arpa(str(path))
+        assert lm.backoff[lm.histories.index("T")] == 10.0 ** 0.5
+        return
     with pytest.raises(DataError) as e:
         load_arpa(str(path))
     assert "%s line %d" % (path, at + 1) in str(e.value)

@@ -71,7 +71,7 @@ class TestPipeline:
     @pytest.mark.parametrize("transform", ["linear", "log"])
     def test_observations_match_per_frame_tandem(self, recognizer, split, transform):
         from dataclasses import replace
-        from segspell.classifier import FramePosteriors, build_tandem_observation
+        from segspell.classifier import build_tandem_observation
         _, test = split
         cfg = replace(recognizer.cfg,
                       frontend=replace(recognizer.cfg.frontend, transform=transform))
@@ -80,9 +80,8 @@ class TestPipeline:
         rec = replace(recognizer, cfg=cfg, pca_post=pca_post, pca_image=pca_img)
         for w, post in zip(test[:4], posts):
             obs = rec.observations(w)
-            rows = [build_tandem_observation(FramePosteriors(letters=post[t]),
-                                             w.descriptors[t], "letter", pca_post,
-                                             pca_img, transform)
+            rows = [build_tandem_observation(post[t], w.descriptors[t], pca_post, pca_img,
+                                             transform)
                     for t in range(w.num_frames)]
             np.testing.assert_allclose(obs, np.array(rows), rtol=0, atol=1e-12)
             assert np.array_equal(rec.observations(w, post), obs)
@@ -435,6 +434,8 @@ class TestCliChain:
         "classifier.json-window": lambda m: [row.pop() for row in m["layers"][0]["W"]],
         "hmm.json-schema": lambda m: m.update(schema="segspell-hmm-0"),
         "hmm.json-means": lambda m: m["means"].pop(),
+        "hmm.json-variance": lambda m: m["variances"][0][0].__setitem__(0, -1.0),
+        "hmm.json-log_self": lambda m: m["log_self"].__setitem__(0, 5.0),
         "pca.json-row": lambda m: m["classifier_block"]["components"].pop(),
         "pca.json-output": lambda m: [m["classifier_block"][k].pop()
                                       for k in ("components", "variances")],
@@ -462,8 +463,9 @@ class TestCliChain:
     def test_unreadable_input_file_exit_3(self, workdir, tmp_path, capsys, target):
         # a bundle file or a corpus word file that is not JSON, a descriptor
         # matrix cut short or a column narrower than the classifier reads,
-        # a model of another schema or with a lost row of weights or a lost
-        # state, and a corpus manifest without entries, with a stem that is
+        # a model of another schema, with a lost row of weights or a lost
+        # state, a negative variance or a self-loop probability above 1,
+        # and a corpus manifest without entries, with a stem that is
         # not a string, an entry that disagrees with its word file, or with
         # a top-level field of the wrong type or value, each name the file
         # without a traceback
