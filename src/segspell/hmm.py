@@ -2,13 +2,14 @@
 
 Each letter is a left-to-right chain of three emitting states (no skips);
 the begin/end silences get their own longer chains.  Emissions are
-diagonal-covariance GMMs.  Decoding runs over a composite graph
+diagonal-covariance GMMs, scored by two matrix products
+(``vision.diag_gaussian_logpdf_gemm``).  Decoding runs over a composite graph
 silence - letter loop - silence with bigram-LM-weighted letter transitions
 and a per-letter insertion penalty; boundary silences may be skipped so
 sequences need not start or end with non-signing frames.  That policy is
-stated once, at unit level, by ``unit_transitions``; ``_graph`` expands
-it, or forced alignment's reference chain, into states.  Only a forbidden
-move scores -inf: with floored variances, finite observations have finite
+stated once, at unit level, by ``unit_transitions``; ``_graph`` expands it,
+or forced alignment's reference chain, into states.  Only a forbidden move
+scores -inf: with floored variances, finite observations have finite
 emissions, so a word has no path only when the graph allows none.
 
 N-best lattices run on the semi-Markov engine (``scrf.nbest_segmentations``):
@@ -45,7 +46,7 @@ from .alphabet import BEGIN_SILENCE, END_SILENCE, SILENCES
 from .fileio import DataError, check_fields, in_file, read_model, shaped_array, write_json
 from .scrf import SpanIndex, Tables, nbest_segmentations
 from .segments import NoPathError, Segment, check_tiling, lattice_from_ranked, letters_only
-from .vision import diag_gaussian_logpdf
+from .vision import diag_gaussian_logpdf_gemm
 
 
 @dataclass
@@ -60,6 +61,7 @@ class DecodeConfig:
 
 class LetterHmm:
     SCHEMA = "segspell-hmm-1"
+    SUM_TOLERANCE = 1e-9     # on a state's mixture weights and stay/advance pair
 
     def __init__(self, letters, dim, letter_states=3, silence_states=9,
                  components=2, var_floor=1e-4):
@@ -97,13 +99,12 @@ class LetterHmm:
         return self.emission_logprobs_subset(seq, slice(None))[1]
 
     def emission_logprobs_subset(self, seq, states):
-        """Per-component and total emission log-probs for selected states.
-
-        Returns (ll_comp, ll_tot) with shapes (T, k, M) and (T, k)."""
+        """Per-component (T, k, M) and total (T, k) emission log-probs of
+        the k selected states, by one ``diag_gaussian_logpdf_gemm``."""
         seq = np.asarray(seq, dtype=np.float64)
-        ll = diag_gaussian_logpdf(seq[:, None, None, :], self.means[states],
-                                  self.variances[states])
-        ll += self.log_weights[None, states]
+        mu, var = (a[states].reshape(-1, self.dim) for a in (self.means, self.variances))
+        lw = self.log_weights[states]
+        ll = diag_gaussian_logpdf_gemm(seq, mu, var).reshape(len(seq), *lw.shape) + lw
         m = ll.max(axis=2)
         tot = m + np.log(np.sum(np.exp(ll - m[:, :, None]), axis=2))
         return ll, tot
@@ -126,11 +127,11 @@ class LetterHmm:
 
     @classmethod
     def from_jsonable(cls, obj):
-        """Refuses another schema, a parameter array whose shape does not
-        fit the model's states, components and dimension, a variance below
-        ``var_floor`` or not above 0, and a log-probability above 0
-        (DataError naming the array).  Training writes none of these: every
-        variance it sets is floored at ``var_floor``."""
+        """Refuses another schema, a parameter array whose shape does not fit
+        the model's states, components and dimension, a variance below
+        ``var_floor`` or not above 0, a log-probability above 0, and weights
+        or a stay/advance pair off a sum of 1 by over ``SUM_TOLERANCE``
+        (DataError naming the array); training floors every variance."""
         if obj.get("schema") != cls.SCHEMA:
             raise DataError("unsupported model schema: %r" % obj.get("schema"))
         model = cls(obj["letters"], obj["dim"], obj["letter_states"],
@@ -145,6 +146,12 @@ class LetterHmm:
             top = getattr(model, name).max()
             if top > 0:
                 raise DataError("%s holds %r, a log-probability above 0" % (name, float(top)))
+        for name, total in (("log_weights", np.exp(model.log_weights).sum(axis=1)),
+                            ("log_self and log_next",
+                             np.exp(model.log_self) + np.exp(model.log_next))):
+            miss = float(np.abs(total - 1.0).max())
+            if miss > cls.SUM_TOLERANCE:
+                raise DataError("%s of a state miss a sum of 1 by %.3g" % (name, miss))
         return model
 
     def save(self, path):

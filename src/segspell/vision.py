@@ -20,14 +20,22 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 def diag_gaussian_logpdf(x, means, variances):
     """log N(x; means, diag(variances)) over the last axis; the three
-    broadcast against each other.  The squared differences are divided in
-    place, as the HMM's emissions need at their (frames, states,
-    components, dim) size."""
-    diff = x - means
-    np.square(diff, out=diff)
-    diff /= variances
-    return -0.5 * (np.sum(diff, axis=-1) + np.sum(np.log(variances), axis=-1)
-                   + means.shape[-1] * LOG_2PI)
+    broadcast against each other (the hand GMM and the per-pixel background)."""
+    return -0.5 * (np.sum((x - means) ** 2 / variances, axis=-1)
+                   + np.sum(np.log(variances), axis=-1) + means.shape[-1] * LOG_2PI)
+
+
+def diag_gaussian_logpdf_gemm(x, means, variances):
+    """(T, K) log-densities of x (T, D) under K diagonal Gaussians (K, D) by
+    two matrix products (Kaldi's DiagGmm form).  With positive variances only
+    an overflow makes a distance non-finite, and BLAS sets no floating-point
+    flag for it: NumPy reports one as the caller's ``np.errstate`` asks."""
+    inv = 1.0 / variances
+    scaled = means * inv
+    dist = (x * x) @ inv.T - 2.0 * (x @ scaled.T) + np.sum(means * scaled, axis=1)
+    if not np.isfinite(dist).all():
+        np.multiply(np.finfo(np.float64).max, 2.0)    # the overflow, raised in NumPy
+    return -0.5 * (dist + np.sum(np.log(variances), axis=1) + means.shape[1] * LOG_2PI)
 
 
 # ---------------------------------------------------------------------------

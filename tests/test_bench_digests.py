@@ -25,7 +25,7 @@ from segspell import hmm, pipeline, scrf  # noqa: E402
 SEED = 20160825            # perfbench/run.py's default seed
 DIGESTS = {"decode": "f6629b5f7bbfdde5", "cascade": "47c8dc1be833c4eb",
            "protocol": "cc4ab1ed2f52fb42"}
-SEARCH_DIGESTS = {"decode": "b4d7ad514b3ba6ce", "cascade": "a2a318396d7baeba"}
+SEARCH_DIGESTS = {"decode": "abb035cfc180724a", "cascade": "a2a318396d7baeba"}
 
 
 @pytest.fixture(scope="module")

@@ -622,10 +622,33 @@ class TestSerialization:
             LetterHmm.load(path)
         assert path in str(e.value) and name in str(e.value)
 
+    @pytest.mark.parametrize("name, array, value", [
+        pytest.param("log_weights", "log_weights", math.log(0.75), id="weights"),  # + 0.5
+        pytest.param("log_self and log_next", "log_self", math.log(0.4), id="stay-advance")])
+    def test_probabilities_not_summing_to_one_refused(self, tmp_path, name, array, value):
+        # every entry a log-probability, but one state's distribution is not
+        model = LetterHmm(["A", "B"], dim=2, letter_states=1, silence_states=1, components=2)
+        getattr(model, array).flat[0] = value
+        path = str(tmp_path / "hmm.json")
+        model.save(path)
+        with pytest.raises(DataError) as e:
+            LetterHmm.load(path)
+        assert path in str(e.value) and name in str(e.value)
+
+    def test_sums_within_the_tolerance_load(self, tmp_path):
+        model = toy_model(np.random.default_rng(20))
+        model.log_self[0] = math.log(0.6 + 0.5 * LetterHmm.SUM_TOLERANCE)
+        path = str(tmp_path / "hmm.json")
+        model.save(path)
+        assert LetterHmm.load(path).log_self[0] == model.log_self[0]
+
     def test_model_at_the_bounds_loads(self, tmp_path):
+        # a log-probability of 0 loads when its complement is 0 too: the
+        # stay/advance pair still sums to 1, exp(-1000) being 0 in float64
         model = toy_model(np.random.default_rng(20))
         model.variances.flat[0] = model.var_floor
         model.log_weights.flat[0] = model.log_self[0] = 0.0
+        model.log_next[0] = -1000.0
         path = str(tmp_path / "hmm.json")
         model.save(path)
         assert LetterHmm.load(path).variances.flat[0] == model.var_floor

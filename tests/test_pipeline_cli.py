@@ -436,6 +436,8 @@ class TestCliChain:
         "hmm.json-means": lambda m: m["means"].pop(),
         "hmm.json-variance": lambda m: m["variances"][0][0].__setitem__(0, -1.0),
         "hmm.json-log_self": lambda m: m["log_self"].__setitem__(0, 5.0),
+        "hmm.json-weights": lambda m: m.update(log_weights=[[-50.0] * len(row)
+                                                            for row in m["log_weights"]]),
         "pca.json-row": lambda m: m["classifier_block"]["components"].pop(),
         "pca.json-output": lambda m: [m["classifier_block"][k].pop()
                                       for k in ("components", "variances")],
@@ -464,7 +466,8 @@ class TestCliChain:
         # a bundle file or a corpus word file that is not JSON, a descriptor
         # matrix cut short or a column narrower than the classifier reads,
         # a model of another schema, with a lost row of weights or a lost
-        # state, a negative variance or a self-loop probability above 1,
+        # state, a negative variance, a self-loop probability above 1 or
+        # mixture weights that do not sum to 1,
         # and a corpus manifest without entries, with a stem that is
         # not a string, an entry that disagrees with its word file, or with
         # a top-level field of the wrong type or value, each name the file
@@ -1003,17 +1006,17 @@ class TestCliRunRecords:
             "classifier": {"max_epochs": 2}, "adaptation": {"max_epochs": 2},
             "hmm": {"em_iters": 1}, "scrf": {"epochs": 2, "nbest": 3}}
     # a pin changes only with an explanation in CHANGES.md
-    ARTIFACTS = {"ali.jsonl": "f25424c5b11e9e26", "c": "b33d80a9de497669",
+    ARTIFACTS = {"ali.jsonl": "2c0ab857ba997ba0", "c": "b33d80a9de497669",
                  "cascade.json": "99d0e20ec3396d9f", "clf.json": "60312dbd15ae2b7d",
                  "curve.csv": "cfaccc760f9af38f", "feat": "d80fc5659adbed64",
                  "firstpass.json": "1d33a68292d0e447", "h1.ref": "062f8fe985bfd8c8",
                  "h1.txt": "d41a35ea68753368", "h2.ref": "062f8fe985bfd8c8",
                  "h2.txt": "273f5ca7bc346011", "h3.ref": "062f8fe985bfd8c8",
                  "h3.txt": "5b2cf21a275bc927", "ic": "2a0650fb6211a5b2",
-                 "lats": "9e59feb38b8a3910", "lm.arpa": "362fe0b82b1788a6",
+                 "lats": "e285539610204756", "lm.arpa": "362fe0b82b1788a6",
                  "proto.json": "ae5cbcb5c82e7649", "proto.txt": "93414fbcb6debfa0",
-                 "realign.json": "2324a670dbfedbba", "rec": "07b8e6f4b8f7973a",
-                 "rec2": "4b69fafbd4cc7c11", "rescoring.json": "e7d7a7d1bffb42b0",
+                 "realign.json": "2324a670dbfedbba", "rec": "815c3f6b6a03ee82",
+                 "rec2": "92af2831e80bf88d", "rescoring.json": "e7d7a7d1bffb42b0",
                  "s.json": "78de2f3cfd964b2c", "s.txt": "f3d368c1e5aeb3cf"}
 
     def run(self, capsys, argv, record, seed, inputs, outputs):

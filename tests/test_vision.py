@@ -70,9 +70,30 @@ def reference_bg_log_density(model, lab_image):
                    + np.sum(np.log(model.bg_var), axis=2) + 3 * LOG_2PI)
 
 
+def emission_rounding_bound(model, seq, states):
+    """A bound on |GEMM form - broadcast form| of each (frame, state,
+    component) emission and of each total, from float64 eps and the sizes
+    of the terms the two forms sum.  Each sums at most d + 4 terms of x^2/v,
+    x mu/v (at most (x^2 + mu^2) / 2v), mu^2/v, (x - mu)^2/v (at most
+    2 (x^2 + mu^2) / v) or |log v|, each carrying at most 4 roundings, then
+    adds d log 2 pi and the log weight; the two forms' errors add.  The
+    log-sum-exp over components moves by at most its inputs' largest
+    error, plus its own rounding on each side."""
+    eps = np.finfo(np.float64).eps
+    var, mu = model.variances[states], model.means[states]
+    size = (np.einsum("td,smd->tsm", seq * seq, 1.0 / var) + np.sum(mu * mu / var, axis=2)
+            + np.sum(np.abs(np.log(var)), axis=2) + model.dim * LOG_2PI
+            + np.abs(model.log_weights[states]))
+    comp = (2 * model.dim + 16) * eps * size
+    top = size.max(axis=2) + comp.max(axis=2)       # no |ll| is larger
+    return comp, comp.max(axis=2) + 4 * (model.components + 2) * eps * (top + 1.0)
+
+
 def test_gaussian_kernel_matches_the_four_old_densities():
-    # the HMM emissions (all states and a subset), the hand GMM, the GMM
-    # E-step and the per-pixel background keep their bits
+    # the HMM emissions (all states and a subset, some states at the mean +
+    # 100 sqrt(var) where training puts unseen units) within the rounding
+    # bound of the GEMM form; the hand GMM, the GMM E-step and the per-pixel
+    # background keep their bits
     from segspell.hmm import LetterHmm
     rng = np.random.default_rng(41)
     for _ in range(60):
@@ -84,12 +105,16 @@ def test_gaussian_kernel_matches_the_four_old_densities():
         hmm.variances = 10.0 ** rng.uniform(-4, 2, size=hmm.variances.shape)
         hmm.log_weights = np.log(rng.dirichlet(np.ones(m), size=hmm.n_states))
         seq = scale * rng.normal(size=(t, d))
+        far = rng.random(hmm.n_states) < 0.3
+        hmm.means[far] = seq.mean(axis=0) + 100.0 * np.sqrt(hmm.variances[far])
         subset = np.sort(rng.choice(hmm.n_states, size=int(rng.integers(1, hmm.n_states + 1)),
                                     replace=False))
         for states in (slice(None), subset):
-            for got, want in zip(hmm.emission_logprobs_subset(seq, states),
-                                 reference_hmm_emissions(hmm, seq, states)):
-                assert np.array_equal(got, want)
+            for got, want, bound in zip(hmm.emission_logprobs_subset(seq, states),
+                                        reference_hmm_emissions(hmm, seq, states),
+                                        emission_rounding_bound(hmm, seq, states)):
+                assert got.shape == want.shape
+                assert (np.abs(got - want) <= bound).all()
         gmm = vision.DiagGmm(rng.dirichlet(np.ones(m)), scale * rng.normal(size=(m, d)),
                              10.0 ** rng.uniform(-4, 2, size=(m, d)))
         x = scale * rng.normal(size=(t, d))
@@ -102,6 +127,18 @@ def test_gaussian_kernel_matches_the_four_old_densities():
                                    10.0 ** rng.uniform(-4, 2, size=(h, w, 3)), 0.1, -5.0)
         lab = scale * rng.normal(size=(h, w, 3))
         assert np.array_equal(bg.bg_log_density(lab), reference_bg_log_density(bg, lab))
+
+
+def test_gemm_kernel_reports_an_overflow():
+    # BLAS sets no floating-point flag: a squared distance beyond float64
+    # (1e308 / 1e-4) is reported as np.errstate asks for over
+    args = np.array([[1e154]]), np.zeros((1, 1)), np.full((1, 1), 1e-4)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        vision.diag_gaussian_logpdf_gemm(*args)
+    with np.errstate(over="warn"), pytest.warns(RuntimeWarning, match="overflow"):
+        vision.diag_gaussian_logpdf_gemm(*args)
+    with np.errstate(over="ignore"):
+        assert vision.diag_gaussian_logpdf_gemm(*args)[0, 0] == -np.inf
 
 
 class TestHandColorModel:
