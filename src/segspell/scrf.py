@@ -562,9 +562,9 @@ class SpanIndex:
     """Start and exclusive end boundaries of the spans ``Tables`` scores for
     T frames: the table's (t, d <= dmax) cells row-major, then [0, t) for
     t = 1..T, then [t, T) for t = 0..T-1.  ``by_end[end_cut[t]:end_cut[t+1]]``
-    are the spans ending at t, shortest first (the tie order of
-    nbest_segmentations); ``by_start`` and ``start_cut`` likewise, built on
-    first use (only ``backward_pass`` reads them)."""
+    are the spans ending at t, shortest first (nbest_segmentations' tie
+    order; a stable sort keeps cell (0, t) before its equal [0, t)); and
+    ``by_start``, ``start_cut`` likewise, on first use (for backward_pass)."""
 
     def __init__(self, t_len, dmax):
         self.num_frames, self.dmax = t_len, dmax
@@ -576,12 +576,12 @@ class SpanIndex:
         self.ends = np.concatenate([e, b, t_len + 0 * b])
         self.durations = self.ends - self.starts
         self.last = self.ends - 1            # inclusive last frames
-        self.by_end = np.lexsort((self.durations, self.ends))
+        self.by_end = np.argsort(self.ends * (t_len + 1) + self.durations, kind="stable")
         self.end_cut = np.searchsorted(self.ends[self.by_end], np.arange(t_len + 2))
 
     @cached_property
     def by_start(self):
-        return np.lexsort((self.durations, self.starts))
+        return np.argsort(self.starts * (self.num_frames + 1) + self.durations, kind="stable")
 
     @cached_property
     def start_cut(self):

@@ -9,11 +9,12 @@ and multi-frame window stacking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy import ndimage
 
-from .fileio import shaped_array
+from .fileio import DataError, shaped_array
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -36,6 +37,14 @@ def diag_gaussian_logpdf_gemm(x, means, variances):
     if not np.isfinite(dist).all():
         np.multiply(np.finfo(np.float64).max, 2.0)    # the overflow, raised in NumPy
     return -0.5 * (dist + np.sum(np.log(variances), axis=1) + means.shape[1] * LOG_2PI)
+
+
+def logsumexp_last(ll):
+    """log sum exp over the last axis, one elementwise pass per column: a
+    reduction loops once per output, slow on a short (component) axis.  Up to
+    7 columns it has a reduction's bits: ``np.sum`` adds under 8 in order."""
+    m = reduce(np.maximum, np.moveaxis(ll, -1, 0))
+    return m + np.log(reduce(np.add, np.moveaxis(np.exp(ll - m[..., None]), -1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +82,10 @@ class DiagGmm:
     variances: np.ndarray # (K, D)
 
     def log_density(self, x):
-        """Componentwise log N summed over dims, logsumexp over components."""
+        """log N per component, then ``logsumexp_last`` (elementwise: faster, same bits)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         ll = diag_gaussian_logpdf(x[:, None, :], self.means, self.variances)
-        ll = ll + np.log(self.weights)[None]
-        m = ll.max(axis=1)
-        return m + np.log(np.sum(np.exp(ll - m[:, None]), axis=1))
+        return logsumexp_last(ll + np.log(self.weights)[None])
 
 
 def _kmeans_init(x, k):
@@ -332,11 +339,13 @@ class PcaModel:
 
     @classmethod
     def from_jsonable(cls, obj):
-        """Refuses arrays of disagreeing shapes (DataError)."""
+        """Refuses arrays of disagreeing shapes or a negative variance (DataError)."""
         mean = shaped_array(obj["mean"], (None,), "mean")
         components = shaped_array(obj["components"], (None, len(mean)), "components")
-        return cls(mean, components,
-                   shaped_array(obj["variances"], (len(components),), "variances"))
+        variances = shaped_array(obj["variances"], (len(components),), "variances")
+        if variances.min(initial=0.0) < 0:
+            raise DataError("variances hold %r, below 0" % float(variances.min()))
+        return cls(mean, components, variances)
 
 
 def fit_pca(data, k):

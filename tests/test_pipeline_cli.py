@@ -173,29 +173,36 @@ def damage_file(path, damage):
 
 class TestCliChain:
     @pytest.fixture(scope="class")
-    def workdir(self, tmp_path_factory):
+    def trained(self, tmp_path_factory):
+        """The corpus and what the chain trains from it (lm.arpa, clf.json
+        with curve.csv, the rec bundle), with each command's exit code, so
+        any test of the class can run alone."""
         d = tmp_path_factory.mktemp("cli")
-        assert cli.main(["gen-data", "--out", str(d / "corpus"), "--wordlist", "1",
-                         "--words", "10", "--signers", "2", "--seed", "5"]) == 0
-        return d
+        argvs = {
+            "gen-data": ["--out", str(d / "corpus"), "--wordlist", "1",
+                         "--words", "10", "--signers", "2", "--seed", "5"],
+            "train-lm": ["--out", str(d / "lm.arpa"), "--wordlist", "1", "--words", "40"],
+            "train-classifier": ["--corpus", str(d / "corpus"), "--out", str(d / "clf.json"),
+                                 "--signers", "S1", "--curve", str(d / "curve.csv"),
+                                 "--seed", "5"],
+            "train-hmm": ["--corpus", str(d / "corpus"), "--classifier", str(d / "clf.json"),
+                          "--lm", str(d / "lm.arpa"), "--out", str(d / "rec"),
+                          "--signers", "S1", "--seed", "5"],
+        }
+        return d, {name: cli.main([name] + argv) for name, argv in argvs.items()}
+
+    @pytest.fixture(scope="class")
+    def workdir(self, trained):
+        return trained[0]
 
     def test_gen_data_artifacts(self, workdir):
         manifest = json.load(open(workdir / "corpus" / "manifest.json"))
         assert len(manifest["entries"]) == 40
         assert os.path.exists(workdir / "corpus" / "run_record.json")
 
-    def test_full_chain_to_score(self, workdir):
-        d = workdir
-        assert cli.main(["train-lm", "--out", str(d / "lm.arpa"),
-                         "--wordlist", "1", "--words", "40"]) == 0
-        assert cli.main(["train-classifier", "--corpus", str(d / "corpus"),
-                         "--out", str(d / "clf.json"), "--signers", "S1",
-                         "--curve", str(d / "curve.csv"), "--seed", "5"]) == 0
-        assert cli.main(["train-hmm", "--corpus", str(d / "corpus"),
-                         "--classifier", str(d / "clf.json"),
-                         "--lm", str(d / "lm.arpa"),
-                         "--out", str(d / "rec"), "--signers", "S1",
-                         "--seed", "5"]) == 0
+    def test_full_chain_to_score(self, trained):
+        d, codes = trained
+        assert codes == {"gen-data": 0, "train-lm": 0, "train-classifier": 0, "train-hmm": 0}
         assert cli.main(["decode", "--recognizer", str(d / "rec"),
                          "--corpus", str(d / "corpus"), "--signers", "S1",
                          "--out", str(d / "hyps.txt"),
@@ -443,6 +450,7 @@ class TestCliChain:
                                       for k in ("components", "variances")],
         "pca.json-input": lambda m: [row.pop() for row in [m["image_block"]["mean"]]
                                      + m["image_block"]["components"]],
+        "pca.json-variances": lambda m: m["classifier_block"]["variances"].__setitem__(0, -1.0),
         "manifest.json-entries": lambda m: m.pop("entries"),
         "manifest.json-stem": lambda m: m["entries"][0].update(stem=7),
         # an entry must name the word, signer and seed key of its word file
@@ -466,8 +474,8 @@ class TestCliChain:
         # a bundle file or a corpus word file that is not JSON, a descriptor
         # matrix cut short or a column narrower than the classifier reads,
         # a model of another schema, with a lost row of weights or a lost
-        # state, a negative variance, a self-loop probability above 1 or
-        # mixture weights that do not sum to 1,
+        # state, a negative variance (HMM or PCA), a self-loop probability
+        # above 1 or mixture weights that do not sum to 1,
         # and a corpus manifest without entries, with a stem that is
         # not a string, an entry that disagrees with its word file, or with
         # a top-level field of the wrong type or value, each name the file

@@ -1230,6 +1230,19 @@ class TestNBestEngine:
         assert len(got) == 8
         assert got == reference_nbest_segmentations(*args)
 
+    @pytest.mark.parametrize("dmax", [1, 2, 40, None])
+    def test_span_orders_equal_the_lexsort_orders(self, dmax):
+        # one stable argsort of end (T + 1) + duration orders the spans as
+        # lexsort on (end, duration) does, ties in index order included:
+        # the table cell (0, t) and the enter span [0, t) share a key
+        for t_len in range(1, 61):
+            ix = scrf.SpanIndex(t_len, dmax or t_len)
+            for order, cut, key in ((ix.by_end, ix.end_cut, ix.ends),
+                                    (ix.by_start, ix.start_cut, ix.starts)):
+                want = np.lexsort((ix.durations, key))
+                assert np.array_equal(order, want)
+                assert np.array_equal(cut, np.searchsorted(key[want], np.arange(len(cut))))
+
 
 # ---------------------------------------------------------------------------
 # The span path: factored first-pass features, lean passes, lattices

@@ -70,6 +70,51 @@ def reference_bg_log_density(model, lab_image):
                    + np.sum(np.log(model.bg_var), axis=2) + 3 * LOG_2PI)
 
 
+def reference_logsumexp(ll):
+    """The component reduction ``vision.logsumexp_last`` replaced."""
+    m = ll.max(-1)
+    return m + np.log(np.sum(np.exp(ll - m[..., None]), -1))
+
+
+def logsumexp_inputs(rng, m):
+    """(T, k, M) and (N, K) arrays of M components: ordinary log-densities,
+    rows with every component tied and with two tied maxima, a component
+    at -inf beside finite ones, and magnitudes near +-1e300."""
+    for shape in ((40, 7, m), (25, m)):
+        ll = rng.normal(-50.0, 30.0, shape)
+        ll[:3] = ll[:3, ..., :1]                        # all tied
+        ll[3:6, ..., -1] = ll[3:6].max(-1)              # two tied maxima
+        if m > 1:
+            ll[6:9, ..., rng.integers(m)] = -np.inf
+            ll[9:12, ..., 1:] = -np.inf                 # one finite component
+        ll[12:18] = np.sign(ll[12:18]) * 10.0 ** rng.uniform(299, 300, ll[12:18].shape)
+        ll[18:21] = 1e300 * (1.0 + rng.uniform(0, 1e-3, ll[18:21].shape))
+        yield ll
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_logsumexp_last_has_the_reduction_bits(m):
+    rng = np.random.default_rng(70 + m)
+    for _ in range(20):
+        for ll in logsumexp_inputs(rng, m):
+            assert np.array_equal(vision.logsumexp_last(ll), reference_logsumexp(ll))
+
+
+@pytest.mark.parametrize("m", [8, 9, 16])
+def test_logsumexp_last_of_8_or_more_components_within_ulps(m):
+    # from 8 terms np.sum adds pairwise over 8 accumulators, the passes in
+    # order: the two sums of terms in [0, 1], one of them 1, differ by at
+    # most (m - 1) eps relative, which the log turns into an absolute
+    # (m - 1) eps; each side rounds the log and the final add once more
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(80 + m)
+    for _ in range(20):
+        for ll in logsumexp_inputs(rng, m):
+            got, want = vision.logsumexp_last(ll), reference_logsumexp(ll)
+            bound = (m + 4) * eps + 2 * np.spacing(np.abs(want))
+            assert (np.abs(got - want) <= bound).all()
+
+
 def emission_rounding_bound(model, seq, states):
     """A bound on |GEMM form - broadcast form| of each (frame, state,
     component) emission and of each total, from float64 eps and the sizes
