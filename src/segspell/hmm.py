@@ -56,7 +56,7 @@ from .vision import diag_gaussian_logpdf_gemm, logsumexp_last
 class DecodeConfig:
     lm_weight: float = 1.0
     penalty: float = 0.0       # per decoded letter; larger means fewer letters
-    nbest: int = in_file(default=1, at_least=1)
+    nbest: int = in_file(default=8, at_least=1)
 
     def __post_init__(self):
         check_fields(self)
@@ -479,14 +479,12 @@ def _viterbi(a, pi, omega, emis):
     return float(final[path[0]]), path[::-1]
 
 
-def viterbi_decode(model, lm, seq, cfg=None, graph=None):
+def viterbi_decode(model, lm, seq, cfg, graph=None):
     """Best path through the composite decode graph (``graph``, when given,
     is ``build_decode_graph(model, lm, cfg)`` built once for many words).
 
     Returns (letter sequence without silences, segmentation including any
     decoded boundary silences, total log score)."""
-    if cfg is None:
-        cfg = DecodeConfig()
     a, pi, omega = graph if graph is not None else build_decode_graph(model, lm, cfg)
     best, path = _viterbi(a, pi, omega, model.emission_logprobs(seq))
     if best == -np.inf:
@@ -538,16 +536,14 @@ def span_table(model, emis, policy):
     START and leaves ``</s>`` only to the end, so only their spans [0, t)
     and [t, T) are scored.  The chain DP runs over all start frames at
     once, one step per duration, for each group of units with the same
-    state count, and writes each duration's scores straight into the span
-    order of ``Tables``.  State-major, so each of a step's four in-place
+    state count, and writes each duration's scores straight into their
+    ``SpanIndex`` rows.  State-major, so each of a step's four in-place
     calls runs over one contiguous run, not k-element inner loops: row j of
     the flat v holds state j of every (start, unit) cell, and a run also
     updates the cells past each row's last start, which feed only each other."""
     t_len = len(emis)
     ix = SpanIndex(t_len, t_len)
     scores = np.full((len(ix.starts), len(model.units)), -np.inf)
-    # the span [t, t+d) of the table is at row first[t] + d - 1
-    first = np.concatenate([[0], np.cumsum(np.arange(t_len, 1, -1))])
     beg, end = model.units.index(BEGIN_SILENCE), model.units.index(END_SILENCE)
     letters = len(model.letters)               # the first units
     for k in sorted(set(model.unit_nstates.values())):
@@ -566,11 +562,11 @@ def span_table(model, emis, policy):
             n = last + (t_len - d + 1) * g      # row k-1 through its last start
             out = (v[last:n] + log_next[last:n]).reshape(-1, g)
             if lead:
-                scores[first[:t_len - d + 1] + (d - 1), :lead] = out[:, :lead]
+                scores[ix.first_cell[:t_len - d + 1] + (d - 1), :lead] = out[:, :lead]
             if beg in group:        # <s> over [0, d), </s> over [T-d, T)
-                scores[ix.cells + d - 1, beg] = out[0, group.index(beg)]
+                scores[ix.enter[d - 1], beg] = out[0, group.index(beg)]
             if end in group:
-                scores[ix.cells + 2 * t_len - d, end] = out[t_len - d, group.index(end)]
+                scores[ix.leave[t_len - d], end] = out[t_len - d, group.index(end)]
             n -= g                  # through row k-1's starts in bounds at d+1
             adv = max(n - w, 0)     # the advances j-1 -> j; none when k is 1
             np.add(v[:adv], log_next[:adv], out=move[w:w + adv])

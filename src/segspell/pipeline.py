@@ -71,8 +71,7 @@ class PipelineConfig:
     silence_states: int = in_file("hmm.silence_states", default=9, at_least=1)
     gmm_components: int = in_file("hmm.gmm_components", default=2, at_least=1)
     em_iters: int = in_file("hmm.em_iters", default=2, at_least=0)
-    decode: DecodeConfig = in_file("hmm.decode",
-                                   default_factory=lambda: DecodeConfig(nbest=8))
+    decode: DecodeConfig = in_file("hmm.decode", default_factory=DecodeConfig)
     folds: int = in_file(default=10, at_least=3)   # test, held-out and training folds
     report_folds: int = in_file(default=8, at_least=1)
     adapt_fraction: float = in_file("adaptation.fraction", default=0.2, above=0, below=1)

@@ -19,7 +19,8 @@ follows the first-order semi-CRF of Sarawagi & Cohen (NIPS 2004), on
 START context, where the LM feature (it reads nothing but the label pair)
 joins the structural constraints.  A score is linear in the weights, so
 the rest of a table is built once per model and length.  One forward
-sweep serves log-partition (log-sum-exp) and N-best (maximum).
+sweep serves log-partition (log-sum-exp), N-best (maximum) and the
+backward pass, which is the forward sweep in reversed time.
 
 Training maximizes conditional log-likelihood by (sub)gradient ascent with
 L2 and proximal (clip-at-zero) L1 steps, set by ``ScrfConfig``; the
@@ -57,7 +58,6 @@ class FeatureContext:
     descriptors: np.ndarray = None          # (T, d)
     lm: object = None
     baseline_frames: list = None            # length-T labels from the 1-best baseline
-    _peak_curve: np.ndarray = None
 
     def __post_init__(self):
         for name, arr in [("letter_posteriors", self.letter_posteriors),
@@ -68,13 +68,11 @@ class FeatureContext:
         if self.baseline_frames is not None and len(self.baseline_frames) != self.num_frames:
             raise ValueError("baseline labeling length mismatch")
 
-    @property
+    @cached_property
     def peak_curve(self):
-        if self._peak_curve is None:
-            if self.descriptors is None:
-                raise ValueError("peak curve requires descriptors")
-            self._peak_curve = smoothed_derivative(self.descriptors)
-        return self._peak_curve
+        if self.descriptors is None:
+            raise ValueError("peak curve requires descriptors")
+        return smoothed_derivative(self.descriptors)
 
 
 def smoothed_derivative(descriptors, window=5):
@@ -560,32 +558,34 @@ def _lse(values):
 
 class SpanIndex:
     """Start and exclusive end boundaries of the spans ``Tables`` scores for
-    T frames: the table's (t, d <= dmax) cells row-major, then [0, t) for
-    t = 1..T, then [t, T) for t = 0..T-1.  ``by_end[end_cut[t]:end_cut[t+1]]``
+    T frames: the table's (t, d <= dmax) cells row-major, (t, d) at row
+    ``first_cell[t] + d - 1``, then [0, t) at ``enter[t-1]`` for t = 1..T, then
+    [t, T) at ``leave[t]`` for t = 0..T-1.  ``by_end[end_cut[t]:end_cut[t+1]]``
     are the spans ending at t, shortest first (nbest_segmentations' tie
-    order; a stable sort keeps cell (0, t) before its equal [0, t)); and
-    ``by_start``, ``start_cut`` likewise, on first use (for backward_pass)."""
+    order; a stable sort keeps cell (0, t) before its equal [0, t));
+    ``reversed`` is (starts, by_end, end_cut) with frame t read as T - t."""
 
     def __init__(self, t_len, dmax):
         self.num_frames, self.dmax = t_len, dmax
         t, d = np.divmod(np.arange(t_len * dmax), dmax)
         t, e = t[t + d < t_len], (t + d + 1)[t + d < t_len]
         self.cells = len(t)
+        self.first_cell = np.flatnonzero(e - t == 1)
+        self.enter, self.leave = self.cells + np.arange(2 * t_len).reshape(2, t_len)
         b = np.arange(1, t_len + 1)
         self.starts = np.concatenate([t, 0 * b, b - 1])
         self.ends = np.concatenate([e, b, t_len + 0 * b])
         self.durations = self.ends - self.starts
         self.last = self.ends - 1            # inclusive last frames
-        self.by_end = np.argsort(self.ends * (t_len + 1) + self.durations, kind="stable")
-        self.end_cut = np.searchsorted(self.ends[self.by_end], np.arange(t_len + 2))
+        self.by_end, self.end_cut = self._grouped(self.ends)
+
+    def _grouped(self, ends):
+        order = np.argsort(ends * (self.num_frames + 1) + self.durations, kind="stable")
+        return order, np.searchsorted(ends[order], np.arange(self.num_frames + 2))
 
     @cached_property
-    def by_start(self):
-        return np.argsort(self.starts * (self.num_frames + 1) + self.durations, kind="stable")
-
-    @cached_property
-    def start_cut(self):
-        return np.searchsorted(self.starts[self.by_start], np.arange(self.num_frames + 1))
+    def reversed(self):
+        return (self.num_frames - self.ends,) + self._grouped(self.num_frames - self.starts)
 
 
 @dataclass
@@ -654,44 +654,36 @@ def compute_tables(model, ctx):
 # ---------------------------------------------------------------------------
 # Exact inference over the full segmentation space
 
+@np.errstate(divide="ignore")
+def _sweep(scores, starts, order, cut, first, pair, reduce):
+    """forward_pass's (alpha, prev_lse) for any grouping by end, START row and pair block."""
+    scores, starts = scores[order], starts[order]
+    seg, ctx = np.full((2, len(cut) - 1, len(first)), NEG_INF)
+    ctx[0] = first
+    for t in range(1, len(seg)):
+        k = slice(cut[t], cut[t + 1])
+        seg[t] = reduce(scores[k] + ctx[starts[k]])
+        ctx[t] = reduce(seg[t][:, None] + pair)
+    return seg, ctx
+
+
 def forward_pass(tabs, reduce=_lse):
     """(alpha, prev_lse).  alpha[t, y]: log-sum over partial hypotheses
     covering frames [0, t) whose final segment has label y; prev_lse[t, y]:
     log-sum over contexts preceding a segment starting at t labeled y, with
     the pair score (START at t=0, which the enter spans also follow).
     ``reduce=np.maximum.reduce`` takes the best instead: the 1-best pass."""
-    trans, ix = tabs.trans, tabs.index
-    t_len, nl = ix.num_frames, len(tabs.final)
-    scores, starts = tabs.scores[ix.by_end], ix.starts[ix.by_end]
-    alpha = np.full((t_len + 1, nl), NEG_INF)
-    prev_lse = np.full((t_len + 1, nl), NEG_INF)
-    prev_lse[0] = trans[0]
-    with np.errstate(divide="ignore"):
-        for t in range(1, t_len + 1):
-            k = slice(ix.end_cut[t], ix.end_cut[t + 1])
-            alpha[t] = reduce(scores[k] + prev_lse[starts[k]])
-            if t < t_len:
-                prev_lse[t] = reduce(alpha[t][:, None] + trans[1:])
-    return alpha, prev_lse
+    ix, trans = tabs.index, tabs.trans
+    return _sweep(tabs.scores, ix.starts, ix.by_end, ix.end_cut, trans[0], trans[1:], reduce)
 
 
 def backward_pass(tabs):
-    """(tail, inner).  tail[t, p]: log-sum over completions of frames
-    [t, T) given the previous segment ended at t with label p; tail[T]
-    is the final score.  inner[t, y]: the same completions restricted to a
-    first segment labeled y, without its pair score."""
-    trans, ix = tabs.trans, tabs.index
-    t_len, nl = ix.num_frames, len(tabs.final)
-    scores, ends = tabs.scores[ix.by_start], ix.ends[ix.by_start]
-    tail = np.full((t_len + 1, nl), NEG_INF)
-    inner = np.full((t_len, nl), NEG_INF)
-    tail[t_len] = tabs.final
-    with np.errstate(divide="ignore"):
-        for t in range(t_len - 1, -1, -1):
-            k = slice(ix.start_cut[t], ix.start_cut[t + 1])
-            inner[t] = _lse(scores[k] + tail[ends[k]])
-            tail[t] = _lse(inner[t][:, None] + trans[1:].T)
-    return tail, inner
+    """(tail, inner).  tail[t, p]: log-sum over completions of frames [t, T)
+    given the previous segment ended at t with label p; tail[T] is the final
+    score.  inner[t, y]: the same completions restricted to a first segment
+    labeled y, without its pair score.  The forward sweep in reversed time."""
+    inner, tail = _sweep(tabs.scores, *tabs.index.reversed, tabs.final, tabs.trans[1:].T, _lse)
+    return tail[::-1], inner[:0:-1]
 
 
 def log_partition(model, ctx, lattice=None):
@@ -767,16 +759,15 @@ class ReferenceNotInLattice(RuntimeError):
     pass
 
 
-def clamped_expectation(model, ctx, ref_labels, tabs=None):
-    """(expected features, log-partition) over segmentations consistent with
-    the reference label sequence (constrained forward-backward).  All of
-    them share the reference's label pairs, so the pair score of each
-    reference position is one constant, and each position's recursion runs
-    over every span at once.  The positions' span posteriors are summed
-    into one (spans, L) array before the expectation.  NoPathError when
-    no segmentation carries the reference labels."""
-    if tabs is None:
-        tabs = compute_tables(model, ctx)
+def clamped_expectation(model, ctx, ref_labels, tabs):
+    """(expected features, log-partition) over the segmentations of
+    ``tabs`` (``compute_tables``) consistent with the reference label
+    sequence (constrained forward-backward).  All of them share the
+    reference's label pairs, so the pair score of each reference position
+    is one constant, and each position's recursion runs over every span at
+    once.  The positions' span posteriors are summed into one (spans, L)
+    array before the expectation.  NoPathError when no segmentation
+    carries the reference labels."""
     t_len = ctx.num_frames
     k = len(ref_labels)
     lidx = [model._ids[l] for l in ref_labels]
@@ -806,14 +797,13 @@ def clamped_expectation(model, ctx, ref_labels, tabs=None):
     return _expectation(model, ctx, starts, tabs.index.last, post, counts), float(logz_c)
 
 
-def free_expectation(model, ctx, tabs=None):
-    """(expected features, logZ) over the full segmentation space.  A span
-    labeled y from boundary s to e has posterior exp(prev_lse[s, y] + score
-    + tail[e, y] - logZ); the label-pair posterior of (p, y) sums, over the
-    boundary t where a segment labeled y starts, exp(alpha[t, p] +
-    trans[p, y] + inner[t, y] - logZ)."""
-    if tabs is None:
-        tabs = compute_tables(model, ctx)
+def free_expectation(model, ctx, tabs):
+    """(expected features, logZ) over the full segmentation space of
+    ``tabs`` (``compute_tables``).  A span labeled y from boundary s to e
+    has posterior exp(prev_lse[s, y] + score + tail[e, y] - logZ); the
+    label-pair posterior of (p, y) sums, over the boundary t where a
+    segment labeled y starts, exp(alpha[t, p] + trans[p, y] + inner[t, y]
+    - logZ)."""
     post, logz, alpha, inner = _marginals(tabs)
     pair_post = None
     if model.left_dependent:

@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never uses, and every file
-under ``segspell/data`` is named in a module's source, so a deletion that
-leaves its import or its data file behind fails here; and only
-``cli.main`` prints, since progress goes through ``logging``."""
+"""No module of the package imports a name it never uses, no private
+helper goes uncalled, and every file under ``segspell/data`` is named in a
+module's source, so a deletion that leaves its import, its helper or its
+data file behind fails here; and only ``cli.main`` prints, since progress
+goes through ``logging``."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,35 @@ def test_no_module_imports_an_unused_name():
     assert len(modules) > 10
     assert {m.name: unused_imports(m.read_text()) for m in modules
             if unused_imports(m.read_text())} == {}
+
+
+def dead_helpers(sources):
+    """The ``_``-prefixed functions, methods and classes (dunders aside)
+    defined in ``sources`` that none of them names anywhere but in their
+    own definition: as a name, an attribute or an imported name."""
+    trees = [ast.parse(source) for source in sources]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    defined = {node.name for node in nodes
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    named = ({node.id for node in nodes if isinstance(node, ast.Name)}
+             | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+             | {node.name for node in nodes if isinstance(node, ast.alias)})
+    return sorted(defined - named)
+
+
+def test_dead_helpers_are_found():
+    sources = ["def _used():\n    pass\ndef _dead():\n    pass\nclass _Base:\n"
+               "    def _method(self):\n        pass\n    def __repr__(self):\n"
+               "        return ''\n",
+               "from a import _used\nclass C(_Base):\n    pass\n"]
+    assert dead_helpers(sources) == ["_dead", "_method"]
+    assert dead_helpers(sources + ["x._method()\n"]) == ["_dead"]
+
+
+def test_no_private_helper_is_dead():
+    modules = sorted(Path(segspell.__file__).parent.glob("*.py"))
+    assert dead_helpers([m.read_text() for m in modules]) == []
 
 
 def test_every_data_file_is_named_in_a_module():

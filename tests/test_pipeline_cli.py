@@ -624,8 +624,9 @@ class TestCliChain:
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(target=st.sampled_from(DECODE_READS), damage=DAMAGE)
     def test_decode_refuses_damaged_input_without_traceback(self, one_word, target, damage):
-        # decode, plain and rescoring lattices, and nbest exit 0, 2 or 3
-        # whatever damage one of the files they read has taken
+        # decode, plain and rescoring lattices, nbest and train-scrf (both
+        # modes, one epoch) exit 0, 2 or 3 whatever damage one of the files
+        # they read has taken
         src, stem = one_word
         with tempfile.TemporaryDirectory() as tmp:
             d = Path(tmp)
@@ -637,7 +638,10 @@ class TestCliChain:
                     ["decode", "--out", str(d / "hyps.txt"), "--scrf", str(d / "fp.json"),
                      "--lattices", str(d / "lats")]]
             if target in self.NBEST_READS:
+                (d / "epoch.json").write_text(json.dumps({"scrf": {"epochs": 1}}))
                 runs.append(["nbest", "--out", str(d / "nbest"), "--n", "3"])
+                runs += [["train-scrf", "--out", str(d / "trained.json"), "--mode", mode,
+                          "--config", str(d / "epoch.json")] for mode in ("firstpass", "rescoring")]
             for argv in runs:
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err):
